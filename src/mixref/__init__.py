@@ -15,6 +15,7 @@ from .engine import (
     Trace,
     brute_force_log_likelihood,
     conditioned_presence,
+    log_likelihood_and_gradient,
     marker_log_likelihood,
     marker_posterior,
     presence_posteriors,

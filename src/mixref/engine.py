@@ -29,12 +29,19 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .peakmodel import ModelParameters, gamma_log_cdf, gamma_log_pdf, gamma_log_sf
+from .peakmodel import (
+    ModelParameters,
+    gamma_log_cdf,
+    gamma_log_cdf_grad,
+    gamma_log_pdf,
+    gamma_log_pdf_grad,
+    gamma_log_sf,
+)
 from .population import (
     SILENT_LABEL,
     FrequencyTable,
@@ -55,6 +62,7 @@ __all__ = [
     "marker_log_likelihood",
     "brute_force_log_likelihood",
     "total_log_likelihood",
+    "log_likelihood_and_gradient",
     "presence_posteriors",
     "conditioned_presence",
     "marker_posterior",
@@ -91,13 +99,20 @@ class Trace:
     heights: Mapping[str, Mapping[str, float]]
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError(f"threshold for {self.trace_id!r} must be positive")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(
+                f"threshold for {self.trace_id!r} must be positive and finite, "
+                f"got {self.threshold}"
+            )
         cleaned = {}
         for marker, peaks in self.heights.items():
             row = {}
             for allele, h in peaks.items():
                 h = float(h)
+                if not math.isfinite(h):
+                    raise ValueError(
+                        f"non-finite height {h} for {self.trace_id}/{marker}/{allele}"
+                    )
                 if h < 0:
                     raise ValueError(
                         f"negative height for {self.trace_id}/{marker}/{allele}"
@@ -328,6 +343,30 @@ class _TraceView:
     observed: np.ndarray
     known_contributes: np.ndarray  # bool per known role
     unknown_contributes: np.ndarray  # bool per unknown role
+    blocks: Mapping[int, tuple[int, slice, tuple[int, ...]]]  # see _factor_blocks
+    n_observed: int  # factor entries of observed peaks, which come first
+
+
+def _factor_blocks(observed, silent, coupled, n_combos):
+    """Layout of one trace's factor entries on a marker, flattened.
+
+    An entry is one value of a peak's factor table: (draw at p) at an
+    uncoupled position p, (draw at p, draw at p+1) at a stutter-coupled
+    one.  Observed peaks come first, so each kind of factor is one
+    contiguous run.  Maps each emitted position p to (the step that emits
+    it, the slice of its entries, its table shape); returns it with the
+    number of observed entries.
+    """
+    emitted = [p for p in range(len(silent)) if not silent[p]]
+    blocks = {}
+    start = 0
+    for p in sorted(emitted, key=lambda p: not observed[p]):
+        t, shape = (p + 1, (n_combos, n_combos)) if coupled[p] else (p, (n_combos,))
+        size = math.prod(shape)
+        blocks[p] = (t, slice(start, start + size), shape)
+        start += size
+    n_observed = sum(math.prod(blocks[p][2]) for p in emitted if observed[p])
+    return blocks, n_observed
 
 
 @dataclass(frozen=True)
@@ -439,16 +478,20 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
             )
         heights = np.array([row.get(lab, 0.0) for lab in internal_labels])
         roles = set(hypothesis.roles_for(trace.trace_id))
+        observed = heights >= trace.threshold
+        blocks, n_observed = _factor_blocks(observed, silent, coupled, n_combos)
         views.append(
             _TraceView(
                 trace_id=trace.trace_id,
                 threshold=trace.threshold,
                 heights=heights,
-                observed=heights >= trace.threshold,
+                observed=observed,
                 known_contributes=np.array([r in roles for r in known_ids]),
                 unknown_contributes=np.array(
                     [r in roles for r in hypothesis.unknown]
                 ),
+                blocks=blocks,
+                n_observed=n_observed,
             )
         )
 
@@ -570,12 +613,88 @@ def _validate_parameters(params, hypothesis, traces):
 # Evidence factors and chain sweeps
 
 
-def _factor_tables(plan: _MarkerPlan, params: ModelParameters, replace_target=None):
+class _ViewTerms(NamedTuple):
+    """One trace's parameters, doses and log factors on a marker."""
+
+    rho: float
+    eta: float
+    xi: float
+    base: np.ndarray         # (P, C) pre-stutter doses B
+    doses: np.ndarray        # per factor entry, after stutter
+    log_factors: np.ndarray  # per factor entry
+
+
+def _trace_dose(plan, view, params):
+    """One trace's rho, eta, xi and pre-stutter doses on a marker.
+
+    B[p, c] = sum over the trace's roles of phi_r * n_r(p, c), where
+    n_r(p, c) is a known contributor's count at position p or the count
+    an unknown draws at joint draw c.
+    """
+    phi = params.phi[view.trace_id]
+    phi_known = np.array(
+        [phi[r] if c else 0.0 for r, c in zip(plan.known_ids, view.known_contributes)]
+    )
+    phi_unknown = np.array(
+        [phi[r] if c else 0.0
+         for r, c in zip(plan.unknown_ids, view.unknown_contributes)]
+    )
+    base = (phi_known @ plan.known_counts)[:, None] + (
+        plan.combo_counts @ phi_unknown
+    )[None, :]
+    return (
+        params.rho_for(view.trace_id, plan.marker),
+        params.eta_for(view.trace_id),
+        params.xi_for_marker(view.trace_id, plan.marker),
+        base,
+    )
+
+
+# Factor entries per gamma-function call: enough to batch every position of
+# a marker at U <= 3, few enough to bound the temporaries at U = 5.
+_CHUNK = 1 << 15
+
+
+def _chunks(start, stop):
+    return (slice(lo, min(lo + _CHUNK, stop)) for lo in range(start, stop, _CHUNK))
+
+
+def _observed_heights(view):
+    """Peak height of every observed factor entry, in layout order."""
+    sizes = {
+        p: math.prod(shape)
+        for p, (_, _, shape) in view.blocks.items() if view.observed[p]
+    }
+    return np.repeat(view.heights[list(sizes)], list(sizes.values()))
+
+
+def _view_terms(plan, params) -> list[_ViewTerms]:
+    """Every trace's dose and log factor per factor entry of a marker."""
+    out = []
+    for view in plan.traces:
+        rho, eta, xi, base = _trace_dose(plan, view, params)
+        doses = np.concatenate([
+            ((1.0 - xi) * base[p][:, None] + xi * base[p + 1][None, :]).ravel()
+            if len(shape) == 2 else (1.0 - xi) * base[p]
+            for p, (_, _, shape) in view.blocks.items()
+        ])
+        heights = _observed_heights(view)
+        log_factors = np.empty(len(doses))
+        for sl in _chunks(0, view.n_observed):
+            log_factors[sl] = gamma_log_pdf(heights[sl], rho * doses[sl], eta)
+        for sl in _chunks(view.n_observed, len(doses)):
+            log_factors[sl] = gamma_log_cdf(view.threshold, rho * doses[sl], eta)
+        out.append(_ViewTerms(rho, eta, xi, base, doses, log_factors))
+    return out
+
+
+def _factor_tables(plan: _MarkerPlan, terms, replace_target=None):
     """Per-step evidence factor tables summed over traces.
 
-    pairwise[t] is a (C, C) log-factor matrix for the stutter-coupled
-    position t-1, indexed by (draw at t-1, draw at t); single[t] is a
-    (C,) vector for an uncoupled position emitted at its own step.
+    terms are the marker's :func:`_view_terms`.  pairwise[t] is a (C, C)
+    log-factor matrix for the stutter-coupled position t-1, indexed by
+    (draw at t-1, draw at t); single[t] is a (C,) vector for an
+    uncoupled position emitted at its own step.
 
     replace_target = (view index, position, mode) swaps one peak's factor:
     mode "survival" keeps only its observed-status (P(H >= C)), mode
@@ -584,53 +703,21 @@ def _factor_tables(plan: _MarkerPlan, params: ModelParameters, replace_target=No
     n_pos = len(plan.order)
     pairwise = [None] * n_pos
     single = [None] * n_pos
-    for view_idx, view in enumerate(plan.traces):
-        rho = params.rho_for(view.trace_id, plan.marker)
-        eta = params.eta_for(view.trace_id)
-        xi = params.xi_for_marker(view.trace_id, plan.marker)
-        phi_map = params.phi[view.trace_id]
-        phi_known = np.array(
-            [phi_map[r] if c else 0.0
-             for r, c in zip(plan.known_ids, view.known_contributes)]
-        )
-        phi_unknown = np.array(
-            [phi_map[r] if c else 0.0
-             for r, c in zip(plan.unknown_ids, view.unknown_contributes)]
-        )
-        b_known = (
-            phi_known @ plan.known_counts if len(plan.known_ids) else np.zeros(n_pos)
-        )
-        dose = (
-            plan.combo_counts @ phi_unknown if plan.n_unknown
-            else np.zeros(plan.n_combos)
-        )
-        for p in range(n_pos):
-            if plan.silent[p]:
-                continue
-            mode = None
-            if replace_target is not None and replace_target[:2] == (view_idx, p):
-                mode = replace_target[2]
-            if plan.coupled[p]:
-                d = (1.0 - xi) * (b_known[p] + dose)[:, None] \
-                    + xi * (b_known[p + 1] + dose)[None, :]
-                val = _peak_factor_array(view, p, rho * d, eta, mode)
-                t = p + 1
-                pairwise[t] = val if pairwise[t] is None else pairwise[t] + val
-            else:
-                d = (1.0 - xi) * (b_known[p] + dose)
-                val = _peak_factor_array(view, p, rho * d, eta, mode)
-                single[p] = val if single[p] is None else single[p] + val
+    for view_idx, (view, term) in enumerate(zip(plan.traces, terms)):
+        vals = term.log_factors
+        if replace_target is not None and replace_target[0] == view_idx:
+            _, p, mode = replace_target
+            sl = view.blocks[p][1]
+            vals = vals.copy()
+            vals[sl] = (
+                0.0 if mode == "flat"
+                else gamma_log_sf(view.threshold, term.rho * term.doses[sl], term.eta)
+            )
+        for t, sl, shape in view.blocks.values():
+            table = vals[sl].reshape(shape)
+            tables = pairwise if len(shape) == 2 else single
+            tables[t] = table if tables[t] is None else tables[t] + table
     return pairwise, single
-
-
-def _peak_factor_array(view, p, shapes, eta, mode=None):
-    if mode == "flat":
-        return np.zeros(np.shape(shapes))
-    if mode == "survival":
-        return gamma_log_sf(view.threshold, shapes, eta)
-    if view.observed[p]:
-        return gamma_log_pdf(view.heights[p], shapes, eta)
-    return gamma_log_cdf(view.threshold, shapes, eta)
 
 
 def _step_values(plan, t, pairwise, single, masks):
@@ -729,7 +816,7 @@ def _plan_for(bundle: EvidenceBundle, marker: str) -> _MarkerPlan:
 def marker_log_likelihood(bundle: EvidenceBundle, marker: str) -> float:
     """Exact log likelihood of one marker, marginalized over unknown genotypes."""
     plan = _plan_for(bundle, marker)
-    pairwise, single = _factor_tables(plan, bundle.parameters)
+    pairwise, single = _factor_tables(plan, _view_terms(plan, bundle.parameters))
     lw, _ = _forward(plan, pairwise, single)
     return float(logsumexp(lw))
 
@@ -747,9 +834,124 @@ def total_log_likelihood(
     return float(sum(marker_log_likelihood(bundle, m) for m in markers))
 
 
+def log_likelihood_and_gradient(
+    bundle: EvidenceBundle, max_workers: int | None = None
+) -> tuple[float, dict[tuple, float]]:
+    """Total log likelihood and its gradient in the bundle's parameters.
+
+    By Fisher's identity the gradient of log L is the posterior
+    expectation of the gradient of the log evidence factors; one
+    forward-backward sweep per marker gives the posterior of every factor
+    entry.  Gradient keys are ("rho", trace), ("eta", trace), ("xi", trace)
+    and ("phi", trace, role).  Per-marker overrides are constants: a
+    marker with a marker_rho entry for a trace adds nothing to that
+    trace's rho derivative, and one with a marker_xi entry nothing to any
+    xi derivative.  Paths of zero probability contribute nothing, so at a
+    boundary (a fraction or xi exactly 0) this is not the one-sided
+    derivative.  The gradient is meaningful only where log L is finite.
+    """
+    params = bundle.parameters
+    grad = {}
+    for trace in bundle.traces:
+        tid = trace.trace_id
+        for family in ("rho", "eta", "xi"):
+            grad[(family, tid)] = 0.0
+        for role in params.phi[tid]:
+            grad[("phi", tid, role)] = 0.0
+    markers = bundle.covered_markers()
+
+    def one(marker):
+        return _marker_value_and_gradient(_plan_for(bundle, marker), params)
+
+    if max_workers and max_workers > 1 and len(markers) > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            parts = list(pool.map(one, markers))
+    else:
+        parts = [one(m) for m in markers]
+    for _, part in parts:
+        for key, value in part.items():
+            grad[key] += value
+    return float(sum(ll for ll, _ in parts)), grad
+
+
+def _pair_posteriors(plan, pairwise, single, history, lb, loglik):
+    """Per step t, the posterior of (draw at t-1, draw at t), shape (P, C, C)."""
+    c = plan.n_combos
+    n_pos = len(plan.order)
+    pair = np.empty((n_pos, c * c))
+    lw_prev = np.zeros(1)
+    for t in range(n_pos):
+        edges, vals = _step_values(plan, t, pairwise, single, None)
+        logw = lw_prev[edges.src] + vals + lb[t][edges.dst] - loglik
+        key = plan.state_ncombo[edges.src] * c + edges.combo
+        pair[t] = np.bincount(key, weights=np.exp(logw), minlength=c * c)
+        lw_prev = history[t]
+    return pair.reshape(n_pos, c, c)
+
+
+def _marker_value_and_gradient(plan, params):
+    terms = _view_terms(plan, params)
+    pairwise, single = _factor_tables(plan, terms)
+    lw, history = _forward(plan, pairwise, single, keep=True)
+    loglik = float(logsumexp(lw))
+    grad = {}
+    if not np.isfinite(loglik):
+        return loglik, grad
+    lb = _backward(plan, pairwise, single)
+    pair = _pair_posteriors(plan, pairwise, single, history, lb, loglik)
+    marker_xi = params.marker_xi is not None and plan.marker in params.marker_xi
+    rho_over = (params.marker_rho or {}).get(plan.marker, {})
+    for view, term in zip(plan.traces, terms):
+        tid = view.trace_id
+        w = np.concatenate([  # posterior of every factor entry
+            pair[t].ravel() if len(shape) == 2 else pair[t].sum(axis=0)
+            for t, _, shape in view.blocks.values()
+        ])
+        shapes = term.rho * term.doses
+        k = view.n_observed
+        d_shape = np.empty(len(shapes))
+        d_eta = np.empty(len(shapes))
+        d_shape[:k], d_eta[:k] = gamma_log_pdf_grad(
+            _observed_heights(view), shapes[:k], term.eta
+        )
+        d_shape[k:], d_eta[k:] = gamma_log_cdf_grad(
+            view.threshold, shapes[k:], term.eta, term.log_factors[k:]
+        )
+        live = w > 0.0
+        with np.errstate(invalid="ignore"):
+            g = np.where(live, w * d_shape, 0.0)  # d log L / d shape, per entry
+            g_eta = np.where(live, w * d_eta, 0.0)
+        grad[("eta", tid)] = float(g_eta.sum())
+        if tid not in rho_over:
+            grad[("rho", tid)] = float(g @ term.doses)
+        # d log L / d B[p, c] through the entries' doses at p and at the donor p+1
+        g_here = np.zeros_like(term.base)
+        g_next = np.zeros_like(term.base)
+        for p, (_, sl, shape) in view.blocks.items():
+            block = g[sl].reshape(shape)
+            if len(shape) == 2:
+                g_here[p] = block.sum(axis=1)
+                g_next[p + 1] = block.sum(axis=0)
+            else:
+                g_here[p] = block
+        if not marker_xi:
+            grad[("xi", tid)] = term.rho * float(((g_next - g_here) * term.base).sum())
+        g_dose = term.rho * ((1.0 - term.xi) * g_here + term.xi * g_next)
+        g_known = plan.known_counts @ g_dose.sum(axis=1)
+        g_unknown = g_dose.sum(axis=0) @ plan.combo_counts
+        for roles, takes, values in (
+            (plan.known_ids, view.known_contributes, g_known),
+            (plan.unknown_ids, view.unknown_contributes, g_unknown),
+        ):
+            for r, take, value in zip(roles, takes, values):
+                if take:
+                    grad[("phi", tid, r)] = float(value)
+    return loglik, grad
+
+
 def _chain_posterior(bundle, marker, assignments=None, k=0):
     plan = _plan_for(bundle, marker)
-    pairwise, single = _factor_tables(plan, bundle.parameters)
+    pairwise, single = _factor_tables(plan, _view_terms(plan, bundle.parameters))
     masks = _presence_masks(plan, assignments)
     lw_final, history = _forward(plan, pairwise, single, masks, keep=True)
     loglik = float(logsumexp(lw_final))

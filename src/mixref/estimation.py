@@ -6,8 +6,12 @@ with unknown fractions non-increasing}.  The optimizer works in
 unconstrained internal coordinates (logs, a logit, and a stick-breaking
 transform whose unknown block is an ordered split), started from several
 dispersed feasible points.  Approximate standard errors come from the
-inverse numerical Hessian in the reporting parametrization (mu, sigma,
-xi, phi), with boundary-active parameters handled by a restricted model.
+inverse Hessian in the reporting parametrization (mu, sigma, xi, phi),
+with boundary-active parameters handled by a restricted model.  Both the
+optimizer and the Hessian use the exact gradient of the log likelihood
+from the forward-backward pass (:func:`log_likelihood_and_gradient`): the
+optimizer is L-BFGS-B with that gradient, and the Hessian is the
+symmetrized central difference of gradients.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-from .engine import EvidenceBundle, Hypothesis, total_log_likelihood
+from .engine import (
+    EvidenceBundle,
+    Hypothesis,
+    log_likelihood_and_gradient,
+    total_log_likelihood,
+)
 from .peakmodel import ModelParameters, params_from_mean_cv
 from .population import FrequencyTable, GenotypeProfile, match_probability
 
@@ -88,7 +97,15 @@ class FitSpecification:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted model with reporting-scale estimates and diagnostics."""
+    """A fitted model with reporting-scale estimates and diagnostics.
+
+    n_evaluations counts likelihood passes, each a value or a value and
+    gradient.  start_log_likelihoods holds the optimum reached from each
+    start, in start order (-inf where a start never left the infeasible
+    region); the best start's entry includes the Nelder-Mead polish, so
+    its maximum equals log_likelihood.  Entries far apart mean the
+    likelihood has several local optima.
+    """
 
     parameters: ModelParameters
     log_likelihood: float
@@ -102,6 +119,7 @@ class FitResult:
     final_gradient_norm: float | None
     hypothesis_id: str | None = None
     bundle: EvidenceBundle = field(repr=False, compare=False, default=None)
+    start_log_likelihoods: tuple[float, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -523,46 +541,114 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
     failing.  With every parameter fixed, returns the exact likelihood of
     the overrides.
     """
-    structure = _Structure(spec)
+    return _fit(spec, _Structure(spec), {}, hypothesis_id)
+
+
+def _primitive_keys(structure):
+    keys = []
+    for t in structure.trace_ids:
+        keys += [("rho", t), ("eta", t), ("xi", t)]
+        keys += [("phi", t, r) for r in structure.hypothesis.roles_for(t)]
+    return keys
+
+
+def _primitive_vector(params, keys):
+    out = []
+    for family, trace, *role in keys:
+        if family == "rho":
+            out.append(params.rho[trace])
+        elif family == "eta":
+            out.append(params.eta_for(trace))
+        elif family == "xi":
+            out.append(params.xi_for(trace))
+        else:
+            out.append(params.phi[trace][role[0]])
+    return np.array(out)
+
+
+def _chained_gradient(build, x, bundle, keys, max_workers):
+    """log L and its gradient in the coordinates x of build(x) -> ModelParameters.
+
+    The engine's gradient in the primitive parameters is chained through
+    a central-difference Jacobian of build, which costs no chain pass.
+    """
+    x = np.asarray(x, dtype=float)
+    ll, grad = log_likelihood_and_gradient(
+        bundle.with_parameters(build(x)), max_workers
+    )
+    jac = _numeric_jacobian(
+        lambda y: _primitive_vector(build(y), keys), x, rel_step=1e-6, abs_floor=1e-7
+    )
+    g = np.array([grad[k] for k in keys])
+    return ll, (jac.T @ g if len(x) else np.zeros(0))
+
+
+def _fit(spec, structure, pinned, hypothesis_id=None):
+    """Multistart L-BFGS-B with exact gradients over the coordinates not pinned.
+
+    pinned maps internal coordinate index -> value held fixed.
+    """
     bundle = spec.bundle
+    keys = _primitive_keys(structure)
+    free = [i for i in range(structure.n_free) if i not in pinned]
+    theta_pinned = np.zeros(structure.n_free)
+    theta_pinned[list(pinned)] = list(pinned.values())
     evals = [0]
 
-    def objective(theta):
+    def expand(sub):
+        theta = theta_pinned.copy()
+        theta[free] = sub
+        return theta
+
+    def objective(sub):
         evals[0] += 1
         try:
-            params = structure.unpack(theta)
             ll = total_log_likelihood(
-                bundle.with_parameters(params), spec.max_workers
+                bundle.with_parameters(structure.unpack(expand(sub))), spec.max_workers
             )
         except (ValueError, OverflowError, FloatingPointError):
             return _PENALTY
-        if not np.isfinite(ll):
-            return _PENALTY
-        return -ll
+        return -ll if np.isfinite(ll) else _PENALTY
 
-    if structure.n_free == 0:
-        params = structure.unpack(np.empty(0))
+    def objective_and_gradient(sub):
+        evals[0] += 1
+        try:
+            ll, grad = _chained_gradient(
+                structure.unpack, expand(sub), bundle, keys, spec.max_workers
+            )
+        except (ValueError, OverflowError, FloatingPointError):
+            return _PENALTY, np.zeros(len(sub))
+        grad = grad[free]
+        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+            return _PENALTY, np.zeros(len(sub))
+        return -ll, -grad
+
+    if not free:
+        params = structure.unpack(expand(np.empty(0)))
         ll = total_log_likelihood(bundle.with_parameters(params), spec.max_workers)
-        return _finish(spec, structure, params, ll, True, 0, 1, None, hypothesis_id)
+        return _finish(
+            spec, structure, params, ll, True, 0, 1, None, hypothesis_id, (ll,)
+        )
 
-    best = None
-    total_iters = 0
-    for theta0 in _starting_points(spec, structure):
-        res = minimize(
-            objective,
-            theta0,
+    runs = [
+        minimize(
+            objective_and_gradient,
+            theta0[free],
+            jac=True,
             method="L-BFGS-B",
             options={
                 "maxiter": spec.max_iterations,
                 "ftol": spec.tolerance,
                 "gtol": 1e-7,
-                "eps": 1e-6,
                 "maxcor": 25,
             },
         )
-        total_iters += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
+        for theta0 in _starting_points(spec, structure)
+    ]
+    total_iters = sum(int(r.nit) for r in runs)
+    best_idx = min(range(len(runs)), key=lambda i: runs[i].fun)
+    best = runs[best_idx]
+    gradient = best.jac
     if not best.success and best.fun < _PENALTY:
         polish = minimize(
             objective,
@@ -577,20 +663,22 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
         total_iters += int(polish.nit)
         if polish.fun <= best.fun:
             best = polish
+            gradient = objective_and_gradient(best.x)[1]
 
-    params = structure.unpack(best.x)
+    params = structure.unpack(expand(best.x))
     ll = total_log_likelihood(bundle.with_parameters(params), spec.max_workers)
-    grad = numeric_gradient(lambda th: -objective(th), best.x, rel_step=1e-5)
-    converged = bool(
-        (best.success or np.linalg.norm(grad) < 1e-2) and np.isfinite(ll)
-    )
+    gnorm = float(np.linalg.norm(gradient))
+    converged = bool((best.success or gnorm < 1e-2) and np.isfinite(ll))
+    starts = [-r.fun if r.fun < _PENALTY else -np.inf for r in runs]
+    starts[best_idx] = ll
     return _finish(
         spec, structure, params, ll, converged,
-        total_iters, evals[0], float(np.linalg.norm(grad)), hypothesis_id,
+        total_iters, evals[0], gnorm, hypothesis_id, tuple(float(v) for v in starts),
     )
 
 
-def _finish(spec, structure, params, ll, converged, iters, evals, gnorm, hyp_id):
+def _finish(spec, structure, params, ll, converged, iters, evals, gnorm, hyp_id,
+            starts):
     estimates = _reporting_estimates(params, structure)
     boundary = _boundary_flags(params, structure)
     result = FitResult(
@@ -606,6 +694,7 @@ def _finish(spec, structure, params, ll, converged, iters, evals, gnorm, hyp_id)
         final_gradient_norm=gnorm,
         hypothesis_id=hyp_id,
         bundle=spec.bundle,
+        start_log_likelihoods=starts,
     )
     if spec.compute_standard_errors and structure.n_free > 0:
         ses = standard_errors(result, spec)
@@ -876,13 +965,15 @@ class _ReportingChart:
 def standard_errors(result: FitResult, spec: FitSpecification):
     """Approximate standard errors from the inverse Hessian at the fit.
 
-    The Hessian of the log likelihood is taken by central differences in
-    the reporting parametrization (mu, sigma, xi, phi), boundary-active
-    parameters restricted as flagged; reported quantities that are
-    functions of several coordinates (for example sigma of a non-anchor
-    trace under a shared eta) get delta-method errors.  Parameters fixed
-    by override carry no standard error.  A non-invertible Hessian yields
-    None for every free parameter.
+    The Hessian of the log likelihood is the symmetrized central
+    difference of its exact gradient in the reporting parametrization
+    (mu, sigma, xi, phi), boundary-active parameters restricted as
+    flagged: 2n gradient passes for n free coordinates.  Reported
+    quantities that are functions of several coordinates (for example
+    sigma of a non-anchor trace under a shared eta) get delta-method
+    errors.  Parameters fixed by override carry no standard error.  A
+    non-invertible Hessian, or a step that leaves the parameter space,
+    yields None for every free parameter.
     """
     structure = _Structure(spec)
     chart = _ReportingChart(structure, result.parameters)
@@ -895,19 +986,17 @@ def standard_errors(result: FitResult, spec: FitSpecification):
     if len(chart.values) == 0:
         return empty
 
-    bundle = spec.bundle
+    keys = _primitive_keys(structure)
 
-    def ll_of(v):
-        try:
-            params = chart.build_params(v)
-        except ValueError:
-            return -_PENALTY
-        return total_log_likelihood(bundle.with_parameters(params), spec.max_workers)
+    def gradient(v):
+        return _chained_gradient(
+            chart.build_params, v, spec.bundle, keys, spec.max_workers
+        )[1]
 
-    hessian = numeric_hessian(ll_of, chart.values)
     try:
-        cov = np.linalg.inv(-hessian)
-    except np.linalg.LinAlgError:
+        jac = _numeric_jacobian(gradient, chart.values)  # steps as numeric_hessian's
+        cov = np.linalg.inv(-0.5 * (jac + jac.T))
+    except (ValueError, np.linalg.LinAlgError):
         return empty
     diag = np.diag(cov)
     if not np.all(np.isfinite(diag)):
@@ -1107,7 +1196,7 @@ def _fit_with_pinned(spec, base, targets, value):
             pinned.append((i, math.log(value)))
     if not pinned:
         raise ValueError(f"parameter {base}@{targets[0]} is not free in this fit")
-    return _fit_reduced(spec, structure, dict(pinned))
+    return _fit(spec, structure, dict(pinned))
 
 
 def _anchor_for(spec, base, targets):
@@ -1140,55 +1229,6 @@ def _coordinate_names(structure):
         for _ in range(blk.n_free):
             names.append(("phi", blk.traces))
     return names
-
-
-def _fit_reduced(spec, structure, pinned):
-    bundle = spec.bundle
-    evals = [0]
-    free_idx = [i for i in range(structure.n_free) if i not in pinned]
-
-    def expand(sub):
-        full = np.empty(structure.n_free)
-        for i, v in pinned.items():
-            full[i] = v
-        full[free_idx] = sub
-        return full
-
-    def objective(sub):
-        evals[0] += 1
-        try:
-            params = structure.unpack(expand(sub))
-            ll = total_log_likelihood(bundle.with_parameters(params), spec.max_workers)
-        except (ValueError, OverflowError, FloatingPointError):
-            return _PENALTY
-        return -ll if np.isfinite(ll) else _PENALTY
-
-    if not free_idx:
-        params = structure.unpack(expand(np.empty(0)))
-        ll = total_log_likelihood(bundle.with_parameters(params), spec.max_workers)
-        return _finish(
-            replace(spec, compute_standard_errors=False),
-            structure, params, ll, True, 0, 1, None, None,
-        )
-    starts = [th[free_idx] for th in _starting_points(spec, structure)]
-    best = None
-    iters = 0
-    for s0 in starts:
-        res = minimize(
-            objective, s0, method="L-BFGS-B",
-            options={"maxiter": spec.max_iterations, "ftol": spec.tolerance,
-                     "gtol": 1e-7, "eps": 1e-6},
-        )
-        iters += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-    params = structure.unpack(expand(best.x))
-    ll = total_log_likelihood(bundle.with_parameters(params), spec.max_workers)
-    return _finish(
-        replace(spec, compute_standard_errors=False),
-        structure, params, ll, bool(best.success and np.isfinite(ll)),
-        iters, evals[0], None, None,
-    )
 
 
 def _lr_interval(grid, values, threshold):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,8 +132,10 @@ def read_trace_rows(path) -> dict[str, dict[str, dict[str, float]]]:
                 height = float(row["height"])
             except (KeyError, ValueError, AttributeError) as exc:
                 raise LoadError(f"{path}:{i}: bad trace row: {row}") from exc
-            if height < 0:
-                raise LoadError(f"{path}:{i}: negative height {height}")
+            if not math.isfinite(height) or height < 0:
+                raise LoadError(
+                    f"{path}:{i}: height must be finite and nonnegative, got {height}"
+                )
             marker_rows = rows.setdefault(tid, {}).setdefault(marker, {})
             if allele in marker_rows:
                 raise LoadError(

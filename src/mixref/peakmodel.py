@@ -36,6 +36,8 @@ __all__ = [
     "gamma_log_pdf",
     "gamma_log_cdf",
     "gamma_log_sf",
+    "gamma_log_pdf_grad",
+    "gamma_log_cdf_grad",
 ]
 
 _PHI_SUM_TOL = 1e-12
@@ -105,16 +107,92 @@ def gamma_log_cdf(x, shape, scale):
     return float(out[0]) if scalar else out
 
 
+def _log_upper_gamma_cf(a, y):
+    # log Q(a, y) via the continued fraction (modified Lentz)
+    #   Q(a, y) = y^a e^-y / Gamma(a) * 1/(y+1-a- 1(1-a)/(y+3-a- 2(2-a)/(y+5-a- ...))),
+    # used where gammaincc underflows (which implies y >> a).
+    tiny = 1e-300
+    b = y + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 500):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = tiny if abs(d) < tiny else d
+        c = b + an / c
+        c = tiny if abs(c) < tiny else c
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return a * math.log(y) - y - sc.gammaln(a) + math.log(h)
+
+
 def gamma_log_sf(x, shape, scale):
-    """Log survival function of Gamma(shape, scale) at x."""
+    """Log survival function of Gamma(shape, scale) at x, without upper-tail underflow.
+
+    Uses the regularized upper incomplete gamma function, falling back to
+    a log-space continued fraction where it underflows.
+    """
+    x = np.asarray(x, dtype=float)
+    shape = np.asarray(shape, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    y, a = np.broadcast_arrays(x / scale, shape)
+    scalar = y.ndim == 0
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = sc.gammaincc(a, y)
+        out = np.log(q)
+    tiny = (q < 1e-280) & (a > 0.0) & (y > a)
+    if np.any(tiny):
+        out[tiny] = [_log_upper_gamma_cf(av, yv) for av, yv in zip(a[tiny], y[tiny])]
+    out = np.where(a <= 0.0, -np.inf, out)
+    out = np.where((a > 0.0) & (y <= 0.0), 0.0, out)
+    return float(out[0]) if scalar else out
+
+
+def gamma_log_pdf_grad(x, shape, scale):
+    """Partial derivatives of :func:`gamma_log_pdf` in shape and in scale.
+
+    Returns (log x - digamma(shape) - log scale, x / scale**2 - shape / scale).
+    """
     x = np.asarray(x, dtype=float)
     shape = np.asarray(shape, dtype=float)
     scale = np.asarray(scale, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(sc.gammaincc(shape, x / scale))
-    out = np.where(shape <= 0.0, -np.inf, out)
-    out = np.where((shape > 0.0) & (x <= 0.0), 0.0, out)
-    return out if out.ndim else float(out)
+        d_shape = np.log(x) - sc.psi(shape) - np.log(scale)
+    return d_shape, x / (scale * scale) - shape / scale
+
+
+def gamma_log_cdf_grad(x, shape, scale, log_cdf):
+    """Partial derivatives of :func:`gamma_log_cdf` in shape and in scale.
+
+    ``log_cdf`` is gamma_log_cdf(x, shape, scale), which callers hold
+    already.  The shape derivative is a central difference of
+    gamma_log_cdf (so the deep lower tail goes through the same series)
+    with step 1e-4 * min(shape, sqrt(shape)): log P(a, y) varies on the
+    scale of sqrt(a), the spread of the distribution, once a > 1.  At
+    shape 0 it is the one-sided limit -E1(x / scale).  The scale
+    derivative is the closed form -(x / scale) * pdf(x) / cdf(x).
+    """
+    x = np.asarray(x, dtype=float)
+    shape = np.asarray(shape, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    h = 1e-4 * np.minimum(shape, np.sqrt(shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_shape = (
+            gamma_log_cdf(x, shape + h, scale) - gamma_log_cdf(x, shape - h, scale)
+        ) / (2.0 * h)
+        d_shape = np.where(shape > 0.0, d_shape, -sc.exp1(x / scale))
+        y = x / scale
+        d_scale = -np.exp(
+            shape * np.log(y) - y - sc.gammaln(shape) - log_cdf
+        ) / scale
+    return d_shape, d_scale
 
 
 @dataclass(frozen=True)
@@ -173,19 +251,23 @@ class ModelParameters:
 
     def __post_init__(self):
         for trace, r in self.rho.items():
-            if not r > 0:
-                raise ValueError(f"rho must be positive (trace {trace!r}: {r})")
+            _check_scale("rho", trace, r)
         for trace in self.rho:
-            e = self.eta_for(trace)
-            if not e > 0:
-                raise ValueError(f"eta must be positive (trace {trace!r}: {e})")
-            x = self.xi_for(trace)
-            if not 0.0 <= x < 1.0:
-                raise ValueError(f"xi must lie in [0, 1) (trace {trace!r}: {x})")
+            _check_scale("eta", trace, self.eta_for(trace))
+            _check_xi(trace, self.xi_for(trace))
+        for marker, over in (self.marker_rho or {}).items():
+            for trace, r in over.items():
+                _check_scale("rho", f"{trace}@{marker}", r)
+        for marker, x in (self.marker_xi or {}).items():
+            _check_xi(f"@{marker}", x)
         if set(self.phi) != set(self.rho):
             raise ValueError("phi and rho must cover the same traces")
         for trace, fracs in self.phi.items():
             vals = np.array(list(fracs.values()), dtype=float)
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(
+                    f"non-finite fraction in trace {trace!r}: {dict(fracs)}"
+                )
             if np.any(vals < -_PHI_SUM_TOL):
                 raise ValueError(f"negative fraction in trace {trace!r}")
             if abs(vals.sum() - 1.0) > _PHI_SUM_TOL:
@@ -228,6 +310,16 @@ class ModelParameters:
                     raise ValueError(
                         f"unknown fractions not non-increasing in trace {trace!r}: {seq}"
                     )
+
+
+def _check_scale(name, where, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite ({where!r}: {value})")
+
+
+def _check_xi(where, value):
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"xi must lie in [0, 1) ({where!r}: {value})")
 
 
 def effective_allele_count(phi, counts) -> float:

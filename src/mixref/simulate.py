@@ -26,6 +26,7 @@ from .engine import (
     _forward,
     _plan_for,
     _step_values,
+    _view_terms,
 )
 from .peakmodel import ModelParameters
 from .population import SILENT_LABEL, FrequencyTable, GenotypeProfile, stutter_successor
@@ -175,15 +176,11 @@ def probability_integral_transform(
     out = []
     for marker in bundle.covered_markers():
         plan = _plan_for(bundle, marker)
+        terms = _view_terms(plan, params)
         for vi, view in enumerate(plan.traces):
-            rho = params.rho_for(view.trace_id, marker)
-            eta = params.eta_for(view.trace_id)
-            xi = params.xi_for_marker(view.trace_id, marker)
             for p in np.flatnonzero(view.observed):
                 p = int(p)
-                pit = _pit_one_peak(
-                    bundle, plan, marker, vi, p, rho, eta, xi, truncate
-                )
+                pit = _pit_one_peak(plan, terms, vi, p, truncate)
                 out.append(
                     {
                         "trace": view.trace_id,
@@ -196,39 +193,19 @@ def probability_integral_transform(
     return out
 
 
-def _pit_one_peak(bundle, plan, marker, view_idx, p, rho, eta, xi, truncate):
-    params = bundle.parameters
+def _pit_one_peak(plan, terms, view_idx, p, truncate):
     view = plan.traces[view_idx]
     replacement = "survival" if truncate else "flat"
     pairwise, single = _factor_tables(
-        plan, params, replace_target=(view_idx, p, replacement)
+        plan, terms, replace_target=(view_idx, p, replacement)
     )
     lw_final, history = _forward(plan, pairwise, single, keep=True)
     loglik = float(logsumexp(lw_final))
     if not np.isfinite(loglik):
         return float("nan")
     lb = _backward(plan, pairwise, single)
-
-    # dose of the target position per (draw at p, draw at donor position)
-    phi_map = params.phi[view.trace_id]
-    phi_known = np.array(
-        [phi_map[r] if c else 0.0
-         for r, c in zip(plan.known_ids, view.known_contributes)]
-    )
-    phi_unknown = np.array(
-        [phi_map[r] if c else 0.0
-         for r, c in zip(plan.unknown_ids, view.unknown_contributes)]
-    )
-    b_known = (
-        phi_known @ plan.known_counts
-        if len(plan.known_ids)
-        else np.zeros(len(plan.order))
-    )
-    dose = (
-        plan.combo_counts @ phi_unknown
-        if plan.n_unknown
-        else np.zeros(plan.n_combos)
-    )
+    term = terms[view_idx]
+    rho, eta, xi, base = term.rho, term.eta, term.xi, term.base
 
     t_emit = p + 1 if plan.coupled[p] else p
     edges = plan.edges0 if t_emit == 0 else plan.edges
@@ -236,14 +213,13 @@ def _pit_one_peak(bundle, plan, marker, view_idx, p, rho, eta, xi, truncate):
     _, vals = _step_values(plan, t_emit, pairwise, single, None)
     logw = lw_prev[edges.src] + vals + lb[t_emit][edges.dst] - loglik
 
+    # dose of the target position per edge: (draw at p, draw at its donor)
     if plan.coupled[p]:
-        c_here = plan.state_ncombo[edges.src]
-        c_next = edges.combo
-        d = (1.0 - xi) * (b_known[p] + dose[c_here]) + xi * (
-            b_known[p + 1] + dose[c_next]
-        )
+        d = (1.0 - xi) * base[p, plan.state_ncombo[edges.src]] + xi * base[
+            p + 1, edges.combo
+        ]
     else:
-        d = (1.0 - xi) * (b_known[p] + dose[edges.combo])
+        d = (1.0 - xi) * base[p, edges.combo]
 
     z = float(view.heights[p])
     c = view.threshold

@@ -148,24 +148,40 @@ def oracle_presence(bundle, marker):
 LABEL_POOL = ["6", "7", "8", "9", "9.3", "10", "11", "12"]
 
 
-def random_case(rng, max_alleles=5, max_unknowns=2, max_traces=2,
-                allow_silent=True):
-    """A random small evidence bundle with valid parameters."""
+def _random_ladder(rng, max_alleles, allow_silent):
     n_alleles = int(rng.integers(2, max_alleles + 1))
     start = int(rng.integers(0, len(LABEL_POOL) - n_alleles))
     labels = LABEL_POOL[start:start + n_alleles]
     q = rng.dirichlet(np.ones(n_alleles) * 2.0)
-    freqs = mx.FrequencyTable.from_dict({"M": dict(zip(labels, q))})
-    if allow_silent and rng.random() < 0.25:
-        freqs = mx.with_silent(freqs, float(rng.uniform(0.02, 0.2)))
-    visible = [a for a in freqs.ladder("M").alleles if a != "0"]
+    q0 = float(rng.uniform(0.02, 0.2)) if allow_silent and rng.random() < 0.25 else None
+    return dict(zip(labels, q)), q0
+
+
+def random_case(rng, max_alleles=5, max_unknowns=2, max_traces=2,
+                allow_silent=True, n_markers=1):
+    """A random small evidence bundle with valid parameters.
+
+    Markers are named "M", then "M2", "M3", ...; with one marker the
+    draws are those of the single-marker generator.
+    """
+    markers = ["M"] + [f"M{i + 1}" for i in range(1, n_markers)]
+    ladders = {}
+    for m in markers:
+        table, q0 = _random_ladder(rng, max_alleles, allow_silent)
+        one = mx.FrequencyTable.from_dict({m: table})
+        ladders[m] = (mx.with_silent(one, q0) if q0 else one).markers[m]
+    freqs = mx.FrequencyTable(markers=ladders)
+    visible = {
+        m: [a for a in freqs.ladder(m).alleles if a != "0"] for m in markers
+    }
 
     n_unknown = int(rng.integers(0, max_unknowns + 1))
     n_known = int(rng.integers(0 if n_unknown else 1, 3))
     known = {}
     for i in range(n_known):
-        pair = rng.choice(visible, size=2, replace=True)
-        known[f"K{i+1}"] = mx.GenotypeProfile.from_pairs({"M": tuple(pair)})
+        known[f"K{i+1}"] = mx.GenotypeProfile.from_pairs(
+            {m: tuple(rng.choice(visible[m], size=2, replace=True)) for m in markers}
+        )
     unknown = tuple(f"U{i+1}" for i in range(n_unknown))
     roles = tuple(known) + unknown
 
@@ -182,13 +198,14 @@ def random_case(rng, max_alleles=5, max_unknowns=2, max_traces=2,
     for t in range(n_traces):
         tid = f"T{t+1}"
         heights = {}
-        for a in visible:
-            r = rng.random()
-            if r < 0.45:
-                continue
-            heights[a] = float(rng.uniform(50, 1200)) if r < 0.9 else 0.0
-        traces.append(mx.Trace(trace_id=tid, threshold=50.0,
-                               heights={"M": heights}))
+        for m in markers:
+            row = heights[m] = {}
+            for a in visible[m]:
+                r = rng.random()
+                if r < 0.45:
+                    continue
+                row[a] = float(rng.uniform(50, 1200)) if r < 0.9 else 0.0
+        traces.append(mx.Trace(trace_id=tid, threshold=50.0, heights=heights))
         rho[tid] = float(rng.uniform(10, 60))
         contributing = roles
         if trace_roles and tid in trace_roles:

@@ -127,6 +127,18 @@ class TestMarkerLogLikelihood:
             )
 
 
+class TestTraceValidation:
+    @pytest.mark.parametrize("height", [float("nan"), float("inf")])
+    def test_non_finite_height_rejected(self, height):
+        with pytest.raises(ValueError, match="non-finite height"):
+            mx.Trace(trace_id="T1", threshold=50.0, heights={"M": {"8": height}})
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0])
+    def test_bad_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            mx.Trace(trace_id="T1", threshold=threshold, heights={"M": {"8": 400.0}})
+
+
 class TestOracleEquivalence:
     def test_random_instances_match_both_oracles(self):
         rng = np.random.default_rng(42)

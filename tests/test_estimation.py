@@ -4,9 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as stn
 
 import mixref as mx
-from mixref.estimation import FitSpecification, numeric_hessian
+from mixref.estimation import (
+    FitSpecification,
+    _chained_gradient,
+    _primitive_keys,
+    _Structure,
+    numeric_gradient,
+    numeric_hessian,
+)
 
 from conftest import random_case
 
@@ -220,6 +229,91 @@ class TestFit:
             )
             lls.append(res.log_likelihood)
         assert lls[0] == pytest.approx(lls[1], abs=1e-5)
+
+
+def _with_override(params, override):
+    """The case's parameters plus a marker_rho or marker_xi entry on marker M."""
+    first = next(iter(params.rho))
+    rho_over = {"M": {first: params.rho[first] * 1.3}}
+    return mx.ModelParameters(
+        rho=dict(params.rho), eta=params.eta, xi=params.xi,
+        phi={t: dict(v) for t, v in params.phi.items()},
+        marker_rho=rho_over if override == "rho" else None,
+        marker_xi={"M": 0.03} if override == "xi" else None,
+    )
+
+
+def _fixed_block(params, family, shared_phi):
+    if family == "rho":
+        return {"rho": next(iter(params.rho.values()))}
+    if family == "eta":
+        return {"eta": params.eta}
+    if family == "xi":
+        return {"xi": params.xi}
+    if family == "phi":
+        first = next(iter(params.phi.values()))
+        return {"phi": {t: dict(first if shared_phi else v)
+                        for t, v in params.phi.items()}}
+    return {}
+
+
+class TestExactGradient:
+    """The forward-backward gradient, chained to the fit's coordinates,
+    against central differences of the value pass."""
+
+    @given(
+        seed=stn.integers(0, 2**32 - 1),
+        n_markers=stn.integers(1, 2),
+        parametrization=stn.sampled_from(["rho_eta", "mu_sigma"]),
+        share=stn.sets(stn.sampled_from(["rho", "eta", "xi", "phi"])),
+        fixed=stn.sampled_from(["", "rho", "eta", "xi", "phi"]),
+        override=stn.sampled_from(["", "rho", "xi"]),
+    )
+    # U = 0, 1, 2 with two traces, a trace_roles restriction and a silent allele
+    @example(seed=52, n_markers=2, parametrization="rho_eta", share={"eta", "xi"},
+             fixed="", override="rho")
+    @example(seed=60, n_markers=2, parametrization="mu_sigma", share={"eta", "xi"},
+             fixed="xi", override="xi")
+    @example(seed=2, n_markers=2, parametrization="mu_sigma", share={"eta"},
+             fixed="", override="rho")
+    # one trace, U = 1 with a silent allele and U = 2; shared phi
+    @example(seed=0, n_markers=2, parametrization="rho_eta", share=set(),
+             fixed="eta", override="")
+    @example(seed=1, n_markers=2, parametrization="rho_eta", share={"phi", "rho"},
+             fixed="phi", override="xi")
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numeric_gradient(self, seed, n_markers, parametrization, share,
+                                      fixed, override):
+        bundle = random_case(np.random.default_rng(seed), n_markers=n_markers)
+        params = _with_override(bundle.parameters, override)
+        bundle = bundle.with_parameters(params)
+        assume("phi" not in share or bundle.hypothesis.trace_roles is None)
+        spec = FitSpecification(
+            bundle=bundle, share=share, parametrization=parametrization,
+            fixed=_fixed_block(params, fixed, "phi" in share),
+        )
+        structure = _Structure(spec)
+        theta = structure.pack(params)
+
+        def value(th):
+            return mx.total_log_likelihood(bundle.with_parameters(structure.unpack(th)))
+
+        ll, exact = _chained_gradient(
+            structure.unpack, theta, bundle, _primitive_keys(structure), None
+        )
+        assume(np.isfinite(ll))
+        assert ll == value(theta)
+        numeric = numeric_gradient(value, theta, rel_step=1e-5, abs_floor=1e-7)
+        assert np.allclose(exact, numeric, rtol=1e-5, atol=1e-6), (exact, numeric)
+
+    def test_overridden_marker_adds_nothing_to_trace_level_parameters(self):
+        bundle = random_case(np.random.default_rng(3), n_markers=1)
+        first = bundle.traces[0].trace_id
+        for override in ("rho", "xi"):
+            b = bundle.with_parameters(_with_override(bundle.parameters, override))
+            _, grad = mx.log_likelihood_and_gradient(b)
+            assert grad[(override, first)] == 0.0
+            assert grad[("eta", first)] != 0.0
 
 
 class TestNumericHessian:

@@ -145,6 +145,22 @@ class TestLoaders:
 
 
 class TestCli:
+    def test_nan_height_exits_2(self, tiny_case, capsys):
+        trace = write(
+            tiny_case["tmp"], "nan_trace.csv",
+            "trace_id,marker,allele,height\n"
+            "T1,M1,8,420\nT1,M1,9,nan\nT1,M2,8,510\n",
+        )
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", trace, "--hypothesis", tiny_case["case"],
+             "--params", tiny_case["params"]]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "load_error"
+        assert "finite" in err["error"]["message"]
+
     def test_missing_frequency_file_exits_2(self, tiny_case, capsys):
         rc = cli.main(
             ["fit", "--freqs", "nope.csv", "--profiles", tiny_case["profiles"],

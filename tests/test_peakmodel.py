@@ -11,8 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
 
+import mpmath
+
 import mixref as mx
-from mixref.peakmodel import gamma_log_cdf, gamma_log_pdf, gamma_log_sf
+from mixref.peakmodel import (
+    gamma_log_cdf,
+    gamma_log_cdf_grad,
+    gamma_log_pdf,
+    gamma_log_pdf_grad,
+    gamma_log_sf,
+)
 
 # mpmath.log(mpmath.gammainc(50, 0, 2.5, regularized=True))
 LOG_G_50_50_20 = -105.11301941622160429
@@ -200,6 +208,99 @@ class TestGammaLogFunctions:
         ls = gamma_log_sf(40.0, 3.0, 20.0)
         assert np.exp(lc) + np.exp(ls) == pytest.approx(1.0, rel=1e-12)
 
+    def test_sf_upper_tail_does_not_underflow(self):
+        # Q(1, 5000) = e^-5000 underflows gammaincc
+        assert gamma_log_sf(5000.0, 1.0, 1.0) == pytest.approx(-5000.0, rel=1e-13)
+        vec = gamma_log_sf(np.array([5000.0, 10.0]), 1.0, 1.0)
+        assert vec == pytest.approx([-5000.0, -10.0], rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The gamma log functions and their derivatives against mpmath
+
+
+def _mp_log_pdf(x, a, s):
+    x, a, s = mpmath.mpf(x), mpmath.mpf(a), mpmath.mpf(s)
+    return (a - 1) * mpmath.log(x) - x / s - mpmath.loggamma(a) - a * mpmath.log(s)
+
+
+def _mp_log_cdf(x, a, s):
+    return mpmath.log(mpmath.gammainc(a, 0, mpmath.mpf(x) / s, regularized=True))
+
+
+def _mp_log_sf(x, a, s):
+    return mpmath.log(
+        mpmath.gammainc(a, mpmath.mpf(x) / s, mpmath.inf, regularized=True)
+    )
+
+
+def _close(got, want, rel, abs_):
+    want = float(want)
+    return abs(got - want) <= abs_ + rel * abs(want)
+
+
+_SHAPES = stn.floats(-2.0, 3.0).map(lambda e: 10.0**e)
+_SCALES = stn.floats(0.5, 100.0)
+# depth into a tail: x = a s e^-u below the mean, x = s (a + t (sqrt(a) + 1)) above
+_LOWER = stn.floats(0.5, 12.0)
+_UPPER = stn.floats(0.3, 3.3).map(lambda e: 10.0**e)
+
+
+def _tail_point(a, s, below, depth):
+    if below:
+        return a * s * math.exp(-depth)
+    return s * (a + depth * (math.sqrt(a) + 1.0))
+
+
+class TestGammaAgainstMpmath:
+    @given(_SHAPES, _SCALES, stn.booleans(), _LOWER, _UPPER)
+    @settings(max_examples=150, deadline=None)
+    def test_log_functions_in_both_tails(self, a, s, below, u, t):
+        x = _tail_point(a, s, below, u if below else t)
+        with mpmath.workdps(40):
+            want = (_mp_log_pdf(x, a, s), _mp_log_cdf(x, a, s), _mp_log_sf(x, a, s))
+        got = (gamma_log_pdf(x, a, s), gamma_log_cdf(x, a, s), gamma_log_sf(x, a, s))
+        for name, g, w in zip(("pdf", "cdf", "sf"), got, want):
+            assert _close(g, w, rel=1e-9, abs_=1e-12), (name, x, a, s, g, float(w))
+
+    @given(_SHAPES, _SCALES, stn.booleans(), _LOWER, _UPPER)
+    @settings(max_examples=100, deadline=None)
+    def test_log_pdf_gradient(self, a, s, below, u, t):
+        x = _tail_point(a, s, below, u if below else t)
+        d_shape, d_scale = gamma_log_pdf_grad(x, a, s)
+        with mpmath.workdps(40):
+            w_shape = mpmath.diff(lambda b: _mp_log_pdf(x, b, s), a)
+            w_scale = mpmath.diff(lambda c: _mp_log_pdf(x, a, c), s)
+        assert _close(d_shape, w_shape, rel=1e-9, abs_=1e-9)
+        assert _close(d_scale, w_scale, rel=1e-9, abs_=1e-9)
+
+    @given(_SHAPES, _SCALES, stn.booleans(), _LOWER, _UPPER)
+    @settings(max_examples=100, deadline=None)
+    def test_log_cdf_gradient(self, a, s, below, u, t):
+        x = _tail_point(a, s, below, u if below else t)
+        d_shape, d_scale = gamma_log_cdf_grad(x, a, s, gamma_log_cdf(x, a, s))
+        with mpmath.workdps(40):
+            w_shape = mpmath.diff(lambda b: _mp_log_cdf(x, b, s), a)
+            w_scale = mpmath.diff(lambda c: _mp_log_cdf(x, a, c), s)
+        assert _close(d_shape, w_shape, rel=1e-6, abs_=1e-9), (x, a, s)
+        assert _close(d_scale, w_scale, rel=1e-9, abs_=1e-12), (x, a, s)
+
+    @given(stn.floats(400.0, 1000.0), stn.floats(0.05, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_log_cdf_shape_derivative_in_series_branch(self, a, y):
+        # P(a, y) < 1e-280 here, so gamma_log_cdf sums the ascending series
+        assert gamma_log_cdf(y, a, 1.0) < math.log(1e-280)
+        d_shape, _ = gamma_log_cdf_grad(y, a, 1.0, gamma_log_cdf(y, a, 1.0))
+        with mpmath.workdps(40):
+            want = mpmath.diff(lambda b: _mp_log_cdf(y, b, 1.0), a)
+        assert _close(d_shape, want, rel=1e-7, abs_=0.0)
+
+    def test_log_cdf_shape_derivative_at_zero_shape(self):
+        # one-sided limit: log P(a, y) = -a E1(y) + O(a^2)
+        d_shape, d_scale = gamma_log_cdf_grad(50.0, 0.0, 25.0, 0.0)
+        assert d_shape == pytest.approx(-float(mpmath.e1(2.0)), rel=1e-14)
+        assert d_scale == 0.0
+
 
 class TestModelParameters:
     def _phi(self):
@@ -232,6 +333,27 @@ class TestModelParameters:
         )
         with pytest.raises(ValueError):
             p.check_unknown_ordering(("U1", "U2"))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"phi": {"T1": {"K1": float("nan"), "U1": 0.3, "U2": 0.1}}},
+            {"rho": {"T1": float("inf")}},
+            {"rho": {"T1": float("nan")}},
+            {"eta": float("inf")},
+            {"xi": float("nan")},
+            {"marker_rho": {"FGA": {"T1": float("inf")}}},
+            {"marker_rho": {"FGA": {"T1": float("nan")}}},
+            {"marker_rho": {"FGA": {"T1": -1.0}}},
+            {"marker_xi": {"FGA": float("nan")}},
+            {"marker_xi": {"FGA": 1.0}},
+        ],
+    )
+    def test_rejects_non_finite_values(self, change):
+        args = dict(rho={"T1": 30.0}, eta=28.0, xi=0.08, phi=self._phi())
+        args.update(change)
+        with pytest.raises(ValueError):
+            mx.ModelParameters(**args)
 
     def test_marker_overrides(self):
         p = mx.ModelParameters(
