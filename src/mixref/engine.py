@@ -12,11 +12,15 @@ traversed in an order that makes every stutter donor position-adjacent;
 the factor is emitted once both counts are in scope.
 
 Several traces that share unknown contributors are coupled by multiplying
-their per-allele factors inside the same chain pass.  Forward-backward
-sweeps yield presence posteriors and per-contributor count marginals, a
-best-first search over the same chain yields exact k-best genotype
-combinations, and a brute-force enumerator serves as the independent
-verification oracle.
+their per-allele factors inside the same chain pass.  One forward-backward
+sweep per marker evaluates each step's edge values once and keeps them
+with the forward and backward messages, and every query reads from it:
+the gradient, presence posteriors and per-contributor count marginals
+from the posterior of each step's (previous draw, draw) pair, exact k-best
+genotype combinations by best-first search over the edge values, and the
+conditional CDF of each observed peak by re-evaluating its emit step
+alone.  A brute-force enumerator serves as the independent verification
+oracle.
 
 All accumulation is in log space; factors as small as e^-700 apiece do
 not underflow intermediate results.
@@ -24,6 +28,7 @@ not underflow intermediate results.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -264,18 +269,27 @@ class _Grouping:
         out[self.uniq] = np.maximum.reduceat(v, self.starts)
         return out
 
+    def members(self, key: int) -> np.ndarray:
+        """Indices of the values with key ``key``, which must occur, in order."""
+        i = int(np.searchsorted(self.uniq, key))
+        return self.perm[self.starts[i]:self.starts[i] + self.repeats[i]]
+
 
 @dataclass(frozen=True)
 class _EdgeSet:
-    """Transitions of one chain step: source state, joint draw, target state."""
+    """Transitions of one chain step: source state, joint draw, target state.
+
+    key indexes (draw at the previous step, draw here) as source draw * C
+    + draw, the layout of a step's (C, C) log factor table.
+    """
 
     src: np.ndarray
     combo: np.ndarray
     dst: np.ndarray
+    key: np.ndarray
     pair: np.ndarray  # (U, E) indices into _PAIRS
     by_dst: _Grouping
     by_src: _Grouping
-    by_combo: _Grouping
 
     def log_trans(self, pair_lp: np.ndarray) -> np.ndarray:
         if self.pair.shape[0] == 0:
@@ -283,14 +297,20 @@ class _EdgeSet:
         return pair_lp[self.pair].sum(axis=0)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
+    """The first step's and every later step's edges for U unknowns.
+
+    They depend on U alone, so every marker plan shares one cached pair
+    (one entry per U); the arrays are read-only.
+    """
     n_states = 6**n_unknown
     n_combos = 3**n_unknown
 
     def build(sources, src_size):
-        src_l, combo_l, dst_l = [], [], []
+        src_l, key_l, dst_l = [], [], []
         pair_l = [[] for _ in range(n_unknown)]
-        for sidx, per_contributor in sources:
+        for sidx, src_combo, per_contributor in sources:
             for draw in itertools.product(*per_contributor):
                 combo = 0
                 dst = 0
@@ -298,23 +318,27 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
                     combo = combo * 3 + m
                     dst = dst * 6 + _STATE_INDEX[(s_new, m)]
                 src_l.append(sidx)
-                combo_l.append(combo)
+                key_l.append(src_combo * n_combos + combo)
                 dst_l.append(dst)
                 for i, (m, _, s_prev) in enumerate(draw):
                     pair_l[i].append(_PAIR_INDEX[(s_prev, m)])
         src = np.array(src_l, dtype=np.int64)
-        combo = np.array(combo_l, dtype=np.int64)
+        key = np.array(key_l, dtype=np.int64)
         dst = np.array(dst_l, dtype=np.int64)
         pair = np.array(pair_l, dtype=np.int64).reshape(n_unknown, len(src_l))
-        return _EdgeSet(
-            src=src, combo=combo, dst=dst, pair=pair,
+        edges = _EdgeSet(
+            src=src, combo=key % n_combos, dst=dst, key=key, pair=pair,
             by_dst=_Grouping.build(dst, n_states),
             by_src=_Grouping.build(src, src_size),
-            by_combo=_Grouping.build(combo, n_combos),
         )
+        for group in (edges, edges.by_dst, edges.by_src):
+            for value in vars(group).values():
+                if isinstance(value, np.ndarray):
+                    value.setflags(write=False)
+        return edges
 
     # draw entries are (m, S_new, S_prev)
-    virtual = [(0, [[(m, m, 0) for m in range(3)] for _ in range(n_unknown)])]
+    virtual = [(0, 0, [[(m, m, 0) for m in range(3)] for _ in range(n_unknown)])]
     edges0 = build(virtual, 1)
 
     sources = []
@@ -325,10 +349,12 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
             rem //= 6
         parts.reverse()
         per = []
+        src_combo = 0
         for pstate in parts:
-            s_prev = _STATES[pstate][0]
+            s_prev, n = _STATES[pstate]
+            src_combo = src_combo * 3 + n
             per.append([(m, s_prev + m, s_prev) for m in range(3 - s_prev)])
-        sources.append((sidx, per))
+        sources.append((sidx, src_combo, per))
     edges = build(sources, n_states)
     return edges0, edges
 
@@ -387,10 +413,12 @@ class _MarkerPlan:
     n_states: int
     n_combos: int
     combo_counts: np.ndarray         # (C, U)
-    state_ncombo: np.ndarray         # (n_states,) combo index of each state's n
     edges0: _EdgeSet
     edges: _EdgeSet
     traces: tuple[_TraceView, ...]
+
+    def edges_at(self, t: int) -> _EdgeSet:
+        return self.edges0 if t == 0 else self.edges
 
 
 def _build_internal_order(ladder) -> np.ndarray:
@@ -451,17 +479,6 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
         for i in range(n_unknown - 1, -1, -1):
             combo_counts[c, i] = rem % 3
             rem //= 3
-    state_ncombo = np.zeros(n_states, dtype=np.int64)
-    for sidx in range(n_states):
-        rem, parts = sidx, []
-        for _ in range(n_unknown):
-            parts.append(rem % 6)
-            rem //= 6
-        parts.reverse()
-        cidx = 0
-        for pstate in parts:
-            cidx = cidx * 3 + _STATES[pstate][1]
-        state_ncombo[sidx] = cidx
 
     edges0, edges = _build_edges(n_unknown)
 
@@ -510,7 +527,6 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
         n_states=n_states,
         n_combos=n_combos,
         combo_counts=combo_counts,
-        state_ncombo=state_ncombo,
         edges0=edges0,
         edges=edges,
         traces=tuple(views),
@@ -688,79 +704,107 @@ def _view_terms(plan, params) -> list[_ViewTerms]:
     return out
 
 
-def _factor_tables(plan: _MarkerPlan, terms, replace_target=None):
-    """Per-step evidence factor tables summed over traces.
+def _step_table(plan, terms, t, skip=None):
+    """Step t's log evidence factors summed over traces, as a (C, C) table.
 
-    terms are the marker's :func:`_view_terms`.  pairwise[t] is a (C, C)
-    log-factor matrix for the stutter-coupled position t-1, indexed by
-    (draw at t-1, draw at t); single[t] is a (C,) vector for an
-    uncoupled position emitted at its own step.
-
-    replace_target = (view index, position, mode) swaps one peak's factor:
-    mode "survival" keeps only its observed-status (P(H >= C)), mode
-    "flat" removes it entirely; used by the conditional-CDF diagnostic.
+    terms are the marker's :func:`_view_terms`.  Rows index the draw at
+    t-1 and columns the draw at t: step t emits a stutter-coupled position
+    t-1 and an uncoupled position t.  skip = (view index, position) leaves
+    that peak's factor out.
     """
-    n_pos = len(plan.order)
-    pairwise = [None] * n_pos
-    single = [None] * n_pos
+    table = np.zeros((plan.n_combos, plan.n_combos))
     for view_idx, (view, term) in enumerate(zip(plan.traces, terms)):
-        vals = term.log_factors
-        if replace_target is not None and replace_target[0] == view_idx:
-            _, p, mode = replace_target
-            sl = view.blocks[p][1]
-            vals = vals.copy()
-            vals[sl] = (
-                0.0 if mode == "flat"
-                else gamma_log_sf(view.threshold, term.rho * term.doses[sl], term.eta)
-            )
-        for t, sl, shape in view.blocks.values():
-            table = vals[sl].reshape(shape)
-            tables = pairwise if len(shape) == 2 else single
-            tables[t] = table if tables[t] is None else tables[t] + table
-    return pairwise, single
+        for p in (t - 1, t):
+            block = view.blocks.get(p)
+            if block is not None and block[0] == t and (view_idx, p) != skip:
+                table += term.log_factors[block[1]].reshape(block[2])
+    return table
 
 
-def _step_values(plan, t, pairwise, single, masks):
-    """Per-edge log(transition * factors * mask) at step t, without lw."""
-    edges = plan.edges0 if t == 0 else plan.edges
-    vals = edges.log_trans(plan.pair_lp[t])
-    if t > 0 and pairwise[t] is not None:
-        src_combo = plan.state_ncombo[edges.src]
-        vals = vals + pairwise[t].ravel()[src_combo * plan.n_combos + edges.combo]
-    if single[t] is not None:
-        vals = vals + single[t][edges.combo]
-    if masks is not None and masks[t] is not None:
-        vals = vals + masks[t][edges.combo]
-    return edges, vals
+def _step_tables(plan, terms):
+    return [_step_table(plan, terms, t) for t in range(len(plan.order))]
 
 
-def _forward(plan, pairwise, single, masks=None, keep=False):
-    lw = np.zeros(1)
-    history = []
-    for t in range(len(plan.order)):
-        edges, vals = _step_values(plan, t, pairwise, single, masks)
-        lw = edges.by_dst.logsumexp(lw[edges.src] + vals)
-        if keep:
-            history.append(lw)
-    return lw, history
+def _step_values(plan, t, tables):
+    """Per-edge log(transition * factors) at step t, one row per (C, C) table."""
+    edges = plan.edges_at(t)
+    flat = tables.reshape(-1, plan.n_combos**2)
+    return edges.log_trans(plan.pair_lp[t]) + flat[:, edges.key]
 
 
-def _backward(plan, pairwise, single, masks=None):
-    n_pos = len(plan.order)
-    lb = [None] * n_pos
-    lb[n_pos - 1] = np.zeros(plan.n_states)
-    for t in range(n_pos - 1, 0, -1):
-        edges, vals = _step_values(plan, t, pairwise, single, masks)
-        lb[t - 1] = edges.by_src.logsumexp(vals + lb[t][edges.dst])
-    return lb
+class _Sweep(NamedTuple):
+    """One forward-backward pass over a marker's chain; every query reads it.
+
+    vals[t] holds step t's per-edge log(transition * factors), fwd[t] the
+    forward log message into step t (fwd[-1] the final one) and bwd[t] the
+    backward log message out of it.  swapped[t] stacks step t's edge values
+    under the alternative tables asked for at t, if any.
+    """
+
+    vals: list
+    fwd: list
+    bwd: list | None
+    swapped: list
+    loglik: float
+
+
+def _sweep(plan, tables, swaps=None, backward=True) -> _Sweep:
+    """Forward and (optionally) backward pass with step tables ``tables``.
+
+    swaps maps a step to alternative (C, C) tables for it; they are
+    evaluated with the step's own table and enter no message.
+    """
+    swaps = swaps or {}
+    vals, fwd, swapped = [], [np.zeros(1)], []
+    for t, table in enumerate(tables):
+        if t in swaps:
+            table = np.stack([table, *swaps[t]])
+        rows = _step_values(plan, t, table)
+        vals.append(rows[0])
+        swapped.append(rows[1:])
+        edges = plan.edges_at(t)
+        fwd.append(edges.by_dst.logsumexp(fwd[t][edges.src] + rows[0]))
+    bwd = None
+    if backward:
+        bwd = [None] * len(tables)
+        bwd[-1] = np.zeros(plan.n_states)
+        for t in range(len(tables) - 1, 0, -1):
+            bwd[t - 1] = plan.edges.by_src.logsumexp(vals[t] + bwd[t][plan.edges.dst])
+    return _Sweep(vals, fwd, bwd, swapped, float(logsumexp(fwd[-1])))
+
+
+def _step_posterior(plan, sweep, t, vals):
+    """Posterior of (draw at t-1, draw at t) as a (C, C) table.
+
+    Combines the sweep's messages around step t with the step's edge
+    values ``vals``, which may be a swapped row, and normalizes over the
+    step; None where the step has no mass.
+    """
+    edges = plan.edges_at(t)
+    logw = sweep.fwd[t][edges.src] + vals + sweep.bwd[t][edges.dst]
+    top = logw.max()
+    if not np.isfinite(top):
+        return None
+    w = np.exp(logw - top)
+    c = plan.n_combos
+    return (np.bincount(edges.key, weights=w, minlength=c * c) / w.sum()).reshape(c, c)
+
+
+def _block_posterior(pair, shape):
+    """Posterior of a factor block's entries from its emit step's pair posterior."""
+    return pair.ravel() if len(shape) == 2 else pair.sum(axis=0)
 
 
 def _presence_masks(plan, assignments):
-    """Translate allele -> present/absent assignments into per-step combo masks."""
+    """Translate allele -> present/absent assignments into per-step log masks.
+
+    Row t is 0 for the draws at step t that the assignments allow, -inf
+    for the others.
+    """
+    masks = np.zeros((len(plan.order), plan.n_combos))
     if not assignments:
-        return None
+        return masks
     label_pos = {lab: p for p, lab in enumerate(plan.internal_labels)}
-    masks = [None] * len(plan.order)
     known_any = plan.known_counts.sum(axis=0)
     combo_total = (
         plan.combo_counts.sum(axis=1) if plan.n_unknown else np.zeros(1, dtype=int)
@@ -782,12 +826,7 @@ def _presence_masks(plan, assignments):
             raise InfeasibleConditioningError(
                 f"no contributor can possess allele {lab!r}"
             )
-        mask = np.full(plan.n_combos, -np.inf)
-        if present:
-            mask[combo_total > 0] = 0.0
-        else:
-            mask[combo_total == 0] = 0.0
-        masks[p] = mask if masks[p] is None else np.maximum(masks[p] + mask, -np.inf)
+        masks[p, (combo_total == 0) if present else (combo_total > 0)] = -np.inf
     return masks
 
 
@@ -816,9 +855,8 @@ def _plan_for(bundle: EvidenceBundle, marker: str) -> _MarkerPlan:
 def marker_log_likelihood(bundle: EvidenceBundle, marker: str) -> float:
     """Exact log likelihood of one marker, marginalized over unknown genotypes."""
     plan = _plan_for(bundle, marker)
-    pairwise, single = _factor_tables(plan, _view_terms(plan, bundle.parameters))
-    lw, _ = _forward(plan, pairwise, single)
-    return float(logsumexp(lw))
+    tables = _step_tables(plan, _view_terms(plan, bundle.parameters))
+    return _sweep(plan, tables, backward=False).loglik
 
 
 def total_log_likelihood(
@@ -874,38 +912,20 @@ def log_likelihood_and_gradient(
     return float(sum(ll for ll, _ in parts)), grad
 
 
-def _pair_posteriors(plan, pairwise, single, history, lb, loglik):
-    """Per step t, the posterior of (draw at t-1, draw at t), shape (P, C, C)."""
-    c = plan.n_combos
-    n_pos = len(plan.order)
-    pair = np.empty((n_pos, c * c))
-    lw_prev = np.zeros(1)
-    for t in range(n_pos):
-        edges, vals = _step_values(plan, t, pairwise, single, None)
-        logw = lw_prev[edges.src] + vals + lb[t][edges.dst] - loglik
-        key = plan.state_ncombo[edges.src] * c + edges.combo
-        pair[t] = np.bincount(key, weights=np.exp(logw), minlength=c * c)
-        lw_prev = history[t]
-    return pair.reshape(n_pos, c, c)
-
-
 def _marker_value_and_gradient(plan, params):
     terms = _view_terms(plan, params)
-    pairwise, single = _factor_tables(plan, terms)
-    lw, history = _forward(plan, pairwise, single, keep=True)
-    loglik = float(logsumexp(lw))
+    sweep = _sweep(plan, _step_tables(plan, terms))
+    loglik = sweep.loglik
     grad = {}
     if not np.isfinite(loglik):
         return loglik, grad
-    lb = _backward(plan, pairwise, single)
-    pair = _pair_posteriors(plan, pairwise, single, history, lb, loglik)
+    pair = [_step_posterior(plan, sweep, t, vals) for t, vals in enumerate(sweep.vals)]
     marker_xi = params.marker_xi is not None and plan.marker in params.marker_xi
     rho_over = (params.marker_rho or {}).get(plan.marker, {})
     for view, term in zip(plan.traces, terms):
         tid = view.trace_id
         w = np.concatenate([  # posterior of every factor entry
-            pair[t].ravel() if len(shape) == 2 else pair[t].sum(axis=0)
-            for t, _, shape in view.blocks.values()
+            _block_posterior(pair[t], shape) for t, _, shape in view.blocks.values()
         ])
         shapes = term.rho * term.doses
         k = view.n_observed
@@ -951,58 +971,41 @@ def _marker_value_and_gradient(plan, params):
 
 def _chain_posterior(bundle, marker, assignments=None, k=0):
     plan = _plan_for(bundle, marker)
-    pairwise, single = _factor_tables(plan, _view_terms(plan, bundle.parameters))
+    terms = _view_terms(plan, bundle.parameters)
     masks = _presence_masks(plan, assignments)
-    lw_final, history = _forward(plan, pairwise, single, masks, keep=True)
-    loglik = float(logsumexp(lw_final))
-    if not np.isfinite(loglik):
+    sweep = _sweep(plan, [
+        table + mask for table, mask in zip(_step_tables(plan, terms), masks)
+    ])
+    if not np.isfinite(sweep.loglik):
         raise InfeasibleConditioningError(
             f"zero probability on marker {marker!r}"
             + (f" under conditioning {dict(assignments)!r}" if assignments else "")
         )
-    lb = _backward(plan, pairwise, single, masks)
-
-    n_pos = len(plan.order)
+    # posterior of each step's draw: the pair posteriors summed over the source
+    post = np.array([
+        _step_posterior(plan, sweep, t, vals).sum(axis=0)
+        for t, vals in enumerate(sweep.vals)
+    ])
+    counts = [
+        post @ (plan.combo_counts[:, i, None] == np.arange(3))
+        for i in range(plan.n_unknown)
+    ]
     known_any = plan.known_counts.sum(axis=0)
-    presence = {}
-    marginals = {role: {} for role in plan.unknown_ids}
-    lw_prev = np.zeros(1)
-    for t in range(n_pos):
-        edges, vals = _step_values(plan, t, pairwise, single, masks)
-        post = edges.by_combo.logsumexp(lw_prev[edges.src] + vals + lb[t][edges.dst])
-        post = post - loglik
+    presence, marginals = {}, {role: {} for role in plan.unknown_ids}
+    for t in np.argsort(plan.order):  # ladder order
         lab = plan.internal_labels[t]
         if not plan.silent[t]:
-            if known_any[t] > 0:
-                presence[lab] = 1.0
-            elif plan.n_unknown == 0:
-                presence[lab] = 0.0
-            else:
-                presence[lab] = float(min(1.0, max(0.0, -np.expm1(post[0]))))
-        for i, role in enumerate(plan.unknown_ids):
-            probs = []
-            for m in range(3):
-                sel = plan.combo_counts[:, i] == m
-                probs.append(
-                    float(np.exp(logsumexp(post[sel]))) if sel.any() else 0.0
-                )
-            marginals[role][lab] = tuple(probs)
-        lw_prev = history[t]
-
-    ordered_presence = {lab: presence[lab] for lab in plan.labels if lab in presence}
-    ordered_marginals = {
-        role: {lab: vals[lab] for lab in plan.labels}
-        for role, vals in marginals.items()
-    }
-    top = (
-        _kbest_paths(plan, pairwise, single, masks, loglik, k) if k else ()
-    )
+            presence[lab] = (
+                1.0 if known_any[t] > 0 else float(min(1.0, max(0.0, 1.0 - post[t, 0])))
+            )
+        for role, count in zip(plan.unknown_ids, counts):
+            marginals[role][lab] = tuple(float(x) for x in count[t])
     return MarkerChainPosterior(
         marker=marker,
-        log_likelihood=loglik,
-        presence=ordered_presence,
-        count_marginals=ordered_marginals,
-        top_genotypes=top,
+        log_likelihood=sweep.loglik,
+        presence=presence,
+        count_marginals=marginals,
+        top_genotypes=_kbest_paths(plan, sweep, k) if k else (),
     )
 
 
@@ -1048,56 +1051,42 @@ def top_k_marker_genotypes(bundle: EvidenceBundle, marker: str, k: int):
     return _chain_posterior(bundle, marker, k=k).top_genotypes
 
 
-def _kbest_paths(plan, pairwise, single, masks, loglik, k):
+def _kbest_paths(plan, sweep, k):
     if plan.n_unknown == 0:
         return (({}, 1.0),)
     n_pos = len(plan.order)
-
-    step_edges = []
-    step_vals = []
-    for t in range(n_pos):
-        edges, vals = _step_values(plan, t, pairwise, single, masks)
-        step_edges.append(edges)
-        step_vals.append(vals)
+    edges = plan.edges
 
     # Max-product backward bounds make the best-first extension exact (A*).
     mb = [None] * n_pos
     mb[n_pos - 1] = np.zeros(plan.n_states)
     for t in range(n_pos - 1, 0, -1):
-        edges = step_edges[t]
-        mb[t - 1] = edges.by_src.max(step_vals[t] + mb[t][edges.dst])
-
-    out_edges = [[] for _ in range(plan.n_states)]
-    for e, s in enumerate(plan.edges.src):
-        out_edges[int(s)].append(e)
+        mb[t - 1] = edges.by_src.max(sweep.vals[t] + mb[t][edges.dst])
 
     counter = itertools.count()
     heap = []
-    edges0 = plan.edges0
-    for e in range(len(edges0.src)):
-        g = float(step_vals[0][e])
-        bound = g + mb[0][int(edges0.dst[e])]
-        if np.isfinite(bound):
+
+    def extend(t, g, draws, out):
+        # push the partial path (g, draws) extended along step t's edges out
+        step = plan.edges_at(t)
+        g_out = g + sweep.vals[t][out]
+        bound = g_out + mb[t][step.dst[out]]
+        for i in np.flatnonzero(np.isfinite(bound)):
+            e = out[i]
             heapq.heappush(
                 heap,
-                (-bound, next(counter), 0, int(edges0.dst[e]), g,
-                 (int(edges0.combo[e]),)),
+                (-float(bound[i]), next(counter), t, int(step.dst[e]),
+                 float(g_out[i]), draws + (int(step.combo[e]),)),
             )
+
+    extend(0, 0.0, (), np.arange(len(plan.edges0.src)))
     results = []
     while heap and len(results) < k:
         _, _, t, state, g, draws = heapq.heappop(heap)
         if t == n_pos - 1:
             results.append((draws, g))
-            continue
-        for e in out_edges[state]:
-            g2 = g + float(step_vals[t + 1][e])
-            bound = g2 + mb[t + 1][int(plan.edges.dst[e])]
-            if np.isfinite(bound):
-                heapq.heappush(
-                    heap,
-                    (-bound, next(counter), t + 1, int(plan.edges.dst[e]), g2,
-                     draws + (int(plan.edges.combo[e]),)),
-                )
+        else:
+            extend(t + 1, g, draws, edges.by_src.members(state))
 
     ladder_pos = {lab: i for i, lab in enumerate(plan.labels)}
     out = []
@@ -1108,8 +1097,61 @@ def _kbest_paths(plan, pairwise, single, masks, loglik, k):
             for t, cidx in enumerate(draws):
                 alleles.extend([plan.internal_labels[t]] * int(plan.combo_counts[cidx, i]))
             assignment[role] = tuple(sorted(alleles, key=ladder_pos.get))
-        out.append((assignment, float(np.exp(score - loglik))))
+        out.append((assignment, float(np.exp(score - sweep.loglik))))
     return tuple(out)
+
+
+class _PeakPosterior(NamedTuple):
+    """An observed peak's gamma shape per factor entry, and the entries'
+    posterior given all other evidence (None where that has no mass)."""
+
+    trace_id: str
+    marker: str
+    allele: str
+    height: float
+    threshold: float
+    eta: float
+    shapes: np.ndarray
+    weights: np.ndarray | None
+
+
+def _observed_peak_posteriors(bundle: EvidenceBundle, truncate: bool):
+    """Every observed peak's entries weighted by everything but its height.
+
+    One sweep per marker serves all its peaks.  A peak's factor enters
+    the chain only at its emit step t, so the forward message into t and
+    the backward message out of it do not depend on it.  Step t is
+    evaluated once more with its table recomputed without the peak's
+    factor, plus the survival term log P(H >= C) when ``truncate`` keeps
+    the peak's observed status, and normalized over the step.
+    """
+    for marker in bundle.covered_markers():
+        plan = _plan_for(bundle, marker)
+        terms = _view_terms(plan, bundle.parameters)
+        peaks, swaps = [], {}
+        for view_idx, (view, term) in enumerate(zip(plan.traces, terms)):
+            survival = gamma_log_sf(
+                view.threshold, term.rho * term.doses[:view.n_observed], term.eta
+            ) if truncate else None
+            for p in map(int, np.flatnonzero(view.observed)):
+                t, sl, shape = view.blocks[p]
+                table = _step_table(plan, terms, t, skip=(view_idx, p))
+                if survival is not None:
+                    table = table + survival[sl].reshape(shape)
+                swaps.setdefault(t, []).append(table)
+                peaks.append((view, term, p, len(swaps[t]) - 1))
+        if not peaks:
+            continue
+        sweep = _sweep(plan, _step_tables(plan, terms), swaps)
+        for view, term, p, row in peaks:
+            t, sl, shape = view.blocks[p]
+            pair = _step_posterior(plan, sweep, t, sweep.swapped[t][row])
+            yield _PeakPosterior(
+                view.trace_id, marker, plan.internal_labels[p],
+                float(view.heights[p]), view.threshold, term.eta,
+                term.rho * term.doses[sl],
+                None if pair is None else _block_posterior(pair, shape),
+            )
 
 
 def top_k_joint_profiles(marker_lists, k: int):

@@ -207,8 +207,12 @@ class PeakObservation:
     threshold: float
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("detection threshold must be positive")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(
+                f"detection threshold must be positive and finite, got {self.threshold}"
+            )
+        if not math.isfinite(self.height):
+            raise ValueError(f"non-finite height {self.height}")
         if self.height < 0:
             raise ValueError("peak height must be nonnegative")
         if 0.0 < self.height < self.threshold:

@@ -5,8 +5,9 @@ per contributor and allele, independent gamma components for the
 undamaged and the stuttered part of the signal, stutter landing one
 repeat unit below, and thresholding to zero below the detection limit.
 probability_integral_transform computes, for every observed peak, its
-conditional CDF value given all other evidence; under a correctly
-specified model these values are approximately uniform.
+conditional CDF value given all other evidence, from one forward-backward
+sweep per marker; under a correctly specified model these values are
+approximately uniform.
 """
 
 from __future__ import annotations
@@ -15,20 +16,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import special as sc
-from scipy.special import logsumexp
 
-from .engine import (
-    EvidenceBundle,
-    Trace,
-    _backward,
-    _factor_tables,
-    _forward,
-    _plan_for,
-    _step_values,
-    _view_terms,
-)
-from .peakmodel import ModelParameters
+from .engine import EvidenceBundle, Trace, _observed_peak_posteriors
+from .peakmodel import ModelParameters, gamma_log_cdf, gamma_log_sf
 from .population import SILENT_LABEL, FrequencyTable, GenotypeProfile, stutter_successor
 
 __all__ = [
@@ -151,15 +141,6 @@ def simulate_trace(config: SimulationConfig) -> Trace:
     return Trace(trace_id=tid, threshold=config.threshold, heights=heights)
 
 
-def _truncated_gamma_cdf(z, c, shape, eta):
-    # P(H <= z | H >= c) via upper tails: (Q(c) - Q(z)) / Q(c)
-    qc = sc.gammaincc(shape, c / eta)
-    qz = sc.gammaincc(shape, z / eta)
-    if qc <= 0.0:
-        return 1.0
-    return float(min(max((qc - qz) / qc, 0.0), 1.0))
-
-
 def probability_integral_transform(
     bundle: EvidenceBundle, truncate: bool = True
 ) -> list[dict]:
@@ -170,68 +151,36 @@ def probability_integral_transform(
     on everything except the peak's own height.  With ``truncate`` (the
     default) the peak's observed status is retained: weights use the
     survival probability at the threshold and the CDFs are truncated to
-    [C, inf).  Returns records {trace, marker, allele, height, pit}.
+    [C, inf).  Without it the weights condition on nothing about the
+    peak, and a genotype that gives it zero dose has CDF 1 (all its mass
+    at 0).  One forward-backward sweep per marker serves all its peaks.
+    Returns records {trace, marker, allele, height, pit}; pit is NaN where
+    the other evidence has zero probability.
     """
-    params = bundle.parameters
-    out = []
-    for marker in bundle.covered_markers():
-        plan = _plan_for(bundle, marker)
-        terms = _view_terms(plan, params)
-        for vi, view in enumerate(plan.traces):
-            for p in np.flatnonzero(view.observed):
-                p = int(p)
-                pit = _pit_one_peak(plan, terms, vi, p, truncate)
-                out.append(
-                    {
-                        "trace": view.trace_id,
-                        "marker": marker,
-                        "allele": plan.internal_labels[p],
-                        "height": float(view.heights[p]),
-                        "pit": pit,
-                    }
-                )
-    return out
+    return [
+        {
+            "trace": peak.trace_id,
+            "marker": peak.marker,
+            "allele": peak.allele,
+            "height": peak.height,
+            "pit": _mixed_cdf(peak, truncate),
+        }
+        for peak in _observed_peak_posteriors(bundle, truncate)
+    ]
 
 
-def _pit_one_peak(plan, terms, view_idx, p, truncate):
-    view = plan.traces[view_idx]
-    replacement = "survival" if truncate else "flat"
-    pairwise, single = _factor_tables(
-        plan, terms, replace_target=(view_idx, p, replacement)
-    )
-    lw_final, history = _forward(plan, pairwise, single, keep=True)
-    loglik = float(logsumexp(lw_final))
-    if not np.isfinite(loglik):
+def _mixed_cdf(peak, truncate):
+    """The peak's gamma CDFs at its height, mixed by the entries' posterior."""
+    if peak.weights is None:
         return float("nan")
-    lb = _backward(plan, pairwise, single)
-    term = terms[view_idx]
-    rho, eta, xi, base = term.rho, term.eta, term.xi, term.base
-
-    t_emit = p + 1 if plan.coupled[p] else p
-    edges = plan.edges0 if t_emit == 0 else plan.edges
-    lw_prev = np.zeros(1) if t_emit == 0 else history[t_emit - 1]
-    _, vals = _step_values(plan, t_emit, pairwise, single, None)
-    logw = lw_prev[edges.src] + vals + lb[t_emit][edges.dst] - loglik
-
-    # dose of the target position per edge: (draw at p, draw at its donor)
-    if plan.coupled[p]:
-        d = (1.0 - xi) * base[p, plan.state_ncombo[edges.src]] + xi * base[
-            p + 1, edges.combo
-        ]
+    live = peak.weights > 0.0
+    shapes = peak.shapes[live]
+    if truncate:
+        # P(H <= z | H >= C) = 1 - Q(z) / Q(C), in log space where Q(C) underflows
+        cdf = -np.expm1(
+            gamma_log_sf(peak.height, shapes, peak.eta)
+            - gamma_log_sf(peak.threshold, shapes, peak.eta)
+        )
     else:
-        d = (1.0 - xi) * base[p, edges.combo]
-
-    z = float(view.heights[p])
-    c = view.threshold
-    w = np.exp(logw)
-    keep = w > 0.0
-    pit = 0.0
-    for weight, dval in zip(w[keep], np.asarray(d)[keep]):
-        shape = rho * dval
-        if shape <= 0.0:
-            continue  # observed peak impossible at zero dose; weight is zero
-        if truncate:
-            pit += weight * _truncated_gamma_cdf(z, c, shape, eta)
-        else:
-            pit += weight * float(sc.gammainc(shape, z / eta))
-    return float(min(max(pit, 0.0), 1.0))
+        cdf = np.exp(gamma_log_cdf(peak.height, shapes, peak.eta))
+    return float(min(max(peak.weights[live] @ cdf, 0.0), 1.0))

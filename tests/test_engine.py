@@ -7,6 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 import mixref as mx
+from mixref import engine
 from mixref.engine import InfeasibleConditioningError
 
 from conftest import (
@@ -336,6 +337,47 @@ class TestPresencePosteriors:
         pres = mx.presence_posteriors(b, "M")
         assert pres["8"] == 1.0
         assert pres["9"] == 0.0
+
+
+class TestCountMarginals:
+    def test_match_enumeration(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 20:
+            b = random_case(rng)
+            if not b.hypothesis.unknown:
+                continue
+            if oracle_log_likelihood(b, "M") == -np.inf:
+                continue
+            table = oracle_table(b, "M")
+            total = logsumexp([w for _, w in table])
+            marginals = mx.marker_posterior(b, "M").count_marginals
+            for role in b.hypothesis.unknown:
+                for lab, probs in marginals[role].items():
+                    want = [0.0, 0.0, 0.0]
+                    for counts, w in table:
+                        want[counts[role][lab]] += math.exp(w - total)
+                    assert probs == pytest.approx(want, abs=1e-9)
+            checked += 1
+
+
+class TestOneSweep:
+    def test_posterior_with_k_best_evaluates_each_step_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        b = random_case(rng, max_unknowns=2)
+        while not b.hypothesis.unknown or oracle_log_likelihood(b, "M") == -np.inf:
+            b = random_case(rng, max_unknowns=2)
+        steps = []
+        original = engine._step_values
+
+        def counting(plan, t, *args):
+            steps.append(t)
+            return original(plan, t, *args)
+
+        monkeypatch.setattr(engine, "_step_values", counting)
+        post = mx.marker_posterior(b, "M", k=3)
+        assert post.top_genotypes
+        assert sorted(steps) == list(range(len(b.frequencies.ladder("M").alleles)))
 
 
 class TestConditionedPresence:

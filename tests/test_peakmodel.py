@@ -107,6 +107,16 @@ class TestPeakLogFactor:
         with pytest.raises(ValueError):
             mx.PeakObservation(height=49.0, threshold=50.0)
 
+    @pytest.mark.parametrize("height", [float("nan"), float("inf")])
+    def test_rejects_non_finite_height(self, height):
+        with pytest.raises(ValueError, match="non-finite height"):
+            mx.PeakObservation(height=height, threshold=50.0)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0])
+    def test_rejects_bad_threshold(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            mx.PeakObservation(height=400.0, threshold=threshold)
+
     def test_continuity_in_parameters(self):
         obs = mx.PeakObservation(height=300.0, threshold=50.0)
         base = mx.peak_log_factor(obs, 25.0, 20.0, 1.3)

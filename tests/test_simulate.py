@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats as st
@@ -9,11 +10,59 @@ from scipy.special import gammainc, gammaincc, logsumexp
 
 import mixref as mx
 
-from conftest import oracle_table
+from conftest import oracle_log_cdf, oracle_successor, oracle_table, random_case
 
 
 def many_marker_table(n, labels_freqs):
     return mx.FrequencyTable.from_dict({f"M{i}": dict(labels_freqs) for i in range(n)})
+
+
+def oracle_pit(bundle, trace_id, allele, truncate):
+    """PIT of one observed peak on marker "M" by enumerating genotypes.
+
+    Weights are the enumeration oracle's, with the peak's factor taken out
+    (and its survival probability put in when truncating); the mixed CDFs
+    are the gamma CDFs at its height (truncated to [C, inf)).
+    """
+    trace = next(t for t in bundle.traces if t.trace_id == trace_id)
+    z, c = trace.height("M", allele), trace.threshold
+    zeroed = mx.Trace(
+        trace_id=trace_id, threshold=c,
+        heights={**trace.heights, "M": {**trace.heights["M"], allele: 0.0}},
+    )
+    params = bundle.parameters
+    rho = params.rho_for(trace_id, "M")
+    eta = params.eta_for(trace_id)
+    xi = params.xi_for_marker(trace_id, "M")
+    phi = params.phi[trace_id]
+    roles = set(bundle.hypothesis.roles_for(trace_id))
+    donor = oracle_successor(bundle.frequencies, "M")[allele]
+    table = oracle_table(
+        mx.EvidenceBundle(
+            traces=tuple(zeroed if t is trace else t for t in bundle.traces),
+            frequencies=bundle.frequencies, hypothesis=bundle.hypothesis,
+            parameters=params,
+        ),
+        "M",
+    )
+    logws, cdfs = [], []
+    for counts, logw in table:
+        def b(lab):
+            return sum(phi[r] * counts[r][lab] for r in counts if r in roles)
+
+        shape = rho * ((1 - xi) * b(allele) + (xi * b(donor) if donor else 0.0))
+        logw -= oracle_log_cdf(c, shape, eta)  # the zeroed peak's dropout factor
+        if truncate:
+            qc, qz = gammaincc(shape, c / eta), gammaincc(shape, z / eta)
+            logws.append(logw + (math.log(qc) if shape > 0 else -np.inf))
+            cdfs.append((qc - qz) / qc if shape > 0 else 0.0)
+        else:
+            logws.append(logw)
+            cdfs.append(gammainc(shape, z / eta) if shape > 0 else 1.0)
+    total = logsumexp(logws)
+    if total == -np.inf:
+        return float("nan")
+    return sum(math.exp(w - total) * f for w, f in zip(logws, cdfs))
 
 
 class TestSimulateTrace:
@@ -211,6 +260,61 @@ class TestProbabilityIntegralTransform:
             qz = gammaincc(shape, 570.0 / 28.0)
             want += w * (qc - qz) / qc
         assert target["pit"] == pytest.approx(want, rel=1e-9)
+
+    def test_flat_mode_counts_zero_dose_genotypes(self):
+        # without truncation a genotype giving the target no dose keeps its
+        # weight, and its CDF at the height is 1 (all mass at 0)
+        freqs = mx.FrequencyTable.from_dict({"M": {"8": 0.3, "9": 0.3, "10": 0.4}})
+        params = mx.ModelParameters(
+            rho={"S": 22.0}, eta=28.0, xi=0.06, phi={"S": {"U1": 1.0}}
+        )
+        trace = mx.Trace(trace_id="S", threshold=50.0,
+                         heights={"M": {"8": 600.0, "9": 570.0}})
+        b = mx.EvidenceBundle(
+            traces=(trace,), frequencies=freqs,
+            hypothesis=mx.Hypothesis(known={}, unknown=("U1",)),
+            parameters=params,
+        )
+        recs = mx.probability_integral_transform(b, truncate=False)
+        target = next(r for r in recs if r["allele"] == "9")
+        want = oracle_pit(b, "S", "9", truncate=False)
+        assert want == pytest.approx(0.501083, abs=1e-6)
+        assert target["pit"] == pytest.approx(want, rel=1e-9)
+
+    def test_truncated_cdf_where_survival_underflows(self):
+        # shape 1, scale 1: H | H >= C is C + Exp(1), so the value is
+        # 1 - e^-(z - C) although Q(C) = e^-4000 underflows
+        b = self._known_bundle({"8": 4000.5}, rho=0.5, eta=1.0, c=4000.0)
+        (rec,) = mx.probability_integral_transform(b)
+        assert rec["pit"] == pytest.approx(-math.expm1(-0.5), rel=1e-10)
+
+    def test_truncated_cdf_against_mpmath(self):
+        z, c, rho, eta = 3010.0, 3000.0, 1.85, 1.0
+        b = self._known_bundle({"8": z}, rho=rho, eta=eta, c=c)
+        (rec,) = mx.probability_integral_transform(b)
+        with mpmath.workdps(40):
+            def q(x):
+                return mpmath.gammainc(2 * rho, x / eta, mpmath.inf, regularized=True)
+
+            want = float(1 - q(z) / q(c))
+        assert rec["pit"] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("truncate", [True, False])
+    def test_random_instances_match_enumeration(self, truncate):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(40):
+            b = random_case(rng, max_alleles=4, max_unknowns=2)
+            for rec in mx.probability_integral_transform(b, truncate=truncate):
+                if rec["marker"] != "M":
+                    continue
+                want = oracle_pit(b, rec["trace"], rec["allele"], truncate)
+                if math.isnan(want):
+                    assert math.isnan(rec["pit"])
+                else:
+                    assert rec["pit"] == pytest.approx(want, abs=1e-9)
+                    checked += 1
+        assert checked > 50
 
     def test_uniformity_sanity_single_replicate(self):
         rng = np.random.default_rng(41)
