@@ -3,8 +3,9 @@
 Subcommands: fit, woe, deconvolve, artefacts, sweep, simulate, diagnose.
 All outputs are deterministic given the inputs and the seed.  Load and
 configuration problems exit with code 2, convergence failures with 3;
-machine-readable error JSON goes to stderr.  MIXREF_THREADS caps internal
-parallelism over markers.
+machine-readable error JSON goes to stderr.  ``--params`` takes a
+parameter JSON or a fit report; subcommands that need parameters fit them
+when it is absent.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -35,16 +35,6 @@ class CliError(Exception):
     def __init__(self, message, code=2):
         super().__init__(message)
         self.code = code
-
-
-def _max_workers():
-    raw = os.environ.get("MIXREF_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliError(f"MIXREF_THREADS must be an integer, got {raw!r}")
 
 
 def _add_common(p):
@@ -206,7 +196,7 @@ class _Case:
         hypothesis = self.hypothesis(hyp_id)
         params = parameters or self.params
         if params is None:
-            params = _neutral_parameters(hypothesis, self.traces)
+            params = estimation._uniform_parameters(hypothesis, self.traces)
         return EvidenceBundle(
             traces=self.traces,
             frequencies=self.freqs,
@@ -214,22 +204,18 @@ class _Case:
             parameters=params,
         )
 
-
-def _neutral_parameters(hypothesis, traces):
-    from .peakmodel import ModelParameters
-
-    rho, phi = {}, {}
-    for t in traces:
-        rho[t.trace_id] = 30.0
-        roles = hypothesis.roles_for(t.trace_id)
-        phi[t.trace_id] = {r: 1.0 / len(roles) for r in roles}
-    return ModelParameters(rho=rho, eta=30.0, xi=0.05, phi=phi)
+    def stated_or_fitted_bundle(self, hyp_id):
+        """The bundle at the --params values, else at the fitted optimum."""
+        if self.params is not None:
+            return self.bundle(hyp_id)
+        result = _fit_hypothesis(self, hyp_id)
+        return result.bundle.with_parameters(result.parameters)
 
 
 def _fit_hypothesis(case: _Case, hyp_id: str) -> "estimation.FitResult":
     bundle = case.bundle(hyp_id)
     if case.params is not None:
-        # everything is pinned, so cross-trace sharing plays no part
+        # everything is fixed, so cross-trace sharing plays no part
         spec = FitSpecification(
             bundle=bundle,
             share=frozenset(),
@@ -240,13 +226,9 @@ def _fit_hypothesis(case: _Case, hyp_id: str) -> "estimation.FitResult":
                 "phi": {t: dict(v) for t, v in case.params.phi.items()},
             },
             seed=case.seed,
-            max_workers=_max_workers(),
         )
     else:
-        spec = FitSpecification(
-            bundle=bundle, share=case.share, seed=case.seed,
-            max_workers=_max_workers(),
-        )
+        spec = FitSpecification(bundle=bundle, share=case.share, seed=case.seed)
     result = fit(spec, hypothesis_id=hyp_id)
     if not result.converged:
         raise CliError(f"fit for hypothesis {hyp_id!r} did not converge", code=3)
@@ -342,11 +324,7 @@ def cmd_deconvolve(args):
     hyp_id = args.under or case.default_id("defence")
     if args.k < 1:
         raise CliError("--k must be at least 1")
-    if case.params is not None:
-        bundle = case.bundle(hyp_id)
-    else:
-        result = _fit_hypothesis(case, hyp_id)
-        bundle = result.bundle.with_parameters(result.parameters)
+    bundle = case.stated_or_fitted_bundle(hyp_id)
     markers = bundle.covered_markers()
     per_marker = {
         m: marker_posterior(bundle, m, k=args.k).top_genotypes for m in markers
@@ -397,11 +375,7 @@ def cmd_deconvolve(args):
 def cmd_artefacts(args):
     case = _Case(args)
     hyp_id = args.under or case.default_id("defence")
-    if case.params is not None:
-        bundle = case.bundle(hyp_id)
-    else:
-        result = _fit_hypothesis(case, hyp_id)
-        bundle = result.bundle.with_parameters(result.parameters)
+    bundle = case.stated_or_fitted_bundle(hyp_id)
     rows = []
     for marker in bundle.covered_markers():
         presence = presence_posteriors(bundle, marker)
@@ -451,7 +425,7 @@ def cmd_sweep(args):
         bundle = case.bundle(hyp_id)
         spec = FitSpecification(
             bundle=bundle, share=case.share, seed=case.seed,
-            compute_standard_errors=False, max_workers=_max_workers(),
+            compute_standard_errors=False,
         )
         records = estimation.contributor_sweep(
             spec, args.max_unknowns, args.min_unknowns
@@ -521,11 +495,7 @@ def cmd_simulate(args):
 def cmd_diagnose(args):
     case = _Case(args)
     hyp_id = args.under or case.default_id("prosecution")
-    if case.params is not None:
-        bundle = case.bundle(hyp_id)
-    else:
-        result = _fit_hypothesis(case, hyp_id)
-        bundle = result.bundle.with_parameters(result.parameters)
+    bundle = case.stated_or_fitted_bundle(hyp_id)
     records = sim.probability_integral_transform(
         bundle, truncate=not args.no_truncate
     )

@@ -32,7 +32,6 @@ import functools
 import heapq
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -859,21 +858,15 @@ def marker_log_likelihood(bundle: EvidenceBundle, marker: str) -> float:
     return _sweep(plan, tables, backward=False).loglik
 
 
-def total_log_likelihood(
-    bundle: EvidenceBundle, max_workers: int | None = None
-) -> float:
+def total_log_likelihood(bundle: EvidenceBundle) -> float:
     """Sum of marker log likelihoods over all markers covered by any trace."""
-    markers = bundle.covered_markers()
-    if max_workers and max_workers > 1 and len(markers) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return float(
-                sum(pool.map(lambda m: marker_log_likelihood(bundle, m), markers))
-            )
-    return float(sum(marker_log_likelihood(bundle, m) for m in markers))
+    return float(
+        sum(marker_log_likelihood(bundle, m) for m in bundle.covered_markers())
+    )
 
 
 def log_likelihood_and_gradient(
-    bundle: EvidenceBundle, max_workers: int | None = None
+    bundle: EvidenceBundle,
 ) -> tuple[float, dict[tuple, float]]:
     """Total log likelihood and its gradient in the bundle's parameters.
 
@@ -896,16 +889,10 @@ def log_likelihood_and_gradient(
             grad[(family, tid)] = 0.0
         for role in params.phi[tid]:
             grad[("phi", tid, role)] = 0.0
-    markers = bundle.covered_markers()
-
-    def one(marker):
-        return _marker_value_and_gradient(_plan_for(bundle, marker), params)
-
-    if max_workers and max_workers > 1 and len(markers) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            parts = list(pool.map(one, markers))
-    else:
-        parts = [one(m) for m in markers]
+    parts = [
+        _marker_value_and_gradient(_plan_for(bundle, m), params)
+        for m in bundle.covered_markers()
+    ]
     for _, part in parts:
         for key, value in part.items():
             grad[key] += value

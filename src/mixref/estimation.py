@@ -2,10 +2,14 @@
 
 Parameters are estimated by maximizing the exact marginal likelihood over
 the constrained space {rho > 0, eta > 0, xi in [0, 1), phi on the simplex
-with unknown fractions non-increasing}.  The optimizer works in
-unconstrained internal coordinates (logs, a logit, and a stick-breaking
-transform whose unknown block is an ordered split), started from several
-dispersed feasible points.  Approximate standard errors come from the
+with unknown fractions non-increasing}.  The optimizer works in one chart
+of unconstrained internal coordinates (log rho, log eta, a logit, and a
+stick-breaking transform whose unknown block is an ordered split),
+started from several dispersed feasible points.  A parameter is held by a
+``fixed`` override, and only that way: mu and sigma overrides are
+translated into rho and eta (a mu alone makes its trace's eta derived,
+eta = mu / rho), and profile likelihoods are fits with one more
+override.  Approximate standard errors come from the
 inverse Hessian in the reporting parametrization (mu, sigma, xi, phi),
 with boundary-active parameters handled by a restricted model.  Both the
 optimizer and the Hessian use the exact gradient of the log likelihood
@@ -66,31 +70,27 @@ class FitSpecification:
     fixed
         Overrides removed from the optimization, e.g.
         {"xi": 0.079, "eta": 28.8} or {"rho": {"T1": 30.0}} or
-        {"phi": {"T1": {"K1": 0.8, "U1": 0.2}}}.  "mu" and "sigma" may be
-        given together per trace instead of rho/eta.
-    parametrization
-        Internal coordinates: "rho_eta" (log rho, log eta) or "mu_sigma"
-        (log sigma, log mu).  Both reach the same optimum.
+        {"phi": {"T1": {"K1": 0.8, "U1": 0.2}}}.  Per trace, "sigma"
+        fixes rho = 1/sigma^2; "mu" with "sigma" fixes rho and eta; "mu"
+        alone fixes mu = rho * eta with rho free, so the trace's eta block
+        follows its rho (one trace per shared eta block).  A mu together
+        with a fixed eta, or a sigma together with a fixed rho, is refused.
     """
 
     bundle: EvidenceBundle
     share: frozenset[str] = frozenset({"eta", "xi"})
     fixed: Mapping[str, object] = field(default_factory=dict)
-    parametrization: str = "rho_eta"
     tolerance: float = 1e-8
     max_iterations: int = 1000
     n_starts: int = 3
     seed: int = 0
     extra_starts: tuple[ModelParameters, ...] = ()
     compute_standard_errors: bool = True
-    max_workers: int | None = None
 
     def __post_init__(self):
         bad = set(self.share) - {"rho", "eta", "xi", "phi"}
         if bad:
             raise ValueError(f"unknown share entries: {sorted(bad)}")
-        if self.parametrization not in ("rho_eta", "mu_sigma"):
-            raise ValueError(f"unknown parametrization {self.parametrization!r}")
         object.__setattr__(self, "share", frozenset(self.share))
         object.__setattr__(self, "extra_starts", tuple(self.extra_starts))
 
@@ -190,9 +190,20 @@ def _theta_from_phi(phi, n_known, n_unknown):
 
 @dataclass(frozen=True)
 class _Block:
-    family: str
+    """Traces sharing one scalar: held at ``fixed``, or a free coordinate.
+
+    An eta block with a fixed ``mu`` has no coordinate either: its eta is
+    mu / rho of the ``mu_anchor`` trace.
+    """
+
     traces: tuple[str, ...]
     fixed: float | None
+    mu: float | None = None
+    mu_anchor: str | None = None
+
+    @property
+    def free(self):
+        return self.fixed is None and self.mu is None
 
 
 @dataclass(frozen=True)
@@ -217,41 +228,41 @@ class _PhiBlock:
 
 
 def _normalize_fixed(fixed, trace_ids):
-    """Expand fixed overrides into per-family {trace: value} maps."""
+    """Expand fixed overrides into per-family {trace: value} maps.
+
+    sigma becomes rho = 1/sigma^2, and mu with sigma on the same trace
+    becomes rho and eta.  A mu given alone stays under "mu": the trace's
+    eta block is derived from it.
+    """
     fixed = dict(fixed or {})
-    out = {"rho": {}, "eta": {}, "xi": {}, "phi": {}}
-    if ("mu" in fixed) != ("sigma" in fixed):
-        raise ValueError("fix mu and sigma together (they determine rho and eta)")
-    if "mu" in fixed:
-        mu, sig = fixed.pop("mu"), fixed.pop("sigma")
-        mu = {t: mu for t in trace_ids} if np.isscalar(mu) else dict(mu)
-        sig = {t: sig for t in trace_ids} if np.isscalar(sig) else dict(sig)
-        if set(mu) != set(sig):
-            raise ValueError("mu and sigma overrides must cover the same traces")
-        for t in mu:
-            rho, eta = params_from_mean_cv(mu[t], sig[t])
-            out["rho"][t] = rho
-            out["eta"][t] = eta
-    for family in ("rho", "eta", "xi"):
-        if family in fixed:
-            val = fixed.pop(family)
-            vals = {t: val for t in trace_ids} if np.isscalar(val) else dict(val)
-            out[family].update(vals)
-    if "phi" in fixed:
-        val = fixed.pop("phi")
-        out["phi"] = {t: dict(v) for t, v in val.items()}
+    out = {}
+    for family in ("rho", "eta", "xi", "mu", "sigma"):
+        val = fixed.pop(family, {})
+        out[family] = {t: val for t in trace_ids} if np.isscalar(val) else dict(val)
+    out["phi"] = {t: dict(v) for t, v in fixed.pop("phi", {}).items()}
     if fixed:
         raise ValueError(f"unknown fixed-parameter keys: {sorted(fixed)}")
+    mu, sigma = out["mu"], out.pop("sigma")
+    if not all(v > 0 for v in (*mu.values(), *sigma.values())):
+        raise ValueError("mu and sigma overrides must be positive")
+    for name, other, family in (("mu", mu, "eta"), ("sigma", sigma, "rho")):
+        clash = sorted(set(other) & set(out[family]))
+        if clash:
+            raise ValueError(f"{name} and {family} are both fixed for traces {clash}")
+    for t, sig in sigma.items():
+        if t in mu:
+            out["rho"][t], out["eta"][t] = params_from_mean_cv(mu.pop(t), sig)
+        else:
+            out["rho"][t] = 1.0 / (sig * sig)
     return out
 
 
 class _Structure:
     """Mapping between unconstrained coordinates and ModelParameters."""
 
-    def __init__(self, spec: FitSpecification, mu_anchor: Mapping[int, str] | None = None):
+    def __init__(self, spec: FitSpecification):
         bundle = spec.bundle
         self.bundle = bundle
-        self.mode = spec.parametrization
         self.trace_ids = tuple(t.trace_id for t in bundle.traces)
         self.hypothesis = bundle.hypothesis
         # per-marker overrides are data-level constants that survive the fit
@@ -276,8 +287,17 @@ class _Structure:
                     raise ValueError(
                         f"fixed {family} must cover all traces sharing a value: {traces}"
                     )
-                blocks.append(_Block(family, tuple(traces),
-                                     vals.pop() if vals else None))
+                anchors = (
+                    [t for t in traces if t in fixed["mu"]] if family == "eta" else []
+                )
+                if len(anchors) > 1:
+                    raise ValueError(
+                        f"mu fixed on several traces sharing eta: {anchors}; "
+                        "fix it on one"
+                    )
+                anchor = anchors[0] if anchors else None
+                blocks.append(_Block(tuple(traces), vals.pop() if vals else None,
+                                     fixed["mu"].get(anchor), anchor))
             return blocks
 
         self.rho_blocks = scalar_blocks("rho")
@@ -321,18 +341,8 @@ class _Structure:
                 fixed_vec = vecs[0]
             self.phi_blocks.append(_PhiBlock(tuple(traces), roles, n_known, fixed_vec))
 
-        # anchor trace for each eta block's mu coordinate in mu_sigma mode
-        self.mu_anchor = {}
-        for i, blk in enumerate(self.eta_blocks):
-            anchor = (mu_anchor or {}).get(i, blk.traces[0])
-            if anchor not in blk.traces:
-                raise ValueError(f"mu anchor {anchor!r} not in eta block {blk.traces}")
-            self.mu_anchor[i] = anchor
-
         self.n_free = (
-            sum(b.fixed is None for b in self.rho_blocks)
-            + sum(b.fixed is None for b in self.eta_blocks)
-            + sum(b.fixed is None for b in self.xi_blocks)
+            sum(b.free for b in self.rho_blocks + self.eta_blocks + self.xi_blocks)
             + sum(b.n_free for b in self.phi_blocks)
         )
 
@@ -349,20 +359,18 @@ class _Structure:
         for b in self.rho_blocks:
             if b.fixed is not None:
                 val = b.fixed
-            elif self.mode == "rho_eta":
+            else:
                 val = math.exp(theta[i]); i += 1
-            else:  # log sigma coordinate
-                val = math.exp(-2.0 * theta[i]); i += 1
             for t in b.traces:
                 rho_vals[t] = val
         eta_vals = {}
-        for bi, b in enumerate(self.eta_blocks):
+        for b in self.eta_blocks:
             if b.fixed is not None:
                 val = b.fixed
-            elif self.mode == "rho_eta":
+            elif b.mu is not None:
+                val = b.mu / rho_vals[b.mu_anchor]
+            else:
                 val = math.exp(theta[i]); i += 1
-            else:  # log mu coordinate, anchored at one trace's rho
-                val = math.exp(theta[i]) / rho_vals[self.mu_anchor[bi]]; i += 1
             for t in b.traces:
                 eta_vals[t] = val
         xi_vals = {}
@@ -395,19 +403,11 @@ class _Structure:
     def pack(self, params: ModelParameters) -> np.ndarray:
         theta = []
         for b in self.rho_blocks:
-            if b.fixed is None:
-                rho = params.rho[b.traces[0]]
-                theta.append(
-                    math.log(rho) if self.mode == "rho_eta"
-                    else -0.5 * math.log(rho)
-                )
-        for bi, b in enumerate(self.eta_blocks):
-            if b.fixed is None:
-                eta = params.eta_for(b.traces[0])
-                if self.mode == "rho_eta":
-                    theta.append(math.log(eta))
-                else:
-                    theta.append(math.log(eta * params.rho[self.mu_anchor[bi]]))
+            if b.free:
+                theta.append(math.log(params.rho[b.traces[0]]))
+        for b in self.eta_blocks:
+            if b.free:
+                theta.append(math.log(params.eta_for(b.traces[0])))
         for b in self.xi_blocks:
             if b.fixed is None:
                 theta.append(_logit(params.xi_for(b.traces[0])))
@@ -458,29 +458,26 @@ def _phi_policy(n_known, n_unknown, policy):
 
 
 def _starting_points(spec: FitSpecification, structure: _Structure):
-    bundle = spec.bundle
-    starts = []
-    mu_scale = [1.0]
-    base = {}
-    for b in structure.rho_blocks:
-        base[("mu0", b.traces)] = _data_mu0(bundle, set(b.traces))
-    policies = ["equal", "known_heavy", "unknown_heavy"]
+    mu0 = {
+        b.traces: _data_mu0(spec.bundle, set(b.traces)) for b in structure.rho_blocks
+    }
 
     def build(policy, scale):
         rho_vals, eta_vals, xi_vals, phi_vals = {}, {}, {}, {}
         sigma0 = 0.25
         for b in structure.rho_blocks:
-            mu0 = base[("mu0", b.traces)] * scale
             rho = b.fixed if b.fixed is not None else 1.0 / sigma0**2
             for t in b.traces:
                 rho_vals[t] = rho
-        for bi, b in enumerate(structure.eta_blocks):
+        for b in structure.eta_blocks:
             if b.fixed is not None:
                 eta = b.fixed
+            elif b.mu is not None:
+                eta = b.mu / rho_vals[b.mu_anchor]
             else:
-                anchor = structure.mu_anchor[bi]
-                mu0 = base[("mu0", structure._rho_block_of(anchor).traces)] * scale
-                eta = mu0 / rho_vals[anchor]
+                anchor = b.traces[0]
+                scaled = mu0[structure._rho_block_of(anchor).traces] * scale
+                eta = scaled / rho_vals[anchor]
             for t in b.traces:
                 eta_vals[t] = eta
         for b in structure.xi_blocks:
@@ -496,31 +493,24 @@ def _starting_points(spec: FitSpecification, structure: _Structure):
                 phi_vals[t] = dict(zip(blk.roles, (float(x) for x in vec)))
         return ModelParameters(rho=rho_vals, eta=eta_vals, xi=xi_vals, phi=phi_vals)
 
-    for policy in policies:
-        starts.append(build(policy, 1.0))
     thetas = []
     seen = set()
-    for p in starts:
-        th = structure.pack(p)
+
+    def add(params):
+        th = structure.pack(params)
         key = tuple(np.round(th, 9))
         if key not in seen:
             seen.add(key)
             thetas.append(th)
-    scale_idx = 0
-    scales = [0.5, 2.0, 0.25]
-    while len(thetas) < min(spec.n_starts, 3) and scale_idx < len(scales):
-        th = structure.pack(build("equal", scales[scale_idx]))
-        scale_idx += 1
-        key = tuple(np.round(th, 9))
-        if key not in seen:
-            seen.add(key)
-            thetas.append(th)
+
+    for policy in ("equal", "known_heavy", "unknown_heavy"):
+        add(build(policy, 1.0))
+    for scale in (0.5, 2.0, 0.25):
+        if len(thetas) >= min(spec.n_starts, 3):
+            break
+        add(build("equal", scale))
     for extra in spec.extra_starts:
-        th = structure.pack(extra)
-        key = tuple(np.round(th, 9))
-        if key not in seen:
-            seen.add(key)
-            thetas.append(th)
+        add(extra)
     if spec.n_starts > len(thetas):
         rng = np.random.default_rng(spec.seed)
         while len(thetas) < spec.n_starts:
@@ -530,18 +520,6 @@ def _starting_points(spec: FitSpecification, structure: _Structure):
 
 # ---------------------------------------------------------------------------
 # Fitting
-
-
-def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
-    """Maximize the total log likelihood under the specification's constraints.
-
-    Deterministic given the specification (including its seed).  Runs a
-    multistart local search from dispersed feasible points plus any
-    extra_starts, keeps the best, and flags non-convergence rather than
-    failing.  With every parameter fixed, returns the exact likelihood of
-    the overrides.
-    """
-    return _fit(spec, _Structure(spec), {}, hypothesis_id)
 
 
 def _primitive_keys(structure):
@@ -566,16 +544,14 @@ def _primitive_vector(params, keys):
     return np.array(out)
 
 
-def _chained_gradient(build, x, bundle, keys, max_workers):
+def _chained_gradient(build, x, bundle, keys):
     """log L and its gradient in the coordinates x of build(x) -> ModelParameters.
 
     The engine's gradient in the primitive parameters is chained through
     a central-difference Jacobian of build, which costs no chain pass.
     """
     x = np.asarray(x, dtype=float)
-    ll, grad = log_likelihood_and_gradient(
-        bundle.with_parameters(build(x)), max_workers
-    )
+    ll, grad = log_likelihood_and_gradient(bundle.with_parameters(build(x)))
     jac = _numeric_jacobian(
         lambda y: _primitive_vector(build(y), keys), x, rel_step=1e-6, abs_floor=1e-7
     )
@@ -583,49 +559,41 @@ def _chained_gradient(build, x, bundle, keys, max_workers):
     return ll, (jac.T @ g if len(x) else np.zeros(0))
 
 
-def _fit(spec, structure, pinned, hypothesis_id=None):
-    """Multistart L-BFGS-B with exact gradients over the coordinates not pinned.
+def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
+    """Maximize the total log likelihood under the specification's constraints.
 
-    pinned maps internal coordinate index -> value held fixed.
+    Deterministic given the specification (including its seed).  Runs a
+    multistart L-BFGS-B search with exact gradients from dispersed
+    feasible points plus any extra_starts, keeps the best, and flags
+    non-convergence rather than failing.  With every parameter fixed,
+    returns the exact likelihood of the overrides.
     """
     bundle = spec.bundle
+    structure = _Structure(spec)
     keys = _primitive_keys(structure)
-    free = [i for i in range(structure.n_free) if i not in pinned]
-    theta_pinned = np.zeros(structure.n_free)
-    theta_pinned[list(pinned)] = list(pinned.values())
     evals = [0]
 
-    def expand(sub):
-        theta = theta_pinned.copy()
-        theta[free] = sub
-        return theta
-
-    def objective(sub):
+    def objective(theta):
         evals[0] += 1
         try:
-            ll = total_log_likelihood(
-                bundle.with_parameters(structure.unpack(expand(sub))), spec.max_workers
-            )
+            ll = total_log_likelihood(bundle.with_parameters(structure.unpack(theta)))
         except (ValueError, OverflowError, FloatingPointError):
             return _PENALTY
         return -ll if np.isfinite(ll) else _PENALTY
 
-    def objective_and_gradient(sub):
+    def objective_and_gradient(theta):
         evals[0] += 1
         try:
-            ll, grad = _chained_gradient(
-                structure.unpack, expand(sub), bundle, keys, spec.max_workers
-            )
+            ll, grad = _chained_gradient(structure.unpack, theta, bundle, keys)
         except (ValueError, OverflowError, FloatingPointError):
-            return _PENALTY, np.zeros(len(sub))
-        grad = grad[free]
+            return _PENALTY, np.zeros(len(theta))
         if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
-            return _PENALTY, np.zeros(len(sub))
+            return _PENALTY, np.zeros(len(theta))
         return -ll, -grad
 
-    if not free:
-        params = structure.unpack(expand(np.empty(0)))
-        ll = total_log_likelihood(bundle.with_parameters(params), spec.max_workers)
+    if structure.n_free == 0:
+        params = structure.unpack(np.empty(0))
+        ll = total_log_likelihood(bundle.with_parameters(params))
         return _finish(
             spec, structure, params, ll, True, 0, 1, None, hypothesis_id, (ll,)
         )
@@ -633,7 +601,7 @@ def _fit(spec, structure, pinned, hypothesis_id=None):
     runs = [
         minimize(
             objective_and_gradient,
-            theta0[free],
+            theta0,
             jac=True,
             method="L-BFGS-B",
             options={
@@ -665,8 +633,8 @@ def _fit(spec, structure, pinned, hypothesis_id=None):
             best = polish
             gradient = objective_and_gradient(best.x)[1]
 
-    params = structure.unpack(expand(best.x))
-    ll = total_log_likelihood(bundle.with_parameters(params), spec.max_workers)
+    params = structure.unpack(best.x)
+    ll = total_log_likelihood(bundle.with_parameters(params))
     gnorm = float(np.linalg.norm(gradient))
     converged = bool((best.success or gnorm < 1e-2) and np.isfinite(ll))
     starts = [-r.fun if r.fun < _PENALTY else -np.inf for r in runs]
@@ -818,13 +786,13 @@ class _ReportingChart:
         self.coords = []
         self.values = []
         for b in structure.rho_blocks:
-            if b.fixed is None:
+            if b.free:
                 self.coords.append(("sigma", b.traces))
                 self.values.append(params.sigma_for(b.traces[0]))
-        for bi, b in enumerate(structure.eta_blocks):
-            if b.fixed is None:
-                self.coords.append(("mu", structure.mu_anchor[bi]))
-                self.values.append(params.mu_for(structure.mu_anchor[bi]))
+        for b in structure.eta_blocks:
+            if b.free:
+                self.coords.append(("mu", b.traces[0]))
+                self.values.append(params.mu_for(b.traces[0]))
         self.xi_free = []
         for b in structure.xi_blocks:
             free = b.fixed is None and params.xi_for(b.traces[0]) >= _BOUNDARY_TOL
@@ -833,7 +801,7 @@ class _ReportingChart:
                 self.coords.append(("xi", b.traces))
                 self.values.append(params.xi_for(b.traces[0]))
         # phi: partition each block's roles into units; the heaviest unit
-        # is dependent, zero-pinned roles are excluded, the rest are free
+        # is dependent, roles held at zero are excluded, the rest are free
         self.phi_layout = []
         for blk in structure.phi_blocks:
             if blk.fixed is not None:
@@ -890,12 +858,14 @@ class _ReportingChart:
                 rho = 1.0 / sigma**2
             for t in b.traces:
                 rho_vals[t] = rho
-        for bi, b in enumerate(structure.eta_blocks):
+        for b in structure.eta_blocks:
             if b.fixed is not None:
                 eta = b.fixed
+            elif b.mu is not None:
+                eta = b.mu / rho_vals[b.mu_anchor]
             else:
                 mu = vals[cursor]; cursor += 1
-                eta = mu / rho_vals[structure.mu_anchor[bi]]
+                eta = mu / rho_vals[b.traces[0]]
                 if eta <= 0:
                     raise ValueError("eta stepped out of range")
             for t in b.traces:
@@ -989,9 +959,7 @@ def standard_errors(result: FitResult, spec: FitSpecification):
     keys = _primitive_keys(structure)
 
     def gradient(v):
-        return _chained_gradient(
-            chart.build_params, v, spec.bundle, keys, spec.max_workers
-        )[1]
+        return _chained_gradient(chart.build_params, v, spec.bundle, keys)[1]
 
     try:
         jac = _numeric_jacobian(gradient, chart.values)  # steps as numeric_hessian's
@@ -1026,7 +994,7 @@ def standard_errors(result: FitResult, spec: FitSpecification):
                 se = None
             out[t]["xi"] = se
         elif kind == "mu":
-            if t in fixed["rho"] and t in fixed["eta"]:
+            if t in fixed["mu"] or (t in fixed["rho"] and t in fixed["eta"]):
                 se = None
             out[t]["mu"] = se
         elif kind == "sigma":
@@ -1115,36 +1083,32 @@ def profile_likelihood(spec: FitSpecification, name: str, grid) -> ProfileCurve:
     """Fix one scalar parameter at each grid value and maximize the rest.
 
     ``name`` is one of xi, eta, rho, mu, sigma, optionally trace-qualified
-    as "mu@T1".  The 95% interval inverts the likelihood-ratio test:
-    grid values whose profile stays within chi2_1(0.95)/(2 ln 10) = 0.834
-    bans of the maximum, with linear interpolation at the crossings.
+    as "mu@T1"; each grid point is a fit with that ``fixed`` override
+    added.  Unqualified, the name covers every trace, sigma like rho; mu
+    over traces that share eta must name one trace.  The 95% interval
+    inverts the likelihood-ratio test: grid values whose profile stays
+    within chi2_1(0.95)/(2 ln 10) = 0.834 bans of the maximum, with
+    linear interpolation at the crossings.
     """
     trace_ids = tuple(t.trace_id for t in spec.bundle.traces)
     base, trace = _parse_parameter_name(name, trace_ids)
-    mode = "mu_sigma" if base in ("mu", "sigma") else "rho_eta"
     targets = [trace] if trace else list(trace_ids)
 
     points = []
     conv = []
     prev_params = None
     for value in grid:
-        fixed = dict(spec.fixed)
-        if base in ("mu", "sigma"):
-            # fix the named quantity and let its partner stay free: handled
-            # by fixing the matching internal coordinate below
-            pass
         extra = list(spec.extra_starts)
         if prev_params is not None:
             extra.append(prev_params)
         sub = replace(
             spec,
-            fixed=_with_scalar_fixed(fixed, base, targets, value, trace_ids, spec),
-            parametrization=mode,
+            fixed=_with_scalar_fixed(spec, base, targets, value),
             extra_starts=tuple(extra),
             compute_standard_errors=False,
         )
         try:
-            res = _fit_profile_point(sub, base, targets, value)
+            res = fit(sub)
             points.append(res.log10_likelihood)
             conv.append(res.converged)
             prev_params = res.parameters
@@ -1165,70 +1129,21 @@ def profile_likelihood(spec: FitSpecification, name: str, grid) -> ProfileCurve:
     )
 
 
-def _with_scalar_fixed(fixed, base, targets, value, trace_ids, spec):
-    fixed = dict(fixed)
-    if base in ("rho", "eta", "xi"):
-        cur = dict(fixed.get(base, {})) if isinstance(fixed.get(base), Mapping) else {}
-        if base in fixed and np.isscalar(fixed[base]):
-            raise ValueError(f"{base} is already fixed by override")
-        share_all = base in spec.share
-        if share_all:
-            fixed[base] = value
-        else:
-            for t in targets:
-                cur[t] = value
-            fixed[base] = cur
+def _with_scalar_fixed(spec, base, targets, value):
+    fixed = dict(spec.fixed)
+    current = fixed.get(base, {})
+    if not isinstance(current, Mapping):
+        raise ValueError(f"{base} is already fixed by override")
+    if base == "mu" and len(targets) > 1 and "eta" in spec.share:
+        raise ValueError(
+            f"traces {targets} share eta, so mu is fixed on one of them: "
+            "name it as mu@T"
+        )
+    if ("rho" if base == "sigma" else base) in spec.share:
+        fixed[base] = value
+    else:
+        fixed[base] = {**current, **{t: value for t in targets}}
     return fixed
-
-
-def _fit_profile_point(sub, base, targets, value):
-    if base in ("rho", "eta", "xi"):
-        return fit(sub)
-    # mu/sigma: fix the matching coordinate via a coordinate-pinned fit
-    return _fit_with_pinned(sub, base, targets, value)
-
-
-def _fit_with_pinned(spec, base, targets, value):
-    structure = _Structure(spec, mu_anchor=_anchor_for(spec, base, targets))
-    pinned = []
-    for i, (kind, traces) in enumerate(_coordinate_names(structure)):
-        if kind == base and targets[0] in traces:
-            pinned.append((i, math.log(value)))
-    if not pinned:
-        raise ValueError(f"parameter {base}@{targets[0]} is not free in this fit")
-    return _fit(spec, structure, dict(pinned))
-
-
-def _anchor_for(spec, base, targets):
-    if base != "mu":
-        return None
-    structure = _Structure(spec)
-    anchors = {}
-    for bi, b in enumerate(structure.eta_blocks):
-        if targets[0] in b.traces:
-            anchors[bi] = targets[0]
-    return anchors
-
-
-def _coordinate_names(structure):
-    names = []
-    for b in structure.rho_blocks:
-        if b.fixed is None:
-            names.append(("sigma" if structure.mode == "mu_sigma" else "rho",
-                          b.traces))
-    for bi, b in enumerate(structure.eta_blocks):
-        if b.fixed is None:
-            if structure.mode == "mu_sigma":
-                names.append(("mu", (structure.mu_anchor[bi],)))
-            else:
-                names.append(("eta", b.traces))
-    for b in structure.xi_blocks:
-        if b.fixed is None:
-            names.append(("xi", b.traces))
-    for blk in structure.phi_blocks:
-        for _ in range(blk.n_free):
-            names.append(("phi", blk.traces))
-    return names
 
 
 def _lr_interval(grid, values, threshold):
@@ -1314,7 +1229,10 @@ def _with_unknown_count(bundle: EvidenceBundle, count: int) -> EvidenceBundle:
     new_hyp = Hypothesis(
         known=dict(hyp.known), unknown=tuple(labels), trace_roles=trace_roles
     )
-    params = _uniform_parameters(new_hyp, bundle)
+    params = _uniform_parameters(
+        new_hyp, bundle.traces,
+        bundle.parameters.marker_rho, bundle.parameters.marker_xi,
+    )
     return EvidenceBundle(
         traces=bundle.traces,
         frequencies=bundle.frequencies,
@@ -1323,16 +1241,16 @@ def _with_unknown_count(bundle: EvidenceBundle, count: int) -> EvidenceBundle:
     )
 
 
-def _uniform_parameters(hyp, bundle):
+def _uniform_parameters(hyp, traces, marker_rho=None, marker_xi=None):
+    """Neutral parameters for the traces: equal fractions, rho = eta = 30."""
     rho, phi = {}, {}
-    for t in bundle.traces:
+    for t in traces:
         rho[t.trace_id] = 30.0
         roles = hyp.roles_for(t.trace_id)
         phi[t.trace_id] = {r: 1.0 / len(roles) for r in roles}
     return ModelParameters(
         rho=rho, eta=30.0, xi=0.05, phi=phi,
-        marker_rho=bundle.parameters.marker_rho,
-        marker_xi=bundle.parameters.marker_xi,
+        marker_rho=marker_rho, marker_xi=marker_xi,
     )
 
 

@@ -254,30 +254,57 @@ def build_hypothesis(
 # Parameter JSON
 
 
+def _number(value, where):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise LoadError(f"{where} must be a number, got {value!r}")
+
+
+def _object(value, where):
+    if not isinstance(value, Mapping):
+        raise LoadError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
 def parameters_from_json(doc: Mapping[str, object]) -> ModelParameters:
-    """Parse a parameter document.
+    """Parse a parameter document, or the 'parameters' block of a fit report.
 
     Per trace, rho may be given directly, or derived as mu/eta when eta is
     stated (globally or per trace), or as 1/sigma^2 with eta = mu*sigma^2.
+    A value of the wrong type is a LoadError naming its trace and key.
     """
+    if isinstance(doc, Mapping) and "parameters" in doc:
+        doc = doc["parameters"]
+    doc = _object(doc, "parameter JSON")
     if "traces" not in doc:
         raise LoadError("parameter JSON needs a 'traces' object")
     global_eta = doc.get("eta")
     global_xi = doc.get("xi")
     rho, eta, xi, phi = {}, {}, {}, {}
-    for tid, tr in doc["traces"].items():
+    for tid, tr in _object(doc["traces"], "'traces'").items():
+        tr = _object(tr, f"trace {tid!r}")
+
+        def num(key, value=None):
+            return _number(tr[key] if value is None else value, f"trace {tid!r}: {key}")
+
+        def positive(key, value=None):  # a divisor below
+            x = num(key, value)
+            if not x > 0:
+                raise LoadError(f"trace {tid!r}: {key} must be positive, got {x}")
+            return x
+
         t_eta = tr.get("eta", global_eta)
         if t_eta is None and "mu" in tr and "sigma" in tr:
-            t_eta = float(tr["mu"]) * float(tr["sigma"]) ** 2
+            t_eta = num("mu") * num("sigma") ** 2
         if t_eta is None:
             raise LoadError(f"trace {tid!r}: no eta (directly or via mu, sigma)")
-        t_eta = float(t_eta)
+        t_eta = positive("eta", t_eta)
         if "rho" in tr:
-            t_rho = float(tr["rho"])
+            t_rho = num("rho")
         elif "mu" in tr:
-            t_rho = float(tr["mu"]) / t_eta
+            t_rho = num("mu") / t_eta
         elif "sigma" in tr:
-            t_rho = 1.0 / float(tr["sigma"]) ** 2
+            t_rho = 1.0 / positive("sigma") ** 2
         else:
             raise LoadError(f"trace {tid!r}: no rho, mu, or sigma")
         t_xi = tr.get("xi", global_xi)
@@ -287,17 +314,27 @@ def parameters_from_json(doc: Mapping[str, object]) -> ModelParameters:
             raise LoadError(f"trace {tid!r}: no phi")
         rho[tid] = t_rho
         eta[tid] = t_eta
-        xi[tid] = float(t_xi)
-        phi[tid] = {str(r): float(v) for r, v in tr["phi"].items()}
-    marker_rho = doc.get("marker_rho")
-    marker_xi = doc.get("marker_xi")
+        xi[tid] = num("xi", t_xi)
+        phi[tid] = {
+            str(r): num(f"phi[{r}]", v)
+            for r, v in _object(tr["phi"], f"trace {tid!r}: phi").items()
+        }
+    marker_rho = {
+        m: {t: _number(v, f"marker_rho[{m}][{t}]")
+            for t, v in _object(over, f"marker_rho[{m}]").items()}
+        for m, over in _object(doc.get("marker_rho") or {}, "marker_rho").items()
+    }
+    marker_xi = {
+        m: _number(v, f"marker_xi[{m}]")
+        for m, v in _object(doc.get("marker_xi") or {}, "marker_xi").items()
+    }
     return ModelParameters(
         rho=rho,
         eta=eta,
         xi=xi,
         phi=phi,
-        marker_rho={m: dict(v) for m, v in marker_rho.items()} if marker_rho else None,
-        marker_xi={m: float(v) for m, v in marker_xi.items()} if marker_xi else None,
+        marker_rho=marker_rho or None,
+        marker_xi=marker_xi or None,
     )
 
 
@@ -312,6 +349,10 @@ def parameters_to_json(params: ModelParameters) -> dict:
             "xi": params.xi_for(tid),
             "phi": dict(params.phi[tid]),
         }
+    if params.marker_rho:
+        out["marker_rho"] = {m: dict(v) for m, v in params.marker_rho.items()}
+    if params.marker_xi:
+        out["marker_xi"] = dict(params.marker_xi)
     return out
 
 

@@ -275,26 +275,6 @@ class TestMultiTrace:
             mx.total_log_likelihood(b2), rel=1e-12
         )
 
-    def test_parallel_evaluation_matches_serial(self):
-        freqs = mx.FrequencyTable.from_dict(
-            {f"M{i}": {"8": 0.3, "9": 0.3, "10": 0.4} for i in range(6)}
-        )
-        k1 = mx.GenotypeProfile.from_pairs(
-            {f"M{i}": ("8", "9") for i in range(6)}
-        )
-        hyp = mx.Hypothesis(known={"K1": k1}, unknown=("U1",))
-        heights = {f"M{i}": {"8": 400.0, "9": 300.0 + 10 * i} for i in range(6)}
-        trace = mx.Trace(trace_id="T1", threshold=50.0, heights=heights)
-        params = mx.ModelParameters(
-            rho={"T1": 25.0}, eta=22.0, xi=0.05,
-            phi={"T1": {"K1": 0.8, "U1": 0.2}},
-        )
-        b = mx.EvidenceBundle(traces=(trace,), frequencies=freqs,
-                              hypothesis=hyp, parameters=params)
-        assert mx.total_log_likelihood(b, max_workers=4) == pytest.approx(
-            mx.total_log_likelihood(b), rel=1e-14
-        )
-
 
 class TestPresencePosteriors:
     def test_known_carrier_is_certain(self):

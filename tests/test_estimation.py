@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as stn
 
 import mixref as mx
+from mixref import estimation
 from mixref.estimation import (
     FitSpecification,
     _chained_gradient,
@@ -51,6 +52,48 @@ def make_simulated_bundle(seed=0, n_markers=8, phi=(0.7, 0.3), mu=1000.0,
     return bundle, params
 
 
+def make_two_trace_bundle(seed=61, n_markers=10):
+    """Traces A (mu 900) and B (mu 1400) of the same two knowns, eta 30."""
+    rng = np.random.default_rng(seed)
+    freqs = mx.FrequencyTable.from_dict(
+        {
+            f"M{i}": dict(zip(["7", "8", "9", "10", "11"],
+                              rng.dirichlet(np.ones(5) * 3.0)))
+            for i in range(n_markers)
+        }
+    )
+    k1 = mx.draw_genotype(freqs, rng)
+    k2 = mx.draw_genotype(freqs, rng)
+    eta = 30.0
+    truth = {
+        "A": {"rho": 900.0 / eta, "phi": {"K1": 0.8, "K2": 0.2}},
+        "B": {"rho": 1400.0 / eta, "phi": {"K1": 0.35, "K2": 0.65}},
+    }
+    traces = []
+    for tid, cfg in truth.items():
+        params = mx.ModelParameters(
+            rho={tid: cfg["rho"]}, eta=eta, xi=0.06, phi={tid: cfg["phi"]}
+        )
+        traces.append(
+            mx.simulate_trace(
+                mx.SimulationConfig(
+                    frequencies=freqs, parameters=params, trace_id=tid,
+                    contributors={"K1": k1, "K2": k2}, threshold=50.0,
+                    seed=int(rng.integers(2**31)),
+                )
+            )
+        )
+    params0 = mx.ModelParameters(
+        rho={t: truth[t]["rho"] for t in truth}, eta=eta, xi=0.06,
+        phi={t: dict(truth[t]["phi"]) for t in truth},
+    )
+    return mx.EvidenceBundle(
+        traces=tuple(traces), frequencies=freqs,
+        hypothesis=mx.Hypothesis(known={"K1": k1, "K2": k2}),
+        parameters=params0,
+    )
+
+
 class TestFit:
     def test_all_fixed_returns_exact_likelihood(self):
         bundle, params = make_simulated_bundle(seed=4, n_markers=4)
@@ -88,6 +131,37 @@ class TestFit:
             mx.total_log_likelihood(bundle), rel=1e-12
         )
 
+    def test_fixed_mu_alone_is_held_and_has_no_se(self):
+        bundle, _ = make_simulated_bundle(seed=9, n_markers=4)
+        res = mx.fit(FitSpecification(bundle=bundle, fixed={"mu": 900.0}))
+        assert res.converged
+        assert res.estimates["S"]["mu"] == pytest.approx(900.0, rel=1e-12)
+        assert res.standard_errors["S"]["mu"] is None
+        assert res.standard_errors["S"]["sigma"] is not None
+
+    def test_fixed_sigma_is_fixed_rho(self):
+        bundle, _ = make_simulated_bundle(seed=9, n_markers=3)
+        sigma = 0.23
+        by_sigma, by_rho = (
+            mx.fit(FitSpecification(bundle=bundle, fixed=fixed,
+                                    compute_standard_errors=False))
+            for fixed in ({"sigma": sigma}, {"rho": 1.0 / sigma**2})
+        )
+        assert by_sigma.log_likelihood == by_rho.log_likelihood
+        assert by_sigma.estimates == by_rho.estimates
+        assert by_sigma.estimates["S"]["sigma"] == pytest.approx(sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("fixed", [
+        {"mu": 900.0, "eta": 30.0},
+        {"sigma": {"A": 0.2}, "rho": {"A": 25.0}},
+        {"mu": {"A": 900.0, "B": 1400.0}},  # both traces share eta
+        {"mu": {"A": 900.0}, "sigma": {"A": 0.0}},
+    ])
+    def test_conflicting_overrides_refused(self, fixed):
+        bundle = make_two_trace_bundle(n_markers=1)
+        with pytest.raises(ValueError):
+            _Structure(FitSpecification(bundle=bundle, fixed=fixed))
+
     def test_marker_overrides_survive_fitting(self):
         bundle, params = make_simulated_bundle(seed=51, n_markers=4)
         with_over = mx.ModelParameters(
@@ -118,44 +192,7 @@ class TestFit:
     def test_combined_two_trace_fit_with_shared_scale(self):
         # two traces, same contributors at different fractions and amounts,
         # eta and xi shared: exercises the anchored-mu reporting chart
-        rng = np.random.default_rng(61)
-        freqs = mx.FrequencyTable.from_dict(
-            {
-                f"M{i}": dict(zip(["7", "8", "9", "10", "11"],
-                                  rng.dirichlet(np.ones(5) * 3.0)))
-                for i in range(10)
-            }
-        )
-        k1 = mx.draw_genotype(freqs, rng)
-        k2 = mx.draw_genotype(freqs, rng)
-        eta = 30.0
-        truth = {
-            "A": {"rho": 900.0 / eta, "phi": {"K1": 0.8, "K2": 0.2}},
-            "B": {"rho": 1400.0 / eta, "phi": {"K1": 0.35, "K2": 0.65}},
-        }
-        traces = []
-        for tid, cfg in truth.items():
-            params = mx.ModelParameters(
-                rho={tid: cfg["rho"]}, eta=eta, xi=0.06, phi={tid: cfg["phi"]}
-            )
-            traces.append(
-                mx.simulate_trace(
-                    mx.SimulationConfig(
-                        frequencies=freqs, parameters=params, trace_id=tid,
-                        contributors={"K1": k1, "K2": k2}, threshold=50.0,
-                        seed=int(rng.integers(2**31)),
-                    )
-                )
-            )
-        params0 = mx.ModelParameters(
-            rho={t: truth[t]["rho"] for t in truth}, eta=eta, xi=0.06,
-            phi={t: dict(truth[t]["phi"]) for t in truth},
-        )
-        bundle = mx.EvidenceBundle(
-            traces=tuple(traces), frequencies=freqs,
-            hypothesis=mx.Hypothesis(known={"K1": k1, "K2": k2}),
-            parameters=params0,
-        )
+        bundle = make_two_trace_bundle()
         res = mx.fit(FitSpecification(bundle=bundle))
         assert res.converged
         # shared groups report one common value per trace
@@ -168,26 +205,6 @@ class TestFit:
             assert abs(est["mu"] - mu_true) < 5 * se["mu"]
         assert abs(res.estimates["A"]["phi"]["K1"] - 0.8) < 0.08
         assert abs(res.estimates["B"]["phi"]["K1"] - 0.35) < 0.08
-
-    def test_reparametrization_invariance(self):
-        bundle, _ = make_simulated_bundle(seed=13, n_markers=6)
-        res_a = mx.fit(
-            FitSpecification(bundle=bundle, parametrization="rho_eta",
-                             compute_standard_errors=False)
-        )
-        res_b = mx.fit(
-            FitSpecification(bundle=bundle, parametrization="mu_sigma",
-                             compute_standard_errors=False)
-        )
-        assert res_a.log_likelihood == pytest.approx(
-            res_b.log_likelihood, abs=1e-6
-        )
-        assert res_a.estimates["S"]["mu"] == pytest.approx(
-            res_b.estimates["S"]["mu"], rel=1e-4
-        )
-        assert res_a.estimates["S"]["sigma"] == pytest.approx(
-            res_b.estimates["S"]["sigma"], rel=1e-4
-        )
 
     def test_unknown_label_permutation_invariance(self):
         # same evidence, unknown roles listed in either order: the ordered
@@ -254,6 +271,11 @@ def _fixed_block(params, family, shared_phi):
         first = next(iter(params.phi.values()))
         return {"phi": {t: dict(first if shared_phi else v)
                         for t, v in params.phi.items()}}
+    first = next(iter(params.rho))
+    if family == "mu":  # one trace: its eta block follows its rho
+        return {"mu": {first: params.mu_for(first)}}
+    if family == "sigma":
+        return {"sigma": params.sigma_for(first)}
     return {}
 
 
@@ -264,32 +286,29 @@ class TestExactGradient:
     @given(
         seed=stn.integers(0, 2**32 - 1),
         n_markers=stn.integers(1, 2),
-        parametrization=stn.sampled_from(["rho_eta", "mu_sigma"]),
         share=stn.sets(stn.sampled_from(["rho", "eta", "xi", "phi"])),
-        fixed=stn.sampled_from(["", "rho", "eta", "xi", "phi"]),
+        fixed=stn.sampled_from(["", "rho", "eta", "xi", "phi", "mu", "sigma"]),
         override=stn.sampled_from(["", "rho", "xi"]),
     )
     # U = 0, 1, 2 with two traces, a trace_roles restriction and a silent allele
-    @example(seed=52, n_markers=2, parametrization="rho_eta", share={"eta", "xi"},
-             fixed="", override="rho")
-    @example(seed=60, n_markers=2, parametrization="mu_sigma", share={"eta", "xi"},
-             fixed="xi", override="xi")
-    @example(seed=2, n_markers=2, parametrization="mu_sigma", share={"eta"},
-             fixed="", override="rho")
+    @example(seed=52, n_markers=2, share={"eta", "xi"}, fixed="", override="rho")
+    @example(seed=60, n_markers=2, share={"eta", "xi"}, fixed="xi", override="xi")
+    @example(seed=2, n_markers=2, share={"eta"}, fixed="", override="rho")
     # one trace, U = 1 with a silent allele and U = 2; shared phi
-    @example(seed=0, n_markers=2, parametrization="rho_eta", share=set(),
-             fixed="eta", override="")
-    @example(seed=1, n_markers=2, parametrization="rho_eta", share={"phi", "rho"},
-             fixed="phi", override="xi")
+    @example(seed=0, n_markers=2, share=set(), fixed="eta", override="")
+    @example(seed=1, n_markers=2, share={"phi", "rho"}, fixed="phi", override="xi")
+    # a fixed mu under a shared and an unshared eta; a fixed sigma
+    @example(seed=60, n_markers=2, share={"eta", "xi"}, fixed="mu", override="rho")
+    @example(seed=2, n_markers=2, share=set(), fixed="mu", override="")
+    @example(seed=52, n_markers=2, share={"rho", "eta"}, fixed="sigma", override="xi")
     @settings(max_examples=60, deadline=None)
-    def test_matches_numeric_gradient(self, seed, n_markers, parametrization, share,
-                                      fixed, override):
+    def test_matches_numeric_gradient(self, seed, n_markers, share, fixed, override):
         bundle = random_case(np.random.default_rng(seed), n_markers=n_markers)
         params = _with_override(bundle.parameters, override)
         bundle = bundle.with_parameters(params)
         assume("phi" not in share or bundle.hypothesis.trace_roles is None)
         spec = FitSpecification(
-            bundle=bundle, share=share, parametrization=parametrization,
+            bundle=bundle, share=share,
             fixed=_fixed_block(params, fixed, "phi" in share),
         )
         structure = _Structure(spec)
@@ -299,7 +318,7 @@ class TestExactGradient:
             return mx.total_log_likelihood(bundle.with_parameters(structure.unpack(th)))
 
         ll, exact = _chained_gradient(
-            structure.unpack, theta, bundle, _primitive_keys(structure), None
+            structure.unpack, theta, bundle, _primitive_keys(structure)
         )
         assume(np.isfinite(ll))
         assert ll == value(theta)
@@ -406,6 +425,31 @@ class TestProfileLikelihood:
         assert curve.log10_likelihood[1] == pytest.approx(
             free.log10_likelihood, abs=1e-4
         )
+
+
+    def test_unqualified_sigma_fixes_every_trace(self, monkeypatch):
+        spec = FitSpecification(
+            bundle=make_two_trace_bundle(n_markers=3), compute_standard_errors=False
+        )
+        fits = []
+        real_fit = estimation.fit
+
+        def recording_fit(sub):
+            fits.append(real_fit(sub))
+            return fits[-1]
+
+        monkeypatch.setattr(estimation, "fit", recording_fit)
+        mx.profile_likelihood(spec, "sigma", [0.2])
+        (res,) = fits
+        for tid in ("A", "B"):
+            assert res.estimates[tid]["sigma"] == pytest.approx(0.2, rel=1e-12)
+
+    def test_unqualified_mu_over_shared_eta_refused(self):
+        spec = FitSpecification(
+            bundle=make_two_trace_bundle(n_markers=1), compute_standard_errors=False
+        )
+        with pytest.raises(ValueError, match="mu@T"):
+            mx.profile_likelihood(spec, "mu", [1000.0])
 
 
 class TestContributorSweep:

@@ -144,7 +144,56 @@ class TestLoaders:
         assert back.phi["T1"] == params.phi["T1"]
 
 
+    def test_parameters_round_trip_keeps_marker_overrides(self):
+        params = mx.ModelParameters(
+            rho={"T1": 30.0}, eta=25.0, xi=0.07,
+            phi={"T1": {"K1": 0.8, "U1": 0.2}},
+            marker_rho={"M1": {"T1": 41.0}}, marker_xi={"M2": 0.01},
+        )
+        back = io.parameters_from_json(json.loads(json.dumps(
+            io.parameters_to_json(params)
+        )))
+        assert back.marker_rho == {"M1": {"T1": 41.0}}
+        assert back.marker_xi == {"M2": 0.01}
+
+
 class TestCli:
+    def test_fit_report_is_a_parameter_file(self, tiny_case, tmp_path):
+        fit_out = str(tmp_path / "fit.json")
+        common = ["--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+                  "--hypothesis", tiny_case["case"], "--under", "prosecution"]
+        assert cli.main(["fit", *common, "--trace", tiny_case["trace"],
+                         "--out", fit_out]) == 0
+        sim_out = str(tmp_path / "sim.csv")
+        assert cli.main(["simulate", *common, "--params", fit_out,
+                         "--trace-id", "T1", "--seed", "2", "--out", sim_out]) == 0
+        assert cli.main(["diagnose", *common, "--trace", sim_out,
+                         "--params", fit_out]) == 0
+
+    @pytest.mark.parametrize("doc", [
+        # a fit report's estimate blocks without its parameters block
+        {"eta": 25.0, "xi": 0.05,
+         "traces": {"T1": {"mu": {"estimate": 800.0},
+                           "phi": {"K1": 0.6, "K2": 0.4}}}},
+        {"eta": 25.0, "xi": 0.05,
+         "traces": [{"mu": 800.0, "phi": {"K1": 0.6, "K2": 0.4}}]},
+        {"eta": 25.0, "xi": 0.05,
+         "traces": {"T1": {"mu": 800.0, "phi": [0.6, 0.4]}}},
+        [{"traces": {}}],
+        {"eta": 0.0, "xi": 0.05,
+         "traces": {"T1": {"mu": 800.0, "phi": {"K1": 0.6, "K2": 0.4}}}},
+    ])
+    def test_malformed_parameter_file_exits_2(self, tiny_case, capsys, doc):
+        params = write(tiny_case["tmp"], "bad_params.json", json.dumps(doc))
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", tiny_case["trace"], "--hypothesis", tiny_case["case"],
+             "--under", "prosecution", "--params", params]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "load_error"
+
     def test_nan_height_exits_2(self, tiny_case, capsys):
         trace = write(
             tiny_case["tmp"], "nan_trace.csv",
