@@ -5,7 +5,12 @@ every genotype combination of the unknown contributors.  That sum is
 computed exactly by a forward pass over the allele ladder: each unknown
 contributor's genotype is represented by the Markov chain of its partial
 allele-count sums, with per-contributor state (S, n) taking one of six
-reachable values, so the joint state space is 6^U for U unknowns.  The
+reachable values and 10 legal steps (S, n) -> (S + m, m), m <= 2 - S.
+The joint chain of U unknowns is the U-fold product of that chain: 6^U
+states and 10^U edges per step.  A step's binomial transition
+probability depends only on its target state, since (S + m, m) fixes
+both the draw m and the 2 - S copies it was drawn from, so a step's
+transitions are one outer sum of U per-state vectors.  The
 evidence factor of an allele needs the effective counts of the allele
 itself and of its stutter donor (one repeat unit above), so alleles are
 traversed in an order that makes every stutter donor position-adjacent;
@@ -207,24 +212,45 @@ class MarkerChainPosterior:
 # Reachable per-contributor states (S, n): partial sum S and current count n <= S.
 _STATES = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
 _STATE_INDEX = {s: i for i, s in enumerate(_STATES)}
-# (S_prev, m) pairs with m <= 2 - S_prev, indexing per-step binomial log-pmfs.
-_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
-_PAIR_INDEX = {p: i for i, p in enumerate(_PAIRS)}
+# One contributor's chain: the 10 legal steps (S, n) -> (S + m, m), m <= 2 - S,
+# as rows (source state, target state, draw m, previous count n), ordered by
+# source state, then draw.  The joint chain of U unknowns is its U-fold product.
+_STEPS = np.array([
+    (i, _STATE_INDEX[(s + m, m)], m, n)
+    for i, (s, n) in enumerate(_STATES) for m in range(3 - s)
+], dtype=np.int64)
 
 
-def _binom_log_pmf_pairs(rate: float) -> np.ndarray:
-    """log Bin(m; 2 - S, rate) for each (S, m) in _PAIRS."""
-    out = np.empty(len(_PAIRS))
+def _state_log_pmf(rate: float) -> np.ndarray:
+    """log Bin(n; 2 - (S - n), rate) for each state (S, n) in _STATES.
+
+    A step into (S, n) drew n copies from the 2 - (S - n) left before it,
+    so its transition log-probability depends on the target state alone.
+    """
+    out = np.empty(len(_STATES))
     lr = math.log(rate) if rate > 0 else -math.inf
     lq = math.log1p(-rate) if rate < 1 else -math.inf
-    for i, (s, m) in enumerate(_PAIRS):
-        n = 2 - s
+    for i, (s, m) in enumerate(_STATES):
+        n = 2 - (s - m)
         val = math.log(math.comb(n, m))
         if m:
             val += m * lr
         if n - m:
             val += (n - m) * lq
         out[i] = val
+    return out
+
+
+def _fold(column: np.ndarray, n_unknown: int, base: int) -> np.ndarray:
+    """sum_i column[r_i] * base^(U-1-i) over every U-tuple (r_1 .. r_U) of rows.
+
+    Tuples come in lexicographic order, the first contributor most
+    significant.  Base 6 or 3 packs per-contributor states or draws into
+    joint indices; base 1 sums per-contributor log-probabilities.
+    """
+    out = np.zeros(1, dtype=column.dtype)
+    for _ in range(n_unknown):
+        out = np.add.outer(out * base, column).ravel()
     return out
 
 
@@ -276,59 +302,41 @@ class _Grouping:
 
 @dataclass(frozen=True)
 class _EdgeSet:
-    """Transitions of one chain step: source state, joint draw, target state.
+    """Transitions of one chain step: source state and target state.
 
     key indexes (draw at the previous step, draw here) as source draw * C
     + draw, the layout of a step's (C, C) log factor table.
     """
 
     src: np.ndarray
-    combo: np.ndarray
     dst: np.ndarray
     key: np.ndarray
-    pair: np.ndarray  # (U, E) indices into _PAIRS
     by_dst: _Grouping
     by_src: _Grouping
-
-    def log_trans(self, pair_lp: np.ndarray) -> np.ndarray:
-        if self.pair.shape[0] == 0:
-            return np.zeros(len(self.src))
-        return pair_lp[self.pair].sum(axis=0)
 
 
 @functools.lru_cache(maxsize=None)
 def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
     """The first step's and every later step's edges for U unknowns.
 
+    The joint edges are the U-fold product of _STEPS in ``src``-major
+    order; the first step leaves state 0, whose out-edges come first.
     They depend on U alone, so every marker plan shares one cached pair
     (one entry per U); the arrays are read-only.
     """
     n_states = 6**n_unknown
     n_combos = 3**n_unknown
+    src, dst, draw, prev = (
+        _fold(column, n_unknown, base) for column, base in zip(_STEPS.T, (6, 6, 3, 3))
+    )
+    order = np.argsort(src, kind="stable")
+    src, dst, key = src[order], dst[order], (prev * n_combos + draw)[order]
 
-    def build(sources, src_size):
-        src_l, key_l, dst_l = [], [], []
-        pair_l = [[] for _ in range(n_unknown)]
-        for sidx, src_combo, per_contributor in sources:
-            for draw in itertools.product(*per_contributor):
-                combo = 0
-                dst = 0
-                for m, s_new, _ in draw:
-                    combo = combo * 3 + m
-                    dst = dst * 6 + _STATE_INDEX[(s_new, m)]
-                src_l.append(sidx)
-                key_l.append(src_combo * n_combos + combo)
-                dst_l.append(dst)
-                for i, (m, _, s_prev) in enumerate(draw):
-                    pair_l[i].append(_PAIR_INDEX[(s_prev, m)])
-        src = np.array(src_l, dtype=np.int64)
-        key = np.array(key_l, dtype=np.int64)
-        dst = np.array(dst_l, dtype=np.int64)
-        pair = np.array(pair_l, dtype=np.int64).reshape(n_unknown, len(src_l))
+    def edge_set(n_edges):
         edges = _EdgeSet(
-            src=src, combo=key % n_combos, dst=dst, key=key, pair=pair,
-            by_dst=_Grouping.build(dst, n_states),
-            by_src=_Grouping.build(src, src_size),
+            src=src[:n_edges], dst=dst[:n_edges], key=key[:n_edges],
+            by_dst=_Grouping.build(dst[:n_edges], n_states),
+            by_src=_Grouping.build(src[:n_edges], n_states),
         )
         for group in (edges, edges.by_dst, edges.by_src):
             for value in vars(group).values():
@@ -336,26 +344,7 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
                     value.setflags(write=False)
         return edges
 
-    # draw entries are (m, S_new, S_prev)
-    virtual = [(0, 0, [[(m, m, 0) for m in range(3)] for _ in range(n_unknown)])]
-    edges0 = build(virtual, 1)
-
-    sources = []
-    for sidx in range(n_states):
-        rem, parts = sidx, []
-        for _ in range(n_unknown):
-            parts.append(rem % 6)
-            rem //= 6
-        parts.reverse()
-        per = []
-        src_combo = 0
-        for pstate in parts:
-            s_prev, n = _STATES[pstate]
-            src_combo = src_combo * 3 + n
-            per.append([(m, s_prev + m, s_prev) for m in range(3 - s_prev)])
-        sources.append((sidx, src_combo, per))
-    edges = build(sources, n_states)
-    return edges0, edges
+    return edge_set(n_combos), edge_set(len(src))
 
 
 @dataclass(frozen=True)
@@ -404,7 +393,7 @@ class _MarkerPlan:
     internal_labels: tuple[str, ...]
     silent: np.ndarray               # bool per internal position
     coupled: np.ndarray              # stutter donor sits at internal position p+1
-    pair_lp: tuple[np.ndarray, ...]  # per step, log-pmfs over _PAIRS
+    state_lp: np.ndarray             # (P, 6): per step, _state_log_pmf
     known_ids: tuple[str, ...]
     unknown_ids: tuple[str, ...]
     known_counts: np.ndarray         # (K, P) in internal order
@@ -459,8 +448,8 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
 
     q = np.array([ladder.frequencies[i] for i in order], dtype=float)
     tails = np.cumsum(q[::-1])[::-1]
-    pair_lp = tuple(
-        _binom_log_pmf_pairs(min(q[p] / tails[p], 1.0)) for p in range(n_pos)
+    state_lp = np.array(
+        [_state_log_pmf(min(q[p] / tails[p], 1.0)) for p in range(n_pos)]
     )
 
     known_ids = tuple(hypothesis.known)
@@ -472,12 +461,8 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
     n_unknown = len(hypothesis.unknown)
     n_states = 6**n_unknown
     n_combos = 3**n_unknown
-    combo_counts = np.zeros((n_combos, n_unknown), dtype=np.int64)
-    for c in range(n_combos):
-        rem = c
-        for i in range(n_unknown - 1, -1, -1):
-            combo_counts[c, i] = rem % 3
-            rem //= 3
+    # joint draw c -> each unknown's count: the base-3 digits of c
+    combo_counts = np.arange(n_combos)[:, None] // 3 ** np.arange(n_unknown)[::-1] % 3
 
     edges0, edges = _build_edges(n_unknown)
 
@@ -518,7 +503,7 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
         internal_labels=internal_labels,
         silent=silent,
         coupled=coupled,
-        pair_lp=pair_lp,
+        state_lp=state_lp,
         known_ids=known_ids,
         unknown_ids=tuple(hypothesis.unknown),
         known_counts=known_counts,
@@ -725,10 +710,15 @@ def _step_tables(plan, terms):
 
 
 def _step_values(plan, t, tables):
-    """Per-edge log(transition * factors) at step t, one row per (C, C) table."""
+    """Per-edge log(transition * factors) at step t, one row per (C, C) table.
+
+    The transition is read per target state, from the outer sum of the
+    step's per-contributor log-pmfs.
+    """
     edges = plan.edges_at(t)
     flat = tables.reshape(-1, plan.n_combos**2)
-    return edges.log_trans(plan.pair_lp[t]) + flat[:, edges.key]
+    state_lp = _fold(plan.state_lp[t], plan.n_unknown, 1)
+    return state_lp[edges.dst] + flat[:, edges.key]
 
 
 class _Sweep(NamedTuple):
@@ -1063,7 +1053,7 @@ def _kbest_paths(plan, sweep, k):
             heapq.heappush(
                 heap,
                 (-float(bound[i]), next(counter), t, int(step.dst[e]),
-                 float(g_out[i]), draws + (int(step.combo[e]),)),
+                 float(g_out[i]), draws + (int(step.key[e] % plan.n_combos),)),
             )
 
     extend(0, 0.0, (), np.arange(len(plan.edges0.src)))

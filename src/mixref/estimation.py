@@ -24,6 +24,7 @@ symmetrized central difference of gradients.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -57,7 +58,7 @@ __all__ = [
 LOG10 = math.log(10.0)
 _BOUNDARY_TOL = 1e-4
 _PENALTY = 1e15
-_TOLERANCE = 1e-8  # L-BFGS-B ftol; the Nelder-Mead polish's relative fatol
+_TOLERANCE = 1e-8  # L-BFGS-B ftol: stop at this relative reduction
 _N_STARTS = 3
 
 
@@ -106,12 +107,13 @@ class FitSpecification:
 class FitResult:
     """A fitted model with reporting-scale estimates and diagnostics.
 
-    n_evaluations counts likelihood passes, each a value or a value and
-    gradient.  start_log_likelihoods holds the optimum reached from each
-    start, in start order (-inf where a start never left the infeasible
-    region); the best start's entry includes the Nelder-Mead polish, so
-    its maximum equals log_likelihood.  Entries far apart mean the
-    likelihood has several local optima.
+    n_evaluations counts likelihood passes, each a value and gradient
+    (one value pass when every parameter is fixed); standard errors add
+    passes of their own.  start_log_likelihoods holds the optimum reached
+    from each start, in start order (-inf where a start never left the
+    infeasible region); its maximum is log_likelihood, the value of the
+    best start's last pass.  Entries far apart mean the likelihood has
+    several local optima.
     """
 
     parameters: ModelParameters
@@ -240,17 +242,33 @@ def _normalize_fixed(fixed, trace_ids):
     sigma becomes rho = 1/sigma^2, and mu with sigma on the same trace
     becomes rho and eta.  A mu given alone stays under "mu": the trace's
     eta block is derived from it.  A trace id not in ``trace_ids`` is
-    refused.
+    refused, and so is a value that is not a number (for phi, a mapping
+    of roles to numbers).
     """
+
+    def is_number(v):
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
     fixed = dict(fixed or {})
     out = {}
     for family in ("rho", "eta", "xi", "mu", "sigma", "phi"):
         val = fixed.pop(family, {})
-        out[family] = dict.fromkeys(trace_ids, val) if np.isscalar(val) else dict(val)
-        for t in out[family]:
+        out[family] = dict(val) if isinstance(val, Mapping) else dict.fromkeys(
+            trace_ids, val
+        )
+        for t, v in out[family].items():
             if t not in trace_ids:
                 raise ValueError(
                     f"fixed {family} names trace {t!r}, not one of {list(trace_ids)}"
+                )
+            if family == "phi":
+                want = "a mapping of roles to numbers"
+                ok = isinstance(v, Mapping) and all(map(is_number, v.values()))
+            else:
+                want, ok = "a number", is_number(v)
+            if not ok:
+                raise ValueError(
+                    f"fixed {family} for trace {t!r} must be {want}, got {v!r}"
                 )
     out["phi"] = {t: dict(v) for t, v in out["phi"].items()}
     if fixed:
@@ -559,14 +577,6 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
     keys = _primitive_keys(structure)
     evals = [0]
 
-    def objective(theta):
-        evals[0] += 1
-        try:
-            ll = total_log_likelihood(bundle.with_parameters(structure.unpack(theta)))
-        except (ValueError, OverflowError, FloatingPointError):
-            return _PENALTY
-        return -ll if np.isfinite(ll) else _PENALTY
-
     def objective_and_gradient(theta):
         evals[0] += 1
         try:
@@ -599,35 +609,14 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
         )
         for theta0 in _starting_points(spec, structure)
     ]
-    total_iters = sum(int(r.nit) for r in runs)
-    best_idx = min(range(len(runs)), key=lambda i: runs[i].fun)
-    best = runs[best_idx]
-    gradient = best.jac
-    if not best.success and best.fun < _PENALTY:
-        polish = minimize(
-            objective,
-            best.x,
-            method="Nelder-Mead",
-            options={
-                "maxiter": spec.max_iterations * 4,
-                "fatol": max(abs(best.fun), 1.0) * _TOLERANCE,
-                "xatol": 1e-7,
-            },
-        )
-        total_iters += int(polish.nit)
-        if polish.fun <= best.fun:
-            best = polish
-            gradient = objective_and_gradient(best.x)[1]
-
-    params = structure.unpack(best.x)
-    ll = total_log_likelihood(bundle.with_parameters(params))
-    gnorm = float(np.linalg.norm(gradient))
+    starts = tuple(float(-r.fun) if r.fun < _PENALTY else -np.inf for r in runs)
+    best_idx = int(np.argmax(starts))
+    best, ll = runs[best_idx], starts[best_idx]
+    gnorm = float(np.linalg.norm(best.jac))
     converged = bool((best.success or gnorm < 1e-2) and np.isfinite(ll))
-    starts = [-r.fun if r.fun < _PENALTY else -np.inf for r in runs]
-    starts[best_idx] = ll
     return _finish(
-        spec, structure, params, ll, converged,
-        total_iters, evals[0], gnorm, hypothesis_id, tuple(float(v) for v in starts),
+        spec, structure, structure.unpack(best.x), ll, converged,
+        sum(int(r.nit) for r in runs), evals[0], gnorm, hypothesis_id, starts,
     )
 
 

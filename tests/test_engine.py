@@ -1,5 +1,6 @@
 """Inference engine against enumeration oracles and structural invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -591,3 +592,77 @@ class TestSilentAlleles:
             return m[1] + m[2]
 
         assert silent_mass(2400.0) < silent_mass(900.0)
+
+
+def _digits(values, base, width):
+    """Base-``base`` digits of ``values``, most significant first, as columns."""
+    values = np.asarray(values, dtype=np.int64)
+    place = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (values[:, None] // place[None, :]) % base
+
+
+# per-contributor chain states (partial allele-count sum S, count n at the step)
+STATES = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+
+
+class TestChainStructure:
+    @pytest.mark.parametrize("n_unknown", range(6))
+    def test_edges_are_every_legal_step_once(self, n_unknown):
+        assert list(engine._STATES) == STATES
+        U, C = n_unknown, 3**n_unknown
+        edges0, edges = engine._build_edges(U)
+        assert len(edges.src) == 10**U
+        assert np.all(np.diff(edges.src) >= 0)  # src-major order
+
+        states = np.array(STATES)
+        source = states[_digits(edges.src, 6, U)]  # (E, U, 2): (S, n) per contributor
+        target = states[_digits(edges.dst, 6, U)]
+        prev_draw = _digits(edges.key // C, 3, U)
+        draw = _digits(edges.key % C, 3, U)
+        assert np.all((edges.key >= 0) & (edges.key < C * C))
+        assert np.array_equal(prev_draw, source[..., 1])
+        assert np.array_equal(target[..., 1], draw)
+        assert np.array_equal(target[..., 0], source[..., 0] + draw)
+        assert np.all(draw <= 2 - source[..., 0])
+
+        pairs = set(zip(edges.src.tolist(), (edges.key % C).tolist()))
+        assert len(pairs) == len(edges.src)
+        n_legal = sum(
+            math.prod(3 - STATES[s][0] for s in sources)
+            for sources in itertools.product(range(6), repeat=U)
+        )
+        assert len(pairs) == n_legal
+
+        first = edges.src == 0
+        for name in ("src", "dst", "key"):
+            assert np.array_equal(getattr(edges0, name), getattr(edges, name)[first])
+
+    @pytest.mark.parametrize("n_unknown", range(5))
+    def test_prior_alone_has_probability_one(self, n_unknown):
+        # with every factor 1 the chain sums the Hardy-Weinberg prior
+        rng = np.random.default_rng(40 + n_unknown)
+        for _ in range(3):
+            n_alleles = int(rng.integers(2, 6))
+            freqs = mx.FrequencyTable.from_dict({"M": dict(zip(
+                ["7", "8", "9", "10", "11"], rng.dirichlet(np.ones(n_alleles))
+            ))})
+            if rng.random() < 0.5:
+                freqs = mx.with_silent(freqs, float(rng.uniform(0.02, 0.2)))
+            unknown = tuple(f"U{i + 1}" for i in range(n_unknown))
+            known = {} if unknown else {
+                "K1": mx.GenotypeProfile.from_pairs({"M": ("7", "8")})
+            }
+            roles = (*known, *unknown)
+            params = mx.ModelParameters(
+                rho={"T1": 25.0}, eta=20.0, xi=0.1,
+                phi={"T1": {r: 1.0 / len(roles) for r in roles}},
+            )
+            b = single_trace_bundle(
+                freqs, mx.Hypothesis(known=known, unknown=unknown), {"7": 300.0},
+                params,
+            )
+            plan = b._plans["M"]
+            zeros = [np.zeros((plan.n_combos, plan.n_combos))] * len(plan.order)
+            sweep = engine._sweep(plan, zeros)
+            assert abs(sweep.loglik) < 1e-12
+            assert np.abs(np.concatenate(sweep.bwd)).max() < 1e-12

@@ -173,6 +173,34 @@ class TestFit:
         with pytest.raises(ValueError, match="'TYPO'"):
             _Structure(FitSpecification(bundle=bundle, fixed=fixed))
 
+    @pytest.mark.parametrize("fixed", [
+        {"phi": {"S": 0.5}},
+        {"phi": 0.5},
+        {"xi": "abc"},
+    ])
+    def test_wrong_typed_override_refused(self, fixed):
+        bundle, _ = make_simulated_bundle(seed=9, n_markers=2)
+        family = next(iter(fixed))
+        with pytest.raises(ValueError, match=f"fixed {family} for trace 'S'"):
+            _Structure(FitSpecification(bundle=bundle, fixed=fixed))
+
+    @pytest.mark.parametrize("fixed", [{}, "all"])
+    def test_evaluations_count_every_engine_pass(self, monkeypatch, fixed):
+        bundle, params = make_simulated_bundle(seed=9, n_markers=2)
+        if fixed == "all":
+            fixed = {"rho": dict(params.rho), "eta": params.eta, "xi": params.xi,
+                     "phi": {t: dict(v) for t, v in params.phi.items()}}
+        calls = []
+        for name in ("log_likelihood_and_gradient", "total_log_likelihood"):
+            def counting(*args, _pass=getattr(estimation, name), **kwargs):
+                calls.append(1)
+                return _pass(*args, **kwargs)
+
+            monkeypatch.setattr(estimation, name, counting)
+        res = mx.fit(FitSpecification(bundle=bundle, fixed=fixed,
+                                      compute_standard_errors=False))
+        assert res.n_evaluations == len(calls) > 0
+
     def test_marker_overrides_survive_fitting(self):
         bundle, params = make_simulated_bundle(seed=51, n_markers=4)
         with_over = mx.ModelParameters(
