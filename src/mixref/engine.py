@@ -14,7 +14,11 @@ transitions are one outer sum of U per-state vectors.  The
 evidence factor of an allele needs the effective counts of the allele
 itself and of its stutter donor (one repeat unit above), so alleles are
 traversed in an order that makes every stutter donor position-adjacent;
-the factor is emitted once both counts are in scope.
+the factor is emitted once both counts are in scope.  A step's factors
+are indexed by its (previous draw, draw) pair: a contributor that drew
+n copies at the previous position draws m <= 2 - n here, so 6 of the 9
+per-contributor pairs, and 6^U joint pairs, are reachable, and every
+emitted peak's factor is one run of 6^U entries at its emit step.
 
 Several traces that share unknown contributors are coupled by multiplying
 their per-allele factors inside the same chain pass.  One forward-backward
@@ -212,11 +216,13 @@ class MarkerChainPosterior:
 # Reachable per-contributor states (S, n): partial sum S and current count n <= S.
 _STATES = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))
 _STATE_INDEX = {s: i for i, s in enumerate(_STATES)}
+# One contributor's reachable (previous count n, draw m) pairs: n + m <= 2.
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
 # One contributor's chain: the 10 legal steps (S, n) -> (S + m, m), m <= 2 - S,
-# as rows (source state, target state, draw m, previous count n), ordered by
-# source state, then draw.  The joint chain of U unknowns is its U-fold product.
+# as rows (source state, target state, (n, m) pair), ordered by source state,
+# then draw.  The joint chain of U unknowns is its U-fold product.
 _STEPS = np.array([
-    (i, _STATE_INDEX[(s + m, m)], m, n)
+    (i, _STATE_INDEX[(s + m, m)], _PAIRS.index((n, m)))
     for i, (s, n) in enumerate(_STATES) for m in range(3 - s)
 ], dtype=np.int64)
 
@@ -245,8 +251,8 @@ def _fold(column: np.ndarray, n_unknown: int, base: int) -> np.ndarray:
     """sum_i column[r_i] * base^(U-1-i) over every U-tuple (r_1 .. r_U) of rows.
 
     Tuples come in lexicographic order, the first contributor most
-    significant.  Base 6 or 3 packs per-contributor states or draws into
-    joint indices; base 1 sums per-contributor log-probabilities.
+    significant.  Base 6 or 3 packs per-contributor states, pairs or draws
+    into joint indices; base 1 sums per-contributor log-probabilities.
     """
     out = np.zeros(1, dtype=column.dtype)
     for _ in range(n_unknown):
@@ -304,8 +310,8 @@ class _Grouping:
 class _EdgeSet:
     """Transitions of one chain step: source state and target state.
 
-    key indexes (draw at the previous step, draw here) as source draw * C
-    + draw, the layout of a step's (C, C) log factor table.
+    key is the edge's joint (previous draw, draw) pair, the base-6 fold of
+    its contributors' _PAIRS indices, which indexes the step's factors.
     """
 
     src: np.ndarray
@@ -325,12 +331,9 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
     (one entry per U); the arrays are read-only.
     """
     n_states = 6**n_unknown
-    n_combos = 3**n_unknown
-    src, dst, draw, prev = (
-        _fold(column, n_unknown, base) for column, base in zip(_STEPS.T, (6, 6, 3, 3))
-    )
+    src, dst, key = (_fold(column, n_unknown, 6) for column in _STEPS.T)
     order = np.argsort(src, kind="stable")
-    src, dst, key = src[order], dst[order], (prev * n_combos + draw)[order]
+    src, dst, key = src[order], dst[order], key[order]
 
     def edge_set(n_edges):
         edges = _EdgeSet(
@@ -344,7 +347,7 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
                     value.setflags(write=False)
         return edges
 
-    return edge_set(n_combos), edge_set(len(src))
+    return edge_set(3**n_unknown), edge_set(len(src))
 
 
 @dataclass(frozen=True)
@@ -357,30 +360,28 @@ class _TraceView:
     observed: np.ndarray
     known_contributes: np.ndarray  # bool per known role
     unknown_contributes: np.ndarray  # bool per unknown role
-    blocks: Mapping[int, tuple[int, slice, tuple[int, ...]]]  # see _factor_blocks
+    blocks: Mapping[int, tuple[int, slice]]  # see _factor_blocks
     n_observed: int  # factor entries of observed peaks, which come first
 
 
-def _factor_blocks(observed, silent, coupled, n_combos):
+def _factor_blocks(observed, silent, coupled, n_pairs):
     """Layout of one trace's factor entries on a marker, flattened.
 
-    An entry is one value of a peak's factor table: (draw at p) at an
-    uncoupled position p, (draw at p, draw at p+1) at a stutter-coupled
-    one.  Observed peaks come first, so each kind of factor is one
-    contiguous run.  Maps each emitted position p to (the step that emits
-    it, the slice of its entries, its table shape); returns it with the
-    number of observed entries.
+    A peak's factor is one run of n_pairs entries, one per (previous draw,
+    draw) pair of its emit step: step p+1 for a stutter-coupled position
+    p, step p for an uncoupled one.  Observed peaks come first, so each
+    kind of factor is one contiguous run.  Maps each emitted position p to
+    (its emit step, the slice of its entries); returns it with the number
+    of observed entries.
     """
-    emitted = [p for p in range(len(silent)) if not silent[p]]
-    blocks = {}
-    start = 0
-    for p in sorted(emitted, key=lambda p: not observed[p]):
-        t, shape = (p + 1, (n_combos, n_combos)) if coupled[p] else (p, (n_combos,))
-        size = math.prod(shape)
-        blocks[p] = (t, slice(start, start + size), shape)
-        start += size
-    n_observed = sum(math.prod(blocks[p][2]) for p in emitted if observed[p])
-    return blocks, n_observed
+    emitted = sorted(
+        (p for p in range(len(silent)) if not silent[p]), key=lambda p: not observed[p]
+    )
+    blocks = {
+        p: (p + int(coupled[p]), slice(i * n_pairs, (i + 1) * n_pairs))
+        for i, p in enumerate(emitted)
+    }
+    return blocks, n_pairs * int(observed[emitted].sum())
 
 
 @dataclass(frozen=True)
@@ -400,7 +401,10 @@ class _MarkerPlan:
     n_unknown: int
     n_states: int
     n_combos: int
+    n_pairs: int
     combo_counts: np.ndarray         # (C, U)
+    pair_prev: np.ndarray            # joint pair -> joint draw at t-1
+    pair_draw: np.ndarray            # joint pair -> joint draw at t
     edges0: _EdgeSet
     edges: _EdgeSet
     traces: tuple[_TraceView, ...]
@@ -461,8 +465,12 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
     n_unknown = len(hypothesis.unknown)
     n_states = 6**n_unknown
     n_combos = 3**n_unknown
+    n_pairs = 6**n_unknown
     # joint draw c -> each unknown's count: the base-3 digits of c
     combo_counts = np.arange(n_combos)[:, None] // 3 ** np.arange(n_unknown)[::-1] % 3
+    pair_prev, pair_draw = (
+        _fold(np.array(column), n_unknown, 3) for column in zip(*_PAIRS)
+    )
 
     edges0, edges = _build_edges(n_unknown)
 
@@ -480,7 +488,7 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
         heights = np.array([row.get(lab, 0.0) for lab in internal_labels])
         roles = set(hypothesis.roles_for(trace.trace_id))
         observed = heights >= trace.threshold
-        blocks, n_observed = _factor_blocks(observed, silent, coupled, n_combos)
+        blocks, n_observed = _factor_blocks(observed, silent, coupled, n_pairs)
         views.append(
             _TraceView(
                 trace_id=trace.trace_id,
@@ -510,7 +518,10 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
         n_unknown=n_unknown,
         n_states=n_states,
         n_combos=n_combos,
+        n_pairs=n_pairs,
         combo_counts=combo_counts,
+        pair_prev=pair_prev,
+        pair_draw=pair_draw,
         edges0=edges0,
         edges=edges,
         traces=tuple(views),
@@ -650,58 +661,50 @@ def _trace_dose(plan, view, params):
     )
 
 
-# Factor entries per gamma-function call: enough to batch every position of
-# a marker at U <= 3, few enough to bound the temporaries at U = 5.
-_CHUNK = 1 << 15
-
-
-def _chunks(start, stop):
-    return (slice(lo, min(lo + _CHUNK, stop)) for lo in range(start, stop, _CHUNK))
-
-
-def _observed_heights(view):
+def _observed_heights(plan, view):
     """Peak height of every observed factor entry, in layout order."""
-    sizes = {
-        p: math.prod(shape)
-        for p, (_, _, shape) in view.blocks.items() if view.observed[p]
-    }
-    return np.repeat(view.heights[list(sizes)], list(sizes.values()))
+    observed = [p for p in view.blocks if view.observed[p]]
+    return np.repeat(view.heights[observed], plan.n_pairs)
 
 
 def _view_terms(plan, params) -> list[_ViewTerms]:
-    """Every trace's dose and log factor per factor entry of a marker."""
+    """Every trace's dose and log factor per factor entry of a marker.
+
+    At a stutter-coupled position p the dose of pair j is
+    (1 - xi) B[p, draw at t-1] + xi B[p+1, draw at t]; at an uncoupled
+    one it is (1 - xi) B[p, draw at t].
+    """
     out = []
     for view in plan.traces:
         rho, eta, xi, base = _trace_dose(plan, view, params)
         doses = np.concatenate([
-            ((1.0 - xi) * base[p][:, None] + xi * base[p + 1][None, :]).ravel()
-            if len(shape) == 2 else (1.0 - xi) * base[p]
-            for p, (_, _, shape) in view.blocks.items()
+            (1.0 - xi) * base[p][plan.pair_prev] + xi * base[p + 1][plan.pair_draw]
+            if plan.coupled[p] else (1.0 - xi) * base[p][plan.pair_draw]
+            for p in view.blocks
         ])
-        heights = _observed_heights(view)
-        log_factors = np.empty(len(doses))
-        for sl in _chunks(0, view.n_observed):
-            log_factors[sl] = gamma_log_pdf(heights[sl], rho * doses[sl], eta)
-        for sl in _chunks(view.n_observed, len(doses)):
-            log_factors[sl] = gamma_log_cdf(view.threshold, rho * doses[sl], eta)
+        k = view.n_observed
+        log_factors = np.concatenate([
+            gamma_log_pdf(_observed_heights(plan, view), rho * doses[:k], eta),
+            gamma_log_cdf(view.threshold, rho * doses[k:], eta),
+        ])
         out.append(_ViewTerms(rho, eta, xi, base, doses, log_factors))
     return out
 
 
 def _step_table(plan, terms, t, skip=None):
-    """Step t's log evidence factors summed over traces, as a (C, C) table.
+    """Step t's log evidence factors summed over traces, per (previous
+    draw, draw) pair.
 
-    terms are the marker's :func:`_view_terms`.  Rows index the draw at
-    t-1 and columns the draw at t: step t emits a stutter-coupled position
-    t-1 and an uncoupled position t.  skip = (view index, position) leaves
-    that peak's factor out.
+    terms are the marker's :func:`_view_terms`.  Step t emits a
+    stutter-coupled position t-1 and an uncoupled position t.
+    skip = (view index, position) leaves that peak's factor out.
     """
-    table = np.zeros((plan.n_combos, plan.n_combos))
+    table = np.zeros(plan.n_pairs)
     for view_idx, (view, term) in enumerate(zip(plan.traces, terms)):
         for p in (t - 1, t):
             block = view.blocks.get(p)
             if block is not None and block[0] == t and (view_idx, p) != skip:
-                table += term.log_factors[block[1]].reshape(block[2])
+                table += term.log_factors[block[1]]
     return table
 
 
@@ -710,15 +713,15 @@ def _step_tables(plan, terms):
 
 
 def _step_values(plan, t, tables):
-    """Per-edge log(transition * factors) at step t, one row per (C, C) table.
+    """Per-edge log(transition * factors) at step t, for one step table or
+    a stack of them (one row each).
 
     The transition is read per target state, from the outer sum of the
     step's per-contributor log-pmfs.
     """
     edges = plan.edges_at(t)
-    flat = tables.reshape(-1, plan.n_combos**2)
     state_lp = _fold(plan.state_lp[t], plan.n_unknown, 1)
-    return state_lp[edges.dst] + flat[:, edges.key]
+    return state_lp[edges.dst] + tables[..., edges.key]
 
 
 class _Sweep(NamedTuple):
@@ -726,48 +729,37 @@ class _Sweep(NamedTuple):
 
     vals[t] holds step t's per-edge log(transition * factors), fwd[t] the
     forward log message into step t (fwd[-1] the final one) and bwd[t] the
-    backward log message out of it.  swapped[t] stacks step t's edge values
-    under the alternative tables asked for at t, if any.
+    backward log message out of it.
     """
 
     vals: list
     fwd: list
     bwd: list | None
-    swapped: list
     loglik: float
 
 
-def _sweep(plan, tables, swaps=None, backward=True) -> _Sweep:
-    """Forward and (optionally) backward pass with step tables ``tables``.
-
-    swaps maps a step to alternative (C, C) tables for it; they are
-    evaluated with the step's own table and enter no message.
-    """
-    swaps = swaps or {}
-    vals, fwd, swapped = [], [np.zeros(1)], []
+def _sweep(plan, tables, backward=True) -> _Sweep:
+    """Forward and (optionally) backward pass with step tables ``tables``."""
+    vals, fwd = [], [np.zeros(1)]
     for t, table in enumerate(tables):
-        if t in swaps:
-            table = np.stack([table, *swaps[t]])
-        rows = _step_values(plan, t, table)
-        vals.append(rows[0])
-        swapped.append(rows[1:])
+        vals.append(_step_values(plan, t, table))
         edges = plan.edges_at(t)
-        fwd.append(edges.by_dst.logsumexp(fwd[t][edges.src] + rows[0]))
+        fwd.append(edges.by_dst.logsumexp(fwd[t][edges.src] + vals[t]))
     bwd = None
     if backward:
         bwd = [None] * len(tables)
         bwd[-1] = np.zeros(plan.n_states)
         for t in range(len(tables) - 1, 0, -1):
             bwd[t - 1] = plan.edges.by_src.logsumexp(vals[t] + bwd[t][plan.edges.dst])
-    return _Sweep(vals, fwd, bwd, swapped, float(logsumexp(fwd[-1])))
+    return _Sweep(vals, fwd, bwd, float(logsumexp(fwd[-1])))
 
 
 def _step_posterior(plan, sweep, t, vals):
-    """Posterior of (draw at t-1, draw at t) as a (C, C) table.
+    """Posterior of step t's (previous draw, draw) pairs.
 
     Combines the sweep's messages around step t with the step's edge
-    values ``vals``, which may be a swapped row, and normalizes over the
-    step; None where the step has no mass.
+    values ``vals``, which may come from another table for the step, and
+    normalizes over the step; None where the step has no mass.
     """
     edges = plan.edges_at(t)
     logw = sweep.fwd[t][edges.src] + vals + sweep.bwd[t][edges.dst]
@@ -775,29 +767,21 @@ def _step_posterior(plan, sweep, t, vals):
     if not np.isfinite(top):
         return None
     w = np.exp(logw - top)
-    c = plan.n_combos
-    return (np.bincount(edges.key, weights=w, minlength=c * c) / w.sum()).reshape(c, c)
-
-
-def _block_posterior(pair, shape):
-    """Posterior of a factor block's entries from its emit step's pair posterior."""
-    return pair.ravel() if len(shape) == 2 else pair.sum(axis=0)
+    return np.bincount(edges.key, weights=w, minlength=plan.n_pairs) / w.sum()
 
 
 def _presence_masks(plan, assignments):
     """Translate allele -> present/absent assignments into per-step log masks.
 
-    Row t is 0 for the draws at step t that the assignments allow, -inf
-    for the others.
+    Row t is 0 for the pairs whose draw at step t the assignments allow,
+    -inf for the others.
     """
-    masks = np.zeros((len(plan.order), plan.n_combos))
+    masks = np.zeros((len(plan.order), plan.n_pairs))
     if not assignments:
         return masks
     label_pos = {lab: p for p, lab in enumerate(plan.internal_labels)}
     known_any = plan.known_counts.sum(axis=0)
-    combo_total = (
-        plan.combo_counts.sum(axis=1) if plan.n_unknown else np.zeros(1, dtype=int)
-    )
+    draw_total = plan.combo_counts.sum(axis=1)[plan.pair_draw]
     for allele, value in assignments.items():
         lab = canonical_allele(allele)
         if lab not in label_pos:
@@ -815,7 +799,7 @@ def _presence_masks(plan, assignments):
             raise InfeasibleConditioningError(
                 f"no contributor can possess allele {lab!r}"
             )
-        masks[p, (combo_total == 0) if present else (combo_total > 0)] = -np.inf
+        masks[p, (draw_total == 0) if present else (draw_total > 0)] = -np.inf
     return masks
 
 
@@ -901,15 +885,13 @@ def _marker_value_and_gradient(plan, params):
     rho_over = (params.marker_rho or {}).get(plan.marker, {})
     for view, term in zip(plan.traces, terms):
         tid = view.trace_id
-        w = np.concatenate([  # posterior of every factor entry
-            _block_posterior(pair[t], shape) for t, _, shape in view.blocks.values()
-        ])
+        w = np.concatenate([pair[t] for t, _ in view.blocks.values()])
         shapes = term.rho * term.doses
         k = view.n_observed
         d_shape = np.empty(len(shapes))
         d_eta = np.empty(len(shapes))
         d_shape[:k], d_eta[:k] = gamma_log_pdf_grad(
-            _observed_heights(view), shapes[:k], term.eta
+            _observed_heights(plan, view), shapes[:k], term.eta
         )
         d_shape[k:], d_eta[k:] = gamma_log_cdf_grad(
             view.threshold, shapes[k:], term.eta, term.log_factors[k:]
@@ -924,13 +906,12 @@ def _marker_value_and_gradient(plan, params):
         # d log L / d B[p, c] through the entries' doses at p and at the donor p+1
         g_here = np.zeros_like(term.base)
         g_next = np.zeros_like(term.base)
-        for p, (_, sl, shape) in view.blocks.items():
-            block = g[sl].reshape(shape)
-            if len(shape) == 2:
-                g_here[p] = block.sum(axis=1)
-                g_next[p + 1] = block.sum(axis=0)
+        for p, (_, sl) in view.blocks.items():
+            if plan.coupled[p]:
+                g_here[p] = np.bincount(plan.pair_prev, g[sl], plan.n_combos)
+                g_next[p + 1] = np.bincount(plan.pair_draw, g[sl], plan.n_combos)
             else:
-                g_here[p] = block
+                g_here[p] = np.bincount(plan.pair_draw, g[sl], plan.n_combos)
         if not marker_xi:
             grad[("xi", tid)] = term.rho * float(((g_next - g_here) * term.base).sum())
         g_dose = term.rho * ((1.0 - term.xi) * g_here + term.xi * g_next)
@@ -958,11 +939,9 @@ def _chain_posterior(bundle, marker, assignments=None, k=0):
             f"zero probability on marker {marker!r}"
             + (f" under conditioning {dict(assignments)!r}" if assignments else "")
         )
-    # posterior of each step's draw: the pair posteriors summed over the source
-    post = np.array([
-        _step_posterior(plan, sweep, t, vals).sum(axis=0)
-        for t, vals in enumerate(sweep.vals)
-    ])
+    pair = [_step_posterior(plan, sweep, t, vals) for t, vals in enumerate(sweep.vals)]
+    # posterior of each step's draw: its pair posterior summed by draw
+    post = np.array([np.bincount(plan.pair_draw, w, plan.n_combos) for w in pair])
     counts = [
         post @ (plan.combo_counts[:, i, None] == np.arange(3))
         for i in range(plan.n_unknown)
@@ -1053,7 +1032,7 @@ def _kbest_paths(plan, sweep, k):
             heapq.heappush(
                 heap,
                 (-float(bound[i]), next(counter), t, int(step.dst[e]),
-                 float(g_out[i]), draws + (int(step.key[e] % plan.n_combos),)),
+                 float(g_out[i]), draws + (int(plan.pair_draw[step.key[e]]),)),
             )
 
     extend(0, 0.0, (), np.arange(len(plan.edges0.src)))
@@ -1097,37 +1076,37 @@ def _observed_peak_posteriors(bundle: EvidenceBundle, truncate: bool):
 
     One sweep per marker serves all its peaks.  A peak's factor enters
     the chain only at its emit step t, so the forward message into t and
-    the backward message out of it do not depend on it.  Step t is
-    evaluated once more with its table recomputed without the peak's
-    factor, plus the survival term log P(H >= C) when ``truncate`` keeps
-    the peak's observed status, and normalized over the step.
+    the backward message out of it do not depend on it.  After the sweep,
+    step t is evaluated once more per peak it emits, with its table
+    recomputed without the peak's factor, plus the survival term
+    log P(H >= C) when ``truncate`` keeps the peak's observed status, and
+    normalized over the step.
     """
     for marker in bundle.covered_markers():
         plan = _plan_for(bundle, marker)
         terms = _view_terms(plan, bundle.parameters)
-        peaks, swaps = [], {}
+        peaks, tables = [], {}  # tables: emit step -> the step's tables without a peak
         for view_idx, (view, term) in enumerate(zip(plan.traces, terms)):
             survival = gamma_log_sf(
                 view.threshold, term.rho * term.doses[:view.n_observed], term.eta
             ) if truncate else None
             for p in map(int, np.flatnonzero(view.observed)):
-                t, sl, shape = view.blocks[p]
+                t, sl = view.blocks[p]
                 table = _step_table(plan, terms, t, skip=(view_idx, p))
                 if survival is not None:
-                    table = table + survival[sl].reshape(shape)
-                swaps.setdefault(t, []).append(table)
-                peaks.append((view, term, p, len(swaps[t]) - 1))
+                    table = table + survival[sl]
+                tables.setdefault(t, []).append(table)
+                peaks.append((view, term, p, t, len(tables[t]) - 1))
         if not peaks:
             continue
-        sweep = _sweep(plan, _step_tables(plan, terms), swaps)
-        for view, term, p, row in peaks:
-            t, sl, shape = view.blocks[p]
-            pair = _step_posterior(plan, sweep, t, sweep.swapped[t][row])
+        sweep = _sweep(plan, _step_tables(plan, terms))
+        vals = {t: _step_values(plan, t, np.array(rows)) for t, rows in tables.items()}
+        for view, term, p, t, row in peaks:
             yield _PeakPosterior(
                 view.trace_id, marker, plan.internal_labels[p],
                 float(view.heights[p]), view.threshold, term.eta,
-                term.rho * term.doses[sl],
-                None if pair is None else _block_posterior(pair, shape),
+                term.rho * term.doses[view.blocks[p][1]],
+                _step_posterior(plan, sweep, t, vals[t][row]),
             )
 
 
@@ -1148,6 +1127,11 @@ def top_k_joint_profiles(marker_lists, k: int):
         if not entries:
             raise ValueError(f"empty ranked list for marker {m!r}")
         probs = [p for _, p in entries]
+        if not all(math.isfinite(p) and p >= 0.0 for p in probs):
+            raise ValueError(
+                f"ranked list for marker {m!r} holds a probability that is not "
+                f"finite and nonnegative: {probs}"
+            )
         if any(b > a + 1e-12 for a, b in zip(probs, probs[1:])):
             raise ValueError(f"ranked list for marker {m!r} is not sorted descending")
         lists.append(entries)

@@ -972,8 +972,10 @@ def efficiency_loss(
 
 def generic_efficiency_loss(top_posterior: float) -> float:
     """Bans lost without a named suspect: -log10 of the top deconvolution posterior."""
-    if top_posterior <= 0.0:
-        raise ValueError("top posterior probability must be positive")
+    if math.isnan(top_posterior) or top_posterior <= 0.0:
+        raise ValueError(
+            f"top posterior probability must be positive, got {top_posterior}"
+        )
     if top_posterior > 1.0 + 1e-9:
         raise ValueError(f"posterior probability above one: {top_posterior}")
     return -math.log10(min(top_posterior, 1.0))

@@ -555,6 +555,14 @@ class TestTopKJointProfiles:
         with pytest.raises(ValueError):
             mx.top_k_joint_profiles({"M1": [("a", 0.1), ("b", 0.9)]}, 1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+    def test_rejects_non_probability(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mx.top_k_joint_profiles({"M": [({}, bad)]}, 1)
+        ranked = {"M": [({}, 0.9), ({}, bad)], "M2": [({}, 1.0)]}
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mx.top_k_joint_profiles(ranked, 1)
+
 
 class TestSilentAlleles:
     def test_silent_count_marginals_sum_to_one(self):
@@ -603,13 +611,16 @@ def _digits(values, base, width):
 
 # per-contributor chain states (partial allele-count sum S, count n at the step)
 STATES = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+# per-contributor (previous count n, draw m) pairs that a step can reach
+PAIRS = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
 
 
 class TestChainStructure:
     @pytest.mark.parametrize("n_unknown", range(6))
     def test_edges_are_every_legal_step_once(self, n_unknown):
         assert list(engine._STATES) == STATES
-        U, C = n_unknown, 3**n_unknown
+        assert list(engine._PAIRS) == PAIRS
+        U = n_unknown
         edges0, edges = engine._build_edges(U)
         assert len(edges.src) == 10**U
         assert np.all(np.diff(edges.src) >= 0)  # src-major order
@@ -617,15 +628,16 @@ class TestChainStructure:
         states = np.array(STATES)
         source = states[_digits(edges.src, 6, U)]  # (E, U, 2): (S, n) per contributor
         target = states[_digits(edges.dst, 6, U)]
-        prev_draw = _digits(edges.key // C, 3, U)
-        draw = _digits(edges.key % C, 3, U)
-        assert np.all((edges.key >= 0) & (edges.key < C * C))
+        assert np.all((edges.key >= 0) & (edges.key < 6**U))
+        pair = np.array(PAIRS)[_digits(edges.key, 6, U)]  # (E, U, 2): (n, m)
+        prev_draw, draw = pair[..., 0], pair[..., 1]
         assert np.array_equal(prev_draw, source[..., 1])
         assert np.array_equal(target[..., 1], draw)
         assert np.array_equal(target[..., 0], source[..., 0] + draw)
         assert np.all(draw <= 2 - source[..., 0])
 
-        pairs = set(zip(edges.src.tolist(), (edges.key % C).tolist()))
+        assert len(np.unique(edges.key)) == 6**U  # every pair is reachable
+        pairs = set(zip(edges.src.tolist(), map(tuple, draw.tolist())))
         assert len(pairs) == len(edges.src)
         n_legal = sum(
             math.prod(3 - STATES[s][0] for s in sources)
@@ -662,7 +674,40 @@ class TestChainStructure:
                 params,
             )
             plan = b._plans["M"]
-            zeros = [np.zeros((plan.n_combos, plan.n_combos))] * len(plan.order)
+            zeros = [np.zeros(plan.n_pairs)] * len(plan.order)
             sweep = engine._sweep(plan, zeros)
             assert abs(sweep.loglik) < 1e-12
             assert np.abs(np.concatenate(sweep.bwd)).max() < 1e-12
+
+    @pytest.mark.parametrize("n_unknown", range(4))
+    def test_each_peak_factor_is_one_entry_per_reachable_pair(
+        self, n_unknown, monkeypatch
+    ):
+        # 7, 8 and 9 are stutter-coupled to their donors, 10 is not, and the
+        # silent allele carries no factor: 4 emitted positions per trace
+        freqs = mx.with_silent(mx.FrequencyTable.from_dict(
+            {"M": {"7": 0.2, "8": 0.3, "9": 0.4, "10": 0.1}}
+        ), 0.05)
+        unknown = tuple(f"U{i + 1}" for i in range(n_unknown))
+        known = {"K1": mx.GenotypeProfile.from_pairs({"M": ("8", "9")})}
+        roles = (*known, *unknown)
+        traces = tuple(
+            mx.Trace(trace_id=tid, threshold=50.0, heights={"M": {"8": h, "9": 400.0}})
+            for tid, h in (("T1", 300.0), ("T2", 0.0))
+        )
+        b = mx.EvidenceBundle(
+            traces=traces, frequencies=freqs,
+            hypothesis=mx.Hypothesis(known=known, unknown=unknown),
+            parameters=mx.ModelParameters(
+                rho={t.trace_id: 25.0 for t in traces}, eta=20.0, xi=0.1,
+                phi={t.trace_id: {r: 1.0 / len(roles) for r in roles} for t in traces},
+            ),
+        )
+        entries = []
+        for name in ("gamma_log_pdf", "gamma_log_cdf"):
+            def counting(x, shape, scale, _original=getattr(engine, name)):
+                entries.append(np.size(shape))
+                return _original(x, shape, scale)
+            monkeypatch.setattr(engine, name, counting)
+        assert np.isfinite(mx.total_log_likelihood(b))
+        assert sum(entries) == len(traces) * 4 * 6**n_unknown

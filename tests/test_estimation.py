@@ -505,6 +505,8 @@ class TestWeightOfEvidence:
             mx.generic_efficiency_loss(0.0)
         with pytest.raises(ValueError):
             mx.generic_efficiency_loss(1.5)
+        with pytest.raises(ValueError):
+            mx.generic_efficiency_loss(float("nan"))
 
 
 class TestProfileLikelihood:
