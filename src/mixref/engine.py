@@ -751,7 +751,18 @@ def _sweep(plan, tables, backward=True) -> _Sweep:
         bwd[-1] = np.zeros(plan.n_states)
         for t in range(len(tables) - 1, 0, -1):
             bwd[t - 1] = plan.edges.by_src.logsumexp(vals[t] + bwd[t][plan.edges.dst])
-    return _Sweep(vals, fwd, bwd, float(logsumexp(fwd[-1])))
+    return _Sweep(vals, fwd, bwd, _log_total(fwd[-1]))
+
+
+def _log_total(values) -> float:
+    """log of the sum of exp(values), by one max shift.
+
+    -inf when every entry is -inf, NaN when any entry is NaN.
+    """
+    peak = values.max()
+    if not np.isfinite(peak):
+        return float(peak)
+    return float(peak + np.log(np.exp(values - peak).sum()))
 
 
 def _step_posterior(plan, sweep, t, vals):

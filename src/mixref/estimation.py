@@ -12,13 +12,17 @@ eta = mu / rho), and profile likelihoods are fits with one more
 override.  Which blocks of values are held, derived or free is decided
 once, in :meth:`_Structure.assemble`: the optimizer's coordinates, the
 starting points and the reporting chart of the standard errors only say
-what value a free block takes.  Approximate standard errors come from the
-inverse Hessian in the reporting parametrization (mu, sigma, xi, phi),
-with boundary-active parameters handled by a restricted model.  Both the
+what value a free block takes, and its derivative in the block's own
+coordinates.  Approximate standard errors come from the inverse Hessian
+in the reporting parametrization (mu, sigma, xi, phi), with
+boundary-active parameters handled by a restricted model.  Both the
 optimizer and the Hessian use the exact gradient of the log likelihood
-from the forward-backward pass (:func:`log_likelihood_and_gradient`): the
-optimizer is L-BFGS-B with that gradient, and the Hessian is the
-symmetrized central difference of gradients.
+from the forward-backward pass (:func:`log_likelihood_and_gradient`),
+chained to the chart's coordinates by the exact Jacobian that
+``assemble`` builds with the parameters: no finite difference inside a
+pass, and one engine pass per gradient.  The optimizer is L-BFGS-B with
+that gradient; the Hessian is the symmetrized central difference of
+gradients, 2n passes for n free coordinates.
 """
 
 from __future__ import annotations
@@ -145,15 +149,22 @@ def _logit(p):
 
 
 def _stick_break(thetas, n_items):
-    # theta = 0 everywhere gives the uniform split
+    """The split of 1 into n_items weights, and its Jacobian in the thetas.
+
+    theta = 0 everywhere gives the uniform split.  Weight j is
+    rem_j * v_j with v_j = sigmoid(theta_j - log(n_items - j - 1)) and
+    rem_j = prod_{i<j} (1 - v_i), so d w_j / d theta_i = w_j ([i = j] - v_i)
+    for i <= j and 0 for i > j (the last weight is rem).
+    """
     weights = np.empty(n_items)
+    v = np.empty(n_items - 1)
     rem = 1.0
     for j in range(n_items - 1):
-        v = float(_sigmoid(thetas[j] - math.log(n_items - j - 1)))
-        weights[j] = rem * v
-        rem *= 1.0 - v
+        v[j] = float(_sigmoid(thetas[j] - math.log(n_items - j - 1)))
+        weights[j] = rem * v[j]
+        rem *= 1.0 - v[j]
     weights[-1] = rem
-    return weights
+    return weights, np.tril(weights[:, None] * (np.eye(n_items, n_items - 1) - v))
 
 
 def _stick_invert(weights):
@@ -168,18 +179,31 @@ def _stick_invert(weights):
 
 
 def _phi_from_theta(theta, n_known, n_unknown):
+    """Fractions at stick-breaking coordinates theta, and their Jacobian.
+
+    The knowns and the unknown block split 1 by stick-breaking; the block
+    splits its mass in proportion to u = (1, r_1, r_1 r_2, ...), with
+    r_k = sigmoid of the block's k-th coordinate.  The result sums to 1
+    identically, so the Jacobian's columns sum to 0.
+    """
     n_items = n_known + (1 if n_unknown else 0)
-    outer = _stick_break(theta[: max(n_items - 1, 0)], n_items)
-    if n_unknown == 0:
-        return outer
+    outer, d_outer = _stick_break(theta[: max(n_items - 1, 0)], n_items)
+    if n_unknown <= 1:
+        return outer, d_outer
     block = outer[-1]
-    if n_unknown == 1:
-        parts = np.array([block])
-    else:
-        ratios = _sigmoid(theta[n_items - 1:])
-        u = np.concatenate([[1.0], np.cumprod(ratios)])
-        parts = block * u / u.sum()
-    return np.concatenate([outer[:-1], parts])
+    ratios = _sigmoid(theta[n_items - 1:])
+    u = np.concatenate([[1.0], np.cumprod(ratios)])
+    parts = block * u / u.sum()
+    share = u / u.sum()
+    # d parts_l / d theta_k = parts_l (1 - r_k) ([k < l] - sum_{m > k} share_m)
+    later = np.tril(np.ones((n_unknown, n_unknown - 1)), -1)
+    beyond = np.cumsum(share[::-1])[::-1][1:]
+    jac = np.block([
+        [d_outer[:-1], np.zeros((n_items - 1, n_unknown - 1))],
+        [share[:, None] * d_outer[-1],
+         parts[:, None] * (1.0 - ratios) * (later - beyond)],
+    ])
+    return np.concatenate([outer[:-1], parts]), jac
 
 
 def _theta_from_phi(phi, n_known, n_unknown):
@@ -366,6 +390,13 @@ class _Structure:
             sum(b.free for f in ("rho", "eta", "xi") for b in self.blocks[f])
             + sum(b.n_free for b in self.blocks["phi"])
         )
+        # the primitive parameters, as the engine's gradient keys them
+        self.keys = [
+            key
+            for t in self.trace_ids
+            for key in (("rho", t), ("eta", t), ("xi", t),
+                        *(("phi", t, r) for r in self.hypothesis.roles_for(t)))
+        ]
 
     def block_of(self, family, trace_id):
         for b in self.blocks[family]:
@@ -373,54 +404,101 @@ class _Structure:
                 return b
         raise KeyError(trace_id)
 
-    def assemble(self, free) -> ModelParameters:
-        """ModelParameters with every block held, derived or taken from ``free``.
+    def assemble(self, free, n_coords,
+                 eta_by_mu=False) -> tuple[ModelParameters, np.ndarray]:
+        """ModelParameters with every block held, derived or taken from ``free``,
+        and their Jacobian in a chart's ``n_coords`` coordinates.
 
         The walk is in coordinate order.  A held block takes its value; an
         eta block with a fixed mu takes mu / rho of its anchor trace; any
-        other block takes ``free(family, block, rho)``, with ``rho`` the
-        {trace: rho} assembled so far (a phi value is a sequence over the
-        block's roles).
+        other block takes ``free(family, block)`` = (value, d): its value (a
+        phi value is a sequence over the block's roles) and one partial
+        derivative of it per coordinate it consumes (for phi, a vector over
+        the roles), the coordinates numbered on from the previous block's.
+        With ``eta_by_mu`` a free eta block's value is the mu of its first
+        trace and its eta is mu / rho of that trace, as for a fixed mu; a
+        derived eta moves with its anchor's rho coordinates.  The Jacobian
+        has one row per primitive parameter in ``keys`` order, so a block
+        shared by several traces gathers the gradient of each of them.
         """
         vals = {"rho": {}, "eta": {}, "xi": {}}
+        rows = {}
+        col = 0
+
+        def placed(d, shape=()):
+            """The block's partials ``d`` in their columns, zero elsewhere."""
+            nonlocal col
+            out = np.zeros((n_coords, *shape))
+            if len(d):
+                out[col:col + len(d)] = d
+            col += len(d)
+            return out
+
         for family, out in vals.items():
             for b in self.blocks[family]:
+                anchor = None
                 if b.fixed is not None:
-                    val = b.fixed
+                    val, row = b.fixed, placed(())
                 elif b.mu is not None:
-                    val = b.mu / vals["rho"][b.mu_anchor]
+                    val, row, anchor = b.mu, placed(()), b.mu_anchor
                 else:
-                    val = free(family, b, vals["rho"])
+                    val, d = free(family, b)
+                    row = placed(d)
+                    if family == "eta" and eta_by_mu:
+                        anchor = b.traces[0]
+                if anchor is not None:  # eta = mu / rho of the anchor trace
+                    rho = vals["rho"][anchor]
+                    val = val / rho
+                    row = (row - val * rows[("rho", anchor)]) / rho
                 for t in b.traces:
                     out[t] = val
+                    rows[(family, t)] = row
         phi = {}
         for b in self.blocks["phi"]:
-            vec = b.fixed if b.fixed is not None else free("phi", b, vals["rho"])
+            if b.fixed is not None:
+                vec, d = b.fixed, ()
+            else:
+                vec, d = free("phi", b)
+            block_rows = placed(d, (len(b.roles),))
             for t in b.traces:
                 phi[t] = dict(zip(b.roles, vec))
-        return ModelParameters(
+                for r, row in zip(b.roles, block_rows.T):
+                    rows[("phi", t, r)] = row
+        if col != n_coords:
+            raise AssertionError(f"consumed {col} of {n_coords} coordinates")
+        params = ModelParameters(
             **vals, phi=phi, marker_rho=self.marker_rho, marker_xi=self.marker_xi
         )
+        return params, np.array([rows[k] for k in self.keys])
 
-    def unpack(self, theta) -> ModelParameters:
+    def unpack(self, theta) -> tuple[ModelParameters, np.ndarray]:
+        """ModelParameters at the optimizer's coordinates, and their Jacobian.
+
+        rho and eta are exp, xi a sigmoid and phi stick-breaking; the clip
+        and renormalization of phi move only round-off, since the split
+        sums to 1 identically, and add nothing to the derivative.
+        """
         theta = np.asarray(theta, dtype=float)
         i = 0
 
-        def free(family, b, rho):
+        def free(family, b):
             nonlocal i
             if family == "phi":
-                vec = _phi_from_theta(theta[i:i + b.n_free], b.n_known, b.n_unknown)
+                vec, jac = _phi_from_theta(
+                    theta[i:i + b.n_free], b.n_known, b.n_unknown
+                )
                 i += b.n_free
                 vec = np.maximum(vec, 0.0)
-                return (vec / vec.sum()).tolist()
+                return (vec / vec.sum()).tolist(), jac.T
             i += 1
             x = theta[i - 1]
-            return float(_sigmoid(x)) if family == "xi" else math.exp(x)
+            if family == "xi":
+                v = float(_sigmoid(x))
+                return v, (v * (1.0 - v),)
+            v = math.exp(x)
+            return v, (v,)
 
-        params = self.assemble(free)
-        if i != len(theta):
-            raise AssertionError(f"consumed {i} of {len(theta)} coordinates")
-        return params
+        return self.assemble(free, len(theta))
 
     def pack(self, params: ModelParameters) -> np.ndarray:
         theta = []
@@ -485,17 +563,16 @@ def _starting_points(spec: FitSpecification, structure: _Structure):
     }
 
     def build(policy, scale):
-        def free(family, b, rho):
+        def free(family, b):
             if family == "rho":
-                return 1.0 / 0.25**2  # sigma 0.25
-            if family == "eta":
-                anchor = b.traces[0]
-                return mu0[structure.block_of("rho", anchor).traces] * scale / rho[anchor]
+                return 1.0 / 0.25**2, ()  # sigma 0.25
+            if family == "eta":  # a mu
+                return mu0[structure.block_of("rho", b.traces[0]).traces] * scale, ()
             if family == "xi":
-                return 0.05
-            return _phi_policy(b.n_known, b.n_unknown, policy).tolist()
+                return 0.05, ()
+            return _phi_policy(b.n_known, b.n_unknown, policy).tolist(), ()
 
-        return structure.assemble(free)
+        return structure.assemble(free, 0, eta_by_mu=True)[0]
 
     thetas = []
     seen = set()
@@ -526,41 +603,17 @@ def _starting_points(spec: FitSpecification, structure: _Structure):
 # Fitting
 
 
-def _primitive_keys(structure):
-    keys = []
-    for t in structure.trace_ids:
-        keys += [("rho", t), ("eta", t), ("xi", t)]
-        keys += [("phi", t, r) for r in structure.hypothesis.roles_for(t)]
-    return keys
+def _chained_gradient(structure, chart, x):
+    """log L and its gradient in the coordinates x of a chart of the structure.
 
-
-def _primitive_vector(params, keys):
-    out = []
-    for family, trace, *role in keys:
-        if family == "rho":
-            out.append(params.rho[trace])
-        elif family == "eta":
-            out.append(params.eta_for(trace))
-        elif family == "xi":
-            out.append(params.xi_for(trace))
-        else:
-            out.append(params.phi[trace][role[0]])
-    return np.array(out)
-
-
-def _chained_gradient(build, x, bundle, keys):
-    """log L and its gradient in the coordinates x of build(x) -> ModelParameters.
-
-    The engine's gradient in the primitive parameters is chained through
-    a central-difference Jacobian of build, which costs no chain pass.
+    ``chart(x)`` gives the ModelParameters and their exact Jacobian in x
+    (:meth:`_Structure.assemble`), so the engine's gradient in the
+    primitive parameters is chained by one product: one assemble and one
+    engine pass, no finite difference.
     """
-    x = np.asarray(x, dtype=float)
-    ll, grad = log_likelihood_and_gradient(bundle.with_parameters(build(x)))
-    jac = _numeric_jacobian(
-        lambda y: _primitive_vector(build(y), keys), x, rel_step=1e-6, abs_floor=1e-7
-    )
-    g = np.array([grad[k] for k in keys])
-    return ll, (jac.T @ g if len(x) else np.zeros(0))
+    params, jac = chart(np.asarray(x, dtype=float))
+    ll, grad = log_likelihood_and_gradient(structure.bundle.with_parameters(params))
+    return ll, np.array([grad[k] for k in structure.keys]) @ jac
 
 
 def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
@@ -574,13 +627,12 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
     """
     bundle = spec.bundle
     structure = _Structure(spec)
-    keys = _primitive_keys(structure)
     evals = [0]
 
     def objective_and_gradient(theta):
         evals[0] += 1
         try:
-            ll, grad = _chained_gradient(structure.unpack, theta, bundle, keys)
+            ll, grad = _chained_gradient(structure, structure.unpack, theta)
         except (ValueError, OverflowError, FloatingPointError):
             return _PENALTY, np.zeros(len(theta))
         if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
@@ -588,7 +640,7 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
         return -ll, -grad
 
     if structure.n_free == 0:
-        params = structure.unpack(np.empty(0))
+        params = structure.unpack(np.empty(0))[0]
         ll = total_log_likelihood(bundle.with_parameters(params))
         return _finish(
             spec, structure, params, ll, True, 0, 1, None, hypothesis_id, (ll,)
@@ -615,7 +667,7 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
     gnorm = float(np.linalg.norm(best.jac))
     converged = bool((best.success or gnorm < 1e-2) and np.isfinite(ll))
     return _finish(
-        spec, structure, structure.unpack(best.x), ll, converged,
+        spec, structure, structure.unpack(best.x)[0], ll, converged,
         sum(int(r.nit) for r in runs), evals[0], gnorm, hypothesis_id, starts,
     )
 
@@ -818,49 +870,55 @@ class _ReportingChart:
         self.phi_layout_of = {blk.traces: lay for blk, lay in self.phi_layout}
         self.values = np.array(self.values, dtype=float)
 
-    def build_params(self, v) -> ModelParameters:
+    def build_params(self, v) -> tuple[ModelParameters, np.ndarray]:
+        """ModelParameters at reporting coordinates v, and their Jacobian.
+
+        rho = 1/sigma^2, eta = mu / rho, xi is the identity, and each free
+        phi unit is linear: its roles take its value and the dependent
+        unit's roles share what the other units leave, (1 - other mass)
+        over its size.
+        """
         values = iter(v)
 
-        def free(family, b, rho):
+        def free(family, b):
             if family == "rho":
                 sigma = next(values)
                 if sigma <= 0:
                     raise ValueError("sigma stepped out of range")
-                return 1.0 / sigma**2
-            if family == "eta":
-                eta = next(values) / rho[b.traces[0]]
-                if eta <= 0:
-                    raise ValueError("eta stepped out of range")
-                return eta
+                return 1.0 / sigma**2, (-2.0 / sigma**3,)
+            if family == "eta":  # the mu of the block's first trace
+                mu = next(values)
+                if mu <= 0:
+                    raise ValueError("mu stepped out of range")
+                return mu, (1.0,)
             if family == "xi":
                 if b.traces in self.xi_free:
-                    return next(values)
-                return self.params.xi_for(b.traces[0])
+                    return next(values), (1.0,)
+                return self.params.xi_for(b.traces[0]), ()
             base, zero, units, dep = self.phi_layout_of[b.traces]
             vec = base.copy()
-            for i in zero:
-                vec[i] = 0.0
+            vec[zero] = 0.0
             other_mass = 0.0
+            d = []
             for ui, unit in enumerate(units):
                 if ui != dep:
                     uval = next(values)
-                    for i in unit:
-                        vec[i] = uval
+                    vec[list(unit)] = uval
                     other_mass += len(unit) * uval
+                    col = np.zeros(len(vec))
+                    col[list(unit)] = 1.0
+                    col[list(units[dep])] = -len(unit) / len(units[dep])
+                    d.append(col)
             dep_val = (1.0 - other_mass) / len(units[dep])
             if dep_val < 0:
                 raise ValueError("phi stepped off the simplex")
-            for i in units[dep]:
-                vec[i] = dep_val
-            return vec.tolist()
+            vec[list(units[dep])] = dep_val
+            return vec.tolist(), np.array(d).reshape(len(d), len(vec))
 
-        params = self.structure.assemble(free)
-        if next(values, None) is not None:
-            raise AssertionError("reporting chart consumed wrong coordinate count")
-        return params
+        return self.structure.assemble(free, len(v), eta_by_mu=True)
 
     def report_vector(self, v):
-        est = _reporting_estimates(self.build_params(v), self.structure)
+        est = _reporting_estimates(self.build_params(v)[0], self.structure)
         return np.array([
             est[t]["phi"][role] if kind == "phi" else est[t][kind]
             for t, kind, role in self.report_labels()
@@ -893,10 +951,8 @@ def standard_errors(result: FitResult, spec: FitSpecification):
     labels = chart.report_labels()
     var = np.full(len(labels), np.nan)  # no errors unless the Hessian inverts
     if len(chart.values):
-        keys = _primitive_keys(structure)
-
         def gradient(v):
-            return _chained_gradient(chart.build_params, v, spec.bundle, keys)[1]
+            return _chained_gradient(structure, chart.build_params, v)[1]
 
         try:
             jac = _numeric_jacobian(gradient, chart.values)  # steps as numeric_hessian's

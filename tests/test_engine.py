@@ -361,6 +361,27 @@ class TestOneSweep:
         assert sorted(steps) == list(range(len(b.frequencies.ladder("M").alleles)))
 
 
+class TestLogTotal:
+    """The sweep's final normalizer against scipy's logsumexp."""
+
+    @pytest.mark.parametrize("values", [
+        [0.3, -1.2, 5.0], [-800.0, -801.0, -np.inf], [-np.inf, -np.inf],
+        [np.nan, 1.0], [-np.inf, np.nan], [np.inf, 2.0], [-745.0],
+    ])
+    def test_matches_scipy(self, values):
+        values = np.array(values)
+        got, want = engine._log_total(values), float(logsumexp(values))
+        assert got == pytest.approx(want, rel=1e-15, nan_ok=True)
+
+    def test_random_messages(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            values = rng.normal(0.0, 300.0, size=int(rng.integers(1, 40)))
+            values[rng.random(len(values)) < 0.2] = -np.inf
+            want = float(logsumexp(values))
+            assert engine._log_total(values) == pytest.approx(want, rel=1e-14)
+
+
 class TestConditionedPresence:
     def _bundle(self):
         freqs = mx.FrequencyTable.from_dict(

@@ -1,6 +1,7 @@
 """Fitting, standard errors, weight of evidence, profile likelihood, sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mixref.estimation import (
     FitSpecification,
     _boundary_flags,
     _chained_gradient,
-    _primitive_keys,
+    _numeric_jacobian,
     _ReportingChart,
     _Structure,
     numeric_gradient,
@@ -201,6 +202,38 @@ class TestFit:
                                       compute_standard_errors=False))
         assert res.n_evaluations == len(calls) > 0
 
+    def test_one_assemble_per_engine_pass(self, monkeypatch):
+        # the chain rule comes with the parameters: no Jacobian by finite
+        # differences of the chart inside a pass, in the fit or its errors
+        bundle, _ = make_simulated_bundle(seed=9, n_markers=2)
+        counts = {"assemble": 0, "engine": 0}
+        passes = []
+        assemble = _Structure.assemble
+        engine_pass = estimation.log_likelihood_and_gradient
+        chained = estimation._chained_gradient
+
+        def counting_assemble(self, *args, **kwargs):
+            counts["assemble"] += 1
+            return assemble(self, *args, **kwargs)
+
+        def counting_engine(*args, **kwargs):
+            counts["engine"] += 1
+            return engine_pass(*args, **kwargs)
+
+        def counting_chain(*args, **kwargs):
+            before = dict(counts)
+            out = chained(*args, **kwargs)
+            passes.append(tuple(counts[k] - before[k] for k in ("assemble", "engine")))
+            return out
+
+        monkeypatch.setattr(_Structure, "assemble", counting_assemble)
+        monkeypatch.setattr(estimation, "log_likelihood_and_gradient", counting_engine)
+        monkeypatch.setattr(estimation, "_chained_gradient", counting_chain)
+        res = mx.fit(FitSpecification(bundle=bundle))
+        assert res.standard_errors["S"]["mu"] is not None
+        assert len(passes) == counts["engine"] > res.n_evaluations
+        assert set(passes) == {(1, 1)}
+
     def test_marker_overrides_survive_fitting(self):
         bundle, params = make_simulated_bundle(seed=51, n_markers=4)
         with_over = mx.ModelParameters(
@@ -358,11 +391,11 @@ class TestExactGradient:
         theta = structure.pack(params)
 
         def value(th):
-            return mx.total_log_likelihood(bundle.with_parameters(structure.unpack(th)))
+            return mx.total_log_likelihood(
+                bundle.with_parameters(structure.unpack(th)[0])
+            )
 
-        ll, exact = _chained_gradient(
-            structure.unpack, theta, bundle, _primitive_keys(structure)
-        )
+        ll, exact = _chained_gradient(structure, structure.unpack, theta)
         assume(np.isfinite(ll))
         assert ll == value(theta)
         numeric = numeric_gradient(value, theta, rel_step=1e-5, abs_floor=1e-7)
@@ -385,13 +418,13 @@ def _scalar(params, family, trace):
 
 def _projection(structure, params):
     """params with the structure's held and derived blocks imposed."""
-    def free(family, b, rho):
+    def free(family, b):
         t = b.traces[0]
         if family == "phi":
-            return [params.phi[t][r] for r in b.roles]
-        return _scalar(params, family, t)
+            return [params.phi[t][r] for r in b.roles], ()
+        return _scalar(params, family, t), ()
 
-    return structure.assemble(free)
+    return structure.assemble(free, 0)[0]
 
 
 def _assert_reproduces(got, want, structure):
@@ -434,12 +467,92 @@ class TestChartRoundTrip:
             fixed=_fixed_block(params, fixed, "phi" in share),
         ))
         point = _projection(structure, params)
-        _assert_reproduces(structure.unpack(structure.pack(point)), point, structure)
+        _assert_reproduces(structure.unpack(structure.pack(point))[0], point, structure)
         # the reporting chart holds boundary fractions; keep off them
         flags = _boundary_flags(point, structure)
         assume(not any(any(f["phi"].values()) for f in flags.values()))
         chart = _ReportingChart(structure, point)
-        _assert_reproduces(chart.build_params(chart.values), point, structure)
+        _assert_reproduces(chart.build_params(chart.values)[0], point, structure)
+
+
+def _at_boundary(params, hypothesis, boundary):
+    """params with xi at zero ("xi"), or in each trace the last two unknown
+    fractions tied ("tied") or the last one's mass moved onto the first
+    role ("zero"); None when no trace has the unknowns for it."""
+    if boundary in ("", "xi"):
+        return replace(params, xi=0.0) if boundary else params
+    phi, moved = {}, False
+    for t, fracs in params.phi.items():
+        vec = dict(fracs)
+        unknown = [r for r in vec if r in hypothesis.unknown]
+        first = next(iter(vec))
+        if boundary == "tied" and len(unknown) >= 2:
+            a, b = unknown[-2:]
+            vec[a] = vec[b] = 0.5 * (vec[a] + vec[b])
+            moved = True
+        elif boundary == "zero" and unknown and unknown[-1] != first:
+            vec[first] += vec[unknown[-1]]
+            vec[unknown[-1]] = 0.0
+            moved = True
+        phi[t] = vec
+    return replace(params, phi=phi) if moved else None
+
+
+def _primitive_vector(params, structure):
+    return np.array([
+        params.phi[t][role[0]] if family == "phi" else _scalar(params, family, t)
+        for family, t, *role in structure.keys
+    ])
+
+
+class TestChartJacobian:
+    """Each chart's exact Jacobian against central differences of its
+    primitive parameters."""
+
+    @given(**_CASES, boundary=stn.sampled_from(["", "tied", "zero", "xi"]))
+    # a fixed mu under a shared eta (its eta follows the anchor's rho), a
+    # fixed sigma, a fixed phi
+    @example(seed=60, n_markers=2, share={"eta", "xi"}, fixed="mu", override="rho",
+             boundary="")
+    @example(seed=52, n_markers=2, share={"rho", "eta"}, fixed="sigma", override="xi",
+             boundary="")
+    @example(seed=1, n_markers=2, share={"phi", "rho"}, fixed="phi", override="xi",
+             boundary="")
+    # U = 0, 1, 2
+    @example(seed=52, n_markers=2, share={"eta", "xi"}, fixed="", override="",
+             boundary="")
+    @example(seed=60, n_markers=2, share={"eta", "xi"}, fixed="", override="",
+             boundary="")
+    @example(seed=2, n_markers=2, share={"eta"}, fixed="", override="", boundary="")
+    # boundaries the reporting chart holds: tied unknowns, a zero
+    # fraction, xi at zero
+    @example(seed=6, n_markers=1, share=set(), fixed="", override="", boundary="tied")
+    @example(seed=13, n_markers=1, share=set(), fixed="", override="", boundary="zero")
+    @example(seed=4, n_markers=1, share=set(), fixed="", override="", boundary="xi")
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numeric_jacobian(self, seed, n_markers, share, fixed, override,
+                                      boundary):
+        bundle = random_case(np.random.default_rng(seed), n_markers=n_markers)
+        params = _at_boundary(
+            _with_override(bundle.parameters, override), bundle.hypothesis, boundary
+        )
+        assume(params is not None)
+        assume("phi" not in share or bundle.hypothesis.trace_roles is None)
+        structure = _Structure(FitSpecification(
+            bundle=bundle.with_parameters(params), share=share,
+            fixed=_fixed_block(params, fixed, "phi" in share),
+        ))
+        point = _projection(structure, params)
+        reporting = _ReportingChart(structure, point)
+        for chart, x in ((structure.unpack, structure.pack(point)),
+                         (reporting.build_params, reporting.values)):
+            _, exact = chart(x)
+            numeric = _numeric_jacobian(
+                lambda y: _primitive_vector(chart(y)[0], structure), x
+            )
+            assert exact.shape == (len(structure.keys), len(x))
+            assert np.allclose(exact, numeric.reshape(exact.shape),
+                               rtol=1e-6, atol=1e-9), (exact, numeric)
 
 
 class TestNumericHessian:
