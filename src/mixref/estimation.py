@@ -455,10 +455,7 @@ class _Structure:
                     rows[(family, t)] = row
         phi = {}
         for b in self.blocks["phi"]:
-            if b.fixed is not None:
-                vec, d = b.fixed, ()
-            else:
-                vec, d = free("phi", b)
+            vec, d = (b.fixed, ()) if b.fixed is not None else free("phi", b)
             block_rows = placed(d, (len(b.roles),))
             for t in b.traces:
                 phi[t] = dict(zip(b.roles, vec))
