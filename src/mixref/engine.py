@@ -260,50 +260,17 @@ def _fold(column: np.ndarray, n_unknown: int, base: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Grouping:
-    """Sorted-permutation bookkeeping for grouped log-sum-exp / max."""
+def _logsumexp_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """log sum exp(values) over each group of ``index``, groups 0 .. size-1.
 
-    perm: np.ndarray
-    starts: np.ndarray
-    repeats: np.ndarray
-    uniq: np.ndarray
-    size: int
-
-    @classmethod
-    def build(cls, keys: np.ndarray, size: int) -> "_Grouping":
-        perm = np.argsort(keys, kind="stable")
-        sorted_keys = keys[perm]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-        )
-        counts = np.diff(np.append(starts, len(keys)))
-        return cls(perm=perm, starts=starts, repeats=counts,
-                   uniq=sorted_keys[starts], size=size)
-
-    def logsumexp(self, values: np.ndarray) -> np.ndarray:
-        v = values[self.perm]
-        mx = np.maximum.reduceat(v, self.starts)
-        safe = np.where(np.isfinite(mx), mx, 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sums = np.add.reduceat(
-                np.exp(v - np.repeat(safe, self.repeats)), self.starts
-            )
-            grp = np.where(np.isfinite(mx), safe + np.log(sums), -np.inf)
-        out = np.full(self.size, -np.inf)
-        out[self.uniq] = grp
-        return out
-
-    def max(self, values: np.ndarray) -> np.ndarray:
-        v = values[self.perm]
-        out = np.full(self.size, -np.inf)
-        out[self.uniq] = np.maximum.reduceat(v, self.starts)
-        return out
-
-    def members(self, key: int) -> np.ndarray:
-        """Indices of the values with key ``key``, which must occur, in order."""
-        i = int(np.searchsorted(self.uniq, key))
-        return self.perm[self.starts[i]:self.starts[i] + self.repeats[i]]
+    Each group is shifted by its own maximum; a group whose maximum is not
+    finite (empty, all -inf, or holding NaN or +inf) gives -inf.
+    """
+    shift = np.full(size, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.maximum.at(shift, index, values)
+        sums = np.bincount(index, np.exp(values - shift[index]), size)
+        return np.where(np.isfinite(shift), shift + np.log(sums), -np.inf)
 
 
 @dataclass(frozen=True)
@@ -317,8 +284,6 @@ class _EdgeSet:
     src: np.ndarray
     dst: np.ndarray
     key: np.ndarray
-    by_dst: _Grouping
-    by_src: _Grouping
 
 
 @functools.lru_cache(maxsize=None)
@@ -326,28 +291,18 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
     """The first step's and every later step's edges for U unknowns.
 
     The joint edges are the U-fold product of _STEPS in ``src``-major
-    order; the first step leaves state 0, whose out-edges come first.
+    order, so each state's out-edges are one run; the first step leaves
+    state 0, whose out-edges come first.
     They depend on U alone, so every marker plan shares one cached pair
     (one entry per U); the arrays are read-only.
     """
-    n_states = 6**n_unknown
     src, dst, key = (_fold(column, n_unknown, 6) for column in _STEPS.T)
     order = np.argsort(src, kind="stable")
     src, dst, key = src[order], dst[order], key[order]
-
-    def edge_set(n_edges):
-        edges = _EdgeSet(
-            src=src[:n_edges], dst=dst[:n_edges], key=key[:n_edges],
-            by_dst=_Grouping.build(dst[:n_edges], n_states),
-            by_src=_Grouping.build(src[:n_edges], n_states),
-        )
-        for group in (edges, edges.by_dst, edges.by_src):
-            for value in vars(group).values():
-                if isinstance(value, np.ndarray):
-                    value.setflags(write=False)
-        return edges
-
-    return edge_set(3**n_unknown), edge_set(len(src))
+    for column in (src, dst, key):
+        column.setflags(write=False)
+    first = 3**n_unknown
+    return _EdgeSet(src[:first], dst[:first], key[:first]), _EdgeSet(src, dst, key)
 
 
 @dataclass(frozen=True)
@@ -394,7 +349,7 @@ class _MarkerPlan:
     internal_labels: tuple[str, ...]
     silent: np.ndarray               # bool per internal position
     coupled: np.ndarray              # stutter donor sits at internal position p+1
-    state_lp: np.ndarray             # (P, 6): per step, _state_log_pmf
+    state_lp: np.ndarray             # (P, 6^U): per step, joint transition per target
     known_ids: tuple[str, ...]
     unknown_ids: tuple[str, ...]
     known_counts: np.ndarray         # (K, P) in internal order
@@ -452,9 +407,11 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
 
     q = np.array([ladder.frequencies[i] for i in order], dtype=float)
     tails = np.cumsum(q[::-1])[::-1]
-    state_lp = np.array(
-        [_state_log_pmf(min(q[p] / tails[p], 1.0)) for p in range(n_pos)]
-    )
+    n_unknown = len(hypothesis.unknown)
+    state_lp = np.array([
+        _fold(_state_log_pmf(min(q[p] / tails[p], 1.0)), n_unknown, 1)
+        for p in range(n_pos)
+    ])
 
     known_ids = tuple(hypothesis.known)
     known_counts = np.zeros((len(known_ids), n_pos), dtype=np.int64)
@@ -462,7 +419,6 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
         counts = hypothesis.known[kid].counts(marker, ladder)
         known_counts[k] = [counts[i] for i in order]
 
-    n_unknown = len(hypothesis.unknown)
     n_states = 6**n_unknown
     n_combos = 3**n_unknown
     n_pairs = 6**n_unknown
@@ -716,12 +672,11 @@ def _step_values(plan, t, tables):
     """Per-edge log(transition * factors) at step t, for one step table or
     a stack of them (one row each).
 
-    The transition is read per target state, from the outer sum of the
-    step's per-contributor log-pmfs.
+    The transition is read per target state, from the step's outer sum of
+    per-contributor log-pmfs.
     """
     edges = plan.edges_at(t)
-    state_lp = _fold(plan.state_lp[t], plan.n_unknown, 1)
-    return state_lp[edges.dst] + tables[..., edges.key]
+    return plan.state_lp[t][edges.dst] + tables[..., edges.key]
 
 
 class _Sweep(NamedTuple):
@@ -744,13 +699,15 @@ def _sweep(plan, tables, backward=True) -> _Sweep:
     for t, table in enumerate(tables):
         vals.append(_step_values(plan, t, table))
         edges = plan.edges_at(t)
-        fwd.append(edges.by_dst.logsumexp(fwd[t][edges.src] + vals[t]))
+        fwd.append(_logsumexp_by(edges.dst, fwd[t][edges.src] + vals[t], plan.n_states))
     bwd = None
     if backward:
         bwd = [None] * len(tables)
         bwd[-1] = np.zeros(plan.n_states)
         for t in range(len(tables) - 1, 0, -1):
-            bwd[t - 1] = plan.edges.by_src.logsumexp(vals[t] + bwd[t][plan.edges.dst])
+            bwd[t - 1] = _logsumexp_by(
+                plan.edges.src, vals[t] + bwd[t][plan.edges.dst], plan.n_states
+            )
     return _Sweep(vals, fwd, bwd, _log_total(fwd[-1]))
 
 
@@ -1028,7 +985,8 @@ def _kbest_paths(plan, sweep, k):
     mb = [None] * n_pos
     mb[n_pos - 1] = np.zeros(plan.n_states)
     for t in range(n_pos - 1, 0, -1):
-        mb[t - 1] = edges.by_src.max(sweep.vals[t] + mb[t][edges.dst])
+        mb[t - 1] = np.full(plan.n_states, -np.inf)
+        np.maximum.at(mb[t - 1], edges.src, sweep.vals[t] + mb[t][edges.dst])
 
     counter = itertools.count()
     heap = []
@@ -1053,7 +1011,8 @@ def _kbest_paths(plan, sweep, k):
         if t == n_pos - 1:
             results.append((draws, g))
         else:
-            extend(t + 1, g, draws, edges.by_src.members(state))
+            lo, hi = np.searchsorted(edges.src, (state, state + 1))  # src-major
+            extend(t + 1, g, draws, np.arange(lo, hi))
 
     ladder_pos = {lab: i for i, lab in enumerate(plan.labels)}
     out = []

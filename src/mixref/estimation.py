@@ -800,8 +800,8 @@ class _ReportingChart:
     fixed.  Each phi block's roles partition into units (single roles or
     tied groups); all units but the heaviest are free coordinates and the
     heaviest completes the simplex.  The chart maps a free coordinate
-    vector to ModelParameters and to the full list of reported quantities
-    for delta-method standard errors.
+    vector to ModelParameters and their Jacobian, from which the reported
+    quantities' Jacobian gives delta-method standard errors.
     """
 
     def __init__(self, structure: _Structure, params: ModelParameters):
@@ -914,12 +914,24 @@ class _ReportingChart:
 
         return self.structure.assemble(free, len(v), eta_by_mu=True)
 
-    def report_vector(self, v):
-        est = _reporting_estimates(self.build_params(v)[0], self.structure)
-        return np.array([
-            est[t]["phi"][role] if kind == "phi" else est[t][kind]
-            for t, kind, role in self.report_labels()
-        ])
+    def report_jacobian(self, params, jac) -> np.ndarray:
+        """The reported quantities' Jacobian, one row per report label.
+
+        ``jac`` is :meth:`build_params`'s Jacobian at ``params``, one row
+        per primitive parameter.  mu = rho eta and sigma = rho^(-1/2) are
+        chained through their rho and eta rows; xi and phi are primitive.
+        """
+        rows = dict(zip(self.structure.keys, jac))
+
+        def row(t, kind, role):
+            if kind == "mu":
+                rho, eta = params.rho[t], params.eta_for(t)
+                return eta * rows["rho", t] + rho * rows["eta", t]
+            if kind == "sigma":
+                return -0.5 * params.rho[t] ** -1.5 * rows["rho", t]
+            return rows[("phi", t, role) if kind == "phi" else (kind, t)]
+
+        return np.array([row(*label) for label in self.report_labels()])
 
     def report_labels(self):
         return [
@@ -939,9 +951,10 @@ def standard_errors(result: FitResult, spec: FitSpecification):
     flagged: 2n gradient passes for n free coordinates.  Reported
     quantities that are functions of several coordinates (for example
     sigma of a non-anchor trace under a shared eta) get delta-method
-    errors.  Parameters fixed by override carry no standard error.  A
-    non-invertible Hessian, or a step that leaves the parameter space,
-    yields None for every free parameter.
+    errors from the chart's exact Jacobian.  Parameters fixed by
+    override carry no standard error.  A non-invertible Hessian, or a
+    step that leaves the parameter space, yields None for every free
+    parameter.
     """
     structure = _Structure(spec)
     chart = _ReportingChart(structure, result.parameters)
@@ -957,7 +970,7 @@ def standard_errors(result: FitResult, spec: FitSpecification):
         except (ValueError, np.linalg.LinAlgError):
             cov = None
         if cov is not None and np.all(np.isfinite(np.diag(cov))):
-            jac = _numeric_jacobian(chart.report_vector, chart.values)
+            jac = chart.report_jacobian(*chart.build_params(chart.values))
             var = np.einsum("ij,jk,ik->i", jac, cov, jac)
 
     def held(t, kind, role):

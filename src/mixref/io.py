@@ -205,6 +205,7 @@ class CaseDefinition:
 
 
 def load_case_definition(path) -> CaseDefinition:
+    """Read a case JSON; a value of the wrong type is a LoadError naming its key."""
     path = Path(path)
     if not path.exists():
         raise LoadError(f"hypothesis file not found: {path}")
@@ -212,41 +213,53 @@ def load_case_definition(path) -> CaseDefinition:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}: invalid JSON: {exc}") from exc
-    if "hypotheses" not in doc or not isinstance(doc["hypotheses"], dict):
+    if not isinstance(doc, Mapping) or not isinstance(doc.get("hypotheses"), Mapping):
         raise LoadError(f"{path}: needs a 'hypotheses' object")
+    for hid, spec in doc["hypotheses"].items():
+        _object(spec, f"hypothesis {hid!r}")
     thresholds = {}
-    for tid, spec in (doc.get("traces") or {}).items():
-        if isinstance(spec, Mapping) and "threshold" in spec:
-            thresholds[tid] = float(spec["threshold"])
+    for tid, spec in _object(doc.get("traces") or {}, "'traces'").items():
+        spec = _object(spec, f"trace {tid!r}")
+        if "threshold" in spec:
+            thresholds[tid] = _number(spec["threshold"], f"trace {tid!r}: threshold")
     share = doc.get("share")
     return CaseDefinition(
         hypotheses=doc["hypotheses"],
         thresholds=thresholds,
-        q0=float(doc.get("q0", 0.0)),
-        share=tuple(share) if share is not None else None,
+        q0=_number(doc.get("q0", 0.0), "q0"),
+        share=_strings(share, "share") if share is not None else None,
     )
 
 
 def build_hypothesis(
     spec: Mapping[str, object], profiles: Mapping[str, GenotypeProfile]
 ) -> Hypothesis:
-    """Instantiate one hypothesis block against loaded profiles."""
-    known_ids = list(spec.get("known", ()))
+    """Instantiate one hypothesis block against loaded profiles.
+
+    known is a list of individuals; unknowns a count or a list of labels.
+    """
+    known_ids = _strings(spec.get("known", []), "hypothesis: known")
     missing = [k for k in known_ids if k not in profiles]
     if missing:
         raise LoadError(f"hypothesis references unknown individuals {missing}")
     unknowns = spec.get("unknowns", 0)
-    if isinstance(unknowns, int):
+    if isinstance(unknowns, (list, tuple)):
+        labels = _strings(unknowns, "hypothesis: unknowns")
+    elif isinstance(unknowns, int) and not isinstance(unknowns, bool) and unknowns >= 0:
         labels = tuple(f"U{i+1}" for i in range(unknowns))
     else:
-        labels = tuple(str(u) for u in unknowns)
-    trace_roles = spec.get("trace_roles")
+        raise LoadError(
+            "hypothesis: unknowns must be a count of at least 0 or a list of labels, "
+            f"got {unknowns!r}"
+        )
+    trace_roles = _object(spec.get("trace_roles") or {}, "hypothesis: trace_roles")
     return Hypothesis(
         known={k: profiles[k] for k in known_ids},
         unknown=labels,
-        trace_roles={t: tuple(r) for t, r in trace_roles.items()}
-        if trace_roles
-        else None,
+        trace_roles={
+            t: _strings(r, f"hypothesis: trace_roles[{t}]")
+            for t, r in trace_roles.items()
+        } or None,
     )
 
 
@@ -264,6 +277,12 @@ def _object(value, where):
     if not isinstance(value, Mapping):
         raise LoadError(f"{where} must be a JSON object, got {value!r}")
     return value
+
+
+def _strings(value, where):
+    if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise LoadError(f"{where} must be a list of strings, got {value!r}")
 
 
 def parameters_from_json(doc: Mapping[str, object]) -> ModelParameters:

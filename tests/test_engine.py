@@ -382,6 +382,31 @@ class TestLogTotal:
             assert engine._log_total(values) == pytest.approx(want, rel=1e-14)
 
 
+class TestLogsumexpBy:
+    """The sweep's grouped reduction against scipy's logsumexp per group."""
+
+    def test_matches_scipy_per_group(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            size = int(rng.integers(1, 30))
+            n = int(rng.integers(0, 120))
+            index = rng.integers(0, size, n)  # some groups stay empty
+            values = rng.normal(0.0, 50.0, n)
+            values[rng.random(n) < 0.2] = -np.inf
+            tiny = rng.random(n) < 0.3  # factors near e^-700 and below
+            values[tiny] = rng.uniform(-760.0, -690.0, tiny.sum())
+            values[index == 0] = -np.inf  # one group (if any) all -inf
+            want = [float(logsumexp(values[index == g])) for g in range(size)]
+            got = engine._logsumexp_by(index, values, size)
+            np.testing.assert_allclose(got, want, rtol=1e-14)
+
+    def test_non_finite_maximum_gives_minus_inf(self):
+        index = np.array([0, 0, 1, 1, 2, 3])
+        values = np.array([np.nan, 1.0, np.inf, 2.0, -3.0, -np.inf])
+        got = engine._logsumexp_by(index, values, 5)
+        assert np.array_equal(got, [-np.inf, -np.inf, -3.0, -np.inf, -np.inf])
+
+
 class TestConditionedPresence:
     def _bundle(self):
         freqs = mx.FrequencyTable.from_dict(

@@ -507,7 +507,8 @@ def _primitive_vector(params, structure):
 
 class TestChartJacobian:
     """Each chart's exact Jacobian against central differences of its
-    primitive parameters."""
+    primitive parameters, and the reporting chart's report Jacobian against
+    those of the reported quantities."""
 
     @given(**_CASES, boundary=stn.sampled_from(["", "tied", "zero", "xi"]))
     # a fixed mu under a shared eta (its eta follows the anchor's rho), a
@@ -553,6 +554,18 @@ class TestChartJacobian:
             assert exact.shape == (len(structure.keys), len(x))
             assert np.allclose(exact, numeric.reshape(exact.shape),
                                rtol=1e-6, atol=1e-9), (exact, numeric)
+
+        def reported(v):  # mu, sigma, xi and phi per trace, as standard errors report
+            est = estimation._reporting_estimates(reporting.build_params(v)[0], structure)
+            return np.array([est[t]["phi"][role] if kind == "phi" else est[t][kind]
+                             for t, kind, role in reporting.report_labels()])
+
+        exact = reporting.report_jacobian(*reporting.build_params(reporting.values))
+        numeric = _numeric_jacobian(reported, reporting.values)
+        scale = np.maximum(np.abs(reported(reporting.values)), 1.0)[:, None]  # mu ~ 1e3
+        assert exact.shape == (len(reporting.report_labels()), len(reporting.values))
+        assert np.allclose(exact, numeric.reshape(exact.shape),
+                           rtol=1e-6, atol=1e-9 * scale), (exact, numeric)
 
 
 class TestNumericHessian:

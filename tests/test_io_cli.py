@@ -194,6 +194,37 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "load_error"
 
+    @pytest.mark.parametrize("key, change", [
+        ("threshold", {"traces": {"T1": {"threshold": [50]}}}),
+        ("threshold", {"traces": {"T1": {"threshold": "50"}}}),
+        ("q0", {"q0": [0.1]}),
+        ("q0", {"q0": True}),
+        ("share", {"share": 5}),
+        ("'d'", {"hypotheses": {"d": 5}}),
+        ("unknowns", {"unknowns": 1.5}),
+        ("unknowns", {"unknowns": -1}),
+        ("known", {"known": "K1"}),
+    ])
+    def test_malformed_case_file_exits_2(self, tiny_case, capsys, key, change):
+        doc = json.loads(Path(tiny_case["case"]).read_text())
+        for name, value in change.items():
+            if name in ("known", "unknowns"):
+                doc["hypotheses"]["prosecution"][name] = value
+            elif name == "hypotheses":
+                doc["hypotheses"].update(value)
+            else:
+                doc[name] = value
+        case = write(tiny_case["tmp"], "bad_case.json", json.dumps(doc))
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", tiny_case["trace"], "--hypothesis", case,
+             "--under", "prosecution", "--params", tiny_case["params"]]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "load_error"
+        assert f"{key} must be" in err["error"]["message"]
+
     def test_nan_height_exits_2(self, tiny_case, capsys):
         trace = write(
             tiny_case["tmp"], "nan_trace.csv",
