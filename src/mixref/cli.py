@@ -133,9 +133,9 @@ class _Case:
         )
         thresholds = {tid: default_c for tid in rows}
         if definition:
-            for tid, c in definition.thresholds.items():
-                if tid in thresholds:
-                    thresholds[tid] = c
+            if rows:
+                _check_trace_ids(definition.thresholds, rows, "case JSON traces")
+            thresholds.update(definition.thresholds)
         if args.threshold is not None:
             thresholds = {tid: args.threshold for tid in rows}
         self.traces = io.build_traces(rows, thresholds)
@@ -186,7 +186,14 @@ class _Case:
             raise io.LoadError(f"choose a hypothesis id among {ids}")
         if hyp_id not in ids:
             raise io.LoadError(f"hypothesis {hyp_id!r} not among {ids}")
-        return io.build_hypothesis(self.definition.hypotheses[hyp_id], self.profiles)
+        spec = self.definition.hypotheses[hyp_id]
+        hypothesis = io.build_hypothesis(spec, self.profiles)
+        if self.traces:
+            _check_trace_ids(
+                hypothesis.trace_roles or {}, [t.trace_id for t in self.traces],
+                f"hypothesis {hyp_id!r}: trace_roles",
+            )
+        return hypothesis
 
     def default_id(self, preferred):
         ids = self.hypothesis_ids()
@@ -210,6 +217,16 @@ class _Case:
             return self.bundle(hyp_id)
         result = _fit_hypothesis(self, hyp_id)
         return result.bundle.with_parameters(result.parameters)
+
+
+def _check_trace_ids(named, trace_ids, where):
+    """Refuse trace ids in ``named`` that no trace file holds."""
+    missing = sorted(set(named) - set(trace_ids))
+    if missing:
+        raise io.LoadError(
+            f"{where} names trace ids {missing} that no trace file holds "
+            f"(traces read: {sorted(trace_ids)})"
+        )
 
 
 def _fit_hypothesis(case: _Case, hyp_id: str) -> "estimation.FitResult":

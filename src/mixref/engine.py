@@ -20,6 +20,15 @@ n copies at the previous position draws m <= 2 - n here, so 6 of the 9
 per-contributor pairs, and 6^U joint pairs, are reachable, and every
 emitted peak's factor is one run of 6^U entries at its emit step.
 
+A trace's plan on a marker holds parameter-free gathers: each factor
+entry's flat index into the pre-stutter dose table and into its stutter
+donor's row (or a trailing zero cell), so a pass builds every dose with
+one gather and scatters the gradient back with one np.bincount per term.
+Dropout entries whose positions share the known contributors' counts
+and whose draws match have the same dose at every parameter value; the
+plan keeps one entry per distinct dose and a gather back, so the gamma
+CDF and its derivatives are evaluated once per distinct dropout dose.
+
 Several traces that share unknown contributors are coupled by multiplying
 their per-allele factors inside the same chain pass.  One forward-backward
 sweep per marker evaluates each step's edge values once and keeps them
@@ -307,7 +316,14 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
 
 @dataclass(frozen=True)
 class _TraceView:
-    """One trace's data for a marker, aligned to the internal position order."""
+    """One trace's data for a marker, aligned to the internal position order.
+
+    here and there gather every factor entry's dose from the trace's
+    flattened pre-stutter doses B with one trailing zero cell:
+    dose = (1 - xi) B.flat[here] + xi B.flat[there].  dropout picks one
+    entry per distinct dropout dose and spread maps every dropout entry
+    back to its distinct dose (see _dose_gathers).
+    """
 
     trace_id: str
     threshold: float
@@ -317,6 +333,11 @@ class _TraceView:
     unknown_contributes: np.ndarray  # bool per unknown role
     blocks: Mapping[int, tuple[int, slice]]  # see _factor_blocks
     n_observed: int  # factor entries of observed peaks, which come first
+    peak_heights: np.ndarray  # height of each observed entry
+    here: np.ndarray
+    there: np.ndarray
+    dropout: np.ndarray
+    spread: np.ndarray
 
 
 def _factor_blocks(observed, silent, coupled, n_pairs):
@@ -337,6 +358,74 @@ def _factor_blocks(observed, silent, coupled, n_pairs):
         for i, p in enumerate(emitted)
     }
     return blocks, n_pairs * int(observed[emitted].sum())
+
+
+class _DoseCells(NamedTuple):
+    """Per position of a marker, the cells of the flattened pre-stutter
+    doses B (with one trailing zero cell) that its factor entries read.
+
+    The entry of pair j at a stutter-coupled position p reads B[p, draw at
+    t-1] (here) and its donor's B[p+1, draw at t] (there); at an uncoupled
+    one B[p, draw at t] and the zero cell.  kind[p] is the known-count
+    column of p, and of its donor if coupled: rows of B with equal columns
+    are equal at every parameter value, so two dropout peaks of one kind
+    have the same doses.  A kind has one distinct dose per pair if
+    coupled, per draw if not (``distinct``, a pair of each); ``local``
+    is each entry's dose among them.
+    """
+
+    here: np.ndarray      # (P, 6^U)
+    there: np.ndarray     # (P, 6^U)
+    local: np.ndarray     # (P, 6^U)
+    kind: list
+    distinct: list
+
+
+def _dose_cells(coupled, known_counts, pair_prev, pair_draw) -> _DoseCells:
+    # the pairs in which no contributor drew at t-1: one per draw, in order
+    first_of_draw = np.flatnonzero(pair_prev == 0)
+    n_pos, n_combos = len(coupled), len(first_of_draw)
+    pos = np.arange(n_pos)[:, None]
+    linked = coupled[:, None]
+    every_pair = np.arange(len(pair_prev))
+    columns = {}  # known-count column -> its id
+    column = [
+        columns.setdefault(tuple(c), len(columns)) for c in known_counts.T.tolist()
+    ]
+    return _DoseCells(
+        here=pos * n_combos + np.where(linked, pair_prev, pair_draw),
+        there=np.where(linked, (pos + 1) * n_combos + pair_draw, n_pos * n_combos),
+        local=np.where(linked, every_pair, pair_draw),
+        kind=[
+            (column[p], column[p + 1]) if coupled[p] else (column[p],)
+            for p in range(n_pos)
+        ],
+        distinct=[every_pair if c else first_of_draw for c in coupled],
+    )
+
+
+def _dose_gathers(cells, blocks, n_observed, n_pairs):
+    """Parameter-free gathers of one trace's doses on a marker.
+
+    Returns here and there, each factor entry's two cells (see
+    _DoseCells) in layout order; dropout, one entry per distinct dropout
+    dose; and spread, each dropout entry's index among them.
+    """
+    pos = list(blocks)
+    first = n_observed // n_pairs  # the first dropout peak's block
+    slot, offsets, dropout, n_distinct = {}, [], [], 0
+    for b in range(first, len(pos)):
+        kind = cells.kind[pos[b]]
+        if kind not in slot:
+            slot[kind] = n_distinct
+            dropout.append(b * n_pairs + cells.distinct[pos[b]])
+            n_distinct += len(dropout[-1])
+        offsets.append(slot[kind])
+    spread = np.array(offsets, dtype=np.int64)[:, None] + cells.local[pos[first:]]
+    return (
+        cells.here[pos].ravel(), cells.there[pos].ravel(),
+        np.concatenate(dropout or [np.zeros(0, np.int64)]), spread.ravel(),
+    )
 
 
 @dataclass(frozen=True)
@@ -429,6 +518,7 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
     )
 
     edges0, edges = _build_edges(n_unknown)
+    cells = _dose_cells(coupled, known_counts, pair_prev, pair_draw)
 
     views = []
     for trace in traces:
@@ -445,6 +535,8 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
         roles = set(hypothesis.roles_for(trace.trace_id))
         observed = heights >= trace.threshold
         blocks, n_observed = _factor_blocks(observed, silent, coupled, n_pairs)
+        here, there, dropout, spread = _dose_gathers(cells, blocks, n_observed, n_pairs)
+        peaks = [p for p in blocks if observed[p]]
         views.append(
             _TraceView(
                 trace_id=trace.trace_id,
@@ -457,6 +549,11 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
                 ),
                 blocks=blocks,
                 n_observed=n_observed,
+                peak_heights=np.repeat(heights[peaks], n_pairs),
+                here=here,
+                there=there,
+                dropout=dropout,
+                spread=spread,
             )
         )
 
@@ -617,31 +714,22 @@ def _trace_dose(plan, view, params):
     )
 
 
-def _observed_heights(plan, view):
-    """Peak height of every observed factor entry, in layout order."""
-    observed = [p for p in view.blocks if view.observed[p]]
-    return np.repeat(view.heights[observed], plan.n_pairs)
-
-
 def _view_terms(plan, params) -> list[_ViewTerms]:
     """Every trace's dose and log factor per factor entry of a marker.
 
     At a stutter-coupled position p the dose of pair j is
     (1 - xi) B[p, draw at t-1] + xi B[p+1, draw at t]; at an uncoupled
-    one it is (1 - xi) B[p, draw at t].
+    one it is (1 - xi) B[p, draw at t] (+ xi * 0, which is exact).  The
+    dropout factor is evaluated once per distinct dose and spread back.
     """
     out = []
     for view in plan.traces:
         rho, eta, xi, base = _trace_dose(plan, view, params)
-        doses = np.concatenate([
-            (1.0 - xi) * base[p][plan.pair_prev] + xi * base[p + 1][plan.pair_draw]
-            if plan.coupled[p] else (1.0 - xi) * base[p][plan.pair_draw]
-            for p in view.blocks
-        ])
-        k = view.n_observed
+        cells = np.append(base, 0.0)
+        doses = (1.0 - xi) * cells[view.here] + xi * cells[view.there]
         log_factors = np.concatenate([
-            gamma_log_pdf(_observed_heights(plan, view), rho * doses[:k], eta),
-            gamma_log_cdf(view.threshold, rho * doses[k:], eta),
+            gamma_log_pdf(view.peak_heights, rho * doses[:view.n_observed], eta),
+            gamma_log_cdf(view.threshold, rho * doses[view.dropout], eta)[view.spread],
         ])
         out.append(_ViewTerms(rho, eta, xi, base, doses, log_factors))
     return out
@@ -854,16 +942,17 @@ def _marker_value_and_gradient(plan, params):
     for view, term in zip(plan.traces, terms):
         tid = view.trace_id
         w = np.concatenate([pair[t] for t, _ in view.blocks.values()])
-        shapes = term.rho * term.doses
         k = view.n_observed
-        d_shape = np.empty(len(shapes))
-        d_eta = np.empty(len(shapes))
+        d_shape = np.empty(len(term.doses))
+        d_eta = np.empty(len(term.doses))
         d_shape[:k], d_eta[:k] = gamma_log_pdf_grad(
-            _observed_heights(plan, view), shapes[:k], term.eta
+            view.peak_heights, term.rho * term.doses[:k], term.eta
         )
-        d_shape[k:], d_eta[k:] = gamma_log_cdf_grad(
-            view.threshold, shapes[k:], term.eta, term.log_factors[k:]
+        d_shape_drop, d_eta_drop = gamma_log_cdf_grad(
+            view.threshold, term.rho * term.doses[view.dropout], term.eta,
+            term.log_factors[view.dropout],
         )
+        d_shape[k:], d_eta[k:] = d_shape_drop[view.spread], d_eta_drop[view.spread]
         live = w > 0.0
         with np.errstate(invalid="ignore"):
             g = np.where(live, w * d_shape, 0.0)  # d log L / d shape, per entry
@@ -871,15 +960,12 @@ def _marker_value_and_gradient(plan, params):
         grad[("eta", tid)] = float(g_eta.sum())
         if tid not in rho_over:
             grad[("rho", tid)] = float(g @ term.doses)
-        # d log L / d B[p, c] through the entries' doses at p and at the donor p+1
-        g_here = np.zeros_like(term.base)
-        g_next = np.zeros_like(term.base)
-        for p, (_, sl) in view.blocks.items():
-            if plan.coupled[p]:
-                g_here[p] = np.bincount(plan.pair_prev, g[sl], plan.n_combos)
-                g_next[p + 1] = np.bincount(plan.pair_draw, g[sl], plan.n_combos)
-            else:
-                g_here[p] = np.bincount(plan.pair_draw, g[sl], plan.n_combos)
+        # d log L / d B[p, c] through the entries' doses at p and at the donor
+        # p+1; the zero cell's sum is dropped
+        g_here, g_next = (
+            np.bincount(index, g, term.base.size + 1)[:-1].reshape(term.base.shape)
+            for index in (view.here, view.there)
+        )
         if not marker_xi:
             grad[("xi", tid)] = term.rho * float(((g_next - g_here) * term.base).sum())
         g_dose = term.rho * ((1.0 - term.xi) * g_here + term.xi * g_next)

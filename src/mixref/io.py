@@ -242,6 +242,9 @@ def build_hypothesis(
     missing = [k for k in known_ids if k not in profiles]
     if missing:
         raise LoadError(f"hypothesis references unknown individuals {missing}")
+    repeated = sorted({k for k in known_ids if known_ids.count(k) > 1})
+    if repeated:
+        raise LoadError(f"hypothesis lists known individuals more than once: {repeated}")
     unknowns = spec.get("unknowns", 0)
     if isinstance(unknowns, (list, tuple)):
         labels = _strings(unknowns, "hypothesis: unknowns")

@@ -87,23 +87,19 @@ def gamma_log_cdf(x, shape, scale):
     far below log(realmin) are still computed accurately.  ``shape == 0``
     is the point mass at 0, whose CDF at any x >= 0 is 1 (log 0.0).
     """
-    x = np.asarray(x, dtype=float)
     shape = np.asarray(shape, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    y, a = np.broadcast_arrays(x / scale, shape)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    y = np.asarray(x, dtype=float) / np.asarray(scale, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = sc.gammainc(a, y)
+        p = sc.gammainc(shape, y)
+        scalar = p.ndim == 0
+        p = np.atleast_1d(p)
         out = np.log(p)
-    tiny = (p < 1e-280) & (a > 0.0) & (y > 0.0)
-    if np.any(tiny):
-        out[tiny] = [
-            _log_lower_gamma_series(av, yv) for av, yv in zip(a[tiny], y[tiny])
-        ]
-    out = np.where((a > 0.0) & (y <= 0.0), -np.inf, out)
-    out = np.where(a <= 0.0, np.where(y >= 0.0, 0.0, -np.inf), out)
+    tiny = (p < 1e-280) & (shape > 0.0) & (y > 0.0)
+    if tiny.any():
+        a, y_tiny = (np.broadcast_to(v, p.shape)[tiny] for v in (shape, y))
+        out[tiny] = [_log_lower_gamma_series(av, yv) for av, yv in zip(a, y_tiny)]
+    out = np.where((shape > 0.0) & (y <= 0.0), -np.inf, out)
+    out = np.where(shape <= 0.0, np.where(y >= 0.0, 0.0, -np.inf), out)
     return float(out[0]) if scalar else out
 
 
@@ -137,21 +133,19 @@ def gamma_log_sf(x, shape, scale):
     Uses the regularized upper incomplete gamma function, falling back to
     a log-space continued fraction where it underflows.
     """
-    x = np.asarray(x, dtype=float)
     shape = np.asarray(shape, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    y, a = np.broadcast_arrays(x / scale, shape)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    y = np.asarray(x, dtype=float) / np.asarray(scale, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = sc.gammaincc(a, y)
+        q = sc.gammaincc(shape, y)
+        scalar = q.ndim == 0
+        q = np.atleast_1d(q)
         out = np.log(q)
-    tiny = (q < 1e-280) & (a > 0.0) & (y > a)
-    if np.any(tiny):
-        out[tiny] = [_log_upper_gamma_cf(av, yv) for av, yv in zip(a[tiny], y[tiny])]
-    out = np.where(a <= 0.0, -np.inf, out)
-    out = np.where((a > 0.0) & (y <= 0.0), 0.0, out)
+    tiny = (q < 1e-280) & (shape > 0.0) & (y > shape)
+    if tiny.any():
+        a, y_tiny = (np.broadcast_to(v, q.shape)[tiny] for v in (shape, y))
+        out[tiny] = [_log_upper_gamma_cf(av, yv) for av, yv in zip(a, y_tiny)]
+    out = np.where(shape <= 0.0, -np.inf, out)
+    out = np.where((shape > 0.0) & (y <= 0.0), 0.0, out)
     return float(out[0]) if scalar else out
 
 
@@ -175,7 +169,8 @@ def gamma_log_cdf_grad(x, shape, scale, log_cdf):
     already.  The shape derivative is a central difference of
     gamma_log_cdf (so the deep lower tail goes through the same series)
     with step 1e-4 * min(shape, sqrt(shape)): log P(a, y) varies on the
-    scale of sqrt(a), the spread of the distribution, once a > 1.  At
+    scale of sqrt(a), the spread of the distribution, once a > 1.  Both
+    sides of the difference go through one gamma_log_cdf call.  At
     shape 0 it is the one-sided limit -E1(x / scale).  The scale
     derivative is the closed form -(x / scale) * pdf(x) / cdf(x).
     """
@@ -184,9 +179,10 @@ def gamma_log_cdf_grad(x, shape, scale, log_cdf):
     scale = np.asarray(scale, dtype=float)
     h = 1e-4 * np.minimum(shape, np.sqrt(shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        d_shape = (
-            gamma_log_cdf(x, shape + h, scale) - gamma_log_cdf(x, shape - h, scale)
-        ) / (2.0 * h)
+        sides = np.empty((2,) + np.broadcast(x, shape, scale).shape)
+        sides[0], sides[1] = shape + h, shape - h
+        upper, lower = gamma_log_cdf(x, sides, scale)
+        d_shape = (upper - lower) / (2.0 * h)
         d_shape = np.where(shape > 0.0, d_shape, -sc.exp1(x / scale))
         y = x / scale
         d_scale = -np.exp(

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
 from scipy.special import logsumexp
 
 import mixref as mx
 from mixref import engine
 from mixref.engine import InfeasibleConditioningError
+from mixref.peakmodel import gamma_log_cdf, gamma_log_cdf_grad, gamma_log_pdf
 
 from conftest import (
     oracle_log_cdf,
@@ -756,4 +759,127 @@ class TestChainStructure:
                 return _original(x, shape, scale)
             monkeypatch.setattr(engine, name, counting)
         assert np.isfinite(mx.total_log_likelihood(b))
-        assert sum(entries) == len(traces) * 4 * 6**n_unknown
+        evaluated = sum(entries)
+        plan = b._plans["M"]
+        terms = engine._view_terms(plan, b.parameters)
+        assert [len(term.log_factors) for term in terms] == [4 * 6**n_unknown] * 2
+        # gamma is evaluated once per observed entry and once per distinct
+        # dropout dose: per trace three coupled peaks of 6^U doses each, and
+        # the uncoupled 10, whose dose depends on the draw alone (3^U)
+        assert evaluated == len(traces) * (3 * 6**n_unknown + 3**n_unknown)
+
+
+def _overridden_case(n_unknown, seed):
+    """Two traces on two markers with silent alleles; T2 lacks one role
+    when there are two, T1 has its own rho on M and M2 its own xi."""
+    rng = np.random.default_rng(seed)
+    tables = {}
+    for m in ("M", "M2"):
+        labels = ["7", "8", "9", "9.3", "10"][int(rng.integers(0, 2)):]
+        labels = labels[:int(rng.integers(2, len(labels) + 1))]
+        tables[m] = dict(zip(labels, rng.dirichlet(np.ones(len(labels)) * 2.0)))
+    freqs = mx.with_silent(mx.FrequencyTable.from_dict(tables), 0.1)
+    visible = {m: list(tables[m]) for m in tables}
+    n_known = int(rng.integers(0 if n_unknown else 1, 3))
+    known = {
+        f"K{i + 1}": mx.GenotypeProfile.from_pairs(
+            {m: tuple(rng.choice(visible[m], size=2)) for m in tables}
+        )
+        for i in range(n_known)
+    }
+    unknown = tuple(f"U{i + 1}" for i in range(n_unknown))
+    roles = (*known, *unknown)
+    trace_roles = None
+    if len(roles) > 1:
+        dropped = roles[int(rng.integers(len(roles)))]
+        trace_roles = {"T2": tuple(r for r in roles if r != dropped)}
+    traces, rho, phi = [], {}, {}
+    for tid in ("T1", "T2"):
+        heights = {
+            m: {
+                a: float(rng.uniform(50, 1200)) for a in visible[m]
+                if rng.random() < 0.5
+            }
+            for m in tables
+        }
+        traces.append(mx.Trace(trace_id=tid, threshold=50.0, heights=heights))
+        rho[tid] = float(rng.uniform(10, 60))
+        mine = (trace_roles or {}).get(tid, roles)
+        k_here = sum(r in known for r in mine)
+        w = rng.dirichlet(np.ones(len(mine)))
+        w = np.concatenate([w[:k_here], np.sort(w[k_here:])[::-1]])
+        phi[tid] = dict(zip(mine, w.tolist()))
+    params = mx.ModelParameters(
+        rho=rho, eta=float(rng.uniform(15, 45)), xi=float(rng.uniform(0, 0.25)),
+        phi=phi, marker_rho={"M": {"T1": float(rng.uniform(10, 60))}},
+        marker_xi={"M2": float(rng.uniform(0, 0.25))},
+    )
+    return mx.EvidenceBundle(
+        traces=tuple(traces), frequencies=freqs,
+        hypothesis=mx.Hypothesis(known=known, unknown=unknown, trace_roles=trace_roles),
+        parameters=params,
+    )
+
+
+class TestDistinctDoses:
+    @given(stn.integers(0, 3), stn.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_every_entry_as_at_its_own_dose(self, n_unknown, seed):
+        b = _overridden_case(n_unknown, seed)
+        for marker in b.covered_markers():
+            plan = b._plans[marker]
+            for view, term in zip(plan.traces, engine._view_terms(plan, b.parameters)):
+                # each entry's own dose, block by block, as the chain defines it
+                own = np.concatenate([
+                    (1.0 - term.xi) * term.base[p][plan.pair_prev]
+                    + term.xi * term.base[p + 1][plan.pair_draw]
+                    if plan.coupled[p]
+                    else (1.0 - term.xi) * term.base[p][plan.pair_draw]
+                    for p in view.blocks
+                ])
+                np.testing.assert_array_equal(term.doses, own)
+                shapes = term.rho * own
+                k = view.n_observed
+                heights = np.repeat(
+                    [view.heights[p] for p in view.blocks if view.observed[p]],
+                    plan.n_pairs,
+                )
+                np.testing.assert_array_equal(
+                    term.log_factors[:k], gamma_log_pdf(heights, shapes[:k], term.eta)
+                )
+                log_cdf = gamma_log_cdf(view.threshold, shapes[k:], term.eta)
+                np.testing.assert_array_equal(term.log_factors[k:], log_cdf)
+                # derivatives at the distinct doses, spread back, are each entry's own
+                spread = gamma_log_cdf_grad(
+                    view.threshold, shapes[view.dropout], term.eta,
+                    term.log_factors[view.dropout],
+                )
+                own_grad = gamma_log_cdf_grad(
+                    view.threshold, shapes[k:], term.eta, log_cdf
+                )
+                for got, want in zip(spread, own_grad):
+                    np.testing.assert_array_equal(got[view.spread], want)
+            dp = mx.marker_log_likelihood(b, marker)
+            enum = oracle_log_likelihood(b, marker)
+            bf = mx.brute_force_log_likelihood(b, marker)
+            if enum == -np.inf:
+                assert dp == -np.inf and bf == -np.inf
+                continue
+            assert dp == pytest.approx(enum, rel=1e-9, abs=1e-9)
+            assert bf == pytest.approx(enum, rel=1e-9, abs=1e-9)
+
+    def test_excerpt_defence_evaluates_486_of_1296_dropout_doses(
+        self, pubcase_defence_bundle, monkeypatch
+    ):
+        b = pubcase_defence_bundle
+        sizes = []
+
+        def counting(x, shape, scale, _original=engine.gamma_log_cdf):
+            sizes.append(np.size(shape))
+            return _original(x, shape, scale)
+
+        monkeypatch.setattr(engine, "gamma_log_cdf", counting)
+        mx.total_log_likelihood(b)
+        views = [view for plan in b._plans.values() for view in plan.traces]
+        assert sum(len(v.here) - v.n_observed for v in views) == 1296
+        assert sum(sizes) == 486

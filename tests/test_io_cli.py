@@ -225,6 +225,30 @@ class TestCli:
         assert err["error"]["code"] == "load_error"
         assert f"{key} must be" in err["error"]["message"]
 
+    @pytest.mark.parametrize("change, message", [
+        ({"traces": {"T1": {"threshold": 50}, "T9": {"threshold": 500}}}, "['T9']"),
+        ({"trace_roles": {"T9": ["K1", "K2"]}}, "['T9']"),
+        ({"known": ["K1", "K2", "K1"]}, "more than once: ['K1']"),
+    ], ids=["absent-trace-threshold", "absent-trace-roles", "repeated-known"])
+    def test_inconsistent_case_file_exits_2(self, tiny_case, capsys, change, message):
+        # each of these once ran to exit 0 with the slip silently dropped
+        doc = json.loads(Path(tiny_case["case"]).read_text())
+        for name, value in change.items():
+            if name == "traces":
+                doc[name] = value
+            else:
+                doc["hypotheses"]["prosecution"][name] = value
+        case = write(tiny_case["tmp"], "bad_case.json", json.dumps(doc))
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", tiny_case["trace"], "--hypothesis", case,
+             "--under", "prosecution", "--params", tiny_case["params"]]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "load_error"
+        assert message in err["error"]["message"]
+
     def test_nan_height_exits_2(self, tiny_case, capsys):
         trace = write(
             tiny_case["tmp"], "nan_trace.csv",

@@ -312,6 +312,39 @@ class TestGammaAgainstMpmath:
         assert d_scale == 0.0
 
 
+def _two_call_difference(x, shape, scale):
+    """The shape derivative as two gamma_log_cdf calls, one per side."""
+    shape = np.asarray(shape, dtype=float)
+    h = 1e-4 * np.minimum(shape, np.sqrt(shape))
+    return (
+        gamma_log_cdf(x, shape + h, scale) - gamma_log_cdf(x, shape - h, scale)
+    ) / (2.0 * h)
+
+
+class TestOneCallCentralDifference:
+    """gamma_log_cdf_grad evaluates both sides in one call, bit for bit."""
+
+    @given(_SHAPES, _SCALES, stn.booleans(), _LOWER, _UPPER)
+    @settings(max_examples=150, deadline=None)
+    def test_tail_points(self, a, s, below, u, t):
+        x = _tail_point(a, s, below, u if below else t)
+        d_shape, _ = gamma_log_cdf_grad(x, a, s, gamma_log_cdf(x, a, s))
+        np.testing.assert_array_equal(d_shape, _two_call_difference(x, a, s))
+
+    @given(
+        stn.lists(
+            stn.tuples(stn.floats(400.0, 1000.0), stn.floats(0.05, 2.0)),
+            min_size=1, max_size=8,
+        ),
+        _SCALES,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_series_branch_points_as_one_vector(self, points, s):
+        a, y = np.array(points).T
+        d_shape, _ = gamma_log_cdf_grad(y * s, a, s, gamma_log_cdf(y * s, a, s))
+        np.testing.assert_array_equal(d_shape, _two_call_difference(y * s, a, s))
+
+
 class TestModelParameters:
     def _phi(self):
         return {"T1": {"K1": 0.6, "U1": 0.3, "U2": 0.1}}
