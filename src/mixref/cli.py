@@ -16,8 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-from scipy import stats as st
-
 from . import estimation, io, simulate as sim
 from .engine import (
     EvidenceBundle,
@@ -26,7 +24,7 @@ from .engine import (
     top_k_joint_profiles,
 )
 from .estimation import FitSpecification, fit, weight_of_evidence
-from .population import match_probability, with_silent
+from .population import with_silent
 
 _DEFAULT_THRESHOLD = 50.0
 
@@ -128,17 +126,10 @@ class _Case:
                 rows[tid] = markers
         if need_traces and not rows:
             raise io.LoadError("no trace files given")
-        default_c = (
-            args.threshold if args.threshold is not None else _DEFAULT_THRESHOLD
-        )
-        thresholds = {tid: default_c for tid in rows}
-        if definition:
-            if rows:
-                _check_trace_ids(definition.thresholds, rows, "case JSON traces")
-            thresholds.update(definition.thresholds)
-        if args.threshold is not None:
-            thresholds = {tid: args.threshold for tid in rows}
-        self.traces = io.build_traces(rows, thresholds)
+        if definition and rows:
+            _check_trace_ids(definition.thresholds, rows, "case JSON traces")
+        self._threshold = args.threshold
+        self.traces = io.build_traces(rows, {tid: self.threshold(tid) for tid in rows})
 
         share = None
         if args.share is not None:
@@ -155,6 +146,14 @@ class _Case:
             self.params = io.parameters_from_json(
                 json.loads(path.read_text(encoding="utf-8"))
             )
+
+    def threshold(self, tid):
+        """--threshold, else the case JSON's value for the trace, else the default."""
+        if self._threshold is not None:
+            return self._threshold
+        if self.definition and tid in self.definition.thresholds:
+            return self.definition.thresholds[tid]
+        return _DEFAULT_THRESHOLD
 
     def _validate_profiles(self):
         table = set(self.freqs.marker_names())
@@ -310,16 +309,10 @@ def cmd_woe(args):
     bound = None
     loss = None
     if len(suspect) == 1:
-        sid = suspect.pop()
-        markers = fit_p.bundle.covered_markers()
-        profile = case.profiles[sid]
-        restricted = {
-            m: profile.genotypes[m] for m in markers if m in profile.genotypes
-        }
-        pi = match_probability(
-            type(profile)(genotypes=restricted), case.freqs
+        bound = estimation.efficiency_loss(
+            0.0, case.profiles[suspect.pop()], case.freqs,
+            fit_p.bundle.covered_markers(),
         )
-        bound = -math.log10(pi)
         loss = bound - woe
         if woe > bound + 1e-9:
             raise RuntimeError(
@@ -480,7 +473,7 @@ def cmd_simulate(args):
         parameters=case.params,
         trace_id=tid,
         contributors=contributors,
-        threshold=args.threshold if args.threshold is not None else _DEFAULT_THRESHOLD,
+        threshold=case.threshold(tid),
         seed=args.seed,
     )
     trace = sim.simulate_trace(config)
@@ -503,6 +496,8 @@ def cmd_diagnose(args):
         bundle, truncate=not args.no_truncate
     )
     pits = [r["pit"] for r in records if not math.isnan(r["pit"])]
+    from scipy import stats as st  # slow to import, and only diagnose needs it
+
     ks = st.kstest(pits, "uniform") if pits else None
     doc = {
         "hypothesis": hyp_id,

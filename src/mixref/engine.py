@@ -13,8 +13,9 @@ both the draw m and the 2 - S copies it was drawn from, so a step's
 transitions are one outer sum of U per-state vectors.  The
 evidence factor of an allele needs the effective counts of the allele
 itself and of its stutter donor (one repeat unit above), so alleles are
-traversed in an order that makes every stutter donor position-adjacent;
-the factor is emitted once both counts are in scope.  A step's factors
+traversed in the order their ladder fixes (population.MarkerLadder),
+in which every stutter donor directly follows its recipient; the factor
+is emitted once both counts are in scope.  A step's factors
 are indexed by its (previous draw, draw) pair: a contributor that drew
 n copies at the previous position draws m <= 2 - n here, so 6 of the 9
 per-contributor pairs, and 6^U joint pairs, are reachable, and every
@@ -56,6 +57,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 from scipy.special import logsumexp
 
+from . import population
 from .peakmodel import (
     ModelParameters,
     gamma_log_cdf,
@@ -68,10 +70,8 @@ from .population import (
     SILENT_LABEL,
     FrequencyTable,
     GenotypeProfile,
-    allele_repeat,
     canonical_allele,
     genotype_prior,
-    stutter_successor,
 )
 
 __all__ = [
@@ -457,42 +457,12 @@ class _MarkerPlan:
         return self.edges0 if t == 0 else self.edges
 
 
-def _build_internal_order(ladder) -> np.ndarray:
-    # Group alleles by fractional part so that within a group consecutive
-    # repeat numbers (stutter partners) are position-adjacent; silent
-    # first, non-numeric labels last.
-    silent, numeric, other = [], [], []
-    for idx, label in enumerate(ladder.alleles):
-        if label == SILENT_LABEL:
-            silent.append(idx)
-            continue
-        rep = allele_repeat(label)
-        if rep is None:
-            other.append(idx)
-        else:
-            numeric.append((rep - int(rep), rep, idx))
-    numeric.sort()
-    return np.array(silent + [idx for _, _, idx in numeric] + other, dtype=np.int64)
-
-
 def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
     ladder = freqs.ladder(marker)
-    order = _build_internal_order(ladder)
+    order, coupled = ladder.order, ladder.coupled
     n_pos = len(order)
     internal_labels = tuple(ladder.alleles[i] for i in order)
     silent = np.array([lab == SILENT_LABEL for lab in internal_labels])
-
-    pos_of = {int(l): p for p, l in enumerate(order)}
-    succ = np.full(n_pos, -1, dtype=np.int64)
-    for p, lab in enumerate(internal_labels):
-        if silent[p]:
-            continue
-        s = stutter_successor(freqs, marker, lab)
-        if s is not None:
-            succ[p] = pos_of[int(s)]
-    coupled = np.array([succ[p] == p + 1 for p in range(n_pos)])
-    if np.any((succ >= 0) & ~coupled):
-        raise AssertionError("internal order failed to make stutter donors adjacent")
 
     q = np.array([ladder.frequencies[i] for i in order], dtype=float)
     tails = np.cumsum(q[::-1])[::-1]
@@ -1283,7 +1253,7 @@ def brute_force_log_likelihood(
     for p, lab in enumerate(ladder.alleles):
         if lab == SILENT_LABEL:
             continue
-        s = stutter_successor(freqs, marker, lab)
+        s = population.stutter_successor(freqs, marker, lab)
         if s is not None:
             succ[p] = s
 

@@ -738,15 +738,7 @@ def _boundary_flags(params, structure):
 
 def numeric_gradient(f, x, rel_step=1e-4, abs_floor=1e-6):
     """Central-difference gradient with per-coordinate relative steps."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    h = np.maximum(rel_step * np.abs(x), abs_floor)
-    g = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h[i])
-    return g
+    return _numeric_jacobian(f, x, rel_step, abs_floor).reshape(np.size(x))
 
 
 def numeric_hessian(f, x, rel_step=1e-4, abs_floor=1e-6):

@@ -5,14 +5,20 @@ Hardy-Weinberg equilibrium, equivalently a multinomial count vector over
 the ladder with total 2.  The multinomial decomposes sequentially into
 binomials over partial sums, which is the Markov-chain form the inference
 engine marginalizes over.
+
+Which allele donates stutter to which is a fact of the ladder: a
+MarkerLadder fixes each allele's donor, and the traversal order the
+inference engine walks, once when it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "SILENT_LABEL",
@@ -56,15 +62,6 @@ def allele_repeat(label: str) -> Fraction | None:
         return None
 
 
-def _successor_label(label: str) -> str | None:
-    # Stutter loses one full repeat word: the donor of stutter into x.y is
-    # (x+1).y, preserving any partial-word suffix.
-    if label == SILENT_LABEL or allele_repeat(label) is None:
-        return None
-    whole, dot, frac = label.partition(".")
-    return f"{int(whole) + 1}{dot}{frac}" if dot else str(int(whole) + 1)
-
-
 def _ladder_sort_key(label: str):
     rep = allele_repeat(label)
     if label == SILENT_LABEL:
@@ -74,12 +71,58 @@ def _ladder_sort_key(label: str):
     return (1, rep, "")
 
 
+def _stutter_structure(alleles):
+    """A ladder's (donor, order, coupled); see MarkerLadder.
+
+    Stutter loses one full repeat word: the donor of stutter into x.y is
+    (x+1).y, preserving any partial-word suffix; silent and non-numeric
+    alleles take no part.  Ordering silent first, numeric alleles by
+    (fractional part, repeat, index) and non-numeric ones last puts each
+    donor directly after its recipient.
+    """
+    index = {label: i for i, label in enumerate(alleles)}
+    donor = np.full(len(alleles), -1, dtype=np.int64)
+    silent, numeric, other = [], [], []
+    for i, label in enumerate(alleles):
+        if label == SILENT_LABEL:
+            silent.append(i)
+            continue
+        rep = allele_repeat(label)
+        if rep is None:
+            other.append(i)
+            continue
+        numeric.append((rep - int(rep), rep, i))
+        whole, dot, frac = label.partition(".")
+        donor[i] = index.get(f"{int(whole) + 1}{dot}{frac}", -1)
+    numeric.sort()
+    order = np.array(silent + [i for _, _, i in numeric] + other, dtype=np.int64)
+    coupled = np.zeros(len(alleles), dtype=bool)
+    coupled[:-1] = donor[order[:-1]] == order[1:]
+    if np.count_nonzero(coupled) != np.count_nonzero(donor >= 0):
+        raise ValueError(
+            f"allele labels {alleles} give stutter donors that do not follow "
+            "their recipients in the ladder's traversal order"
+        )
+    return donor, order, coupled
+
+
 @dataclass(frozen=True)
 class MarkerLadder:
-    """Ordered allele labels and population frequencies for one marker."""
+    """Ordered allele labels and population frequencies for one marker.
+
+    Construction derives the marker's stutter structure from the labels:
+    ``donor`` is each allele's stutter donor as a ladder index (-1 for
+    none), ``order`` the traversal order (internal position -> ladder
+    index) in which every donor directly follows its recipient, and
+    ``coupled`` marks the internal positions whose donor sits at the
+    next one.  The arrays are read-only.
+    """
 
     alleles: tuple[str, ...]
     frequencies: tuple[float, ...]
+    donor: np.ndarray = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    coupled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.alleles) != len(self.frequencies):
@@ -95,6 +138,10 @@ class MarkerLadder:
             raise ValueError(
                 f"frequencies sum to {sum(self.frequencies)!r}, not 1"
             )
+        for name, value in zip(("donor", "order", "coupled"),
+                               _stutter_structure(self.alleles)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def index(self, allele: str) -> int:
         try:
@@ -272,12 +319,5 @@ def stutter_successor(freqs: FrequencyTable, marker: str, allele: str) -> int | 
     non-numeric alleles take no part in stutter.
     """
     ladder = freqs.ladder(marker)
-    label = canonical_allele(allele)
-    ladder.index(label)
-    succ = _successor_label(label)
-    if succ is None:
-        return None
-    try:
-        return ladder.index(succ)
-    except KeyError:
-        return None
+    donor = ladder.donor[ladder.index(allele)]
+    return int(donor) if donor >= 0 else None

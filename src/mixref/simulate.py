@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import EvidenceBundle, Trace, _observed_peak_posteriors
 from .peakmodel import ModelParameters, gamma_log_cdf, gamma_log_sf
-from .population import SILENT_LABEL, FrequencyTable, GenotypeProfile, stutter_successor
+from .population import SILENT_LABEL, FrequencyTable, GenotypeProfile
 
 __all__ = [
     "SimulationConfig",
@@ -108,13 +108,6 @@ def simulate_trace(config: SimulationConfig) -> Trace:
         n_pos = len(ladder.alleles)
         rho = params.rho_for(tid, marker)
         xi = params.xi_for_marker(tid, marker)
-        donor = np.full(n_pos, -1)
-        for p, lab in enumerate(ladder.alleles):
-            if lab == SILENT_LABEL:
-                continue
-            s = stutter_successor(freqs, marker, lab)
-            if s is not None:
-                donor[p] = s
         plain = np.zeros(n_pos)
         stutter = np.zeros(n_pos)
         for role in config.contributors:
@@ -122,10 +115,8 @@ def simulate_trace(config: SimulationConfig) -> Trace:
             base = rho * phi[role] * counts
             plain += rng.gamma(np.maximum((1.0 - xi) * base, 0.0), eta)
             stutter += rng.gamma(np.maximum(xi * base, 0.0), eta)
-        peaks = plain.copy()
-        for p in range(n_pos):
-            if donor[p] >= 0:
-                peaks[p] += stutter[donor[p]]
+        donor = ladder.donor
+        peaks = plain + np.where(donor >= 0, stutter[donor], 0.0)
         row = {}
         for p, lab in enumerate(ladder.alleles):
             if lab == SILENT_LABEL:

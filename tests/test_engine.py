@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -883,3 +884,33 @@ class TestDistinctDoses:
         views = [view for plan in b._plans.values() for view in plan.traces]
         assert sum(len(v.here) - v.n_observed for v in views) == 1296
         assert sum(sizes) == 486
+
+
+class TestPlanReadsLadder:
+    def test_bundle_build_parses_no_allele_label(
+        self, pubcase_defence_bundle, monkeypatch
+    ):
+        b = pubcase_defence_bundle
+        parsed = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                parsed.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(mx.population, "Fraction", Counting)
+        mx.FrequencyTable.from_dict({"M": {"8": 0.5, "9": 0.5}})
+        assert parsed, "the counter must see the table's own label parsing"
+        parsed.clear()
+        mx.EvidenceBundle(
+            traces=b.traces, frequencies=b.frequencies,
+            hypothesis=b.hypothesis, parameters=b.parameters,
+        )
+        assert parsed == []
+
+    def test_plan_takes_order_and_coupling_from_ladder(self, pubcase_defence_bundle):
+        b = pubcase_defence_bundle
+        for marker, plan in b._plans.items():
+            ladder = b.frequencies.ladder(marker)
+            np.testing.assert_array_equal(plan.order, ladder.order)
+            np.testing.assert_array_equal(plan.coupled, ladder.coupled)

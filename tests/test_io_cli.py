@@ -1,6 +1,8 @@
 """File formats, ingestion contracts, CLI subcommands, report round-trips."""
 
 import json
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -472,6 +474,39 @@ class TestCli:
             _, pit = line.rsplit(",", 1)
             assert 0.0 <= float(pit) <= 1.0
 
+    def test_simulate_uses_the_case_files_threshold(self, tiny_case, tmp_path):
+        # allele 7, carried by no one, receives only stutter (about 75 rfu)
+        freqs = write(
+            tmp_path, "freqs7.csv",
+            "marker,allele,frequency\n"
+            "M1,7,0.1\nM1,8,0.3\nM1,9,0.3\nM1,10,0.3\n"
+            "M2,7,0.2\nM2,8,0.4\nM2,9,0.4\n",
+        )
+        case = write(
+            tmp_path, "case150.json",
+            Path(tiny_case["case"]).read_text().replace(
+                '"threshold": 50', '"threshold": 150'
+            ),
+        )
+        params = write(
+            tmp_path, "stutter.json",
+            json.dumps({"eta": 25.0, "xi": 0.15, "traces": {
+                "T1": {"mu": 800.0, "phi": {"K1": 0.6, "K2": 0.4}}}}),
+        )
+        heights = []
+        for seed in range(5):
+            out = str(tmp_path / f"sim{seed}.csv")
+            assert cli.main(
+                ["simulate", "--freqs", freqs, "--profiles",
+                 tiny_case["profiles"], "--hypothesis", case,
+                 "--under", "prosecution", "--params", params,
+                 "--trace-id", "T1", "--seed", str(seed), "--out", out]
+            ) == 0
+            rows = io.read_trace_rows(out)["T1"]
+            heights += [h for row in rows.values() for h in row.values()]
+        assert any(h >= 150 for h in heights)
+        assert not [h for h in heights if 0 < h < 150]
+
     def test_simulate_with_unknown_contributor_draws_from_population(
         self, tiny_case, tmp_path
     ):
@@ -496,6 +531,16 @@ class TestCli:
         rows = io.read_trace_rows(out)
         assert set(rows["T1"]) <= {"M1", "M2"}
         assert any(h > 0 for m in rows["T1"].values() for h in m.values())
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = str(Path(mx.__file__).resolve().parents[1])
+    code = "import sys, mixref.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src, "PATH": ""}, timeout=120,
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestPubcaseCli:

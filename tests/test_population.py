@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -195,3 +196,93 @@ class TestStutterSuccessor:
         t = table(("8", 0.5), ("9", 0.5))
         with pytest.raises(KeyError):
             mx.stutter_successor(t, "M", "12")
+
+
+@stn.composite
+def stutter_ladders(draw):
+    """Tables whose one ladder has gaps, microvariants, X/Y and maybe a silent allele."""
+    repeats = draw(stn.lists(stn.integers(5, 20), min_size=1, max_size=8, unique=True))
+    labels = []
+    for r in repeats:
+        if draw(stn.booleans()):
+            labels.append(str(r))
+        suffixes = draw(stn.lists(stn.sampled_from("123"), unique=True, max_size=2))
+        labels += [f"{r}.{f}" for f in suffixes]
+    labels += draw(stn.lists(stn.sampled_from(["X", "Y"]), unique=True))
+    labels = draw(stn.permutations(labels or [str(repeats[0])]))
+    freqs = table(*((lab, 1.0 / len(labels)) for lab in labels))
+    return mx.with_silent(freqs, 0.05) if draw(stn.booleans()) else freqs
+
+
+def expected_donor(alleles, i):
+    """The donor of x.y is (x+1).y; silent and non-numeric alleles have none."""
+    label = alleles[i]
+    if label in ("0", "X", "Y"):
+        return -1
+    whole, dot, frac = label.partition(".")
+    donor = f"{int(whole) + 1}{dot}{frac}"
+    return alleles.index(donor) if donor in alleles else -1
+
+
+def expected_position_key(alleles, i):
+    """Silent first, numeric by (fractional part, repeat, index), then the rest."""
+    label = alleles[i]
+    if label == "0":
+        return (0,)
+    if label in ("X", "Y"):
+        return (2, i)
+    rep = Fraction(label)
+    return (1, rep - int(rep), rep, i)
+
+
+class TestLadderStutterStructure:
+    @settings(max_examples=200, deadline=None)
+    @given(stutter_ladders())
+    def test_every_donor_follows_its_recipient(self, freqs):
+        ladder = freqs.ladder("M")
+        n = len(ladder.alleles)
+        order = ladder.order.tolist()
+        assert sorted(order) == list(range(n))
+        assert order == sorted(
+            range(n), key=lambda i: expected_position_key(ladder.alleles, i)
+        )
+        position = {i: p for p, i in enumerate(order)}
+        for i, donor in enumerate(ladder.donor.tolist()):
+            assert donor == expected_donor(ladder.alleles, i)
+            if donor >= 0:
+                assert position[donor] == position[i] + 1
+            successor = mx.stutter_successor(freqs, "M", ladder.alleles[i])
+            assert successor == (donor if donor >= 0 else None)
+        assert ladder.coupled.tolist() == [
+            p + 1 < n and ladder.donor[order[p]] == order[p + 1] for p in range(n)
+        ]
+
+    @pytest.mark.parametrize("freqs, donors", [
+        (table(("22", 0.3), ("23", 0.3), ("24", 0.4)),
+         {"22": "23", "23": "24", "24": None}),
+        (table(("7", 0.1), ("8", 0.2), ("9", 0.2), ("9.3", 0.3), ("10", 0.2)),
+         {"7": "8", "8": "9", "9": "10", "9.3": None, "10": None}),
+        (table(("9.3", 0.5), ("10.3", 0.5)), {"9.3": "10.3", "10.3": None}),
+        (table(("7", 0.5), ("9", 0.5)), {"7": None, "9": None}),
+        (mx.with_silent(table(("8", 0.5), ("9", 0.5)), 0.1),
+         {"0": None, "8": "9", "9": None}),
+    ])
+    def test_donor_matches_pinned_successors(self, freqs, donors):
+        ladder = freqs.ladder("M")
+        got = {
+            lab: ladder.alleles[d] if d >= 0 else None
+            for lab, d in zip(ladder.alleles, ladder.donor.tolist())
+        }
+        assert got == donors
+
+    def test_structure_is_read_only(self):
+        ladder = table(("8", 0.5), ("9", 0.5)).ladder("M")
+        for array in (ladder.donor, ladder.order, ladder.coupled):
+            with pytest.raises(ValueError):
+                array[0] = array[-1]
+
+    def test_donor_out_of_traversal_order_rejected(self):
+        # "09" and "9" have the same repeat, so the donor "9" of "8" cannot
+        # follow it directly
+        with pytest.raises(ValueError, match="traversal order"):
+            table(("8", 0.3), ("09", 0.3), ("9", 0.2), ("10", 0.2))
