@@ -218,13 +218,14 @@ class _Case:
         return result.bundle.with_parameters(result.parameters)
 
 
-def _check_trace_ids(named, trace_ids, where):
-    """Refuse trace ids in ``named`` that no trace file holds."""
+def _check_trace_ids(named, trace_ids, where, absent="no trace file holds"):
+    """Refuse trace ids in ``named`` missing from ``trace_ids``; ``absent``
+    says what lacks them."""
     missing = sorted(set(named) - set(trace_ids))
     if missing:
         raise io.LoadError(
-            f"{where} names trace ids {missing} that no trace file holds "
-            f"(traces read: {sorted(trace_ids)})"
+            f"{where} names trace ids {missing} that {absent} "
+            f"(trace ids held: {sorted(trace_ids)})"
         )
 
 
@@ -459,6 +460,11 @@ def cmd_simulate(args):
     case = _Case(args, need_traces=False)
     if case.params is None:
         raise CliError("simulate needs --params")
+    if case.definition:
+        _check_trace_ids(
+            case.definition.thresholds, case.params.rho, "case JSON traces",
+            "the parameter file does not cover",
+        )
     hyp_id = args.under or case.default_id("prosecution")
     hypothesis = case.hypothesis(hyp_id)
     trace_ids = list(case.params.rho)

@@ -31,18 +31,33 @@ plan keeps one entry per distinct dose and a gather back, so the gamma
 CDF and its derivatives are evaluated once per distinct dropout dose.
 
 Several traces that share unknown contributors are coupled by multiplying
-their per-allele factors inside the same chain pass.  One forward-backward
-sweep per marker evaluates each step's edge values once and keeps them
-with the forward and backward messages, and every query reads from it:
-the gradient, presence posteriors and per-contributor count marginals
-from the posterior of each step's (previous draw, draw) pair, exact k-best
-genotype combinations by best-first search over the edge values, and the
-conditional CDF of each observed peak by re-evaluating its emit step
-alone.  A brute-force enumerator serves as the independent verification
-oracle.
+their per-allele factors inside the same chain pass.  A step's table of
+log factors per (previous draw, draw) pair is one np.bincount of every
+trace's factor entries over a plan-time index (entry -> step * 6^U +
+pair).  One pass per marker serves every query: the gradient, presence
+posteriors and per-contributor count marginals read the posterior of
+each step's (previous draw, draw) pair, exact k-best genotype
+combinations come from best-first search over the steps' exact log edge
+values, and the conditional CDF of each observed peak from re-evaluating
+its emit step alone, with the peak's factor left out of an exact sum.
+A brute-force enumerator serves as the independent verification oracle.
 
-All accumulation is in log space; factors as small as e^-700 apiece do
-not underflow intermediate results.
+The pass runs in scaled linear space (Rabiner 1989, Proc. IEEE 77).  A
+step's edge weights are exp(value - the step's largest value), so every
+weight is at most 1; forward messages are normalized by their sum and
+backward messages by their maximum, and log L is the sum of the shifts
+and the logs of the forward normalizers.  Steps are batched in blocks of
+at most _BLOCK_EDGES edge values (a whole marker at U <= 3, one step at
+U >= 4), so a pass builds no array of every step's edges at large U.
+
+Each edge's product loses at most _TINY to underflow, so a step loses at
+most E * _TINY against the mass it keeps, its normalizer; mass lost at
+one step can grow at most 3^U-fold at each later one.  The pass carries
+that bound through the forward and the backward recursion and into each
+posterior, and where it exceeds _LOSS of the kept mass (for one step, a
+normalizer below about 1e-200), or a step's largest value is not
+finite, the marker is redone by the log-space recursion.  Factors as
+small as e^-700 apiece therefore do not underflow the result.
 """
 
 from __future__ import annotations
@@ -235,6 +250,21 @@ _STEPS = np.array([
     for i, (s, n) in enumerate(_STATES) for m in range(3 - s)
 ], dtype=np.int64)
 
+# A pass batches whole steps into blocks of at most this many edge values:
+# at small U one block shares each numpy call among all of a marker's
+# steps, and at large U (one step per block) temporaries stay one step wide.
+_BLOCK_EDGES = 2**14
+# The most one edge's product can lose to underflow (four roundings of
+# 2^-1074 each), and the largest bound on a scaled pass's loss, relative
+# to the mass it keeps, that the pass accepts.  A single step then needs a
+# normalizer of at least E * _TINY / _LOSS, about 1e-200.
+_TINY = 2.0**-1072
+_LOSS = 1e-120
+
+
+class _Underflow(Exception):
+    """A scaled pass would lose precision; redo the marker in log space."""
+
 
 def _state_log_pmf(rate: float) -> np.ndarray:
     """log Bin(n; 2 - (S - n), rate) for each state (S, n) in _STATES.
@@ -270,7 +300,8 @@ def _fold(column: np.ndarray, n_unknown: int, base: int) -> np.ndarray:
 
 
 def _logsumexp_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """log sum exp(values) over each group of ``index``, groups 0 .. size-1.
+    """log sum exp(values) over each group of ``index``, groups 0 .. size-1;
+    the log-space pass's reduction.
 
     Each group is shifted by its own maximum; a group whose maximum is not
     finite (empty, all -inf, or holding NaN or +inf) gives -inf.
@@ -322,7 +353,8 @@ class _TraceView:
     flattened pre-stutter doses B with one trailing zero cell:
     dose = (1 - xi) B.flat[here] + xi B.flat[there].  dropout picks one
     entry per distinct dropout dose and spread maps every dropout entry
-    back to its distinct dose (see _dose_gathers).
+    back to its distinct dose (see _dose_gathers).  cell is every entry's
+    cell in the marker's step tables, emit step * 6^U + pair.
     """
 
     trace_id: str
@@ -338,6 +370,7 @@ class _TraceView:
     there: np.ndarray
     dropout: np.ndarray
     spread: np.ndarray
+    cell: np.ndarray
 
 
 def _factor_blocks(observed, silent, coupled, n_pairs):
@@ -507,6 +540,7 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
         blocks, n_observed = _factor_blocks(observed, silent, coupled, n_pairs)
         here, there, dropout, spread = _dose_gathers(cells, blocks, n_observed, n_pairs)
         peaks = [p for p in blocks if observed[p]]
+        emit = np.array([t for t, _ in blocks.values()], dtype=np.int64)
         views.append(
             _TraceView(
                 trace_id=trace.trace_id,
@@ -524,6 +558,7 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
                 there=there,
                 dropout=dropout,
                 spread=spread,
+                cell=(emit[:, None] * n_pairs + np.arange(n_pairs)).ravel(),
             )
         )
 
@@ -705,13 +740,24 @@ def _view_terms(plan, params) -> list[_ViewTerms]:
     return out
 
 
-def _step_table(plan, terms, t, skip=None):
-    """Step t's log evidence factors summed over traces, per (previous
-    draw, draw) pair.
+def _step_tables(plan, terms):
+    """(T, 6^U) log evidence factors per step and (previous draw, draw)
+    pair, summed over traces: one np.bincount of each trace's entries
+    over its cells."""
+    size = len(plan.order) * plan.n_pairs
+    tables = np.zeros(size)
+    for view, term in zip(plan.traces, terms):
+        tables += np.bincount(view.cell, term.log_factors, size)
+    return tables.reshape(-1, plan.n_pairs)
 
-    terms are the marker's :func:`_view_terms`.  Step t emits a
-    stutter-coupled position t-1 and an uncoupled position t.
-    skip = (view index, position) leaves that peak's factor out.
+
+def _step_table(plan, terms, t, skip):
+    """Step t's table with one peak's factor left out, by exact summation.
+
+    skip = (view index, position) names the peak.  Step t emits a
+    stutter-coupled position t-1 and an uncoupled position t.  The sum
+    is rebuilt, not taken from the full table by subtraction, which would
+    give NaN where the left-out factor is -inf.
     """
     table = np.zeros(plan.n_pairs)
     for view_idx, (view, term) in enumerate(zip(plan.traces, terms)):
@@ -722,13 +768,9 @@ def _step_table(plan, terms, t, skip=None):
     return table
 
 
-def _step_tables(plan, terms):
-    return [_step_table(plan, terms, t) for t in range(len(plan.order))]
-
-
 def _step_values(plan, t, tables):
-    """Per-edge log(transition * factors) at step t, for one step table or
-    a stack of them (one row each).
+    """Per-edge exact log(transition * factors) at step t, for one step
+    table or a stack of them (one row each).
 
     The transition is read per target state, from the step's outer sum of
     per-contributor log-pmfs.
@@ -737,8 +779,142 @@ def _step_values(plan, t, tables):
     return plan.state_lp[t][edges.dst] + tables[..., edges.key]
 
 
+class _Pass(NamedTuple):
+    """What one pass over a marker's chain gives the queries.
+
+    pair[t] is the posterior of step t's (previous draw, draw) pairs, and
+    alt[t][i] that of step t with the i-th of its alternative tables in
+    place of its own (None where that has no mass); each only if asked.
+    """
+
+    loglik: float
+    pair: np.ndarray | None = None
+    alt: Mapping[int, object] | None = None
+
+
+def _chain_pass(plan, tables, posteriors=False, alt=None) -> _Pass:
+    """One pass over a marker's chain with step tables ``tables`` (T, 6^U).
+
+    posteriors asks for every step's pair posterior; alt maps a step to a
+    stack of alternative tables for it.  The pass runs in scaled linear
+    space and is redone in log space where that would lose precision.
+    """
+    try:
+        return _scaled_pass(plan, tables, posteriors, alt)
+    except _Underflow:
+        return _log_pass(plan, tables, posteriors, alt)
+
+
+def _forward(plan, tables, keep):
+    """Scaled forward recursion.
+
+    Returns log L; the messages alpha (T+1, S) into each step, each
+    summing to 1; a bound on each one's loss to underflow, relative to
+    its sum; and (if ``keep``) each block's edge weights exp(value - the
+    step's largest value).  A state holds at most 3^U out-edges of weight
+    at most 1, so earlier loss grows at most 3^U-fold per step before the
+    step's normalizer divides it.
+    """
+    edges, n_states = plan.edges, plan.n_states
+    n_steps = len(tables)
+    fan_out, step_loss = 3**plan.n_unknown, len(edges.src) * _TINY
+    per_block = max(1, _BLOCK_EDGES // len(edges.src))
+    alpha = np.zeros((n_steps + 1, n_states))
+    alpha[0, 0] = 1.0
+    loglik, lost, weights = 0.0, [0.0], []
+    for lo in range(0, n_steps, per_block):
+        hi = min(lo + per_block, n_steps)
+        w = plan.state_lp[lo:hi][:, edges.dst] + tables[lo:hi][:, edges.key]
+        if lo == 0:
+            w[0, len(plan.edges0.src):] = -np.inf  # step 0 leaves state 0 only
+        shift = w.max(axis=1)
+        if not np.isfinite(shift).all():
+            raise _Underflow
+        np.exp(w - shift[:, None], out=w)
+        loglik += float(shift.sum())
+        for t in range(lo, hi):
+            mass = np.bincount(edges.dst, alpha[t][edges.src] * w[t - lo], n_states)
+            total = float(mass.sum())
+            loss = fan_out * lost[t] + step_loss
+            if not loss <= _LOSS * total:
+                raise _Underflow
+            lost.append(loss / total)
+            np.divide(mass, total, out=alpha[t + 1])
+            loglik += math.log(total)
+        if keep:
+            weights.append(w)
+    return loglik, alpha, np.array(lost), weights
+
+
+def _backward(plan, weights):
+    """Scaled backward messages beta (T, S) out of each step, each divided
+    by its maximum, from the forward recursion's edge weights, and a bound
+    on each one's loss to underflow relative to its maximum."""
+    edges, n_states = plan.edges, plan.n_states
+    fan_out = 3**plan.n_unknown
+    steps = [row for w in weights for row in w]
+    beta = np.empty((len(steps), n_states))
+    beta[-1] = 1.0
+    lost = [0.0] * len(steps)
+    for t in range(len(steps) - 1, 0, -1):
+        mass = np.bincount(edges.src, steps[t] * beta[t][edges.dst], n_states)
+        top = float(mass.max())
+        loss = fan_out * (lost[t] + _TINY)
+        if not loss <= _LOSS * top:
+            raise _Underflow
+        lost[t - 1] = loss / top
+        np.divide(mass, top, out=beta[t - 1])
+    return beta, np.array(lost)
+
+
+def _pair_posteriors(mass, keys, n_pairs, loss):
+    """Each row of edge masses summed by the edges' pairs ``keys``, with one
+    np.bincount for all rows, and normalized over the row; ``loss`` bounds
+    each row's loss to underflow."""
+    rows = (np.arange(len(mass))[:, None] * n_pairs + keys).ravel()
+    post = np.bincount(rows, mass.ravel(), len(mass) * n_pairs).reshape(-1, n_pairs)
+    total = post.sum(axis=1)
+    if not (loss <= _LOSS * total).all():
+        raise _Underflow
+    return post / total[:, None]
+
+
+def _scaled_pass(plan, tables, posteriors, alt):
+    """_chain_pass in scaled linear space; raises _Underflow where the
+    bound on its loss to underflow is too large."""
+    loglik, alpha, lost, weights = _forward(plan, tables, keep=posteriors or bool(alt))
+    if not weights:
+        return _Pass(loglik)
+    beta, lost_after = _backward(plan, weights)
+    edges, n_pairs = plan.edges, plan.n_pairs
+    # a posterior's mass alpha[src] * w * beta[dst] loses what alpha and
+    # beta lost, each at most 3^U-fold, and its own products' underflow
+    loss = 3**plan.n_unknown * (lost[:-1] + lost_after) + len(edges.src) * _TINY
+    pair = None
+    if posteriors:
+        pair = np.empty((len(tables), n_pairs))
+        lo = 0
+        for w in weights:
+            hi = lo + len(w)
+            mass = alpha[lo:hi][:, edges.src] * w * beta[lo:hi][:, edges.dst]
+            pair[lo:hi] = _pair_posteriors(mass, edges.key, n_pairs, loss[lo:hi])
+            lo = hi
+    others = None
+    if alt:
+        others = {}
+        for t, rows in alt.items():
+            step = plan.edges_at(t)
+            vals = _step_values(plan, t, rows)
+            shift = vals.max(axis=1)
+            if not np.isfinite(shift).all():
+                raise _Underflow
+            mass = alpha[t][step.src] * np.exp(vals - shift[:, None]) * beta[t][step.dst]
+            others[t] = _pair_posteriors(mass, step.key, n_pairs, loss[t])
+    return _Pass(loglik, pair, others)
+
+
 class _Sweep(NamedTuple):
-    """One forward-backward pass over a marker's chain; every query reads it.
+    """One log-space forward-backward pass over a marker's chain.
 
     vals[t] holds step t's per-edge log(transition * factors), fwd[t] the
     forward log message into step t (fwd[-1] the final one) and bwd[t] the
@@ -751,8 +927,8 @@ class _Sweep(NamedTuple):
     loglik: float
 
 
-def _sweep(plan, tables, backward=True) -> _Sweep:
-    """Forward and (optionally) backward pass with step tables ``tables``."""
+def _log_sweep(plan, tables, backward=True) -> _Sweep:
+    """Forward and (optionally) backward pass in log space."""
     vals, fwd = [], [np.zeros(1)]
     for t, table in enumerate(tables):
         vals.append(_step_values(plan, t, table))
@@ -781,7 +957,7 @@ def _log_total(values) -> float:
 
 
 def _step_posterior(plan, sweep, t, vals):
-    """Posterior of step t's (previous draw, draw) pairs.
+    """Posterior of step t's (previous draw, draw) pairs from a log sweep.
 
     Combines the sweep's messages around step t with the step's edge
     values ``vals``, which may come from another table for the step, and
@@ -794,6 +970,21 @@ def _step_posterior(plan, sweep, t, vals):
         return None
     w = np.exp(logw - top)
     return np.bincount(edges.key, weights=w, minlength=plan.n_pairs) / w.sum()
+
+
+def _log_pass(plan, tables, posteriors, alt):
+    """The pass by the log-space recursion, where the scaled one underflows."""
+    sweep = _log_sweep(plan, tables, backward=posteriors or bool(alt))
+    pair = None
+    if posteriors and np.isfinite(sweep.loglik):
+        pair = np.array([
+            _step_posterior(plan, sweep, t, vals) for t, vals in enumerate(sweep.vals)
+        ])
+    others = alt and {
+        t: [_step_posterior(plan, sweep, t, vals) for vals in _step_values(plan, t, rows)]
+        for t, rows in alt.items()
+    }
+    return _Pass(sweep.loglik, pair, others)
 
 
 def _presence_masks(plan, assignments):
@@ -854,8 +1045,7 @@ def _plan_for(bundle: EvidenceBundle, marker: str) -> _MarkerPlan:
 def marker_log_likelihood(bundle: EvidenceBundle, marker: str) -> float:
     """Exact log likelihood of one marker, marginalized over unknown genotypes."""
     plan = _plan_for(bundle, marker)
-    tables = _step_tables(plan, _view_terms(plan, bundle.parameters))
-    return _sweep(plan, tables, backward=False).loglik
+    return _chain_pass(plan, _step_tables(plan, _view_terms(plan, bundle.parameters))).loglik
 
 
 def total_log_likelihood(bundle: EvidenceBundle) -> float:
@@ -901,17 +1091,16 @@ def log_likelihood_and_gradient(
 
 def _marker_value_and_gradient(plan, params):
     terms = _view_terms(plan, params)
-    sweep = _sweep(plan, _step_tables(plan, terms))
-    loglik = sweep.loglik
+    loglik, pair, _ = _chain_pass(plan, _step_tables(plan, terms), posteriors=True)
     grad = {}
     if not np.isfinite(loglik):
         return loglik, grad
-    pair = [_step_posterior(plan, sweep, t, vals) for t, vals in enumerate(sweep.vals)]
+    pair = pair.ravel()
     marker_xi = params.marker_xi is not None and plan.marker in params.marker_xi
     rho_over = (params.marker_rho or {}).get(plan.marker, {})
     for view, term in zip(plan.traces, terms):
         tid = view.trace_id
-        w = np.concatenate([pair[t] for t, _ in view.blocks.values()])
+        w = pair[view.cell]
         k = view.n_observed
         d_shape = np.empty(len(term.doses))
         d_eta = np.empty(len(term.doses))
@@ -954,16 +1143,13 @@ def _marker_value_and_gradient(plan, params):
 def _chain_posterior(bundle, marker, assignments=None, k=0):
     plan = _plan_for(bundle, marker)
     terms = _view_terms(plan, bundle.parameters)
-    masks = _presence_masks(plan, assignments)
-    sweep = _sweep(plan, [
-        table + mask for table, mask in zip(_step_tables(plan, terms), masks)
-    ])
-    if not np.isfinite(sweep.loglik):
+    tables = _step_tables(plan, terms) + _presence_masks(plan, assignments)
+    loglik, pair, _ = _chain_pass(plan, tables, posteriors=True)
+    if not np.isfinite(loglik):
         raise InfeasibleConditioningError(
             f"zero probability on marker {marker!r}"
             + (f" under conditioning {dict(assignments)!r}" if assignments else "")
         )
-    pair = [_step_posterior(plan, sweep, t, vals) for t, vals in enumerate(sweep.vals)]
     # posterior of each step's draw: its pair posterior summed by draw
     post = np.array([np.bincount(plan.pair_draw, w, plan.n_combos) for w in pair])
     counts = [
@@ -982,10 +1168,10 @@ def _chain_posterior(bundle, marker, assignments=None, k=0):
             marginals[role][lab] = tuple(float(x) for x in count[t])
     return MarkerChainPosterior(
         marker=marker,
-        log_likelihood=sweep.loglik,
+        log_likelihood=loglik,
         presence=presence,
         count_marginals=marginals,
-        top_genotypes=_kbest_paths(plan, sweep, k) if k else (),
+        top_genotypes=_kbest_paths(plan, tables, loglik, k) if k else (),
     )
 
 
@@ -1031,18 +1217,20 @@ def top_k_marker_genotypes(bundle: EvidenceBundle, marker: str, k: int):
     return _chain_posterior(bundle, marker, k=k).top_genotypes
 
 
-def _kbest_paths(plan, sweep, k):
+def _kbest_paths(plan, tables, loglik, k):
     if plan.n_unknown == 0:
         return (({}, 1.0),)
     n_pos = len(plan.order)
     edges = plan.edges
+    # exact log edge values: scaled weights that underflow would drop edges
+    vals = [_step_values(plan, t, table) for t, table in enumerate(tables)]
 
     # Max-product backward bounds make the best-first extension exact (A*).
     mb = [None] * n_pos
     mb[n_pos - 1] = np.zeros(plan.n_states)
     for t in range(n_pos - 1, 0, -1):
         mb[t - 1] = np.full(plan.n_states, -np.inf)
-        np.maximum.at(mb[t - 1], edges.src, sweep.vals[t] + mb[t][edges.dst])
+        np.maximum.at(mb[t - 1], edges.src, vals[t] + mb[t][edges.dst])
 
     counter = itertools.count()
     heap = []
@@ -1050,7 +1238,7 @@ def _kbest_paths(plan, sweep, k):
     def extend(t, g, draws, out):
         # push the partial path (g, draws) extended along step t's edges out
         step = plan.edges_at(t)
-        g_out = g + sweep.vals[t][out]
+        g_out = g + vals[t][out]
         bound = g_out + mb[t][step.dst[out]]
         for i in np.flatnonzero(np.isfinite(bound)):
             e = out[i]
@@ -1079,7 +1267,7 @@ def _kbest_paths(plan, sweep, k):
             for t, cidx in enumerate(draws):
                 alleles.extend([plan.internal_labels[t]] * int(plan.combo_counts[cidx, i]))
             assignment[role] = tuple(sorted(alleles, key=ladder_pos.get))
-        out.append((assignment, float(np.exp(score - sweep.loglik))))
+        out.append((assignment, float(np.exp(score - loglik))))
     return tuple(out)
 
 
@@ -1100,13 +1288,13 @@ class _PeakPosterior(NamedTuple):
 def _observed_peak_posteriors(bundle: EvidenceBundle, truncate: bool):
     """Every observed peak's entries weighted by everything but its height.
 
-    One sweep per marker serves all its peaks.  A peak's factor enters
+    One pass per marker serves all its peaks.  A peak's factor enters
     the chain only at its emit step t, so the forward message into t and
-    the backward message out of it do not depend on it.  After the sweep,
-    step t is evaluated once more per peak it emits, with its table
+    the backward message out of it do not depend on it.  The pass
+    evaluates step t once more per peak it emits, with its table
     recomputed without the peak's factor, plus the survival term
     log P(H >= C) when ``truncate`` keeps the peak's observed status, and
-    normalized over the step.
+    normalizes over the step.
     """
     for marker in bundle.covered_markers():
         plan = _plan_for(bundle, marker)
@@ -1125,14 +1313,16 @@ def _observed_peak_posteriors(bundle: EvidenceBundle, truncate: bool):
                 peaks.append((view, term, p, t, len(tables[t]) - 1))
         if not peaks:
             continue
-        sweep = _sweep(plan, _step_tables(plan, terms))
-        vals = {t: _step_values(plan, t, np.array(rows)) for t, rows in tables.items()}
+        alt = _chain_pass(
+            plan, _step_tables(plan, terms),
+            alt={t: np.array(rows) for t, rows in tables.items()},
+        ).alt
         for view, term, p, t, row in peaks:
             yield _PeakPosterior(
                 view.trace_id, marker, plan.internal_labels[p],
                 float(view.heights[p]), view.threshold, term.eta,
                 term.rho * term.doses[view.blocks[p][1]],
-                _step_posterior(plan, sweep, t, vals[t][row]),
+                alt[t][row],
             )
 
 

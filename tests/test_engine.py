@@ -13,6 +13,12 @@ from scipy.special import logsumexp
 import mixref as mx
 from mixref import engine
 from mixref.engine import InfeasibleConditioningError
+from mixref.estimation import (
+    FitSpecification,
+    _chained_gradient,
+    _Structure,
+    numeric_gradient,
+)
 from mixref.peakmodel import gamma_log_cdf, gamma_log_cdf_grad, gamma_log_pdf
 
 from conftest import (
@@ -411,6 +417,185 @@ class TestLogsumexpBy:
         assert np.array_equal(got, [-np.inf, -np.inf, -3.0, -np.inf, -np.inf])
 
 
+def _central_difference(bundle, oracle, marker, step):
+    """d log L by central differences of ``oracle`` in each trace's rho,
+    eta and xi, and along phi[a] - phi[last] for every other role a
+    (keeping the fractions' sum), one entry per direction."""
+    params = bundle.parameters
+    out = {}
+
+    def at(**change):
+        fields = dict(rho=dict(params.rho), eta=params.eta, xi=params.xi,
+                      phi={t: dict(v) for t, v in params.phi.items()})
+        fields.update(change)
+        return oracle(bundle.with_parameters(mx.ModelParameters(**fields)), marker)
+
+    for tid in params.rho:
+        for family, value in (("rho", params.rho[tid]), ("eta", params.eta),
+                              ("xi", params.xi)):
+            h = step * value
+            moved = [
+                {**params.rho, tid: value + s} if family == "rho" else value + s
+                for s in (h, -h)
+            ]
+            up, down = (at(**{family: m}) for m in moved)
+            out[(family, tid)] = (up - down) / (2 * h)
+        roles = list(params.phi[tid])
+        for role in roles[:-1]:
+            h = step * params.phi[tid][role]
+            ends = []
+            for s in (h, -h):
+                phi = {t: dict(v) for t, v in params.phi.items()}
+                phi[tid][role] += s
+                phi[tid][roles[-1]] -= s
+                ends.append(at(phi=phi))
+            out[("phi", tid, role, roles[-1])] = (ends[0] - ends[1]) / (2 * h)
+    return out
+
+
+class TestScaledPassFallback:
+    """The scaled linear-space pass and its log-space redo."""
+
+    def _dying_path_case(self):
+        # U1's two copies of 8 explain the 8 peak best by e^875, so the
+        # scaled forward message keeps that path alone; it dies at 10, a
+        # peak it gives zero dose, and the kept mass underflows to 0
+        freqs = mx.FrequencyTable.from_dict({"M": {"8": 0.3, "10": 0.3, "12": 0.4}})
+        k1 = mx.GenotypeProfile.from_pairs({"M": ("12", "12")})
+        params = mx.ModelParameters(
+            rho={"T1": 6000.0}, eta=1.0, xi=0.05,
+            phi={"T1": {"K1": 0.5, "U1": 0.5}},
+        )
+        return single_trace_bundle(
+            freqs, mx.Hypothesis(known={"K1": k1}, unknown=("U1",)),
+            {"8": 5700.0, "10": 2850.0, "12": 5700.0}, params,
+        )
+
+    def test_dying_path_redoes_the_marker_in_log_space(self, monkeypatch):
+        b = self._dying_path_case()
+        plan = b._plans["M"]
+        tables = engine._step_tables(plan, engine._view_terms(plan, b.parameters))
+        with pytest.raises(engine._Underflow):
+            engine._forward(plan, tables, keep=False)
+        redone = []
+
+        def spy(plan, tables, posteriors, alt, _original=engine._log_pass):
+            redone.append(posteriors)
+            return _original(plan, tables, posteriors, alt)
+
+        monkeypatch.setattr(engine, "_log_pass", spy)
+        ll = mx.marker_log_likelihood(b, "M")
+        ll_grad, grad = mx.log_likelihood_and_gradient(b)
+        assert redone == [False, True]  # the value pass, then the gradient's
+        assert ll == ll_grad and -900.0 < ll < -880.0  # far below log(realmin)
+        for oracle in (mx.brute_force_log_likelihood, oracle_log_likelihood):
+            assert ll == pytest.approx(oracle(b, "M"), rel=1e-12)
+            numeric = _central_difference(b, oracle, "M", 1e-6)
+            for key, want in numeric.items():
+                got = grad[key[:3]] - (grad[key[:2] + key[3:]] if len(key) > 3 else 0.0)
+                assert got == pytest.approx(want, rel=1e-5, abs=1e-5), key
+
+    def test_loss_that_grows_over_steps_redoes_the_marker(self):
+        # two copies of 8 outweigh one of 8 and one of 10 by e^800, so the
+        # scaled forward message drops the second path at the first step;
+        # two later steps then cost the first path e^-450 each, which no
+        # single normalizer shows (each stays above 1e-200), and the first
+        # path's e^-900 would stand for the second's e^-800
+        freqs = mx.FrequencyTable.from_dict(
+            {"M": {"8": 0.25, "10": 0.25, "12": 0.25, "14": 0.25}}
+        )
+        params = mx.ModelParameters(
+            rho={"T1": 30.0}, eta=20.0, xi=0.0, phi={"T1": {"U1": 1.0}}
+        )
+        b = single_trace_bundle(
+            freqs, mx.Hypothesis(known={}, unknown=("U1",)), {}, params
+        )
+        plan = b._plans["M"]
+        assert plan.internal_labels == ("8", "10", "12", "14")
+        tables = np.zeros((4, plan.n_pairs))
+        tables[0, [PAIRS.index((0, 0)), PAIRS.index((0, 1))]] = -800.0
+        tables[1, PAIRS.index((2, 0))] = -450.0
+        tables[2, PAIRS.index((0, 0))] = -450.0
+        exact = engine._log_pass(plan, tables, True, None)
+        assert exact.loglik == pytest.approx(-800.0, abs=1.0)
+        for posteriors in (False, True):
+            with pytest.raises(engine._Underflow):
+                engine._scaled_pass(plan, tables, posteriors, None)
+            got = engine._chain_pass(plan, tables, posteriors)
+            assert got.loglik == exact.loglik
+        np.testing.assert_array_equal(got.pair, exact.pair)
+
+    def test_backward_and_posteriors_refuse_what_they_would_lose(self):
+        plan = self._dying_path_case()._plans["M"]
+        n_steps, n_edges = len(plan.order), len(plan.edges.src)
+
+        def backward(*steps):
+            weights = np.ones((n_steps, n_edges))
+            for t, weight in steps:
+                weights[t] = weight
+            return engine._backward(plan, [weights])
+
+        backward((2, 1e-190))  # one step a little above the floor is kept
+        # one step below it, or two steps that each keep 1e-150, are not
+        for steps in ([(2, 1e-210)], [(1, 1e-150), (2, 1e-150)]):
+            with pytest.raises(engine._Underflow):
+                backward(*steps)
+        keys, one_step = plan.edges.key, n_edges * engine._TINY
+        engine._pair_posteriors(np.full((1, n_edges), 1e-190), keys, plan.n_pairs, one_step)
+        with pytest.raises(engine._Underflow):
+            engine._pair_posteriors(
+                np.full((1, n_edges), 1e-210), keys, plan.n_pairs, one_step
+            )
+
+    @given(stn.integers(0, 2**32 - 1), stn.floats(2.0, 8.0))
+    @settings(max_examples=25, deadline=None)
+    def test_extreme_factors_match_enumeration(self, seed, scale):
+        # rho several times its usual range puts factors near e^-700 and
+        # below, so some markers pass scaled and some are redone
+        rng = np.random.default_rng(seed)
+        b = random_case(rng, max_alleles=4, max_unknowns=3, n_markers=2)
+        p = b.parameters
+        b = b.with_parameters(mx.ModelParameters(
+            rho={t: r * scale for t, r in p.rho.items()}, eta=p.eta, xi=p.xi,
+            phi=p.phi,
+        ))
+        finite = True
+        for marker in b.covered_markers():
+            table = oracle_table(b, marker)
+            total = logsumexp([w for _, w in table])
+            got = mx.marker_log_likelihood(b, marker)
+            assert got == pytest.approx(
+                mx.brute_force_log_likelihood(b, marker), rel=1e-9, abs=1e-9
+            )
+            if total == -np.inf:
+                assert got == -np.inf
+                finite = False
+                continue
+            assert got == pytest.approx(total, rel=1e-9)
+            post = mx.marker_posterior(b, marker, k=8)
+            for lab, prob in post.presence.items():
+                carried = [
+                    w for counts, w in table if sum(c[lab] for c in counts.values())
+                ]
+                want = float(np.exp(logsumexp(carried) - total)) if carried else 0.0
+                assert prob == pytest.approx(want, abs=1e-9)
+            enum = sorted((float(np.exp(w - total)) for _, w in table), reverse=True)
+            for (_, got_p), want_p in zip(post.top_genotypes, enum):
+                assert got_p == pytest.approx(want_p, abs=1e-9)
+        if not finite:
+            return
+        structure = _Structure(FitSpecification(bundle=b, share=frozenset()))
+        theta = structure.pack(b.parameters)
+
+        def value(th):
+            return mx.total_log_likelihood(b.with_parameters(structure.unpack(th)[0]))
+
+        ll, exact = _chained_gradient(structure, structure.unpack, theta)
+        assert ll == value(theta)
+        numeric = numeric_gradient(value, theta, rel_step=1e-6, abs_floor=1e-8)
+        np.testing.assert_allclose(exact, numeric, rtol=1e-5, atol=1e-5)
+
+
 class TestConditionedPresence:
     def _bundle(self):
         freqs = mx.FrequencyTable.from_dict(
@@ -724,8 +909,14 @@ class TestChainStructure:
                 params,
             )
             plan = b._plans["M"]
-            zeros = [np.zeros(plan.n_pairs)] * len(plan.order)
-            sweep = engine._sweep(plan, zeros)
+            zeros = np.zeros((len(plan.order), plan.n_pairs))
+            # the scaled pass: log L is 0 and every backward message is flat
+            loglik, _, _, weights = engine._forward(plan, zeros, keep=True)
+            assert abs(loglik) < 1e-12
+            beta, _ = engine._backward(plan, weights)
+            assert np.abs(beta - 1.0).max() < 1e-12
+            # the log-space recursion it falls back on: the same in log space
+            sweep = engine._log_sweep(plan, zeros)
             assert abs(sweep.loglik) < 1e-12
             assert np.abs(np.concatenate(sweep.bwd)).max() < 1e-12
 

@@ -507,6 +507,27 @@ class TestCli:
         assert any(h >= 150 for h in heights)
         assert not [h for h in heights if 0 < h < 150]
 
+    def test_simulate_refuses_a_threshold_for_an_uncovered_trace(
+        self, tiny_case, tmp_path, capsys
+    ):
+        # a misspelt id once left T1 at the default threshold with exit 0
+        doc = json.loads(Path(tiny_case["case"]).read_text())
+        doc["traces"] = {"T9": {"threshold": 500}}
+        case = write(tmp_path, "t9_case.json", json.dumps(doc))
+        out = tmp_path / "sim.csv"
+        rc = cli.main(
+            ["simulate", "--freqs", tiny_case["freqs"], "--profiles",
+             tiny_case["profiles"], "--hypothesis", case,
+             "--under", "prosecution", "--params", tiny_case["params"],
+             "--trace-id", "T1", "--seed", "3", "--out", str(out)]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "load_error"
+        assert "['T9']" in err["error"]["message"]
+        assert "parameter file" in err["error"]["message"]
+        assert not out.exists()
+
     def test_simulate_with_unknown_contributor_draws_from_population(
         self, tiny_case, tmp_path
     ):
