@@ -21,43 +21,60 @@ n copies at the previous position draws m <= 2 - n here, so 6 of the 9
 per-contributor pairs, and 6^U joint pairs, are reachable, and every
 emitted peak's factor is one run of 6^U entries at its emit step.
 
-A trace's plan on a marker holds parameter-free gathers: each factor
-entry's flat index into the pre-stutter dose table and into its stutter
-donor's row (or a trailing zero cell), so a pass builds every dose with
-one gather and scatters the gradient back with one np.bincount per term.
-Dropout entries whose positions share the known contributors' counts
-and whose draws match have the same dose at every parameter value; the
-plan keeps one entry per distinct dose and a gather back, so the gamma
-CDF and its derivatives are evaluated once per distinct dropout dose.
+The bundle lays out each trace's factor entries over all its markers
+once, flattened (_TraceLayout): observed entries first, then dropout
+entries, marker by marker.  Its parameter-free gathers give each
+observed entry, and each distinct dropout dose, its cell of the
+pre-stutter dose table and its stutter donor's (or a trailing zero
+cell), so a pass builds every dose of a trace with one gather and calls
+each gamma kernel, and its derivative, once per trace.  Dropout entries
+whose positions share the known contributors' counts and whose draws
+match have the same dose at every parameter value, so the gamma CDF is
+evaluated once per distinct dropout dose and spread back.  A marker's
+plan keeps no per-entry array: its trace views cut the marker's window
+out of the layouts when a one-marker query asks.
 
 Several traces that share unknown contributors are coupled by multiplying
-their per-allele factors inside the same chain pass.  A step's table of
-log factors per (previous draw, draw) pair is one np.bincount of every
-trace's factor entries over a plan-time index (entry -> step * 6^U +
-pair).  One pass per marker serves every query: the gradient, presence
-posteriors and per-contributor count marginals read the posterior of
-each step's (previous draw, draw) pair, exact k-best genotype
-combinations come from best-first search over the steps' exact log edge
-values, and the conditional CDF of each observed peak from re-evaluating
-its emit step alone, with the peak's factor left out of an exact sum.
-A brute-force enumerator serves as the independent verification oracle.
+their per-allele factors inside the same chain pass.  The markers are
+independent given the parameters, so one pass runs the chains of many
+markers side by side, along a leading marker axis (a stack, _Stack).
+The bundle splits its markers into stacks whose step holds at most
+_BLOCK_EDGES edge values (up to 163 markers at U = 2, 16 at U = 3, one
+at U >= 4), so a likelihood or gradient evaluation is one pass per
+stack, one in all at U <= 2; a one-marker query is one pass over its
+marker's plan, a one-marker stack.  A stack front-pads each marker to
+its longest with exact identity steps: state 0 to state 0, weight 1,
+log 0.  The step tables of all
+markers, per (previous draw, draw) pair, are one np.bincount per trace
+over a plan-time index (entry -> step row * 6^U + pair), and the
+gradient is one scatter per trace.  Every query reads the same pass: the
+gradient, presence posteriors and per-contributor count marginals read
+the posterior of each step's (previous draw, draw) pair, exact k-best
+genotype combinations come from best-first search over the steps' exact
+log edge values, and the conditional CDF of each observed peak from
+re-evaluating its emit step alone, with the peak's factor left out of
+an exact sum.  A brute-force enumerator serves as the independent
+verification oracle.
 
 The pass runs in scaled linear space (Rabiner 1989, Proc. IEEE 77).  A
 step's edge weights are exp(value - the step's largest value), so every
 weight is at most 1; forward messages are normalized by their sum and
 backward messages by their maximum, and log L is the sum of the shifts
 and the logs of the forward normalizers.  Steps are batched in blocks of
-at most _BLOCK_EDGES edge values (a whole marker at U <= 3, one step at
-U >= 4), so a pass builds no array of every step's edges at large U.
+at most _BLOCK_EDGES edge values, counted over the stack's markers and
+steps (one step of one marker at U >= 4), so a pass builds no array of
+every step's edges at large U.
 
 Each edge's product loses at most _TINY to underflow, so a step loses at
 most E * _TINY against the mass it keeps, its normalizer; mass lost at
 one step can grow at most 3^U-fold at each later one.  The pass carries
 that bound through the forward and the backward recursion and into each
 posterior, and where it exceeds _LOSS of the kept mass (for one step, a
-normalizer below about 1e-200), or a step's largest value is not
-finite, the marker is redone by the log-space recursion.  Factors as
-small as e^-700 apiece therefore do not underflow the result.
+normalizer below about 1e-200), or a step's largest value is NaN or
++inf, that marker alone is redone by the log-space recursion; the rest
+of the stack keeps its scaled result.  A step whose largest value is
+-inf has no path through it: the marker's log L is -inf, with no redo.
+Factors as small as e^-700 apiece therefore do not underflow the result.
 """
 
 from __future__ import annotations
@@ -66,7 +83,7 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -262,6 +279,11 @@ _TINY = 2.0**-1072
 _LOSS = 1e-120
 
 
+# A one-marker stack's first real step: it has no padding.
+_NO_PADDING = np.zeros(1, dtype=np.int64)
+_NO_PADDING.setflags(write=False)
+
+
 class _Underflow(Exception):
     """A scaled pass would lose precision; redo the marker in log space."""
 
@@ -346,15 +368,63 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
 
 
 @dataclass(frozen=True)
+class _TraceLayout:
+    """One trace's factor entries over the markers of a stack, flattened.
+
+    Observed entries come first, marker by marker, then dropout entries,
+    marker by marker, so each gamma kernel is one call per trace.  A dose
+    point is an observed entry or a distinct dropout dose (see
+    _dose_gathers).  gather holds each point's two cells of the trace's
+    pre-stutter doses B over the stack's positions (whose known
+    contributors' counts are known_counts), flattened with one trailing
+    zero cell ``zero``: dose = (1 - xi) B.flat[gather[0]] +
+    xi B.flat[gather[1]].  spread maps each dropout entry to its distinct
+    dose, and cell is each entry's cell in the stack's step tables.
+    counts holds, per marker, its observed entries, distinct dropout doses
+    and dropout entries.
+    """
+
+    trace_id: str
+    threshold: float
+    known_contributes: np.ndarray  # bool per known role
+    unknown_contributes: np.ndarray  # bool per unknown role
+    markers: tuple[str, ...]
+    counts: np.ndarray  # (3, markers)
+    n_observed: int
+    peak_heights: np.ndarray  # height of each observed entry
+    gather: np.ndarray  # (2, points)
+    cell: np.ndarray
+    spread: np.ndarray
+    zero: int
+    known_counts: np.ndarray  # (K, the stack's positions)
+
+
+class _Frame(NamedTuple):
+    """Where a marker's cells sit in its stack: its first cell of the
+    stack's doses B, the stack's trailing zero cell, and its first cell of
+    the stack's step tables."""
+
+    dose_offset: int
+    zero: int
+    cell_offset: int
+
+
+def _shifted(run, by):
+    return slice(run.start + by, run.stop + by)
+
+
+@dataclass(frozen=True)
 class _TraceView:
     """One trace's data for a marker, aligned to the internal position order.
 
-    here and there gather every factor entry's dose from the trace's
-    flattened pre-stutter doses B with one trailing zero cell:
-    dose = (1 - xi) B.flat[here] + xi B.flat[there].  dropout picks one
-    entry per distinct dropout dose and spread maps every dropout entry
-    back to its distinct dose (see _dose_gathers).  cell is every entry's
-    cell in the marker's step tables, emit step * 6^U + pair.
+    blocks lays out the marker's factor entries (see _factor_blocks).  The
+    entries' gathers are the marker's window onto the trace's layout in its
+    stack: runs of the layout's observed entries, distinct dropout doses
+    and dropout entries (each from the start of its kind).  The doses stay
+    in the stack's B, and the cells are shifted by the marker's frame to
+    its own step tables.  They are cut out on each access (or are the
+    layout's own, when the trace covers no other marker of the stack), so
+    a plan keeps no per-entry array; a view serves as a one-marker layout.
     """
 
     trace_id: str
@@ -365,12 +435,78 @@ class _TraceView:
     unknown_contributes: np.ndarray  # bool per unknown role
     blocks: Mapping[int, tuple[int, slice]]  # see _factor_blocks
     n_observed: int  # factor entries of observed peaks, which come first
-    peak_heights: np.ndarray  # height of each observed entry
-    here: np.ndarray
-    there: np.ndarray
-    dropout: np.ndarray
-    spread: np.ndarray
+    layout: _TraceLayout
+    index: int  # the marker's place among the layout's markers
+    runs: tuple[slice, slice, slice]
+    frame: _Frame
+
+    @property
+    def markers(self):
+        return self.layout.markers[self.index:self.index + 1]
+
+    @property
+    def counts(self):
+        return np.array([[run.stop - run.start] for run in self.runs])
+
+    @property
+    def known_counts(self):
+        return self.layout.known_counts
+
+    @property
+    def peak_heights(self):
+        return self.layout.peak_heights[self.runs[0]]
+
+    @property
+    def whole(self):
+        """Whether the window is the whole layout."""
+        return len(self.layout.markers) == 1
+
+    @property
+    def gather(self):
+        if self.whole:
+            return self.layout.gather
+        observed, distinct, _ = self.runs
+        g = self.layout.gather
+        return np.concatenate(
+            (g[:, observed], g[:, _shifted(distinct, self.layout.n_observed)]), axis=1
+        )
+
+    @property
+    def cell(self):
+        cell = self.layout.cell
+        if not self.whole:
+            observed, _, dropout = self.runs
+            cell = np.concatenate(
+                (cell[observed], cell[_shifted(dropout, self.layout.n_observed)])
+            )
+        return cell - self.frame.cell_offset if self.frame.cell_offset else cell
+
+    @property
+    def spread(self):
+        if self.whole:
+            return self.layout.spread
+        _, distinct, dropout = self.runs
+        return self.layout.spread[dropout] - distinct.start
+
+
+class _Entries(NamedTuple):
+    """One trace's factor entries on one marker before its stack's layout
+    holds them: the fields of its view (see _TraceView) first, then the
+    gathers, already in the marker's frame in its stack."""
+
+    trace_id: str
+    threshold: float
+    heights: np.ndarray
+    observed: np.ndarray
+    known_contributes: np.ndarray
+    unknown_contributes: np.ndarray
+    blocks: Mapping[int, tuple[int, slice]]
+    n_observed: int
+    peak_heights: np.ndarray
+    gather: np.ndarray
     cell: np.ndarray
+    spread: np.ndarray
+    frame: _Frame
 
 
 def _factor_blocks(observed, silent, coupled, n_pairs):
@@ -398,23 +534,24 @@ class _DoseCells(NamedTuple):
     doses B (with one trailing zero cell) that its factor entries read.
 
     The entry of pair j at a stutter-coupled position p reads B[p, draw at
-    t-1] (here) and its donor's B[p+1, draw at t] (there); at an uncoupled
-    one B[p, draw at t] and the zero cell.  kind[p] is the known-count
-    column of p, and of its donor if coupled: rows of B with equal columns
+    t-1] (ends[0]) and its donor's B[p+1, draw at t] (ends[1]); at an
+    uncoupled one B[p, draw at t] and the zero cell.  kind[p] is the
+    known-count column of p, and of its donor if coupled: rows of B with equal columns
     are equal at every parameter value, so two dropout peaks of one kind
     have the same doses.  A kind has one distinct dose per pair if
     coupled, per draw if not (``distinct``, a pair of each); ``local``
     is each entry's dose among them.
     """
 
-    here: np.ndarray      # (P, 6^U)
-    there: np.ndarray     # (P, 6^U)
+    ends: np.ndarray      # (2, P, 6^U)
     local: np.ndarray     # (P, 6^U)
     kind: list
     distinct: list
 
 
-def _dose_cells(coupled, known_counts, pair_prev, pair_draw) -> _DoseCells:
+def _dose_cells(coupled, known_counts, pair_prev, pair_draw, frame) -> _DoseCells:
+    """_DoseCells in the marker's frame: its cells of B follow
+    frame.dose_offset, and its zero cell is the stack's."""
     # the pairs in which no contributor drew at t-1: one per draw, in order
     first_of_draw = np.flatnonzero(pair_prev == 0)
     n_pos, n_combos = len(coupled), len(first_of_draw)
@@ -425,9 +562,13 @@ def _dose_cells(coupled, known_counts, pair_prev, pair_draw) -> _DoseCells:
     column = [
         columns.setdefault(tuple(c), len(columns)) for c in known_counts.T.tolist()
     ]
+    ends = np.empty((2, n_pos, len(pair_prev)), dtype=np.int64)
+    ends[0] = frame.dose_offset + pos * n_combos + np.where(linked, pair_prev, pair_draw)
+    ends[1] = np.where(
+        linked, frame.dose_offset + (pos + 1) * n_combos + pair_draw, frame.zero
+    )
     return _DoseCells(
-        here=pos * n_combos + np.where(linked, pair_prev, pair_draw),
-        there=np.where(linked, (pos + 1) * n_combos + pair_draw, n_pos * n_combos),
+        ends=ends,
         local=np.where(linked, every_pair, pair_draw),
         kind=[
             (column[p], column[p + 1]) if coupled[p] else (column[p],)
@@ -440,30 +581,32 @@ def _dose_cells(coupled, known_counts, pair_prev, pair_draw) -> _DoseCells:
 def _dose_gathers(cells, blocks, n_observed, n_pairs):
     """Parameter-free gathers of one trace's doses on a marker.
 
-    Returns here and there, each factor entry's two cells (see
-    _DoseCells) in layout order; dropout, one entry per distinct dropout
-    dose; and spread, each dropout entry's index among them.
+    The dose points are the observed entries, in layout order, then one
+    entry per distinct dropout dose.  Returns each point's two cells (see
+    _DoseCells) as rows of a (2, points) array, and spread, each dropout
+    entry's index among the distinct doses.
     """
     pos = list(blocks)
     first = n_observed // n_pairs  # the first dropout peak's block
-    slot, offsets, dropout, n_distinct = {}, [], [], 0
-    for b in range(first, len(pos)):
-        kind = cells.kind[pos[b]]
+    points = [cells.ends[:, pos[:first]].reshape(2, -1)]
+    slot, offsets, n_distinct = {}, [], 0
+    for p in pos[first:]:
+        kind = cells.kind[p]
         if kind not in slot:
             slot[kind] = n_distinct
-            dropout.append(b * n_pairs + cells.distinct[pos[b]])
-            n_distinct += len(dropout[-1])
+            points.append(cells.ends[:, p, cells.distinct[p]])
+            n_distinct += points[-1].shape[1]
         offsets.append(slot[kind])
     spread = np.array(offsets, dtype=np.int64)[:, None] + cells.local[pos[first:]]
-    return (
-        cells.here[pos].ravel(), cells.there[pos].ravel(),
-        np.concatenate(dropout or [np.zeros(0, np.int64)]), spread.ravel(),
-    )
+    return np.concatenate(points, axis=1), spread.ravel()
 
 
 @dataclass(frozen=True)
 class _MarkerPlan:
-    """Parameter-independent structure for one marker's chain."""
+    """Parameter-independent structure for one marker's chain.
+
+    A plan is also the one-marker stack of its marker (see _Stack).
+    """
 
     marker: str
     labels: tuple[str, ...]          # ladder order
@@ -489,8 +632,23 @@ class _MarkerPlan:
     def edges_at(self, t: int) -> _EdgeSet:
         return self.edges0 if t == 0 else self.edges
 
+    @property
+    def plans(self):
+        return (self,)
 
-def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
+    @property
+    def first(self):
+        return _NO_PADDING
+
+    @property
+    def lp(self):
+        return self.state_lp[None]
+
+
+def _build_marker_plan(marker, freqs, hypothesis, traces, frame):
+    """One marker's plan, without its trace views, and the factor entries of
+    every trace that covers the marker, in its ``frame`` (None when no
+    trace covers it; see _build_stacks)."""
     ladder = freqs.ladder(marker)
     order, coupled = ladder.order, ladder.coupled
     n_pos = len(order)
@@ -521,12 +679,17 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
     )
 
     edges0, edges = _build_edges(n_unknown)
-    cells = _dose_cells(coupled, known_counts, pair_prev, pair_draw)
-
-    views = []
+    # the first step leaves state 0 only: its transition row rules out
+    # every state that no edge out of state 0 reaches
+    unreached = np.ones(n_states, dtype=bool)
+    unreached[edges0.dst] = False
+    state_lp[0, unreached] = -np.inf
+    entries = []
     for trace in traces:
         if marker not in trace.heights:
             continue
+        if not entries:
+            cells = _dose_cells(coupled, known_counts, pair_prev, pair_draw, frame)
         row = trace.heights[marker]
         off_ladder = set(row) - set(ladder.alleles)
         if off_ladder:
@@ -538,11 +701,11 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
         roles = set(hypothesis.roles_for(trace.trace_id))
         observed = heights >= trace.threshold
         blocks, n_observed = _factor_blocks(observed, silent, coupled, n_pairs)
-        here, there, dropout, spread = _dose_gathers(cells, blocks, n_observed, n_pairs)
+        gather, spread = _dose_gathers(cells, blocks, n_observed, n_pairs)
         peaks = [p for p in blocks if observed[p]]
         emit = np.array([t for t, _ in blocks.values()], dtype=np.int64)
-        views.append(
-            _TraceView(
+        entries.append(
+            _Entries(
                 trace_id=trace.trace_id,
                 threshold=trace.threshold,
                 heights=heights,
@@ -554,11 +717,11 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
                 blocks=blocks,
                 n_observed=n_observed,
                 peak_heights=np.repeat(heights[peaks], n_pairs),
-                here=here,
-                there=there,
-                dropout=dropout,
+                gather=gather,
+                cell=(emit[:, None] * n_pairs + np.arange(n_pairs)).ravel()
+                + frame.cell_offset,
                 spread=spread,
-                cell=(emit[:, None] * n_pairs + np.arange(n_pairs)).ravel(),
+                frame=frame,
             )
         )
 
@@ -582,7 +745,169 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
         pair_draw=pair_draw,
         edges0=edges0,
         edges=edges,
-        traces=tuple(views),
+        traces=(),
+    ), entries
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """Markers whose chains one pass runs side by side.
+
+    Each marker is front-padded to the longest: the steps before first[i]
+    are exact identity steps (state 0 to state 0, weight 1, log 0), given
+    by the transition row (0, -inf, ...) and a zero table.  lp is every
+    marker's transition log-probability per step and target state,
+    (G, T, 6^U), and the step tables are (G * T, 6^U), marker by marker.
+    traces holds each trace's layout over the markers it covers (see
+    _TraceLayout).  A marker plan is the one-marker stack of its marker,
+    with the same attributes.
+    """
+
+    plans: tuple[_MarkerPlan, ...]
+    first: np.ndarray
+    lp: np.ndarray
+    traces: tuple[_TraceLayout, ...]
+    known_ids: tuple[str, ...]
+    unknown_ids: tuple[str, ...]
+    combo_counts: np.ndarray
+    n_unknown: int
+    n_states: int
+    n_pairs: int
+    edges0: _EdgeSet
+    edges: _EdgeSet
+
+
+def _build_stacks(freqs, hypothesis, traces):
+    """Every marker's plan, and the markers some trace covers, in order, in
+    stacks of at most _BLOCK_EDGES // 10^U (at least one), so that a
+    stack's step holds at most _BLOCK_EDGES edge values.
+
+    Each covered marker's frame in its stack is fixed first, so its plan
+    builds its gathers in place; a stack is built as soon as its markers'
+    plans are, so only its own markers' trace entries are held at once.
+    """
+    n_unknown = len(hypothesis.unknown)
+    n_combos, n_pairs = 3**n_unknown, 6**n_unknown
+    per_stack = max(1, _BLOCK_EDGES // 10**n_unknown)
+    covered = [
+        m for m in freqs.marker_names() if any(m in t.heights for t in traces)
+    ]
+    groups = [covered[i:i + per_stack] for i in range(0, len(covered), per_stack)]
+    frames = {}
+    for group in groups:
+        length = [len(freqs.ladder(m).order) for m in group]
+        n_steps, zero, position = max(length), sum(length) * n_combos, 0
+        for i, (m, n) in enumerate(zip(group, length)):
+            frames[m] = _Frame(
+                position * n_combos, zero, (i * n_steps + n_steps - n) * n_pairs
+            )
+            position += n
+    plans, stacks, pending = {}, [], []
+    for marker in freqs.marker_names():
+        plans[marker], entries = _build_marker_plan(
+            marker, freqs, hypothesis, traces, frames.get(marker)
+        )
+        if entries:
+            pending.append((plans[marker], entries))
+            if len(pending) == len(groups[len(stacks)]):
+                stacks.append(_build_stack(pending, traces, plans))
+                pending = []
+    return plans, tuple(stacks)
+
+
+def _build_stack(group, traces, plans):
+    """The stack of ``group``'s markers, each (plan, trace entries); every
+    marker's plan in ``plans`` gets its views onto the stack's layouts.
+
+    The entries are dropped as they are placed.
+    """
+    template = group[0][0]
+    known_counts = np.concatenate([plan.known_counts for plan, _ in group], axis=1)
+    n_steps = max(len(plan.order) for plan, _ in group)
+    first = np.array([n_steps - len(plan.order) for plan, _ in group], dtype=np.int64)
+    views = [[] for _ in group]
+    layouts = []
+    for trace in traces:
+        mine = [
+            (i, entries.pop(0)) for i, (_, entries) in enumerate(group)
+            if entries and entries[0].trace_id == trace.trace_id
+        ]
+        if not mine:
+            continue
+        # per marker: observed entries, distinct dropout doses, dropout entries
+        counts = np.array([
+            (e.n_observed, e.gather.shape[1] - e.n_observed, len(e.cell) - e.n_observed)
+            for _, e in mine
+        ], dtype=np.int64).T
+        starts = np.cumsum(counts, axis=1) - counts
+        runs = [
+            tuple(slice(s, s + n) for s, n in zip(start, count))
+            for start, count in zip(starts.T.tolist(), counts.T.tolist())
+        ]
+        if len(mine) == 1:  # one marker's entries are in layout order already
+            e = mine[0][1]
+            arrays = (e.peak_heights, e.gather, e.cell, e.spread)
+        else:
+            arrays = (
+                np.concatenate([e.peak_heights for _, e in mine]),
+                np.concatenate(
+                    [e.gather[:, :e.n_observed] for _, e in mine]
+                    + [e.gather[:, e.n_observed:] for _, e in mine], axis=1,
+                ),
+                np.concatenate(
+                    [e.cell[:e.n_observed] for _, e in mine]
+                    + [e.cell[e.n_observed:] for _, e in mine]
+                ),
+                np.concatenate([
+                    e.spread + start for (_, e), start in zip(mine, starts[1])
+                ]),
+            )
+        layout = _TraceLayout(
+            trace_id=trace.trace_id,
+            threshold=trace.threshold,
+            known_contributes=mine[0][1].known_contributes,
+            unknown_contributes=mine[0][1].unknown_contributes,
+            markers=tuple(group[i][0].marker for i, _ in mine),
+            counts=counts,
+            n_observed=int(counts[0].sum()),
+            peak_heights=arrays[0],
+            gather=arrays[1],
+            cell=arrays[2],
+            spread=arrays[3],
+            zero=mine[0][1].frame.zero,
+            known_counts=known_counts,
+        )
+        layouts.append(layout)
+        for index, (i, e) in enumerate(mine):
+            views[i].append(_TraceView(
+                *e[:8], layout=layout, index=index, runs=runs[index], frame=e.frame,
+            ))
+        del mine
+
+    members = []
+    for (plan, _), mine in zip(group, views):
+        plans[plan.marker] = replace(plan, traces=tuple(mine))
+        members.append(plans[plan.marker])
+    if len(members) == 1:
+        lp = members[0].state_lp[None]
+    else:
+        lp = np.full((len(members), n_steps, template.n_states), -np.inf)
+        lp[:, :, 0] = 0.0
+        for i, plan in enumerate(members):
+            lp[i, first[i]:] = plan.state_lp
+    return _Stack(
+        plans=tuple(members),
+        first=first,
+        lp=lp,
+        traces=tuple(layouts),
+        known_ids=template.known_ids,
+        unknown_ids=template.unknown_ids,
+        combo_counts=template.combo_counts,
+        n_unknown=template.n_unknown,
+        n_states=template.n_states,
+        n_pairs=template.n_pairs,
+        edges0=template.edges0,
+        edges=template.edges,
     )
 
 
@@ -594,8 +919,9 @@ def _build_marker_plan(marker, freqs, hypothesis, traces) -> _MarkerPlan:
 class EvidenceBundle:
     """Everything one likelihood evaluation needs, immutable once built.
 
-    Chain structure is precomputed per marker at construction; bundles
-    derived via :meth:`with_parameters` share it, so parameter sweeps and
+    Chain structure is precomputed per marker, and the factor layout of
+    every trace over all markers, at construction; bundles derived via
+    :meth:`with_parameters` share them, so parameter sweeps and
     optimizer loops pay the structural cost once.  Evaluation is pure and
     safe for concurrent read-only use.
     """
@@ -605,6 +931,9 @@ class EvidenceBundle:
     hypothesis: Hypothesis
     parameters: ModelParameters
     _plans: Mapping[str, _MarkerPlan] = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _stacks: tuple[_Stack, ...] = field(
         init=False, repr=False, compare=False, default=None
     )
 
@@ -632,13 +961,9 @@ class EvidenceBundle:
                             f"{marker!r} present in trace {trace.trace_id!r}"
                         )
         _validate_parameters(self.parameters, self.hypothesis, self.traces)
-        plans = {
-            marker: _build_marker_plan(
-                marker, self.frequencies, self.hypothesis, self.traces
-            )
-            for marker in self.frequencies.marker_names()
-        }
+        plans, stacks = _build_stacks(self.frequencies, self.hypothesis, self.traces)
         object.__setattr__(self, "_plans", plans)
+        object.__setattr__(self, "_stacks", stacks)
 
     def with_parameters(self, parameters: ModelParameters) -> "EvidenceBundle":
         """Same evidence and hypothesis at new parameter values (shares structure)."""
@@ -649,6 +974,7 @@ class EvidenceBundle:
         object.__setattr__(clone, "hypothesis", self.hypothesis)
         object.__setattr__(clone, "parameters", parameters)
         object.__setattr__(clone, "_plans", self._plans)
+        object.__setattr__(clone, "_stacks", self._stacks)
         return clone
 
     def covered_markers(self) -> tuple[str, ...]:
@@ -683,72 +1009,107 @@ def _validate_parameters(params, hypothesis, traces):
 
 
 class _ViewTerms(NamedTuple):
-    """One trace's parameters, doses and log factors on a marker."""
+    """One trace's parameters, doses and log factors on a stack's markers.
 
-    rho: float
+    rho and xi are one value, or one per dose point where the markers'
+    values differ, and free holds their masks of non-overridden markers
+    (see _trace_values).
+    """
+
+    rho: float | np.ndarray
     eta: float
-    xi: float
-    base: np.ndarray         # (P, C) pre-stutter doses B
-    doses: np.ndarray        # per factor entry, after stutter
+    xi: float | np.ndarray
+    free: tuple
+    base: np.ndarray         # (the stack's positions, C) pre-stutter doses B
+    doses: np.ndarray        # per dose point, after stutter
     log_factors: np.ndarray  # per factor entry
+    log_cdf: np.ndarray      # per distinct dropout dose
 
 
-def _trace_dose(plan, view, params):
-    """One trace's rho, eta, xi and pre-stutter doses on a marker.
+def _per_point(layout, values):
+    """One value per marker of ``layout``: one float where all agree, else
+    spread over the dose points (observed entries, then distinct dropout
+    doses, marker by marker)."""
+    if all(v == values[0] for v in values):
+        return float(values[0])
+    return np.repeat(np.tile(values, 2), layout.counts[:2].ravel())
+
+
+def _trace_values(layout, params):
+    """A trace's rho and xi on a layout's markers, and for each 1 where a
+    marker takes the trace's value, 0 where a per-marker override (a
+    constant) replaces it."""
+    tid, markers = layout.trace_id, layout.markers
+    if not (params.marker_rho or params.marker_xi):
+        return params.rho[tid], params.xi_for(tid), 1.0, 1.0
+    rho_over, xi_over = params.marker_rho or {}, params.marker_xi or {}
+    return tuple(_per_point(layout, values) for values in (
+        [params.rho_for(tid, m) for m in markers],
+        [params.xi_for_marker(tid, m) for m in markers],
+        [float(tid not in rho_over.get(m, ())) for m in markers],
+        [float(m not in xi_over) for m in markers],
+    ))
+
+
+def _trace_dose(stack, layout, params):
+    """One trace's pre-stutter doses over the positions of its layout's
+    stack (a one-marker query's layout is a window onto its stack's).
 
     B[p, c] = sum over the trace's roles of phi_r * n_r(p, c), where
     n_r(p, c) is a known contributor's count at position p or the count
     an unknown draws at joint draw c.
     """
-    phi = params.phi[view.trace_id]
-    phi_known = np.array(
-        [phi[r] if c else 0.0 for r, c in zip(plan.known_ids, view.known_contributes)]
-    )
-    phi_unknown = np.array(
-        [phi[r] if c else 0.0
-         for r, c in zip(plan.unknown_ids, view.unknown_contributes)]
-    )
-    base = (phi_known @ plan.known_counts)[:, None] + (
-        plan.combo_counts @ phi_unknown
+    phi = params.phi[layout.trace_id]
+    phi_known = np.array([
+        phi[r] if c else 0.0
+        for r, c in zip(stack.known_ids, layout.known_contributes)
+    ])
+    phi_unknown = np.array([
+        phi[r] if c else 0.0
+        for r, c in zip(stack.unknown_ids, layout.unknown_contributes)
+    ])
+    return (phi_known @ layout.known_counts)[:, None] + (
+        stack.combo_counts @ phi_unknown
     )[None, :]
-    return (
-        params.rho_for(view.trace_id, plan.marker),
-        params.eta_for(view.trace_id),
-        params.xi_for_marker(view.trace_id, plan.marker),
-        base,
-    )
 
 
-def _view_terms(plan, params) -> list[_ViewTerms]:
-    """Every trace's dose and log factor per factor entry of a marker.
+def _view_terms(stack, params) -> list[_ViewTerms]:
+    """Every trace's doses and log factors on a stack's markers.
 
     At a stutter-coupled position p the dose of pair j is
     (1 - xi) B[p, draw at t-1] + xi B[p+1, draw at t]; at an uncoupled
-    one it is (1 - xi) B[p, draw at t] (+ xi * 0, which is exact).  The
-    dropout factor is evaluated once per distinct dose and spread back.
+    one it is (1 - xi) B[p, draw at t] (+ xi * 0, which is exact).  A
+    trace's doses come from one gather, and its factors from one call of
+    each gamma kernel: the observed entries', and the distinct dropout
+    doses', spread back to their entries.
     """
     out = []
-    for view in plan.traces:
-        rho, eta, xi, base = _trace_dose(plan, view, params)
-        cells = np.append(base, 0.0)
-        doses = (1.0 - xi) * cells[view.here] + xi * cells[view.there]
-        log_factors = np.concatenate([
-            gamma_log_pdf(view.peak_heights, rho * doses[:view.n_observed], eta),
-            gamma_log_cdf(view.threshold, rho * doses[view.dropout], eta)[view.spread],
-        ])
-        out.append(_ViewTerms(rho, eta, xi, base, doses, log_factors))
+    for layout in stack.traces:
+        rho, xi, rho_free, xi_free = _trace_values(layout, params)
+        eta = params.eta_for(layout.trace_id)
+        base = _trace_dose(stack, layout, params)
+        ends = np.append(base, 0.0)[layout.gather]
+        doses = (1.0 - xi) * ends[0] + xi * ends[1]
+        shapes = rho * doses
+        n = layout.n_observed
+        log_pdf = gamma_log_pdf(layout.peak_heights, shapes[:n], eta)
+        log_cdf = gamma_log_cdf(layout.threshold, shapes[n:], eta)
+        out.append(_ViewTerms(
+            rho, eta, xi, (rho_free, xi_free), base, doses,
+            np.concatenate([log_pdf, log_cdf[layout.spread]]), log_cdf,
+        ))
     return out
 
 
-def _step_tables(plan, terms):
-    """(T, 6^U) log evidence factors per step and (previous draw, draw)
-    pair, summed over traces: one np.bincount of each trace's entries
-    over its cells."""
-    size = len(plan.order) * plan.n_pairs
+def _step_tables(stack, terms):
+    """(G * T, 6^U) log evidence factors per step and (previous draw,
+    draw) pair of a stack's G markers, summed over traces: one np.bincount
+    of each trace's entries over their cells."""
+    size = stack.lp.shape[0] * stack.lp.shape[1] * stack.n_pairs
     tables = np.zeros(size)
-    for view, term in zip(plan.traces, terms):
-        tables += np.bincount(view.cell, term.log_factors, size)
-    return tables.reshape(-1, plan.n_pairs)
+    for layout, term in zip(stack.traces, terms):
+        tables += np.bincount(layout.cell, term.log_factors, size)
+    return tables.reshape(-1, stack.n_pairs)
 
 
 def _step_table(plan, terms, t, skip):
@@ -780,136 +1141,276 @@ def _step_values(plan, t, tables):
 
 
 class _Pass(NamedTuple):
-    """What one pass over a marker's chain gives the queries.
+    """What one pass over a stack's chains gives the queries.
 
-    pair[t] is the posterior of step t's (previous draw, draw) pairs, and
-    alt[t][i] that of step t with the i-th of its alternative tables in
-    place of its own (None where that has no mass); each only if asked.
+    loglik holds each marker's log L.  pair is the posterior of every
+    step's (previous draw, draw) pairs, laid out as the step tables and
+    zero on a marker of no finite likelihood; alt[t][i] is that of step t
+    of a one-marker stack with the i-th of its alternative tables in place
+    of its own (None where that has no mass).  Each only if asked.
     """
 
-    loglik: float
+    loglik: np.ndarray
     pair: np.ndarray | None = None
     alt: Mapping[int, object] | None = None
 
 
-def _chain_pass(plan, tables, posteriors=False, alt=None) -> _Pass:
-    """One pass over a marker's chain with step tables ``tables`` (T, 6^U).
+def _chain_pass(stack, tables, posteriors=False, alt=None) -> _Pass:
+    """One pass over a stack's chains with step tables ``tables`` (see
+    _Stack; a plan's are (T, 6^U)).
 
-    posteriors asks for every step's pair posterior; alt maps a step to a
-    stack of alternative tables for it.  The pass runs in scaled linear
-    space and is redone in log space where that would lose precision.
+    posteriors asks for every step's pair posterior; alt maps a step of a
+    one-marker stack to a stack of alternative tables for it.  The pass
+    runs in scaled linear space; a marker whose scaled pass would lose
+    precision is redone alone in log space, and the others keep theirs.
     """
-    try:
-        return _scaled_pass(plan, tables, posteriors, alt)
-    except _Underflow:
-        return _log_pass(plan, tables, posteriors, alt)
+    redo = np.zeros(len(stack.plans), dtype=bool)
+    result = _scaled_pass(stack, tables, posteriors, alt, redo)
+    n_steps = stack.lp.shape[1]
+    for i in np.flatnonzero(redo):
+        rows = slice(i * n_steps + stack.first[i], (i + 1) * n_steps)
+        one = _log_pass(stack.plans[i], tables[rows], posteriors, alt)
+        result.loglik[i] = one.loglik
+        if posteriors:
+            result.pair[rows] = one.pair
+        if alt:
+            result = result._replace(alt=one.alt)
+    return result
 
 
-def _forward(plan, tables, keep):
-    """Scaled forward recursion.
+@functools.lru_cache(maxsize=64)
+def _stacked_edges(n_unknown, n_rows):
+    """The src and dst columns of every later step's edges, offset for
+    n_rows stacked rows of 6^U states: row r's states are r * 6^U + s."""
+    edges = _build_edges(n_unknown)[1]
+    if n_rows == 1:
+        return edges.src, edges.dst
+    offsets = np.arange(n_rows)[:, None] * 6**n_unknown
+    columns = tuple((offsets + c).ravel() for c in (edges.src, edges.dst))
+    for column in columns:
+        column.setflags(write=False)
+    return columns
 
-    Returns log L; the messages alpha (T+1, S) into each step, each
-    summing to 1; a bound on each one's loss to underflow, relative to
-    its sum; and (if ``keep``) each block's edge weights exp(value - the
-    step's largest value).  A state holds at most 3^U out-edges of weight
-    at most 1, so earlier loss grows at most 3^U-fold per step before the
-    step's normalizer divides it.
+
+def _forward(stack, tables, keep, ended=None):
+    """Scaled forward recursion over a stack's chains (see _Stack).
+
+    Returns each marker's log L; the messages alpha (T+1, G, S) into each
+    step, each summing to 1; a bound (T+1, G) on each one's loss to
+    underflow, relative to its sum; and (if ``keep``) each block's edge
+    weights (steps, G, E), exp(value - the step's largest value).  A state
+    holds at most 3^U out-edges of weight at most 1, so earlier loss grows
+    at most 3^U-fold per step before the step's normalizer divides it.
+
+    A marker's pass ends at a step whose largest value is -inf, with log L
+    -inf; or is NaN or +inf, or where its loss bound is too large.  It is
+    marked in ``ended``, its numbers are no longer used, and the others go
+    on; once all have ended the recursion stops.  Without ``ended``, a
+    marker that ended with a finite log L raises _Underflow.
     """
-    edges, n_states = plan.edges, plan.n_states
-    n_steps = len(tables)
-    fan_out, step_loss = 3**plan.n_unknown, len(edges.src) * _TINY
-    per_block = max(1, _BLOCK_EDGES // len(edges.src))
-    alpha = np.zeros((n_steps + 1, n_states))
-    alpha[0, 0] = 1.0
-    loglik, lost, weights = 0.0, [0.0], []
-    for lo in range(0, n_steps, per_block):
-        hi = min(lo + per_block, n_steps)
-        w = plan.state_lp[lo:hi][:, edges.dst] + tables[lo:hi][:, edges.key]
-        if lo == 0:
-            w[0, len(plan.edges0.src):] = -np.inf  # step 0 leaves state 0 only
-        shift = w.max(axis=1)
-        if not np.isfinite(shift).all():
-            raise _Underflow
-        np.exp(w - shift[:, None], out=w)
-        loglik += float(shift.sum())
-        for t in range(lo, hi):
-            mass = np.bincount(edges.dst, alpha[t][edges.src] * w[t - lo], n_states)
-            total = float(mass.sum())
-            loss = fan_out * lost[t] + step_loss
-            if not loss <= _LOSS * total:
-                raise _Underflow
-            lost.append(loss / total)
-            np.divide(mass, total, out=alpha[t + 1])
-            loglik += math.log(total)
-        if keep:
-            weights.append(w)
-    return loglik, alpha, np.array(lost), weights
-
-
-def _backward(plan, weights):
-    """Scaled backward messages beta (T, S) out of each step, each divided
-    by its maximum, from the forward recursion's edge weights, and a bound
-    on each one's loss to underflow relative to its maximum."""
-    edges, n_states = plan.edges, plan.n_states
-    fan_out = 3**plan.n_unknown
-    steps = [row for w in weights for row in w]
-    beta = np.empty((len(steps), n_states))
-    beta[-1] = 1.0
-    lost = [0.0] * len(steps)
-    for t in range(len(steps) - 1, 0, -1):
-        mass = np.bincount(edges.src, steps[t] * beta[t][edges.dst], n_states)
-        top = float(mass.max())
-        loss = fan_out * (lost[t] + _TINY)
-        if not loss <= _LOSS * top:
-            raise _Underflow
-        lost[t - 1] = loss / top
-        np.divide(mass, top, out=beta[t - 1])
-    return beta, np.array(lost)
-
-
-def _pair_posteriors(mass, keys, n_pairs, loss):
-    """Each row of edge masses summed by the edges' pairs ``keys``, with one
-    np.bincount for all rows, and normalized over the row; ``loss`` bounds
-    each row's loss to underflow."""
-    rows = (np.arange(len(mass))[:, None] * n_pairs + keys).ravel()
-    post = np.bincount(rows, mass.ravel(), len(mass) * n_pairs).reshape(-1, n_pairs)
-    total = post.sum(axis=1)
-    if not (loss <= _LOSS * total).all():
+    edges, n_states, first = stack.edges, stack.n_states, stack.first
+    n_markers, n_edges = len(first), len(edges.src)
+    tables = tables.reshape(n_markers, -1, stack.n_pairs)
+    n_steps = tables.shape[1]
+    per_block = max(1, _BLOCK_EDGES // (n_markers * n_edges))
+    src, dst = _stacked_edges(stack.n_unknown, n_markers)
+    strict = ended is None
+    if strict:
+        ended = np.zeros(n_markers, dtype=bool)
+    alpha = np.zeros((n_steps + 1, n_markers, n_states))
+    alpha[0, :, 0] = 1.0
+    flat_alpha = alpha.reshape(n_steps + 1, -1)
+    norms = np.ones((n_steps, n_markers))
+    shifts, weights = [], []
+    # a marker that has ended may divide by zero or make NaN: its own rows only
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, n_steps, per_block):
+            if ended.all():
+                break
+            hi = min(lo + per_block, n_steps)
+            # (steps, G, E), C-contiguous: take, where indexing the
+            # transposed view would keep its strides
+            w = stack.lp[:, lo:hi].transpose(1, 0, 2).take(edges.dst, axis=2)
+            w += tables[:, lo:hi].transpose(1, 0, 2).take(edges.key, axis=2)
+            shift = np.maximum.reduce(w, axis=2)
+            finite = np.isfinite(shift)
+            if not finite.all():
+                # a step with no finite edge gives log L -inf below; one
+                # with a NaN or +inf edge a log L that is not -inf, for the
+                # redo
+                ended |= ~finite.all(axis=0)
+            w -= shift[..., None]
+            np.exp(w, out=w)
+            # the block's shifts over each marker's own steps
+            shift = np.ascontiguousarray(shift.T)
+            sums = np.add.reduce(shift, axis=1)
+            for i in (first > lo).nonzero()[0]:
+                sums[i] = shift[i, first[i] - lo:].sum()
+            shifts.append((hi - lo, sums))
+            flat = w.reshape(hi - lo, -1)
+            for t in range(lo, hi):
+                mass = flat_alpha[t][src]
+                mass *= flat[t - lo]
+                mass = np.bincount(dst, mass, n_markers * n_states)
+                mass = mass.reshape(n_markers, n_states)
+                total = norms[t] = np.add.reduce(mass, axis=1)
+                np.divide(mass, total[:, None], out=alpha[t + 1])
+            if keep:
+                weights.append(w)
+    # each step's products lose at most E * _TINY; a padding step, whose
+    # one product is exact, nothing (a later tiny normalizer would magnify
+    # even 1e-320 past _LOSS)
+    step_loss = np.full((n_steps, n_markers), n_edges * _TINY)
+    if first.any():
+        step_loss[np.arange(n_steps)[:, None] < first] = 0.0
+    lost = np.zeros((n_steps + 1, n_markers))
+    lost[1:] = _loss_bounds(norms, 3**stack.n_unknown, step_loss)
+    ended |= ~(lost <= _LOSS).all(axis=0)
+    norms[:, ended] = 1.0
+    # log L adds each block's shifts, then the log of each of its
+    # normalizers, in order
+    logs = np.reshape([math.log(x) for x in norms.ravel().tolist()], norms.shape)
+    terms, t = [np.zeros(n_markers)], 0
+    for n, sums in shifts:
+        terms += [sums, *logs[t:t + n]]
+        t += n
+    loglik = np.add.accumulate(terms, axis=0)[-1]
+    if strict and (ended & (loglik != -np.inf)).any():
         raise _Underflow
-    return post / total[:, None]
+    return loglik, alpha, lost, weights
 
 
-def _scaled_pass(plan, tables, posteriors, alt):
-    """_chain_pass in scaled linear space; raises _Underflow where the
-    bound on its loss to underflow is too large."""
-    loglik, alpha, lost, weights = _forward(plan, tables, keep=posteriors or bool(alt))
-    if not weights:
-        return _Pass(loglik)
-    beta, lost_after = _backward(plan, weights)
-    edges, n_pairs = plan.edges, plan.n_pairs
-    # a posterior's mass alpha[src] * w * beta[dst] loses what alpha and
-    # beta lost, each at most 3^U-fold, and its own products' underflow
-    loss = 3**plan.n_unknown * (lost[:-1] + lost_after) + len(edges.src) * _TINY
-    pair = None
-    if posteriors:
-        pair = np.empty((len(tables), n_pairs))
-        lo = 0
-        for w in weights:
-            hi = lo + len(w)
-            mass = alpha[lo:hi][:, edges.src] * w * beta[lo:hi][:, edges.dst]
-            pair[lo:hi] = _pair_posteriors(mass, edges.key, n_pairs, loss[lo:hi])
-            lo = hi
+def _loss_bounds(norms, fan_out, added):
+    """Loss bounds of successive messages, each relative to its own scale,
+    per column: bound[t+1] = (fan_out * bound[t] + added[t]) / norms[t]
+    from bound[0] = 0, for t = 0 .. T-1.  A normalizer that is not
+    positive gives an infinite bound."""
+    rows, bound = [], [0.0] * norms.shape[1]
+    for norm, add in zip(norms.tolist(), added.tolist()):
+        bound = [
+            (fan_out * b + a) / n if n > 0 else math.inf
+            for b, a, n in zip(bound, add, norm)
+        ]
+        rows.append(bound)
+    return np.array(rows).reshape(norms.shape)
+
+
+def _backward(stack, weights, ended=None):
+    """Scaled backward messages beta (T, G, S) out of each step, each
+    divided by its maximum, from the forward recursion's edge weights, and
+    a bound (T, G) on each one's loss to underflow relative to its maximum
+    (zero out of a padding step, whose posterior no query reads).
+
+    A marker whose bound is too large is marked in ``ended``; without it,
+    it raises _Underflow.
+    """
+    edges, n_states = stack.edges, stack.n_states
+    fan_out = 3**stack.n_unknown
+    steps = [row for w in weights for row in w.reshape(len(w), -1, w.shape[-1])]
+    n_steps, n_markers = len(steps), len(steps[0])
+    src, dst = _stacked_edges(stack.n_unknown, n_markers)
+    beta = np.empty((n_steps, n_markers, n_states))
+    beta[-1] = 1.0
+    flat_beta = beta.reshape(n_steps, -1)
+    tops = np.empty((n_steps - 1, n_markers))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(n_steps - 1, 0, -1):
+            mass = flat_beta[t][dst]
+            mass *= steps[t].ravel()
+            mass = np.bincount(src, mass, n_markers * n_states)
+            mass = mass.reshape(n_markers, n_states)
+            top = tops[t - 1] = np.maximum.reduce(mass, axis=1)
+            np.divide(mass, top[:, None], out=beta[t - 1])
+    lost = np.zeros((n_steps, n_markers))
+    lost[-2::-1] = _loss_bounds(
+        tops[::-1], fan_out, np.full(tops.shape, fan_out * _TINY)
+    )
+    if stack.first.any():  # the messages out of padding steps serve no posterior
+        lost[np.arange(n_steps)[:, None] < stack.first] = 0.0
+    bad = ~(lost <= _LOSS).all(axis=0)
+    if ended is None:
+        if bad.any():
+            raise _Underflow
+    else:
+        ended |= bad
+    return beta, lost
+
+
+def _pair_posteriors(mass, keys, n_pairs, loss, ended=None):
+    """Rows of edge masses (..., G, E) summed by the edges' pairs ``keys``,
+    with one np.bincount for all rows, and normalized over the row.
+
+    ``loss`` bounds each row's loss to underflow.  Axis -2 is the
+    markers': one with a row that would lose too much is marked in
+    ``ended``; without it, it raises _Underflow.
+    """
+    rows = mass.reshape(-1, mass.shape[-1])
+    index = (np.arange(len(rows))[:, None] * n_pairs + keys).ravel()
+    post = np.bincount(index, rows.ravel(), len(rows) * n_pairs)
+    post = post.reshape(mass.shape[:-1] + (n_pairs,))
+    total = np.add.reduce(post, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = ~(loss / total <= _LOSS)
+    if ended is None:
+        if bad.any():
+            raise _Underflow
+    else:
+        ended |= bad.reshape(-1, len(ended)).any(axis=0)
+    total[bad] = 1.0
+    return post / total[..., None]
+
+
+def _scaled_pass(stack, tables, posteriors, alt, redo=None):
+    """_chain_pass in scaled linear space.
+
+    A marker whose pass ends (see _forward) is marked in ``redo``, unless
+    it ended with log L -inf and no alternative tables are asked for, whose
+    posteriors may still have mass; without ``redo``, such a marker raises
+    _Underflow.  A marker that ended gets zero pair posteriors.
+    """
+    keep = posteriors or bool(alt)
+    ended = np.zeros(len(stack.plans), dtype=bool)
+    loglik, alpha, lost, weights = _forward(stack, tables, keep, ended)
+    pair = np.zeros(np.shape(tables)) if posteriors else None
     others = None
-    if alt:
-        others = {}
-        for t, rows in alt.items():
-            step = plan.edges_at(t)
-            vals = _step_values(plan, t, rows)
-            shift = vals.max(axis=1)
-            if not np.isfinite(shift).all():
-                raise _Underflow
-            mass = alpha[t][step.src] * np.exp(vals - shift[:, None]) * beta[t][step.dst]
-            others[t] = _pair_posteriors(mass, step.key, n_pairs, loss[t])
+    if keep and not ended.all():
+        beta, lost_after = _backward(stack, weights, ended)
+        edges, n_pairs = stack.edges, stack.n_pairs
+        # a posterior's mass alpha[src] * w * beta[dst] loses what alpha and
+        # beta lost, each at most 3^U-fold, and its own products' underflow
+        loss = 3**stack.n_unknown * (lost[:-1] + lost_after) + len(edges.src) * _TINY
+        if posteriors:
+            out = pair.reshape(len(stack.plans), -1, n_pairs)
+            lo = 0
+            for w in weights:
+                hi = lo + len(w)
+                mass = alpha[lo:hi][..., edges.src]
+                mass *= w
+                mass *= beta[lo:hi][..., edges.dst]
+                post = _pair_posteriors(mass, edges.key, n_pairs, loss[lo:hi], ended)
+                out[:, lo:hi] = post.transpose(1, 0, 2)
+                lo = hi
+            out[ended] = 0.0
+        if alt:
+            plan, others = stack.plans[0], {}
+            for t, rows in alt.items():
+                step = plan.edges_at(t)
+                vals = _step_values(plan, t, rows)
+                shift = vals.max(axis=1)
+                if not np.isfinite(shift).all():
+                    ended[:] = True
+                    break
+                mass = (alpha[t, 0][step.src] * np.exp(vals - shift[:, None])
+                        * beta[t, 0][step.dst])
+                others[t] = _pair_posteriors(
+                    mass[:, None], step.key, n_pairs, loss[t, 0], ended
+                )[:, 0]
+    ended &= (loglik != -np.inf) | bool(alt)
+    if redo is None:
+        if ended.any():
+            raise _Underflow
+    else:
+        redo |= ended
     return _Pass(loglik, pair, others)
 
 
@@ -934,15 +1435,19 @@ def _log_sweep(plan, tables, backward=True) -> _Sweep:
         vals.append(_step_values(plan, t, table))
         edges = plan.edges_at(t)
         fwd.append(_logsumexp_by(edges.dst, fwd[t][edges.src] + vals[t], plan.n_states))
-    bwd = None
-    if backward:
-        bwd = [None] * len(tables)
-        bwd[-1] = np.zeros(plan.n_states)
-        for t in range(len(tables) - 1, 0, -1):
-            bwd[t - 1] = _logsumexp_by(
-                plan.edges.src, vals[t] + bwd[t][plan.edges.dst], plan.n_states
-            )
+    bwd = _log_backward(plan, vals) if backward else None
     return _Sweep(vals, fwd, bwd, _log_total(fwd[-1]))
+
+
+def _log_backward(plan, vals):
+    """Backward log messages out of each step, from its edge values."""
+    bwd = [None] * len(vals)
+    bwd[-1] = np.zeros(plan.n_states)
+    for t in range(len(vals) - 1, 0, -1):
+        bwd[t - 1] = _logsumexp_by(
+            plan.edges.src, vals[t] + bwd[t][plan.edges.dst], plan.n_states
+        )
+    return bwd
 
 
 def _log_total(values) -> float:
@@ -973,13 +1478,20 @@ def _step_posterior(plan, sweep, t, vals):
 
 
 def _log_pass(plan, tables, posteriors, alt):
-    """The pass by the log-space recursion, where the scaled one underflows."""
-    sweep = _log_sweep(plan, tables, backward=posteriors or bool(alt))
+    """One marker's pass by the log-space recursion, where the scaled one
+    underflows.  Without a finite log L the pair posteriors are zero, and
+    only alternative tables need the backward recursion."""
+    sweep = _log_sweep(plan, tables, backward=False)
+    finite = np.isfinite(sweep.loglik)
+    if alt or (posteriors and finite):
+        sweep = sweep._replace(bwd=_log_backward(plan, sweep.vals))
     pair = None
-    if posteriors and np.isfinite(sweep.loglik):
-        pair = np.array([
-            _step_posterior(plan, sweep, t, vals) for t, vals in enumerate(sweep.vals)
-        ])
+    if posteriors:
+        pair = np.zeros(np.shape(tables))
+        if finite:
+            pair[:] = [
+                _step_posterior(plan, sweep, t, vals) for t, vals in enumerate(sweep.vals)
+            ]
     others = alt and {
         t: [_step_posterior(plan, sweep, t, vals) for vals in _step_values(plan, t, rows)]
         for t, rows in alt.items()
@@ -1045,14 +1557,19 @@ def _plan_for(bundle: EvidenceBundle, marker: str) -> _MarkerPlan:
 def marker_log_likelihood(bundle: EvidenceBundle, marker: str) -> float:
     """Exact log likelihood of one marker, marginalized over unknown genotypes."""
     plan = _plan_for(bundle, marker)
-    return _chain_pass(plan, _step_tables(plan, _view_terms(plan, bundle.parameters))).loglik
+    tables = _step_tables(plan, _view_terms(plan, bundle.parameters))
+    return float(_chain_pass(plan, tables).loglik[0])
 
 
 def total_log_likelihood(bundle: EvidenceBundle) -> float:
-    """Sum of marker log likelihoods over all markers covered by any trace."""
-    return float(
-        sum(marker_log_likelihood(bundle, m) for m in bundle.covered_markers())
-    )
+    """Sum of marker log likelihoods over all markers covered by any trace,
+    by one pass over each of the bundle's stacks of them (one stack at
+    U <= 2)."""
+    loglik = []
+    for stack in bundle._stacks:
+        tables = _step_tables(stack, _view_terms(stack, bundle.parameters))
+        loglik += _chain_pass(stack, tables).loglik.tolist()
+    return float(sum(loglik))
 
 
 def log_likelihood_and_gradient(
@@ -1062,14 +1579,15 @@ def log_likelihood_and_gradient(
 
     By Fisher's identity the gradient of log L is the posterior
     expectation of the gradient of the log evidence factors; one
-    forward-backward sweep per marker gives the posterior of every factor
-    entry.  Gradient keys are ("rho", trace), ("eta", trace), ("xi", trace)
-    and ("phi", trace, role).  Per-marker overrides are constants: a
-    marker with a marker_rho entry for a trace adds nothing to that
-    trace's rho derivative, and one with a marker_xi entry nothing to any
-    xi derivative.  Paths of zero probability contribute nothing, so at a
-    boundary (a fraction or xi exactly 0) this is not the one-sided
-    derivative.  The gradient is meaningful only where log L is finite.
+    forward-backward pass over each of the bundle's stacks of markers gives
+    the posterior of every factor entry.  Gradient keys are ("rho", trace),
+    ("eta", trace), ("xi", trace) and ("phi", trace, role).  Per-marker
+    overrides are constants: a marker with a marker_rho entry for a trace
+    adds nothing to that trace's rho derivative, and one with a marker_xi
+    entry nothing to any xi derivative.  Paths of zero probability
+    contribute nothing, so at a boundary (a fraction or xi exactly 0) this
+    is not the one-sided derivative.  The gradient is meaningful only
+    where log L is finite.
     """
     params = bundle.parameters
     grad = {}
@@ -1079,65 +1597,60 @@ def log_likelihood_and_gradient(
             grad[(family, tid)] = 0.0
         for role in params.phi[tid]:
             grad[("phi", tid, role)] = 0.0
-    parts = [
-        _marker_value_and_gradient(_plan_for(bundle, m), params)
-        for m in bundle.covered_markers()
-    ]
-    for _, part in parts:
-        for key, value in part.items():
-            grad[key] += value
-    return float(sum(ll for ll, _ in parts)), grad
+    loglik = []
+    for stack in bundle._stacks:
+        terms = _view_terms(stack, params)
+        result = _chain_pass(stack, _step_tables(stack, terms), posteriors=True)
+        loglik += result.loglik.tolist()
+        _add_gradient(stack, terms, result.pair, grad)
+    return float(sum(loglik)), grad
 
 
-def _marker_value_and_gradient(plan, params):
-    terms = _view_terms(plan, params)
-    loglik, pair, _ = _chain_pass(plan, _step_tables(plan, terms), posteriors=True)
-    grad = {}
-    if not np.isfinite(loglik):
-        return loglik, grad
+def _add_gradient(stack, terms, pair, grad):
+    """Add d log L over a stack's markers to ``grad``, from the pair
+    posteriors of every step (zero on markers of no finite likelihood).
+
+    Each factor entry reads its posterior weight from its cell, and every
+    dropout entry adds its weight to its distinct dose; the derivatives
+    are one call of each gamma kernel's _grad per trace, and d log L / d B
+    one np.bincount through every dose point's two cells.
+    """
     pair = pair.ravel()
-    marker_xi = params.marker_xi is not None and plan.marker in params.marker_xi
-    rho_over = (params.marker_rho or {}).get(plan.marker, {})
-    for view, term in zip(plan.traces, terms):
-        tid = view.trace_id
-        w = pair[view.cell]
-        k = view.n_observed
-        d_shape = np.empty(len(term.doses))
-        d_eta = np.empty(len(term.doses))
-        d_shape[:k], d_eta[:k] = gamma_log_pdf_grad(
-            view.peak_heights, term.rho * term.doses[:k], term.eta
-        )
-        d_shape_drop, d_eta_drop = gamma_log_cdf_grad(
-            view.threshold, term.rho * term.doses[view.dropout], term.eta,
-            term.log_factors[view.dropout],
-        )
-        d_shape[k:], d_eta[k:] = d_shape_drop[view.spread], d_eta_drop[view.spread]
+    for layout, term in zip(stack.traces, terms):
+        tid, n = layout.trace_id, layout.n_observed
+        shapes = term.rho * term.doses
+        d_shape, d_eta = (np.concatenate(parts) for parts in zip(
+            gamma_log_pdf_grad(layout.peak_heights, shapes[:n], term.eta),
+            gamma_log_cdf_grad(layout.threshold, shapes[n:], term.eta, term.log_cdf),
+        ))
+        w = pair[layout.cell]
+        w = np.concatenate((w[:n], np.bincount(layout.spread, w[n:], len(shapes) - n)))
         live = w > 0.0
         with np.errstate(invalid="ignore"):
-            g = np.where(live, w * d_shape, 0.0)  # d log L / d shape, per entry
+            g = np.where(live, w * d_shape, 0.0)  # d log L / d shape, per dose point
             g_eta = np.where(live, w * d_eta, 0.0)
-        grad[("eta", tid)] = float(g_eta.sum())
-        if tid not in rho_over:
-            grad[("rho", tid)] = float(g @ term.doses)
-        # d log L / d B[p, c] through the entries' doses at p and at the donor
-        # p+1; the zero cell's sum is dropped
-        g_here, g_next = (
-            np.bincount(index, g, term.base.size + 1)[:-1].reshape(term.base.shape)
-            for index in (view.here, view.there)
-        )
-        if not marker_xi:
-            grad[("xi", tid)] = term.rho * float(((g_next - g_here) * term.base).sum())
-        g_dose = term.rho * ((1.0 - term.xi) * g_here + term.xi * g_next)
-        g_known = plan.known_counts @ g_dose.sum(axis=1)
-        g_unknown = g_dose.sum(axis=0) @ plan.combo_counts
+        rho_free, xi_free = term.free
+        grad[("eta", tid)] += float(g_eta.sum())
+        # sums of products by numpy's own loop: a BLAS dot may start threads
+        grad[("rho", tid)] += float((g * term.doses * rho_free).sum())
+        g = g * term.rho  # d log L / d dose
+        ends = np.append(term.base, 0.0)[layout.gather]
+        grad[("xi", tid)] += float((g * (ends[1] - ends[0]) * xi_free).sum())
+        # d log L / d B through each point's two cells; the zero cell's sum
+        # is dropped
+        g_base = np.bincount(
+            layout.gather.ravel(), np.concatenate(((1.0 - term.xi) * g, term.xi * g)),
+            term.base.size + 1,
+        )[:-1].reshape(term.base.shape)
         for roles, takes, values in (
-            (plan.known_ids, view.known_contributes, g_known),
-            (plan.unknown_ids, view.unknown_contributes, g_unknown),
+            (stack.known_ids, layout.known_contributes,
+             layout.known_counts @ g_base.sum(axis=1)),
+            (stack.unknown_ids, layout.unknown_contributes,
+             g_base.sum(axis=0) @ stack.combo_counts),
         ):
             for r, take, value in zip(roles, takes, values):
                 if take:
-                    grad[("phi", tid, r)] = float(value)
-    return loglik, grad
+                    grad[("phi", tid, r)] += float(value)
 
 
 def _chain_posterior(bundle, marker, assignments=None, k=0):
@@ -1145,6 +1658,7 @@ def _chain_posterior(bundle, marker, assignments=None, k=0):
     terms = _view_terms(plan, bundle.parameters)
     tables = _step_tables(plan, terms) + _presence_masks(plan, assignments)
     loglik, pair, _ = _chain_pass(plan, tables, posteriors=True)
+    loglik = float(loglik[0])
     if not np.isfinite(loglik):
         raise InfeasibleConditioningError(
             f"zero probability on marker {marker!r}"

@@ -198,11 +198,11 @@ def _phi_from_theta(theta, n_known, n_unknown):
     # d parts_l / d theta_k = parts_l (1 - r_k) ([k < l] - sum_{m > k} share_m)
     later = np.tril(np.ones((n_unknown, n_unknown - 1)), -1)
     beyond = np.cumsum(share[::-1])[::-1][1:]
-    jac = np.block([
-        [d_outer[:-1], np.zeros((n_items - 1, n_unknown - 1))],
-        [share[:, None] * d_outer[-1],
-         parts[:, None] * (1.0 - ratios) * (later - beyond)],
-    ])
+    k = n_items - 1  # the knowns' coordinates, then the block's
+    jac = np.zeros((k + n_unknown, k + n_unknown - 1))
+    jac[:k, :k] = d_outer[:-1]
+    jac[k:, :k] = share[:, None] * d_outer[-1]
+    jac[k:, k:] = parts[:, None] * (1.0 - ratios) * (later - beyond)
     return np.concatenate([outer[:-1], parts]), jac
 
 

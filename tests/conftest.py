@@ -9,9 +9,16 @@ independent computation path.
 import itertools
 import json
 import math
+import os
 from pathlib import Path
 
-import numpy as np
+# One BLAS/OpenMP thread unless the environment says otherwise, as
+# bench/run.py runs: the tests' arrays are small, and more threads only
+# contend for the cores.  It takes effect only before numpy is loaded.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 from scipy.special import gammainc, gammaln, logsumexp
 

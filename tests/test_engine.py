@@ -1021,17 +1021,23 @@ class TestDistinctDoses:
         for marker in b.covered_markers():
             plan = b._plans[marker]
             for view, term in zip(plan.traces, engine._view_terms(plan, b.parameters)):
-                # each entry's own dose, block by block, as the chain defines it
+                # each entry's own dose, block by block, as the chain defines
+                # it; the doses B span the stack, from the marker's offset
+                base = term.base[view.frame.dose_offset // plan.n_combos:]
                 own = np.concatenate([
-                    (1.0 - term.xi) * term.base[p][plan.pair_prev]
-                    + term.xi * term.base[p + 1][plan.pair_draw]
+                    (1.0 - term.xi) * base[p][plan.pair_prev]
+                    + term.xi * base[p + 1][plan.pair_draw]
                     if plan.coupled[p]
-                    else (1.0 - term.xi) * term.base[p][plan.pair_draw]
+                    else (1.0 - term.xi) * base[p][plan.pair_draw]
                     for p in view.blocks
                 ])
-                np.testing.assert_array_equal(term.doses, own)
-                shapes = term.rho * own
                 k = view.n_observed
+                # the dose points: the observed entries, then the distinct
+                # dropout doses, spread back to the dropout entries
+                np.testing.assert_array_equal(
+                    np.concatenate([term.doses[:k], term.doses[k:][view.spread]]), own
+                )
+                shapes = term.rho * own
                 heights = np.repeat(
                     [view.heights[p] for p in view.blocks if view.observed[p]],
                     plan.n_pairs,
@@ -1041,10 +1047,10 @@ class TestDistinctDoses:
                 )
                 log_cdf = gamma_log_cdf(view.threshold, shapes[k:], term.eta)
                 np.testing.assert_array_equal(term.log_factors[k:], log_cdf)
+                np.testing.assert_array_equal(term.log_cdf[view.spread], log_cdf)
                 # derivatives at the distinct doses, spread back, are each entry's own
                 spread = gamma_log_cdf_grad(
-                    view.threshold, shapes[view.dropout], term.eta,
-                    term.log_factors[view.dropout],
+                    view.threshold, term.rho * term.doses[k:], term.eta, term.log_cdf
                 )
                 own_grad = gamma_log_cdf_grad(
                     view.threshold, shapes[k:], term.eta, log_cdf
@@ -1073,7 +1079,7 @@ class TestDistinctDoses:
         monkeypatch.setattr(engine, "gamma_log_cdf", counting)
         mx.total_log_likelihood(b)
         views = [view for plan in b._plans.values() for view in plan.traces]
-        assert sum(len(v.here) - v.n_observed for v in views) == 1296
+        assert sum(len(v.cell) - v.n_observed for v in views) == 1296
         assert sum(sizes) == 486
 
 
@@ -1105,3 +1111,189 @@ class TestPlanReadsLadder:
             ladder = b.frequencies.ladder(marker)
             np.testing.assert_array_equal(plan.order, ladder.order)
             np.testing.assert_array_equal(plan.coupled, ladder.coupled)
+
+
+def _one_marker_bundle(b, marker):
+    """The bundle restricted to one marker: its ladder, and each trace's
+    heights there (none for a trace that does not cover it)."""
+    traces = tuple(
+        mx.Trace(t.trace_id, t.threshold,
+                 {marker: t.heights[marker]} if marker in t.heights else {})
+        for t in b.traces
+    )
+    return mx.EvidenceBundle(
+        traces=traces, frequencies=mx.FrequencyTable(markers={
+            marker: b.frequencies.ladder(marker)
+        }),
+        hypothesis=b.hypothesis, parameters=b.parameters,
+    )
+
+
+def _count_log_passes(monkeypatch):
+    """Spy on the log-space redo; returns the list of markers it is called on."""
+    redone = []
+
+    def spy(plan, tables, posteriors, alt, _original=engine._log_pass):
+        redone.append(plan.marker)
+        return _original(plan, tables, posteriors, alt)
+
+    monkeypatch.setattr(engine, "_log_pass", spy)
+    return redone
+
+
+class TestBundlePass:
+    """One pass over the bundle's stacked markers: against one-marker passes
+    and both oracles."""
+
+    def _check(self, b):
+        ll, grad = mx.log_likelihood_and_gradient(b)
+        assert ll == mx.total_log_likelihood(b)  # the same stacked forward
+        parts = [
+            mx.log_likelihood_and_gradient(_one_marker_bundle(b, m))
+            for m in b.covered_markers()
+        ]
+        assert ll == pytest.approx(sum(p for p, _ in parts), rel=1e-12, abs=1e-12)
+        for marker, (part, _) in zip(b.covered_markers(), parts):
+            assert mx.marker_log_likelihood(b, marker) == part
+            for oracle in (mx.brute_force_log_likelihood, oracle_log_likelihood):
+                assert part == pytest.approx(oracle(b, marker), rel=1e-9, abs=1e-9)
+        if not np.isfinite(ll):
+            return
+        for key, value in grad.items():
+            want = sum(g[key] for _, g in parts)
+            assert value == pytest.approx(want, rel=1e-10, abs=1e-10), key
+
+    @given(stn.integers(0, 3), stn.integers(0, 2**32 - 1), stn.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_marker_passes_and_oracles(self, n_unknown, seed, missing):
+        # ladders of different lengths with silent alleles, trace_roles, a
+        # marker_rho on M and a marker_xi on M2; T2 may not cover M2
+        b = _overridden_case(n_unknown, seed)
+        if missing:
+            t1, t2 = b.traces
+            b = mx.EvidenceBundle(
+                traces=(t1, mx.Trace("T2", t2.threshold, {"M": t2.heights["M"]})),
+                frequencies=b.frequencies, hypothesis=b.hypothesis,
+                parameters=b.parameters,
+            )
+        self._check(b)
+
+    def test_one_marker_per_stack_at_four_unknowns(self):
+        # at U = 4 a stack holds one marker: each marker is its own stack
+        rng = np.random.default_rng(4)
+        freqs = mx.FrequencyTable.from_dict({
+            "M": {"8": 0.5, "9": 0.5}, "M2": {"10": 0.3, "11": 0.3, "12": 0.4},
+        })
+        unknown = ("U1", "U2", "U3", "U4")
+        phi = dict(zip(unknown, np.sort(rng.dirichlet(np.ones(4)))[::-1].tolist()))
+        b = mx.EvidenceBundle(
+            traces=(mx.Trace("T1", 50.0, {"M": {"8": 900.0, "9": 300.0},
+                                          "M2": {"10": 500.0, "12": 700.0}}),),
+            frequencies=freqs,
+            hypothesis=mx.Hypothesis(known={}, unknown=unknown),
+            parameters=mx.ModelParameters(rho={"T1": 40.0}, eta=25.0, xi=0.08,
+                                          phi={"T1": phi}),
+        )
+        assert [len(stack.plans) for stack in b._stacks] == [1, 1]
+        self._check(b)
+
+    def test_padding_steps_lose_nothing(self, monkeypatch):
+        # M2 is three steps shorter than M and front-padded in their stack;
+        # its real steps keep the scaled pass, so the padding steps' messages
+        # must add nothing to the loss bounds of its posteriors
+        rng = np.random.default_rng(17523)
+        b = random_case(rng, max_alleles=4, max_unknowns=3, n_markers=2)
+        p = b.parameters
+        b = b.with_parameters(mx.ModelParameters(
+            rho={t: r * 3.625 for t, r in p.rho.items()}, eta=p.eta, xi=p.xi,
+            phi=p.phi,
+        ))
+        assert [list(stack.first) for stack in b._stacks] == [[0, 3]]
+        redone = _count_log_passes(monkeypatch)
+        ll, _ = mx.log_likelihood_and_gradient(b)
+        assert redone == [] and ll == mx.total_log_likelihood(b)
+        self._check(b)
+
+    def test_one_stacked_marker_takes_the_log_redo(self, monkeypatch):
+        # M is TestScaledPassFallback's dying path, which the scaled pass
+        # cannot keep; N beside it, with one allele and one path, passes
+        # scaled
+        freqs = mx.FrequencyTable.from_dict({
+            "M": {"8": 0.3, "10": 0.3, "12": 0.4}, "N": {"5": 1.0},
+        })
+        k1 = mx.GenotypeProfile.from_pairs({"M": ("12", "12"), "N": ("5", "5")})
+        b = mx.EvidenceBundle(
+            traces=(mx.Trace("T1", 50.0, {
+                "M": {"8": 5700.0, "10": 2850.0, "12": 5700.0}, "N": {"5": 11800.0},
+            }),),
+            frequencies=freqs,
+            hypothesis=mx.Hypothesis(known={"K1": k1}, unknown=("U1",)),
+            parameters=mx.ModelParameters(
+                rho={"T1": 6000.0}, eta=1.0, xi=0.05,
+                phi={"T1": {"K1": 0.5, "U1": 0.5}},
+            ),
+        )
+        redone = _count_log_passes(monkeypatch)
+        ll, _ = mx.log_likelihood_and_gradient(b)
+        assert redone == ["M"]
+        assert mx.total_log_likelihood(b) == ll
+        assert redone == ["M", "M"]
+        assert np.isfinite(ll)
+        self._check(b)
+
+    def test_impossible_marker_skips_the_log_redo(self, monkeypatch):
+        # U1 carries no DNA (phi 0) and K1 not 12, which has no stutter
+        # donor: the peak at 12 has no dose, every path through its step
+        # has log factor -inf, and M is impossible; N is not
+        freqs = mx.FrequencyTable.from_dict({
+            "M": {"8": 0.3, "10": 0.3, "12": 0.4}, "N": {"5": 0.5, "6": 0.5},
+        })
+        k1 = mx.GenotypeProfile.from_pairs({"M": ("8", "8"), "N": ("5", "6")})
+        b = mx.EvidenceBundle(
+            traces=(mx.Trace("T1", 50.0, {
+                "M": {"8": 900.0, "12": 400.0}, "N": {"5": 500.0, "6": 450.0},
+            }),),
+            frequencies=freqs,
+            hypothesis=mx.Hypothesis(known={"K1": k1}, unknown=("U1",)),
+            parameters=mx.ModelParameters(
+                rho={"T1": 40.0}, eta=25.0, xi=0.08,
+                phi={"T1": {"K1": 1.0, "U1": 0.0}},
+            ),
+        )
+        redone = _count_log_passes(monkeypatch)
+        ll, grad = mx.log_likelihood_and_gradient(b)
+        assert ll == mx.total_log_likelihood(b) == mx.marker_log_likelihood(b, "M")
+        assert ll == -np.inf
+        with pytest.raises(InfeasibleConditioningError):
+            mx.marker_posterior(b, "M")
+        assert redone == []
+        for oracle in (mx.brute_force_log_likelihood, oracle_log_likelihood):
+            assert oracle(b, "M") == -np.inf
+            assert mx.marker_log_likelihood(b, "N") == pytest.approx(
+                oracle(b, "N"), rel=1e-12
+            )
+        # the gradient holds the finite markers' terms alone
+        _, want = mx.log_likelihood_and_gradient(_one_marker_bundle(b, "N"))
+        assert grad == pytest.approx(want, rel=1e-12)
+        # the log-space pass of an impossible marker runs no backward
+        # recursion and gives zero pair posteriors
+        plan = b._plans["M"]
+        tables = engine._step_tables(plan, engine._view_terms(plan, b.parameters))
+        monkeypatch.setattr(engine, "_log_backward", None)
+        one = engine._log_pass(plan, tables, True, None)
+        assert one.loglik == -np.inf and not one.pair.any()
+
+    def test_one_call_per_trace_of_each_gamma_kernel(
+        self, pubcase_defence_bundle, monkeypatch
+    ):
+        b = pubcase_defence_bundle
+        calls = {}
+        for name in ("gamma_log_pdf", "gamma_log_cdf", "gamma_log_pdf_grad",
+                     "gamma_log_cdf_grad"):
+            def counting(*args, _original=getattr(engine, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+            monkeypatch.setattr(engine, name, counting)
+        mx.log_likelihood_and_gradient(b)
+        assert calls == dict.fromkeys(calls, len(b.traces)) and len(calls) == 4
+        assert len(b.traces) == 2
