@@ -21,18 +21,18 @@ n copies at the previous position draws m <= 2 - n here, so 6 of the 9
 per-contributor pairs, and 6^U joint pairs, are reachable, and every
 emitted peak's factor is one run of 6^U entries at its emit step.
 
-The bundle lays out each trace's factor entries over all its markers
-once, flattened (_TraceLayout): observed entries first, then dropout
-entries, marker by marker.  Its parameter-free gathers give each
-observed entry, and each distinct dropout dose, its cell of the
-pre-stutter dose table and its stutter donor's (or a trailing zero
-cell), so a pass builds every dose of a trace with one gather and calls
-each gamma kernel, and its derivative, once per trace.  Dropout entries
-whose positions share the known contributors' counts and whose draws
-match have the same dose at every parameter value, so the gamma CDF is
-evaluated once per distinct dropout dose and spread back.  A marker's
-plan keeps no per-entry array: its trace views cut the marker's window
-out of the layouts when a one-marker query asks.
+Each marker's plan lays out every covering trace's factor entries on
+the marker once, flattened (_TraceLayout): observed entries first, then
+dropout entries.  Its parameter-free gathers give each observed entry,
+and each distinct dropout dose, its cell of the pre-stutter dose table
+and its stutter donor's (or a trailing zero cell), so a pass builds
+every dose of a trace with one gather and calls each gamma kernel, and
+its derivative, once per trace.  Dropout entries whose positions share
+the known contributors' counts and whose draws match have the same dose
+at every parameter value, so the gamma CDF is evaluated once per
+distinct dropout dose and spread back.  One-marker queries read the
+plan's layouts; a stack of several markers concatenates them, marker by
+marker within each kind of entry.
 
 Several traces that share unknown contributors are coupled by multiplying
 their per-allele factors inside the same chain pass.  The markers are
@@ -83,7 +83,8 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -284,10 +285,6 @@ _NO_PADDING = np.zeros(1, dtype=np.int64)
 _NO_PADDING.setflags(write=False)
 
 
-class _Underflow(Exception):
-    """A scaled pass would lose precision; redo the marker in log space."""
-
-
 def _state_log_pmf(rate: float) -> np.ndarray:
     """log Bin(n; 2 - (S - n), rate) for each state (S, n) in _STATES.
 
@@ -369,19 +366,22 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
 
 @dataclass(frozen=True)
 class _TraceLayout:
-    """One trace's factor entries over the markers of a stack, flattened.
+    """One trace's factor entries over the markers of a plan or a stack,
+    flattened.
 
     Observed entries come first, marker by marker, then dropout entries,
     marker by marker, so each gamma kernel is one call per trace.  A dose
     point is an observed entry or a distinct dropout dose (see
     _dose_gathers).  gather holds each point's two cells of the trace's
-    pre-stutter doses B over the stack's positions (whose known
-    contributors' counts are known_counts), flattened with one trailing
-    zero cell ``zero``: dose = (1 - xi) B.flat[gather[0]] +
+    pre-stutter doses B over the positions of the plan or stack, flattened
+    with one trailing zero cell: dose = (1 - xi) B.flat[gather[0]] +
     xi B.flat[gather[1]].  spread maps each dropout entry to its distinct
-    dose, and cell is each entry's cell in the stack's step tables.
-    counts holds, per marker, its observed entries, distinct dropout doses
-    and dropout entries.
+    dose, and cell is each entry's cell in the step tables.  counts holds,
+    per marker, its observed entries, distinct dropout doses and dropout
+    entries.  A plan's layout, over its one marker, also keeps the fields
+    that only one-marker queries read: the heights per internal position,
+    the observed mask and the blocks (see _factor_blocks); a stack's
+    layout, over several markers, leaves them None.
     """
 
     trace_id: str
@@ -395,118 +395,9 @@ class _TraceLayout:
     gather: np.ndarray  # (2, points)
     cell: np.ndarray
     spread: np.ndarray
-    zero: int
-    known_counts: np.ndarray  # (K, the stack's positions)
-
-
-class _Frame(NamedTuple):
-    """Where a marker's cells sit in its stack: its first cell of the
-    stack's doses B, the stack's trailing zero cell, and its first cell of
-    the stack's step tables."""
-
-    dose_offset: int
-    zero: int
-    cell_offset: int
-
-
-def _shifted(run, by):
-    return slice(run.start + by, run.stop + by)
-
-
-@dataclass(frozen=True)
-class _TraceView:
-    """One trace's data for a marker, aligned to the internal position order.
-
-    blocks lays out the marker's factor entries (see _factor_blocks).  The
-    entries' gathers are the marker's window onto the trace's layout in its
-    stack: runs of the layout's observed entries, distinct dropout doses
-    and dropout entries (each from the start of its kind).  The doses stay
-    in the stack's B, and the cells are shifted by the marker's frame to
-    its own step tables.  They are cut out on each access (or are the
-    layout's own, when the trace covers no other marker of the stack), so
-    a plan keeps no per-entry array; a view serves as a one-marker layout.
-    """
-
-    trace_id: str
-    threshold: float
-    heights: np.ndarray
-    observed: np.ndarray
-    known_contributes: np.ndarray  # bool per known role
-    unknown_contributes: np.ndarray  # bool per unknown role
-    blocks: Mapping[int, tuple[int, slice]]  # see _factor_blocks
-    n_observed: int  # factor entries of observed peaks, which come first
-    layout: _TraceLayout
-    index: int  # the marker's place among the layout's markers
-    runs: tuple[slice, slice, slice]
-    frame: _Frame
-
-    @property
-    def markers(self):
-        return self.layout.markers[self.index:self.index + 1]
-
-    @property
-    def counts(self):
-        return np.array([[run.stop - run.start] for run in self.runs])
-
-    @property
-    def known_counts(self):
-        return self.layout.known_counts
-
-    @property
-    def peak_heights(self):
-        return self.layout.peak_heights[self.runs[0]]
-
-    @property
-    def whole(self):
-        """Whether the window is the whole layout."""
-        return len(self.layout.markers) == 1
-
-    @property
-    def gather(self):
-        if self.whole:
-            return self.layout.gather
-        observed, distinct, _ = self.runs
-        g = self.layout.gather
-        return np.concatenate(
-            (g[:, observed], g[:, _shifted(distinct, self.layout.n_observed)]), axis=1
-        )
-
-    @property
-    def cell(self):
-        cell = self.layout.cell
-        if not self.whole:
-            observed, _, dropout = self.runs
-            cell = np.concatenate(
-                (cell[observed], cell[_shifted(dropout, self.layout.n_observed)])
-            )
-        return cell - self.frame.cell_offset if self.frame.cell_offset else cell
-
-    @property
-    def spread(self):
-        if self.whole:
-            return self.layout.spread
-        _, distinct, dropout = self.runs
-        return self.layout.spread[dropout] - distinct.start
-
-
-class _Entries(NamedTuple):
-    """One trace's factor entries on one marker before its stack's layout
-    holds them: the fields of its view (see _TraceView) first, then the
-    gathers, already in the marker's frame in its stack."""
-
-    trace_id: str
-    threshold: float
-    heights: np.ndarray
-    observed: np.ndarray
-    known_contributes: np.ndarray
-    unknown_contributes: np.ndarray
-    blocks: Mapping[int, tuple[int, slice]]
-    n_observed: int
-    peak_heights: np.ndarray
-    gather: np.ndarray
-    cell: np.ndarray
-    spread: np.ndarray
-    frame: _Frame
+    heights: np.ndarray | None = None
+    observed: np.ndarray | None = None
+    blocks: Mapping[int, tuple[int, slice]] | None = None
 
 
 def _factor_blocks(observed, silent, coupled, n_pairs):
@@ -549,9 +440,7 @@ class _DoseCells(NamedTuple):
     distinct: list
 
 
-def _dose_cells(coupled, known_counts, pair_prev, pair_draw, frame) -> _DoseCells:
-    """_DoseCells in the marker's frame: its cells of B follow
-    frame.dose_offset, and its zero cell is the stack's."""
+def _dose_cells(coupled, known_counts, pair_prev, pair_draw) -> _DoseCells:
     # the pairs in which no contributor drew at t-1: one per draw, in order
     first_of_draw = np.flatnonzero(pair_prev == 0)
     n_pos, n_combos = len(coupled), len(first_of_draw)
@@ -563,10 +452,8 @@ def _dose_cells(coupled, known_counts, pair_prev, pair_draw, frame) -> _DoseCell
         columns.setdefault(tuple(c), len(columns)) for c in known_counts.T.tolist()
     ]
     ends = np.empty((2, n_pos, len(pair_prev)), dtype=np.int64)
-    ends[0] = frame.dose_offset + pos * n_combos + np.where(linked, pair_prev, pair_draw)
-    ends[1] = np.where(
-        linked, frame.dose_offset + (pos + 1) * n_combos + pair_draw, frame.zero
-    )
+    ends[0] = pos * n_combos + np.where(linked, pair_prev, pair_draw)
+    ends[1] = np.where(linked, (pos + 1) * n_combos + pair_draw, n_pos * n_combos)
     return _DoseCells(
         ends=ends,
         local=np.where(linked, every_pair, pair_draw),
@@ -627,7 +514,7 @@ class _MarkerPlan:
     pair_draw: np.ndarray            # joint pair -> joint draw at t
     edges0: _EdgeSet
     edges: _EdgeSet
-    traces: tuple[_TraceView, ...]
+    traces: tuple[_TraceLayout, ...]  # each covering trace's, in the marker's frame
 
     def edges_at(self, t: int) -> _EdgeSet:
         return self.edges0 if t == 0 else self.edges
@@ -645,10 +532,10 @@ class _MarkerPlan:
         return self.state_lp[None]
 
 
-def _build_marker_plan(marker, freqs, hypothesis, traces, frame):
-    """One marker's plan, without its trace views, and the factor entries of
-    every trace that covers the marker, in its ``frame`` (None when no
-    trace covers it; see _build_stacks)."""
+def _build_marker_plan(marker, freqs, hypothesis, traces):
+    """One marker's plan, with the layout of every trace that covers it in
+    the marker's own frame: its cells of B and of the step tables start at
+    0, and its zero cell follows its P * 3^U cells of B."""
     ladder = freqs.ladder(marker)
     order, coupled = ladder.order, ladder.coupled
     n_pos = len(order)
@@ -684,12 +571,12 @@ def _build_marker_plan(marker, freqs, hypothesis, traces, frame):
     unreached = np.ones(n_states, dtype=bool)
     unreached[edges0.dst] = False
     state_lp[0, unreached] = -np.inf
-    entries = []
+    layouts = []
     for trace in traces:
         if marker not in trace.heights:
             continue
-        if not entries:
-            cells = _dose_cells(coupled, known_counts, pair_prev, pair_draw, frame)
+        if not layouts:
+            cells = _dose_cells(coupled, known_counts, pair_prev, pair_draw)
         row = trace.heights[marker]
         off_ladder = set(row) - set(ladder.alleles)
         if off_ladder:
@@ -704,26 +591,25 @@ def _build_marker_plan(marker, freqs, hypothesis, traces, frame):
         gather, spread = _dose_gathers(cells, blocks, n_observed, n_pairs)
         peaks = [p for p in blocks if observed[p]]
         emit = np.array([t for t, _ in blocks.values()], dtype=np.int64)
-        entries.append(
-            _Entries(
-                trace_id=trace.trace_id,
-                threshold=trace.threshold,
-                heights=heights,
-                observed=observed,
-                known_contributes=np.array([r in roles for r in known_ids]),
-                unknown_contributes=np.array(
-                    [r in roles for r in hypothesis.unknown]
-                ),
-                blocks=blocks,
-                n_observed=n_observed,
-                peak_heights=np.repeat(heights[peaks], n_pairs),
-                gather=gather,
-                cell=(emit[:, None] * n_pairs + np.arange(n_pairs)).ravel()
-                + frame.cell_offset,
-                spread=spread,
-                frame=frame,
-            )
-        )
+        cell = (emit[:, None] * n_pairs + np.arange(n_pairs)).ravel()
+        layouts.append(_TraceLayout(
+            trace_id=trace.trace_id,
+            threshold=trace.threshold,
+            known_contributes=np.array([r in roles for r in known_ids]),
+            unknown_contributes=np.array([r in roles for r in hypothesis.unknown]),
+            markers=(marker,),
+            counts=np.array(
+                [[n_observed], [gather.shape[1] - n_observed], [len(cell) - n_observed]]
+            ),
+            n_observed=n_observed,
+            peak_heights=np.repeat(heights[peaks], n_pairs),
+            gather=gather,
+            cell=cell,
+            spread=spread,
+            heights=heights,
+            observed=observed,
+            blocks=blocks,
+        ))
 
     return _MarkerPlan(
         marker=marker,
@@ -745,8 +631,8 @@ def _build_marker_plan(marker, freqs, hypothesis, traces, frame):
         pair_draw=pair_draw,
         edges0=edges0,
         edges=edges,
-        traces=(),
-    ), entries
+        traces=tuple(layouts),
+    )
 
 
 @dataclass(frozen=True)
@@ -757,10 +643,11 @@ class _Stack:
     are exact identity steps (state 0 to state 0, weight 1, log 0), given
     by the transition row (0, -inf, ...) and a zero table.  lp is every
     marker's transition log-probability per step and target state,
-    (G, T, 6^U), and the step tables are (G * T, 6^U), marker by marker.
-    traces holds each trace's layout over the markers it covers (see
-    _TraceLayout).  A marker plan is the one-marker stack of its marker,
-    with the same attributes.
+    (G, T, 6^U), the step tables are (G * T, 6^U), marker by marker, and
+    known_counts spans the markers' positions in turn.  traces holds each
+    trace's layout over the markers it covers (see _TraceLayout).  A
+    marker plan is the one-marker stack of its marker, with the same
+    attributes.
     """
 
     plans: tuple[_MarkerPlan, ...]
@@ -769,6 +656,7 @@ class _Stack:
     traces: tuple[_TraceLayout, ...]
     known_ids: tuple[str, ...]
     unknown_ids: tuple[str, ...]
+    known_counts: np.ndarray
     combo_counts: np.ndarray
     n_unknown: int
     n_states: int
@@ -778,130 +666,91 @@ class _Stack:
 
 
 def _build_stacks(freqs, hypothesis, traces):
-    """Every marker's plan, and the markers some trace covers, in order, in
-    stacks of at most _BLOCK_EDGES // 10^U (at least one), so that a
-    stack's step holds at most _BLOCK_EDGES edge values.
+    """Every marker's plan, and the covered markers (those whose plan holds
+    a layout), in order, in stacks of at most _BLOCK_EDGES // 10^U (at
+    least one), so that a stack's step holds at most _BLOCK_EDGES edge
+    values.
 
-    Each covered marker's frame in its stack is fixed first, so its plan
-    builds its gathers in place; a stack is built as soon as its markers'
-    plans are, so only its own markers' trace entries are held at once.
+    Each plan keeps its own layouts; a stack of several markers holds their
+    concatenation, and a stack of one marker is its plan.
     """
-    n_unknown = len(hypothesis.unknown)
-    n_combos, n_pairs = 3**n_unknown, 6**n_unknown
-    per_stack = max(1, _BLOCK_EDGES // 10**n_unknown)
-    covered = [
-        m for m in freqs.marker_names() if any(m in t.heights for t in traces)
-    ]
-    groups = [covered[i:i + per_stack] for i in range(0, len(covered), per_stack)]
-    frames = {}
-    for group in groups:
-        length = [len(freqs.ladder(m).order) for m in group]
-        n_steps, zero, position = max(length), sum(length) * n_combos, 0
-        for i, (m, n) in enumerate(zip(group, length)):
-            frames[m] = _Frame(
-                position * n_combos, zero, (i * n_steps + n_steps - n) * n_pairs
-            )
-            position += n
-    plans, stacks, pending = {}, [], []
-    for marker in freqs.marker_names():
-        plans[marker], entries = _build_marker_plan(
-            marker, freqs, hypothesis, traces, frames.get(marker)
-        )
-        if entries:
-            pending.append((plans[marker], entries))
-            if len(pending) == len(groups[len(stacks)]):
-                stacks.append(_build_stack(pending, traces, plans))
-                pending = []
-    return plans, tuple(stacks)
+    plans = {
+        marker: _build_marker_plan(marker, freqs, hypothesis, traces)
+        for marker in freqs.marker_names()
+    }
+    covered = [plan for plan in plans.values() if plan.traces]
+    per_stack = max(1, _BLOCK_EDGES // 10 ** len(hypothesis.unknown))
+    trace_ids = [trace.trace_id for trace in traces]
+    stacks = tuple(
+        _build_stack(covered[i:i + per_stack], trace_ids)
+        for i in range(0, len(covered), per_stack)
+    )
+    return plans, stacks
 
 
-def _build_stack(group, traces, plans):
-    """The stack of ``group``'s markers, each (plan, trace entries); every
-    marker's plan in ``plans`` gets its views onto the stack's layouts.
-
-    The entries are dropped as they are placed.
-    """
-    template = group[0][0]
-    known_counts = np.concatenate([plan.known_counts for plan, _ in group], axis=1)
-    n_steps = max(len(plan.order) for plan, _ in group)
-    first = np.array([n_steps - len(plan.order) for plan, _ in group], dtype=np.int64)
-    views = [[] for _ in group]
+def _build_stack(group, trace_ids):
+    """The stack of ``group``'s plans: the plan itself if there is one, else
+    each trace's layout the concatenation of the plans' layouts, in the
+    order of ``trace_ids``.  Each marker's cells are offset to its place in
+    the stack, and its zero cell becomes the stack's."""
+    if len(group) == 1:
+        return group[0]
+    template = group[0]
+    n_combos, n_pairs = template.n_combos, template.n_pairs
+    length = np.array([len(plan.order) for plan in group])
+    n_steps = int(length.max())
+    first = n_steps - length
+    zero = int(length.sum()) * n_combos
+    dose_offset = (np.cumsum(length) - length) * n_combos
+    cell_offset = (np.arange(len(group)) * n_steps + first) * n_pairs
     layouts = []
-    for trace in traces:
+    for trace_id in trace_ids:
         mine = [
-            (i, entries.pop(0)) for i, (_, entries) in enumerate(group)
-            if entries and entries[0].trace_id == trace.trace_id
+            (i, layout) for i, plan in enumerate(group)
+            for layout in plan.traces if layout.trace_id == trace_id
         ]
         if not mine:
             continue
-        # per marker: observed entries, distinct dropout doses, dropout entries
-        counts = np.array([
-            (e.n_observed, e.gather.shape[1] - e.n_observed, len(e.cell) - e.n_observed)
-            for _, e in mine
-        ], dtype=np.int64).T
-        starts = np.cumsum(counts, axis=1) - counts
-        runs = [
-            tuple(slice(s, s + n) for s, n in zip(start, count))
-            for start, count in zip(starts.T.tolist(), counts.T.tolist())
+        gather = [
+            np.where(e.gather == length[i] * n_combos, zero, e.gather + dose_offset[i])
+            for i, e in mine
         ]
-        if len(mine) == 1:  # one marker's entries are in layout order already
-            e = mine[0][1]
-            arrays = (e.peak_heights, e.gather, e.cell, e.spread)
-        else:
-            arrays = (
-                np.concatenate([e.peak_heights for _, e in mine]),
-                np.concatenate(
-                    [e.gather[:, :e.n_observed] for _, e in mine]
-                    + [e.gather[:, e.n_observed:] for _, e in mine], axis=1,
-                ),
-                np.concatenate(
-                    [e.cell[:e.n_observed] for _, e in mine]
-                    + [e.cell[e.n_observed:] for _, e in mine]
-                ),
-                np.concatenate([
-                    e.spread + start for (_, e), start in zip(mine, starts[1])
-                ]),
-            )
-        layout = _TraceLayout(
-            trace_id=trace.trace_id,
-            threshold=trace.threshold,
+        cell = [e.cell + cell_offset[i] for i, e in mine]
+        counts = np.concatenate([e.counts for _, e in mine], axis=1)
+        distinct_start = np.cumsum(counts[1]) - counts[1]
+        layouts.append(_TraceLayout(
+            trace_id=trace_id,
+            threshold=mine[0][1].threshold,
             known_contributes=mine[0][1].known_contributes,
             unknown_contributes=mine[0][1].unknown_contributes,
-            markers=tuple(group[i][0].marker for i, _ in mine),
+            markers=tuple(group[i].marker for i, _ in mine),
             counts=counts,
             n_observed=int(counts[0].sum()),
-            peak_heights=arrays[0],
-            gather=arrays[1],
-            cell=arrays[2],
-            spread=arrays[3],
-            zero=mine[0][1].frame.zero,
-            known_counts=known_counts,
-        )
-        layouts.append(layout)
-        for index, (i, e) in enumerate(mine):
-            views[i].append(_TraceView(
-                *e[:8], layout=layout, index=index, runs=runs[index], frame=e.frame,
-            ))
-        del mine
-
-    members = []
-    for (plan, _), mine in zip(group, views):
-        plans[plan.marker] = replace(plan, traces=tuple(mine))
-        members.append(plans[plan.marker])
-    if len(members) == 1:
-        lp = members[0].state_lp[None]
-    else:
-        lp = np.full((len(members), n_steps, template.n_states), -np.inf)
-        lp[:, :, 0] = 0.0
-        for i, plan in enumerate(members):
-            lp[i, first[i]:] = plan.state_lp
+            peak_heights=np.concatenate([e.peak_heights for _, e in mine]),
+            gather=np.concatenate(
+                [g[:, :e.n_observed] for g, (_, e) in zip(gather, mine)]
+                + [g[:, e.n_observed:] for g, (_, e) in zip(gather, mine)], axis=1,
+            ),
+            cell=np.concatenate(
+                [c[:e.n_observed] for c, (_, e) in zip(cell, mine)]
+                + [c[e.n_observed:] for c, (_, e) in zip(cell, mine)]
+            ),
+            spread=np.concatenate([
+                e.spread + start for (_, e), start in zip(mine, distinct_start)
+            ]),
+        ))
+    lp = np.full((len(group), n_steps, template.n_states), -np.inf)
+    lp[:, :, 0] = 0.0
+    for i, plan in enumerate(group):
+        lp[i, first[i]:] = plan.state_lp
     return _Stack(
-        plans=tuple(members),
+        plans=tuple(group),
         first=first,
         lp=lp,
         traces=tuple(layouts),
         known_ids=template.known_ids,
         unknown_ids=template.unknown_ids,
+        known_counts=np.concatenate([plan.known_counts for plan in group], axis=1),
         combo_counts=template.combo_counts,
         n_unknown=template.n_unknown,
         n_states=template.n_states,
@@ -978,10 +827,8 @@ class EvidenceBundle:
         return clone
 
     def covered_markers(self) -> tuple[str, ...]:
-        return tuple(
-            m for m in self.frequencies.marker_names()
-            if any(m in t.heights for t in self.traces)
-        )
+        """The markers some trace covers, in table order: those in a stack."""
+        return tuple(plan.marker for stack in self._stacks for plan in stack.plans)
 
     def same_evidence(self, other: "EvidenceBundle") -> bool:
         return self.traces == other.traces and self.frequencies == other.frequencies
@@ -1052,8 +899,8 @@ def _trace_values(layout, params):
 
 
 def _trace_dose(stack, layout, params):
-    """One trace's pre-stutter doses over the positions of its layout's
-    stack (a one-marker query's layout is a window onto its stack's).
+    """One trace's pre-stutter doses over the positions of a stack (or a
+    plan) that holds its layout.
 
     B[p, c] = sum over the trace's roles of phi_r * n_r(p, c), where
     n_r(p, c) is a known contributor's count at position p or the count
@@ -1068,7 +915,7 @@ def _trace_dose(stack, layout, params):
         phi[r] if c else 0.0
         for r, c in zip(stack.unknown_ids, layout.unknown_contributes)
     ])
-    return (phi_known @ layout.known_counts)[:, None] + (
+    return (phi_known @ stack.known_counts)[:, None] + (
         stack.combo_counts @ phi_unknown
     )[None, :]
 
@@ -1115,16 +962,16 @@ def _step_tables(stack, terms):
 def _step_table(plan, terms, t, skip):
     """Step t's table with one peak's factor left out, by exact summation.
 
-    skip = (view index, position) names the peak.  Step t emits a
+    skip = (layout index, position) names the peak.  Step t emits a
     stutter-coupled position t-1 and an uncoupled position t.  The sum
     is rebuilt, not taken from the full table by subtraction, which would
     give NaN where the left-out factor is -inf.
     """
     table = np.zeros(plan.n_pairs)
-    for view_idx, (view, term) in enumerate(zip(plan.traces, terms)):
+    for index, (layout, term) in enumerate(zip(plan.traces, terms)):
         for p in (t - 1, t):
-            block = view.blocks.get(p)
-            if block is not None and block[0] == t and (view_idx, p) != skip:
+            block = layout.blocks.get(p)
+            if block is not None and block[0] == t and (index, p) != skip:
                 table += term.log_factors[block[1]]
     return table
 
@@ -1192,7 +1039,7 @@ def _stacked_edges(n_unknown, n_rows):
     return columns
 
 
-def _forward(stack, tables, keep, ended=None):
+def _forward(stack, tables, keep, ended):
     """Scaled forward recursion over a stack's chains (see _Stack).
 
     Returns each marker's log L; the messages alpha (T+1, G, S) into each
@@ -1205,8 +1052,7 @@ def _forward(stack, tables, keep, ended=None):
     A marker's pass ends at a step whose largest value is -inf, with log L
     -inf; or is NaN or +inf, or where its loss bound is too large.  It is
     marked in ``ended``, its numbers are no longer used, and the others go
-    on; once all have ended the recursion stops.  Without ``ended``, a
-    marker that ended with a finite log L raises _Underflow.
+    on; once all have ended the recursion stops.
     """
     edges, n_states, first = stack.edges, stack.n_states, stack.first
     n_markers, n_edges = len(first), len(edges.src)
@@ -1214,9 +1060,6 @@ def _forward(stack, tables, keep, ended=None):
     n_steps = tables.shape[1]
     per_block = max(1, _BLOCK_EDGES // (n_markers * n_edges))
     src, dst = _stacked_edges(stack.n_unknown, n_markers)
-    strict = ended is None
-    if strict:
-        ended = np.zeros(n_markers, dtype=bool)
     alpha = np.zeros((n_steps + 1, n_markers, n_states))
     alpha[0, :, 0] = 1.0
     flat_alpha = alpha.reshape(n_steps + 1, -1)
@@ -1275,8 +1118,6 @@ def _forward(stack, tables, keep, ended=None):
         terms += [sums, *logs[t:t + n]]
         t += n
     loglik = np.add.accumulate(terms, axis=0)[-1]
-    if strict and (ended & (loglik != -np.inf)).any():
-        raise _Underflow
     return loglik, alpha, lost, weights
 
 
@@ -1295,14 +1136,13 @@ def _loss_bounds(norms, fan_out, added):
     return np.array(rows).reshape(norms.shape)
 
 
-def _backward(stack, weights, ended=None):
+def _backward(stack, weights, ended):
     """Scaled backward messages beta (T, G, S) out of each step, each
     divided by its maximum, from the forward recursion's edge weights, and
     a bound (T, G) on each one's loss to underflow relative to its maximum
     (zero out of a padding step, whose posterior no query reads).
 
-    A marker whose bound is too large is marked in ``ended``; without it,
-    it raises _Underflow.
+    A marker whose bound is too large is marked in ``ended``.
     """
     edges, n_states = stack.edges, stack.n_states
     fan_out = 3**stack.n_unknown
@@ -1327,22 +1167,17 @@ def _backward(stack, weights, ended=None):
     )
     if stack.first.any():  # the messages out of padding steps serve no posterior
         lost[np.arange(n_steps)[:, None] < stack.first] = 0.0
-    bad = ~(lost <= _LOSS).all(axis=0)
-    if ended is None:
-        if bad.any():
-            raise _Underflow
-    else:
-        ended |= bad
+    ended |= ~(lost <= _LOSS).all(axis=0)
     return beta, lost
 
 
-def _pair_posteriors(mass, keys, n_pairs, loss, ended=None):
+def _pair_posteriors(mass, keys, n_pairs, loss, ended):
     """Rows of edge masses (..., G, E) summed by the edges' pairs ``keys``,
     with one np.bincount for all rows, and normalized over the row.
 
     ``loss`` bounds each row's loss to underflow.  Axis -2 is the
     markers': one with a row that would lose too much is marked in
-    ``ended``; without it, it raises _Underflow.
+    ``ended``.
     """
     rows = mass.reshape(-1, mass.shape[-1])
     index = (np.arange(len(rows))[:, None] * n_pairs + keys).ravel()
@@ -1351,22 +1186,18 @@ def _pair_posteriors(mass, keys, n_pairs, loss, ended=None):
     total = np.add.reduce(post, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         bad = ~(loss / total <= _LOSS)
-    if ended is None:
-        if bad.any():
-            raise _Underflow
-    else:
-        ended |= bad.reshape(-1, len(ended)).any(axis=0)
+    ended |= bad.reshape(-1, len(ended)).any(axis=0)
     total[bad] = 1.0
     return post / total[..., None]
 
 
-def _scaled_pass(stack, tables, posteriors, alt, redo=None):
+def _scaled_pass(stack, tables, posteriors, alt, redo):
     """_chain_pass in scaled linear space.
 
     A marker whose pass ends (see _forward) is marked in ``redo``, unless
     it ended with log L -inf and no alternative tables are asked for, whose
-    posteriors may still have mass; without ``redo``, such a marker raises
-    _Underflow.  A marker that ended gets zero pair posteriors.
+    posteriors may still have mass.  A marker that ended gets zero pair
+    posteriors.
     """
     keep = posteriors or bool(alt)
     ended = np.zeros(len(stack.plans), dtype=bool)
@@ -1405,12 +1236,7 @@ def _scaled_pass(stack, tables, posteriors, alt, redo=None):
                 others[t] = _pair_posteriors(
                     mass[:, None], step.key, n_pairs, loss[t, 0], ended
                 )[:, 0]
-    ended &= (loglik != -np.inf) | bool(alt)
-    if redo is None:
-        if ended.any():
-            raise _Underflow
-    else:
-        redo |= ended
+    redo |= ended & ((loglik != -np.inf) | bool(alt))
     return _Pass(loglik, pair, others)
 
 
@@ -1516,7 +1342,7 @@ def _presence_masks(plan, assignments):
         if lab not in label_pos:
             raise KeyError(f"allele {lab!r} not on the {plan.marker!r} ladder")
         p = label_pos[lab]
-        present = _as_presence(value)
+        present = _as_presence(lab, value)
         if known_any[p] > 0:
             if not present:
                 raise InfeasibleConditioningError(
@@ -1532,15 +1358,21 @@ def _presence_masks(plan, assignments):
     return masks
 
 
-def _as_presence(value) -> bool:
+def _as_presence(allele, value) -> bool:
+    """A presence assignment: a bool, the integer 0 or 1, or one of the
+    strings below; anything else raises ValueError."""
     if isinstance(value, str):
         v = value.strip().lower()
         if v in ("present", "1", "true", "yes"):
             return True
         if v in ("absent", "0", "false", "no"):
             return False
-        raise ValueError(f"presence assignment must be present/absent, got {value!r}")
-    return bool(value)
+    elif isinstance(value, (numbers.Integral, np.bool_)) and value in (0, 1):
+        return bool(value)
+    raise ValueError(
+        f"presence assignment for allele {allele!r} must be present/absent, "
+        f"a bool, 0 or 1, got {value!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1644,7 +1476,7 @@ def _add_gradient(stack, terms, pair, grad):
         )[:-1].reshape(term.base.shape)
         for roles, takes, values in (
             (stack.known_ids, layout.known_contributes,
-             layout.known_counts @ g_base.sum(axis=1)),
+             stack.known_counts @ g_base.sum(axis=1)),
             (stack.unknown_ids, layout.unknown_contributes,
              g_base.sum(axis=0) @ stack.combo_counts),
         ):
@@ -1654,6 +1486,8 @@ def _add_gradient(stack, terms, pair, grad):
 
 
 def _chain_posterior(bundle, marker, assignments=None, k=0):
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
     plan = _plan_for(bundle, marker)
     terms = _view_terms(plan, bundle.parameters)
     tables = _step_tables(plan, terms) + _presence_masks(plan, assignments)
@@ -1665,9 +1499,12 @@ def _chain_posterior(bundle, marker, assignments=None, k=0):
             + (f" under conditioning {dict(assignments)!r}" if assignments else "")
         )
     # posterior of each step's draw: its pair posterior summed by draw
-    post = np.array([np.bincount(plan.pair_draw, w, plan.n_combos) for w in pair])
+    n_steps = len(pair)
+    index = (np.arange(n_steps)[:, None] * plan.n_combos + plan.pair_draw).ravel()
+    post = np.bincount(index, pair.ravel(), n_steps * plan.n_combos)
+    post = post.reshape(n_steps, plan.n_combos)
     counts = [
-        post @ (plan.combo_counts[:, i, None] == np.arange(3))
+        (post @ (plan.combo_counts[:, i, None] == np.arange(3))).tolist()
         for i in range(plan.n_unknown)
     ]
     known_any = plan.known_counts.sum(axis=0)
@@ -1679,7 +1516,7 @@ def _chain_posterior(bundle, marker, assignments=None, k=0):
                 1.0 if known_any[t] > 0 else float(min(1.0, max(0.0, 1.0 - post[t, 0])))
             )
         for role, count in zip(plan.unknown_ids, counts):
-            marginals[role][lab] = tuple(float(x) for x in count[t])
+            marginals[role][lab] = tuple(count[t])
     return MarkerChainPosterior(
         marker=marker,
         log_likelihood=loglik,
@@ -1703,9 +1540,9 @@ def conditioned_presence(
 ) -> MarkerChainPosterior:
     """Posterior and likelihood conditioned on stated presence/absence values.
 
-    assignments maps allele label to 'present'/'absent' (or a boolean).
-    Conditioning with zero posterior mass raises
-    :class:`InfeasibleConditioningError`.
+    assignments maps allele label to 'present'/'absent' (or a boolean, 0
+    or 1); any other value raises ValueError.  Conditioning with zero
+    posterior mass raises :class:`InfeasibleConditioningError`.
     """
     return _chain_posterior(bundle, marker, assignments=assignments)
 
@@ -1714,7 +1551,8 @@ def marker_posterior(
     bundle: EvidenceBundle, marker: str, k: int = 0,
     assignments: Mapping[str, object] | None = None,
 ) -> MarkerChainPosterior:
-    """Full chain posterior for one marker, optionally with a k-best list."""
+    """Full chain posterior for one marker, optionally with a list of its
+    k best genotype combinations (k a non-negative integer)."""
     return _chain_posterior(bundle, marker, assignments=assignments, k=k)
 
 
@@ -1726,8 +1564,8 @@ def top_k_marker_genotypes(bundle: EvidenceBundle, marker: str, k: int):
     than exist returns every combination with positive posterior
     probability (impossible ones are omitted).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     return _chain_posterior(bundle, marker, k=k).top_genotypes
 
 
@@ -1814,28 +1652,28 @@ def _observed_peak_posteriors(bundle: EvidenceBundle, truncate: bool):
         plan = _plan_for(bundle, marker)
         terms = _view_terms(plan, bundle.parameters)
         peaks, tables = [], {}  # tables: emit step -> the step's tables without a peak
-        for view_idx, (view, term) in enumerate(zip(plan.traces, terms)):
+        for index, (layout, term) in enumerate(zip(plan.traces, terms)):
             survival = gamma_log_sf(
-                view.threshold, term.rho * term.doses[:view.n_observed], term.eta
+                layout.threshold, term.rho * term.doses[:layout.n_observed], term.eta
             ) if truncate else None
-            for p in map(int, np.flatnonzero(view.observed)):
-                t, sl = view.blocks[p]
-                table = _step_table(plan, terms, t, skip=(view_idx, p))
+            for p in map(int, np.flatnonzero(layout.observed)):
+                t, sl = layout.blocks[p]
+                table = _step_table(plan, terms, t, skip=(index, p))
                 if survival is not None:
                     table = table + survival[sl]
                 tables.setdefault(t, []).append(table)
-                peaks.append((view, term, p, t, len(tables[t]) - 1))
+                peaks.append((layout, term, p, t, len(tables[t]) - 1))
         if not peaks:
             continue
         alt = _chain_pass(
             plan, _step_tables(plan, terms),
             alt={t: np.array(rows) for t, rows in tables.items()},
         ).alt
-        for view, term, p, t, row in peaks:
+        for layout, term, p, t, row in peaks:
             yield _PeakPosterior(
-                view.trace_id, marker, plan.internal_labels[p],
-                float(view.heights[p]), view.threshold, term.eta,
-                term.rho * term.doses[view.blocks[p][1]],
+                layout.trace_id, marker, plan.internal_labels[p],
+                float(layout.heights[p]), layout.threshold, term.eta,
+                term.rho * term.doses[layout.blocks[p][1]],
                 alt[t][row],
             )
 
@@ -2004,7 +1842,7 @@ def brute_force_log_likelihood(
         keep = np.ones(total, dtype=bool)
         for allele, value in presence.items():
             p = ladder.index(allele)
-            keep &= (carried[:, p] > 0) == _as_presence(value)
+            keep &= (carried[:, p] > 0) == _as_presence(allele, value)
         loglik = loglik[keep]
         if not keep.any() or not np.isfinite(logsumexp(loglik)):
             raise InfeasibleConditioningError(

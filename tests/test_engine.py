@@ -475,8 +475,9 @@ class TestScaledPassFallback:
         b = self._dying_path_case()
         plan = b._plans["M"]
         tables = engine._step_tables(plan, engine._view_terms(plan, b.parameters))
-        with pytest.raises(engine._Underflow):
-            engine._forward(plan, tables, keep=False)
+        ended = np.zeros(1, dtype=bool)
+        loglik, *_ = engine._forward(plan, tables, False, ended)
+        assert ended.all() and loglik[0] != -np.inf
         redone = []
 
         def spy(plan, tables, posteriors, alt, _original=engine._log_pass):
@@ -519,8 +520,9 @@ class TestScaledPassFallback:
         exact = engine._log_pass(plan, tables, True, None)
         assert exact.loglik == pytest.approx(-800.0, abs=1.0)
         for posteriors in (False, True):
-            with pytest.raises(engine._Underflow):
-                engine._scaled_pass(plan, tables, posteriors, None)
+            redo = np.zeros(1, dtype=bool)
+            engine._scaled_pass(plan, tables, posteriors, None, redo)
+            assert redo.all()
             got = engine._chain_pass(plan, tables, posteriors)
             assert got.loglik == exact.loglik
         np.testing.assert_array_equal(got.pair, exact.pair)
@@ -529,23 +531,30 @@ class TestScaledPassFallback:
         plan = self._dying_path_case()._plans["M"]
         n_steps, n_edges = len(plan.order), len(plan.edges.src)
 
-        def backward(*steps):
+        def backward_ends(*steps):
             weights = np.ones((n_steps, n_edges))
             for t, weight in steps:
                 weights[t] = weight
-            return engine._backward(plan, [weights])
+            ended = np.zeros(1, dtype=bool)
+            engine._backward(plan, [weights], ended)
+            return ended.all()
 
-        backward((2, 1e-190))  # one step a little above the floor is kept
+        # one step a little above the floor is kept
+        assert not backward_ends((2, 1e-190))
         # one step below it, or two steps that each keep 1e-150, are not
         for steps in ([(2, 1e-210)], [(1, 1e-150), (2, 1e-150)]):
-            with pytest.raises(engine._Underflow):
-                backward(*steps)
+            assert backward_ends(*steps)
         keys, one_step = plan.edges.key, n_edges * engine._TINY
-        engine._pair_posteriors(np.full((1, n_edges), 1e-190), keys, plan.n_pairs, one_step)
-        with pytest.raises(engine._Underflow):
+
+        def posteriors_end(mass):
+            ended = np.zeros(1, dtype=bool)
             engine._pair_posteriors(
-                np.full((1, n_edges), 1e-210), keys, plan.n_pairs, one_step
+                np.full((1, n_edges), mass), keys, plan.n_pairs, one_step, ended
             )
+            return ended.all()
+
+        assert not posteriors_end(1e-190)
+        assert posteriors_end(1e-210)
 
     @given(stn.integers(0, 2**32 - 1), stn.floats(2.0, 8.0))
     @settings(max_examples=25, deadline=None)
@@ -657,6 +666,29 @@ class TestConditionedPresence:
         with pytest.raises(InfeasibleConditioningError):
             mx.conditioned_presence(b, "M", {"9": "absent"})
 
+    @pytest.mark.parametrize("value", [float("nan"), 2, -1, 0.5, 1.0, None, "maybe"])
+    def test_refuses_values_that_are_not_presences(self, value):
+        b = self._bundle()
+        refused = r"presence assignment for allele '8' .* got "
+        with pytest.raises(ValueError, match=refused):
+            mx.conditioned_presence(b, "M", {"8": value})
+        with pytest.raises(ValueError, match=refused):
+            mx.brute_force_log_likelihood(b, "M", presence={"8": value})
+
+    @pytest.mark.parametrize(
+        "value, present",
+        [(True, True), (1, True), (np.int64(1), True), (np.bool_(True), True),
+         ("present", True), (False, False), (0, False), (np.bool_(False), False),
+         ("absent", False)],
+    )
+    def test_presences_as_bools_integers_and_words(self, value, present):
+        b = self._bundle()
+        want = mx.conditioned_presence(b, "M", {"8": present}).log_likelihood
+        assert mx.conditioned_presence(b, "M", {"8": value}).log_likelihood == want
+        assert mx.brute_force_log_likelihood(
+            b, "M", presence={"8": value}
+        ) == mx.brute_force_log_likelihood(b, "M", presence={"8": present})
+
     def test_random_conditioning_matches_filtered_enumeration(self):
         rng = np.random.default_rng(53)
         checked = 0
@@ -758,6 +790,30 @@ class TestTopK:
         # (9,9) has zero posterior (observed peak, zero dose) and is omitted
         assert len(top) == 2
         assert {tuple(a["U1"]) for a, _ in top} == {("8", "8"), ("8", "9")}
+
+    def _two_allele_bundle(self):
+        freqs = mx.FrequencyTable.from_dict({"M": {"8": 0.5, "9": 0.5}})
+        params = mx.ModelParameters(
+            rho={"T1": 25.0}, eta=20.0, xi=0.0, phi={"T1": {"U1": 1.0}}
+        )
+        return single_trace_bundle(
+            freqs, mx.Hypothesis(known={}, unknown=("U1",)), {"9": 430.0}, params
+        )
+
+    @pytest.mark.parametrize("k", [-1, 2.5, 1.0, "2", None])
+    def test_k_must_be_a_non_negative_integer(self, k):
+        b = self._two_allele_bundle()
+        with pytest.raises(ValueError, match="non-negative integer"):
+            mx.marker_posterior(b, "M", k=k)
+        assert len(mx.marker_posterior(b, "M", k=np.int64(2)).top_genotypes) == 2
+        assert mx.marker_posterior(b, "M", k=0).top_genotypes == ()
+
+    @pytest.mark.parametrize("k", [0, -1, 0.5, 2.5, "2", None])
+    def test_top_k_needs_an_integer_of_at_least_one(self, k):
+        b = self._two_allele_bundle()
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            mx.top_k_marker_genotypes(b, "M", k)
+        assert len(mx.top_k_marker_genotypes(b, "M", np.int64(1))) == 1
 
 
 class TestTopKJointProfiles:
@@ -911,10 +967,12 @@ class TestChainStructure:
             plan = b._plans["M"]
             zeros = np.zeros((len(plan.order), plan.n_pairs))
             # the scaled pass: log L is 0 and every backward message is flat
-            loglik, _, _, weights = engine._forward(plan, zeros, keep=True)
+            ended = np.zeros(1, dtype=bool)
+            loglik, _, _, weights = engine._forward(plan, zeros, True, ended)
             assert abs(loglik) < 1e-12
-            beta, _ = engine._backward(plan, weights)
+            beta, _ = engine._backward(plan, weights, ended)
             assert np.abs(beta - 1.0).max() < 1e-12
+            assert not ended.any()
             # the log-space recursion it falls back on: the same in log space
             sweep = engine._log_sweep(plan, zeros)
             assert abs(sweep.loglik) < 1e-12
@@ -961,9 +1019,10 @@ class TestChainStructure:
         assert evaluated == len(traces) * (3 * 6**n_unknown + 3**n_unknown)
 
 
-def _overridden_case(n_unknown, seed):
+def _overridden_case(n_unknown, seed, missing=False):
     """Two traces on two markers with silent alleles; T2 lacks one role
-    when there are two, T1 has its own rho on M and M2 its own xi."""
+    when there are two, T1 has its own rho on M and M2 its own xi.  With
+    ``missing``, T2 does not cover M2."""
     rng = np.random.default_rng(seed)
     tables = {}
     for m in ("M", "M2"):
@@ -1001,6 +1060,8 @@ def _overridden_case(n_unknown, seed):
         w = rng.dirichlet(np.ones(len(mine)))
         w = np.concatenate([w[:k_here], np.sort(w[k_here:])[::-1]])
         phi[tid] = dict(zip(mine, w.tolist()))
+    if missing:
+        traces[1] = mx.Trace("T2", 50.0, {"M": traces[1].heights["M"]})
     params = mx.ModelParameters(
         rho=rho, eta=float(rng.uniform(15, 45)), xi=float(rng.uniform(0, 0.25)),
         phi=phi, marker_rho={"M": {"T1": float(rng.uniform(10, 60))}},
@@ -1020,43 +1081,43 @@ class TestDistinctDoses:
         b = _overridden_case(n_unknown, seed)
         for marker in b.covered_markers():
             plan = b._plans[marker]
-            for view, term in zip(plan.traces, engine._view_terms(plan, b.parameters)):
+            for layout, term in zip(plan.traces, engine._view_terms(plan, b.parameters)):
                 # each entry's own dose, block by block, as the chain defines
-                # it; the doses B span the stack, from the marker's offset
-                base = term.base[view.frame.dose_offset // plan.n_combos:]
+                # it, from the marker's own doses B
+                base = term.base
                 own = np.concatenate([
                     (1.0 - term.xi) * base[p][plan.pair_prev]
                     + term.xi * base[p + 1][plan.pair_draw]
                     if plan.coupled[p]
                     else (1.0 - term.xi) * base[p][plan.pair_draw]
-                    for p in view.blocks
+                    for p in layout.blocks
                 ])
-                k = view.n_observed
+                k = layout.n_observed
                 # the dose points: the observed entries, then the distinct
                 # dropout doses, spread back to the dropout entries
                 np.testing.assert_array_equal(
-                    np.concatenate([term.doses[:k], term.doses[k:][view.spread]]), own
+                    np.concatenate([term.doses[:k], term.doses[k:][layout.spread]]), own
                 )
                 shapes = term.rho * own
                 heights = np.repeat(
-                    [view.heights[p] for p in view.blocks if view.observed[p]],
+                    [layout.heights[p] for p in layout.blocks if layout.observed[p]],
                     plan.n_pairs,
                 )
                 np.testing.assert_array_equal(
                     term.log_factors[:k], gamma_log_pdf(heights, shapes[:k], term.eta)
                 )
-                log_cdf = gamma_log_cdf(view.threshold, shapes[k:], term.eta)
+                log_cdf = gamma_log_cdf(layout.threshold, shapes[k:], term.eta)
                 np.testing.assert_array_equal(term.log_factors[k:], log_cdf)
-                np.testing.assert_array_equal(term.log_cdf[view.spread], log_cdf)
+                np.testing.assert_array_equal(term.log_cdf[layout.spread], log_cdf)
                 # derivatives at the distinct doses, spread back, are each entry's own
                 spread = gamma_log_cdf_grad(
-                    view.threshold, term.rho * term.doses[k:], term.eta, term.log_cdf
+                    layout.threshold, term.rho * term.doses[k:], term.eta, term.log_cdf
                 )
                 own_grad = gamma_log_cdf_grad(
-                    view.threshold, shapes[k:], term.eta, log_cdf
+                    layout.threshold, shapes[k:], term.eta, log_cdf
                 )
                 for got, want in zip(spread, own_grad):
-                    np.testing.assert_array_equal(got[view.spread], want)
+                    np.testing.assert_array_equal(got[layout.spread], want)
             dp = mx.marker_log_likelihood(b, marker)
             enum = oracle_log_likelihood(b, marker)
             bf = mx.brute_force_log_likelihood(b, marker)
@@ -1078,8 +1139,8 @@ class TestDistinctDoses:
 
         monkeypatch.setattr(engine, "gamma_log_cdf", counting)
         mx.total_log_likelihood(b)
-        views = [view for plan in b._plans.values() for view in plan.traces]
-        assert sum(len(v.cell) - v.n_observed for v in views) == 1296
+        layouts = [layout for plan in b._plans.values() for layout in plan.traces]
+        assert sum(len(v.cell) - v.n_observed for v in layouts) == 1296
         assert sum(sizes) == 486
 
 
@@ -1168,15 +1229,60 @@ class TestBundlePass:
     def test_matches_one_marker_passes_and_oracles(self, n_unknown, seed, missing):
         # ladders of different lengths with silent alleles, trace_roles, a
         # marker_rho on M and a marker_xi on M2; T2 may not cover M2
-        b = _overridden_case(n_unknown, seed)
-        if missing:
-            t1, t2 = b.traces
-            b = mx.EvidenceBundle(
-                traces=(t1, mx.Trace("T2", t2.threshold, {"M": t2.heights["M"]})),
-                frequencies=b.frequencies, hypothesis=b.hypothesis,
-                parameters=b.parameters,
-            )
-        self._check(b)
+        self._check(_overridden_case(n_unknown, seed, missing))
+
+    @given(stn.integers(0, 3), stn.integers(0, 2**32 - 1), stn.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_each_plan_agrees_with_its_rows_of_the_stack(
+        self, n_unknown, seed, missing
+    ):
+        # a marker's entries sit in its plan's layouts and again in the
+        # stack's concatenation: the plan's own pass must read the same
+        b = _overridden_case(n_unknown, seed, missing)
+        (stack,) = b._stacks
+        markers = [plan.marker for plan in stack.plans]
+        assert markers == ["M", "M2"]
+        # each marker's dose points read the same cells of its own doses B,
+        # or the zero cell, in the stack's layouts as in its plan's: every
+        # cell carries a label unique to it
+        labels = [
+            i * 10**6 + np.arange(len(plan.order) * plan.n_combos)
+            for i, plan in enumerate(stack.plans)
+        ]
+        stacked = np.concatenate(labels + [[-1]])
+        for layout in stack.traces:
+            for j, marker in enumerate(layout.markers):
+                i = markers.index(marker)
+                (own,) = [
+                    o for o in stack.plans[i].traces if o.trace_id == layout.trace_id
+                ]
+                start = layout.counts[:2, :j].sum(axis=1)
+                n_observed, n_distinct = layout.counts[:2, j]
+                points = np.concatenate([
+                    start[0] + np.arange(n_observed),
+                    layout.n_observed + start[1] + np.arange(n_distinct),
+                ])
+                np.testing.assert_array_equal(
+                    stacked[layout.gather[:, points]],
+                    np.append(labels[i], -1)[own.gather],
+                )
+        tables = engine._step_tables(stack, engine._view_terms(stack, b.parameters))
+        whole = engine._chain_pass(stack, tables, posteriors=True)
+        n_steps = stack.lp.shape[1]
+        per_block = max(
+            1, engine._BLOCK_EDGES // (len(stack.plans) * len(stack.edges.src))
+        )
+        for i, plan in enumerate(stack.plans):
+            own = engine._step_tables(plan, engine._view_terms(plan, b.parameters))
+            one = engine._chain_pass(plan, own, posteriors=True)
+            rows = slice(i * n_steps + stack.first[i], (i + 1) * n_steps)
+            np.testing.assert_array_equal(tables[rows], own)
+            if stack.first[i] // per_block == (n_steps - 1) // per_block:
+                assert whole.loglik[i] == one.loglik[0]
+                np.testing.assert_array_equal(whole.pair[rows], one.pair)
+            else:
+                assert whole.loglik[i] == pytest.approx(one.loglik[0], rel=1e-12)
+                np.testing.assert_allclose(whole.pair[rows], one.pair, rtol=1e-12)
 
     def test_one_marker_per_stack_at_four_unknowns(self):
         # at U = 4 a stack holds one marker: each marker is its own stack
