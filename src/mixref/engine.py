@@ -1686,8 +1686,8 @@ def top_k_joint_profiles(marker_lists, k: int):
     its per-marker posteriors; the top-k of that product distribution is
     found by best-first search over the product lattice.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     markers = list(marker_lists)
     lists = []
     for m in markers:

@@ -22,7 +22,9 @@ chained to the chart's coordinates by the exact Jacobian that
 ``assemble`` builds with the parameters: no finite difference inside a
 pass, and one engine pass per gradient.  The optimizer is L-BFGS-B with
 that gradient; the Hessian is the symmetrized central difference of
-gradients, 2n passes for n free coordinates.
+gradients, 2n passes for n free coordinates.  scipy.optimize is imported
+by :func:`minimize` on its first call, not with this module, so a run
+that fits no free parameter never loads it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .engine import (
     EvidenceBundle,
@@ -611,6 +612,17 @@ def _chained_gradient(structure, chart, x):
     params, jac = chart(np.asarray(x, dtype=float))
     ll, grad = log_likelihood_and_gradient(structure.bundle.with_parameters(params))
     return ll, np.array([grad[k] for k in structure.keys]) @ jac
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    scipy.optimize is slow to import and only a fit with free parameters
+    needs it.  ``fit`` calls this module name, one call per start.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:

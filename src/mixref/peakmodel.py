@@ -266,13 +266,15 @@ class ModelParameters:
             vals = np.array(list(fracs.values()), dtype=float)
             if not np.all(np.isfinite(vals)):
                 raise ValueError(
-                    f"non-finite fraction in trace {trace!r}: {dict(fracs)}"
+                    f"non-finite fraction in trace {trace!r}: "
+                    f"{dict(zip(fracs, vals.tolist()))}"
                 )
             if np.any(vals < -_PHI_SUM_TOL):
                 raise ValueError(f"negative fraction in trace {trace!r}")
-            if abs(vals.sum() - 1.0) > _PHI_SUM_TOL:
+            total = float(vals.sum())
+            if abs(total - 1.0) > _PHI_SUM_TOL:
                 raise ValueError(
-                    f"fractions for trace {trace!r} sum to {vals.sum()!r}, not 1"
+                    f"fractions for trace {trace!r} sum to {total!r}, not 1"
                 )
 
     def eta_for(self, trace: str) -> float:
@@ -304,7 +306,7 @@ class ModelParameters:
     def check_unknown_ordering(self, unknown_roles) -> None:
         """Raise if a trace's unknown fractions increase along role order."""
         for trace, fracs in self.phi.items():
-            seq = [fracs[r] for r in unknown_roles if r in fracs]
+            seq = [float(fracs[r]) for r in unknown_roles if r in fracs]
             for a, b in zip(seq, seq[1:]):
                 if b > a + _PHI_ORDER_TOL:
                     raise ValueError(

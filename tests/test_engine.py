@@ -846,6 +846,16 @@ class TestTopKJointProfiles:
         with pytest.raises(ValueError):
             mx.top_k_joint_profiles({"M1": [("a", 0.1), ("b", 0.9)]}, 1)
 
+    @pytest.mark.parametrize("k", [0, -1, 2.5, float("nan"), "2", None])
+    def test_k_must_be_an_integer_of_at_least_one(self, k):
+        lists = {
+            "M1": [("a", 0.5), ("b", 0.3), ("c", 0.2)],
+            "M2": [("x", 0.9), ("y", 0.1)],
+        }
+        with pytest.raises(ValueError, match="integer of at least 1"):
+            mx.top_k_joint_profiles(lists, k)
+        assert len(mx.top_k_joint_profiles(lists, np.int64(2))) == 2
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
     def test_rejects_non_probability(self, bad):
         with pytest.raises(ValueError, match="finite and nonnegative"):

@@ -202,6 +202,29 @@ class TestFit:
                                       compute_standard_errors=False))
         assert res.n_evaluations == len(calls) > 0
 
+    @pytest.mark.parametrize("fixed", [{}, "all"])
+    def test_one_minimize_call_per_start(self, monkeypatch, fixed):
+        # the benchmark's tracer times each start through this module name
+        bundle, params = make_simulated_bundle(seed=9, n_markers=2)
+        if fixed == "all":
+            fixed = {"rho": dict(params.rho), "eta": params.eta, "xi": params.xi,
+                     "phi": {t: dict(v) for t, v in params.phi.items()}}
+        optima = []
+
+        def spying(*args, _minimize=estimation.minimize, **kwargs):
+            result = _minimize(*args, **kwargs)
+            optima.append(-float(result.fun))
+            return result
+
+        monkeypatch.setattr(estimation, "minimize", spying)
+        res = mx.fit(FitSpecification(bundle=bundle, fixed=fixed,
+                                      compute_standard_errors=False))
+        if fixed:
+            assert optima == []
+        else:
+            assert optima == list(res.start_log_likelihoods)
+            assert len(optima) == estimation._N_STARTS
+
     def test_one_assemble_per_engine_pass(self, monkeypatch):
         # the chain rule comes with the parameters: no Jacobian by finite
         # differences of the chart inside a pass, in the fit or its errors

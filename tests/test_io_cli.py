@@ -251,6 +251,24 @@ class TestCli:
         assert err["error"]["code"] == "load_error"
         assert message in err["error"]["message"]
 
+    def test_fractions_off_the_simplex_exit_2_with_a_plain_sum(self, tiny_case,
+                                                              capsys):
+        params = write(
+            tiny_case["tmp"], "off_simplex.json",
+            json.dumps({"eta": 25.0, "xi": 0.05,
+                        "traces": {"T1": {"mu": 800.0,
+                                          "phi": {"K1": 0.6, "K2": 0.777}}}}),
+        )
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", tiny_case["trace"], "--hypothesis", tiny_case["case"],
+             "--under", "prosecution", "--params", params]
+        )
+        assert rc == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == "fractions for trace 'T1' sum to 1.377, not 1"
+        assert "np.float64" not in message
+
     def test_nan_height_exits_2(self, tiny_case, capsys):
         trace = write(
             tiny_case["tmp"], "nan_trace.csv",
@@ -554,14 +572,32 @@ class TestCli:
         assert any(h > 0 for m in rows["T1"].values() for h in m.values())
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
+def _loaded_after(code):
+    """Which of scipy.optimize and scipy.stats a fresh interpreter holds
+    after running ``code`` with this checkout's mixref on its path."""
     src = str(Path(mx.__file__).resolve().parents[1])
-    code = "import sys, mixref.cli; print('scipy.stats' in sys.modules)"
+    code += "\nprint(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": src, "PATH": ""}, timeout=120,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["mixref", "mixref.cli"])
+def test_importing_leaves_scipy_optimize_and_stats_unloaded(module):
+    # both are slow to import: only fits with free parameters and diagnose
+    # load them, when they run
+    assert _loaded_after(f"import sys, {module}") == "[]"
+
+
+def test_deconvolve_at_stated_parameters_leaves_scipy_optimize_unloaded(tiny_case):
+    args = ["deconvolve", "--freqs", tiny_case["freqs"], "--profiles",
+            tiny_case["profiles"], "--trace", tiny_case["trace"],
+            "--hypothesis", tiny_case["case"], "--under", "prosecution",
+            "--params", tiny_case["params"], "--k", "2"]
+    code = f"import sys\nfrom mixref import cli\nassert cli.main({args!r}) == 0"
+    assert _loaded_after(code) == "[]"
 
 
 class TestPubcaseCli:

@@ -398,6 +398,23 @@ class TestModelParameters:
         with pytest.raises(ValueError):
             mx.ModelParameters(**args)
 
+    @pytest.mark.parametrize("phi, message", [
+        ({"K1": np.float64(0.6), "U1": np.float64(0.5)}, "sum to 1.1, not 1"),
+        ({"K1": np.float64("nan"), "U1": np.float64(0.4)},
+         "non-finite fraction in trace 'T1': {'K1': nan, 'U1': 0.4}"),
+    ], ids=["sum", "non-finite"])
+    def test_fraction_errors_print_plain_numbers(self, phi, message):
+        with pytest.raises(ValueError) as err:
+            mx.ModelParameters(rho={"T1": 30.0}, eta=28.0, xi=0.08, phi={"T1": phi})
+        assert message in str(err.value)
+        assert "np." not in str(err.value)
+
+    def test_ordering_error_prints_plain_numbers(self):
+        phi = {"K1": np.float64(0.6), "U1": np.float64(0.1), "U2": np.float64(0.3)}
+        p = mx.ModelParameters(rho={"T1": 30.0}, eta=28.0, xi=0.08, phi={"T1": phi})
+        with pytest.raises(ValueError, match=r"'T1': \[0\.1, 0\.3\]$"):
+            p.check_unknown_ordering(("U1", "U2"))
+
     def test_marker_overrides(self):
         p = mx.ModelParameters(
             rho={"T1": 30.0}, eta=28.0, xi=0.08, phi=self._phi(),
