@@ -14,6 +14,8 @@ from .engine import (
     MarkerChainPosterior,
     Trace,
     brute_force_log_likelihood,
+    bundle_posteriors,
+    bundle_top_genotypes,
     conditioned_presence,
     log_likelihood_and_gradient,
     marker_log_likelihood,

@@ -19,10 +19,12 @@ from pathlib import Path
 from . import estimation, io, simulate as sim
 from .engine import (
     EvidenceBundle,
-    marker_posterior,
-    presence_posteriors,
+    bundle_posteriors,
+    bundle_top_genotypes,
     top_k_joint_profiles,
 )
+# unused here, but bench/tracing.py wraps these names of this module
+from .engine import marker_posterior, presence_posteriors  # noqa: F401
 from .estimation import FitSpecification, fit, weight_of_evidence
 from .population import with_silent
 
@@ -341,10 +343,7 @@ def cmd_deconvolve(args):
         raise CliError("--k must be at least 1")
     bundle = case.stated_or_fitted_bundle(hyp_id)
     markers = bundle.covered_markers()
-    per_marker = {
-        m: marker_posterior(bundle, m, k=args.k).top_genotypes for m in markers
-    }
-    joint = top_k_joint_profiles(per_marker, args.k)
+    joint = top_k_joint_profiles(bundle_top_genotypes(bundle, args.k), args.k)
     unknowns = bundle.hypothesis.unknown
     rows = []
     for rank, (profile, prob) in enumerate(joint, start=1):
@@ -387,8 +386,8 @@ def cmd_artefacts(args):
     hyp_id = args.under or case.default_id("defence")
     bundle = case.stated_or_fitted_bundle(hyp_id)
     rows = []
-    for marker in bundle.covered_markers():
-        presence = presence_posteriors(bundle, marker)
+    for marker, posterior in bundle_posteriors(bundle).items():
+        presence = posterior.presence
         for trace in bundle.traces:
             if marker not in trace.heights:
                 continue
@@ -508,17 +507,18 @@ def cmd_diagnose(args):
     doc = {
         "hypothesis": hyp_id,
         "n_peaks": len(pits),
+        "n_undefined": len(records) - len(pits),
         "ks_statistic": float(ks.statistic) if ks else None,
         "ks_pvalue": float(ks.pvalue) if ks else None,
         "truncated": not args.no_truncate,
     }
-    text = (
-        f"{len(pits)} observed peaks; KS statistic "
-        f"{doc['ks_statistic']:.4f}, p = {doc['ks_pvalue']:.4g}"
+    tested = (
+        f"KS statistic {doc['ks_statistic']:.4f}, p = {doc['ks_pvalue']:.4g}"
         if ks
-        else "no observed peaks"
+        else "no PIT to test"
     )
-    print(text)
+    print(f"{len(records)} observed peaks, {doc['n_undefined']} with an undefined "
+          f"PIT; {tested}")
     if args.out:
         rows = [
             [f"{r['trace']}/{r['marker']}/{r['allele']}", f"{r['pit']:.6f}"]

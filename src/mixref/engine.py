@@ -30,9 +30,9 @@ every dose of a trace with one gather and calls each gamma kernel, and
 its derivative, once per trace.  Dropout entries whose positions share
 the known contributors' counts and whose draws match have the same dose
 at every parameter value, so the gamma CDF is evaluated once per
-distinct dropout dose and spread back.  One-marker queries read the
-plan's layouts; a stack of several markers concatenates them, marker by
-marker within each kind of entry.
+distinct dropout dose and spread back.  A stack of several markers
+concatenates its plans' layouts, marker by marker within each kind of
+entry; a stack of one marker is its plan.
 
 Several traces that share unknown contributors are coupled by multiplying
 their per-allele factors inside the same chain pass.  The markers are
@@ -40,21 +40,22 @@ independent given the parameters, so one pass runs the chains of many
 markers side by side, along a leading marker axis (a stack, _Stack).
 The bundle splits its markers into stacks whose step holds at most
 _BLOCK_EDGES edge values (up to 163 markers at U = 2, 16 at U = 3, one
-at U >= 4), so a likelihood or gradient evaluation is one pass per
-stack, one in all at U <= 2; a one-marker query is one pass over its
-marker's plan, a one-marker stack.  A stack front-pads each marker to
-its longest with exact identity steps: state 0 to state 0, weight 1,
-log 0.  The step tables of all
-markers, per (previous draw, draw) pair, are one np.bincount per trace
-over a plan-time index (entry -> step row * 6^U + pair), and the
-gradient is one scatter per trace.  Every query reads the same pass: the
-gradient, presence posteriors and per-contributor count marginals read
-the posterior of each step's (previous draw, draw) pair, exact k-best
-genotype combinations come from best-first search over the steps' exact
-log edge values, and the conditional CDF of each observed peak from
-re-evaluating its emit step alone, with the peak's factor left out of
-an exact sum.  A brute-force enumerator serves as the independent
-verification oracle.
+at U >= 4), so a likelihood or gradient evaluation, and each query
+over the whole bundle, is one pass per stack, one in all at U <= 2; a
+query about one marker is one pass over its plan.  A stack front-pads
+each marker to its longest with exact identity steps: state 0 to state
+0, weight 1, log 0.  The step tables of all markers, per (previous
+draw, draw) pair, are one np.bincount per trace over a plan-time index
+(entry -> step row * 6^U + pair), and the gradient is one scatter per
+trace.  Every query reads the same pass: the gradient, presence
+posteriors and per-contributor count marginals read the posterior of
+each step's (previous draw, draw) pair; exact k-best genotype
+combinations come from best-first search over the sidetracks of the
+steps' exact log edge values, after a pass for the marker likelihoods
+alone; and the conditional CDF of each observed peak from re-evaluating
+its emit step alone, with the peak's factor left out of an exact sum,
+for every peak of a stack at once.  A brute-force enumerator serves as
+the independent verification oracle.
 
 The pass runs in scaled linear space (Rabiner 1989, Proc. IEEE 77).  A
 step's edge weights are exp(value - the step's largest value), so every
@@ -121,7 +122,9 @@ __all__ = [
     "presence_posteriors",
     "conditioned_presence",
     "marker_posterior",
+    "bundle_posteriors",
     "top_k_marker_genotypes",
+    "bundle_top_genotypes",
     "top_k_joint_profiles",
 ]
 
@@ -378,10 +381,9 @@ class _TraceLayout:
     xi B.flat[gather[1]].  spread maps each dropout entry to its distinct
     dose, and cell is each entry's cell in the step tables.  counts holds,
     per marker, its observed entries, distinct dropout doses and dropout
-    entries.  A plan's layout, over its one marker, also keeps the fields
-    that only one-marker queries read: the heights per internal position,
-    the observed mask and the blocks (see _factor_blocks); a stack's
-    layout, over several markers, leaves them None.
+    entries.  position holds each emitted peak's internal position on its
+    marker, in the order of the peaks' runs of entries (see
+    _factor_blocks).
     """
 
     trace_id: str
@@ -395,9 +397,7 @@ class _TraceLayout:
     gather: np.ndarray  # (2, points)
     cell: np.ndarray
     spread: np.ndarray
-    heights: np.ndarray | None = None
-    observed: np.ndarray | None = None
-    blocks: Mapping[int, tuple[int, slice]] | None = None
+    position: np.ndarray
 
 
 def _factor_blocks(observed, silent, coupled, n_pairs):
@@ -606,9 +606,7 @@ def _build_marker_plan(marker, freqs, hypothesis, traces):
             gather=gather,
             cell=cell,
             spread=spread,
-            heights=heights,
-            observed=observed,
-            blocks=blocks,
+            position=np.array(list(blocks), dtype=np.int64),
         ))
 
     return _MarkerPlan(
@@ -738,6 +736,10 @@ def _build_stack(group, trace_ids):
             spread=np.concatenate([
                 e.spread + start for (_, e), start in zip(mine, distinct_start)
             ]),
+            position=np.concatenate(
+                [e.position[:e.n_observed // n_pairs] for _, e in mine]
+                + [e.position[e.n_observed // n_pairs:] for _, e in mine]
+            ),
         ))
     lp = np.full((len(group), n_steps, template.n_states), -np.inf)
     lp[:, :, 0] = 0.0
@@ -959,21 +961,57 @@ def _step_tables(stack, terms):
     return tables.reshape(-1, stack.n_pairs)
 
 
-def _step_table(plan, terms, t, skip):
-    """Step t's table with one peak's factor left out, by exact summation.
+class _Peaks(NamedTuple):
+    """A stack's observed peaks, each with its emit step's table with the
+    peak's own factor left out (see _tables_without_peaks).
 
-    skip = (layout index, position) names the peak.  Step t emits a
-    stutter-coupled position t-1 and an uncoupled position t.  The sum
-    is rebuilt, not taken from the full table by subtraction, which would
-    give NaN where the left-out factor is -inf.
+    layout indexes each peak's trace in stack.traces, position is its
+    internal position on its marker and row its emit step's row of the
+    step tables.  The peaks come trace by trace in layout order.
     """
-    table = np.zeros(plan.n_pairs)
-    for index, (layout, term) in enumerate(zip(plan.traces, terms)):
-        for p in (t - 1, t):
-            block = layout.blocks.get(p)
-            if block is not None and block[0] == t and (index, p) != skip:
-                table += term.log_factors[block[1]]
-    return table
+
+    layout: np.ndarray
+    position: np.ndarray
+    row: np.ndarray
+    tables: np.ndarray  # (peaks, 6^U)
+
+
+def _tables_without_peaks(stack, terms):
+    """Every observed peak of a stack, with its emit step's table rebuilt
+    without the peak's factor.
+
+    Step t emits a stutter-coupled position t-1 and an uncoupled position
+    t, so a step holds at most two peaks' runs per trace.  Each table is
+    an exact sum, trace by trace and position by position: subtracting
+    the peak's factor from the full table would give NaN where that
+    factor is -inf.  The sums run over all peaks at once, one run of
+    entries per slot of the step, an absent or left-out run reading a row
+    of zeros.
+    """
+    n_pairs = stack.n_pairs
+    factors, runs = [], []  # every run of entries: (row, layout, position)
+    for index, (layout, term) in enumerate(zip(stack.traces, terms)):
+        factors.append(term.log_factors.reshape(-1, n_pairs))
+        row = layout.cell[::n_pairs] // n_pairs
+        runs.append((row, np.full(len(row), index), layout.position))
+    row, layout, position = (np.concatenate(c) for c in zip(*runs))
+    first = np.cumsum([0] + [len(f) for f in factors[:-1]])  # each layout's first run
+    factors = np.concatenate(factors + [np.zeros((1, n_pairs))])
+    observed = np.concatenate([
+        first[i] + np.arange(v.n_observed // n_pairs)
+        for i, v in enumerate(stack.traces)
+    ])
+    order = np.lexsort((position, layout, row))  # each step's runs, in sum order
+    start, stop = (
+        np.searchsorted(row[order], row[observed], side) for side in ("left", "right")
+    )
+    tables = np.zeros((len(observed), n_pairs))
+    zero = len(factors) - 1
+    for slot in range(int((stop - start).max(initial=0))):
+        at = np.minimum(start + slot, len(order) - 1)
+        run = np.where((start + slot < stop) & (order[at] != observed), order[at], zero)
+        tables += factors[run]
+    return _Peaks(layout[observed], position[observed], row[observed], tables)
 
 
 def _step_values(plan, t, tables):
@@ -992,36 +1030,41 @@ class _Pass(NamedTuple):
 
     loglik holds each marker's log L.  pair is the posterior of every
     step's (previous draw, draw) pairs, laid out as the step tables and
-    zero on a marker of no finite likelihood; alt[t][i] is that of step t
-    of a one-marker stack with the i-th of its alternative tables in place
-    of its own (None where that has no mass).  Each only if asked.
+    zero on a marker of no finite likelihood; alt is that of each
+    alternative row's step with the row in place of the step's own table
+    (NaN where that has no mass).  Each only if asked.
     """
 
     loglik: np.ndarray
     pair: np.ndarray | None = None
-    alt: Mapping[int, object] | None = None
+    alt: np.ndarray | None = None
 
 
 def _chain_pass(stack, tables, posteriors=False, alt=None) -> _Pass:
     """One pass over a stack's chains with step tables ``tables`` (see
     _Stack; a plan's are (T, 6^U)).
 
-    posteriors asks for every step's pair posterior; alt maps a step of a
-    one-marker stack to a stack of alternative tables for it.  The pass
-    runs in scaled linear space; a marker whose scaled pass would lose
-    precision is redone alone in log space, and the others keep theirs.
+    posteriors asks for every step's pair posterior.  alt = (rows,
+    alternatives) asks for the pair posterior of step rows[j], a row of
+    ``tables`` and so one marker's step, with alternatives[j] in place of
+    the step's table.  The pass runs in scaled linear space; a marker
+    whose scaled pass would lose precision is redone alone in log space,
+    and the others keep theirs.
     """
     redo = np.zeros(len(stack.plans), dtype=bool)
     result = _scaled_pass(stack, tables, posteriors, alt, redo)
-    n_steps = stack.lp.shape[1]
     for i in np.flatnonzero(redo):
-        rows = slice(i * n_steps + stack.first[i], (i + 1) * n_steps)
-        one = _log_pass(stack.plans[i], tables[rows], posteriors, alt)
+        rows = _marker_rows(stack, i)
+        mine = one_alt = None
+        if alt is not None:
+            mine = alt[0] // stack.lp.shape[1] == i
+            one_alt = (alt[0][mine] - rows.start, alt[1][mine])
+        one = _log_pass(stack.plans[i], tables[rows], posteriors, one_alt)
         result.loglik[i] = one.loglik
         if posteriors:
             result.pair[rows] = one.pair
-        if alt:
-            result = result._replace(alt=one.alt)
+        if alt is not None:
+            result.alt[mine] = one.alt
     return result
 
 
@@ -1195,15 +1238,17 @@ def _scaled_pass(stack, tables, posteriors, alt, redo):
     """_chain_pass in scaled linear space.
 
     A marker whose pass ends (see _forward) is marked in ``redo``, unless
-    it ended with log L -inf and no alternative tables are asked for, whose
-    posteriors may still have mass.  A marker that ended gets zero pair
-    posteriors.
+    it ended with log L -inf and has no alternative rows, whose posteriors
+    may still have mass.  A marker that ended gets zero pair posteriors.
     """
-    keep = posteriors or bool(alt)
+    keep = posteriors or alt is not None
     ended = np.zeros(len(stack.plans), dtype=bool)
     loglik, alpha, lost, weights = _forward(stack, tables, keep, ended)
     pair = np.zeros(np.shape(tables)) if posteriors else None
-    others = None
+    others, has_alt = None, False
+    if alt is not None:
+        others = np.full(np.shape(alt[1]), np.nan)
+        has_alt = np.bincount(alt[0] // stack.lp.shape[1], minlength=len(ended)) > 0
     if keep and not ended.all():
         beta, lost_after = _backward(stack, weights, ended)
         edges, n_pairs = stack.edges, stack.n_pairs
@@ -1222,22 +1267,39 @@ def _scaled_pass(stack, tables, posteriors, alt, redo):
                 out[:, lo:hi] = post.transpose(1, 0, 2)
                 lo = hi
             out[ended] = 0.0
-        if alt:
-            plan, others = stack.plans[0], {}
-            for t, rows in alt.items():
-                step = plan.edges_at(t)
-                vals = _step_values(plan, t, rows)
-                shift = vals.max(axis=1)
-                if not np.isfinite(shift).all():
-                    ended[:] = True
-                    break
-                mass = (alpha[t, 0][step.src] * np.exp(vals - shift[:, None])
-                        * beta[t, 0][step.dst])
-                others[t] = _pair_posteriors(
-                    mass[:, None], step.key, n_pairs, loss[t, 0], ended
-                )[:, 0]
-    redo |= ended & ((loglik != -np.inf) | bool(alt))
+        if alt is not None:
+            _alternative_posteriors(stack, alt, alpha, beta, loss, others, ended)
+    redo |= ended & ((loglik != -np.inf) | has_alt)
     return _Pass(loglik, pair, others)
+
+
+def _alternative_posteriors(stack, alt, alpha, beta, loss, out, ended):
+    """Pair posteriors of alternative rows (see _chain_pass) into ``out``,
+    from the scaled messages around their steps, in blocks of at most
+    _BLOCK_EDGES edge values.
+
+    A row whose step has no finite value, or whose posterior would lose
+    too much (``loss`` bounds each step's loss), marks its marker in
+    ``ended``.
+    """
+    rows, tables = alt
+    edges = stack.edges
+    marker, step = np.divmod(rows, stack.lp.shape[1])
+    per_block = max(1, _BLOCK_EDGES // len(edges.src))
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, len(rows), per_block):
+            block = slice(lo, lo + per_block)
+            i, t = marker[block], step[block]
+            vals = stack.lp[i, t][:, edges.dst] + tables[block][:, edges.key]
+            shift = vals.max(axis=1)
+            ended[i[~np.isfinite(shift)]] = True
+            mass = alpha[t, i][:, edges.src] * np.exp(vals - shift[:, None])
+            mass *= beta[t, i][:, edges.dst]
+            bad = np.zeros(len(i), dtype=bool)
+            out[block] = _pair_posteriors(
+                mass[None], edges.key, stack.n_pairs, loss[t, i][None], bad
+            )[0]
+            ended[i[bad]] = True
 
 
 class _Sweep(NamedTuple):
@@ -1309,19 +1371,21 @@ def _log_pass(plan, tables, posteriors, alt):
     only alternative tables need the backward recursion."""
     sweep = _log_sweep(plan, tables, backward=False)
     finite = np.isfinite(sweep.loglik)
-    if alt or (posteriors and finite):
+    if alt is not None or (posteriors and finite):
         sweep = sweep._replace(bwd=_log_backward(plan, sweep.vals))
-    pair = None
+    pair = others = None
     if posteriors:
         pair = np.zeros(np.shape(tables))
         if finite:
             pair[:] = [
                 _step_posterior(plan, sweep, t, vals) for t, vals in enumerate(sweep.vals)
             ]
-    others = alt and {
-        t: [_step_posterior(plan, sweep, t, vals) for vals in _step_values(plan, t, rows)]
-        for t, rows in alt.items()
-    }
+    if alt is not None:
+        others = np.full(np.shape(alt[1]), np.nan)
+        for j, (t, table) in enumerate(zip(*alt)):
+            post = _step_posterior(plan, sweep, t, _step_values(plan, t, table))
+            if post is not None:
+                others[j] = post
     return _Pass(sweep.loglik, pair, others)
 
 
@@ -1485,19 +1549,37 @@ def _add_gradient(stack, terms, pair, grad):
                     grad[("phi", tid, r)] += float(value)
 
 
-def _chain_posterior(bundle, marker, assignments=None, k=0):
-    if not isinstance(k, numbers.Integral) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    plan = _plan_for(bundle, marker)
-    terms = _view_terms(plan, bundle.parameters)
-    tables = _step_tables(plan, terms) + _presence_masks(plan, assignments)
-    loglik, pair, _ = _chain_pass(plan, tables, posteriors=True)
-    loglik = float(loglik[0])
-    if not np.isfinite(loglik):
-        raise InfeasibleConditioningError(
-            f"zero probability on marker {marker!r}"
-            + (f" under conditioning {dict(assignments)!r}" if assignments else "")
-        )
+def _passes(stacks, params, posteriors, assignments=None):
+    """Each of ``stacks`` with its step tables and one pass over them
+    (presence assignments, on a one-marker stack, masking its tables).
+
+    Raises InfeasibleConditioningError for a stack's first marker of no
+    finite likelihood.
+    """
+    for stack in stacks:
+        tables = _step_tables(stack, _view_terms(stack, params))
+        if assignments:
+            tables += _presence_masks(stack, assignments)
+        result = _chain_pass(stack, tables, posteriors=posteriors)
+        for plan, loglik in zip(stack.plans, result.loglik):
+            if not np.isfinite(loglik):
+                where = ""
+                if assignments:
+                    where = f" under conditioning {dict(assignments)!r}"
+                raise InfeasibleConditioningError(
+                    f"zero probability on marker {plan.marker!r}{where}"
+                )
+        yield stack, tables, result
+
+
+def _marker_rows(stack, i):
+    """The rows of a stack's step tables that hold its i-th marker's steps."""
+    n_steps = stack.lp.shape[1]
+    return slice(i * n_steps + stack.first[i], (i + 1) * n_steps)
+
+
+def _summary(plan, loglik, pair, top_genotypes=()):
+    """A marker's posterior from the pair posteriors of its steps."""
     # posterior of each step's draw: its pair posterior summed by draw
     n_steps = len(pair)
     index = (np.arange(n_steps)[:, None] * plan.n_combos + plan.pair_draw).ravel()
@@ -1518,12 +1600,22 @@ def _chain_posterior(bundle, marker, assignments=None, k=0):
         for role, count in zip(plan.unknown_ids, counts):
             marginals[role][lab] = tuple(count[t])
     return MarkerChainPosterior(
-        marker=marker,
+        marker=plan.marker,
         log_likelihood=loglik,
         presence=presence,
         count_marginals=marginals,
-        top_genotypes=_kbest_paths(plan, tables, loglik, k) if k else (),
+        top_genotypes=top_genotypes,
     )
+
+
+def _chain_posterior(bundle, marker, assignments=None, k=0):
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    plan = _plan_for(bundle, marker)
+    ((_, tables, result),) = _passes((plan,), bundle.parameters, True, assignments)
+    loglik = float(result.loglik[0])
+    top = _kbest_paths(plan, tables, loglik, k) if k else ()
+    return _summary(plan, loglik, result.pair, top)
 
 
 def presence_posteriors(bundle: EvidenceBundle, marker: str) -> Mapping[str, float]:
@@ -1556,126 +1648,266 @@ def marker_posterior(
     return _chain_posterior(bundle, marker, assignments=assignments, k=k)
 
 
+def bundle_posteriors(bundle: EvidenceBundle) -> dict[str, MarkerChainPosterior]:
+    """:func:`marker_posterior` of every covered marker, in table order, by
+    one forward-backward pass over each of the bundle's stacks of markers.
+
+    A marker of zero likelihood raises
+    :class:`InfeasibleConditioningError`.
+    """
+    return {
+        plan.marker: _summary(
+            plan, float(result.loglik[i]), result.pair[_marker_rows(stack, i)]
+        )
+        for stack, _, result in _passes(bundle._stacks, bundle.parameters, True)
+        for i, plan in enumerate(stack.plans)
+    }
+
+
+def _top_genotypes(stacks, params, k):
+    """Each marker's k best genotype combinations: a value pass over each
+    stack for the markers' log L, then k-best search per marker."""
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
+    return {
+        plan.marker: _kbest_paths(
+            plan, tables[_marker_rows(stack, i)], float(result.loglik[i]), k
+        )
+        for stack, tables, result in _passes(stacks, params, False)
+        for i, plan in enumerate(stack.plans)
+    }
+
+
 def top_k_marker_genotypes(bundle: EvidenceBundle, marker: str, k: int):
     """The k most probable unknown genotype combinations for one marker.
 
-    Exact, computed by best-first extension over the chain; probabilities
+    Exact, computed by best-first search over the chain; probabilities
     are normalized by the marker likelihood.  Asking for more combinations
     than exist returns every combination with positive posterior
-    probability (impossible ones are omitted).
+    probability (impossible ones are omitted).  Combinations of equal
+    probability come in the order of their genotypes, compared role by
+    role as pairs of ladder indices.
     """
-    if not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-    return _chain_posterior(bundle, marker, k=k).top_genotypes
+    plan = _plan_for(bundle, marker)
+    return _top_genotypes((plan,), bundle.parameters, k)[marker]
+
+
+def bundle_top_genotypes(bundle: EvidenceBundle, k: int) -> dict[str, tuple]:
+    """:func:`top_k_marker_genotypes` of every covered marker, in table
+    order, with one likelihood pass over each of the bundle's stacks of
+    markers.
+
+    A marker of zero likelihood raises
+    :class:`InfeasibleConditioningError`.
+    """
+    return _top_genotypes(bundle._stacks, bundle.parameters, k)
 
 
 def _kbest_paths(plan, tables, loglik, k):
+    """The k most probable combinations of one marker's unknown genotypes,
+    with probabilities normalized by its likelihood exp(loglik).
+
+    A combination is a path through the chain, valued by the sum of its
+    steps' exact log edge values (scaled weights that underflow would drop
+    edges).  Max-product bounds pick out of every state, at every step,
+    one edge on a best path to the end, its tree edge, and cost each other
+    edge e out of state s at step t what a path loses by taking it:
+    best[t-1][s] - vals[t][e] - best[t][dst] >= 0, where best[t][s] is the
+    best value of the steps after t from state s.  A path is the sequence
+    of its other edges (sidetracks), with tree edges in between, and its
+    value is the best path's less their costs (Eppstein 1998, SIAM J.
+    Comput. 28).  The sidetracks that can follow one are those out of the
+    states on the tree path from its target, sorted by cost.  A
+    sequence's children replace its last sidetrack by the next one in
+    that order, or append the cheapest one that can follow it; neither is
+    worth more than it, so best-first search pops one sequence per
+    combination, and sorts out-edges only at the states it reaches.
+    Paths of zero probability are left out.  Ties in probability are
+    ordered by the genotypes, role by role, as pairs of ladder indices.
+    """
     if plan.n_unknown == 0:
         return (({}, 1.0),)
-    n_pos = len(plan.order)
-    edges = plan.edges
-    # exact log edge values: scaled weights that underflow would drop edges
-    vals = [_step_values(plan, t, table) for t, table in enumerate(tables)]
+    n_pos, edges = len(plan.order), plan.edges
+    n_edges, draw = len(edges.src), plan.pair_draw[edges.key]
+    runs = np.searchsorted(edges.src, np.arange(plan.n_states + 1))  # src-major
+    # through[t][e]: the best value of the steps from t on through edge e
+    through, best = [None] * n_pos, np.zeros(plan.n_states)
+    for t in range(n_pos - 1, -1, -1):
+        through[t] = _step_values(plan, t, tables[t])
+        through[t] += best[plan.edges_at(t).dst]
+        if t:
+            best = np.maximum.reduceat(through[t], runs[:-1])
 
-    # Max-product backward bounds make the best-first extension exact (A*).
-    mb = [None] * n_pos
-    mb[n_pos - 1] = np.zeros(plan.n_states)
-    for t in range(n_pos - 1, 0, -1):
-        mb[t - 1] = np.full(plan.n_states, -np.inf)
-        np.maximum.at(mb[t - 1], edges.src, vals[t] + mb[t][edges.dst])
+    bounds, dst, n_first = runs.tolist(), edges.dst.tolist(), len(through[0])
 
-    counter = itertools.count()
-    heap = []
+    def value(t, e):
+        # edge e's exact log value at step t, as _step_values sums it
+        return float(plan.state_lp[t][dst[e]] + tables[t][edges.key[e]])
 
-    def extend(t, g, draws, out):
-        # push the partial path (g, draws) extended along step t's edges out
-        step = plan.edges_at(t)
-        g_out = g + vals[t][out]
-        bound = g_out + mb[t][step.dst[out]]
-        for i in np.flatnonzero(np.isfinite(bound)):
-            e = out[i]
-            heapq.heappush(
-                heap,
-                (-float(bound[i]), next(counter), t, int(step.dst[e]),
-                 float(g_out[i]), draws + (int(plan.pair_draw[step.key[e]]),)),
+    def out_edges(t, s):
+        # the edges out of state s entering step t: edges[lo:hi]
+        return (0, n_first) if t == 0 else (bounds[s], bounds[s + 1])
+
+    trees, owns, lists = {}, {}, {}
+
+    def tree(t, s):
+        # the tree path from state s entering step t: its first edge, and
+        # each step's edge value and draw, as Python numbers
+        walk = []
+        while t < n_pos and (t, s) not in trees:
+            lo, hi = out_edges(t, s)
+            e = lo + int(through[t][lo:hi].argmax())
+            walk.append((t, s, e))
+            t, s = t + 1, dst[e]
+        path = trees[(t, s)] if t < n_pos else (None, (), ())
+        for t, s, e in reversed(walk):
+            path = trees[(t, s)] = (
+                e, (value(t, e),) + path[1], (int(draw[e]),) + path[2]
             )
+        return path
 
-    extend(0, 0.0, (), np.arange(len(plan.edges0.src)))
-    results = []
-    while heap and len(results) < k:
-        _, _, t, state, g, draws = heapq.heappop(heap)
-        if t == n_pos - 1:
-            results.append((draws, g))
-        else:
-            lo, hi = np.searchsorted(edges.src, (state, state + 1))  # src-major
-            extend(t + 1, g, draws, np.arange(lo, hi))
+    def own(t, s):
+        # the costs of the edges out of state s entering step t, inf for
+        # the tree edge, and their codes t * n_edges + edge; and the tree
+        # edge's target
+        if (t, s) not in owns:
+            e = tree(t, s)[0]
+            lo, hi = out_edges(t, s)
+            cost = through[t][e] - through[t][lo:hi]
+            cost[e - lo] = math.inf
+            owns[(t, s)] = (cost, t * n_edges + np.arange(lo, hi), dst[e])
+        return owns[(t, s)]
 
-    ladder_pos = {lab: i for i, lab in enumerate(plan.labels)}
-    out = []
-    for draws, score in results:
-        assignment = {}
-        for i, role in enumerate(plan.unknown_ids):
-            alleles = []
-            for t, cidx in enumerate(draws):
-                alleles.extend([plan.internal_labels[t]] * int(plan.combo_counts[cidx, i]))
-            assignment[role] = tuple(sorted(alleles, key=ladder_pos.get))
-        out.append((assignment, float(np.exp(score - loglik))))
-    return tuple(out)
+    def sidetracks(t, s):
+        # the codes of the sidetracks off the tree path from state s
+        # entering step t, cheapest first
+        if (t, s) not in lists:
+            parts, v = [], s
+            for u in range(t, n_pos):
+                cost, codes, v = own(u, v)
+                parts.append((cost, codes))
+            cost, codes = (np.concatenate(c) for c in zip(*parts))
+            # the finite costs sort first: inf and NaN last
+            order = cost.argsort(kind="stable")[:int(np.isfinite(cost).sum())]
+            lists[(t, s)] = codes[order].tolist()
+        return lists[(t, s)]
+
+    # sequence q: (its base, the index of its last sidetrack among those
+    # that can follow the base, its path's values and draws up to that
+    # sidetrack, its head: the state after it); sequence 0, the best path,
+    # has no sidetrack
+    sequences, queue = [], []
+
+    def push(base, index, values, draws, head):
+        _, rest_values, rest_draws = tree(*head)
+        g = 0.0
+        for v in values + rest_values:  # in step order, as a path is valued
+            g += v
+        heapq.heappush(queue, (-g, len(sequences), draws + rest_draws))
+        sequences.append((base, index, values, draws, head))
+
+    def extend(base, index):
+        # base's path to its head, one sidetrack off the tree path from
+        # there, and tree edges after it
+        values, draws, head = sequences[base][2:]
+        t, e = divmod(lists[head][index], n_edges)
+        _, tree_values, tree_draws = tree(*head)
+        n = t - head[0]
+        push(base, index, values + tree_values[:n] + (value(t, e),),
+             draws + tree_draws[:n] + (int(draw[e]),), (t + 1, dst[e]))
+
+    # pop past the k-th while a tie with the worst one found may remain
+    push(None, None, (), (), (0, 0))
+    found, floor = [], math.inf
+    while queue and (len(found) < k or -queue[0][0] >= floor):
+        neg, q, path = heapq.heappop(queue)
+        found.append((neg, path))
+        floor = min(floor, -neg)
+        base, index, _, _, head = sequences[q]
+        if base is not None and index + 1 < len(lists[sequences[base][4]]):
+            extend(base, index + 1)
+        if head[0] < n_pos and sidetracks(*head):
+            extend(q, 0)
+
+    # each path's genotypes, as sorted ladder indices per role
+    ladder, counts = plan.order.tolist(), plan.combo_counts.tolist()
+    ranked = []
+    for neg, path in found:
+        picks = [[] for _ in plan.unknown_ids]
+        for t, c in enumerate(path):
+            for pick, n in zip(picks, counts[c]):
+                pick += [ladder[t]] * n
+        picks = [sorted(pick) for pick in picks]
+        assignment = {
+            role: tuple(plan.labels[j] for j in pick)
+            for role, pick in zip(plan.unknown_ids, picks)
+        }
+        ranked.append((neg, sum(picks, []), assignment))
+    ranked.sort(key=lambda r: r[:2])
+    return tuple((a, float(np.exp(-neg - loglik))) for neg, _, a in ranked[:k])
 
 
-class _PeakPosterior(NamedTuple):
-    """An observed peak's gamma shape per factor entry, and the entries'
-    posterior given all other evidence (None where that has no mass)."""
+class _PeakPosteriors(NamedTuple):
+    """Every observed peak of a bundle, marker by marker, then trace by
+    trace, then by internal position: its (trace, marker, allele), height
+    and gamma scale; per factor entry, its gamma shape, log P(H >= C) if
+    its observed status is kept (else None), and the entries' posterior
+    given all other evidence (a row of NaN where that has no mass)."""
 
-    trace_id: str
-    marker: str
-    allele: str
-    height: float
-    threshold: float
-    eta: float
-    shapes: np.ndarray
-    weights: np.ndarray | None
+    names: list
+    height: np.ndarray
+    eta: np.ndarray
+    shapes: np.ndarray  # (peaks, 6^U)
+    survival: np.ndarray | None
+    weights: np.ndarray
 
 
-def _observed_peak_posteriors(bundle: EvidenceBundle, truncate: bool):
+def _observed_peak_posteriors(bundle, truncate) -> _PeakPosteriors:
     """Every observed peak's entries weighted by everything but its height.
 
-    One pass per marker serves all its peaks.  A peak's factor enters
-    the chain only at its emit step t, so the forward message into t and
-    the backward message out of it do not depend on it.  The pass
-    evaluates step t once more per peak it emits, with its table
-    recomputed without the peak's factor, plus the survival term
-    log P(H >= C) when ``truncate`` keeps the peak's observed status, and
+    One pass per stack of markers serves all its peaks.  A peak's factor
+    enters the chain only at its emit step t, so the forward message into
+    t and the backward message out of it do not depend on it.  The pass
+    evaluates step t once more per peak it emits, with its table rebuilt
+    without the peak's factor (see _tables_without_peaks), plus the
+    survival term when ``truncate`` keeps the peak's observed status, and
     normalizes over the step.
     """
-    for marker in bundle.covered_markers():
-        plan = _plan_for(bundle, marker)
-        terms = _view_terms(plan, bundle.parameters)
-        peaks, tables = [], {}  # tables: emit step -> the step's tables without a peak
-        for index, (layout, term) in enumerate(zip(plan.traces, terms)):
-            survival = gamma_log_sf(
-                layout.threshold, term.rho * term.doses[:layout.n_observed], term.eta
-            ) if truncate else None
-            for p in map(int, np.flatnonzero(layout.observed)):
-                t, sl = layout.blocks[p]
-                table = _step_table(plan, terms, t, skip=(index, p))
-                if survival is not None:
-                    table = table + survival[sl]
-                tables.setdefault(t, []).append(table)
-                peaks.append((layout, term, p, t, len(tables[t]) - 1))
-        if not peaks:
+    n_pairs = 6 ** len(bundle.hypothesis.unknown)
+    names = []
+    columns = [[np.zeros(0)], [np.zeros(0)]] + [
+        [np.zeros((0, n_pairs))] for _ in range(3)
+    ]
+    for stack in bundle._stacks:
+        terms = _view_terms(stack, bundle.parameters)
+        peaks = _tables_without_peaks(stack, terms)
+        if not len(peaks.row):
             continue
-        alt = _chain_pass(
-            plan, _step_tables(plan, terms),
-            alt={t: np.array(rows) for t, rows in tables.items()},
+        layouts = stack.traces
+        eta = np.array([term.eta for term in terms])[peaks.layout]
+        shapes = np.concatenate([
+            (term.rho * term.doses)[:v.n_observed] for v, term in zip(layouts, terms)
+        ]).reshape(-1, n_pairs)
+        survival = np.zeros(shapes.shape)
+        if truncate:
+            threshold = np.array([v.threshold for v in layouts])[peaks.layout]
+            survival = gamma_log_sf(threshold[:, None], shapes, eta[:, None])
+        weights = _chain_pass(
+            stack, _step_tables(stack, terms), alt=(peaks.row, peaks.tables + survival)
         ).alt
-        for layout, term, p, t, row in peaks:
-            yield _PeakPosterior(
-                layout.trace_id, marker, plan.internal_labels[p],
-                float(layout.heights[p]), layout.threshold, term.eta,
-                term.rho * term.doses[layout.blocks[p][1]],
-                alt[t][row],
-            )
+        marker = peaks.row // stack.lp.shape[1]
+        order = np.lexsort((peaks.layout, marker))
+        for j in order.tolist():
+            plan = stack.plans[marker[j]]
+            names.append((layouts[peaks.layout[j]].trace_id, plan.marker,
+                           plan.internal_labels[peaks.position[j]]))
+        heights = np.concatenate([v.peak_heights[::n_pairs] for v in layouts])
+        for column, values in zip(columns, (heights, eta, shapes, survival, weights)):
+            column.append(values[order])
+    height, eta, shapes, survival, weights = (np.concatenate(c) for c in columns)
+    return _PeakPosteriors(
+        names, height, eta, shapes, survival if truncate else None, weights
+    )
 
 
 def top_k_joint_profiles(marker_lists, k: int):

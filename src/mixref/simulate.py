@@ -6,8 +6,8 @@ undamaged and the stuttered part of the signal, stutter landing one
 repeat unit below, and thresholding to zero below the detection limit.
 probability_integral_transform computes, for every observed peak, its
 conditional CDF value given all other evidence, from one forward-backward
-sweep per marker; under a correctly specified model these values are
-approximately uniform.
+sweep per stack of markers; under a correctly specified model these
+values are approximately uniform.
 """
 
 from __future__ import annotations
@@ -144,34 +144,34 @@ def probability_integral_transform(
     survival probability at the threshold and the CDFs are truncated to
     [C, inf).  Without it the weights condition on nothing about the
     peak, and a genotype that gives it zero dose has CDF 1 (all its mass
-    at 0).  One forward-backward sweep per marker serves all its peaks.
-    Returns records {trace, marker, allele, height, pit}; pit is NaN where
-    the other evidence has zero probability.
+    at 0).  One forward-backward sweep per stack of markers serves all
+    their peaks, and one CDF call all the bundle's peaks.  Returns records
+    {trace, marker, allele, height, pit}, marker by marker, then trace by
+    trace; pit is NaN where the other evidence has zero probability.
     """
+    peaks = _observed_peak_posteriors(bundle, truncate)
     return [
-        {
-            "trace": peak.trace_id,
-            "marker": peak.marker,
-            "allele": peak.allele,
-            "height": peak.height,
-            "pit": _mixed_cdf(peak, truncate),
-        }
-        for peak in _observed_peak_posteriors(bundle, truncate)
+        {"trace": trace, "marker": marker, "allele": allele, "height": height,
+         "pit": pit}
+        for (trace, marker, allele), height, pit in zip(
+            peaks.names, peaks.height.tolist(), _mixed_cdf(peaks, truncate).tolist()
+        )
     ]
 
 
-def _mixed_cdf(peak, truncate):
-    """The peak's gamma CDFs at its height, mixed by the entries' posterior."""
-    if peak.weights is None:
-        return float("nan")
-    live = peak.weights > 0.0
-    shapes = peak.shapes[live]
+def _mixed_cdf(peaks, truncate):
+    """Each peak's gamma CDFs at its height, mixed by its entries'
+    posterior: one CDF call over the live entries of every peak, then one
+    dot product per peak; NaN where the weights have no mass."""
+    live = peaks.weights > 0.0
+    peak = np.nonzero(live)[0]
+    shapes, height, eta = peaks.shapes[live], peaks.height[peak], peaks.eta[peak]
     if truncate:
         # P(H <= z | H >= C) = 1 - Q(z) / Q(C), in log space where Q(C) underflows
-        cdf = -np.expm1(
-            gamma_log_sf(peak.height, shapes, peak.eta)
-            - gamma_log_sf(peak.threshold, shapes, peak.eta)
-        )
+        cdf = -np.expm1(gamma_log_sf(height, shapes, eta) - peaks.survival[live])
     else:
-        cdf = np.exp(gamma_log_cdf(peak.height, shapes, peak.eta))
-    return float(min(max(peak.weights[live] @ cdf, 0.0), 1.0))
+        cdf = np.exp(gamma_log_cdf(height, shapes, eta))
+    weights, stops = peaks.weights[live], np.cumsum(live.sum(axis=1)).tolist()
+    mixed = [weights[a:b] @ cdf[a:b] for a, b in zip([0] + stops, stops)]
+    pit = np.clip(np.array(mixed, dtype=float), 0.0, 1.0)
+    return np.where(np.isnan(peaks.weights[:, 0]), np.nan, pit)

@@ -370,6 +370,97 @@ class TestOneSweep:
         assert post.top_genotypes
         assert sorted(steps) == list(range(len(b.frequencies.ladder("M").alleles)))
 
+    def test_top_k_makes_one_value_pass_and_no_posterior_pass(self, monkeypatch):
+        b = random_case(np.random.default_rng(5), max_unknowns=2, n_markers=3)
+        (stack,) = b._stacks
+        assert len(stack.plans) == 3
+        passes = _count_chain_passes(monkeypatch)
+        mx.top_k_marker_genotypes(b, "M2", 4)
+        assert passes == [(1, False)]
+        mx.bundle_top_genotypes(b, 4)
+        assert passes[1:] == [(3, False)]
+
+
+def _count_chain_passes(monkeypatch):
+    """Record (markers, posteriors asked) of every engine._chain_pass call."""
+    passes = []
+    original = engine._chain_pass
+
+    def spy(stack, tables, posteriors=False, alt=None):
+        passes.append((len(stack.plans), posteriors))
+        return original(stack, tables, posteriors, alt)
+
+    monkeypatch.setattr(engine, "_chain_pass", spy)
+    return passes
+
+
+class TestBundleQueries:
+    """Presence, count marginals and k-best over a stack of 2-4 markers,
+    against both enumeration oracles."""
+
+    @given(stn.integers(0, 2**32 - 1), stn.integers(2, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_stacked_queries_match_enumeration(self, seed, n_markers):
+        rng = np.random.default_rng(seed)
+        b = random_case(rng, max_alleles=3, max_unknowns=3, n_markers=n_markers)
+        (stack,) = b._stacks
+        markers = b.covered_markers()
+        assert len(stack.plans) == len(markers) == n_markers
+        tables = {m: oracle_table(b, m) for m in markers}
+        totals = {m: logsumexp([w for _, w in tables[m]]) for m in markers}
+        for m in markers:
+            assert mx.brute_force_log_likelihood(b, m) == pytest.approx(
+                totals[m], rel=1e-9, abs=1e-9
+            )
+        impossible = [m for m in markers if totals[m] == -np.inf]
+        if impossible:
+            # the first marker of zero likelihood is named
+            first = repr(impossible[0])
+            with pytest.raises(InfeasibleConditioningError, match=first):
+                mx.bundle_posteriors(b)
+            with pytest.raises(InfeasibleConditioningError, match=first):
+                mx.bundle_top_genotypes(b, 3)
+            return
+        posts = mx.bundle_posteriors(b)
+        tops = mx.bundle_top_genotypes(b, 10**6)
+        assert list(posts) == list(tops) == list(markers)
+        for m in markers:
+            table, total = tables[m], totals[m]
+            post = posts[m]
+            assert post.log_likelihood == pytest.approx(total, rel=1e-9, abs=1e-9)
+            weight = [math.exp(w - total) for _, w in table]
+            for lab, p in post.presence.items():
+                want = sum(
+                    x for (counts, _), x in zip(table, weight)
+                    if sum(c[lab] for c in counts.values())
+                )
+                assert p == pytest.approx(want, abs=1e-9)
+            for role in b.hypothesis.unknown:
+                for lab, probs in post.count_marginals[role].items():
+                    want = [0.0, 0.0, 0.0]
+                    for (counts, _), x in zip(table, weight):
+                        want[counts[role][lab]] += x
+                    assert probs == pytest.approx(want, abs=1e-9)
+            # every possible combination once, by identity, best first
+            ladder = b.frequencies.ladder(m).alleles
+            want = {}
+            for (counts, w), x in zip(table, weight):
+                if w > -np.inf:
+                    key = tuple(
+                        tuple(a for a in ladder for _ in range(counts[role][a]))
+                        for role in b.hypothesis.unknown
+                    )
+                    want[key] = x
+            got = [(tuple(g[r] for r in b.hypothesis.unknown), p) for g, p in tops[m]]
+            assert len(got) == len(want)
+            for key, p in got:
+                assert p == pytest.approx(want[key], rel=1e-9, abs=1e-12)
+            assert all(p >= q for (_, p), (_, q) in zip(got, got[1:]))
+            # one marker's own queries read the same numbers
+            one = mx.marker_posterior(b, m, k=5)
+            assert one.presence == pytest.approx(post.presence, abs=1e-12)
+            assert [g for g, _ in one.top_genotypes] == [g for g, _ in tops[m][:5]]
+
 
 class TestLogTotal:
     """The sweep's final normalizer against scipy's logsumexp."""
@@ -756,6 +847,31 @@ class TestTopK:
         assert probs[("8", "8")] == pytest.approx(0.25, abs=1e-12)
         assert probs[("9", "9")] == pytest.approx(0.25, abs=1e-12)
 
+    def test_ties_come_in_genotype_order(self):
+        # M2's homozygotes tie at 0.25: the one of lower ladder alleles comes
+        # first, also where k cuts between them
+        b = self._untyped_m2_bundle()
+        top = mx.top_k_marker_genotypes(b, "M2", 10)
+        assert [(g["U1"], p) for g, p in top] == [
+            (("8", "9"), 0.5), (("8", "8"), 0.25), (("9", "9"), 0.25)
+        ]
+        assert mx.top_k_marker_genotypes(b, "M2", 2) == top[:2]
+        assert mx.marker_posterior(b, "M2", k=2).top_genotypes == top[:2]
+
+    def _untyped_m2_bundle(self):
+        freqs = mx.FrequencyTable.from_dict(
+            {"M": {"8": 0.5, "9": 0.5}, "M2": {"8": 0.5, "9": 0.5}}
+        )
+        k1 = mx.GenotypeProfile.from_pairs({"M": ("8", "9"), "M2": ("8", "9")})
+        params = mx.ModelParameters(
+            rho={"T1": 25.0}, eta=20.0, xi=0.0,
+            phi={"T1": {"K1": 0.7, "U1": 0.3}},
+        )
+        return single_trace_bundle(
+            freqs, mx.Hypothesis(known={"K1": k1}, unknown=("U1",)),
+            {"8": 430.0, "9": 380.0}, params,
+        )
+
     def test_matches_enumeration_ranking_and_sums_to_one(self):
         rng = np.random.default_rng(29)
         checked = 0
@@ -1100,7 +1216,7 @@ class TestDistinctDoses:
                     + term.xi * base[p + 1][plan.pair_draw]
                     if plan.coupled[p]
                     else (1.0 - term.xi) * base[p][plan.pair_draw]
-                    for p in layout.blocks
+                    for p in layout.position
                 ])
                 k = layout.n_observed
                 # the dose points: the observed entries, then the distinct
@@ -1109,8 +1225,12 @@ class TestDistinctDoses:
                     np.concatenate([term.doses[:k], term.doses[k:][layout.spread]]), own
                 )
                 shapes = term.rho * own
+                (trace,) = [t for t in b.traces if t.trace_id == layout.trace_id]
                 heights = np.repeat(
-                    [layout.heights[p] for p in layout.blocks if layout.observed[p]],
+                    [
+                        trace.height(marker, plan.internal_labels[p])
+                        for p in layout.position[:k // plan.n_pairs]
+                    ],
                     plan.n_pairs,
                 )
                 np.testing.assert_array_equal(

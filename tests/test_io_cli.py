@@ -600,6 +600,92 @@ def test_deconvolve_at_stated_parameters_leaves_scipy_optimize_unloaded(tiny_cas
     assert _loaded_after(code) == "[]"
 
 
+class TestWholeBundleQueries:
+    def _three_unknowns(self, tmp_path, n_markers=17):
+        # three unknowns: 16 markers to a stack, so 17 make two stacks
+        markers = [f"M{i:02d}" for i in range(n_markers)]
+        rows = {
+            "freqs.csv": ["marker,allele,frequency"] + [
+                f"{m},{a},{q}" for m in markers for a, q in (("8", 0.3), ("9", 0.3),
+                                                            ("10", 0.4))
+            ],
+            "profiles.csv": ["individual,marker,allele1,allele2"]
+            + [f"K1,{m},8,9" for m in markers],
+            "trace.csv": ["trace_id,marker,allele,height"] + [
+                f"T1,{m},{a},{h}" for m in markers
+                for a, h in (("8", 610), ("9", 380), ("10", 170))
+            ],
+        }
+        files = {name: write(tmp_path, name, "\n".join(lines) + "\n")
+                 for name, lines in rows.items()}
+        return [
+            "--freqs", files["freqs.csv"], "--profiles", files["profiles.csv"],
+            "--trace", files["trace.csv"],
+            "--hypothesis", write(tmp_path, "case.json", json.dumps({
+                "hypotheses": {"defence": {"known": ["K1"], "unknowns": 3}},
+                "traces": {"T1": {"threshold": 50}},
+            })),
+            "--params", write(tmp_path, "params.json", json.dumps({
+                "eta": 25.0, "xi": 0.05, "traces": {"T1": {
+                    "mu": 800.0, "phi": {"K1": 0.4, "U1": 0.3, "U2": 0.2, "U3": 0.1}}},
+            })),
+        ]
+
+    @pytest.mark.parametrize("command, extra, posteriors", [
+        ("deconvolve", ["--k", "2"], False),
+        ("artefacts", [], True),
+        ("diagnose", [], False),
+    ])
+    def test_one_chain_pass_per_stack(self, tmp_path, monkeypatch, capsys,
+                                      command, extra, posteriors):
+        common = self._three_unknowns(tmp_path)
+        passes = []
+        original = mx.engine._chain_pass
+
+        def spy(stack, tables, posteriors=False, alt=None):
+            passes.append((len(stack.plans), posteriors, alt is not None))
+            return original(stack, tables, posteriors, alt)
+
+        monkeypatch.setattr(mx.engine, "_chain_pass", spy)
+        assert cli.main([command, *common, *extra]) == 0
+        assert passes == [(16, posteriors, command == "diagnose"),
+                          (1, posteriors, command == "diagnose")]
+
+    def _impossible_marker(self, tiny_case, covered=("M1", "M2")):
+        # nobody carries M1's 11, and no donor stutters into it: under the
+        # prosecution the peak there has probability 0
+        tmp = tiny_case["tmp"]
+        freqs = write(tmp, "freqs11.csv", "marker,allele,frequency\n"
+                      "M1,8,0.3\nM1,9,0.3\nM1,10,0.3\nM1,11,0.1\nM2,8,0.5\nM2,9,0.5\n")
+        rows = {"M1": "T1,M1,8,420\nT1,M1,9,260\nT1,M1,10,300\nT1,M1,11,200\n",
+                "M2": "T1,M2,8,510\nT1,M2,9,660\n"}
+        trace = write(tmp, "trace11.csv", "trace_id,marker,allele,height\n"
+                      + "".join(rows[m] for m in covered))
+        return ["--freqs", freqs, "--profiles", tiny_case["profiles"], "--trace", trace,
+                "--hypothesis", tiny_case["case"], "--under", "prosecution",
+                "--params", tiny_case["params"]]
+
+    @pytest.mark.parametrize("command, extra", [("deconvolve", ["--k", "2"]),
+                                                ("artefacts", [])])
+    def test_zero_likelihood_marker_exits_2(self, tiny_case, capsys, command, extra):
+        assert cli.main([command, *self._impossible_marker(tiny_case), *extra]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "zero probability on marker 'M1'" in error["message"]
+
+    @pytest.mark.parametrize("covered, line, tested", [
+        (("M1", "M2"), "6 observed peaks, 4 with an undefined PIT; KS statistic", 2),
+        (("M1",), "4 observed peaks, 4 with an undefined PIT; no PIT to test", 0),
+    ], ids=["some-undefined", "all-undefined"])
+    def test_diagnose_counts_undefined_pits(self, tiny_case, capsys, covered, line,
+                                            tested):
+        assert cli.main(["diagnose", *self._impossible_marker(tiny_case, covered)]) == 0
+        text, _, doc = capsys.readouterr().out.partition("\n")
+        assert text.startswith(line)
+        doc = json.loads(doc)
+        assert (doc["n_peaks"], doc["n_undefined"]) == (tested, 4)
+        assert (doc["ks_statistic"] is None) == (tested == 0)
+
+
 class TestPubcaseCli:
     def test_fit_report_matches_golden(self, tmp_path):
         out = str(tmp_path / "fit.json")

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
 from scipy import stats as st
 from scipy.special import gammainc, gammaincc, logsumexp
 
@@ -17,33 +19,33 @@ def many_marker_table(n, labels_freqs):
     return mx.FrequencyTable.from_dict({f"M{i}": dict(labels_freqs) for i in range(n)})
 
 
-def oracle_pit(bundle, trace_id, allele, truncate):
-    """PIT of one observed peak on marker "M" by enumerating genotypes.
+def oracle_pit(bundle, trace_id, allele, truncate, marker="M"):
+    """PIT of one observed peak on ``marker`` by enumerating genotypes.
 
     Weights are the enumeration oracle's, with the peak's factor taken out
     (and its survival probability put in when truncating); the mixed CDFs
     are the gamma CDFs at its height (truncated to [C, inf)).
     """
     trace = next(t for t in bundle.traces if t.trace_id == trace_id)
-    z, c = trace.height("M", allele), trace.threshold
+    z, c = trace.height(marker, allele), trace.threshold
     zeroed = mx.Trace(
         trace_id=trace_id, threshold=c,
-        heights={**trace.heights, "M": {**trace.heights["M"], allele: 0.0}},
+        heights={**trace.heights, marker: {**trace.heights[marker], allele: 0.0}},
     )
     params = bundle.parameters
-    rho = params.rho_for(trace_id, "M")
+    rho = params.rho_for(trace_id, marker)
     eta = params.eta_for(trace_id)
-    xi = params.xi_for_marker(trace_id, "M")
+    xi = params.xi_for_marker(trace_id, marker)
     phi = params.phi[trace_id]
     roles = set(bundle.hypothesis.roles_for(trace_id))
-    donor = oracle_successor(bundle.frequencies, "M")[allele]
+    donor = oracle_successor(bundle.frequencies, marker)[allele]
     table = oracle_table(
         mx.EvidenceBundle(
             traces=tuple(zeroed if t is trace else t for t in bundle.traces),
             frequencies=bundle.frequencies, hypothesis=bundle.hypothesis,
             parameters=params,
         ),
-        "M",
+        marker,
     )
     logws, cdfs = [], []
     for counts, logw in table:
@@ -315,6 +317,31 @@ class TestProbabilityIntegralTransform:
                     assert rec["pit"] == pytest.approx(want, abs=1e-9)
                     checked += 1
         assert checked > 50
+
+    @given(stn.integers(0, 2**32 - 1), stn.integers(2, 4), stn.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_stacked_markers_match_enumeration(self, seed, n_markers, truncate):
+        # every peak of a stack of 2-4 markers, from one pass over the stack
+        rng = np.random.default_rng(seed)
+        b = random_case(rng, max_alleles=3, max_unknowns=3, n_markers=n_markers)
+        (stack,) = b._stacks
+        assert len(stack.plans) == n_markers
+        records = mx.probability_integral_transform(b, truncate=truncate)
+        observed = [
+            (m, t.trace_id, a) for m in b.covered_markers() for t in b.traces
+            for a in b.frequencies.ladder(m).alleles if t.height(m, a) >= t.threshold
+        ]
+        got = [(r["marker"], r["trace"], r["allele"]) for r in records]
+        assert sorted(got) == sorted(observed)
+        # marker by marker, then trace by trace
+        group = {r[:2]: i for i, r in reversed(list(enumerate(observed)))}
+        assert [group[r[:2]] for r in got] == sorted(group[r[:2]] for r in got)
+        for rec in records:
+            want = oracle_pit(b, rec["trace"], rec["allele"], truncate, rec["marker"])
+            if math.isnan(want):
+                assert math.isnan(rec["pit"])
+            else:
+                assert rec["pit"] == pytest.approx(want, abs=1e-9)
 
     def test_uniformity_sanity_single_replicate(self):
         rng = np.random.default_rng(41)
