@@ -13,6 +13,7 @@ from .engine import (
     InfeasibleConditioningError,
     MarkerChainPosterior,
     Trace,
+    batch_log_likelihood_and_gradient,
     brute_force_log_likelihood,
     bundle_posteriors,
     bundle_top_genotypes,

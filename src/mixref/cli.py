@@ -139,6 +139,7 @@ class _Case:
         elif definition and definition.share is not None:
             share = definition.share
         self.share = frozenset(share) if share is not None else frozenset({"eta", "xi"})
+        estimation._check_share(self.share)  # also under --params, which fixes all
         self.seed = args.seed
         self.params = None
         if args.params:

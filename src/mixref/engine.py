@@ -42,9 +42,11 @@ The bundle splits its markers into stacks whose step holds at most
 _BLOCK_EDGES edge values (up to 163 markers at U = 2, 16 at U = 3, one
 at U >= 4), so a likelihood or gradient evaluation, and each query
 over the whole bundle, is one pass per stack, one in all at U <= 2; a
-query about one marker is one pass over its plan.  A stack front-pads
-each marker to its longest with exact identity steps: state 0 to state
-0, weight 1, log 0.  The step tables of all markers, per (previous
+query about one marker is one pass over its plan.  Gradient
+evaluations at several parameter sets share their passes: a stack's
+markers run once per set, side by side, within the same budget.  A
+stack front-pads each marker to its longest with exact identity steps:
+state 0 to state 0, weight 1, log 0.  The step tables of all markers, per (previous
 draw, draw) pair, are one np.bincount per trace over a plan-time index
 (entry -> step row * 6^U + pair), and the gradient is one scatter per
 trace.  Every query reads the same pass: the gradient, presence
@@ -119,6 +121,7 @@ __all__ = [
     "brute_force_log_likelihood",
     "total_log_likelihood",
     "log_likelihood_and_gradient",
+    "batch_log_likelihood_and_gradient",
     "presence_posteriors",
     "conditioned_presence",
     "marker_posterior",
@@ -531,6 +534,10 @@ class _MarkerPlan:
     def lp(self):
         return self.state_lp[None]
 
+    @property
+    def n_sets(self):
+        return 1
+
 
 def _build_marker_plan(marker, freqs, hypothesis, traces):
     """One marker's plan, with the layout of every trace that covers it in
@@ -645,7 +652,8 @@ class _Stack:
     known_counts spans the markers' positions in turn.  traces holds each
     trace's layout over the markers it covers (see _TraceLayout).  A
     marker plan is the one-marker stack of its marker, with the same
-    attributes.
+    attributes.  A pass over n_sets parameter sets at once runs on the
+    stack's markers repeated once per set (see _repeated).
     """
 
     plans: tuple[_MarkerPlan, ...]
@@ -661,6 +669,7 @@ class _Stack:
     n_pairs: int
     edges0: _EdgeSet
     edges: _EdgeSet
+    n_sets: int = 1
 
 
 def _build_stacks(freqs, hypothesis, traces):
@@ -762,6 +771,30 @@ def _build_stack(group, trace_ids):
     )
 
 
+def _repeated(stack, n_sets):
+    """The chains of a stack's markers repeated once per parameter set, set
+    by set, for one pass over the step tables of n_sets sets (see
+    _step_tables).  Each copy has the stack's own padding and transitions."""
+    if n_sets == 1:
+        return stack
+    return _Stack(
+        plans=stack.plans * n_sets,
+        first=np.tile(stack.first, n_sets),
+        lp=np.tile(stack.lp, (n_sets, 1, 1)),
+        traces=(),
+        known_ids=stack.known_ids,
+        unknown_ids=stack.unknown_ids,
+        known_counts=stack.known_counts,
+        combo_counts=stack.combo_counts,
+        n_unknown=stack.n_unknown,
+        n_states=stack.n_states,
+        n_pairs=stack.n_pairs,
+        edges0=stack.edges0,
+        edges=stack.edges,
+        n_sets=n_sets,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Bundle
 
@@ -858,21 +891,23 @@ def _validate_parameters(params, hypothesis, traces):
 
 
 class _ViewTerms(NamedTuple):
-    """One trace's parameters, doses and log factors on a stack's markers.
+    """One trace's parameters, doses and log factors on a stack's markers,
+    for each of K parameter sets along a leading axis.
 
-    rho and xi are one value, or one per dose point where the markers'
-    values differ, and free holds their masks of non-overridden markers
-    (see _trace_values).
+    rho and xi are (K, 1), or (K, dose points) where the markers' values
+    differ, and free holds their masks of non-overridden markers, shaped
+    alike (see _trace_values).
     """
 
-    rho: float | np.ndarray
-    eta: float
-    xi: float | np.ndarray
+    rho: np.ndarray
+    eta: np.ndarray          # (K, 1)
+    xi: np.ndarray
     free: tuple
-    base: np.ndarray         # (the stack's positions, C) pre-stutter doses B
-    doses: np.ndarray        # per dose point, after stutter
-    log_factors: np.ndarray  # per factor entry
-    log_cdf: np.ndarray      # per distinct dropout dose
+    base: np.ndarray         # (K, the stack's positions, C) pre-stutter doses B
+    ends: np.ndarray         # (K, 2, dose points): each point's two cells of B
+    doses: np.ndarray        # (K, dose points), after stutter
+    log_factors: np.ndarray  # (K, factor entries)
+    log_cdf: np.ndarray      # (K, distinct dropout doses)
 
 
 def _per_point(layout, values):
@@ -900,6 +935,19 @@ def _trace_values(layout, params):
     ))
 
 
+def _set_values(layout, sets):
+    """_trace_values at each parameter set, as rows: each (K, 1) where every
+    set has one value per trace, else (K, dose points)."""
+    values = [_trace_values(layout, params) for params in sets]
+    if not any(isinstance(v, np.ndarray) for row in values for v in row):
+        return np.array(values, dtype=float).T[:, :, None]
+    n_points = layout.gather.shape[1]
+    return [
+        np.array([np.broadcast_to(v, n_points) for v in column], dtype=float)
+        for column in zip(*values)
+    ]
+
+
 def _trace_dose(stack, layout, params):
     """One trace's pre-stutter doses over the positions of a stack (or a
     plan) that holds its layout.
@@ -922,42 +970,61 @@ def _trace_dose(stack, layout, params):
     )[None, :]
 
 
-def _view_terms(stack, params) -> list[_ViewTerms]:
-    """Every trace's doses and log factors on a stack's markers.
+def _view_terms(stack, sets) -> list[_ViewTerms]:
+    """Every trace's doses and log factors on a stack's markers, at each of
+    the parameter sets ``sets``.
 
     At a stutter-coupled position p the dose of pair j is
     (1 - xi) B[p, draw at t-1] + xi B[p+1, draw at t]; at an uncoupled
     one it is (1 - xi) B[p, draw at t] (+ xi * 0, which is exact).  A
     trace's doses come from one gather, and its factors from one call of
     each gamma kernel: the observed entries', and the distinct dropout
-    doses', spread back to their entries.
+    doses', spread back to their entries, for all sets at once.  B is
+    one matrix product per set: a product batched over the sets may sum
+    in another order.
     """
     out = []
     for layout in stack.traces:
-        rho, xi, rho_free, xi_free = _trace_values(layout, params)
-        eta = params.eta_for(layout.trace_id)
-        base = _trace_dose(stack, layout, params)
-        ends = np.append(base, 0.0)[layout.gather]
-        doses = (1.0 - xi) * ends[0] + xi * ends[1]
+        rho, xi, rho_free, xi_free = _set_values(layout, sets)
+        eta = np.array([[params.eta_for(layout.trace_id)] for params in sets])
+        # each set's B, flattened, and one trailing zero cell
+        shape = (stack.known_counts.shape[1], len(stack.combo_counts))
+        cells = np.zeros((len(sets), shape[0] * shape[1] + 1))
+        for row, params in zip(cells, sets):
+            row[:-1] = _trace_dose(stack, layout, params).ravel()
+        base = cells[:, :-1].reshape(len(sets), *shape)
+        ends = cells[:, layout.gather]
+        doses = (1.0 - xi) * ends[:, 0] + xi * ends[:, 1]
         shapes = rho * doses
         n = layout.n_observed
-        log_pdf = gamma_log_pdf(layout.peak_heights, shapes[:n], eta)
-        log_cdf = gamma_log_cdf(layout.threshold, shapes[n:], eta)
+        log_pdf = gamma_log_pdf(layout.peak_heights, shapes[:, :n], eta)
+        log_cdf = gamma_log_cdf(layout.threshold, shapes[:, n:], eta)
         out.append(_ViewTerms(
-            rho, eta, xi, (rho_free, xi_free), base, doses,
-            np.concatenate([log_pdf, log_cdf[layout.spread]]), log_cdf,
+            rho, eta, xi, (rho_free, xi_free), base, ends, doses,
+            np.concatenate([log_pdf, log_cdf[:, layout.spread]], axis=1), log_cdf,
         ))
     return out
 
 
+def _set_offsets(index, n_sets, size):
+    """``index`` into one set's cells, for each of n_sets sets of ``size``
+    cells laid out set by set, flattened."""
+    if n_sets == 1:
+        return index
+    return (index + size * np.arange(n_sets)[:, None]).ravel()
+
+
 def _step_tables(stack, terms):
-    """(G * T, 6^U) log evidence factors per step and (previous draw,
-    draw) pair of a stack's G markers, summed over traces: one np.bincount
-    of each trace's entries over their cells."""
+    """(K * G * T, 6^U) log evidence factors per step and (previous draw,
+    draw) pair of a stack's G markers, summed over traces, for each of the
+    K parameter sets of ``terms`` in turn: one np.bincount of each trace's
+    entries over their cells, for all sets."""
+    n_sets = len(terms[0].eta) if terms else 1  # a plan no trace covers: one set
     size = stack.lp.shape[0] * stack.lp.shape[1] * stack.n_pairs
-    tables = np.zeros(size)
+    tables = np.zeros(n_sets * size)
     for layout, term in zip(stack.traces, terms):
-        tables += np.bincount(layout.cell, term.log_factors, size)
+        index = _set_offsets(layout.cell, n_sets, size)
+        tables += np.bincount(index, term.log_factors.ravel(), n_sets * size)
     return tables.reshape(-1, stack.n_pairs)
 
 
@@ -1101,7 +1168,12 @@ def _forward(stack, tables, keep, ended):
     n_markers, n_edges = len(first), len(edges.src)
     tables = tables.reshape(n_markers, -1, stack.n_pairs)
     n_steps = tables.shape[1]
-    per_block = max(1, _BLOCK_EDGES // (n_markers * n_edges))
+    # blocks as one set's pass makes them: each set's log L then adds the
+    # same shifts in the same order
+    per_block = max(1, _BLOCK_EDGES // (n_markers // stack.n_sets * n_edges))
+    padded = {}
+    if first.any():
+        padded = {f: first == f for f in np.unique(first[first > 0]).tolist()}
     src, dst = _stacked_edges(stack.n_unknown, n_markers)
     alpha = np.zeros((n_steps + 1, n_markers, n_states))
     alpha[0, :, 0] = 1.0
@@ -1127,11 +1199,13 @@ def _forward(stack, tables, keep, ended):
                 ended |= ~finite.all(axis=0)
             w -= shift[..., None]
             np.exp(w, out=w)
-            # the block's shifts over each marker's own steps
+            # the block's shifts over each marker's own steps: one sum per
+            # row, over the markers that share a padding
             shift = np.ascontiguousarray(shift.T)
             sums = np.add.reduce(shift, axis=1)
-            for i in (first > lo).nonzero()[0]:
-                sums[i] = shift[i, first[i] - lo:].sum()
+            for f, rows in padded.items():
+                if f > lo:
+                    sums[rows] = np.add.reduce(shift[rows, f - lo:], axis=1)
             shifts.append((hi - lo, sums))
             flat = w.reshape(hi - lo, -1)
             for t in range(lo, hi):
@@ -1167,16 +1241,18 @@ def _forward(stack, tables, keep, ended):
 def _loss_bounds(norms, fan_out, added):
     """Loss bounds of successive messages, each relative to its own scale,
     per column: bound[t+1] = (fan_out * bound[t] + added[t]) / norms[t]
-    from bound[0] = 0, for t = 0 .. T-1.  A normalizer that is not
-    positive gives an infinite bound."""
-    rows, bound = [], [0.0] * norms.shape[1]
-    for norm, add in zip(norms.tolist(), added.tolist()):
-        bound = [
-            (fan_out * b + a) / n if n > 0 else math.inf
-            for b, a, n in zip(bound, add, norm)
-        ]
-        rows.append(bound)
-    return np.array(rows).reshape(norms.shape)
+    from bound[0] = 0, for t = 0 .. T-1, one row of numpy operations per
+    step.  A zero normalizer after a positive bound or addition gives an
+    infinite bound, a NaN one a NaN bound: neither is <= _LOSS."""
+    bounds = np.empty(norms.shape)
+    bound = np.zeros(norms.shape[1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t, row in enumerate(bounds):
+            np.multiply(bound, fan_out, out=row)
+            row += added[t]
+            row /= norms[t]
+            bound = row
+    return bounds
 
 
 def _backward(stack, weights, ended):
@@ -1453,7 +1529,7 @@ def _plan_for(bundle: EvidenceBundle, marker: str) -> _MarkerPlan:
 def marker_log_likelihood(bundle: EvidenceBundle, marker: str) -> float:
     """Exact log likelihood of one marker, marginalized over unknown genotypes."""
     plan = _plan_for(bundle, marker)
-    tables = _step_tables(plan, _view_terms(plan, bundle.parameters))
+    tables = _step_tables(plan, _view_terms(plan, [bundle.parameters]))
     return float(_chain_pass(plan, tables).loglik[0])
 
 
@@ -1463,7 +1539,7 @@ def total_log_likelihood(bundle: EvidenceBundle) -> float:
     U <= 2)."""
     loglik = []
     for stack in bundle._stacks:
-        tables = _step_tables(stack, _view_terms(stack, bundle.parameters))
+        tables = _step_tables(stack, _view_terms(stack, [bundle.parameters]))
         loglik += _chain_pass(stack, tables).loglik.tolist()
     return float(sum(loglik))
 
@@ -1483,70 +1559,139 @@ def log_likelihood_and_gradient(
     entry nothing to any xi derivative.  Paths of zero probability
     contribute nothing, so at a boundary (a fraction or xi exactly 0) this
     is not the one-sided derivative.  The gradient is meaningful only
-    where log L is finite.
+    where log L is finite.  It is the one-bundle call of
+    :func:`batch_log_likelihood_and_gradient`.
     """
-    params = bundle.parameters
-    grad = {}
-    for trace in bundle.traces:
-        tid = trace.trace_id
-        for family in ("rho", "eta", "xi"):
-            grad[(family, tid)] = 0.0
-        for role in params.phi[tid]:
-            grad[("phi", tid, role)] = 0.0
-    loglik = []
-    for stack in bundle._stacks:
-        terms = _view_terms(stack, params)
-        result = _chain_pass(stack, _step_tables(stack, terms), posteriors=True)
-        loglik += result.loglik.tolist()
-        _add_gradient(stack, terms, result.pair, grad)
-    return float(sum(loglik)), grad
+    return batch_log_likelihood_and_gradient((bundle,))[0]
 
 
-def _add_gradient(stack, terms, pair, grad):
-    """Add d log L over a stack's markers to ``grad``, from the pair
-    posteriors of every step (zero on markers of no finite likelihood).
+def batch_log_likelihood_and_gradient(
+    bundles,
+) -> list[tuple[float, dict[tuple, float]]]:
+    """:func:`log_likelihood_and_gradient` of each of ``bundles``: one
+    evidence and hypothesis at several parameter sets, bundles derived from
+    one by :meth:`EvidenceBundle.with_parameters`.
+
+    One pass over each stack of markers serves several sets: the stack's
+    markers repeated once per set, as many sets as keep a block of the
+    pass within _BLOCK_EDGES edge values, and at least one (see
+    _sets_per_pass).  Each set's arithmetic is that of a pass over it
+    alone, so every value and gradient is bit-identical to a call with its
+    bundle alone, whatever the other bundles.
+    """
+    bundles = tuple(bundles)
+    if not bundles:
+        return []
+    stacks = bundles[0]._stacks
+    if any(b._stacks is not stacks for b in bundles):
+        raise ValueError(
+            "batched bundles must share one evidence bundle's structure: "
+            "derive them with with_parameters"
+        )
+    params = bundles[0].parameters
+    keys = [
+        key
+        for trace in bundles[0].traces
+        for key in (("rho", trace.trace_id), ("eta", trace.trace_id),
+                    ("xi", trace.trace_id),
+                    *(("phi", trace.trace_id, r) for r in params.phi[trace.trace_id]))
+    ]
+    column = {key: i for i, key in enumerate(keys)}
+    grad = np.zeros((len(bundles), len(keys)))
+    loglik = [[] for _ in bundles]
+    for stack in stacks:
+        per_call = _sets_per_pass(stack)
+        for lo in range(0, len(bundles), per_call):
+            sets = [b.parameters for b in bundles[lo:lo + per_call]]
+            terms = _view_terms(stack, sets)
+            result = _chain_pass(
+                _repeated(stack, len(sets)), _step_tables(stack, terms), posteriors=True
+            )
+            for own, values in zip(
+                loglik[lo:], result.loglik.reshape(len(sets), -1).tolist()
+            ):
+                own += values
+            _add_gradient(stack, terms, result.pair, grad[lo:lo + len(sets)], column)
+    return [
+        (float(sum(values)), dict(zip(keys, row)))
+        for values, row in zip(loglik, grad.tolist())
+    ]
+
+
+def _sets_per_pass(stack):
+    """How many parameter sets one pass over a stack runs side by side: as
+    many as keep a block of its forward recursion, one set's block (see
+    _forward) times the sets, within _BLOCK_EDGES edge values, and at
+    least one.  So a pass over several sets holds arrays no larger than a
+    pass over one set may: at U <= 2 a whole stack's steps make one
+    block of a few thousand edge values, while at U >= 3 a block of one
+    set mostly fills the budget and sets pass one at a time."""
+    per_step = len(stack.plans) * len(stack.edges.src)
+    steps = min(stack.lp.shape[1], max(1, _BLOCK_EDGES // per_step))
+    return max(1, _BLOCK_EDGES // (steps * per_step))
+
+
+def _add_gradient(stack, terms, pair, grad, column):
+    """Add d log L over a stack's markers to ``grad``, one row per parameter
+    set of ``terms`` and one column per gradient key (``column``), from the
+    pair posteriors of every step of each set in turn (zero on markers of
+    no finite likelihood).
 
     Each factor entry reads its posterior weight from its cell, and every
     dropout entry adds its weight to its distinct dose; the derivatives
     are one call of each gamma kernel's _grad per trace, and d log L / d B
-    one np.bincount through every dose point's two cells.
+    one np.bincount through every dose point's two cells, for all sets.
+    The phi derivatives are products with the counts, one per set (see
+    _view_terms).
     """
-    pair = pair.ravel()
+    n_sets = len(grad)
+    pair = pair.reshape(n_sets, -1)
     for layout, term in zip(stack.traces, terms):
         tid, n = layout.trace_id, layout.n_observed
         shapes = term.rho * term.doses
-        d_shape, d_eta = (np.concatenate(parts) for parts in zip(
-            gamma_log_pdf_grad(layout.peak_heights, shapes[:n], term.eta),
-            gamma_log_cdf_grad(layout.threshold, shapes[n:], term.eta, term.log_cdf),
+        d_shape, d_eta = (np.concatenate(parts, axis=1) for parts in zip(
+            gamma_log_pdf_grad(layout.peak_heights, shapes[:, :n], term.eta),
+            gamma_log_cdf_grad(layout.threshold, shapes[:, n:], term.eta, term.log_cdf),
         ))
-        w = pair[layout.cell]
-        w = np.concatenate((w[:n], np.bincount(layout.spread, w[n:], len(shapes) - n)))
+        w = pair[:, layout.cell]
+        n_distinct = shapes.shape[1] - n
+        dropout = np.bincount(
+            _set_offsets(layout.spread, n_sets, n_distinct), w[:, n:].ravel(),
+            n_sets * n_distinct,
+        )
+        w = np.concatenate((w[:, :n], dropout.reshape(n_sets, n_distinct)), axis=1)
         live = w > 0.0
         with np.errstate(invalid="ignore"):
             g = np.where(live, w * d_shape, 0.0)  # d log L / d shape, per dose point
             g_eta = np.where(live, w * d_eta, 0.0)
         rho_free, xi_free = term.free
-        grad[("eta", tid)] += float(g_eta.sum())
+        grad[:, column["eta", tid]] += g_eta.sum(axis=1)
         # sums of products by numpy's own loop: a BLAS dot may start threads
-        grad[("rho", tid)] += float((g * term.doses * rho_free).sum())
+        grad[:, column["rho", tid]] += (g * term.doses * rho_free).sum(axis=1)
         g = g * term.rho  # d log L / d dose
-        ends = np.append(term.base, 0.0)[layout.gather]
-        grad[("xi", tid)] += float((g * (ends[1] - ends[0]) * xi_free).sum())
+        grad[:, column["xi", tid]] += (
+            g * (term.ends[:, 1] - term.ends[:, 0]) * xi_free
+        ).sum(axis=1)
         # d log L / d B through each point's two cells; the zero cell's sum
         # is dropped
+        size = term.base[0].size + 1
         g_base = np.bincount(
-            layout.gather.ravel(), np.concatenate(((1.0 - term.xi) * g, term.xi * g)),
-            term.base.size + 1,
-        )[:-1].reshape(term.base.shape)
-        for roles, takes, values in (
-            (stack.known_ids, layout.known_contributes,
-             stack.known_counts @ g_base.sum(axis=1)),
-            (stack.unknown_ids, layout.unknown_contributes,
-             g_base.sum(axis=0) @ stack.combo_counts),
+            _set_offsets(layout.gather.ravel(), n_sets, size),
+            np.concatenate(((1.0 - term.xi) * g, term.xi * g), axis=1).ravel(),
+            n_sets * size,
+        ).reshape(n_sets, size)[:, :-1].reshape(term.base.shape)
+        for row, by_position, by_draw in zip(
+            grad, g_base.sum(axis=2), g_base.sum(axis=1)
         ):
-            for r, take, value in zip(roles, takes, values):
-                if take:
-                    grad[("phi", tid, r)] += float(value)
+            for roles, takes, values in (
+                (stack.known_ids, layout.known_contributes,
+                 stack.known_counts @ by_position),
+                (stack.unknown_ids, layout.unknown_contributes,
+                 by_draw @ stack.combo_counts),
+            ):
+                for r, take, value in zip(roles, takes, values):
+                    if take:
+                        row[column["phi", tid, r]] += value
 
 
 def _passes(stacks, params, posteriors, assignments=None):
@@ -1557,7 +1702,7 @@ def _passes(stacks, params, posteriors, assignments=None):
     finite likelihood.
     """
     for stack in stacks:
-        tables = _step_tables(stack, _view_terms(stack, params))
+        tables = _step_tables(stack, _view_terms(stack, [params]))
         if assignments:
             tables += _presence_masks(stack, assignments)
         result = _chain_pass(stack, tables, posteriors=posteriors)
@@ -1879,14 +2024,14 @@ def _observed_peak_posteriors(bundle, truncate) -> _PeakPosteriors:
         [np.zeros((0, n_pairs))] for _ in range(3)
     ]
     for stack in bundle._stacks:
-        terms = _view_terms(stack, bundle.parameters)
+        terms = _view_terms(stack, [bundle.parameters])
         peaks = _tables_without_peaks(stack, terms)
         if not len(peaks.row):
             continue
         layouts = stack.traces
-        eta = np.array([term.eta for term in terms])[peaks.layout]
+        eta = np.concatenate([term.eta[0] for term in terms])[peaks.layout]
         shapes = np.concatenate([
-            (term.rho * term.doses)[:v.n_observed] for v, term in zip(layouts, terms)
+            (term.rho * term.doses)[0, :v.n_observed] for v, term in zip(layouts, terms)
         ]).reshape(-1, n_pairs)
         survival = np.zeros(shapes.shape)
         if truncate:

@@ -21,16 +21,21 @@ from the forward-backward pass (:func:`log_likelihood_and_gradient`),
 chained to the chart's coordinates by the exact Jacobian that
 ``assemble`` builds with the parameters: no finite difference inside a
 pass, and one engine pass per gradient.  The optimizer is L-BFGS-B with
-that gradient; the Hessian is the symmetrized central difference of
-gradients, 2n passes for n free coordinates.  scipy.optimize is imported
-by :func:`minimize` on its first call, not with this module, so a run
-that fits no free parameter never loads it.
+that gradient, one search per start; the starts run in lockstep, so
+that one batched engine call (:func:`batch_log_likelihood_and_gradient`)
+evaluates the points of all live starts, and each start's search, and
+so the result and the evaluation count, are those of the starts run one
+at a time.  The Hessian is the symmetrized central difference of
+gradients, 2n points for n free coordinates, evaluated as one batch.
+scipy.optimize is imported by :func:`minimize` on its first call, not
+with this module, so a run that fits no free parameter never loads it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -39,7 +44,7 @@ import numpy as np
 from .engine import (
     EvidenceBundle,
     Hypothesis,
-    log_likelihood_and_gradient,
+    batch_log_likelihood_and_gradient,
     total_log_likelihood,
 )
 from .peakmodel import ModelParameters, params_from_mean_cv
@@ -71,6 +76,13 @@ _N_STARTS = 3
 # Specification and result containers
 
 
+def _check_share(share):
+    """Refuse share entries other than rho, eta, xi and phi (ValueError)."""
+    bad = set(share) - {"rho", "eta", "xi", "phi"}
+    if bad:
+        raise ValueError(f"unknown share entries: {sorted(bad)}")
+
+
 @dataclass(frozen=True)
 class FitSpecification:
     """What to fit and how.
@@ -88,8 +100,9 @@ class FitSpecification:
         with a fixed eta, a sigma together with a fixed rho, or a trace
         id that is not in the bundle is refused.
 
-    max_iterations caps L-BFGS-B per start, seed draws jittered starts
-    when the policy starts coincide, and extra_starts adds starts.
+    max_iterations caps L-BFGS-B per start (an integer of at least 1),
+    seed draws jittered starts when the policy starts coincide, and
+    extra_starts adds starts.
     """
 
     bundle: EvidenceBundle
@@ -101,9 +114,12 @@ class FitSpecification:
     compute_standard_errors: bool = True
 
     def __post_init__(self):
-        bad = set(self.share) - {"rho", "eta", "xi", "phi"}
-        if bad:
-            raise ValueError(f"unknown share entries: {sorted(bad)}")
+        _check_share(self.share)
+        cap = self.max_iterations
+        if not isinstance(cap, numbers.Integral) or isinstance(cap, bool) or cap < 1:
+            raise ValueError(
+                f"max_iterations must be an integer of at least 1, got {cap!r}"
+            )
         object.__setattr__(self, "share", frozenset(self.share))
         object.__setattr__(self, "extra_starts", tuple(self.extra_starts))
 
@@ -113,12 +129,13 @@ class FitResult:
     """A fitted model with reporting-scale estimates and diagnostics.
 
     n_evaluations counts likelihood passes, each a value and gradient
-    (one value pass when every parameter is fixed); standard errors add
-    passes of their own.  start_log_likelihoods holds the optimum reached
-    from each start, in start order (-inf where a start never left the
-    infeasible region); its maximum is log_likelihood, the value of the
-    best start's last pass.  Entries far apart mean the likelihood has
-    several local optima.
+    (one value pass when every parameter is fixed): the parameter sets
+    the lockstep starts evaluated, as many as the starts run one at a
+    time would; standard errors add passes of their own.
+    start_log_likelihoods holds the optimum reached from each start, in
+    start order (-inf where a start never left the infeasible region); its
+    maximum is log_likelihood, the value of the best start's last pass.
+    Entries far apart mean the likelihood has several local optima.
     """
 
     parameters: ModelParameters
@@ -601,28 +618,144 @@ def _starting_points(spec: FitSpecification, structure: _Structure):
 # Fitting
 
 
-def _chained_gradient(structure, chart, x):
-    """log L and its gradient in the coordinates x of a chart of the structure.
+def _evaluate(structure, chart, points):
+    """log L and its gradient in the coordinates of a chart of the structure,
+    at each of ``points``, by one batched engine call.
 
     ``chart(x)`` gives the ModelParameters and their exact Jacobian in x
-    (:meth:`_Structure.assemble`), so the engine's gradient in the
+    (:meth:`_Structure.assemble`), so each engine gradient in the
     primitive parameters is chained by one product: one assemble and one
-    engine pass, no finite difference.
+    engine pass per point, no finite difference.  A point whose chart or
+    bundle is refused gets None; if the batched call raises, the points
+    are evaluated one at a time, so only a point that fails alone gets
+    None.
     """
-    params, jac = chart(np.asarray(x, dtype=float))
-    ll, grad = log_likelihood_and_gradient(structure.bundle.with_parameters(params))
-    return ll, np.array([grad[k] for k in structure.keys]) @ jac
+    refused = (ValueError, OverflowError, FloatingPointError)
+    charted = {}
+    for i, x in enumerate(points):
+        try:
+            params, jac = chart(np.asarray(x, dtype=float))
+            charted[i] = (structure.bundle.with_parameters(params), jac)
+        except refused:
+            pass
+    bundles = [bundle for bundle, _ in charted.values()]
+    try:
+        passes = batch_log_likelihood_and_gradient(bundles)
+    except refused:
+        passes = []
+        for bundle in bundles:
+            try:
+                passes += batch_log_likelihood_and_gradient([bundle])
+            except refused:
+                passes.append(None)
+    out = [None] * len(points)
+    for (i, (_, jac)), one in zip(charted.items(), passes):
+        if one is not None:
+            ll, grad = one
+            out[i] = (ll, np.array([grad[k] for k in structure.keys]) @ jac)
+    return out
 
 
 def minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on the first call.
 
     scipy.optimize is slow to import and only a fit with free parameters
-    needs it.  ``fit`` calls this module name, one call per start.
+    needs it.  ``fit`` calls this module name, one call per start, each
+    in the start's own thread.
     """
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(*args, **kwargs)
+
+
+class _Stopped(Exception):
+    """Raised in a start's objective when its fit is abandoned."""
+
+
+_STOP = object()
+
+
+class _Start(threading.Thread):
+    """One start's L-BFGS-B search, in its own thread.
+
+    Its objective posts each point it needs and waits for the calling
+    thread to hand back the value and gradient (:func:`_lockstep`).  The
+    thread runs only between a reply and its next post, so at most one of
+    the calling thread and the starts runs at any time.
+    """
+
+    def __init__(self, theta0, options):
+        import queue  # only fits with free parameters need it, as scipy.optimize
+
+        super().__init__(daemon=True)
+        self.theta0, self.options = theta0, options
+        self.posts, self.replies = queue.SimpleQueue(), queue.SimpleQueue()
+        self.stopped = False
+
+    def objective(self, theta):
+        if self.stopped:
+            raise _Stopped
+        self.posts.put(("point", np.array(theta, dtype=float)))
+        reply = self.replies.get()
+        if reply is _STOP:
+            self.stopped = True
+            raise _Stopped
+        return reply
+
+    def run(self):
+        try:
+            if self.replies.get() is _STOP:
+                return
+            result = minimize(self.objective, self.theta0, jac=True,
+                              method="L-BFGS-B", options=self.options)
+        except BaseException as err:  # handed to the calling thread
+            self.posts.put(("failed", err))
+        else:
+            self.posts.put(("done", result))
+
+    def step(self, reply):
+        """Hand the start ``reply`` and wait for its next post."""
+        self.replies.put(reply)
+        return self.posts.get()
+
+
+def _lockstep(evaluate, thetas, options):
+    """L-BFGS-B from each of ``thetas`` in lockstep: each start is its own
+    ``minimize`` call in a worker thread, and every round the calling
+    thread evaluates the points that all live starts have posted with one
+    call of ``evaluate`` (points -> (value, gradient) per point).
+
+    Each start's search sees only its own values, so its result is the
+    one a search alone would give.  Returns the results in start order and
+    the number of points evaluated.  An exception in a start or in
+    ``evaluate`` propagates once every start has stopped; no thread
+    outlives the call.
+    """
+    starts = [_Start(theta, options) for theta in thetas]
+    try:
+        for start in starts:
+            start.start()
+        results = [None] * len(starts)
+        replies = dict.fromkeys(range(len(starts)))  # None: begin the search
+        n_points = 0
+        while replies:
+            points = {}
+            for i, reply in replies.items():
+                kind, value = starts[i].step(reply)
+                if kind == "failed":
+                    raise value
+                if kind == "done":
+                    results[i] = value
+                else:
+                    points[i] = value
+            n_points += len(points)
+            replies = dict(zip(points, evaluate(list(points.values())))) if points else {}
+        return results, n_points
+    finally:
+        for start in starts:
+            if start.is_alive():
+                start.replies.put(_STOP)
+                start.join()
 
 
 def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
@@ -631,23 +764,14 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
     Deterministic given the specification (including its seed).  Runs a
     multistart L-BFGS-B search with exact gradients from dispersed
     feasible points plus any extra_starts, keeps the best, and flags
-    non-convergence rather than failing.  With every parameter fixed,
+    non-convergence rather than failing.  The starts run in lockstep (see
+    :func:`_lockstep`): one engine call evaluates the points of all live
+    starts, and each start's search, iterations and evaluations are the
+    same as if the starts ran one at a time.  With every parameter fixed,
     returns the exact likelihood of the overrides.
     """
     bundle = spec.bundle
     structure = _Structure(spec)
-    evals = [0]
-
-    def objective_and_gradient(theta):
-        evals[0] += 1
-        try:
-            ll, grad = _chained_gradient(structure, structure.unpack, theta)
-        except (ValueError, OverflowError, FloatingPointError):
-            return _PENALTY, np.zeros(len(theta))
-        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
-            return _PENALTY, np.zeros(len(theta))
-        return -ll, -grad
-
     if structure.n_free == 0:
         params = structure.unpack(np.empty(0))[0]
         ll = total_log_likelihood(bundle.with_parameters(params))
@@ -655,21 +779,21 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
             spec, structure, params, ll, True, 0, 1, None, hypothesis_id, (ll,)
         )
 
-    runs = [
-        minimize(
-            objective_and_gradient,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": spec.max_iterations,
-                "ftol": _TOLERANCE,
-                "gtol": 1e-7,
-                "maxcor": 25,
-            },
-        )
-        for theta0 in _starting_points(spec, structure)
-    ]
+    def objectives(thetas):
+        out = []
+        for one in _evaluate(structure, structure.unpack, thetas):
+            if one is None or not (np.isfinite(one[0]) and np.all(np.isfinite(one[1]))):
+                out.append((_PENALTY, np.zeros(structure.n_free)))
+            else:
+                out.append((-one[0], -one[1]))
+        return out
+
+    runs, evals = _lockstep(objectives, _starting_points(spec, structure), {
+        "maxiter": spec.max_iterations,
+        "ftol": _TOLERANCE,
+        "gtol": 1e-7,
+        "maxcor": 25,
+    })
     starts = tuple(float(-r.fun) if r.fun < _PENALTY else -np.inf for r in runs)
     best_idx = int(np.argmax(starts))
     best, ll = runs[best_idx], starts[best_idx]
@@ -677,7 +801,7 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
     converged = bool((best.success or gnorm < 1e-2) and np.isfinite(ll))
     return _finish(
         spec, structure, structure.unpack(best.x)[0], ll, converged,
-        sum(int(r.nit) for r in runs), evals[0], gnorm, hypothesis_id, starts,
+        sum(int(r.nit) for r in runs), evals, gnorm, hypothesis_id, starts,
     )
 
 
@@ -762,7 +886,7 @@ def numeric_hessian(f, x, rel_step=1e-4, abs_floor=1e-6):
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
-    h = np.maximum(rel_step * np.abs(x), abs_floor)
+    h = _steps(x, rel_step, abs_floor)
     H = np.empty((n, n))
     f0 = f(x)
     for i in range(n):
@@ -779,10 +903,15 @@ def numeric_hessian(f, x, rel_step=1e-4, abs_floor=1e-6):
     return H
 
 
+def _steps(x, rel_step=1e-4, abs_floor=1e-6):
+    """Per-coordinate central-difference steps max(rel_step * |x_i|, abs_floor)."""
+    return np.maximum(rel_step * np.abs(x), abs_floor)
+
+
 def _numeric_jacobian(f, x, rel_step=1e-4, abs_floor=1e-6):
     x = np.asarray(x, dtype=float)
     n = len(x)
-    h = np.maximum(rel_step * np.abs(x), abs_floor)
+    h = _steps(x, rel_step, abs_floor)
     cols = []
     for i in range(n):
         e = np.zeros(n)
@@ -952,7 +1081,8 @@ def standard_errors(result: FitResult, spec: FitSpecification):
     The Hessian of the log likelihood is the symmetrized central
     difference of its exact gradient in the reporting parametrization
     (mu, sigma, xi, phi), boundary-active parameters restricted as
-    flagged: 2n gradient passes for n free coordinates.  Reported
+    flagged: 2n gradient points for n free coordinates, one batch of
+    engine passes (see :func:`_evaluate`).  Reported
     quantities that are functions of several coordinates (for example
     sigma of a non-anchor trace under a shared eta) get delta-method
     errors from the chart's exact Jacobian.  Parameters fixed by
@@ -965,14 +1095,19 @@ def standard_errors(result: FitResult, spec: FitSpecification):
     labels = chart.report_labels()
     var = np.full(len(labels), np.nan)  # no errors unless the Hessian inverts
     if len(chart.values):
-        def gradient(v):
-            return _chained_gradient(structure, chart.build_params, v)[1]
-
-        try:
-            jac = _numeric_jacobian(gradient, chart.values)  # steps as numeric_hessian's
-            cov = np.linalg.inv(-0.5 * (jac + jac.T))
-        except (ValueError, np.linalg.LinAlgError):
-            cov = None
+        # the central difference of numeric_hessian's steps, its 2n
+        # gradients from one batched evaluation
+        x, h = chart.values, _steps(chart.values)
+        steps = np.diag(h)
+        grads = _evaluate(structure, chart.build_params, [*(x + steps), *(x - steps)])
+        cov = None
+        if all(one is not None for one in grads):
+            plus, minus = np.split(np.array([grad for _, grad in grads]), 2)
+            jac = ((plus - minus) / (2.0 * h)[:, None]).T
+            try:
+                cov = np.linalg.inv(-0.5 * (jac + jac.T))
+            except np.linalg.LinAlgError:
+                pass
         if cov is not None and np.all(np.isfinite(np.diag(cov))):
             jac = chart.report_jacobian(*chart.build_params(chart.values))
             var = np.einsum("ij,jk,ik->i", jac, cov, jac)
@@ -1186,6 +1321,9 @@ def contributor_sweep(
     """
     bundle = spec.bundle
     hyp = bundle.hypothesis
+    for name, count in (("max_unknowns", max_unknowns), ("min_unknowns", min_unknowns)):
+        if count is not None and count < 0:
+            raise ValueError(f"{name} must be at least 0, got {count}")
     base_unknowns = len(hyp.unknown)
     start = base_unknowns if min_unknowns is None else min_unknowns
     if max_unknowns < start:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as stn
 from scipy.special import logsumexp
 
@@ -15,7 +15,7 @@ from mixref import engine
 from mixref.engine import InfeasibleConditioningError
 from mixref.estimation import (
     FitSpecification,
-    _chained_gradient,
+    _evaluate,
     _Structure,
     numeric_gradient,
 )
@@ -565,7 +565,7 @@ class TestScaledPassFallback:
     def test_dying_path_redoes_the_marker_in_log_space(self, monkeypatch):
         b = self._dying_path_case()
         plan = b._plans["M"]
-        tables = engine._step_tables(plan, engine._view_terms(plan, b.parameters))
+        tables = engine._step_tables(plan, engine._view_terms(plan, [b.parameters]))
         ended = np.zeros(1, dtype=bool)
         loglik, *_ = engine._forward(plan, tables, False, ended)
         assert ended.all() and loglik[0] != -np.inf
@@ -690,7 +690,7 @@ class TestScaledPassFallback:
         def value(th):
             return mx.total_log_likelihood(b.with_parameters(structure.unpack(th)[0]))
 
-        ll, exact = _chained_gradient(structure, structure.unpack, theta)
+        ((ll, exact),) = _evaluate(structure, structure.unpack, [theta])
         assert ll == value(theta)
         numeric = numeric_gradient(value, theta, rel_step=1e-6, abs_floor=1e-8)
         np.testing.assert_allclose(exact, numeric, rtol=1e-5, atol=1e-5)
@@ -1137,12 +1137,24 @@ class TestChainStructure:
         assert np.isfinite(mx.total_log_likelihood(b))
         evaluated = sum(entries)
         plan = b._plans["M"]
-        terms = engine._view_terms(plan, b.parameters)
+        terms = _terms_at(plan, b.parameters)
         assert [len(term.log_factors) for term in terms] == [4 * 6**n_unknown] * 2
         # gamma is evaluated once per observed entry and once per distinct
         # dropout dose: per trace three coupled peaks of 6^U doses each, and
         # the uncoupled 10, whose dose depends on the draw alone (3^U)
         assert evaluated == len(traces) * (3 * 6**n_unknown + 3**n_unknown)
+
+
+def _terms_at(stack, params):
+    """engine._view_terms at one parameter set, without the set axis."""
+    return [
+        term._replace(**{
+            name: getattr(term, name)[0]
+            for name in ("rho", "eta", "xi", "base", "ends", "doses",
+                         "log_factors", "log_cdf")
+        })
+        for term in engine._view_terms(stack, [params])
+    ]
 
 
 def _overridden_case(n_unknown, seed, missing=False):
@@ -1207,7 +1219,7 @@ class TestDistinctDoses:
         b = _overridden_case(n_unknown, seed)
         for marker in b.covered_markers():
             plan = b._plans[marker]
-            for layout, term in zip(plan.traces, engine._view_terms(plan, b.parameters)):
+            for layout, term in zip(plan.traces, _terms_at(plan, b.parameters)):
                 # each entry's own dose, block by block, as the chain defines
                 # it, from the marker's own doses B
                 base = term.base
@@ -1396,14 +1408,14 @@ class TestBundlePass:
                     stacked[layout.gather[:, points]],
                     np.append(labels[i], -1)[own.gather],
                 )
-        tables = engine._step_tables(stack, engine._view_terms(stack, b.parameters))
+        tables = engine._step_tables(stack, engine._view_terms(stack, [b.parameters]))
         whole = engine._chain_pass(stack, tables, posteriors=True)
         n_steps = stack.lp.shape[1]
         per_block = max(
             1, engine._BLOCK_EDGES // (len(stack.plans) * len(stack.edges.src))
         )
         for i, plan in enumerate(stack.plans):
-            own = engine._step_tables(plan, engine._view_terms(plan, b.parameters))
+            own = engine._step_tables(plan, engine._view_terms(plan, [b.parameters]))
             one = engine._chain_pass(plan, own, posteriors=True)
             rows = slice(i * n_steps + stack.first[i], (i + 1) * n_steps)
             np.testing.assert_array_equal(tables[rows], own)
@@ -1514,7 +1526,7 @@ class TestBundlePass:
         # the log-space pass of an impossible marker runs no backward
         # recursion and gives zero pair posteriors
         plan = b._plans["M"]
-        tables = engine._step_tables(plan, engine._view_terms(plan, b.parameters))
+        tables = engine._step_tables(plan, engine._view_terms(plan, [b.parameters]))
         monkeypatch.setattr(engine, "_log_backward", None)
         one = engine._log_pass(plan, tables, True, None)
         assert one.loglik == -np.inf and not one.pair.any()
@@ -1533,3 +1545,177 @@ class TestBundlePass:
         mx.log_likelihood_and_gradient(b)
         assert calls == dict.fromkeys(calls, len(b.traces)) and len(calls) == 4
         assert len(b.traces) == 2
+
+
+def _batch_case(n_unknown, n_traces, overrides, seed):
+    """_overridden_case with its first n_traces traces, with or without its
+    marker_rho and marker_xi overrides."""
+    b = _overridden_case(n_unknown, seed)
+    traces = b.traces[:n_traces]
+    ids = [t.trace_id for t in traces]
+    p, hyp = b.parameters, b.hypothesis
+    trace_roles = {t: r for t, r in (hyp.trace_roles or {}).items() if t in ids}
+    return mx.EvidenceBundle(
+        traces=traces, frequencies=b.frequencies,
+        hypothesis=mx.Hypothesis(known=hyp.known, unknown=hyp.unknown,
+                                 trace_roles=trace_roles or None),
+        parameters=mx.ModelParameters(
+            rho={t: p.rho[t] for t in ids}, eta=p.eta, xi=p.xi,
+            phi={t: p.phi[t] for t in ids},
+            marker_rho=p.marker_rho if overrides else None,
+            marker_xi=p.marker_xi if overrides else None,
+        ),
+    )
+
+
+def _parameter_sets(b, rng, n_sets):
+    """b at n_sets parameter sets: rho, eta and xi drawn around b's and
+    fractions redrawn, then one that puts each trace's mass on its first
+    role with no stutter, so that a peak that role does not carry has zero
+    likelihood."""
+    p, known = b.parameters, b.hypothesis.known
+    sets = []
+    for _ in range(n_sets - 1):
+        phi = {}
+        for tid, fractions in p.phi.items():
+            roles = list(fractions)
+            k = sum(r in known for r in roles)
+            w = rng.dirichlet(np.ones(len(roles)))
+            phi[tid] = dict(zip(roles, np.concatenate([w[:k], np.sort(w[k:])[::-1]])))
+        sets.append(mx.ModelParameters(
+            rho={t: r * rng.uniform(0.5, 2.0) for t, r in p.rho.items()},
+            eta={t: p.eta_for(t) * rng.uniform(0.5, 2.0) for t in p.rho},
+            xi={t: float(rng.uniform(0.0, 0.3)) for t in p.rho},
+            phi=phi, marker_rho=p.marker_rho, marker_xi=p.marker_xi,
+        ))
+    sets.append(mx.ModelParameters(
+        rho=dict(p.rho), eta=p.eta, xi=0.0,
+        phi={t: {r: float(i == 0) for i, r in enumerate(f)} for t, f in p.phi.items()},
+        marker_rho=p.marker_rho,
+        marker_xi=p.marker_xi and dict.fromkeys(p.marker_xi, 0.0),
+    ))
+    return [b.with_parameters(params) for params in sets]
+
+
+def _assert_bit_identical(got, want):
+    """Each (log L, gradient) of ``got`` equal to ``want``'s bit for bit."""
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    assert len(got) == len(want)
+    for (ll, grad), (want_ll, want_grad) in zip(got, want):
+        assert bits(ll) == bits(want_ll)
+        assert list(grad) == list(want_grad)
+        assert [bits(v) for v in grad.values()] == [bits(v) for v in want_grad.values()]
+
+
+class TestBatchedSets:
+    """Several parameter sets in one pass per stack: each set's value and
+    gradient as with its bundle alone, and its value as both oracles'."""
+
+    @given(stn.integers(1, 3), stn.integers(1, 2), stn.booleans(),
+           stn.integers(0, 2**32 - 1))
+    # the last set has zero likelihood
+    @example(3, 2, True, 0)
+    @example(1, 2, True, 1)
+    @settings(max_examples=25, deadline=None)
+    def test_any_batch_matches_one_set_calls_and_oracles(
+        self, n_unknown, n_traces, overrides, seed
+    ):
+        b = _batch_case(n_unknown, n_traces, overrides, seed)
+        rng = np.random.default_rng(seed)
+        bundles = _parameter_sets(b, rng, int(rng.integers(2, 11)))
+        alone = [mx.log_likelihood_and_gradient(one) for one in bundles]
+        # the sets in a random order, split into random batches
+        order = rng.permutation(len(bundles))
+        cuts = rng.choice(np.arange(1, len(bundles)),
+                          size=int(rng.integers(0, len(bundles))), replace=False)
+        got = [None] * len(bundles)
+        for part in np.split(order, np.sort(cuts)):
+            batch = mx.batch_log_likelihood_and_gradient([bundles[i] for i in part])
+            for i, one in zip(part, batch):
+                got[i] = one
+        _assert_bit_identical(got, alone)
+        # the oracles enumerate, so only a drawn set and the last
+        for one, (ll, _) in zip(bundles[-2:], alone[-2:]):
+            for oracle in (mx.brute_force_log_likelihood, oracle_log_likelihood):
+                want = sum(oracle(one, m) for m in one.covered_markers())
+                assert ll == pytest.approx(want, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("case, per_pass", [("pubcase", 4), ("four_unknowns", 1)])
+    def test_the_edge_budget_splits_the_batch(self, monkeypatch, request, case, per_pass):
+        # on the excerpt's defence hypothesis (U = 2) a pass holds four
+        # sets; at U = 4 one set's pass fills the budget, so each set's
+        # stacks are passed alone, in turn
+        if case == "pubcase":
+            b = request.getfixturevalue("pubcase_defence_bundle")
+        else:
+            unknown = ("U1", "U2", "U3", "U4")
+            b = mx.EvidenceBundle(
+                traces=(mx.Trace("T1", 50.0, {"M": {"8": 900.0, "9": 300.0},
+                                              "M2": {"10": 500.0, "12": 700.0}}),),
+                frequencies=mx.FrequencyTable.from_dict({
+                    "M": {"8": 0.5, "9": 0.5}, "M2": {"10": 0.3, "11": 0.3, "12": 0.4},
+                }),
+                hypothesis=mx.Hypothesis(known={}, unknown=unknown),
+                parameters=mx.ModelParameters(
+                    rho={"T1": 40.0}, eta=25.0, xi=0.08,
+                    phi={"T1": dict.fromkeys(unknown, 0.25)},
+                ),
+            )
+        assert [engine._sets_per_pass(stack) for stack in b._stacks] == (
+            [per_pass] * len(b._stacks)
+        )
+        bundles = _parameter_sets(b, np.random.default_rng(4), 10)
+        alone = [mx.log_likelihood_and_gradient(one) for one in bundles]
+        passes = _count_chain_passes(monkeypatch)
+        got = mx.batch_log_likelihood_and_gradient(bundles)
+        sets = [min(per_pass, len(bundles) - lo) for lo in range(0, len(bundles), per_pass)]
+        assert passes == [
+            (len(stack.plans) * n, True) for stack in b._stacks for n in sets
+        ]
+        _assert_bit_identical(got, alone)
+        for one, (ll, _) in zip(bundles[-2:], got[-2:]):
+            oracles = [mx.brute_force_log_likelihood]
+            if case != "pubcase":  # the excerpt's ladders are long for it
+                oracles.append(oracle_log_likelihood)
+            for oracle in oracles:
+                want = sum(oracle(one, m) for m in one.covered_markers())
+                assert ll == pytest.approx(want, rel=1e-8)
+
+    def test_a_redone_marker_keeps_its_set(self, monkeypatch):
+        # M is TestScaledPassFallback's dying path at rho 6000, which the
+        # scaled pass cannot keep; at rho 40 it passes scaled: only the
+        # first set's M is redone in log space
+        freqs = mx.FrequencyTable.from_dict({
+            "M": {"8": 0.3, "10": 0.3, "12": 0.4}, "N": {"5": 1.0},
+        })
+        k1 = mx.GenotypeProfile.from_pairs({"M": ("12", "12"), "N": ("5", "5")})
+        b = mx.EvidenceBundle(
+            traces=(mx.Trace("T1", 50.0, {
+                "M": {"8": 5700.0, "10": 2850.0, "12": 5700.0}, "N": {"5": 11800.0},
+            }),),
+            frequencies=freqs,
+            hypothesis=mx.Hypothesis(known={"K1": k1}, unknown=("U1",)),
+            parameters=mx.ModelParameters(
+                rho={"T1": 6000.0}, eta=1.0, xi=0.05,
+                phi={"T1": {"K1": 0.5, "U1": 0.5}},
+            ),
+        )
+        p = b.parameters
+        bundles = [b, b.with_parameters(mx.ModelParameters(
+            rho={"T1": 40.0}, eta=p.eta, xi=p.xi, phi=p.phi))]
+        alone = [mx.log_likelihood_and_gradient(one) for one in bundles]
+        redone = _count_log_passes(monkeypatch)
+        got = mx.batch_log_likelihood_and_gradient(bundles)
+        assert redone == ["M"]
+        _assert_bit_identical(got, alone)
+        assert all(np.isfinite(ll) for ll, _ in got)
+
+    def test_batches_refuse_other_evidence(self):
+        b = random_case(np.random.default_rng(3), n_markers=2)
+        other = mx.EvidenceBundle(traces=b.traces, frequencies=b.frequencies,
+                                  hypothesis=b.hypothesis, parameters=b.parameters)
+        with pytest.raises(ValueError, match="with_parameters"):
+            mx.batch_log_likelihood_and_gradient([b, other])
+        assert mx.batch_log_likelihood_and_gradient([]) == []

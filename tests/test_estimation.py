@@ -1,10 +1,13 @@
 """Fitting, standard errors, weight of evidence, profile likelihood, sweeps."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as stn
 
@@ -13,7 +16,7 @@ from mixref import estimation
 from mixref.estimation import (
     FitSpecification,
     _boundary_flags,
-    _chained_gradient,
+    _evaluate,
     _numeric_jacobian,
     _ReportingChart,
     _Structure,
@@ -191,13 +194,19 @@ class TestFit:
         if fixed == "all":
             fixed = {"rho": dict(params.rho), "eta": params.eta, "xi": params.xi,
                      "phi": {t: dict(v) for t, v in params.phi.items()}}
-        calls = []
-        for name in ("log_likelihood_and_gradient", "total_log_likelihood"):
-            def counting(*args, _pass=getattr(estimation, name), **kwargs):
-                calls.append(1)
-                return _pass(*args, **kwargs)
+        calls = []  # one entry per parameter set evaluated
 
-            monkeypatch.setattr(estimation, name, counting)
+        def counting_batch(bundles, _pass=estimation.batch_log_likelihood_and_gradient):
+            calls.extend(bundles)
+            return _pass(bundles)
+
+        def counting_value(bundle, _pass=estimation.total_log_likelihood):
+            calls.append(bundle)
+            return _pass(bundle)
+
+        monkeypatch.setattr(estimation, "batch_log_likelihood_and_gradient",
+                            counting_batch)
+        monkeypatch.setattr(estimation, "total_log_likelihood", counting_value)
         res = mx.fit(FitSpecification(bundle=bundle, fixed=fixed,
                                       compute_standard_errors=False))
         assert res.n_evaluations == len(calls) > 0
@@ -229,33 +238,181 @@ class TestFit:
         # the chain rule comes with the parameters: no Jacobian by finite
         # differences of the chart inside a pass, in the fit or its errors
         bundle, _ = make_simulated_bundle(seed=9, n_markers=2)
-        counts = {"assemble": 0, "engine": 0}
-        passes = []
+        counts = {"assemble": 0, "sets": 0}
+        rounds = []  # per batched evaluation: (points, assembles, sets)
         assemble = _Structure.assemble
-        engine_pass = estimation.log_likelihood_and_gradient
-        chained = estimation._chained_gradient
+        engine_pass = estimation.batch_log_likelihood_and_gradient
+        evaluate = estimation._evaluate
 
         def counting_assemble(self, *args, **kwargs):
             counts["assemble"] += 1
             return assemble(self, *args, **kwargs)
 
-        def counting_engine(*args, **kwargs):
-            counts["engine"] += 1
-            return engine_pass(*args, **kwargs)
+        def counting_engine(bundles):
+            counts["sets"] += len(bundles)
+            return engine_pass(bundles)
 
-        def counting_chain(*args, **kwargs):
+        def counting_evaluate(structure, chart, points):
             before = dict(counts)
-            out = chained(*args, **kwargs)
-            passes.append(tuple(counts[k] - before[k] for k in ("assemble", "engine")))
+            out = evaluate(structure, chart, points)
+            rounds.append((len(points), *(counts[k] - before[k] for k in counts)))
             return out
 
         monkeypatch.setattr(_Structure, "assemble", counting_assemble)
-        monkeypatch.setattr(estimation, "log_likelihood_and_gradient", counting_engine)
-        monkeypatch.setattr(estimation, "_chained_gradient", counting_chain)
+        monkeypatch.setattr(estimation, "batch_log_likelihood_and_gradient",
+                            counting_engine)
+        monkeypatch.setattr(estimation, "_evaluate", counting_evaluate)
         res = mx.fit(FitSpecification(bundle=bundle))
         assert res.standard_errors["S"]["mu"] is not None
-        assert len(passes) == counts["engine"] > res.n_evaluations
-        assert set(passes) == {(1, 1)}
+        assert counts["sets"] > res.n_evaluations
+        assert all(points == assembles == sets for points, assembles, sets in rounds)
+        # the fit's rounds, then the standard errors' 2n points in one
+        assert sum(points for points, *_ in rounds[:-1]) == res.n_evaluations
+        assert rounds[-1][0] == 2 * _Structure(FitSpecification(bundle=bundle)).n_free
+
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, True, "3", None])
+    def test_max_iterations_must_be_a_positive_integer(self, cap):
+        bundle, _ = make_simulated_bundle(seed=9, n_markers=2)
+        with pytest.raises(ValueError, match="max_iterations"):
+            FitSpecification(bundle=bundle, max_iterations=cap)
+        assert FitSpecification(bundle=bundle, max_iterations=np.int64(1))
+
+    @pytest.mark.parametrize("case", ["simulated", "pubcase"])
+    def test_every_start_as_if_alone(self, monkeypatch, case, request):
+        # lockstep starts: each start's search is the one a start run by
+        # itself over one-set engine calls makes
+        if case == "simulated":
+            bundle = make_simulated_bundle(seed=9, n_markers=2)[0]
+        else:
+            bundle = request.getfixturevalue("pubcase_defence_bundle")
+        spec = FitSpecification(bundle=bundle, compute_standard_errors=False)
+        runs, batches = {}, []
+
+        def spying(objective, theta0, _minimize=estimation.minimize, **kwargs):
+            result = _minimize(objective, theta0, **kwargs)
+            runs[theta0.tobytes()] = result, kwargs
+            return result
+
+        def counting(bundles, _pass=estimation.batch_log_likelihood_and_gradient):
+            batches.append(len(bundles))
+            return _pass(bundles)
+
+        monkeypatch.setattr(estimation, "minimize", spying)
+        monkeypatch.setattr(estimation, "batch_log_likelihood_and_gradient", counting)
+        res = mx.fit(spec)
+        assert max(batches) == estimation._N_STARTS
+        structure = _Structure(spec)
+
+        def alone(theta):
+            try:
+                params, jac = structure.unpack(theta)
+                ll, grad = mx.log_likelihood_and_gradient(bundle.with_parameters(params))
+            except (ValueError, OverflowError, FloatingPointError):
+                return estimation._PENALTY, np.zeros(len(theta))
+            grad = np.array([grad[k] for k in structure.keys]) @ jac
+            if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+                return estimation._PENALTY, np.zeros(len(theta))
+            return -ll, -grad
+
+        thetas = estimation._starting_points(spec, structure)
+        assert len(runs) == len(thetas)
+        for theta0 in thetas:
+            got, kwargs = runs[theta0.tobytes()]
+            want = scipy.optimize.minimize(alone, theta0, **kwargs)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert (got.fun, got.nit, got.nfev) == (want.fun, want.nit, want.nfev)
+        assert res.n_evaluations == sum(r.nfev for r, _ in runs.values())
+
+    @pytest.mark.parametrize("seed, n_markers", [(9, 2), (7, 12)])
+    def test_standard_errors_as_one_point_at_a_time(self, seed, n_markers):
+        # the 2n points of the Hessian in one batch give the errors that
+        # _numeric_jacobian's one point at a time gives
+        bundle, _ = make_simulated_bundle(seed=seed, n_markers=n_markers)
+        spec = FitSpecification(bundle=bundle)
+        res = mx.fit(spec)
+        structure = _Structure(spec)
+        chart = _ReportingChart(structure, res.parameters)
+
+        def gradient(v):
+            params, jac = chart.build_params(v)
+            _, grad = mx.log_likelihood_and_gradient(bundle.with_parameters(params))
+            return np.array([grad[k] for k in structure.keys]) @ jac
+
+        jac = _numeric_jacobian(gradient, chart.values)
+        cov = np.linalg.inv(-0.5 * (jac + jac.T))
+        rows = chart.report_jacobian(*chart.build_params(chart.values))
+        var = np.einsum("ij,jk,ik->i", rows, cov, rows)
+        checked = 0
+        for (t, kind, role), v in zip(chart.report_labels(), var):
+            se = res.standard_errors[t]
+            se = se["phi"][role] if kind == "phi" else se[kind]
+            if se is not None:
+                assert se == math.sqrt(v)
+                checked += 1
+        assert checked >= len(chart.values)
+
+    def test_no_thread_outlives_a_fit(self):
+        bundle, _ = make_simulated_bundle(seed=9, n_markers=2)
+        before = threading.active_count()
+        res = mx.fit(FitSpecification(bundle=bundle))
+        assert res.converged
+        assert threading.active_count() == before
+
+    def test_many_starts_under_fast_thread_switching(self):
+        # more starts than cores, with the interpreter switching threads as
+        # often as it can: the same fit as at the default interval
+        bundle, params = make_simulated_bundle(seed=9, n_markers=2)
+        extra = tuple(
+            mx.ModelParameters(rho={"S": params.rho["S"] * f}, eta=params.eta,
+                               xi=params.xi, phi=params.phi)
+            for f in (0.5, 0.8, 1.25, 2.0, 4.0)
+        )
+        spec = FitSpecification(bundle=bundle, extra_starts=extra,
+                                compute_standard_errors=False)
+        want = mx.fit(spec)
+        assert len(want.start_log_likelihoods) == estimation._N_STARTS + len(extra)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = mx.fit(spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.start_log_likelihoods == want.start_log_likelihoods
+        assert (got.n_evaluations, got.iterations) == (want.n_evaluations, want.iterations)
+        assert got.parameters == want.parameters
+
+    @pytest.mark.parametrize("where", ["evaluation", "start"])
+    def test_an_unexpected_error_stops_every_start(self, monkeypatch, where):
+        bundle, _ = make_simulated_bundle(seed=9, n_markers=2)
+
+        class Unexpected(Exception):
+            pass
+
+        calls = []
+        if where == "evaluation":
+            # the fifth point, in the second round, fails on the calling thread
+            def failing(self, theta, _unpack=_Structure.unpack):
+                calls.append(theta)
+                if len(calls) == 5:
+                    raise Unexpected
+                return _unpack(self, theta)
+
+            monkeypatch.setattr(_Structure, "unpack", failing)
+        else:
+            # the second start fails in its own thread while the first
+            # waits in its objective and the third has not begun
+            def failing(objective, theta0, _minimize=estimation.minimize, **kwargs):
+                calls.append(theta0)
+                if len(calls) == 2:
+                    raise Unexpected
+                return _minimize(objective, theta0, **kwargs)
+
+            monkeypatch.setattr(estimation, "minimize", failing)
+        before = threading.active_count()
+        with pytest.raises(Unexpected):
+            mx.fit(FitSpecification(bundle=bundle))
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if isinstance(t, estimation._Start)]
 
     def test_marker_overrides_survive_fitting(self):
         bundle, params = make_simulated_bundle(seed=51, n_markers=4)
@@ -418,7 +575,7 @@ class TestExactGradient:
                 bundle.with_parameters(structure.unpack(th)[0])
             )
 
-        ll, exact = _chained_gradient(structure, structure.unpack, theta)
+        ((ll, exact),) = _evaluate(structure, structure.unpack, [theta])
         assume(np.isfinite(ll))
         assert ll == value(theta)
         numeric = numeric_gradient(value, theta, rel_step=1e-5, abs_floor=1e-7)
@@ -743,6 +900,14 @@ class TestContributorSweep:
         assert [r["unknowns"] for r in rows] == [1, 2, 3]
         for a, b in zip(lls, lls[1:]):
             assert b >= a - 1e-6
+
+    @pytest.mark.parametrize("low, high", [(-1, 0), (None, -1), (-2, 1)])
+    def test_negative_counts_refused(self, low, high):
+        bundle, _ = make_simulated_bundle(seed=29, n_markers=2)
+        spec = FitSpecification(bundle=bundle, compute_standard_errors=False)
+        bad = low if low is not None and low < 0 else high
+        with pytest.raises(ValueError, match=f"at least 0, got {bad}"):
+            mx.contributor_sweep(spec, high, min_unknowns=low)
 
 
 class TestBoundaryHandling:

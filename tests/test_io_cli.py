@@ -455,6 +455,29 @@ class TestCli:
         for a, b in zip(lls, lls[1:]):
             assert b >= a - 1e-6
 
+    @pytest.mark.parametrize("bounds", [("--min", "-1", "--max", "0"), ("--max", "-1")])
+    def test_sweep_refuses_negative_counts(self, tiny_case, capsys, bounds):
+        rc = cli.main(
+            ["sweep", "--freqs", tiny_case["freqs"], "--profiles",
+             tiny_case["profiles"], "--trace", tiny_case["trace"],
+             "--hypothesis", tiny_case["case"], "--under", "defence", *bounds]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "at least 0, got -1" in err["error"]["message"]
+
+    @pytest.mark.parametrize("stated", [False, True])
+    def test_unknown_share_entries_exit_2(self, tiny_case, capsys, stated):
+        params = ["--params", tiny_case["params"]] if stated else []
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", tiny_case["trace"], "--hypothesis", tiny_case["case"],
+             "--under", "prosecution", "--share", "rho,foo", *params]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "unknown share entries: ['foo']" in err["error"]["message"]
+
     def test_simulate_and_diagnose_round_trip(self, tiny_case, tmp_path):
         sim_out = str(tmp_path / "sim.csv")
         rc = cli.main(
