@@ -11,6 +11,7 @@ when it is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -542,8 +543,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call in the process: it keeps no
+    state between calls, and building it costs over ten times a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except io.LoadError as exc:

@@ -31,8 +31,19 @@ its derivative, once per trace.  Dropout entries whose positions share
 the known contributors' counts and whose draws match have the same dose
 at every parameter value, so the gamma CDF is evaluated once per
 distinct dropout dose and spread back.  A stack of several markers
-concatenates its plans' layouts, marker by marker within each kind of
+lays out its markers' entries marker by marker within each kind of
 entry; a stack of one marker is its plan.
+
+A bundle builds its plans and stacks together, with array operations
+over the positions of all its markers rather than Python loops over
+positions: one fold of the per-contributor log-pmfs gives every step's
+transitions, and one pass per trace lays out its entries on every plan,
+then one more on every stack.  A marker held by a stack of several
+markers serves the bundle's queries through that stack, so its own
+layouts are built only when a query about that marker alone first needs
+them.  The tables that depend on U alone, the edges (_build_edges) and
+the draw and pair tables (_joint_tables), are built once per U and
+shared, read-only, by every plan.
 
 Several traces that share unknown contributors are coupled by multiplying
 their per-allele factors inside the same chain pass.  The markers are
@@ -274,6 +285,12 @@ _STEPS = np.array([
     for i, (s, n) in enumerate(_STATES) for m in range(3 - s)
 ], dtype=np.int64)
 
+# The most unknown contributors a bundle may hold.  Each step of the joint
+# chain has 10^U edges: at U = 6 one value and gradient pass over two
+# markers takes about 0.5 s and 184 MB, and every further unknown
+# multiplies both by about ten.
+MAX_UNKNOWNS = 6
+
 # A pass batches whole steps into blocks of at most this many edge values:
 # at small U one block shares each numpy call among all of a marker's
 # steps, and at large U (one step per block) temporaries stay one step wide.
@@ -291,36 +308,44 @@ _NO_PADDING = np.zeros(1, dtype=np.int64)
 _NO_PADDING.setflags(write=False)
 
 
-def _state_log_pmf(rate: float) -> np.ndarray:
-    """log Bin(n; 2 - (S - n), rate) for each state (S, n) in _STATES.
+# Per state (S, n) of _STATES, a step into it drew n copies of the
+# 2 - (S - n) left before it: log C(2 - (S - n), n), the copies drawn and
+# the copies left undrawn.
+_LOG_CHOOSE = np.array([math.log(math.comb(2 - (s - m), m)) for s, m in _STATES])
+_DRAWN = np.array([m for _, m in _STATES])
+_UNDRAWN = np.array([2 - s for s, _ in _STATES])
+
+
+def _state_log_pmf(rates) -> np.ndarray:
+    """log Bin(n; 2 - (S - n), rate) for each rate and each state (S, n) in
+    _STATES, as (rates, 6).
 
     A step into (S, n) drew n copies from the 2 - (S - n) left before it,
     so its transition log-probability depends on the target state alone.
+    A term whose count is 0 is left out, so a rate of 0 or 1 gives 0 or
+    -inf, never NaN.
     """
-    out = np.empty(len(_STATES))
-    lr = math.log(rate) if rate > 0 else -math.inf
-    lq = math.log1p(-rate) if rate < 1 else -math.inf
-    for i, (s, m) in enumerate(_STATES):
-        n = 2 - (s - m)
-        val = math.log(math.comb(n, m))
-        if m:
-            val += m * lr
-        if n - m:
-            val += (n - m) * lq
-        out[i] = val
+    lr = np.array([math.log(r) if r > 0 else -math.inf for r in rates])
+    lq = np.array([math.log1p(-r) if r < 1 else -math.inf for r in rates])
+    out = np.tile(_LOG_CHOOSE, (len(rates), 1))
+    for count, log_rate in ((_DRAWN, lr), (_UNDRAWN, lq)):
+        some = count > 0
+        out[:, some] += count[some] * log_rate[:, None]
     return out
 
 
 def _fold(column: np.ndarray, n_unknown: int, base: int) -> np.ndarray:
-    """sum_i column[r_i] * base^(U-1-i) over every U-tuple (r_1 .. r_U) of rows.
+    """sum_i column[..., r_i] * base^(U-1-i) over every U-tuple (r_1 .. r_U)
+    of entries of the last axis, for each row of the leading axes.
 
     Tuples come in lexicographic order, the first contributor most
     significant.  Base 6 or 3 packs per-contributor states, pairs or draws
     into joint indices; base 1 sums per-contributor log-probabilities.
     """
-    out = np.zeros(1, dtype=column.dtype)
+    lead = column.shape[:-1]
+    out = np.zeros(lead + (1,), dtype=column.dtype)
     for _ in range(n_unknown):
-        out = np.add.outer(out * base, column).ravel()
+        out = (out[..., :, None] * base + column[..., None, :]).reshape(lead + (-1,))
     return out
 
 
@@ -370,6 +395,42 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
     return _EdgeSet(src[:first], dst[:first], key[:first]), _EdgeSet(src, dst, key)
 
 
+class _JointTables(NamedTuple):
+    """The tables of U unknowns' joint chain that depend on U alone (see
+    _joint_tables)."""
+
+    combo_counts: np.ndarray  # (3^U, U): joint draw -> each unknown's count
+    pair_prev: np.ndarray     # joint pair -> joint draw at t-1
+    pair_draw: np.ndarray     # joint pair -> joint draw at t
+    read: np.ndarray          # (3, 6^U): pair_draw, pair_prev and each pair itself
+    unreached: np.ndarray     # the states no edge of the first step reaches
+
+
+@functools.lru_cache(maxsize=None)
+def _joint_tables(n_unknown: int) -> _JointTables:
+    """The joint chain's draw and pair tables for U unknowns.
+
+    Like the edges, they depend on U alone, so every marker plan shares one
+    cached set (one entry per U); the arrays are read-only.
+    """
+    n_combos = 3**n_unknown
+    # joint draw c -> each unknown's count: the base-3 digits of c
+    combo_counts = np.arange(n_combos)[:, None] // 3 ** np.arange(n_unknown)[::-1] % 3
+    pair_prev, pair_draw = (
+        _fold(np.array(column), n_unknown, 3) for column in zip(*_PAIRS)
+    )
+    reached = np.zeros(6**n_unknown, dtype=bool)
+    reached[_build_edges(n_unknown)[0].dst] = True
+    tables = _JointTables(
+        combo_counts, pair_prev, pair_draw,
+        np.stack([pair_draw, pair_prev, np.arange(6**n_unknown)]),
+        np.flatnonzero(~reached),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 @dataclass(frozen=True)
 class _TraceLayout:
     """One trace's factor entries over the markers of a plan or a stack,
@@ -378,7 +439,7 @@ class _TraceLayout:
     Observed entries come first, marker by marker, then dropout entries,
     marker by marker, so each gamma kernel is one call per trace.  A dose
     point is an observed entry or a distinct dropout dose (see
-    _dose_gathers).  gather holds each point's two cells of the trace's
+    _trace_layouts).  gather holds each point's two cells of the trace's
     pre-stutter doses B over the positions of the plan or stack, flattened
     with one trailing zero cell: dose = (1 - xi) B.flat[gather[0]] +
     xi B.flat[gather[1]].  spread maps each dropout entry to its distinct
@@ -386,7 +447,7 @@ class _TraceLayout:
     per marker, its observed entries, distinct dropout doses and dropout
     entries.  position holds each emitted peak's internal position on its
     marker, in the order of the peaks' runs of entries (see
-    _factor_blocks).
+    _trace_layouts).
     """
 
     trace_id: str
@@ -403,99 +464,147 @@ class _TraceLayout:
     position: np.ndarray
 
 
-def _factor_blocks(observed, silent, coupled, n_pairs):
-    """Layout of one trace's factor entries on a marker, flattened.
+class _Positions(NamedTuple):
+    """Every marker's internal positions, marker after marker in the
+    frequency table's order, with what a trace's layout reads of each."""
 
-    A peak's factor is one run of n_pairs entries, one per (previous draw,
-    draw) pair of its emit step: step p+1 for a stutter-coupled position
-    p, step p for an uncoupled one.  Observed peaks come first, so each
-    kind of factor is one contiguous run.  Maps each emitted position p to
-    (its emit step, the slice of its entries); returns it with the number
-    of observed entries.
+    marker: np.ndarray   # the marker's index in the table
+    local: np.ndarray    # internal position p on its marker
+    coupled: np.ndarray  # stutter donor at p+1
+    emitted: np.ndarray  # not silent: the position has a factor
+    kind: np.ndarray     # dose kind (see _dose_kinds)
+
+
+class _Frame(NamedTuple):
+    """Where each position's cells sit in the plans, or in the stacks, whose
+    layouts hold it: ``group`` is the plan or stack, ``row`` the row of the
+    position's own step in the group's step tables, ``dose`` its row of
+    the group's pre-stutter doses B, and ``zero`` the group's zero cell."""
+
+    group: np.ndarray
+    row: np.ndarray
+    dose: np.ndarray
+    zero: np.ndarray
+
+
+def _dose_kinds(marker, coupled, known_counts):
+    """Each position's dose kind: two positions share one when they are on
+    one marker, their known-count columns are equal, and, where coupled,
+    their donors' are too.  The rows of B at such positions are equal at
+    every parameter value, so two dropout peaks of one kind have the same
+    doses."""
+    n = len(coupled)
+    # each position's column as the first position with an equal one
+    column = (known_counts[:, :, None] == known_counts[:, None, :]).all(axis=0).argmax(1)
+    donor = np.where(coupled, np.append(column[1:], 0) + 1, 0)
+    return (marker * n + column) * (n + 1) + donor
+
+
+def _trace_layouts(pos, frame, members, names, trace, heights, joint, contributes):
+    """One trace's layout (see _TraceLayout) on each group of ``frame``
+    that holds a marker it covers, built over all their positions at once.
+
+    ``members`` lists each group's markers (their indices in ``names``),
+    and ``heights`` holds the trace's height at each position of a marker
+    it covers, NaN elsewhere.  A peak's factor is one run of 6^U entries,
+    one per (previous draw, draw) pair of its emit step: step p+1 for a
+    stutter-coupled position p, step p for an uncoupled one.  In a group,
+    the observed peaks of every marker come first, then the dropout peaks,
+    each marker by marker and in position order.  The dose points are the
+    observed entries, then, marker by marker, one entry per distinct
+    dropout dose: the doses of a dropout peak whose kind no earlier dropout
+    peak of the marker has, one per pair if it is coupled, one per draw if
+    not.  Returns {group: layout}.
     """
-    emitted = sorted(
-        (p for p in range(len(silent)) if not silent[p]), key=lambda p: not observed[p]
+    n_combos, n_pairs = len(joint.combo_counts), len(joint.pair_prev)
+    observed = heights >= trace.threshold
+    peaks = np.concatenate([
+        np.flatnonzero(pos.emitted & observed),
+        np.flatnonzero(pos.emitted & ~observed & ~np.isnan(heights)),
+    ])
+    peaks = peaks[np.argsort(frame.group[peaks], kind="stable")]
+    seen, linked = observed[peaks], pos.coupled[peaks]
+    marker, group = pos.marker[peaks], frame.group[peaks]
+    pairs = np.arange(n_pairs)
+    cell = ((frame.row[peaks] + linked) * n_pairs)[:, None] + pairs
+
+    # each dropout peak's first dropout peak of its kind, and where that
+    # kind's doses start among its group's distinct ones
+    dropout = np.flatnonzero(~seen)
+    kind = pos.kind[peaks[dropout]]
+    first = (kind[:, None] == kind).argmax(axis=1) if len(kind) else dropout
+    new = first == np.arange(len(dropout))
+    added = np.where(new, np.where(linked[dropout], n_pairs, n_combos), 0)
+    before = np.cumsum(added) - added
+    before -= before[np.searchsorted(group[dropout], group[dropout])]
+    spread = before[first][:, None] + np.take(
+        joint.read, np.where(linked[dropout], 2, 0), axis=0
     )
-    blocks = {
-        p: (p + int(coupled[p]), slice(i * n_pairs, (i + 1) * n_pairs))
-        for i, p in enumerate(emitted)
-    }
-    return blocks, n_pairs * int(observed[emitted].sum())
 
+    # the dose points, run by run, on the peaks that add points: every pair
+    # of an observed or coupled peak, every draw of an uncoupled one (the
+    # first 3^U entries of its run, at which the draw is the entry's index)
+    adds = seen.copy()
+    adds[dropout[new]] = True
+    at, full = peaks[adds], (seen | linked)[adds]
+    # pair j of a coupled position p reads B[p, draw at t-1] and its donor's
+    # B[p+1, draw at t]; of an uncoupled one, B[p, draw at t] and the zero cell
+    here, link = frame.dose[at][:, None], pos.coupled[at][:, None]
+    ends = np.empty((2, len(at), n_pairs), dtype=np.int64)
+    ends[0] = here * n_combos + np.take(joint.read, np.where(full, link[:, 0], 2), axis=0)
+    ends[1] = np.where(link, (here + 1) * n_combos + joint.pair_draw, frame.zero[at][:, None])
+    keep = full[:, None] | (pairs < n_combos)
+    gather = np.compress(keep.ravel(), ends.reshape(2, -1), axis=1)
 
-class _DoseCells(NamedTuple):
-    """Per position of a marker, the cells of the flattened pre-stutter
-    doses B (with one trailing zero cell) that its factor entries read.
-
-    The entry of pair j at a stutter-coupled position p reads B[p, draw at
-    t-1] (ends[0]) and its donor's B[p+1, draw at t] (ends[1]); at an
-    uncoupled one B[p, draw at t] and the zero cell.  kind[p] is the
-    known-count column of p, and of its donor if coupled: rows of B with equal columns
-    are equal at every parameter value, so two dropout peaks of one kind
-    have the same doses.  A kind has one distinct dose per pair if
-    coupled, per draw if not (``distinct``, a pair of each); ``local``
-    is each entry's dose among them.
-    """
-
-    ends: np.ndarray      # (2, P, 6^U)
-    local: np.ndarray     # (P, 6^U)
-    kind: list
-    distinct: list
-
-
-def _dose_cells(coupled, known_counts, pair_prev, pair_draw) -> _DoseCells:
-    # the pairs in which no contributor drew at t-1: one per draw, in order
-    first_of_draw = np.flatnonzero(pair_prev == 0)
-    n_pos, n_combos = len(coupled), len(first_of_draw)
-    pos = np.arange(n_pos)[:, None]
-    linked = coupled[:, None]
-    every_pair = np.arange(len(pair_prev))
-    columns = {}  # known-count column -> its id
-    column = [
-        columns.setdefault(tuple(c), len(columns)) for c in known_counts.T.tolist()
-    ]
-    ends = np.empty((2, n_pos, len(pair_prev)), dtype=np.int64)
-    ends[0] = pos * n_combos + np.where(linked, pair_prev, pair_draw)
-    ends[1] = np.where(linked, (pos + 1) * n_combos + pair_draw, n_pos * n_combos)
-    return _DoseCells(
-        ends=ends,
-        local=np.where(linked, every_pair, pair_draw),
-        kind=[
-            (column[p], column[p + 1]) if coupled[p] else (column[p],)
-            for p in range(n_pos)
-        ],
-        distinct=[every_pair if c else first_of_draw for c in coupled],
-    )
-
-
-def _dose_gathers(cells, blocks, n_observed, n_pairs):
-    """Parameter-free gathers of one trace's doses on a marker.
-
-    The dose points are the observed entries, in layout order, then one
-    entry per distinct dropout dose.  Returns each point's two cells (see
-    _DoseCells) as rows of a (2, points) array, and spread, each dropout
-    entry's index among the distinct doses.
-    """
-    pos = list(blocks)
-    first = n_observed // n_pairs  # the first dropout peak's block
-    points = [cells.ends[:, pos[:first]].reshape(2, -1)]
-    slot, offsets, n_distinct = {}, [], 0
-    for p in pos[first:]:
-        kind = cells.kind[p]
-        if kind not in slot:
-            slot[kind] = n_distinct
-            points.append(cells.ends[:, p, cells.distinct[p]])
-            n_distinct += points[-1].shape[1]
-        offsets.append(slot[kind])
-    spread = np.array(offsets, dtype=np.int64)[:, None] + cells.local[pos[first:]]
-    return np.concatenate(points, axis=1), spread.ravel()
+    # each marker's entries and points, and where each group's runs,
+    # observed peaks, dropout peaks and points start
+    size = np.where(full, n_pairs, n_combos)
+    n_markers, n_groups = len(names), len(members)
+    per_marker = np.stack([
+        np.bincount(marker[seen], minlength=n_markers) * n_pairs,
+        np.bincount(pos.marker[at], size, n_markers).astype(np.int64),
+        np.bincount(marker[dropout], minlength=n_markers) * n_pairs,
+    ])
+    per_marker[1] -= per_marker[0]
+    bounds = np.cumsum(np.stack([
+        np.bincount(group, minlength=n_groups),
+        np.bincount(group[seen], minlength=n_groups),
+        np.bincount(group[dropout], minlength=n_groups),
+        np.bincount(frame.group[at], size, n_groups).astype(np.int64),
+    ]), axis=1)
+    bounds = np.concatenate([np.zeros((4, 1), dtype=np.int64), bounds], axis=1).tolist()
+    peak_heights = np.repeat(heights[peaks[seen]], n_pairs)
+    out = {}
+    for g, mine in enumerate(members):
+        covered = [m for m in mine if names[m] in trace.heights]
+        if not covered:
+            continue
+        (r0, r1), (s0, s1), (d0, d1), (p0, p1) = (row[g:g + 2] for row in bounds)
+        counts = per_marker[:, covered]
+        out[g] = _TraceLayout(
+            trace_id=trace.trace_id,
+            threshold=trace.threshold,
+            known_contributes=contributes[0],
+            unknown_contributes=contributes[1],
+            markers=tuple(names[m] for m in covered),
+            counts=counts,
+            n_observed=int(counts[0].sum()),
+            peak_heights=peak_heights[s0 * n_pairs:s1 * n_pairs],
+            gather=np.ascontiguousarray(gather[:, p0:p1]),
+            cell=cell[r0:r1].ravel(),
+            spread=spread[d0:d1].ravel(),
+            position=pos.local[peaks[r0:r1]],
+        )
+    return out
 
 
 @dataclass(frozen=True)
 class _MarkerPlan:
     """Parameter-independent structure for one marker's chain.
 
-    A plan is also the one-marker stack of its marker (see _Stack).
+    A plan is also the one-marker stack of its marker (see _Stack).  The
+    layouts of a marker that a stack of several markers holds serve only
+    queries about that marker, so they are built on first use.
     """
 
     marker: str
@@ -517,7 +626,13 @@ class _MarkerPlan:
     pair_draw: np.ndarray            # joint pair -> joint draw at t
     edges0: _EdgeSet
     edges: _EdgeSet
-    traces: tuple[_TraceLayout, ...]  # each covering trace's, in the marker's frame
+    # each covering trace's layout in the marker's frame, or a function
+    # that builds them
+    layouts: object = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def traces(self) -> tuple[_TraceLayout, ...]:
+        return self.layouts() if callable(self.layouts) else self.layouts
 
     def edges_at(self, t: int) -> _EdgeSet:
         return self.edges0 if t == 0 else self.edges
@@ -537,107 +652,6 @@ class _MarkerPlan:
     @property
     def n_sets(self):
         return 1
-
-
-def _build_marker_plan(marker, freqs, hypothesis, traces):
-    """One marker's plan, with the layout of every trace that covers it in
-    the marker's own frame: its cells of B and of the step tables start at
-    0, and its zero cell follows its P * 3^U cells of B."""
-    ladder = freqs.ladder(marker)
-    order, coupled = ladder.order, ladder.coupled
-    n_pos = len(order)
-    internal_labels = tuple(ladder.alleles[i] for i in order)
-    silent = np.array([lab == SILENT_LABEL for lab in internal_labels])
-
-    q = np.array([ladder.frequencies[i] for i in order], dtype=float)
-    tails = np.cumsum(q[::-1])[::-1]
-    n_unknown = len(hypothesis.unknown)
-    state_lp = np.array([
-        _fold(_state_log_pmf(min(q[p] / tails[p], 1.0)), n_unknown, 1)
-        for p in range(n_pos)
-    ])
-
-    known_ids = tuple(hypothesis.known)
-    known_counts = np.zeros((len(known_ids), n_pos), dtype=np.int64)
-    for k, kid in enumerate(known_ids):
-        counts = hypothesis.known[kid].counts(marker, ladder)
-        known_counts[k] = [counts[i] for i in order]
-
-    n_states = 6**n_unknown
-    n_combos = 3**n_unknown
-    n_pairs = 6**n_unknown
-    # joint draw c -> each unknown's count: the base-3 digits of c
-    combo_counts = np.arange(n_combos)[:, None] // 3 ** np.arange(n_unknown)[::-1] % 3
-    pair_prev, pair_draw = (
-        _fold(np.array(column), n_unknown, 3) for column in zip(*_PAIRS)
-    )
-
-    edges0, edges = _build_edges(n_unknown)
-    # the first step leaves state 0 only: its transition row rules out
-    # every state that no edge out of state 0 reaches
-    unreached = np.ones(n_states, dtype=bool)
-    unreached[edges0.dst] = False
-    state_lp[0, unreached] = -np.inf
-    layouts = []
-    for trace in traces:
-        if marker not in trace.heights:
-            continue
-        if not layouts:
-            cells = _dose_cells(coupled, known_counts, pair_prev, pair_draw)
-        row = trace.heights[marker]
-        off_ladder = set(row) - set(ladder.alleles)
-        if off_ladder:
-            raise ValueError(
-                f"trace {trace.trace_id!r} lists alleles {sorted(off_ladder)} "
-                f"not on the {marker!r} ladder"
-            )
-        heights = np.array([row.get(lab, 0.0) for lab in internal_labels])
-        roles = set(hypothesis.roles_for(trace.trace_id))
-        observed = heights >= trace.threshold
-        blocks, n_observed = _factor_blocks(observed, silent, coupled, n_pairs)
-        gather, spread = _dose_gathers(cells, blocks, n_observed, n_pairs)
-        peaks = [p for p in blocks if observed[p]]
-        emit = np.array([t for t, _ in blocks.values()], dtype=np.int64)
-        cell = (emit[:, None] * n_pairs + np.arange(n_pairs)).ravel()
-        layouts.append(_TraceLayout(
-            trace_id=trace.trace_id,
-            threshold=trace.threshold,
-            known_contributes=np.array([r in roles for r in known_ids]),
-            unknown_contributes=np.array([r in roles for r in hypothesis.unknown]),
-            markers=(marker,),
-            counts=np.array(
-                [[n_observed], [gather.shape[1] - n_observed], [len(cell) - n_observed]]
-            ),
-            n_observed=n_observed,
-            peak_heights=np.repeat(heights[peaks], n_pairs),
-            gather=gather,
-            cell=cell,
-            spread=spread,
-            position=np.array(list(blocks), dtype=np.int64),
-        ))
-
-    return _MarkerPlan(
-        marker=marker,
-        labels=ladder.alleles,
-        order=order,
-        internal_labels=internal_labels,
-        silent=silent,
-        coupled=coupled,
-        state_lp=state_lp,
-        known_ids=known_ids,
-        unknown_ids=tuple(hypothesis.unknown),
-        known_counts=known_counts,
-        n_unknown=n_unknown,
-        n_states=n_states,
-        n_combos=n_combos,
-        n_pairs=n_pairs,
-        combo_counts=combo_counts,
-        pair_prev=pair_prev,
-        pair_draw=pair_draw,
-        edges0=edges0,
-        edges=edges,
-        traces=tuple(layouts),
-    )
 
 
 @dataclass(frozen=True)
@@ -673,87 +687,139 @@ class _Stack:
 
 
 def _build_stacks(freqs, hypothesis, traces):
-    """Every marker's plan, and the covered markers (those whose plan holds
-    a layout), in order, in stacks of at most _BLOCK_EDGES // 10^U (at
-    least one), so that a stack's step holds at most _BLOCK_EDGES edge
-    values.
+    """Every marker's plan, and the covered markers (those some trace
+    covers), in order, in stacks of at most _BLOCK_EDGES // 10^U (at least
+    one), so that a stack's step holds at most _BLOCK_EDGES edge values.
 
-    Each plan keeps its own layouts; a stack of several markers holds their
-    concatenation, and a stack of one marker is its plan.
+    A plan lays out each trace's entries on its marker in the marker's own
+    frame: its cells of B and of the step tables start at 0, and its zero
+    cell follows its P * 3^U cells of B.  A stack of several markers lays
+    them out over all its markers, and a stack of one marker is its plan.
+    Every layout of a bundle's stacks, and of its one-marker stacks'
+    plans, is built in one pass per trace over all its positions.
     """
-    plans = {
-        marker: _build_marker_plan(marker, freqs, hypothesis, traces)
-        for marker in freqs.marker_names()
-    }
-    covered = [plan for plan in plans.values() if plan.traces]
-    per_stack = max(1, _BLOCK_EDGES // 10 ** len(hypothesis.unknown))
-    trace_ids = [trace.trace_id for trace in traces]
+    names = freqs.marker_names()
+    n_unknown = len(hypothesis.unknown)
+    joint = _joint_tables(n_unknown)
+    pos, state_lp, known_counts, heights = _positions(freqs, hypothesis, traces)
+    length = np.bincount(pos.marker, minlength=len(names))
+    n_combos = 3**n_unknown
+    contributes = {}
+    for trace in traces:
+        roles = set(hypothesis.roles_for(trace.trace_id))
+        contributes[trace.trace_id] = (
+            np.array([r in roles for r in hypothesis.known]),
+            np.array([r in roles for r in hypothesis.unknown]),
+        )
+    covered = [
+        i for i, name in enumerate(names) if any(name in t.heights for t in traces)
+    ]
+    per_stack = max(1, _BLOCK_EDGES // 10**n_unknown)
+    groups = [covered[i:i + per_stack] for i in range(0, len(covered), per_stack)]
+    shared = [group for group in groups if len(group) > 1]
+    alone = np.ones(len(names), dtype=bool)
+    alone[[i for group in shared for i in group]] = False
+
+    frame = _Frame(pos.marker, pos.local, pos.local, (length * n_combos)[pos.marker])
+    context = (pos, frame, names, traces, heights, joint, contributes)
+    layouts = _plan_layouts(context, alone)
+    edges0, edges = _build_edges(n_unknown)
+    plans, start = [], 0
+    for i, name in enumerate(names):
+        ladder = freqs.ladder(name)
+        stop = start + len(ladder.order)
+        plans.append(_MarkerPlan(
+            marker=name,
+            labels=ladder.alleles,
+            order=ladder.order,
+            internal_labels=tuple(ladder.alleles[j] for j in ladder.order),
+            silent=~pos.emitted[start:stop],
+            coupled=ladder.coupled,
+            state_lp=state_lp[start:stop],
+            known_ids=tuple(hypothesis.known),
+            unknown_ids=hypothesis.unknown,
+            known_counts=known_counts[:, start:stop],
+            n_unknown=n_unknown,
+            n_states=6**n_unknown,
+            n_combos=n_combos,
+            n_pairs=6**n_unknown,
+            combo_counts=joint.combo_counts,
+            pair_prev=joint.pair_prev,
+            pair_draw=joint.pair_draw,
+            edges0=edges0,
+            edges=edges,
+            layouts=tuple(layouts[i]) if alone[i] else functools.partial(
+                _deferred_layouts, context, i
+            ),
+        ))
+        start = stop
+
+    stacked = [[] for _ in shared]
+    if shared:
+        # each marker's place in its stack: the stack, the first row of the
+        # marker's steps and of its doses, and the stack's zero cell
+        place = np.zeros((4, len(names)), dtype=np.int64)
+        for g, group in enumerate(shared):
+            size = length[group]
+            n_steps = int(size.max())
+            place[0, group] = g
+            place[1, group] = np.arange(len(group)) * n_steps + n_steps - size
+            place[2, group] = np.cumsum(size) - size
+            place[3, group] = size.sum() * n_combos
+        at = place[:, pos.marker]
+        frame = _Frame(at[0], at[1] + pos.local, at[2] + pos.local, at[3])
+        for trace in traces:
+            for g, layout in _trace_layouts(
+                pos, frame, shared, names, trace,
+                np.where(alone[pos.marker], np.nan, heights[trace.trace_id]),
+                joint, contributes[trace.trace_id],
+            ).items():
+                stacked[g].append(layout)
+    stacked = iter(stacked)
     stacks = tuple(
-        _build_stack(covered[i:i + per_stack], trace_ids)
-        for i in range(0, len(covered), per_stack)
+        plans[group[0]] if len(group) == 1
+        else _stack([plans[i] for i in group], next(stacked))
+        for group in groups
     )
-    return plans, stacks
+    return dict(zip(names, plans)), stacks
 
 
-def _build_stack(group, trace_ids):
-    """The stack of ``group``'s plans: the plan itself if there is one, else
-    each trace's layout the concatenation of the plans' layouts, in the
-    order of ``trace_ids``.  Each marker's cells are offset to its place in
-    the stack, and its zero cell becomes the stack's."""
-    if len(group) == 1:
-        return group[0]
+def _plan_layouts(context, chosen):
+    """Each chosen marker's layouts in its own frame, in trace order (see
+    _build_stacks; ``chosen`` is a mask over the markers)."""
+    pos, frame, names, traces, heights, joint, contributes = context
+    members = [[i] if pick else [] for i, pick in enumerate(chosen)]
+    keep = chosen[pos.marker]
+    layouts = [[] for _ in names]
+    for trace in traces:
+        for i, layout in _trace_layouts(
+            pos, frame, members, names, trace,
+            np.where(keep, heights[trace.trace_id], np.nan),
+            joint, contributes[trace.trace_id],
+        ).items():
+            layouts[i].append(layout)
+    return layouts
+
+
+def _deferred_layouts(context, i):
+    """The layouts of marker i, built when a query about it first needs
+    them."""
+    chosen = np.zeros(len(context[2]), dtype=bool)
+    chosen[i] = True
+    return tuple(_plan_layouts(context, chosen)[i])
+
+
+def _stack(group, layouts):
+    """The stack of ``group``'s plans, with each trace's layout over them."""
     template = group[0]
-    n_combos, n_pairs = template.n_combos, template.n_pairs
     length = np.array([len(plan.order) for plan in group])
     n_steps = int(length.max())
     first = n_steps - length
-    zero = int(length.sum()) * n_combos
-    dose_offset = (np.cumsum(length) - length) * n_combos
-    cell_offset = (np.arange(len(group)) * n_steps + first) * n_pairs
-    layouts = []
-    for trace_id in trace_ids:
-        mine = [
-            (i, layout) for i, plan in enumerate(group)
-            for layout in plan.traces if layout.trace_id == trace_id
-        ]
-        if not mine:
-            continue
-        gather = [
-            np.where(e.gather == length[i] * n_combos, zero, e.gather + dose_offset[i])
-            for i, e in mine
-        ]
-        cell = [e.cell + cell_offset[i] for i, e in mine]
-        counts = np.concatenate([e.counts for _, e in mine], axis=1)
-        distinct_start = np.cumsum(counts[1]) - counts[1]
-        layouts.append(_TraceLayout(
-            trace_id=trace_id,
-            threshold=mine[0][1].threshold,
-            known_contributes=mine[0][1].known_contributes,
-            unknown_contributes=mine[0][1].unknown_contributes,
-            markers=tuple(group[i].marker for i, _ in mine),
-            counts=counts,
-            n_observed=int(counts[0].sum()),
-            peak_heights=np.concatenate([e.peak_heights for _, e in mine]),
-            gather=np.concatenate(
-                [g[:, :e.n_observed] for g, (_, e) in zip(gather, mine)]
-                + [g[:, e.n_observed:] for g, (_, e) in zip(gather, mine)], axis=1,
-            ),
-            cell=np.concatenate(
-                [c[:e.n_observed] for c, (_, e) in zip(cell, mine)]
-                + [c[e.n_observed:] for c, (_, e) in zip(cell, mine)]
-            ),
-            spread=np.concatenate([
-                e.spread + start for (_, e), start in zip(mine, distinct_start)
-            ]),
-            position=np.concatenate(
-                [e.position[:e.n_observed // n_pairs] for _, e in mine]
-                + [e.position[e.n_observed // n_pairs:] for _, e in mine]
-            ),
-        ))
     lp = np.full((len(group), n_steps, template.n_states), -np.inf)
     lp[:, :, 0] = 0.0
-    for i, plan in enumerate(group):
-        lp[i, first[i]:] = plan.state_lp
+    lp[np.arange(n_steps) >= first[:, None]] = np.concatenate(
+        [plan.state_lp for plan in group]
+    )
     return _Stack(
         plans=tuple(group),
         first=first,
@@ -769,6 +835,64 @@ def _build_stack(group, trace_ids):
         edges0=template.edges0,
         edges=template.edges,
     )
+
+
+def _positions(freqs, hypothesis, traces):
+    """Every marker's positions (see _Positions), every step's transition
+    log-probabilities per target state, the known contributors' counts at
+    every position, and each trace's heights at them (NaN on a marker the
+    trace does not cover).  The transitions are one fold over all markers."""
+    names = freqs.marker_names()
+    profiles = list(hypothesis.known.values())
+    marker, local, coupled, silent, rates = [], [], [], [], []
+    known = [[] for _ in profiles]
+    heights = {trace.trace_id: [] for trace in traces}
+    for m, name in enumerate(names):
+        ladder = freqs.ladder(name)
+        order = ladder.order.tolist()
+        labels = [ladder.alleles[i] for i in order]
+        q = [ladder.frequencies[i] for i in order]
+        # the allele's share of the frequency left at its position
+        tails = list(itertools.accumulate(reversed(q)))[::-1]
+        rates += [min(a / b, 1.0) for a, b in zip(q, tails)]
+        marker += [m] * len(order)
+        local += range(len(order))
+        coupled += ladder.coupled.tolist()
+        silent += [lab == SILENT_LABEL for lab in labels]
+        for counts, profile in zip(known, profiles):
+            row = profile.counts(name, ladder)
+            counts += [row[i] for i in order]
+        for trace in traces:
+            row = trace.heights.get(name)
+            if row is None:
+                heights[trace.trace_id] += [math.nan] * len(order)
+                continue
+            off_ladder = set(row) - set(ladder.alleles)
+            if off_ladder:
+                raise ValueError(
+                    f"trace {trace.trace_id!r} lists alleles {sorted(off_ladder)} "
+                    f"not on the {name!r} ladder"
+                )
+            heights[trace.trace_id] += [row.get(lab, 0.0) for lab in labels]
+
+    n_unknown = len(hypothesis.unknown)
+    state_lp = _fold(_state_log_pmf(rates), n_unknown, 1)
+    # a marker's first step leaves state 0 only: its transition row rules
+    # out every state that no edge out of state 0 reaches
+    local = np.array(local)
+    state_lp[np.flatnonzero(local == 0)[:, None], _joint_tables(n_unknown).unreached] = -np.inf
+    known_counts = np.array(known, dtype=np.int64).reshape(len(profiles), len(local))
+    marker, coupled = np.array(marker), np.array(coupled, dtype=bool)
+    pos = _Positions(
+        marker=marker,
+        local=local,
+        coupled=coupled,
+        emitted=~np.array(silent, dtype=bool),
+        kind=_dose_kinds(marker, coupled, known_counts),
+    )
+    return pos, state_lp, known_counts, {
+        tid: np.array(rows) for tid, rows in heights.items()
+    }
 
 
 def _repeated(stack, n_sets):
@@ -822,6 +946,7 @@ class EvidenceBundle:
     )
 
     def __post_init__(self):
+        check_unknown_count(len(self.hypothesis.unknown))
         object.__setattr__(self, "traces", tuple(self.traces))
         if not self.traces:
             raise ValueError("bundle needs at least one trace")
@@ -867,6 +992,16 @@ class EvidenceBundle:
 
     def same_evidence(self, other: "EvidenceBundle") -> bool:
         return self.traces == other.traces and self.frequencies == other.frequencies
+
+
+def check_unknown_count(count: int) -> None:
+    """Refuse more than MAX_UNKNOWNS unknown contributors, before anything
+    is built for them."""
+    if count > MAX_UNKNOWNS:
+        raise ValueError(
+            f"{count} unknown contributors exceed the engine's limit of "
+            f"{MAX_UNKNOWNS}: each chain step has 10^U edges"
+        )
 
 
 def _validate_parameters(params, hypothesis, traces):

@@ -45,6 +45,7 @@ from .engine import (
     EvidenceBundle,
     Hypothesis,
     batch_log_likelihood_and_gradient,
+    check_unknown_count,
     total_log_likelihood,
 )
 from .peakmodel import ModelParameters, params_from_mean_cv
@@ -1328,6 +1329,7 @@ def contributor_sweep(
     start = base_unknowns if min_unknowns is None else min_unknowns
     if max_unknowns < start:
         raise ValueError("max unknowns below the starting count")
+    check_unknown_count(max_unknowns)
     rows = []
     prev = None
     for count in range(start, max_unknowns + 1):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .engine import Hypothesis, Trace
+from .engine import Hypothesis, Trace, check_unknown_count
 from .peakmodel import ModelParameters
 from .population import FrequencyTable, GenotypeProfile, canonical_allele
 
@@ -75,8 +75,10 @@ def load_frequency_table(path) -> FrequencyTable:
                 freq = float(row["frequency"])
             except (KeyError, ValueError, AttributeError) as exc:
                 raise LoadError(f"{path}:{i}: bad frequency row: {row}") from exc
-            if freq <= 0:
-                raise LoadError(f"{path}:{i}: frequency must be positive: {freq}")
+            if not (math.isfinite(freq) and freq > 0):
+                raise LoadError(
+                    f"{path}:{i}: frequency must be positive and finite: {freq}"
+                )
             if allele in data.setdefault(marker, {}):
                 raise LoadError(f"{path}:{i}: duplicate allele {allele} for {marker}")
             data[marker][allele] = freq
@@ -246,15 +248,22 @@ def build_hypothesis(
     if repeated:
         raise LoadError(f"hypothesis lists known individuals more than once: {repeated}")
     unknowns = spec.get("unknowns", 0)
-    if isinstance(unknowns, (list, tuple)):
-        labels = _strings(unknowns, "hypothesis: unknowns")
-    elif isinstance(unknowns, int) and not isinstance(unknowns, bool) and unknowns >= 0:
-        labels = tuple(f"U{i+1}" for i in range(unknowns))
-    else:
+    is_list = isinstance(unknowns, (list, tuple))
+    if not is_list and not (
+        isinstance(unknowns, int) and not isinstance(unknowns, bool) and unknowns >= 0
+    ):
         raise LoadError(
             "hypothesis: unknowns must be a count of at least 0 or a list of labels, "
             f"got {unknowns!r}"
         )
+    try:
+        check_unknown_count(len(unknowns) if is_list else unknowns)
+    except ValueError as exc:
+        raise LoadError(f"hypothesis: {exc}") from None
+    if is_list:
+        labels = _strings(unknowns, "hypothesis: unknowns")
+    else:
+        labels = tuple(f"U{i+1}" for i in range(unknowns))
     trace_roles = _object(spec.get("trace_roles") or {}, "hypothesis: trace_roles")
     return Hypothesis(
         known={k: profiles[k] for k in known_ids},

@@ -14,6 +14,7 @@ inference engine walks, once when it is built.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -54,25 +55,67 @@ def canonical_allele(label) -> str:
     return s
 
 
+# A repeat number is a decimal numeral: sign, whole repeats, and an
+# optional point with the partial repeat's digits.
+_REPEAT_NUMBER = re.compile(r"([+-]?\d+)(?:(\.)(\d*))?")
+
+
+def _parse_labels(labels):
+    """Each label's key and stutter donor label, from one parse.
+
+    The key is (kind, partial repeat, repeat): kind 0 for the silent
+    allele, 1 for a repeat number and 2 for any other label.  A repeat
+    number's value x, and x - int(x), are exact integers scaled by 10^D,
+    D the most digits after a point among ``labels``, so the keys of one
+    call compare as the numbers do; the other kinds have zeros.  The donor
+    of x.y is (x+1).y; other labels have none.
+    """
+    matches = [_REPEAT_NUMBER.fullmatch(label) for label in labels]
+    places = max((len(m[3] or "") for m in matches if m), default=0)
+    keys, donors = [], []
+    for label, m in zip(labels, matches):
+        if label == SILENT_LABEL or m is None:
+            keys.append((0 if label == SILENT_LABEL else 2, 0, 0))
+            donors.append(None)
+            continue
+        whole = int(m[1])
+        part = int((m[3] or "").ljust(places, "0") or "0")
+        if m[1].startswith("-"):
+            part = -part
+        keys.append((1, part, whole * 10**places + part))
+        donors.append(f"{whole + 1}{m[2] or ''}{m[3] or ''}")
+    return keys, donors
+
+
 def allele_repeat(label: str) -> Fraction | None:
-    """Repeat number of a canonical allele label, or None for non-numeric ones."""
-    try:
-        return Fraction(label)
-    except (ValueError, ZeroDivisionError):
+    """Repeat number of a canonical allele label, or None for non-numeric ones.
+
+    A repeat number is a decimal numeral, such as '9', '9.3' or '-1'.
+    """
+    m = _REPEAT_NUMBER.fullmatch(label)
+    if m is None:
         return None
+    part = m[3] or ""
+    sign = -1 if m[1].startswith("-") else 1
+    return int(m[1]) + sign * Fraction(int(part or "0"), 10 ** len(part))
 
 
-def _ladder_sort_key(label: str):
-    rep = allele_repeat(label)
-    if label == SILENT_LABEL:
-        return (0, Fraction(0), "")
-    if rep is None:
-        return (2, Fraction(0), label)
-    return (1, rep, "")
+def _ladder_sort(labels):
+    """The indices of ``labels`` in ladder order, with the keys and donor
+    labels of _parse_labels in that order: the silent allele first, repeat
+    numbers ascending (ties keep their input order), other labels last,
+    by label."""
+    keys, donors = _parse_labels(labels)
+    rank = sorted(
+        range(len(labels)),
+        key=lambda i: (keys[i][0], keys[i][2], labels[i] if keys[i][0] == 2 else ""),
+    )
+    return rank, [keys[i] for i in rank], [donors[i] for i in rank]
 
 
-def _stutter_structure(alleles):
-    """A ladder's (donor, order, coupled); see MarkerLadder.
+def _stutter_structure(alleles, keys, donor_labels):
+    """A ladder's (donor, order, coupled), from its labels' keys and donor
+    labels (see _parse_labels and MarkerLadder).
 
     Stutter loses one full repeat word: the donor of stutter into x.y is
     (x+1).y, preserving any partial-word suffix; silent and non-numeric
@@ -81,21 +124,12 @@ def _stutter_structure(alleles):
     donor directly after its recipient.
     """
     index = {label: i for i, label in enumerate(alleles)}
-    donor = np.full(len(alleles), -1, dtype=np.int64)
-    silent, numeric, other = [], [], []
-    for i, label in enumerate(alleles):
-        if label == SILENT_LABEL:
-            silent.append(i)
-            continue
-        rep = allele_repeat(label)
-        if rep is None:
-            other.append(i)
-            continue
-        numeric.append((rep - int(rep), rep, i))
-        whole, dot, frac = label.partition(".")
-        donor[i] = index.get(f"{int(whole) + 1}{dot}{frac}", -1)
-    numeric.sort()
-    order = np.array(silent + [i for _, _, i in numeric] + other, dtype=np.int64)
+    donor = np.array(
+        [-1 if d is None else index.get(d, -1) for d in donor_labels], dtype=np.int64
+    )
+    order = np.array(
+        sorted(range(len(alleles)), key=lambda i: keys[i] + (i,)), dtype=np.int64
+    )
     coupled = np.zeros(len(alleles), dtype=bool)
     coupled[:-1] = donor[order[:-1]] == order[1:]
     if np.count_nonzero(coupled) != np.count_nonzero(donor >= 0):
@@ -125,6 +159,19 @@ class MarkerLadder:
     coupled: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._derive(*_parse_labels(self.alleles))
+
+    @classmethod
+    def _parsed(cls, alleles, frequencies, keys, donors):
+        """The ladder of ``alleles``, given their parse (see _parse_labels)."""
+        ladder = cls.__new__(cls)
+        object.__setattr__(ladder, "alleles", alleles)
+        object.__setattr__(ladder, "frequencies", frequencies)
+        ladder._derive(keys, donors)
+        return ladder
+
+    def _derive(self, keys, donors):
+        """Check the ladder and set its stutter structure."""
         if len(self.alleles) != len(self.frequencies):
             raise ValueError("alleles and frequencies differ in length")
         if not self.alleles:
@@ -139,7 +186,7 @@ class MarkerLadder:
                 f"frequencies sum to {sum(self.frequencies)!r}, not 1"
             )
         for name, value in zip(("donor", "order", "coupled"),
-                               _stutter_structure(self.alleles)):
+                               _stutter_structure(self.alleles, keys, donors)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -172,11 +219,12 @@ class FrequencyTable:
         """Build from {marker: {allele label: frequency}}."""
         ladders = {}
         for marker, freqs in data.items():
-            items = [(canonical_allele(a), float(q)) for a, q in freqs.items()]
-            items.sort(key=lambda it: _ladder_sort_key(it[0]))
-            ladders[marker] = MarkerLadder(
-                alleles=tuple(a for a, _ in items),
-                frequencies=tuple(q for _, q in items),
+            labels = [canonical_allele(a) for a in freqs]
+            values = [float(q) for q in freqs.values()]
+            rank, keys, donors = _ladder_sort(labels)
+            ladders[marker] = MarkerLadder._parsed(
+                tuple(labels[i] for i in rank), tuple(values[i] for i in rank),
+                keys, donors,
             )
         return cls(markers=ladders)
 
@@ -203,8 +251,8 @@ class GenotypeProfile:
     def from_pairs(cls, pairs: Mapping[str, Iterable[str]]) -> "GenotypeProfile":
         cleaned = {}
         for marker, alleles in pairs.items():
-            labels = tuple(sorted((canonical_allele(a) for a in alleles),
-                                  key=_ladder_sort_key))
+            labels = [canonical_allele(a) for a in alleles]
+            labels = tuple(labels[i] for i in _ladder_sort(labels)[0])
             if len(labels) != 2:
                 raise ValueError(
                     f"genotype for {marker!r} must have exactly two alleles: {labels}"

@@ -20,6 +20,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest
+from hypothesis import strategies as stn
 from scipy.special import gammainc, gammaln, logsumexp
 
 import mixref as mx
@@ -153,6 +154,23 @@ def oracle_presence(bundle, marker):
 
 
 LABEL_POOL = ["6", "7", "8", "9", "9.3", "10", "11", "12"]
+
+
+@stn.composite
+def ladder_labels(draw, max_size=13):
+    """1 to max_size distinct canonical allele labels in any order: repeat
+    numbers, microvariants x.y with one or two digits after the point,
+    non-numeric labels, and maybe the silent allele '0'."""
+    label = stn.one_of(
+        stn.integers(1, 30).map(str),
+        stn.tuples(stn.integers(1, 30), stn.sampled_from(["1", "2", "3", "12"]))
+        .map(lambda rs: f"{rs[0]}.{rs[1]}"),
+        stn.sampled_from(["X", "Y", "OL"]),
+    )
+    labels = draw(stn.lists(label, min_size=1, max_size=max_size, unique=True))
+    if len(labels) < max_size and draw(stn.booleans()):
+        labels.append("0")
+    return draw(stn.permutations(labels))
 
 
 def _random_ladder(rng, max_alleles, allow_silent):

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,11 +16,13 @@ from mixref.estimation import (
     FitSpecification,
     _evaluate,
     _Structure,
+    _uniform_parameters,
     numeric_gradient,
 )
 from mixref.peakmodel import gamma_log_cdf, gamma_log_cdf_grad, gamma_log_pdf
 
 from conftest import (
+    ladder_labels,
     oracle_log_cdf,
     oracle_log_likelihood,
     oracle_log_pdf,
@@ -692,7 +693,9 @@ class TestScaledPassFallback:
 
         ((ll, exact),) = _evaluate(structure, structure.unpack, [theta])
         assert ll == value(theta)
-        numeric = numeric_gradient(value, theta, rel_step=1e-6, abs_floor=1e-8)
+        # log L here reaches -1e3, so a step below about 1e-6 leaves the
+        # central difference a rounding error near the 1e-5 tolerance
+        numeric = numeric_gradient(value, theta, rel_step=1e-6, abs_floor=1e-6)
         np.testing.assert_allclose(exact, numeric, rtol=1e-5, atol=1e-5)
 
 
@@ -1286,19 +1289,294 @@ class TestDistinctDoses:
         assert sum(sizes) == 486
 
 
+# ---------------------------------------------------------------------------
+# The per-position plan build, transcribed as a reference for the array build
+
+
+def _reference_state_log_pmf(rate):
+    out = np.empty(6)
+    lr = math.log(rate) if rate > 0 else -math.inf
+    lq = math.log1p(-rate) if rate < 1 else -math.inf
+    for i, (s, m) in enumerate(STATES):
+        n = 2 - (s - m)
+        val = math.log(math.comb(n, m))
+        if m:
+            val += m * lr
+        if n - m:
+            val += (n - m) * lq
+        out[i] = val
+    return out
+
+
+def _reference_fold(column, n_unknown, base):
+    out = np.zeros(1, dtype=column.dtype)
+    for _ in range(n_unknown):
+        out = np.add.outer(out * base, column).ravel()
+    return out
+
+
+def _reference_layout(ladder, order, coupled, silent, known_counts, pair_prev,
+                      pair_draw, trace, hypothesis, marker):
+    """One trace's layout on a marker, position by position."""
+    n_pos, n_pairs = len(order), len(pair_prev)
+    first_of_draw = np.flatnonzero(pair_prev == 0)
+    n_combos = len(first_of_draw)
+    columns = {}
+    column = [columns.setdefault(tuple(c), len(columns)) for c in known_counts.T.tolist()]
+    ends = np.empty((2, n_pos, n_pairs), dtype=np.int64)
+    pos = np.arange(n_pos)[:, None]
+    linked = coupled[:, None]
+    ends[0] = pos * n_combos + np.where(linked, pair_prev, pair_draw)
+    ends[1] = np.where(linked, (pos + 1) * n_combos + pair_draw, n_pos * n_combos)
+    local = np.where(linked, np.arange(n_pairs), pair_draw)
+    labels = [ladder.alleles[i] for i in order]
+    row = trace.heights[marker]
+    heights = np.array([row.get(lab, 0.0) for lab in labels])
+    observed = heights >= trace.threshold
+    emitted = sorted((p for p in range(n_pos) if not silent[p]),
+                     key=lambda p: not observed[p])
+    n_peaks = int(observed[emitted].sum()) if emitted else 0
+    points = [ends[:, emitted[:n_peaks]].reshape(2, -1)]
+    slot, offsets, n_distinct = {}, [], 0
+    for p in emitted[n_peaks:]:
+        kind = (column[p], column[p + 1]) if coupled[p] else (column[p],)
+        if kind not in slot:
+            slot[kind] = n_distinct
+            points.append(ends[:, p, np.arange(n_pairs) if coupled[p] else first_of_draw])
+            n_distinct += points[-1].shape[1]
+        offsets.append(slot[kind])
+    spread = (np.array(offsets, dtype=np.int64)[:, None] + local[emitted[n_peaks:]])
+    gather = np.concatenate(points, axis=1)
+    emit = np.array([p + int(coupled[p]) for p in emitted], dtype=np.int64)
+    cell = (emit[:, None] * n_pairs + np.arange(n_pairs)).ravel()
+    roles = set(hypothesis.roles_for(trace.trace_id))
+    n_observed = n_peaks * n_pairs
+    return dict(
+        trace_id=trace.trace_id, threshold=trace.threshold,
+        known_contributes=[r in roles for r in hypothesis.known],
+        unknown_contributes=[r in roles for r in hypothesis.unknown],
+        markers=(marker,),
+        counts=[[n_observed], [gather.shape[1] - n_observed], [len(cell) - n_observed]],
+        n_observed=n_observed,
+        peak_heights=np.repeat(heights[emitted[:n_peaks]], n_pairs),
+        gather=gather, cell=cell, spread=spread.ravel(),
+        position=np.array(emitted, dtype=np.int64),
+    )
+
+
+def _reference_plan(marker, freqs, hypothesis, traces):
+    ladder = freqs.ladder(marker)
+    order, coupled = ladder.order, ladder.coupled
+    labels = [ladder.alleles[i] for i in order]
+    silent = np.array([lab == "0" for lab in labels])
+    q = np.array([ladder.frequencies[i] for i in order])
+    tails = np.cumsum(q[::-1])[::-1]
+    U = len(hypothesis.unknown)
+    state_lp = np.array([
+        _reference_fold(_reference_state_log_pmf(min(q[p] / tails[p], 1.0)), U, 1)
+        for p in range(len(order))
+    ])
+    edges0, _ = engine._build_edges(U)
+    unreached = np.ones(6**U, dtype=bool)
+    unreached[edges0.dst] = False
+    state_lp[0, unreached] = -np.inf
+    known_counts = np.zeros((len(hypothesis.known), len(order)), dtype=np.int64)
+    for k, kid in enumerate(hypothesis.known):
+        counts = hypothesis.known[kid].counts(marker, ladder)
+        known_counts[k] = [counts[i] for i in order]
+    combo_counts = np.arange(3**U)[:, None] // 3 ** np.arange(U)[::-1] % 3
+    pair_prev, pair_draw = (_reference_fold(np.array(c), U, 3) for c in zip(*PAIRS))
+    layouts = [
+        _reference_layout(ladder, order, coupled, silent, known_counts, pair_prev,
+                          pair_draw, trace, hypothesis, marker)
+        for trace in traces if marker in trace.heights
+    ]
+    return dict(
+        marker=marker, labels=ladder.alleles, order=order, internal_labels=tuple(labels),
+        silent=silent, coupled=coupled, state_lp=state_lp, known_counts=known_counts,
+        combo_counts=combo_counts, pair_prev=pair_prev, pair_draw=pair_draw,
+        n_unknown=U, n_states=6**U, n_combos=3**U, n_pairs=6**U, traces=layouts,
+    )
+
+
+def _reference_stack(group, trace_ids):
+    """Several plans' layouts joined, observed entries of every marker first."""
+    n_combos, n_pairs = group[0]["n_combos"], group[0]["n_pairs"]
+    length = np.array([len(plan["order"]) for plan in group])
+    n_steps = int(length.max())
+    first = n_steps - length
+    zero = int(length.sum()) * n_combos
+    dose_offset = (np.cumsum(length) - length) * n_combos
+    cell_offset = (np.arange(len(group)) * n_steps + first) * n_pairs
+    layouts = []
+    for trace_id in trace_ids:
+        mine = [(i, e) for i, plan in enumerate(group) for e in plan["traces"]
+                if e["trace_id"] == trace_id]
+        if not mine:
+            continue
+        gather = [np.where(e["gather"] == length[i] * n_combos, zero,
+                           e["gather"] + dose_offset[i]) for i, e in mine]
+        cell = [e["cell"] + cell_offset[i] for i, e in mine]
+        counts = np.concatenate([e["counts"] for _, e in mine], axis=1)
+        distinct_start = np.cumsum(counts[1]) - counts[1]
+        obs = [e["n_observed"] for _, e in mine]
+        layouts.append(dict(
+            trace_id=trace_id, threshold=mine[0][1]["threshold"],
+            known_contributes=mine[0][1]["known_contributes"],
+            unknown_contributes=mine[0][1]["unknown_contributes"],
+            markers=tuple(group[i]["marker"] for i, _ in mine),
+            counts=counts, n_observed=int(counts[0].sum()),
+            peak_heights=np.concatenate([e["peak_heights"] for _, e in mine]),
+            gather=np.concatenate([g[:, :n] for g, n in zip(gather, obs)]
+                                  + [g[:, n:] for g, n in zip(gather, obs)], axis=1),
+            cell=np.concatenate([c[:n] for c, n in zip(cell, obs)]
+                                + [c[n:] for c, n in zip(cell, obs)]),
+            spread=np.concatenate([e["spread"] + s for (_, e), s in zip(mine, distinct_start)]),
+            position=np.concatenate(
+                [e["position"][:n // n_pairs] for (_, e), n in zip(mine, obs)]
+                + [e["position"][n // n_pairs:] for (_, e), n in zip(mine, obs)]),
+        ))
+    lp = np.full((len(group), n_steps, 6 ** group[0]["n_unknown"]), -np.inf)
+    lp[:, :, 0] = 0.0
+    for i, plan in enumerate(group):
+        lp[i, first[i]:] = plan["state_lp"]
+    return dict(
+        markers=[plan["marker"] for plan in group], first=first, lp=lp,
+        known_counts=np.concatenate([plan["known_counts"] for plan in group], axis=1),
+        traces=layouts,
+    )
+
+
+def _assert_layouts_equal(got, want):
+    assert len(got) == len(want)
+    for layout, expected in zip(got, want):
+        for name, value in expected.items():
+            have = getattr(layout, name)
+            if isinstance(value, (str, float, int, tuple)):
+                assert have == value, name
+            else:
+                np.testing.assert_array_equal(have, value, err_msg=name)
+                assert np.asarray(have).dtype == np.asarray(value).dtype or (
+                    name.endswith("contributes")
+                ), name
+
+
+@stn.composite
+def plan_cases(draw):
+    """A bundle's inputs: 1-3 markers whose ladders have 1-13 alleles (a
+    silent '0', microvariants, non-numeric labels), 0-4 unknowns, 0-2
+    known contributors, and 1-2 traces that each cover some markers."""
+    markers = [f"M{i}" for i in range(draw(stn.integers(1, 3)))]
+    data = {}
+    for m in markers:
+        labels = draw(ladder_labels())
+        weights = draw(stn.lists(stn.floats(0.1, 1.0), min_size=len(labels),
+                                 max_size=len(labels)))
+        data[m] = dict(zip(labels, np.array(weights) / sum(weights)))
+    freqs = mx.FrequencyTable.from_dict(data)
+    n_unknown = draw(stn.integers(0, 4))
+    known = {
+        f"K{k + 1}": mx.GenotypeProfile.from_pairs({
+            m: draw(stn.lists(stn.sampled_from(freqs.ladder(m).alleles),
+                              min_size=2, max_size=2))
+            for m in markers
+        })
+        for k in range(draw(stn.integers(0 if n_unknown else 1, 2)))
+    }
+    hypothesis = mx.Hypothesis(known=known, unknown=tuple(f"U{i + 1}" for i in range(n_unknown)))
+    traces = []
+    for t in range(draw(stn.integers(1, 2))):
+        covered = draw(stn.lists(stn.sampled_from(markers), unique=True,
+                                 min_size=0 if t else 1))
+        heights = {
+            m: {a: draw(stn.sampled_from([0.0, 50.0, 120.0, 900.0]))
+                for a in draw(stn.lists(stn.sampled_from(
+                    [a for a in freqs.ladder(m).alleles if a != "0"] or ["X"]),
+                    unique=True))
+                if a in freqs.ladder(m).alleles}
+            for m in covered
+        }
+        traces.append(mx.Trace(trace_id=f"T{t + 1}", threshold=50.0, heights=heights))
+    return freqs, hypothesis, traces
+
+
+class TestPlanBuildAgainstPerPositionReference:
+    @settings(max_examples=120, deadline=None)
+    @given(plan_cases())
+    def test_plans_and_stacks_match_the_per_position_build(self, case):
+        freqs, hypothesis, traces = case
+        bundle = mx.EvidenceBundle(
+            traces=traces, frequencies=freqs, hypothesis=hypothesis,
+            parameters=_uniform_parameters(hypothesis, traces),
+        )
+        want = {m: _reference_plan(m, freqs, hypothesis, traces)
+                for m in freqs.marker_names()}
+        for marker, plan in bundle._plans.items():
+            expected = want[marker]
+            for name, value in expected.items():
+                if name == "traces":
+                    _assert_layouts_equal(plan.traces, value)
+                elif isinstance(value, (str, int, tuple)):
+                    assert getattr(plan, name) == value, name
+                else:
+                    np.testing.assert_array_equal(getattr(plan, name), value, err_msg=name)
+        covered = [want[m] for m in freqs.marker_names() if want[m]["traces"]]
+        per_stack = max(1, 2**14 // 10 ** len(hypothesis.unknown))
+        groups = [covered[i:i + per_stack] for i in range(0, len(covered), per_stack)]
+        assert len(bundle._stacks) == len(groups)
+        trace_ids = [t.trace_id for t in traces]
+        for stack, group in zip(bundle._stacks, groups):
+            if len(group) == 1:
+                assert stack is bundle._plans[group[0]["marker"]]
+                continue
+            expected = _reference_stack(group, trace_ids)
+            assert [p.marker for p in stack.plans] == expected["markers"]
+            for name in ("first", "lp", "known_counts"):
+                np.testing.assert_array_equal(getattr(stack, name), expected[name])
+            _assert_layouts_equal(stack.traces, expected["traces"])
+
+
+class TestUnknownLimit:
+    def test_bundle_past_the_limit_refused_before_any_build(self, monkeypatch):
+        b = random_case(np.random.default_rng(3))
+
+        def refused(*args):
+            raise AssertionError("a plan was built past the limit")
+
+        monkeypatch.setattr(engine, "_build_stacks", refused)
+        monkeypatch.setattr(engine, "_joint_tables", refused)
+        hypothesis = mx.Hypothesis(known={}, unknown=tuple(f"U{i}" for i in range(7)))
+        with pytest.raises(ValueError, match="7 unknown contributors exceed the "
+                                             "engine's limit of 6"):
+            mx.EvidenceBundle(traces=b.traces, frequencies=b.frequencies,
+                              hypothesis=hypothesis, parameters=b.parameters)
+
+    @pytest.mark.parametrize("unknowns", [7, 10**8, ["U"] * 7],
+                             ids=["count", "huge-count", "labels"])
+    def test_case_hypothesis_past_the_limit_refused(self, unknowns, monkeypatch):
+        def refused(*args):
+            raise AssertionError("unknown labels were made past the limit")
+
+        # the labels of a count are made with range: refuse before it runs
+        monkeypatch.setattr(mx.io, "range", refused, raising=False)
+        count = unknowns if isinstance(unknowns, int) else len(unknowns)
+        with pytest.raises(mx.io.LoadError, match=f"{count} unknown contributors"):
+            mx.io.build_hypothesis({"unknowns": unknowns}, {})
+
+
 class TestPlanReadsLadder:
     def test_bundle_build_parses_no_allele_label(
         self, pubcase_defence_bundle, monkeypatch
     ):
         b = pubcase_defence_bundle
         parsed = []
+        parse = mx.population._parse_labels
 
-        class Counting(Fraction):
-            def __new__(cls, *args, **kwargs):
-                parsed.append(args)
-                return super().__new__(cls, *args, **kwargs)
+        def counting(labels):
+            parsed.append(labels)
+            return parse(labels)
 
-        monkeypatch.setattr(mx.population, "Fraction", Counting)
+        monkeypatch.setattr(mx.population, "_parse_labels", counting)
         mx.FrequencyTable.from_dict({"M": {"8": 0.5, "9": 0.5}})
         assert parsed, "the counter must see the table's own label parsing"
         parsed.clear()

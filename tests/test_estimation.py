@@ -910,6 +910,21 @@ class TestContributorSweep:
             mx.contributor_sweep(spec, high, min_unknowns=low)
 
 
+    @pytest.mark.parametrize("count", [7, 10**8])
+    def test_counts_past_the_limit_refused_before_any_build(self, count,
+                                                             monkeypatch):
+        bundle, _ = make_simulated_bundle(seed=29, n_markers=2)
+        spec = FitSpecification(bundle=bundle, compute_standard_errors=False)
+
+        def refused(*args):
+            raise AssertionError("a bundle was built past the limit")
+
+        monkeypatch.setattr(mx.estimation, "_with_unknown_count", refused)
+        with pytest.raises(ValueError, match=f"{count} unknown contributors exceed "
+                                             "the engine's limit of 6"):
+            mx.contributor_sweep(spec, count, min_unknowns=count)
+
+
 class TestBoundaryHandling:
     def test_redundant_unknown_flagged_at_zero(self):
         # single-source data fitted with one known plus one unknown: the

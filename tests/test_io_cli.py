@@ -285,6 +285,57 @@ class TestCli:
         assert err["error"]["code"] == "load_error"
         assert "finite" in err["error"]["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_frequency_exits_2_with_its_line(self, tiny_case, capsys,
+                                                         value):
+        freqs = write(
+            tiny_case["tmp"], "bad_freqs.csv",
+            f"marker,allele,frequency\nM1,8,0.3\nM1,9,{value}\nM1,10,0.4\n"
+            "M2,8,0.5\nM2,9,0.5\n",
+        )
+        rc = cli.main(
+            ["fit", "--freqs", freqs, "--profiles", tiny_case["profiles"],
+             "--trace", tiny_case["trace"], "--hypothesis", tiny_case["case"],
+             "--params", tiny_case["params"]]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "load_error"
+        assert err["error"]["message"].startswith(f"{freqs}:3: ")
+        assert "finite" in err["error"]["message"]
+
+    @pytest.mark.parametrize("unknowns", [7, [f"U{i}" for i in range(7)]],
+                             ids=["count", "labels"])
+    def test_too_many_unknowns_in_case_file_exits_2(self, tiny_case, capsys,
+                                                    unknowns):
+        doc = json.loads(Path(tiny_case["case"]).read_text())
+        doc["hypotheses"]["defence"]["unknowns"] = unknowns
+        case = write(tiny_case["tmp"], "many.json", json.dumps(doc))
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", tiny_case["trace"], "--hypothesis", case,
+             "--under", "defence", "--params", tiny_case["params"]]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "load_error"
+        assert "7 unknown contributors exceed the engine's limit of 6" in (
+            err["error"]["message"]
+        )
+
+    def test_sweep_past_the_unknown_limit_exits_2(self, tiny_case, capsys):
+        rc = cli.main(
+            ["sweep", "--freqs", tiny_case["freqs"], "--profiles",
+             tiny_case["profiles"], "--trace", tiny_case["trace"],
+             "--hypothesis", tiny_case["case"], "--under", "defence",
+             "--min", "7", "--max", "7"]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "7 unknown contributors exceed the engine's limit of 6" in (
+            err["error"]["message"]
+        )
+
     def test_missing_frequency_file_exits_2(self, tiny_case, capsys):
         rc = cli.main(
             ["fit", "--freqs", "nope.csv", "--profiles", tiny_case["profiles"],
@@ -612,6 +663,67 @@ def test_importing_leaves_scipy_optimize_and_stats_unloaded(module):
     # both are slow to import: only fits with free parameters and diagnose
     # load them, when they run
     assert _loaded_after(f"import sys, {module}") == "[]"
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(mx.__file__).resolve().parents[1])
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import mixref.cli\n"
+        "print(len(built))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src, "PATH": ""}, timeout=120,
+    )
+    assert done.stdout.split() == ["0"]
+
+
+def test_reused_parser_gives_each_call_a_fresh_calls_output(tiny_case, capsys):
+    tmp = tiny_case["tmp"]
+    common = ["--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+              "--hypothesis", tiny_case["case"]]
+    trace, params = ["--trace", tiny_case["trace"]], ["--params", tiny_case["params"]]
+    calls = [
+        ["diagnose", *common, *trace, *params, "--no-truncate"],
+        ["fit", *common, *trace, *trace, *params],  # the trace id twice: exit 2
+        ["fit", *common, *trace, *params, "--out", str(tmp / "fit.json")],
+        ["fit", "--profiles", tiny_case["profiles"]],  # no --freqs: parse error
+        ["diagnose", *common, *trace, *params],
+        ["fit", *common, *trace, "--share", "rho,eta,xi", "--under", "defence"],
+        ["fit", *common, "--params", "absent.json", *trace],  # exit 2
+        ["fit", *common, *trace, "--under", "defence"],
+        ["simulate", *common, *params, "--out", str(tmp / "sim.csv"), "--seed", "3"],
+    ]
+
+    def run(argv):
+        written = [tmp / "fit.json", tmp / "sim.csv"]
+        for path in written:
+            path.unlink(missing_ok=True)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err, [p.read_bytes() for p in written if p.exists()]
+
+    def fresh(argv):
+        cli._parser.cache_clear()
+        return run(argv)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = [fresh(argv) for argv in calls]
+        cli._parser.cache_clear()
+        got = [run(argv) for argv in calls]
+    assert [code for code, *_ in expected] == [0, 2, 0, 2, 0, 0, 2, 0, 0]
+    assert got == expected
 
 
 def test_deconvolve_at_stated_parameters_leaves_scipy_optimize_unloaded(tiny_case):

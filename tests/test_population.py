@@ -12,6 +12,8 @@ from hypothesis import strategies as stn
 import mixref as mx
 from mixref.population import canonical_allele
 
+from conftest import ladder_labels
+
 
 def table(*pairs):
     return mx.FrequencyTable.from_dict({"M": dict(pairs)})
@@ -233,6 +235,80 @@ def expected_position_key(alleles, i):
         return (2, i)
     rep = Fraction(label)
     return (1, rep - int(rep), rep, i)
+
+
+def reference_ladder_key(label):
+    """The ladder sort key as repeat numbers were once read, by Fraction."""
+    try:
+        rep = Fraction(label)
+    except (ValueError, ZeroDivisionError):
+        rep = None
+    if label == "0":
+        return (0, Fraction(0), "")
+    if rep is None:
+        return (2, Fraction(0), label)
+    return (1, rep, "")
+
+
+def reference_structure(alleles):
+    """(donor, order, coupled) with every label parsed by Fraction."""
+    index = {label: i for i, label in enumerate(alleles)}
+    donor = [-1] * len(alleles)
+    silent, numeric, other = [], [], []
+    for i, label in enumerate(alleles):
+        if label == "0":
+            silent.append(i)
+            continue
+        try:
+            rep = Fraction(label)
+        except ValueError:
+            other.append(i)
+            continue
+        numeric.append((rep - int(rep), rep, i))
+        whole, dot, frac = label.partition(".")
+        donor[i] = index.get(f"{int(whole) + 1}{dot}{frac}", -1)
+    numeric.sort()
+    order = silent + [i for _, _, i in numeric] + other
+    coupled = [donor[order[p]] == order[p + 1] for p in range(len(order) - 1)]
+    return donor, order, coupled + [False]
+
+
+class TestLaddersAgainstFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(ladder_labels(), stn.data())
+    def test_table_and_ladder_match_the_fraction_parse(self, labels, data):
+        weights = data.draw(stn.lists(stn.floats(0.1, 1.0), min_size=len(labels),
+                                      max_size=len(labels)))
+        freqs = dict(zip(labels, np.array(weights) / sum(weights)))
+        ranked = sorted(labels, key=reference_ladder_key)
+        donor, order, coupled = reference_structure(ranked)
+        if sum(coupled) != sum(d >= 0 for d in donor):
+            with pytest.raises(ValueError, match="traversal order"):
+                mx.FrequencyTable.from_dict({"M": freqs})
+            return
+        ladder = mx.FrequencyTable.from_dict({"M": freqs}).ladder("M")
+        assert ladder.alleles == tuple(ranked)
+        assert ladder.frequencies == tuple(freqs[a] for a in ranked)
+        assert ladder.donor.tolist() == donor
+        assert ladder.order.tolist() == order
+        assert ladder.coupled.tolist() == coupled
+        # a ladder built directly, in any order, parses its labels alike
+        mixed = data.draw(stn.permutations(ranked))
+        direct = mx.population.MarkerLadder(
+            alleles=tuple(mixed), frequencies=tuple(freqs[a] for a in mixed)
+        )
+        donor, order, coupled = reference_structure(mixed)
+        assert direct.donor.tolist() == donor
+        assert direct.order.tolist() == order
+        assert direct.coupled.tolist() == coupled
+        for label in labels:
+            assert mx.population.allele_repeat(label) == (
+                None if reference_ladder_key(label)[0] == 2 else Fraction(label)
+            )
+
+    def test_profile_alleles_sorted_as_the_ladder(self):
+        profile = mx.GenotypeProfile.from_pairs({"M": ("X", "9.3"), "N": ("10", "9.12")})
+        assert profile.genotypes == {"M": ("9.3", "X"), "N": ("9.12", "10")}
 
 
 class TestLadderStutterStructure:
