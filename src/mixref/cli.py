@@ -24,8 +24,7 @@ from .engine import (
     bundle_top_genotypes,
     top_k_joint_profiles,
 )
-# unused here, but bench/tracing.py wraps these names of this module
-from .engine import marker_posterior, presence_posteriors  # noqa: F401
+from .engine import marker_posterior, presence_posteriors  # noqa: F401 bench/tracing.py wraps them
 from .estimation import FitSpecification, fit, weight_of_evidence
 from .population import with_silent
 

@@ -21,29 +21,28 @@ n copies at the previous position draws m <= 2 - n here, so 6 of the 9
 per-contributor pairs, and 6^U joint pairs, are reachable, and every
 emitted peak's factor is one run of 6^U entries at its emit step.
 
-Each marker's plan lays out every covering trace's factor entries on
-the marker once, flattened (_TraceLayout): observed entries first, then
-dropout entries.  Its parameter-free gathers give each observed entry,
-and each distinct dropout dose, its cell of the pre-stutter dose table
-and its stutter donor's (or a trailing zero cell), so a pass builds
-every dose of a trace with one gather and calls each gamma kernel, and
-its derivative, once per trace.  Dropout entries whose positions share
-the known contributors' counts and whose draws match have the same dose
-at every parameter value, so the gamma CDF is evaluated once per
-distinct dropout dose and spread back.  A stack of several markers
-lays out its markers' entries marker by marker within each kind of
-entry; a stack of one marker is its plan.
+A stack of markers (see below) lays out every trace's factor entries on
+its markers once, flattened (_TraceLayout): observed entries first, then
+dropout entries, each marker by marker.  Its parameter-free gathers give
+each observed entry, and each distinct dropout dose, its cell of the
+pre-stutter dose table and its stutter donor's (or a trailing zero
+cell), so a pass builds every dose of a trace with one gather and calls
+each gamma kernel, and its derivative, once per trace.  Dropout entries
+whose positions share the known contributors' counts and whose draws
+match have the same dose at every parameter value, so the gamma CDF is
+evaluated once per distinct dropout dose and spread back.
 
 A bundle builds its plans and stacks together, with array operations
-over the positions of all its markers rather than Python loops over
-positions: one fold of the per-contributor log-pmfs gives every step's
-transitions, and one pass per trace lays out its entries on every plan,
-then one more on every stack.  A marker held by a stack of several
-markers serves the bundle's queries through that stack, so its own
-layouts are built only when a query about that marker alone first needs
-them.  The tables that depend on U alone, the edges (_build_edges) and
-the draw and pair tables (_joint_tables), are built once per U and
-shared, read-only, by every plan.
+over the positions of the markers its traces cover rather than Python
+loops over positions: one fold of the per-contributor log-pmfs gives
+every step's transitions, and one pass per trace lays out its entries on
+every stack, in one frame that places each position in its stack.  A
+marker's plan holds what is the marker's own (its ladder, its steps'
+transitions, the known contributors' counts), which the queries about
+it read; every pass runs over a stack.  The tables that depend on U
+alone, the edges (_build_edges) and the draw and pair tables
+(_joint_tables), are built once per U and shared, read-only, by every
+plan and stack.
 
 Several traces that share unknown contributors are coupled by multiplying
 their per-allele factors inside the same chain pass.  The markers are
@@ -53,22 +52,22 @@ The bundle splits its markers into stacks whose step holds at most
 _BLOCK_EDGES edge values (up to 163 markers at U = 2, 16 at U = 3, one
 at U >= 4), so a likelihood or gradient evaluation, and each query
 over the whole bundle, is one pass per stack, one in all at U <= 2; a
-query about one marker is one pass over its plan.  Gradient
-evaluations at several parameter sets share their passes: a stack's
-markers run once per set, side by side, within the same budget.  A
-stack front-pads each marker to its longest with exact identity steps:
-state 0 to state 0, weight 1, log 0.  The step tables of all markers, per (previous
-draw, draw) pair, are one np.bincount per trace over a plan-time index
-(entry -> step row * 6^U + pair), and the gradient is one scatter per
-trace.  Every query reads the same pass: the gradient, presence
-posteriors and per-contributor count marginals read the posterior of
-each step's (previous draw, draw) pair; exact k-best genotype
-combinations come from best-first search over the sidetracks of the
-steps' exact log edge values, after a pass for the marker likelihoods
-alone; and the conditional CDF of each observed peak from re-evaluating
-its emit step alone, with the peak's factor left out of an exact sum,
-for every peak of a stack at once.  A brute-force enumerator serves as
-the independent verification oracle.
+query about one marker is one pass over the stack that holds it, and
+reads the marker's rows.  Gradient evaluations at several parameter
+sets share their passes: a stack's markers run once per set, side by
+side, within the same budget.  A stack front-pads each marker to its
+longest with exact identity steps: state 0 to state 0, weight 1, log 0.
+The step tables of all markers, per (previous draw, draw) pair, are one
+np.bincount per trace over a build-time index (entry -> step row * 6^U +
+pair), and the gradient is one scatter per trace.  Every query reads
+the same pass: the gradient, presence posteriors and per-contributor
+count marginals read the posterior of each step's (previous draw, draw)
+pair; exact k-best genotype combinations come from best-first search
+over the sidetracks of the steps' exact log edge values, after a pass
+for the marker likelihoods alone; and the conditional CDF of each
+observed peak from re-evaluating its emit step alone, with the peak's
+factor left out of an exact sum, for every peak of a stack at once.  A
+brute-force enumerator serves as the independent verification oracle.
 
 The pass runs in scaled linear space (Rabiner 1989, Proc. IEEE 77).  A
 step's edge weights are exp(value - the step's largest value), so every
@@ -303,11 +302,6 @@ _TINY = 2.0**-1072
 _LOSS = 1e-120
 
 
-# A one-marker stack's first real step: it has no padding.
-_NO_PADDING = np.zeros(1, dtype=np.int64)
-_NO_PADDING.setflags(write=False)
-
-
 # Per state (S, n) of _STATES, a step into it drew n copies of the
 # 2 - (S - n) left before it: log C(2 - (S - n), n), the copies drawn and
 # the copies left undrawn.
@@ -383,7 +377,7 @@ def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
     The joint edges are the U-fold product of _STEPS in ``src``-major
     order, so each state's out-edges are one run; the first step leaves
     state 0, whose out-edges come first.
-    They depend on U alone, so every marker plan shares one cached pair
+    They depend on U alone, so every plan and stack shares one cached pair
     (one entry per U); the arrays are read-only.
     """
     src, dst, key = (_fold(column, n_unknown, 6) for column in _STEPS.T)
@@ -410,8 +404,8 @@ class _JointTables(NamedTuple):
 def _joint_tables(n_unknown: int) -> _JointTables:
     """The joint chain's draw and pair tables for U unknowns.
 
-    Like the edges, they depend on U alone, so every marker plan shares one
-    cached set (one entry per U); the arrays are read-only.
+    Like the edges, they depend on U alone, so every plan and stack shares
+    one cached set (one entry per U); the arrays are read-only.
     """
     n_combos = 3**n_unknown
     # joint draw c -> each unknown's count: the base-3 digits of c
@@ -433,14 +427,13 @@ def _joint_tables(n_unknown: int) -> _JointTables:
 
 @dataclass(frozen=True)
 class _TraceLayout:
-    """One trace's factor entries over the markers of a plan or a stack,
-    flattened.
+    """One trace's factor entries over the markers of a stack, flattened.
 
     Observed entries come first, marker by marker, then dropout entries,
     marker by marker, so each gamma kernel is one call per trace.  A dose
     point is an observed entry or a distinct dropout dose (see
     _trace_layouts).  gather holds each point's two cells of the trace's
-    pre-stutter doses B over the positions of the plan or stack, flattened
+    pre-stutter doses B over the positions of the stack, flattened
     with one trailing zero cell: dose = (1 - xi) B.flat[gather[0]] +
     xi B.flat[gather[1]].  spread maps each dropout entry to its distinct
     dose, and cell is each entry's cell in the step tables.  counts holds,
@@ -465,10 +458,10 @@ class _TraceLayout:
 
 
 class _Positions(NamedTuple):
-    """Every marker's internal positions, marker after marker in the
-    frequency table's order, with what a trace's layout reads of each."""
+    """The internal positions of the markers a build lays out, marker
+    after marker, with what a trace's layout reads of each."""
 
-    marker: np.ndarray   # the marker's index in the table
+    marker: np.ndarray   # the marker's index among them
     local: np.ndarray    # internal position p on its marker
     coupled: np.ndarray  # stutter donor at p+1
     emitted: np.ndarray  # not silent: the position has a factor
@@ -476,10 +469,10 @@ class _Positions(NamedTuple):
 
 
 class _Frame(NamedTuple):
-    """Where each position's cells sit in the plans, or in the stacks, whose
-    layouts hold it: ``group`` is the plan or stack, ``row`` the row of the
-    position's own step in the group's step tables, ``dose`` its row of
-    the group's pre-stutter doses B, and ``zero`` the group's zero cell."""
+    """Where each position's cells sit in the stack that holds it:
+    ``group`` is the stack, ``row`` the row of the position's own step in
+    the stack's step tables, ``dose`` its row of the stack's pre-stutter
+    doses B, and ``zero`` the stack's zero cell."""
 
     group: np.ndarray
     row: np.ndarray
@@ -600,12 +593,11 @@ def _trace_layouts(pos, frame, members, names, trace, heights, joint, contribute
 
 @dataclass(frozen=True)
 class _MarkerPlan:
-    """Parameter-independent structure for one marker's chain.
-
-    A plan is also the one-marker stack of its marker (see _Stack).  The
-    layouts of a marker that a stack of several markers holds serve only
-    queries about that marker, so they are built on first use.
-    """
+    """Parameter-independent structure of one marker's chain: its ladder,
+    its steps' transitions and the known contributors' counts, which the
+    queries about the marker read, with the tables of U unknowns that its
+    log-space pass and k-best search read.  Passes run over the stack
+    that holds the marker (see _Stack), which lays out the traces."""
 
     marker: str
     labels: tuple[str, ...]          # ladder order
@@ -614,7 +606,6 @@ class _MarkerPlan:
     silent: np.ndarray               # bool per internal position
     coupled: np.ndarray              # stutter donor sits at internal position p+1
     state_lp: np.ndarray             # (P, 6^U): per step, joint transition per target
-    known_ids: tuple[str, ...]
     unknown_ids: tuple[str, ...]
     known_counts: np.ndarray         # (K, P) in internal order
     n_unknown: int
@@ -622,52 +613,29 @@ class _MarkerPlan:
     n_combos: int
     n_pairs: int
     combo_counts: np.ndarray         # (C, U)
-    pair_prev: np.ndarray            # joint pair -> joint draw at t-1
     pair_draw: np.ndarray            # joint pair -> joint draw at t
     edges0: _EdgeSet
     edges: _EdgeSet
-    # each covering trace's layout in the marker's frame, or a function
-    # that builds them
-    layouts: object = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def traces(self) -> tuple[_TraceLayout, ...]:
-        return self.layouts() if callable(self.layouts) else self.layouts
 
     def edges_at(self, t: int) -> _EdgeSet:
         return self.edges0 if t == 0 else self.edges
 
-    @property
-    def plans(self):
-        return (self,)
-
-    @property
-    def first(self):
-        return _NO_PADDING
-
-    @property
-    def lp(self):
-        return self.state_lp[None]
-
-    @property
-    def n_sets(self):
-        return 1
-
 
 @dataclass(frozen=True)
 class _Stack:
-    """Markers whose chains one pass runs side by side.
+    """Markers whose chains one pass runs side by side; every pass runs
+    over a stack, of one marker or of several.
 
-    Each marker is front-padded to the longest: the steps before first[i]
-    are exact identity steps (state 0 to state 0, weight 1, log 0), given
-    by the transition row (0, -inf, ...) and a zero table.  lp is every
-    marker's transition log-probability per step and target state,
-    (G, T, 6^U), the step tables are (G * T, 6^U), marker by marker, and
+    plans holds the markers' plans.  Each marker is front-padded to the
+    longest: the steps before first[i] are exact identity steps (state 0
+    to state 0, weight 1, log 0), given by the transition row (0, -inf,
+    ...) and a zero table.  lp is every marker's transition
+    log-probability per step and target state, (G, T, 6^U), the step
+    tables are (G * T, 6^U), marker by marker (see _marker_rows), and
     known_counts spans the markers' positions in turn.  traces holds each
-    trace's layout over the markers it covers (see _TraceLayout).  A
-    marker plan is the one-marker stack of its marker, with the same
-    attributes.  A pass over n_sets parameter sets at once runs on the
-    stack's markers repeated once per set (see _repeated).
+    trace's layout over the markers it covers (see _TraceLayout).  A pass
+    over n_sets parameter sets at once runs on the stack's markers
+    repeated once per set (see _repeated).
     """
 
     plans: tuple[_MarkerPlan, ...]
@@ -681,171 +649,117 @@ class _Stack:
     n_unknown: int
     n_states: int
     n_pairs: int
-    edges0: _EdgeSet
     edges: _EdgeSet
     n_sets: int = 1
 
 
-def _build_stacks(freqs, hypothesis, traces):
-    """Every marker's plan, and the covered markers (those some trace
-    covers), in order, in stacks of at most _BLOCK_EDGES // 10^U (at least
-    one), so that a stack's step holds at most _BLOCK_EDGES edge values.
+def _build_stacks(freqs, hypothesis, traces, names):
+    """The plans of the markers ``names``, in order, in stacks of at most
+    _BLOCK_EDGES // 10^U (at least one), so that a stack's step holds at
+    most _BLOCK_EDGES edge values.
 
-    A plan lays out each trace's entries on its marker in the marker's own
-    frame: its cells of B and of the step tables start at 0, and its zero
-    cell follows its P * 3^U cells of B.  A stack of several markers lays
-    them out over all its markers, and a stack of one marker is its plan.
-    Every layout of a bundle's stacks, and of its one-marker stacks'
-    plans, is built in one pass per trace over all its positions.
+    One frame places every position in its stack: its rows of the stack's
+    step tables and of its doses B, and the stack's zero cell, which
+    follows the cells of B.  Each trace is laid out on every stack that
+    holds a marker it covers in one pass over all positions.
     """
-    names = freqs.marker_names()
+    if not names:
+        return ()
     n_unknown = len(hypothesis.unknown)
     joint = _joint_tables(n_unknown)
-    pos, state_lp, known_counts, heights = _positions(freqs, hypothesis, traces)
+    pos, state_lp, known_counts, heights = _positions(freqs, hypothesis, traces, names)
     length = np.bincount(pos.marker, minlength=len(names))
-    n_combos = 3**n_unknown
-    contributes = {}
+    start = np.cumsum(length) - length
+    n_combos, n_states = 3**n_unknown, 6**n_unknown
+    per_stack = max(1, _BLOCK_EDGES // 10**n_unknown)
+    groups = [
+        list(range(i, min(i + per_stack, len(names))))
+        for i in range(0, len(names), per_stack)
+    ]
+    # each marker's place in its stack: the stack, the first row of the
+    # marker's steps and of its doses, and the stack's zero cell; and each
+    # stack's positions, padding and transitions
+    place = np.zeros((4, len(names)), dtype=np.int64)
+    chains = []
+    for g, group in enumerate(groups):
+        size = length[group]
+        n_steps = int(size.max())
+        first = n_steps - size
+        place[0, group] = g
+        place[1, group] = np.arange(len(group)) * n_steps + first
+        place[2, group] = np.cumsum(size) - size
+        place[3, group] = size.sum() * n_combos
+        span = slice(start[group[0]], start[group[0]] + size.sum())
+        lp = np.full((len(group), n_steps, n_states), -np.inf)
+        lp[:, :, 0] = 0.0
+        lp[np.arange(n_steps) >= first[:, None]] = state_lp[span]
+        chains.append((span, first, lp))
+    at = place[:, pos.marker]
+    frame = _Frame(at[0], at[1] + pos.local, at[2] + pos.local, at[3])
+    layouts = [[] for _ in groups]
     for trace in traces:
         roles = set(hypothesis.roles_for(trace.trace_id))
-        contributes[trace.trace_id] = (
+        contributes = (
             np.array([r in roles for r in hypothesis.known]),
             np.array([r in roles for r in hypothesis.unknown]),
         )
-    covered = [
-        i for i, name in enumerate(names) if any(name in t.heights for t in traces)
-    ]
-    per_stack = max(1, _BLOCK_EDGES // 10**n_unknown)
-    groups = [covered[i:i + per_stack] for i in range(0, len(covered), per_stack)]
-    shared = [group for group in groups if len(group) > 1]
-    alone = np.ones(len(names), dtype=bool)
-    alone[[i for group in shared for i in group]] = False
+        for g, layout in _trace_layouts(
+            pos, frame, groups, names, trace, heights[trace.trace_id], joint,
+            contributes,
+        ).items():
+            layouts[g].append(layout)
 
-    frame = _Frame(pos.marker, pos.local, pos.local, (length * n_combos)[pos.marker])
-    context = (pos, frame, names, traces, heights, joint, contributes)
-    layouts = _plan_layouts(context, alone)
     edges0, edges = _build_edges(n_unknown)
-    plans, start = [], 0
+    plans = []
     for i, name in enumerate(names):
         ladder = freqs.ladder(name)
-        stop = start + len(ladder.order)
+        mine = slice(start[i], start[i] + length[i])
         plans.append(_MarkerPlan(
             marker=name,
             labels=ladder.alleles,
             order=ladder.order,
             internal_labels=tuple(ladder.alleles[j] for j in ladder.order),
-            silent=~pos.emitted[start:stop],
+            silent=~pos.emitted[mine],
             coupled=ladder.coupled,
-            state_lp=state_lp[start:stop],
-            known_ids=tuple(hypothesis.known),
+            state_lp=state_lp[mine],
             unknown_ids=hypothesis.unknown,
-            known_counts=known_counts[:, start:stop],
+            known_counts=known_counts[:, mine],
             n_unknown=n_unknown,
-            n_states=6**n_unknown,
+            n_states=n_states,
             n_combos=n_combos,
-            n_pairs=6**n_unknown,
+            n_pairs=n_states,
             combo_counts=joint.combo_counts,
-            pair_prev=joint.pair_prev,
             pair_draw=joint.pair_draw,
             edges0=edges0,
             edges=edges,
-            layouts=tuple(layouts[i]) if alone[i] else functools.partial(
-                _deferred_layouts, context, i
-            ),
         ))
-        start = stop
-
-    stacked = [[] for _ in shared]
-    if shared:
-        # each marker's place in its stack: the stack, the first row of the
-        # marker's steps and of its doses, and the stack's zero cell
-        place = np.zeros((4, len(names)), dtype=np.int64)
-        for g, group in enumerate(shared):
-            size = length[group]
-            n_steps = int(size.max())
-            place[0, group] = g
-            place[1, group] = np.arange(len(group)) * n_steps + n_steps - size
-            place[2, group] = np.cumsum(size) - size
-            place[3, group] = size.sum() * n_combos
-        at = place[:, pos.marker]
-        frame = _Frame(at[0], at[1] + pos.local, at[2] + pos.local, at[3])
-        for trace in traces:
-            for g, layout in _trace_layouts(
-                pos, frame, shared, names, trace,
-                np.where(alone[pos.marker], np.nan, heights[trace.trace_id]),
-                joint, contributes[trace.trace_id],
-            ).items():
-                stacked[g].append(layout)
-    stacked = iter(stacked)
-    stacks = tuple(
-        plans[group[0]] if len(group) == 1
-        else _stack([plans[i] for i in group], next(stacked))
-        for group in groups
-    )
-    return dict(zip(names, plans)), stacks
-
-
-def _plan_layouts(context, chosen):
-    """Each chosen marker's layouts in its own frame, in trace order (see
-    _build_stacks; ``chosen`` is a mask over the markers)."""
-    pos, frame, names, traces, heights, joint, contributes = context
-    members = [[i] if pick else [] for i, pick in enumerate(chosen)]
-    keep = chosen[pos.marker]
-    layouts = [[] for _ in names]
-    for trace in traces:
-        for i, layout in _trace_layouts(
-            pos, frame, members, names, trace,
-            np.where(keep, heights[trace.trace_id], np.nan),
-            joint, contributes[trace.trace_id],
-        ).items():
-            layouts[i].append(layout)
-    return layouts
-
-
-def _deferred_layouts(context, i):
-    """The layouts of marker i, built when a query about it first needs
-    them."""
-    chosen = np.zeros(len(context[2]), dtype=bool)
-    chosen[i] = True
-    return tuple(_plan_layouts(context, chosen)[i])
-
-
-def _stack(group, layouts):
-    """The stack of ``group``'s plans, with each trace's layout over them."""
-    template = group[0]
-    length = np.array([len(plan.order) for plan in group])
-    n_steps = int(length.max())
-    first = n_steps - length
-    lp = np.full((len(group), n_steps, template.n_states), -np.inf)
-    lp[:, :, 0] = 0.0
-    lp[np.arange(n_steps) >= first[:, None]] = np.concatenate(
-        [plan.state_lp for plan in group]
-    )
-    return _Stack(
-        plans=tuple(group),
-        first=first,
-        lp=lp,
-        traces=tuple(layouts),
-        known_ids=template.known_ids,
-        unknown_ids=template.unknown_ids,
-        known_counts=np.concatenate([plan.known_counts for plan in group], axis=1),
-        combo_counts=template.combo_counts,
-        n_unknown=template.n_unknown,
-        n_states=template.n_states,
-        n_pairs=template.n_pairs,
-        edges0=template.edges0,
-        edges=template.edges,
+    return tuple(
+        _Stack(
+            plans=tuple(plans[i] for i in group),
+            first=first,
+            lp=lp,
+            traces=tuple(mine),
+            known_ids=tuple(hypothesis.known),
+            unknown_ids=hypothesis.unknown,
+            known_counts=known_counts[:, span],
+            combo_counts=joint.combo_counts,
+            n_unknown=n_unknown,
+            n_states=n_states,
+            n_pairs=n_states,
+            edges=edges,
+        )
+        for group, (span, first, lp), mine in zip(groups, chains, layouts)
     )
 
 
-def _positions(freqs, hypothesis, traces):
-    """Every marker's positions (see _Positions), every step's transition
-    log-probabilities per target state, the known contributors' counts at
-    every position, and each trace's heights at them (NaN on a marker the
-    trace does not cover).  The transitions are one fold over all markers."""
-    names = freqs.marker_names()
-    profiles = list(hypothesis.known.values())
+def _positions(freqs, hypothesis, traces, names):
+    """The positions of the markers ``names`` (see _Positions), every
+    step's transition log-probabilities per target state, the known
+    contributors' counts at every position, and each trace's heights at
+    them (NaN on a marker the trace does not cover).  The transitions are
+    one fold over all markers."""
     marker, local, coupled, silent, rates = [], [], [], [], []
-    known = [[] for _ in profiles]
+    known = [[] for _ in hypothesis.known]
     heights = {trace.trace_id: [] for trace in traces}
     for m, name in enumerate(names):
         ladder = freqs.ladder(name)
@@ -859,7 +773,11 @@ def _positions(freqs, hypothesis, traces):
         local += range(len(order))
         coupled += ladder.coupled.tolist()
         silent += [lab == SILENT_LABEL for lab in labels]
-        for counts, profile in zip(known, profiles):
+        for counts, (kid, profile) in zip(known, hypothesis.known.items()):
+            if name not in profile.genotypes:
+                raise ValueError(
+                    f"known contributor {kid!r} is untyped on marker {name!r}"
+                )
             row = profile.counts(name, ladder)
             counts += [row[i] for i in order]
         for trace in traces:
@@ -881,7 +799,7 @@ def _positions(freqs, hypothesis, traces):
     # out every state that no edge out of state 0 reaches
     local = np.array(local)
     state_lp[np.flatnonzero(local == 0)[:, None], _joint_tables(n_unknown).unreached] = -np.inf
-    known_counts = np.array(known, dtype=np.int64).reshape(len(profiles), len(local))
+    known_counts = np.array(known, dtype=np.int64).reshape(len(known), len(local))
     marker, coupled = np.array(marker), np.array(coupled, dtype=bool)
     pos = _Positions(
         marker=marker,
@@ -913,7 +831,6 @@ def _repeated(stack, n_sets):
         n_unknown=stack.n_unknown,
         n_states=stack.n_states,
         n_pairs=stack.n_pairs,
-        edges0=stack.edges0,
         edges=stack.edges,
         n_sets=n_sets,
     )
@@ -927,20 +844,18 @@ def _repeated(stack, n_sets):
 class EvidenceBundle:
     """Everything one likelihood evaluation needs, immutable once built.
 
-    Chain structure is precomputed per marker, and the factor layout of
-    every trace over all markers, at construction; bundles derived via
-    :meth:`with_parameters` share them, so parameter sweeps and
-    optimizer loops pay the structural cost once.  Evaluation is pure and
-    safe for concurrent read-only use.
+    Chain structure is precomputed for every marker some trace covers,
+    and the factor layout of every trace over them, at construction;
+    bundles derived via :meth:`with_parameters` share them, so parameter
+    sweeps and optimizer loops pay the structural cost once.  A query
+    about a marker no trace covers builds its structure when asked.
+    Evaluation is pure and safe for concurrent read-only use.
     """
 
     traces: tuple[Trace, ...]
     frequencies: FrequencyTable
     hypothesis: Hypothesis
     parameters: ModelParameters
-    _plans: Mapping[str, _MarkerPlan] = field(
-        init=False, repr=False, compare=False, default=None
-    )
     _stacks: tuple[_Stack, ...] = field(
         init=False, repr=False, compare=False, default=None
     )
@@ -970,9 +885,13 @@ class EvidenceBundle:
                             f"{marker!r} present in trace {trace.trace_id!r}"
                         )
         _validate_parameters(self.parameters, self.hypothesis, self.traces)
-        plans, stacks = _build_stacks(self.frequencies, self.hypothesis, self.traces)
-        object.__setattr__(self, "_plans", plans)
-        object.__setattr__(self, "_stacks", stacks)
+        covered = [
+            name for name in self.frequencies.marker_names()
+            if any(name in trace.heights for trace in self.traces)
+        ]
+        object.__setattr__(self, "_stacks", _build_stacks(
+            self.frequencies, self.hypothesis, self.traces, covered
+        ))
 
     def with_parameters(self, parameters: ModelParameters) -> "EvidenceBundle":
         """Same evidence and hypothesis at new parameter values (shares structure)."""
@@ -982,7 +901,6 @@ class EvidenceBundle:
         object.__setattr__(clone, "frequencies", self.frequencies)
         object.__setattr__(clone, "hypothesis", self.hypothesis)
         object.__setattr__(clone, "parameters", parameters)
-        object.__setattr__(clone, "_plans", self._plans)
         object.__setattr__(clone, "_stacks", self._stacks)
         return clone
 
@@ -1084,8 +1002,8 @@ def _set_values(layout, sets):
 
 
 def _trace_dose(stack, layout, params):
-    """One trace's pre-stutter doses over the positions of a stack (or a
-    plan) that holds its layout.
+    """One trace's pre-stutter doses over the positions of the stack that
+    holds its layout.
 
     B[p, c] = sum over the trace's roles of phi_r * n_r(p, c), where
     n_r(p, c) is a known contributor's count at position p or the count
@@ -1128,7 +1046,7 @@ def _view_terms(stack, sets) -> list[_ViewTerms]:
         for row, params in zip(cells, sets):
             row[:-1] = _trace_dose(stack, layout, params).ravel()
         base = cells[:, :-1].reshape(len(sets), *shape)
-        ends = cells[:, layout.gather]
+        ends = np.take(cells, layout.gather, axis=1)
         doses = (1.0 - xi) * ends[:, 0] + xi * ends[:, 1]
         shapes = rho * doses
         n = layout.n_observed
@@ -1154,7 +1072,7 @@ def _step_tables(stack, terms):
     draw) pair of a stack's G markers, summed over traces, for each of the
     K parameter sets of ``terms`` in turn: one np.bincount of each trace's
     entries over their cells, for all sets."""
-    n_sets = len(terms[0].eta) if terms else 1  # a plan no trace covers: one set
+    n_sets = len(terms[0].eta) if terms else 1  # a stack no trace covers: one set
     size = stack.lp.shape[0] * stack.lp.shape[1] * stack.n_pairs
     tables = np.zeros(n_sets * size)
     for layout, term in zip(stack.traces, terms):
@@ -1244,7 +1162,8 @@ class _Pass(NamedTuple):
 
 def _chain_pass(stack, tables, posteriors=False, alt=None) -> _Pass:
     """One pass over a stack's chains with step tables ``tables`` (see
-    _Stack; a plan's are (T, 6^U)).
+    _Stack), of one marker or of several: every pass, for the bundle or
+    for one marker, runs here.
 
     posteriors asks for every step's pair posterior.  alt = (rows,
     alternatives) asks for the pair posterior of step rows[j], a row of
@@ -1654,18 +1573,28 @@ def _as_presence(allele, value) -> bool:
 # Public queries
 
 
-def _plan_for(bundle: EvidenceBundle, marker: str) -> _MarkerPlan:
-    try:
-        return bundle._plans[marker]
-    except KeyError:
-        raise KeyError(f"marker {marker!r} not in frequency table") from None
+def _stack_of(bundle: EvidenceBundle, marker: str) -> tuple[_Stack, int]:
+    """The stack that holds ``marker``, and the marker's index in it.  A
+    marker no trace covers is built when asked, as a one-marker stack with
+    no layouts."""
+    for stack in bundle._stacks:
+        for i, plan in enumerate(stack.plans):
+            if plan.marker == marker:
+                return stack, i
+    if marker not in bundle.frequencies.marker_names():
+        raise KeyError(f"marker {marker!r} not in frequency table")
+    (stack,) = _build_stacks(
+        bundle.frequencies, bundle.hypothesis, bundle.traces, [marker]
+    )
+    return stack, 0
 
 
 def marker_log_likelihood(bundle: EvidenceBundle, marker: str) -> float:
-    """Exact log likelihood of one marker, marginalized over unknown genotypes."""
-    plan = _plan_for(bundle, marker)
-    tables = _step_tables(plan, _view_terms(plan, [bundle.parameters]))
-    return float(_chain_pass(plan, tables).loglik[0])
+    """Exact log likelihood of one marker, marginalized over unknown
+    genotypes, by one pass over the stack of markers that holds it."""
+    stack, i = _stack_of(bundle, marker)
+    tables = _step_tables(stack, _view_terms(stack, [bundle.parameters]))
+    return float(_chain_pass(stack, tables).loglik[i])
 
 
 def total_log_likelihood(bundle: EvidenceBundle) -> float:
@@ -1788,7 +1717,7 @@ def _add_gradient(stack, terms, pair, grad, column):
             gamma_log_pdf_grad(layout.peak_heights, shapes[:, :n], term.eta),
             gamma_log_cdf_grad(layout.threshold, shapes[:, n:], term.eta, term.log_cdf),
         ))
-        w = pair[:, layout.cell]
+        w = np.take(pair, layout.cell, axis=1)
         n_distinct = shapes.shape[1] - n
         dropout = np.bincount(
             _set_offsets(layout.spread, n_sets, n_distinct), w[:, n:].ravel(),
@@ -1829,19 +1758,33 @@ def _add_gradient(stack, terms, pair, grad, column):
                         row[column["phi", tid, r]] += value
 
 
-def _passes(stacks, params, posteriors, assignments=None):
-    """Each of ``stacks`` with its step tables and one pass over them
-    (presence assignments, on a one-marker stack, masking its tables).
+def _every_marker(bundle):
+    """Each of the bundle's stacks, with the indices of all its markers
+    (see _passes)."""
+    return [(stack, range(len(stack.plans))) for stack in bundle._stacks]
 
-    Raises InfeasibleConditioningError for a stack's first marker of no
-    finite likelihood.
+
+def _passes(chosen, params, posteriors, assignments=None):
+    """One pass over each stack of ``chosen``, pairs (stack, the indices
+    of the markers asked about), and for each marker asked about in turn:
+    its plan, its rows of the step tables, its log L and (if
+    ``posteriors``) its rows of the pair posteriors.
+
+    Presence assignments, with one marker asked about, mask its rows of
+    the step tables.  Raises InfeasibleConditioningError for the first
+    marker asked about of no finite likelihood; the other markers of its
+    stack may have none.
     """
-    for stack in stacks:
+    for stack, markers in chosen:
         tables = _step_tables(stack, _view_terms(stack, [params]))
         if assignments:
-            tables += _presence_masks(stack, assignments)
+            (i,) = markers
+            tables[_marker_rows(stack, i)] += _presence_masks(
+                stack.plans[i], assignments
+            )
         result = _chain_pass(stack, tables, posteriors=posteriors)
-        for plan, loglik in zip(stack.plans, result.loglik):
+        for i in markers:
+            plan, loglik = stack.plans[i], float(result.loglik[i])
             if not np.isfinite(loglik):
                 where = ""
                 if assignments:
@@ -1849,7 +1792,8 @@ def _passes(stacks, params, posteriors, assignments=None):
                 raise InfeasibleConditioningError(
                     f"zero probability on marker {plan.marker!r}{where}"
                 )
-        yield stack, tables, result
+            rows = _marker_rows(stack, i)
+            yield plan, tables[rows], loglik, result.pair[rows] if posteriors else None
 
 
 def _marker_rows(stack, i):
@@ -1891,11 +1835,12 @@ def _summary(plan, loglik, pair, top_genotypes=()):
 def _chain_posterior(bundle, marker, assignments=None, k=0):
     if not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
-    plan = _plan_for(bundle, marker)
-    ((_, tables, result),) = _passes((plan,), bundle.parameters, True, assignments)
-    loglik = float(result.loglik[0])
+    stack, i = _stack_of(bundle, marker)
+    ((plan, tables, loglik, pair),) = _passes(
+        [(stack, [i])], bundle.parameters, True, assignments
+    )
     top = _kbest_paths(plan, tables, loglik, k) if k else ()
-    return _summary(plan, loglik, result.pair, top)
+    return _summary(plan, loglik, pair, top)
 
 
 def presence_posteriors(bundle: EvidenceBundle, marker: str) -> Mapping[str, float]:
@@ -1936,25 +1881,22 @@ def bundle_posteriors(bundle: EvidenceBundle) -> dict[str, MarkerChainPosterior]
     :class:`InfeasibleConditioningError`.
     """
     return {
-        plan.marker: _summary(
-            plan, float(result.loglik[i]), result.pair[_marker_rows(stack, i)]
+        plan.marker: _summary(plan, loglik, pair)
+        for plan, _, loglik, pair in _passes(
+            _every_marker(bundle), bundle.parameters, True
         )
-        for stack, _, result in _passes(bundle._stacks, bundle.parameters, True)
-        for i, plan in enumerate(stack.plans)
     }
 
 
-def _top_genotypes(stacks, params, k):
-    """Each marker's k best genotype combinations: a value pass over each
-    stack for the markers' log L, then k-best search per marker."""
+def _top_genotypes(chosen, params, k):
+    """The k best genotype combinations of each marker asked about (see
+    _passes): a value pass over each stack for the markers' log L, then
+    k-best search per marker."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     return {
-        plan.marker: _kbest_paths(
-            plan, tables[_marker_rows(stack, i)], float(result.loglik[i]), k
-        )
-        for stack, tables, result in _passes(stacks, params, False)
-        for i, plan in enumerate(stack.plans)
+        plan.marker: _kbest_paths(plan, tables, loglik, k)
+        for plan, tables, loglik, _ in _passes(chosen, params, False)
     }
 
 
@@ -1968,8 +1910,8 @@ def top_k_marker_genotypes(bundle: EvidenceBundle, marker: str, k: int):
     probability come in the order of their genotypes, compared role by
     role as pairs of ladder indices.
     """
-    plan = _plan_for(bundle, marker)
-    return _top_genotypes((plan,), bundle.parameters, k)[marker]
+    stack, i = _stack_of(bundle, marker)
+    return _top_genotypes([(stack, [i])], bundle.parameters, k)[marker]
 
 
 def bundle_top_genotypes(bundle: EvidenceBundle, k: int) -> dict[str, tuple]:
@@ -1980,7 +1922,7 @@ def bundle_top_genotypes(bundle: EvidenceBundle, k: int) -> dict[str, tuple]:
     A marker of zero likelihood raises
     :class:`InfeasibleConditioningError`.
     """
-    return _top_genotypes(bundle._stacks, bundle.parameters, k)
+    return _top_genotypes(_every_marker(bundle), bundle.parameters, k)
 
 
 def _kbest_paths(plan, tables, loglik, k):

@@ -377,7 +377,7 @@ class TestOneSweep:
         assert len(stack.plans) == 3
         passes = _count_chain_passes(monkeypatch)
         mx.top_k_marker_genotypes(b, "M2", 4)
-        assert passes == [(1, False)]
+        assert passes == [(3, False)]  # the pass over M2's stack
         mx.bundle_top_genotypes(b, 4)
         assert passes[1:] == [(3, False)]
 
@@ -565,10 +565,10 @@ class TestScaledPassFallback:
 
     def test_dying_path_redoes_the_marker_in_log_space(self, monkeypatch):
         b = self._dying_path_case()
-        plan = b._plans["M"]
-        tables = engine._step_tables(plan, engine._view_terms(plan, [b.parameters]))
+        (stack,) = b._stacks
+        tables = engine._step_tables(stack, engine._view_terms(stack, [b.parameters]))
         ended = np.zeros(1, dtype=bool)
-        loglik, *_ = engine._forward(plan, tables, False, ended)
+        loglik, *_ = engine._forward(stack, tables, False, ended)
         assert ended.all() and loglik[0] != -np.inf
         redone = []
 
@@ -603,7 +603,8 @@ class TestScaledPassFallback:
         b = single_trace_bundle(
             freqs, mx.Hypothesis(known={}, unknown=("U1",)), {}, params
         )
-        plan = b._plans["M"]
+        (stack,) = b._stacks
+        (plan,) = stack.plans
         assert plan.internal_labels == ("8", "10", "12", "14")
         tables = np.zeros((4, plan.n_pairs))
         tables[0, [PAIRS.index((0, 0)), PAIRS.index((0, 1))]] = -800.0
@@ -613,22 +614,22 @@ class TestScaledPassFallback:
         assert exact.loglik == pytest.approx(-800.0, abs=1.0)
         for posteriors in (False, True):
             redo = np.zeros(1, dtype=bool)
-            engine._scaled_pass(plan, tables, posteriors, None, redo)
+            engine._scaled_pass(stack, tables, posteriors, None, redo)
             assert redo.all()
-            got = engine._chain_pass(plan, tables, posteriors)
+            got = engine._chain_pass(stack, tables, posteriors)
             assert got.loglik == exact.loglik
         np.testing.assert_array_equal(got.pair, exact.pair)
 
     def test_backward_and_posteriors_refuse_what_they_would_lose(self):
-        plan = self._dying_path_case()._plans["M"]
-        n_steps, n_edges = len(plan.order), len(plan.edges.src)
+        (stack,) = self._dying_path_case()._stacks
+        n_steps, n_edges = len(stack.plans[0].order), len(stack.edges.src)
 
         def backward_ends(*steps):
             weights = np.ones((n_steps, n_edges))
             for t, weight in steps:
                 weights[t] = weight
             ended = np.zeros(1, dtype=bool)
-            engine._backward(plan, [weights], ended)
+            engine._backward(stack, [weights], ended)
             return ended.all()
 
         # one step a little above the floor is kept
@@ -636,12 +637,12 @@ class TestScaledPassFallback:
         # one step below it, or two steps that each keep 1e-150, are not
         for steps in ([(2, 1e-210)], [(1, 1e-150), (2, 1e-150)]):
             assert backward_ends(*steps)
-        keys, one_step = plan.edges.key, n_edges * engine._TINY
+        keys, one_step = stack.edges.key, n_edges * engine._TINY
 
         def posteriors_end(mass):
             ended = np.zeros(1, dtype=bool)
             engine._pair_posteriors(
-                np.full((1, n_edges), mass), keys, plan.n_pairs, one_step, ended
+                np.full((1, n_edges), mass), keys, stack.n_pairs, one_step, ended
             )
             return ended.all()
 
@@ -1093,13 +1094,14 @@ class TestChainStructure:
                 freqs, mx.Hypothesis(known=known, unknown=unknown), {"7": 300.0},
                 params,
             )
-            plan = b._plans["M"]
+            (stack,) = b._stacks
+            (plan,) = stack.plans
             zeros = np.zeros((len(plan.order), plan.n_pairs))
             # the scaled pass: log L is 0 and every backward message is flat
             ended = np.zeros(1, dtype=bool)
-            loglik, _, _, weights = engine._forward(plan, zeros, True, ended)
+            loglik, _, _, weights = engine._forward(stack, zeros, True, ended)
             assert abs(loglik) < 1e-12
-            beta, _ = engine._backward(plan, weights, ended)
+            beta, _ = engine._backward(stack, weights, ended)
             assert np.abs(beta - 1.0).max() < 1e-12
             assert not ended.any()
             # the log-space recursion it falls back on: the same in log space
@@ -1139,8 +1141,8 @@ class TestChainStructure:
             monkeypatch.setattr(engine, name, counting)
         assert np.isfinite(mx.total_log_likelihood(b))
         evaluated = sum(entries)
-        plan = b._plans["M"]
-        terms = _terms_at(plan, b.parameters)
+        (stack,) = b._stacks
+        terms = _terms_at(stack, b.parameters)
         assert [len(term.log_factors) for term in terms] == [4 * 6**n_unknown] * 2
         # gamma is evaluated once per observed entry and once per distinct
         # dropout dose: per trace three coupled peaks of 6^U doses each, and
@@ -1220,33 +1222,48 @@ class TestDistinctDoses:
     @settings(max_examples=30, deadline=None)
     def test_every_entry_as_at_its_own_dose(self, n_unknown, seed):
         b = _overridden_case(n_unknown, seed)
-        for marker in b.covered_markers():
-            plan = b._plans[marker]
-            for layout, term in zip(plan.traces, _terms_at(plan, b.parameters)):
-                # each entry's own dose, block by block, as the chain defines
-                # it, from the marker's own doses B
-                base = term.base
-                own = np.concatenate([
-                    (1.0 - term.xi) * base[p][plan.pair_prev]
-                    + term.xi * base[p + 1][plan.pair_draw]
-                    if plan.coupled[p]
-                    else (1.0 - term.xi) * base[p][plan.pair_draw]
-                    for p in layout.position
-                ])
-                k = layout.n_observed
+        params, joint = b.parameters, engine._joint_tables(n_unknown)
+        for stack in b._stacks:
+            plans = {plan.marker: plan for plan in stack.plans}
+            # each marker's first row of the stack's doses B
+            length = [len(plan.order) for plan in stack.plans]
+            offset = dict(zip(plans, np.cumsum([0] + length)))
+            n_pairs = stack.n_pairs
+            for layout, term in zip(stack.traces, _terms_at(stack, params)):
+                tid, k = layout.trace_id, layout.n_observed
+                # each run's marker: the observed runs marker by marker, then
+                # the dropout runs
+                runs = np.repeat(
+                    list(layout.markers) * 2,
+                    np.concatenate([layout.counts[0], layout.counts[2]]) // n_pairs,
+                )
+                # each entry's own dose, run by run, as the chain defines it,
+                # from its marker's rows of the doses B, at its marker's xi
+                own, rho = [], []
+                for marker, p in zip(runs, layout.position):
+                    xi = params.xi_for_marker(tid, marker)
+                    base = term.base[offset[marker] + p:]
+                    own.append(
+                        (1.0 - xi) * base[0][joint.pair_prev]
+                        + xi * base[1][joint.pair_draw]
+                        if plans[marker].coupled[p]
+                        else (1.0 - xi) * base[0][joint.pair_draw]
+                    )
+                    rho.append(np.full(n_pairs, params.rho_for(tid, marker)))
+                own = np.concatenate(own)
                 # the dose points: the observed entries, then the distinct
                 # dropout doses, spread back to the dropout entries
                 np.testing.assert_array_equal(
                     np.concatenate([term.doses[:k], term.doses[k:][layout.spread]]), own
                 )
-                shapes = term.rho * own
-                (trace,) = [t for t in b.traces if t.trace_id == layout.trace_id]
+                shapes = np.concatenate(rho) * own
+                (trace,) = [t for t in b.traces if t.trace_id == tid]
                 heights = np.repeat(
                     [
-                        trace.height(marker, plan.internal_labels[p])
-                        for p in layout.position[:k // plan.n_pairs]
+                        trace.height(marker, plans[marker].internal_labels[p])
+                        for marker, p in zip(runs, layout.position[:k // n_pairs])
                     ],
-                    plan.n_pairs,
+                    n_pairs,
                 )
                 np.testing.assert_array_equal(
                     term.log_factors[:k], gamma_log_pdf(heights, shapes[:k], term.eta)
@@ -1256,13 +1273,14 @@ class TestDistinctDoses:
                 np.testing.assert_array_equal(term.log_cdf[layout.spread], log_cdf)
                 # derivatives at the distinct doses, spread back, are each entry's own
                 spread = gamma_log_cdf_grad(
-                    layout.threshold, term.rho * term.doses[k:], term.eta, term.log_cdf
+                    layout.threshold, (term.rho * term.doses)[k:], term.eta, term.log_cdf
                 )
                 own_grad = gamma_log_cdf_grad(
                     layout.threshold, shapes[k:], term.eta, log_cdf
                 )
                 for got, want in zip(spread, own_grad):
                     np.testing.assert_array_equal(got[layout.spread], want)
+        for marker in b.covered_markers():
             dp = mx.marker_log_likelihood(b, marker)
             enum = oracle_log_likelihood(b, marker)
             bf = mx.brute_force_log_likelihood(b, marker)
@@ -1284,7 +1302,7 @@ class TestDistinctDoses:
 
         monkeypatch.setattr(engine, "gamma_log_cdf", counting)
         mx.total_log_likelihood(b)
-        layouts = [layout for plan in b._plans.values() for layout in plan.traces]
+        layouts = [layout for stack in b._stacks for layout in stack.traces]
         assert sum(len(v.cell) - v.n_observed for v in layouts) == 1296
         assert sum(sizes) == 486
 
@@ -1447,6 +1465,20 @@ def _reference_stack(group, trace_ids):
     )
 
 
+def _assert_plan_equal(plan, expected):
+    """A plan against the reference build.  Its layouts sit on its stack,
+    and pair_prev, which depends on U alone, in the shared tables."""
+    for name, value in expected.items():
+        if name == "traces":
+            continue
+        have = (engine._joint_tables(plan.n_unknown).pair_prev if name == "pair_prev"
+                else getattr(plan, name))
+        if isinstance(value, (str, int, tuple)):
+            assert have == value, name
+        else:
+            np.testing.assert_array_equal(have, value, err_msg=name)
+
+
 def _assert_layouts_equal(got, want):
     assert len(got) == len(want)
     for layout, expected in zip(got, want):
@@ -1511,24 +1543,21 @@ class TestPlanBuildAgainstPerPositionReference:
         )
         want = {m: _reference_plan(m, freqs, hypothesis, traces)
                 for m in freqs.marker_names()}
-        for marker, plan in bundle._plans.items():
-            expected = want[marker]
-            for name, value in expected.items():
-                if name == "traces":
-                    _assert_layouts_equal(plan.traces, value)
-                elif isinstance(value, (str, int, tuple)):
-                    assert getattr(plan, name) == value, name
-                else:
-                    np.testing.assert_array_equal(getattr(plan, name), value, err_msg=name)
         covered = [want[m] for m in freqs.marker_names() if want[m]["traces"]]
         per_stack = max(1, 2**14 // 10 ** len(hypothesis.unknown))
         groups = [covered[i:i + per_stack] for i in range(0, len(covered), per_stack)]
         assert len(bundle._stacks) == len(groups)
         trace_ids = [t.trace_id for t in traces]
-        for stack, group in zip(bundle._stacks, groups):
-            if len(group) == 1:
-                assert stack is bundle._plans[group[0]["marker"]]
-                continue
+        built = list(zip(bundle._stacks, groups))
+        # a marker no trace covers is built when asked, as a stack of its
+        # own with no layouts
+        built += [
+            (engine._stack_of(bundle, m)[0], [want[m]])
+            for m in freqs.marker_names() if not want[m]["traces"]
+        ]
+        for stack, group in built:
+            for plan, expected in zip(stack.plans, group, strict=True):
+                _assert_plan_equal(plan, expected)
             expected = _reference_stack(group, trace_ids)
             assert [p.marker for p in stack.plans] == expected["markers"]
             for name in ("first", "lp", "known_counts"):
@@ -1588,8 +1617,8 @@ class TestPlanReadsLadder:
 
     def test_plan_takes_order_and_coupling_from_ladder(self, pubcase_defence_bundle):
         b = pubcase_defence_bundle
-        for marker, plan in b._plans.items():
-            ladder = b.frequencies.ladder(marker)
+        for plan in (plan for stack in b._stacks for plan in stack.plans):
+            ladder = b.frequencies.ladder(plan.marker)
             np.testing.assert_array_equal(plan.order, ladder.order)
             np.testing.assert_array_equal(plan.coupled, ladder.coupled)
 
@@ -1638,6 +1667,20 @@ class TestBundlePass:
             assert mx.marker_log_likelihood(b, marker) == part
             for oracle in (mx.brute_force_log_likelihood, oracle_log_likelihood):
                 assert part == pytest.approx(oracle(b, marker), rel=1e-9, abs=1e-9)
+            # the marker's rows of its stack's step tables and pair
+            # posteriors are those of its one-marker bundle's pass
+            one = _one_marker_bundle(b, marker)
+            (alone,) = one._stacks
+            stack, i = engine._stack_of(b, marker)
+            rows = engine._marker_rows(stack, i)
+            tables = engine._step_tables(stack, engine._view_terms(stack, [b.parameters]))
+            own = engine._step_tables(alone, engine._view_terms(alone, [b.parameters]))
+            np.testing.assert_array_equal(tables[rows], own)
+            whole = engine._chain_pass(stack, tables, posteriors=True)
+            np.testing.assert_allclose(
+                whole.pair[rows], engine._chain_pass(alone, own, posteriors=True).pair,
+                rtol=1e-12,
+            )
         if not np.isfinite(ll):
             return
         for key, value in grad.items():
@@ -1650,59 +1693,6 @@ class TestBundlePass:
         # ladders of different lengths with silent alleles, trace_roles, a
         # marker_rho on M and a marker_xi on M2; T2 may not cover M2
         self._check(_overridden_case(n_unknown, seed, missing))
-
-    @given(stn.integers(0, 3), stn.integers(0, 2**32 - 1), stn.booleans())
-    @settings(max_examples=30, deadline=None)
-    def test_each_plan_agrees_with_its_rows_of_the_stack(
-        self, n_unknown, seed, missing
-    ):
-        # a marker's entries sit in its plan's layouts and again in the
-        # stack's concatenation: the plan's own pass must read the same
-        b = _overridden_case(n_unknown, seed, missing)
-        (stack,) = b._stacks
-        markers = [plan.marker for plan in stack.plans]
-        assert markers == ["M", "M2"]
-        # each marker's dose points read the same cells of its own doses B,
-        # or the zero cell, in the stack's layouts as in its plan's: every
-        # cell carries a label unique to it
-        labels = [
-            i * 10**6 + np.arange(len(plan.order) * plan.n_combos)
-            for i, plan in enumerate(stack.plans)
-        ]
-        stacked = np.concatenate(labels + [[-1]])
-        for layout in stack.traces:
-            for j, marker in enumerate(layout.markers):
-                i = markers.index(marker)
-                (own,) = [
-                    o for o in stack.plans[i].traces if o.trace_id == layout.trace_id
-                ]
-                start = layout.counts[:2, :j].sum(axis=1)
-                n_observed, n_distinct = layout.counts[:2, j]
-                points = np.concatenate([
-                    start[0] + np.arange(n_observed),
-                    layout.n_observed + start[1] + np.arange(n_distinct),
-                ])
-                np.testing.assert_array_equal(
-                    stacked[layout.gather[:, points]],
-                    np.append(labels[i], -1)[own.gather],
-                )
-        tables = engine._step_tables(stack, engine._view_terms(stack, [b.parameters]))
-        whole = engine._chain_pass(stack, tables, posteriors=True)
-        n_steps = stack.lp.shape[1]
-        per_block = max(
-            1, engine._BLOCK_EDGES // (len(stack.plans) * len(stack.edges.src))
-        )
-        for i, plan in enumerate(stack.plans):
-            own = engine._step_tables(plan, engine._view_terms(plan, [b.parameters]))
-            one = engine._chain_pass(plan, own, posteriors=True)
-            rows = slice(i * n_steps + stack.first[i], (i + 1) * n_steps)
-            np.testing.assert_array_equal(tables[rows], own)
-            if stack.first[i] // per_block == (n_steps - 1) // per_block:
-                assert whole.loglik[i] == one.loglik[0]
-                np.testing.assert_array_equal(whole.pair[rows], one.pair)
-            else:
-                assert whole.loglik[i] == pytest.approx(one.loglik[0], rel=1e-12)
-                np.testing.assert_allclose(whole.pair[rows], one.pair, rtol=1e-12)
 
     def test_one_marker_per_stack_at_four_unknowns(self):
         # at U = 4 a stack holds one marker: each marker is its own stack
@@ -1768,24 +1758,7 @@ class TestBundlePass:
         self._check(b)
 
     def test_impossible_marker_skips_the_log_redo(self, monkeypatch):
-        # U1 carries no DNA (phi 0) and K1 not 12, which has no stutter
-        # donor: the peak at 12 has no dose, every path through its step
-        # has log factor -inf, and M is impossible; N is not
-        freqs = mx.FrequencyTable.from_dict({
-            "M": {"8": 0.3, "10": 0.3, "12": 0.4}, "N": {"5": 0.5, "6": 0.5},
-        })
-        k1 = mx.GenotypeProfile.from_pairs({"M": ("8", "8"), "N": ("5", "6")})
-        b = mx.EvidenceBundle(
-            traces=(mx.Trace("T1", 50.0, {
-                "M": {"8": 900.0, "12": 400.0}, "N": {"5": 500.0, "6": 450.0},
-            }),),
-            frequencies=freqs,
-            hypothesis=mx.Hypothesis(known={"K1": k1}, unknown=("U1",)),
-            parameters=mx.ModelParameters(
-                rho={"T1": 40.0}, eta=25.0, xi=0.08,
-                phi={"T1": {"K1": 1.0, "U1": 0.0}},
-            ),
-        )
+        b = _impossible_marker_case()
         redone = _count_log_passes(monkeypatch)
         ll, grad = mx.log_likelihood_and_gradient(b)
         assert ll == mx.total_log_likelihood(b) == mx.marker_log_likelihood(b, "M")
@@ -1803,10 +1776,12 @@ class TestBundlePass:
         assert grad == pytest.approx(want, rel=1e-12)
         # the log-space pass of an impossible marker runs no backward
         # recursion and gives zero pair posteriors
-        plan = b._plans["M"]
-        tables = engine._step_tables(plan, engine._view_terms(plan, [b.parameters]))
+        stack, i = engine._stack_of(b, "M")
+        tables = engine._step_tables(stack, engine._view_terms(stack, [b.parameters]))
         monkeypatch.setattr(engine, "_log_backward", None)
-        one = engine._log_pass(plan, tables, True, None)
+        one = engine._log_pass(
+            stack.plans[i], tables[engine._marker_rows(stack, i)], True, None
+        )
         assert one.loglik == -np.inf and not one.pair.any()
 
     def test_one_call_per_trace_of_each_gamma_kernel(
@@ -1823,6 +1798,162 @@ class TestBundlePass:
         mx.log_likelihood_and_gradient(b)
         assert calls == dict.fromkeys(calls, len(b.traces)) and len(calls) == 4
         assert len(b.traces) == 2
+
+
+def _impossible_marker_case():
+    # U1 carries no DNA (phi 0) and K1 not 12, which has no stutter donor:
+    # the peak at 12 has no dose, every path through its step has log
+    # factor -inf, and M is impossible; N, in M's stack, is not
+    freqs = mx.FrequencyTable.from_dict({
+        "M": {"8": 0.3, "10": 0.3, "12": 0.4}, "N": {"5": 0.5, "6": 0.5},
+    })
+    k1 = mx.GenotypeProfile.from_pairs({"M": ("8", "8"), "N": ("5", "6")})
+    return mx.EvidenceBundle(
+        traces=(mx.Trace("T1", 50.0, {
+            "M": {"8": 900.0, "12": 400.0}, "N": {"5": 500.0, "6": 450.0},
+        }),),
+        frequencies=freqs,
+        hypothesis=mx.Hypothesis(known={"K1": k1}, unknown=("U1",)),
+        parameters=mx.ModelParameters(
+            rho={"T1": 40.0}, eta=25.0, xi=0.08,
+            phi={"T1": {"K1": 1.0, "U1": 0.0}},
+        ),
+    )
+
+
+class TestMarkerQueries:
+    """A query about one marker is one pass over the stack that holds it,
+    read at the marker's rows: the path of the bundle-level queries."""
+
+    def _many_marker_case(self):
+        # 30 markers of 6 alleles at U = 2 make one stack, whose blocks hold
+        # _BLOCK_EDGES // (30 * 100) = 5 steps, so each marker's 6 steps
+        # span two blocks
+        rng = np.random.default_rng(8)
+        labels = ["8", "9", "10", "11", "12", "13"]
+        markers = [f"M{i}" for i in range(30)]
+        freqs = mx.FrequencyTable.from_dict({
+            m: dict(zip(labels, rng.dirichlet(np.full(6, 3.0)))) for m in markers
+        })
+        k1 = mx.GenotypeProfile.from_pairs(
+            {m: tuple(rng.choice(labels, 2)) for m in markers}
+        )
+        heights = {
+            m: {a: float(rng.uniform(60, 1200)) for a in labels if rng.random() < 0.5}
+            for m in markers
+        }
+        return mx.EvidenceBundle(
+            traces=(mx.Trace("T1", 50.0, heights),), frequencies=freqs,
+            hypothesis=mx.Hypothesis(known={"K1": k1}, unknown=("U1", "U2")),
+            parameters=mx.ModelParameters(
+                rho={"T1": 30.0}, eta=25.0, xi=0.08,
+                phi={"T1": {"K1": 0.5, "U1": 0.3, "U2": 0.2}},
+            ),
+        )
+
+    def test_each_query_equals_its_bundle_counterpart(self):
+        b = self._many_marker_case()
+        (stack,) = b._stacks
+        per_block = engine._BLOCK_EDGES // (len(stack.plans) * len(stack.edges.src))
+        assert per_block < stack.lp.shape[1] == 6
+        posts, tops = mx.bundle_posteriors(b), mx.bundle_top_genotypes(b, 3)
+        k1 = b.hypothesis.known["K1"]
+        for m in b.covered_markers():
+            post = posts[m]
+            assert mx.marker_log_likelihood(b, m) == post.log_likelihood
+            assert mx.marker_posterior(b, m) == post
+            assert mx.presence_posteriors(b, m) == post.presence
+            carried = {k1.genotypes[m][0]: "present"}  # certain: masks nothing
+            assert mx.conditioned_presence(b, m, carried) == post
+            assert mx.top_k_marker_genotypes(b, m, 3) == tops[m]
+            assert mx.marker_posterior(b, m, k=3).top_genotypes == tops[m]
+            # the marker's pass alone sums its blocks' shifts in another
+            # order
+            alone = mx.marker_posterior(_one_marker_bundle(b, m), m, k=3)
+            assert post.log_likelihood == pytest.approx(alone.log_likelihood, rel=1e-12)
+            assert post.presence == pytest.approx(alone.presence, rel=1e-12, abs=1e-15)
+            assert [g for g, _ in alone.top_genotypes] == [g for g, _ in tops[m]]
+            assert [p for _, p in tops[m]] == pytest.approx(
+                [p for _, p in alone.top_genotypes], rel=1e-9
+            )
+
+    def test_query_answers_beside_an_impossible_marker(self):
+        b = _impossible_marker_case()
+        assert [plan.marker for plan in b._stacks[0].plans] == ["M", "N"]
+        alone = _one_marker_bundle(b, "N")
+        want = mx.marker_posterior(alone, "N", k=4)
+        got = mx.marker_posterior(b, "N", k=4)
+        assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-12)
+        assert got.presence == pytest.approx(want.presence, rel=1e-12)
+        assert [g for g, _ in got.top_genotypes] == [g for g, _ in want.top_genotypes]
+        assert mx.presence_posteriors(b, "N") == got.presence
+        assert mx.top_k_marker_genotypes(b, "N", 4) == got.top_genotypes
+        cond = mx.conditioned_presence(b, "N", {"5": "present"})
+        assert cond.log_likelihood == got.log_likelihood
+        # M's own log L alone is refused
+        assert mx.marker_log_likelihood(b, "M") == -np.inf
+        for query in (
+            lambda: mx.marker_posterior(b, "M"),
+            lambda: mx.presence_posteriors(b, "M"),
+            lambda: mx.conditioned_presence(b, "M", {"8": "present"}),
+            lambda: mx.top_k_marker_genotypes(b, "M", 2),
+        ):
+            with pytest.raises(InfeasibleConditioningError, match="marker 'M'"):
+                query()
+
+    @pytest.mark.parametrize("n_unknown, n_stacks", [(2, 1), (4, 2)])
+    def test_build_lays_out_each_trace_once(self, n_unknown, n_stacks, monkeypatch):
+        b = _overridden_case(n_unknown, seed=3)
+        laid_out = []
+
+        def spy(*args, _original=engine._trace_layouts):
+            laid_out.append(args[4].trace_id)
+            return _original(*args)
+
+        monkeypatch.setattr(engine, "_trace_layouts", spy)
+        rebuilt = mx.EvidenceBundle(
+            traces=b.traces, frequencies=b.frequencies,
+            hypothesis=b.hypothesis, parameters=b.parameters,
+        )
+        assert laid_out == ["T1", "T2"]
+        assert len(rebuilt._stacks) == n_stacks
+
+    def test_known_untyped_on_a_marker_no_trace_covers(self):
+        # K1 is typed on M1 alone and the trace covers M1 alone: M2 takes
+        # no part in the bundle, and a query about it names K1 and M2
+        freqs = mx.FrequencyTable.from_dict({
+            "M1": {"8": 0.3, "9": 0.3, "10": 0.4}, "M2": {"8": 0.5, "9": 0.5},
+        })
+        k1 = mx.GenotypeProfile.from_pairs({"M1": ("8", "9")})
+        params = mx.ModelParameters(
+            rho={"T1": 30.0}, eta=25.0, xi=0.05, phi={"T1": {"K1": 0.6, "U1": 0.4}},
+        )
+        b = mx.EvidenceBundle(
+            traces=(mx.Trace("T1", 50.0, {"M1": {"8": 420.0, "9": 260.0,
+                                                 "10": 300.0}}),),
+            frequencies=freqs, parameters=params,
+            hypothesis=mx.Hypothesis(known={"K1": k1}, unknown=("U1",)),
+        )
+        without = _one_marker_bundle(b, "M1")
+        assert b.covered_markers() == ("M1",)
+        assert mx.total_log_likelihood(b) == mx.total_log_likelihood(without)
+        assert mx.bundle_posteriors(b) == mx.bundle_posteriors(without)
+        for query in (mx.marker_log_likelihood, mx.presence_posteriors):
+            with pytest.raises(ValueError, match="'K1' is untyped on marker 'M2'"):
+                query(b, "M2")
+
+    def test_bundle_whose_traces_cover_no_marker(self):
+        freqs = mx.FrequencyTable.from_dict({"M": {"8": 0.5, "9": 0.5}})
+        b = mx.EvidenceBundle(
+            traces=(mx.Trace("T1", 50.0, {}),), frequencies=freqs,
+            hypothesis=mx.Hypothesis(known={}, unknown=("U1",)),
+            parameters=mx.ModelParameters(
+                rho={"T1": 30.0}, eta=20.0, xi=0.1, phi={"T1": {"U1": 1.0}}
+            ),
+        )
+        assert b._stacks == () and b.covered_markers() == ()
+        assert mx.total_log_likelihood(b) == 0.0 == mx.marker_log_likelihood(b, "M")
+        assert mx.bundle_posteriors(b) == {}
 
 
 def _batch_case(n_unknown, n_traces, overrides, seed):

@@ -360,6 +360,35 @@ class TestCli:
         assert report["traces"]["T1"]["phi"]["K1"]["estimate"] == pytest.approx(0.6)
         assert np.isfinite(report["log10_likelihood"])
 
+    def test_known_untyped_on_a_marker_no_trace_covers(self, tiny_case):
+        # K1 and K2 are typed on M1 alone and the trace covers M1 alone:
+        # the table's M2 takes no part, as if the table had no M2
+        tmp = tiny_case["tmp"]
+        profiles = write(
+            tmp, "profiles_m1.csv",
+            "individual,marker,allele1,allele2\nK1,M1,8,9\nK2,M1,10,10\n",
+        )
+        trace = write(
+            tmp, "trace_m1.csv",
+            "trace_id,marker,allele,height\nT1,M1,8,420\nT1,M1,9,260\nT1,M1,10,300\n",
+        )
+        m1_only = write(
+            tmp, "freqs_m1.csv",
+            "marker,allele,frequency\nM1,8,0.3\nM1,9,0.3\nM1,10,0.4\n",
+        )
+        reports = []
+        for freqs in (tiny_case["freqs"], m1_only):
+            out = str(tmp / f"fit{len(reports)}.json")
+            rc = cli.main(
+                ["fit", "--freqs", freqs, "--profiles", profiles, "--trace", trace,
+                 "--hypothesis", tiny_case["case"], "--under", "prosecution",
+                 "--params", tiny_case["params"], "--out", out]
+            )
+            assert rc == 0
+            reports.append(json.loads(Path(out).read_text()))
+        assert np.isfinite(reports[0]["log10_likelihood"])
+        assert reports[0]["log10_likelihood"] == reports[1]["log10_likelihood"]
+
     def test_fit_deterministic_across_runs(self, tiny_case):
         out1 = str(tiny_case["tmp"] / "fit1.json")
         out2 = str(tiny_case["tmp"] / "fit2.json")
