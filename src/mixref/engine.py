@@ -55,7 +55,10 @@ over the whole bundle, is one pass per stack, one in all at U <= 2; a
 query about one marker is one pass over the stack that holds it, and
 reads the marker's rows.  Gradient evaluations at several parameter
 sets share their passes: a stack's markers run once per set, side by
-side, within the same budget.  A stack front-pads each marker to its
+side, within the same budget.  A pass reads its parameter sets as
+arrays (_ParameterSets: per trace rho, eta, xi and phi over the sets),
+which a fit's chart builds directly and the public entry points convert
+from ModelParameters.  A stack front-pads each marker to its
 longest with exact identity steps: state 0 to state 0, weight 1, log 0.
 The step tables of all markers, per (previous draw, draw) pair, are one
 np.bincount per trace over a build-time index (entry -> step row * 6^U +
@@ -105,7 +108,10 @@ from scipy.special import logsumexp
 
 from . import population
 from .peakmodel import (
+    _PHI_ORDER_TOL,
+    _PHI_SUM_TOL,
     ModelParameters,
+    _check_overrides,
     gamma_log_cdf,
     gamma_log_cdf_grad,
     gamma_log_pdf,
@@ -700,8 +706,8 @@ def _build_stacks(freqs, hypothesis, traces, names):
     for trace in traces:
         roles = set(hypothesis.roles_for(trace.trace_id))
         contributes = (
-            np.array([r in roles for r in hypothesis.known]),
-            np.array([r in roles for r in hypothesis.unknown]),
+            np.array([r in roles for r in hypothesis.known], dtype=bool),
+            np.array([r in roles for r in hypothesis.unknown], dtype=bool),
         )
         for g, layout in _trace_layouts(
             pos, frame, groups, names, trace, heights[trace.trace_id], joint,
@@ -884,7 +890,7 @@ class EvidenceBundle:
                             f"known contributor {kid!r} is untyped on marker "
                             f"{marker!r} present in trace {trace.trace_id!r}"
                         )
-        _validate_parameters(self.parameters, self.hypothesis, self.traces)
+        _validate_parameters(self.parameters, self)
         covered = [
             name for name in self.frequencies.marker_names()
             if any(name in trace.heights for trace in self.traces)
@@ -895,7 +901,7 @@ class EvidenceBundle:
 
     def with_parameters(self, parameters: ModelParameters) -> "EvidenceBundle":
         """Same evidence and hypothesis at new parameter values (shares structure)."""
-        _validate_parameters(parameters, self.hypothesis, self.traces)
+        _validate_parameters(parameters, self)
         clone = object.__new__(EvidenceBundle)
         object.__setattr__(clone, "traces", self.traces)
         object.__setattr__(clone, "frequencies", self.frequencies)
@@ -922,21 +928,152 @@ def check_unknown_count(count: int) -> None:
         )
 
 
-def _validate_parameters(params, hypothesis, traces):
-    ids = {t.trace_id for t in traces}
+def _trace_roles(bundle):
+    """The bundle's trace ids, each trace's roles in Hypothesis.roles_for
+    order (its known contributors first), and how many of them are
+    known."""
+    ids = tuple(t.trace_id for t in bundle.traces)
+    roles = tuple(bundle.hypothesis.roles_for(t) for t in ids)
+    return ids, roles, tuple(sum(r in bundle.hypothesis.known for r in mine)
+                             for mine in roles)
+
+
+def _gradient_keys(trace_ids, roles) -> list[tuple]:
+    """The gradient keys: per trace ("rho", t), ("eta", t), ("xi", t) and
+    ("phi", t, role) for each of its ``roles``."""
+    return [
+        key
+        for t, mine in zip(trace_ids, roles)
+        for key in (("rho", t), ("eta", t), ("xi", t), *(("phi", t, r) for r in mine))
+    ]
+
+
+def _sets_of(bundle) -> _ParameterSets:
+    """The bundle's parameters as one set of arrays (see _ParameterSets)."""
+    return _ParameterSets.of(bundle, [bundle.parameters])
+
+
+def _validate_parameters(params, bundle):
+    _check_coverage(params, bundle)
+    _check_override_markers(params.marker_rho, params.marker_xi, bundle.frequencies)
+    params.check_unknown_ordering(bundle.hypothesis.unknown)
+
+
+def _check_coverage(params, bundle):
+    """Refuse parameters that do not cover exactly the bundle's traces and
+    each trace's roles."""
+    ids = {t.trace_id for t in bundle.traces}
     if set(params.rho) != ids:
         raise ValueError(
             f"parameters cover traces {sorted(params.rho)}, bundle has {sorted(ids)}"
         )
-    for trace in traces:
-        roles = hypothesis.roles_for(trace.trace_id)
+    for trace in bundle.traces:
+        roles = bundle.hypothesis.roles_for(trace.trace_id)
         given = set(params.phi[trace.trace_id])
         if given != set(roles):
             raise ValueError(
                 f"phi for trace {trace.trace_id!r} must cover exactly roles "
                 f"{list(roles)}, got {sorted(given)}"
             )
-    params.check_unknown_ordering(hypothesis.unknown)
+
+
+def _check_override_markers(marker_rho, marker_xi, frequencies):
+    """Refuse a per-marker override of a marker the frequency table lacks."""
+    markers = set(frequencies.marker_names())
+    for name, over in (("marker_rho", marker_rho), ("marker_xi", marker_xi)):
+        for marker in over or ():
+            if marker not in markers:
+                raise ValueError(
+                    f"{name}[{marker!r}] names a marker absent from the frequency table"
+                )
+
+
+class _ParameterSets(NamedTuple):
+    """K parameter sets of one bundle's traces, as arrays: row k is the
+    k-th set.
+
+    rho, eta and xi are (K, traces), a column per trace in the bundle's
+    order, and phi holds each trace's (K, roles) fractions, its roles in
+    Hypothesis.roles_for order: its n_known known contributors, then its
+    unknowns (see _trace_roles).  The per-marker overrides are constants
+    that every set shares.  A pass's gradient has one column per key of
+    _gradient_keys, in that order.
+    """
+
+    trace_ids: tuple[str, ...]
+    roles: tuple[tuple[str, ...], ...]
+    n_known: tuple[int, ...]
+    rho: np.ndarray
+    eta: np.ndarray
+    xi: np.ndarray
+    phi: tuple[np.ndarray, ...]
+    marker_rho: Mapping[str, Mapping[str, float]] | None = None
+    marker_xi: Mapping[str, float] | None = None
+
+    @classmethod
+    def of(cls, bundle, sets):
+        """The arrays of ModelParameters ``sets`` of ``bundle``'s traces,
+        sets that share their per-marker overrides."""
+        ids, roles, n_known = _trace_roles(bundle)
+
+        def table(rows, width):
+            return np.array(rows, dtype=float).reshape(len(sets), width)
+
+        return cls(
+            ids, roles, n_known,
+            table([[p.rho[t] for t in ids] for p in sets], len(ids)),
+            table([[p.eta_for(t) for t in ids] for p in sets], len(ids)),
+            table([[p.xi_for(t) for t in ids] for p in sets], len(ids)),
+            tuple(table([[p.phi[t][r] for r in mine] for p in sets], len(mine))
+                  for t, mine in zip(ids, roles)),
+            sets[0].marker_rho, sets[0].marker_xi,
+        )
+
+    def take(self, rows) -> "_ParameterSets":
+        """The sets at ``rows``, a slice or an index array."""
+        return self._replace(
+            rho=self.rho[rows], eta=self.eta[rows], xi=self.xi[rows],
+            phi=tuple(p[rows] for p in self.phi),
+        )
+
+    def parameters(self, k) -> ModelParameters:
+        """The k-th set as ModelParameters, which checks it."""
+        ids = self.trace_ids
+        return ModelParameters(
+            rho=dict(zip(ids, self.rho[k].tolist())),
+            eta=dict(zip(ids, self.eta[k].tolist())),
+            xi=dict(zip(ids, self.xi[k].tolist())),
+            phi={t: dict(zip(roles, p[k].tolist()))
+                 for t, roles, p in zip(ids, self.roles, self.phi)},
+            marker_rho=self.marker_rho,
+            marker_xi=self.marker_xi,
+        )
+
+    def refused(self, frequencies) -> np.ndarray:
+        """Per set, whether ModelParameters or
+        EvidenceBundle.with_parameters would refuse it: a scale not
+        positive and finite, xi outside [0, 1), fractions not finite,
+        negative, not summing to 1 or with unknown fractions increasing
+        along the roles, or an override they refuse (every set)."""
+        if self.marker_rho or self.marker_xi:
+            try:
+                _check_overrides(self.marker_rho, self.marker_xi, self.trace_ids)
+                _check_override_markers(self.marker_rho, self.marker_xi, frequencies)
+            except ValueError:
+                return np.ones(len(self.rho), dtype=bool)
+        with np.errstate(invalid="ignore"):
+            scales = np.concatenate((self.rho, self.eta), axis=1)
+            fractions = np.concatenate(self.phi, axis=1)
+            bad = ~(
+                (np.isfinite(scales) & (scales > 0.0)).all(axis=1)
+                & ((self.xi >= 0.0) & (self.xi < 1.0)).all(axis=1)
+                & np.isfinite(fractions).all(axis=1)
+            ) | (fractions < -_PHI_SUM_TOL).any(axis=1)
+            for n_known, phi in zip(self.n_known, self.phi):
+                unknown = phi[:, n_known:]
+                bad |= np.abs(phi.sum(axis=1) - 1.0) > _PHI_SUM_TOL
+                bad |= (unknown[:, 1:] > unknown[:, :-1] + _PHI_ORDER_TOL).any(axis=1)
+        return bad
 
 
 # ---------------------------------------------------------------------------
@@ -947,11 +1084,13 @@ class _ViewTerms(NamedTuple):
     """One trace's parameters, doses and log factors on a stack's markers,
     for each of K parameter sets along a leading axis.
 
-    rho and xi are (K, 1), or (K, dose points) where the markers' values
-    differ, and free holds their masks of non-overridden markers, shaped
-    alike (see _trace_values).
+    trace is the trace's column in the sets (see _ParameterSets).  rho
+    and xi are (K, 1), or (K, dose points) where a per-marker override
+    replaces the trace's value on some marker, and free holds their masks
+    of the dose points that take the trace's value (see _trace_values).
     """
 
+    trace: int
     rho: np.ndarray
     eta: np.ndarray          # (K, 1)
     xi: np.ndarray
@@ -963,89 +1102,67 @@ class _ViewTerms(NamedTuple):
     log_cdf: np.ndarray      # (K, distinct dropout doses)
 
 
-def _per_point(layout, values):
-    """One value per marker of ``layout``: one float where all agree, else
-    spread over the dose points (observed entries, then distinct dropout
-    doses, marker by marker)."""
-    if all(v == values[0] for v in values):
-        return float(values[0])
-    return np.repeat(np.tile(values, 2), layout.counts[:2].ravel())
-
-
-def _trace_values(layout, params):
-    """A trace's rho and xi on a layout's markers, and for each 1 where a
-    marker takes the trace's value, 0 where a per-marker override (a
-    constant) replaces it."""
+def _trace_values(layout, sets, j):
+    """The rho and xi of trace j of the sets on a layout's markers, and
+    their masks of the dose points that take the trace's value (1), not a
+    per-marker override's (0, a constant).  Without an override on the
+    layout's markers, rho and xi are (K, 1) and the masks 1."""
+    rho, xi = sets.rho[:, j:j + 1], sets.xi[:, j:j + 1]
+    if not (sets.marker_rho or sets.marker_xi):
+        return rho, xi, 1.0, 1.0
     tid, markers = layout.trace_id, layout.markers
-    if not (params.marker_rho or params.marker_xi):
-        return params.rho[tid], params.xi_for(tid), 1.0, 1.0
-    rho_over, xi_over = params.marker_rho or {}, params.marker_xi or {}
-    return tuple(_per_point(layout, values) for values in (
-        [params.rho_for(tid, m) for m in markers],
-        [params.xi_for_marker(tid, m) for m in markers],
-        [float(tid not in rho_over.get(m, ())) for m in markers],
-        [float(m not in xi_over) for m in markers],
-    ))
+    rho_over = [(sets.marker_rho or {}).get(m, {}).get(tid) for m in markers]
+    xi_over = [(sets.marker_xi or {}).get(m) for m in markers]
+    if all(v is None for v in (*rho_over, *xi_over)):
+        return rho, xi, 1.0, 1.0
 
+    def per_point(values):
+        # observed entries, then distinct dropout doses, marker by marker
+        return np.repeat(np.tile(values, 2), layout.counts[:2].ravel())
 
-def _set_values(layout, sets):
-    """_trace_values at each parameter set, as rows: each (K, 1) where every
-    set has one value per trace, else (K, dose points)."""
-    values = [_trace_values(layout, params) for params in sets]
-    if not any(isinstance(v, np.ndarray) for row in values for v in row):
-        return np.array(values, dtype=float).T[:, :, None]
-    n_points = layout.gather.shape[1]
-    return [
-        np.array([np.broadcast_to(v, n_points) for v in column], dtype=float)
-        for column in zip(*values)
-    ]
-
-
-def _trace_dose(stack, layout, params):
-    """One trace's pre-stutter doses over the positions of the stack that
-    holds its layout.
-
-    B[p, c] = sum over the trace's roles of phi_r * n_r(p, c), where
-    n_r(p, c) is a known contributor's count at position p or the count
-    an unknown draws at joint draw c.
-    """
-    phi = params.phi[layout.trace_id]
-    phi_known = np.array([
-        phi[r] if c else 0.0
-        for r, c in zip(stack.known_ids, layout.known_contributes)
-    ])
-    phi_unknown = np.array([
-        phi[r] if c else 0.0
-        for r, c in zip(stack.unknown_ids, layout.unknown_contributes)
-    ])
-    return (phi_known @ stack.known_counts)[:, None] + (
-        stack.combo_counts @ phi_unknown
-    )[None, :]
+    out = []
+    for value, over in ((rho, rho_over), (xi, xi_over)):
+        free = per_point([float(v is None) for v in over])
+        constant = per_point([0.0 if v is None else v for v in over])
+        out.append((np.where(free > 0.0, value, constant), free))
+    (rho, rho_free), (xi, xi_free) = out
+    return rho, xi, rho_free, xi_free
 
 
 def _view_terms(stack, sets) -> list[_ViewTerms]:
     """Every trace's doses and log factors on a stack's markers, at each of
-    the parameter sets ``sets``.
+    the parameter sets ``sets`` (see _ParameterSets).
 
     At a stutter-coupled position p the dose of pair j is
     (1 - xi) B[p, draw at t-1] + xi B[p+1, draw at t]; at an uncoupled
-    one it is (1 - xi) B[p, draw at t] (+ xi * 0, which is exact).  A
-    trace's doses come from one gather, and its factors from one call of
-    each gamma kernel: the observed entries', and the distinct dropout
-    doses', spread back to their entries, for all sets at once.  B is
-    one matrix product per set: a product batched over the sets may sum
-    in another order.
+    one it is (1 - xi) B[p, draw at t] (+ xi * 0, which is exact).
+    B[p, c] = sum over the trace's roles of phi_r * n_r(p, c), where
+    n_r(p, c) is a known contributor's count at position p or the count
+    an unknown draws at joint draw c.  A trace's doses come from one
+    gather, and its factors from one call of each gamma kernel: the
+    observed entries', and the distinct dropout doses', spread back to
+    their entries, for all sets at once.  B is one matrix product per
+    set: a product batched over the sets may sum in another order.
     """
+    n_sets = len(sets.rho)
+    shape = (stack.known_counts.shape[1], len(stack.combo_counts))
     out = []
     for layout in stack.traces:
-        rho, xi, rho_free, xi_free = _set_values(layout, sets)
-        eta = np.array([[params.eta_for(layout.trace_id)] for params in sets])
+        j = sets.trace_ids.index(layout.trace_id)
+        rho, xi, rho_free, xi_free = _trace_values(layout, sets, j)
+        eta = sets.eta[:, j:j + 1]
+        phi = sets.phi[j]
+        n_known = sets.n_known[j]
+        phi_known = np.zeros((n_sets, len(stack.known_ids)))
+        phi_known[:, layout.known_contributes] = phi[:, :n_known]
+        phi_unknown = np.zeros((n_sets, len(stack.unknown_ids)))
+        phi_unknown[:, layout.unknown_contributes] = phi[:, n_known:]
         # each set's B, flattened, and one trailing zero cell
-        shape = (stack.known_counts.shape[1], len(stack.combo_counts))
-        cells = np.zeros((len(sets), shape[0] * shape[1] + 1))
-        for row, params in zip(cells, sets):
-            row[:-1] = _trace_dose(stack, layout, params).ravel()
-        base = cells[:, :-1].reshape(len(sets), *shape)
+        cells = np.zeros((n_sets, shape[0] * shape[1] + 1))
+        base = cells[:, :-1].reshape(n_sets, *shape)
+        for one, known, unknown in zip(base, phi_known, phi_unknown):
+            np.add((known @ stack.known_counts)[:, None],
+                   (stack.combo_counts @ unknown)[None, :], out=one)
         ends = np.take(cells, layout.gather, axis=1)
         doses = (1.0 - xi) * ends[:, 0] + xi * ends[:, 1]
         shapes = rho * doses
@@ -1053,7 +1170,7 @@ def _view_terms(stack, sets) -> list[_ViewTerms]:
         log_pdf = gamma_log_pdf(layout.peak_heights, shapes[:, :n], eta)
         log_cdf = gamma_log_cdf(layout.threshold, shapes[:, n:], eta)
         out.append(_ViewTerms(
-            rho, eta, xi, (rho_free, xi_free), base, ends, doses,
+            j, rho, eta, xi, (rho_free, xi_free), base, ends, doses,
             np.concatenate([log_pdf, log_cdf[:, layout.spread]], axis=1), log_cdf,
         ))
     return out
@@ -1593,7 +1710,7 @@ def marker_log_likelihood(bundle: EvidenceBundle, marker: str) -> float:
     """Exact log likelihood of one marker, marginalized over unknown
     genotypes, by one pass over the stack of markers that holds it."""
     stack, i = _stack_of(bundle, marker)
-    tables = _step_tables(stack, _view_terms(stack, [bundle.parameters]))
+    tables = _step_tables(stack, _view_terms(stack, _sets_of(bundle)))
     return float(_chain_pass(stack, tables).loglik[i])
 
 
@@ -1602,8 +1719,9 @@ def total_log_likelihood(bundle: EvidenceBundle) -> float:
     by one pass over each of the bundle's stacks of them (one stack at
     U <= 2)."""
     loglik = []
+    sets = _sets_of(bundle)
     for stack in bundle._stacks:
-        tables = _step_tables(stack, _view_terms(stack, [bundle.parameters]))
+        tables = _step_tables(stack, _view_terms(stack, sets))
         loglik += _chain_pass(stack, tables).loglik.tolist()
     return float(sum(loglik))
 
@@ -1636,50 +1754,73 @@ def batch_log_likelihood_and_gradient(
     evidence and hypothesis at several parameter sets, bundles derived from
     one by :meth:`EvidenceBundle.with_parameters`.
 
-    One pass over each stack of markers serves several sets: the stack's
-    markers repeated once per set, as many sets as keep a block of the
-    pass within _BLOCK_EDGES edge values, and at least one (see
-    _sets_per_pass).  Each set's arithmetic is that of a pass over it
+    The bundles' parameters become one set of arrays per distinct pair of
+    per-marker overrides (see _ParameterSets), and each set of arrays is
+    evaluated by one batched pass over each stack of markers (see
+    _batch_passes).  Each set's arithmetic is that of a pass over it
     alone, so every value and gradient is bit-identical to a call with its
     bundle alone, whatever the other bundles.
     """
     bundles = tuple(bundles)
     if not bundles:
         return []
-    stacks = bundles[0]._stacks
-    if any(b._stacks is not stacks for b in bundles):
+    first = bundles[0]
+    if any(b._stacks is not first._stacks for b in bundles):
         raise ValueError(
             "batched bundles must share one evidence bundle's structure: "
             "derive them with with_parameters"
         )
-    params = bundles[0].parameters
-    keys = [
-        key
-        for trace in bundles[0].traces
-        for key in (("rho", trace.trace_id), ("eta", trace.trace_id),
-                    ("xi", trace.trace_id),
-                    *(("phi", trace.trace_id, r) for r in params.phi[trace.trace_id]))
-    ]
-    column = {key: i for i, key in enumerate(keys)}
-    grad = np.zeros((len(bundles), len(keys)))
-    loglik = [[] for _ in bundles]
-    for stack in stacks:
+    groups = []  # (overrides, indices of the bundles that have them)
+    for i, b in enumerate(bundles):
+        over = (b.parameters.marker_rho, b.parameters.marker_xi)
+        for shared, members in groups:
+            if shared == over:
+                members.append(i)
+                break
+        else:
+            groups.append((over, [i]))
+    out = [None] * len(bundles)
+    for _, members in groups:
+        sets = _ParameterSets.of(first, [bundles[i].parameters for i in members])
+        loglik, grad = _batch_passes(first, sets)
+        keys = _gradient_keys(sets.trace_ids, sets.roles)
+        for i, value, row in zip(members, loglik, grad.tolist()):
+            out[i] = (value, dict(zip(keys, row)))
+    return out
+
+
+def _batch_passes(bundle, sets) -> tuple[list[float], np.ndarray]:
+    """log L and its gradient at each of the parameter sets ``sets`` of
+    the bundle's traces (see _ParameterSets): a list of K values and a
+    (K, keys) array, its columns in _gradient_keys order.  The sets are not
+    checked (see _ParameterSets.refused).
+
+    One pass over each stack of markers serves several sets: the stack's
+    markers repeated once per set, as many sets as keep a block of the
+    pass within _BLOCK_EDGES edge values, and at least one (see
+    _sets_per_pass).  Each set's arithmetic is that of a pass over it
+    alone.
+    """
+    n_sets = len(sets.rho)
+    bounds = [0, *itertools.accumulate(3 + len(roles) for roles in sets.roles)]
+    columns = list(zip(bounds[:-1], bounds[1:]))  # each trace's columns
+    grad = np.zeros((n_sets, bounds[-1]))
+    loglik = [[] for _ in range(n_sets)]
+    for stack in bundle._stacks:
         per_call = _sets_per_pass(stack)
-        for lo in range(0, len(bundles), per_call):
-            sets = [b.parameters for b in bundles[lo:lo + per_call]]
-            terms = _view_terms(stack, sets)
+        for lo in range(0, n_sets, per_call):
+            part = sets if per_call >= n_sets else sets.take(slice(lo, lo + per_call))
+            n_part = len(part.rho)
+            terms = _view_terms(stack, part)
             result = _chain_pass(
-                _repeated(stack, len(sets)), _step_tables(stack, terms), posteriors=True
+                _repeated(stack, n_part), _step_tables(stack, terms), posteriors=True
             )
             for own, values in zip(
-                loglik[lo:], result.loglik.reshape(len(sets), -1).tolist()
+                loglik[lo:], result.loglik.reshape(n_part, -1).tolist()
             ):
                 own += values
-            _add_gradient(stack, terms, result.pair, grad[lo:lo + len(sets)], column)
-    return [
-        (float(sum(values)), dict(zip(keys, row)))
-        for values, row in zip(loglik, grad.tolist())
-    ]
+            _add_gradient(stack, terms, result.pair, grad[lo:lo + n_part], columns)
+    return [float(sum(values)) for values in loglik], grad
 
 
 def _sets_per_pass(stack):
@@ -1695,11 +1836,12 @@ def _sets_per_pass(stack):
     return max(1, _BLOCK_EDGES // (steps * per_step))
 
 
-def _add_gradient(stack, terms, pair, grad, column):
+def _add_gradient(stack, terms, pair, grad, columns):
     """Add d log L over a stack's markers to ``grad``, one row per parameter
-    set of ``terms`` and one column per gradient key (``column``), from the
-    pair posteriors of every step of each set in turn (zero on markers of
-    no finite likelihood).
+    set of ``terms`` and one column per gradient key (see
+    _gradient_keys; ``columns`` holds each trace's first column and
+    the next trace's), from the pair posteriors of every step of each set
+    in turn (zero on markers of no finite likelihood).
 
     Each factor entry reads its posterior weight from its cell, and every
     dropout entry adds its weight to its distinct dose; the derivatives
@@ -1711,7 +1853,7 @@ def _add_gradient(stack, terms, pair, grad, column):
     n_sets = len(grad)
     pair = pair.reshape(n_sets, -1)
     for layout, term in zip(stack.traces, terms):
-        tid, n = layout.trace_id, layout.n_observed
+        n = layout.n_observed
         shapes = term.rho * term.doses
         d_shape, d_eta = (np.concatenate(parts, axis=1) for parts in zip(
             gamma_log_pdf_grad(layout.peak_heights, shapes[:, :n], term.eta),
@@ -1729,11 +1871,13 @@ def _add_gradient(stack, terms, pair, grad, column):
             g = np.where(live, w * d_shape, 0.0)  # d log L / d shape, per dose point
             g_eta = np.where(live, w * d_eta, 0.0)
         rho_free, xi_free = term.free
-        grad[:, column["eta", tid]] += g_eta.sum(axis=1)
+        first, end = columns[term.trace]
+        rho, eta, xi = first, first + 1, first + 2
+        grad[:, eta] += g_eta.sum(axis=1)
         # sums of products by numpy's own loop: a BLAS dot may start threads
-        grad[:, column["rho", tid]] += (g * term.doses * rho_free).sum(axis=1)
+        grad[:, rho] += (g * term.doses * rho_free).sum(axis=1)
         g = g * term.rho  # d log L / d dose
-        grad[:, column["xi", tid]] += (
+        grad[:, xi] += (
             g * (term.ends[:, 1] - term.ends[:, 0]) * xi_free
         ).sum(axis=1)
         # d log L / d B through each point's two cells; the zero cell's sum
@@ -1744,18 +1888,14 @@ def _add_gradient(stack, terms, pair, grad, column):
             np.concatenate(((1.0 - term.xi) * g, term.xi * g), axis=1).ravel(),
             n_sets * size,
         ).reshape(n_sets, size)[:, :-1].reshape(term.base.shape)
+        phi = slice(first + 3, end)  # the trace's knowns, then its unknowns
         for row, by_position, by_draw in zip(
             grad, g_base.sum(axis=2), g_base.sum(axis=1)
         ):
-            for roles, takes, values in (
-                (stack.known_ids, layout.known_contributes,
-                 stack.known_counts @ by_position),
-                (stack.unknown_ids, layout.unknown_contributes,
-                 by_draw @ stack.combo_counts),
-            ):
-                for r, take, value in zip(roles, takes, values):
-                    if take:
-                        row[column["phi", tid, r]] += value
+            row[phi] += np.concatenate((
+                (stack.known_counts @ by_position)[layout.known_contributes],
+                (by_draw @ stack.combo_counts)[layout.unknown_contributes],
+            ))
 
 
 def _every_marker(bundle):
@@ -1764,9 +1904,10 @@ def _every_marker(bundle):
     return [(stack, range(len(stack.plans))) for stack in bundle._stacks]
 
 
-def _passes(chosen, params, posteriors, assignments=None):
+def _passes(chosen, sets, posteriors, assignments=None):
     """One pass over each stack of ``chosen``, pairs (stack, the indices
-    of the markers asked about), and for each marker asked about in turn:
+    of the markers asked about), at the one parameter set of ``sets``
+    (see _ParameterSets), and for each marker asked about in turn:
     its plan, its rows of the step tables, its log L and (if
     ``posteriors``) its rows of the pair posteriors.
 
@@ -1776,7 +1917,7 @@ def _passes(chosen, params, posteriors, assignments=None):
     stack may have none.
     """
     for stack, markers in chosen:
-        tables = _step_tables(stack, _view_terms(stack, [params]))
+        tables = _step_tables(stack, _view_terms(stack, sets))
         if assignments:
             (i,) = markers
             tables[_marker_rows(stack, i)] += _presence_masks(
@@ -1837,7 +1978,7 @@ def _chain_posterior(bundle, marker, assignments=None, k=0):
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
     stack, i = _stack_of(bundle, marker)
     ((plan, tables, loglik, pair),) = _passes(
-        [(stack, [i])], bundle.parameters, True, assignments
+        [(stack, [i])], _sets_of(bundle), True, assignments
     )
     top = _kbest_paths(plan, tables, loglik, k) if k else ()
     return _summary(plan, loglik, pair, top)
@@ -1883,12 +2024,12 @@ def bundle_posteriors(bundle: EvidenceBundle) -> dict[str, MarkerChainPosterior]
     return {
         plan.marker: _summary(plan, loglik, pair)
         for plan, _, loglik, pair in _passes(
-            _every_marker(bundle), bundle.parameters, True
+            _every_marker(bundle), _sets_of(bundle), True
         )
     }
 
 
-def _top_genotypes(chosen, params, k):
+def _top_genotypes(chosen, sets, k):
     """The k best genotype combinations of each marker asked about (see
     _passes): a value pass over each stack for the markers' log L, then
     k-best search per marker."""
@@ -1896,7 +2037,7 @@ def _top_genotypes(chosen, params, k):
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     return {
         plan.marker: _kbest_paths(plan, tables, loglik, k)
-        for plan, tables, loglik, _ in _passes(chosen, params, False)
+        for plan, tables, loglik, _ in _passes(chosen, sets, False)
     }
 
 
@@ -1911,7 +2052,7 @@ def top_k_marker_genotypes(bundle: EvidenceBundle, marker: str, k: int):
     role as pairs of ladder indices.
     """
     stack, i = _stack_of(bundle, marker)
-    return _top_genotypes([(stack, [i])], bundle.parameters, k)[marker]
+    return _top_genotypes([(stack, [i])], _sets_of(bundle), k)[marker]
 
 
 def bundle_top_genotypes(bundle: EvidenceBundle, k: int) -> dict[str, tuple]:
@@ -1922,7 +2063,7 @@ def bundle_top_genotypes(bundle: EvidenceBundle, k: int) -> dict[str, tuple]:
     A marker of zero likelihood raises
     :class:`InfeasibleConditioningError`.
     """
-    return _top_genotypes(_every_marker(bundle), bundle.parameters, k)
+    return _top_genotypes(_every_marker(bundle), _sets_of(bundle), k)
 
 
 def _kbest_paths(plan, tables, loglik, k):
@@ -2100,8 +2241,9 @@ def _observed_peak_posteriors(bundle, truncate) -> _PeakPosteriors:
     columns = [[np.zeros(0)], [np.zeros(0)]] + [
         [np.zeros((0, n_pairs))] for _ in range(3)
     ]
+    sets = _sets_of(bundle)
     for stack in bundle._stacks:
-        terms = _view_terms(stack, [bundle.parameters])
+        terms = _view_terms(stack, sets)
         peaks = _tables_without_peaks(stack, terms)
         if not len(peaks.row):
             continue

@@ -10,29 +10,33 @@ started from several dispersed feasible points.  A parameter is held by a
 translated into rho and eta (a mu alone makes its trace's eta derived,
 eta = mu / rho), and profile likelihoods are fits with one more
 override.  Which blocks of values are held, derived or free is decided
-once, in :meth:`_Structure.assemble`: the optimizer's coordinates, the
-starting points and the reporting chart of the standard errors only say
-what value a free block takes, and its derivative in the block's own
-coordinates.  Approximate standard errors come from the inverse Hessian
-in the reporting parametrization (mu, sigma, xi, phi), with
-boundary-active parameters handled by a restricted model.  Both the
-optimizer and the Hessian use the exact gradient of the log likelihood
-from the forward-backward pass (:func:`log_likelihood_and_gradient`),
-chained to the chart's coordinates by the exact Jacobian that
-``assemble`` builds with the parameters: no finite difference inside a
-pass, and one engine pass per gradient.  The optimizer is L-BFGS-B with
-that gradient, one search per start; the starts run in lockstep, so
-that one batched engine call (:func:`batch_log_likelihood_and_gradient`)
-evaluates the points of all live starts, and each start's search, and
-so the result and the evaluation count, are those of the starts run one
-at a time.  The Hessian is the symmetrized central difference of
-gradients, 2n points for n free coordinates, evaluated as one batch.
+once, in :meth:`_Structure.assemble`, one walk of the blocks for K rows
+of coordinates at once: the optimizer's coordinates, the starting points
+and the reporting chart of the standard errors only say what values a
+free block takes, and their derivatives in the block's own coordinates.
+The walk gives the engine's arrays of the K parameter sets, their
+(K, keys, coordinates) Jacobian and the rows that ModelParameters or
+EvidenceBundle.with_parameters would refuse; a ModelParameters is built
+only where a result needs one.  Approximate standard errors come from
+the inverse Hessian in the reporting parametrization (mu, sigma, xi,
+phi), with boundary-active parameters handled by a restricted model.
+Both the optimizer and the Hessian use the exact gradient of the log
+likelihood from the forward-backward pass, chained to the chart's
+coordinates by each row's exact Jacobian: no finite difference inside
+a pass.  The optimizer is L-BFGS-B with that gradient, one search per
+start; the starts run in lockstep, so that each round's points are
+charted by one walk and evaluated by one batched engine call on the
+walk's arrays (:func:`_evaluate`), and each start's search, and so the
+result and the evaluation count, are those of the starts run one at a
+time.  The Hessian is the symmetrized central difference of gradients,
+2n points for n free coordinates, evaluated as one batch.
 scipy.optimize is imported by :func:`minimize` on its first call, not
 with this module, so a run that fits no free parameter never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -44,7 +48,11 @@ import numpy as np
 from .engine import (
     EvidenceBundle,
     Hypothesis,
-    batch_log_likelihood_and_gradient,
+    _batch_passes,
+    _check_coverage,
+    _gradient_keys,
+    _ParameterSets,
+    _trace_roles,
     check_unknown_count,
     total_log_likelihood,
 )
@@ -103,7 +111,8 @@ class FitSpecification:
 
     max_iterations caps L-BFGS-B per start (an integer of at least 1),
     seed draws jittered starts when the policy starts coincide, and
-    extra_starts adds starts.
+    extra_starts adds starts, each covering exactly the bundle's traces
+    and each trace's roles.
     """
 
     bundle: EvidenceBundle
@@ -123,6 +132,11 @@ class FitSpecification:
             )
         object.__setattr__(self, "share", frozenset(self.share))
         object.__setattr__(self, "extra_starts", tuple(self.extra_starts))
+        for i, start in enumerate(self.extra_starts):
+            try:
+                _check_coverage(start, self.bundle)
+            except ValueError as err:
+                raise ValueError(f"extra start {i} does not fit the bundle: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -167,23 +181,38 @@ def _logit(p):
     return math.log(p / (1.0 - p))
 
 
+@functools.cache
+def _triangles(n_items):
+    """Read-only constants of a split of n_items: log(n_items - j - 1) per
+    coordinate j, the (n_items, n_items - 1) identity, its lower triangle
+    as a mask, and its strict lower triangle as numbers."""
+    out = (
+        np.array([math.log(n_items - j - 1) for j in range(n_items - 1)]),
+        np.eye(n_items, n_items - 1),
+        np.tri(n_items, n_items - 1, dtype=bool),
+        np.tri(n_items, n_items - 1, -1),
+    )
+    for table in out:
+        table.setflags(write=False)
+    return out
+
+
 def _stick_break(thetas, n_items):
-    """The split of 1 into n_items weights, and its Jacobian in the thetas.
+    """The split of 1 into n_items weights, and its Jacobian in the thetas,
+    at each row of ``thetas`` (K, n_items - 1).
 
     theta = 0 everywhere gives the uniform split.  Weight j is
     rem_j * v_j with v_j = sigmoid(theta_j - log(n_items - j - 1)) and
     rem_j = prod_{i<j} (1 - v_i), so d w_j / d theta_i = w_j ([i = j] - v_i)
     for i <= j and 0 for i > j (the last weight is rem).
     """
-    weights = np.empty(n_items)
-    v = np.empty(n_items - 1)
-    rem = 1.0
-    for j in range(n_items - 1):
-        v[j] = float(_sigmoid(thetas[j] - math.log(n_items - j - 1)))
-        weights[j] = rem * v[j]
-        rem *= 1.0 - v[j]
-    weights[-1] = rem
-    return weights, np.tril(weights[:, None] * (np.eye(n_items, n_items - 1) - v))
+    offsets, eye, lower, _ = _triangles(n_items)
+    v = _sigmoid(thetas - offsets)
+    rem = np.ones((len(thetas), n_items))
+    np.cumprod(1.0 - v, axis=1, out=rem[:, 1:])
+    weights = rem
+    weights[:, :-1] *= v
+    return weights, np.where(lower, weights[:, :, None] * (eye - v[:, None, :]), 0.0)
 
 
 def _stick_invert(weights):
@@ -198,7 +227,8 @@ def _stick_invert(weights):
 
 
 def _phi_from_theta(theta, n_known, n_unknown):
-    """Fractions at stick-breaking coordinates theta, and their Jacobian.
+    """Fractions at each row of stick-breaking coordinates ``theta``, and
+    their Jacobians: (K, roles) and (K, roles, coordinates).
 
     The knowns and the unknown block split 1 by stick-breaking; the block
     splits its mass in proportion to u = (1, r_1, r_1 r_2, ...), with
@@ -206,23 +236,38 @@ def _phi_from_theta(theta, n_known, n_unknown):
     identically, so the Jacobian's columns sum to 0.
     """
     n_items = n_known + (1 if n_unknown else 0)
-    outer, d_outer = _stick_break(theta[: max(n_items - 1, 0)], n_items)
+    outer, d_outer = _stick_break(theta[:, :max(n_items - 1, 0)], n_items)
     if n_unknown <= 1:
         return outer, d_outer
-    block = outer[-1]
-    ratios = _sigmoid(theta[n_items - 1:])
-    u = np.concatenate([[1.0], np.cumprod(ratios)])
-    parts = block * u / u.sum()
-    share = u / u.sum()
+    block = outer[:, -1]
+    ratios = _sigmoid(theta[:, n_items - 1:])
+    u = np.ones((len(theta), n_unknown))
+    np.cumprod(ratios, axis=1, out=u[:, 1:])
+    total = u.sum(axis=1, keepdims=True)
+    parts = block[:, None] * u / total
+    share = u / total
     # d parts_l / d theta_k = parts_l (1 - r_k) ([k < l] - sum_{m > k} share_m)
-    later = np.tril(np.ones((n_unknown, n_unknown - 1)), -1)
-    beyond = np.cumsum(share[::-1])[::-1][1:]
+    later = _triangles(n_unknown)[3]
+    beyond = np.cumsum(share[:, ::-1], axis=1)[:, ::-1][:, 1:]
     k = n_items - 1  # the knowns' coordinates, then the block's
-    jac = np.zeros((k + n_unknown, k + n_unknown - 1))
-    jac[:k, :k] = d_outer[:-1]
-    jac[k:, :k] = share[:, None] * d_outer[-1]
-    jac[k:, k:] = parts[:, None] * (1.0 - ratios) * (later - beyond)
-    return np.concatenate([outer[:-1], parts]), jac
+    jac = np.zeros((len(theta), k + n_unknown, k + n_unknown - 1))
+    jac[:, :k, :k] = d_outer[:, :-1]
+    jac[:, k:, :k] = share[:, :, None] * d_outer[:, -1:]
+    jac[:, k:, k:] = (parts[:, :, None] * (1.0 - ratios[:, None, :])
+                      * (later - beyond[:, None, :]))
+    return np.concatenate([outer[:, :-1], parts], axis=1), jac
+
+
+def _exp(x):
+    """math.exp of each element (np.exp may differ in the last bit), NaN
+    where it overflows, which the row check refuses."""
+    out = np.empty(len(x))
+    for k, value in enumerate(x.tolist()):
+        try:
+            out[k] = math.exp(value)
+        except OverflowError:
+            out[k] = math.nan
+    return out
 
 
 def _theta_from_phi(phi, n_known, n_unknown):
@@ -409,13 +454,10 @@ class _Structure:
             sum(b.free for f in ("rho", "eta", "xi") for b in self.blocks[f])
             + sum(b.n_free for b in self.blocks["phi"])
         )
+        _, self.roles, self.n_known = _trace_roles(bundle)
         # the primitive parameters, as the engine's gradient keys them
-        self.keys = [
-            key
-            for t in self.trace_ids
-            for key in (("rho", t), ("eta", t), ("xi", t),
-                        *(("phi", t, r) for r in self.hypothesis.roles_for(t)))
-        ]
+        self.keys = _gradient_keys(self.trace_ids, self.roles)
+        self.row = {key: i for i, key in enumerate(self.keys)}
 
     def block_of(self, family, trace_id):
         for b in self.blocks[family]:
@@ -423,115 +465,150 @@ class _Structure:
                 return b
         raise KeyError(trace_id)
 
-    def assemble(self, free, n_coords,
-                 eta_by_mu=False) -> tuple[ModelParameters, np.ndarray]:
-        """ModelParameters with every block held, derived or taken from ``free``,
-        and their Jacobian in a chart's ``n_coords`` coordinates.
+    def assemble(self, free, n_rows, n_coords, eta_by_mu=False):
+        """K = ``n_rows`` parameter sets, every block held, derived or taken
+        from ``free``, with their Jacobians in a chart's ``n_coords``
+        coordinates and the sets the engine would refuse.
 
-        The walk is in coordinate order.  A held block takes its value; an
-        eta block with a fixed mu takes mu / rho of its anchor trace; any
-        other block takes ``free(family, block)`` = (value, d): its value (a
-        phi value is a sequence over the block's roles) and one partial
-        derivative of it per coordinate it consumes (for phi, a vector over
-        the roles), the coordinates numbered on from the previous block's.
-        With ``eta_by_mu`` a free eta block's value is the mu of its first
+        Returns the sets as the engine's arrays (_ParameterSets), the
+        (K, keys, n_coords) Jacobian, one row per primitive parameter in
+        ``keys`` order, and the (K,) mask of the sets that ModelParameters
+        or EvidenceBundle.with_parameters would refuse, each set on its
+        own (see _ParameterSets.refused).  The walk over the blocks is one
+        for all sets, in coordinate order.  A held block takes its value;
+        an eta block with a fixed mu takes mu / rho of its anchor trace;
+        any other block takes ``free(family, block)`` = (values, d): its
+        (K,) values (for phi (K, roles)) and their partial derivatives in
+        the coordinates it consumes, (K, coordinates) (for phi
+        (K, coordinates, roles)), the coordinates numbered on from the
+        previous block's.  A value the chart refuses is NaN.  With
+        ``eta_by_mu`` a free eta block's value is the mu of its first
         trace and its eta is mu / rho of that trace, as for a fixed mu; a
-        derived eta moves with its anchor's rho coordinates.  The Jacobian
-        has one row per primitive parameter in ``keys`` order, so a block
-        shared by several traces gathers the gradient of each of them.
+        derived eta moves with its anchor's rho coordinates.  A block
+        shared by several traces gives each of them its value and its
+        Jacobian rows, so the chained gradient gathers all of theirs.
         """
-        vals = {"rho": {}, "eta": {}, "xi": {}}
-        rows = {}
+        column = {t: j for j, t in enumerate(self.trace_ids)}
+        vals = {f: np.empty((n_rows, len(column))) for f in ("rho", "eta", "xi")}
+        phi = {}
+        jac = np.zeros((n_rows, len(self.keys), n_coords))
         col = 0
-
-        def placed(d, shape=()):
-            """The block's partials ``d`` in their columns, zero elsewhere."""
-            nonlocal col
-            out = np.zeros((n_coords, *shape))
-            if len(d):
-                out[col:col + len(d)] = d
-            col += len(d)
-            return out
-
         for family, out in vals.items():
             for b in self.blocks[family]:
-                anchor = None
+                anchor, d = None, np.zeros((n_rows, 0))
                 if b.fixed is not None:
-                    val, row = b.fixed, placed(())
+                    val = np.full(n_rows, float(b.fixed))
                 elif b.mu is not None:
-                    val, row, anchor = b.mu, placed(()), b.mu_anchor
+                    val, anchor = np.full(n_rows, float(b.mu)), b.mu_anchor
                 else:
                     val, d = free(family, b)
-                    row = placed(d)
                     if family == "eta" and eta_by_mu:
                         anchor = b.traces[0]
+                row = np.zeros((n_rows, n_coords))
+                row[:, col:col + d.shape[1]] = d
+                col += d.shape[1]
                 if anchor is not None:  # eta = mu / rho of the anchor trace
-                    rho = vals["rho"][anchor]
-                    val = val / rho
-                    row = (row - val * rows[("rho", anchor)]) / rho
+                    rho = vals["rho"][:, column[anchor]]
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        val = val / rho
+                        row = ((row - val[:, None] * jac[:, self.row["rho", anchor]])
+                               / rho[:, None])
                 for t in b.traces:
-                    out[t] = val
-                    rows[(family, t)] = row
-        phi = {}
+                    out[:, column[t]] = val
+                    jac[:, self.row[family, t]] = row
         for b in self.blocks["phi"]:
-            vec, d = (b.fixed, ()) if b.fixed is not None else free("phi", b)
-            block_rows = placed(d, (len(b.roles),))
-            for t in b.traces:
-                phi[t] = dict(zip(b.roles, vec))
-                for r, row in zip(b.roles, block_rows.T):
-                    rows[("phi", t, r)] = row
+            if b.fixed is not None:
+                vec, d = np.tile(b.fixed, (n_rows, 1)), np.zeros((n_rows, 0, len(b.roles)))
+            else:
+                vec, d = free("phi", b)
+            for t in b.traces:  # a trace's phi rows follow one another
+                phi[t] = vec
+                first = self.row["phi", t, b.roles[0]]
+                jac[:, first:first + len(b.roles), col:col + d.shape[1]] = (
+                    d.transpose(0, 2, 1)
+                )
+            col += d.shape[1]
         if col != n_coords:
             raise AssertionError(f"consumed {col} of {n_coords} coordinates")
-        params = ModelParameters(
-            **vals, phi=phi, marker_rho=self.marker_rho, marker_xi=self.marker_xi
+        sets = _ParameterSets(
+            self.trace_ids, self.roles, self.n_known,
+            vals["rho"], vals["eta"], vals["xi"],
+            tuple(phi[t] for t in self.trace_ids), self.marker_rho, self.marker_xi,
         )
-        return params, np.array([rows[k] for k in self.keys])
+        return sets, jac, sets.refused(self.bundle.frequencies)
 
-    def unpack(self, theta) -> tuple[ModelParameters, np.ndarray]:
-        """ModelParameters at the optimizer's coordinates, and their Jacobian.
+    def unpack(self, thetas):
+        """The walk (see :meth:`assemble`) at each row of the optimizer's
+        coordinates ``thetas`` (K, n).
 
         rho and eta are exp, xi a sigmoid and phi stick-breaking; the clip
         and renormalization of phi move only round-off, since the split
         sums to 1 identically, and add nothing to the derivative.
         """
-        theta = np.asarray(theta, dtype=float)
+        thetas = np.asarray(thetas, dtype=float)
+        n_rows = len(thetas)
+        # the free phi blocks of one shape are charted together, rows stacked
+        at = sum(b.free for f in ("rho", "eta", "xi") for b in self.blocks[f])
+        shapes, phis = {}, {}
+        for b in self.blocks["phi"]:
+            if b.fixed is None:
+                shapes.setdefault((b.n_known, b.n_unknown), []).append((b, at))
+                at += b.n_free
+        for (n_known, n_unknown), members in shapes.items():
+            vec, jac = _phi_from_theta(
+                np.concatenate([thetas[:, c:c + b.n_free] for b, c in members]),
+                n_known, n_unknown,
+            )
+            vec = np.maximum(vec, 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vec = vec / vec.sum(axis=1, keepdims=True)
+            jac = jac.transpose(0, 2, 1)
+            for n, (b, _) in enumerate(members):
+                rows = slice(n * n_rows, (n + 1) * n_rows)
+                phis[b.traces] = vec[rows], jac[rows]
         i = 0
 
         def free(family, b):
             nonlocal i
             if family == "phi":
-                vec, jac = _phi_from_theta(
-                    theta[i:i + b.n_free], b.n_known, b.n_unknown
-                )
-                i += b.n_free
-                vec = np.maximum(vec, 0.0)
-                return (vec / vec.sum()).tolist(), jac.T
+                return phis[b.traces]
             i += 1
-            x = theta[i - 1]
+            x = thetas[:, i - 1]
             if family == "xi":
-                v = float(_sigmoid(x))
-                return v, (v * (1.0 - v),)
-            v = math.exp(x)
-            return v, (v,)
+                v = _sigmoid(x)
+                return v, (v * (1.0 - v))[:, None]
+            v = _exp(x)
+            return v, v[:, None]
 
-        return self.assemble(free, len(theta))
+        return self.assemble(free, n_rows, thetas.shape[1])
 
-    def pack(self, params: ModelParameters) -> np.ndarray:
-        theta = []
-        for b in self.blocks["rho"]:
-            if b.free:
-                theta.append(math.log(params.rho[b.traces[0]]))
-        for b in self.blocks["eta"]:
-            if b.free:
-                theta.append(math.log(params.eta_for(b.traces[0])))
-        for b in self.blocks["xi"]:
-            if b.free:
-                theta.append(_logit(params.xi_for(b.traces[0])))
+    def parameters(self, theta) -> ModelParameters:
+        """ModelParameters at the optimizer's coordinates ``theta``; building
+        them checks them (ValueError)."""
+        return self.unpack(np.asarray(theta, dtype=float)[None])[0].parameters(0)
+
+    def pack(self, sets) -> np.ndarray:
+        """The optimizer's coordinates of each parameter set of ``sets``
+        (_ParameterSets), (K, n): each free block's value at its first
+        trace."""
+        column = {t: j for j, t in enumerate(sets.trace_ids)}
+        coords = []
+        for family, to_coord in (("rho", math.log), ("eta", math.log), ("xi", _logit)):
+            for b in self.blocks[family]:
+                if b.free:
+                    values = getattr(sets, family)[:, column[b.traces[0]]]
+                    coords.append([[to_coord(v)] for v in values.tolist()])
         for blk in self.blocks["phi"]:
             if blk.fixed is None:
-                vec = [params.phi[blk.traces[0]][r] for r in blk.roles]
-                theta.extend(_theta_from_phi(vec, blk.n_known, blk.n_unknown))
-        return np.array(theta, dtype=float)
+                coords.append([
+                    _theta_from_phi(vec, blk.n_known, blk.n_unknown)
+                    for vec in sets.phi[column[blk.traces[0]]]
+                ])
+        n_sets = len(sets.rho)
+        return np.concatenate(
+            [np.zeros((n_sets, 0))]
+            + [np.array(c, dtype=float).reshape(n_sets, -1) for c in coords], axis=1
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -574,40 +651,48 @@ def _phi_policy(n_known, n_unknown, policy):
 
 
 def _starting_points(spec: FitSpecification, structure: _Structure):
+    """The starts of a fit: the policy starts that differ, then the extra
+    starts, then jittered copies of the first up to _N_STARTS.  The policy
+    starts are one walk of the blocks (see :meth:`_Structure.assemble`),
+    and a start that ModelParameters refuses raises its error."""
     mu0 = {
         b.traces: _data_mu0(spec.bundle, set(b.traces)) for b in structure.blocks["rho"]
     }
+    policies = [("equal", 1.0), ("known_heavy", 1.0), ("unknown_heavy", 1.0),
+                ("equal", 0.5), ("equal", 2.0), ("equal", 0.25)]
+    n = len(policies)
 
-    def build(policy, scale):
-        def free(family, b):
-            if family == "rho":
-                return 1.0 / 0.25**2, ()  # sigma 0.25
-            if family == "eta":  # a mu
-                return mu0[structure.block_of("rho", b.traces[0]).traces] * scale, ()
-            if family == "xi":
-                return 0.05, ()
-            return _phi_policy(b.n_known, b.n_unknown, policy).tolist(), ()
+    def free(family, b):
+        if family == "rho":
+            return np.full(n, 1.0 / 0.25**2), np.zeros((n, 0))  # sigma 0.25
+        if family == "eta":  # a mu
+            mu = mu0[structure.block_of("rho", b.traces[0]).traces]
+            return np.array([mu * scale for _, scale in policies]), np.zeros((n, 0))
+        if family == "xi":
+            return np.full(n, 0.05), np.zeros((n, 0))
+        return (np.array([_phi_policy(b.n_known, b.n_unknown, policy)
+                          for policy, _ in policies]).reshape(n, len(b.roles)),
+                np.zeros((n, 0, len(b.roles))))
 
-        return structure.assemble(free, 0, eta_by_mu=True)[0]
-
+    built, _, refused = structure.assemble(free, n, 0, eta_by_mu=True)
     thetas = []
     seen = set()
 
-    def add(params):
-        th = structure.pack(params)
+    def add(sets):
+        th = structure.pack(sets)[0]
         key = tuple(np.round(th, 9))
         if key not in seen:
             seen.add(key)
             thetas.append(th)
 
-    for policy in ("equal", "known_heavy", "unknown_heavy"):
-        add(build(policy, 1.0))
-    for scale in (0.5, 2.0, 0.25):
-        if len(thetas) >= _N_STARTS:
+    for k in range(n):
+        if k >= 3 and len(thetas) >= _N_STARTS:
             break
-        add(build("equal", scale))
+        if refused[k]:
+            built.parameters(k)  # raises what ModelParameters refuses
+        add(built.take([k]))
     for extra in spec.extra_starts:
-        add(extra)
+        add(_ParameterSets.of(spec.bundle, [extra]))
     if _N_STARTS > len(thetas):
         rng = np.random.default_rng(spec.seed)
         while len(thetas) < _N_STARTS:
@@ -621,39 +706,36 @@ def _starting_points(spec: FitSpecification, structure: _Structure):
 
 def _evaluate(structure, chart, points):
     """log L and its gradient in the coordinates of a chart of the structure,
-    at each of ``points``, by one batched engine call.
+    at each of ``points``, by one chart walk and one batched engine call.
 
-    ``chart(x)`` gives the ModelParameters and their exact Jacobian in x
-    (:meth:`_Structure.assemble`), so each engine gradient in the
-    primitive parameters is chained by one product: one assemble and one
-    engine pass per point, no finite difference.  A point whose chart or
-    bundle is refused gets None; if the batched call raises, the points
-    are evaluated one at a time, so only a point that fails alone gets
-    None.
+    ``chart(x)`` walks the blocks once for the K rows of x (see
+    :meth:`_Structure.assemble`): it gives the engine's arrays of the K
+    parameter sets, their exact Jacobians in x and the rows the engine
+    would refuse.  The arrays go to the engine as they are, and each
+    row's gradient in the primitive parameters is chained by its own
+    Jacobian, one product per row: no finite difference, no
+    ModelParameters.  A refused row gets None; if the batched call
+    raises, the rows are evaluated one at a time, so only a row that
+    fails alone gets None.
     """
-    refused = (ValueError, OverflowError, FloatingPointError)
-    charted = {}
-    for i, x in enumerate(points):
-        try:
-            params, jac = chart(np.asarray(x, dtype=float))
-            charted[i] = (structure.bundle.with_parameters(params), jac)
-        except refused:
-            pass
-    bundles = [bundle for bundle, _ in charted.values()]
+    failures = (ValueError, OverflowError, FloatingPointError)
+    sets, jac, refused = chart(np.array(points, dtype=float).reshape(len(points), -1))
+    live = np.flatnonzero(~refused).tolist()
     try:
-        passes = batch_log_likelihood_and_gradient(bundles)
-    except refused:
+        batch = sets if len(live) == len(points) else sets.take(live)
+        passes = list(zip(*_batch_passes(structure.bundle, batch)))
+    except failures:
         passes = []
-        for bundle in bundles:
+        for i in live:
             try:
-                passes += batch_log_likelihood_and_gradient([bundle])
-            except refused:
+                passes += zip(*_batch_passes(structure.bundle, sets.take([i])))
+            except failures:
                 passes.append(None)
     out = [None] * len(points)
-    for (i, (_, jac)), one in zip(charted.items(), passes):
+    for i, one in zip(live, passes):
         if one is not None:
             ll, grad = one
-            out[i] = (ll, np.array([grad[k] for k in structure.keys]) @ jac)
+            out[i] = (ll, grad @ jac[i])
     return out
 
 
@@ -774,7 +856,7 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
     bundle = spec.bundle
     structure = _Structure(spec)
     if structure.n_free == 0:
-        params = structure.unpack(np.empty(0))[0]
+        params = structure.parameters(np.empty(0))
         ll = total_log_likelihood(bundle.with_parameters(params))
         return _finish(
             spec, structure, params, ll, True, 0, 1, None, hypothesis_id, (ll,)
@@ -801,7 +883,7 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
     gnorm = float(np.linalg.norm(best.jac))
     converged = bool((best.success or gnorm < 1e-2) and np.isfinite(ll))
     return _finish(
-        spec, structure, structure.unpack(best.x)[0], ll, converged,
+        spec, structure, structure.parameters(best.x), ll, converged,
         sum(int(r.nit) for r in runs), evals, gnorm, hypothesis_id, starts,
     )
 
@@ -1001,68 +1083,73 @@ class _ReportingChart:
         self.phi_layout_of = {blk.traces: lay for blk, lay in self.phi_layout}
         self.values = np.array(self.values, dtype=float)
 
-    def build_params(self, v) -> tuple[ModelParameters, np.ndarray]:
-        """ModelParameters at reporting coordinates v, and their Jacobian.
+    def build_params(self, v):
+        """The walk (see :meth:`_Structure.assemble`) at each row of
+        reporting coordinates ``v`` (K, n).
 
         rho = 1/sigma^2, eta = mu / rho, xi is the identity, and each free
         phi unit is linear: its roles take its value and the dependent
         unit's roles share what the other units leave, (1 - other mass)
-        over its size.
+        over its size.  A row with a sigma or mu not positive, or a
+        dependent unit below zero, is refused.
         """
-        values = iter(v)
+        v = np.asarray(v, dtype=float)
+        n_rows = len(v)
+        values = iter(v.T)
 
         def free(family, b):
             if family == "rho":
-                sigma = next(values)
-                if sigma <= 0:
-                    raise ValueError("sigma stepped out of range")
-                return 1.0 / sigma**2, (-2.0 / sigma**3,)
+                sigma = next(values).tolist()
+                # scalar powers, row by row, as the per-point chart took them
+                rho = [1.0 / s**2 if s > 0 else math.nan for s in sigma]
+                d = [-2.0 / s**3 if s > 0 else math.nan for s in sigma]
+                return np.array(rho), np.array(d)[:, None]
             if family == "eta":  # the mu of the block's first trace
                 mu = next(values)
-                if mu <= 0:
-                    raise ValueError("mu stepped out of range")
-                return mu, (1.0,)
+                return np.where(mu > 0, mu, math.nan), np.ones((n_rows, 1))
             if family == "xi":
                 if b.traces in self.xi_free:
-                    return next(values), (1.0,)
-                return self.params.xi_for(b.traces[0]), ()
+                    return next(values), np.ones((n_rows, 1))
+                return np.full(n_rows, self.params.xi_for(b.traces[0])), np.zeros((n_rows, 0))
             base, zero, units, dep = self.phi_layout_of[b.traces]
-            vec = base.copy()
-            vec[zero] = 0.0
-            other_mass = 0.0
+            vec = np.tile(base, (n_rows, 1))
+            vec[:, zero] = 0.0
+            other_mass = np.zeros(n_rows)
             d = []
             for ui, unit in enumerate(units):
                 if ui != dep:
                     uval = next(values)
-                    vec[list(unit)] = uval
-                    other_mass += len(unit) * uval
-                    col = np.zeros(len(vec))
+                    vec[:, list(unit)] = uval[:, None]
+                    other_mass = other_mass + len(unit) * uval
+                    col = np.zeros(len(base))
                     col[list(unit)] = 1.0
                     col[list(units[dep])] = -len(unit) / len(units[dep])
                     d.append(col)
             dep_val = (1.0 - other_mass) / len(units[dep])
-            if dep_val < 0:
-                raise ValueError("phi stepped off the simplex")
-            vec[list(units[dep])] = dep_val
-            return vec.tolist(), np.array(d).reshape(len(d), len(vec))
+            vec[:, list(units[dep])] = dep_val[:, None]
+            vec[dep_val < 0] = math.nan
+            d = np.array(d).reshape(len(d), len(base))
+            return vec, np.broadcast_to(d, (n_rows, *d.shape))
 
-        return self.structure.assemble(free, len(v), eta_by_mu=True)
+        return self.structure.assemble(free, n_rows, v.shape[1], eta_by_mu=True)
 
-    def report_jacobian(self, params, jac) -> np.ndarray:
+    def report_jacobian(self, sets, jac) -> np.ndarray:
         """The reported quantities' Jacobian, one row per report label.
 
-        ``jac`` is :meth:`build_params`'s Jacobian at ``params``, one row
-        per primitive parameter.  mu = rho eta and sigma = rho^(-1/2) are
-        chained through their rho and eta rows; xi and phi are primitive.
+        ``sets`` and ``jac`` are :meth:`build_params`'s parameter set and
+        Jacobian at one point, one Jacobian row per primitive parameter.
+        mu = rho eta and sigma = rho^(-1/2) are chained through their rho
+        and eta rows; xi and phi are primitive.
         """
-        rows = dict(zip(self.structure.keys, jac))
+        rows = dict(zip(self.structure.keys, jac[0]))
+        rho = dict(zip(sets.trace_ids, sets.rho[0].tolist()))
+        eta = dict(zip(sets.trace_ids, sets.eta[0].tolist()))
 
         def row(t, kind, role):
             if kind == "mu":
-                rho, eta = params.rho[t], params.eta_for(t)
-                return eta * rows["rho", t] + rho * rows["eta", t]
+                return eta[t] * rows["rho", t] + rho[t] * rows["eta", t]
             if kind == "sigma":
-                return -0.5 * params.rho[t] ** -1.5 * rows["rho", t]
+                return -0.5 * rho[t] ** -1.5 * rows["rho", t]
             return rows[("phi", t, role) if kind == "phi" else (kind, t)]
 
         return np.array([row(*label) for label in self.report_labels()])
@@ -1110,7 +1197,7 @@ def standard_errors(result: FitResult, spec: FitSpecification):
             except np.linalg.LinAlgError:
                 pass
         if cov is not None and np.all(np.isfinite(np.diag(cov))):
-            jac = chart.report_jacobian(*chart.build_params(chart.values))
+            jac = chart.report_jacobian(*chart.build_params(chart.values[None])[:2])
             var = np.einsum("ij,jk,ik->i", jac, cov, jac)
 
     def held(t, kind, role):

@@ -255,11 +255,7 @@ class ModelParameters:
         for trace in self.rho:
             _check_scale("eta", trace, self.eta_for(trace))
             _check_xi(trace, self.xi_for(trace))
-        for marker, over in (self.marker_rho or {}).items():
-            for trace, r in over.items():
-                _check_scale("rho", f"{trace}@{marker}", r)
-        for marker, x in (self.marker_xi or {}).items():
-            _check_xi(f"@{marker}", x)
+        _check_overrides(self.marker_rho, self.marker_xi, self.rho)
         if set(self.phi) != set(self.rho):
             raise ValueError("phi and rho must cover the same traces")
         for trace, fracs in self.phi.items():
@@ -322,6 +318,21 @@ def _check_scale(name, where, value):
 def _check_xi(where, value):
     if not 0.0 <= value < 1.0:
         raise ValueError(f"xi must lie in [0, 1) ({where!r}: {value})")
+
+
+def _check_overrides(marker_rho, marker_xi, traces):
+    """Refuse a per-marker override that is out of range or names a trace
+    not in ``traces``."""
+    for marker, over in (marker_rho or {}).items():
+        for trace, r in over.items():
+            if trace not in traces:
+                raise ValueError(
+                    f"marker_rho[{marker!r}] names trace {trace!r}, not one of "
+                    f"{sorted(traces)}"
+                )
+            _check_scale("rho", f"{trace}@{marker}", r)
+    for marker, x in (marker_xi or {}).items():
+        _check_xi(f"@{marker}", x)
 
 
 def effective_allele_count(phi, counts) -> float:

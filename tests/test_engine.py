@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,6 +208,23 @@ class TestOracleEquivalence:
         assert mx.marker_log_likelihood(b, "M") == pytest.approx(
             oracle_log_likelihood(b, "M"), rel=1e-12
         )
+
+    @pytest.mark.parametrize("override", [
+        {"marker_rho": {"M2": {"T1": 18.0}}}, {"marker_xi": {"M2": 0.02}},
+    ])
+    def test_overrides_of_markers_off_the_table_refused(self, override):
+        freqs = mx.FrequencyTable.from_dict({"M": {"8": 0.4, "9": 0.6}})
+        params = mx.ModelParameters(rho={"T1": 30.0}, eta=25.0, xi=0.1,
+                                    phi={"T1": {"U1": 1.0}})
+        b = single_trace_bundle(
+            freqs, mx.Hypothesis(known={}, unknown=("U1",)),
+            {"8": 200.0, "9": 350.0}, params,
+        )
+        key = f"{next(iter(override))}\\['M2'\\] names a marker absent"
+        with pytest.raises(ValueError, match=key):
+            b.with_parameters(replace(params, **override))
+        with pytest.raises(ValueError, match=key):
+            replace(b, parameters=replace(params, **override))
 
     def test_budget_error(self):
         rng = np.random.default_rng(5)
@@ -566,7 +584,7 @@ class TestScaledPassFallback:
     def test_dying_path_redoes_the_marker_in_log_space(self, monkeypatch):
         b = self._dying_path_case()
         (stack,) = b._stacks
-        tables = engine._step_tables(stack, engine._view_terms(stack, [b.parameters]))
+        tables = engine._step_tables(stack, engine._view_terms(stack, engine._sets_of(b)))
         ended = np.zeros(1, dtype=bool)
         loglik, *_ = engine._forward(stack, tables, False, ended)
         assert ended.all() and loglik[0] != -np.inf
@@ -687,10 +705,10 @@ class TestScaledPassFallback:
         if not finite:
             return
         structure = _Structure(FitSpecification(bundle=b, share=frozenset()))
-        theta = structure.pack(b.parameters)
+        theta = structure.pack(engine._sets_of(b))[0]
 
         def value(th):
-            return mx.total_log_likelihood(b.with_parameters(structure.unpack(th)[0]))
+            return mx.total_log_likelihood(b.with_parameters(structure.parameters(th)))
 
         ((ll, exact),) = _evaluate(structure, structure.unpack, [theta])
         assert ll == value(theta)
@@ -1142,7 +1160,7 @@ class TestChainStructure:
         assert np.isfinite(mx.total_log_likelihood(b))
         evaluated = sum(entries)
         (stack,) = b._stacks
-        terms = _terms_at(stack, b.parameters)
+        terms = _terms_at(stack, b)
         assert [len(term.log_factors) for term in terms] == [4 * 6**n_unknown] * 2
         # gamma is evaluated once per observed entry and once per distinct
         # dropout dose: per trace three coupled peaks of 6^U doses each, and
@@ -1150,15 +1168,15 @@ class TestChainStructure:
         assert evaluated == len(traces) * (3 * 6**n_unknown + 3**n_unknown)
 
 
-def _terms_at(stack, params):
-    """engine._view_terms at one parameter set, without the set axis."""
+def _terms_at(stack, bundle):
+    """engine._view_terms at the bundle's parameters, without the set axis."""
     return [
         term._replace(**{
             name: getattr(term, name)[0]
             for name in ("rho", "eta", "xi", "base", "ends", "doses",
                          "log_factors", "log_cdf")
         })
-        for term in engine._view_terms(stack, [params])
+        for term in engine._view_terms(stack, engine._sets_of(bundle))
     ]
 
 
@@ -1229,7 +1247,7 @@ class TestDistinctDoses:
             length = [len(plan.order) for plan in stack.plans]
             offset = dict(zip(plans, np.cumsum([0] + length)))
             n_pairs = stack.n_pairs
-            for layout, term in zip(stack.traces, _terms_at(stack, params)):
+            for layout, term in zip(stack.traces, _terms_at(stack, b)):
                 tid, k = layout.trace_id, layout.n_observed
                 # each run's marker: the observed runs marker by marker, then
                 # the dropout runs
@@ -1624,18 +1642,24 @@ class TestPlanReadsLadder:
 
 
 def _one_marker_bundle(b, marker):
-    """The bundle restricted to one marker: its ladder, and each trace's
-    heights there (none for a trace that does not cover it)."""
+    """The bundle restricted to one marker: its ladder, each trace's
+    heights there (none for a trace that does not cover it) and its
+    per-marker overrides."""
     traces = tuple(
         mx.Trace(t.trace_id, t.threshold,
                  {marker: t.heights[marker]} if marker in t.heights else {})
         for t in b.traces
     )
+    p = b.parameters
     return mx.EvidenceBundle(
         traces=traces, frequencies=mx.FrequencyTable(markers={
             marker: b.frequencies.ladder(marker)
         }),
-        hypothesis=b.hypothesis, parameters=b.parameters,
+        hypothesis=b.hypothesis, parameters=replace(
+            p,
+            marker_rho={m: v for m, v in (p.marker_rho or {}).items() if m == marker},
+            marker_xi={m: v for m, v in (p.marker_xi or {}).items() if m == marker},
+        ),
     )
 
 
@@ -1673,8 +1697,8 @@ class TestBundlePass:
             (alone,) = one._stacks
             stack, i = engine._stack_of(b, marker)
             rows = engine._marker_rows(stack, i)
-            tables = engine._step_tables(stack, engine._view_terms(stack, [b.parameters]))
-            own = engine._step_tables(alone, engine._view_terms(alone, [b.parameters]))
+            tables = engine._step_tables(stack, engine._view_terms(stack, engine._sets_of(b)))
+            own = engine._step_tables(alone, engine._view_terms(alone, engine._sets_of(b)))
             np.testing.assert_array_equal(tables[rows], own)
             whole = engine._chain_pass(stack, tables, posteriors=True)
             np.testing.assert_allclose(
@@ -1777,7 +1801,7 @@ class TestBundlePass:
         # the log-space pass of an impossible marker runs no backward
         # recursion and gives zero pair posteriors
         stack, i = engine._stack_of(b, "M")
-        tables = engine._step_tables(stack, engine._view_terms(stack, [b.parameters]))
+        tables = engine._step_tables(stack, engine._view_terms(stack, engine._sets_of(b)))
         monkeypatch.setattr(engine, "_log_backward", None)
         one = engine._log_pass(
             stack.plans[i], tables[engine._marker_rows(stack, i)], True, None

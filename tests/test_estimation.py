@@ -13,6 +13,7 @@ from hypothesis import strategies as stn
 
 import mixref as mx
 from mixref import estimation
+from mixref.engine import _ParameterSets
 from mixref.estimation import (
     FitSpecification,
     _boundary_flags,
@@ -25,6 +26,17 @@ from mixref.estimation import (
 )
 
 from conftest import random_case
+
+
+def _chart_at(chart, x):
+    """A chart's ModelParameters and Jacobian at one point x."""
+    sets, jac, _ = chart(np.asarray(x, dtype=float)[None])
+    return sets.parameters(0), jac[0]
+
+
+def _pack(structure, params):
+    """The optimizer's coordinates of ModelParameters."""
+    return structure.pack(_ParameterSets.of(structure.bundle, [params]))[0]
 
 
 def make_simulated_bundle(seed=0, n_markers=8, phi=(0.7, 0.3), mu=1000.0,
@@ -196,16 +208,15 @@ class TestFit:
                      "phi": {t: dict(v) for t, v in params.phi.items()}}
         calls = []  # one entry per parameter set evaluated
 
-        def counting_batch(bundles, _pass=estimation.batch_log_likelihood_and_gradient):
-            calls.extend(bundles)
-            return _pass(bundles)
+        def counting_batch(bundle, sets, _pass=estimation._batch_passes):
+            calls.extend(range(len(sets.rho)))
+            return _pass(bundle, sets)
 
         def counting_value(bundle, _pass=estimation.total_log_likelihood):
             calls.append(bundle)
             return _pass(bundle)
 
-        monkeypatch.setattr(estimation, "batch_log_likelihood_and_gradient",
-                            counting_batch)
+        monkeypatch.setattr(estimation, "_batch_passes", counting_batch)
         monkeypatch.setattr(estimation, "total_log_likelihood", counting_value)
         res = mx.fit(FitSpecification(bundle=bundle, fixed=fixed,
                                       compute_standard_errors=False))
@@ -236,21 +247,25 @@ class TestFit:
 
     def test_one_assemble_per_engine_pass(self, monkeypatch):
         # the chain rule comes with the parameters: no Jacobian by finite
-        # differences of the chart inside a pass, in the fit or its errors
+        # differences of the chart inside a pass, in the fit or its errors;
+        # each round is one walk of the chart over all its points and one
+        # engine call over all its sets
         bundle, _ = make_simulated_bundle(seed=9, n_markers=2)
-        counts = {"assemble": 0, "sets": 0}
-        rounds = []  # per batched evaluation: (points, assembles, sets)
+        counts = {"assemble": 0, "rows": 0, "engine": 0, "sets": 0}
+        rounds = []  # per batched evaluation: (points, assembles, rows, calls, sets)
         assemble = _Structure.assemble
-        engine_pass = estimation.batch_log_likelihood_and_gradient
+        engine_pass = estimation._batch_passes
         evaluate = estimation._evaluate
 
-        def counting_assemble(self, *args, **kwargs):
+        def counting_assemble(self, free, n_rows, *args, **kwargs):
             counts["assemble"] += 1
-            return assemble(self, *args, **kwargs)
+            counts["rows"] += n_rows
+            return assemble(self, free, n_rows, *args, **kwargs)
 
-        def counting_engine(bundles):
-            counts["sets"] += len(bundles)
-            return engine_pass(bundles)
+        def counting_engine(bundle, sets):
+            counts["engine"] += 1
+            counts["sets"] += len(sets.rho)
+            return engine_pass(bundle, sets)
 
         def counting_evaluate(structure, chart, points):
             before = dict(counts)
@@ -259,16 +274,43 @@ class TestFit:
             return out
 
         monkeypatch.setattr(_Structure, "assemble", counting_assemble)
-        monkeypatch.setattr(estimation, "batch_log_likelihood_and_gradient",
-                            counting_engine)
+        monkeypatch.setattr(estimation, "_batch_passes", counting_engine)
         monkeypatch.setattr(estimation, "_evaluate", counting_evaluate)
         res = mx.fit(FitSpecification(bundle=bundle))
         assert res.standard_errors["S"]["mu"] is not None
         assert counts["sets"] > res.n_evaluations
-        assert all(points == assembles == sets for points, assembles, sets in rounds)
+        assert all(assembles == calls == 1 and points == rows == sets
+                   for points, assembles, rows, calls, sets in rounds)
         # the fit's rounds, then the standard errors' 2n points in one
         assert sum(points for points, *_ in rounds[:-1]) == res.n_evaluations
         assert rounds[-1][0] == 2 * _Structure(FitSpecification(bundle=bundle)).n_free
+
+    def test_a_fit_builds_no_parameters_per_point(self, monkeypatch):
+        # the chart hands the engine arrays: ModelParameters are built for
+        # the result, not for each point evaluated
+        bundle, _ = make_simulated_bundle(seed=9, n_markers=2)
+        built = []
+
+        def counting(self, _check=mx.ModelParameters.__post_init__):
+            built.append(self)
+            _check(self)
+
+        monkeypatch.setattr(mx.ModelParameters, "__post_init__", counting)
+        res = mx.fit(FitSpecification(bundle=bundle))
+        assert res.standard_errors["S"]["mu"] is not None
+        assert res.n_evaluations > 20
+        assert len(built) <= len(res.start_log_likelihoods) + 2
+
+    def test_mismatched_extra_start_refused(self):
+        bundle, params = make_simulated_bundle(seed=9, n_markers=2)
+        other = mx.ModelParameters(rho={"MC18": 30.0}, eta=params.eta, xi=params.xi,
+                                   phi={"MC18": dict(params.phi["S"])})
+        with pytest.raises(ValueError, match="extra start 1 does not fit the bundle"):
+            FitSpecification(bundle=bundle, extra_starts=(params, other))
+        short = mx.ModelParameters(rho=dict(params.rho), eta=params.eta, xi=params.xi,
+                                   phi={"S": {"K1": 1.0}})
+        with pytest.raises(ValueError, match="extra start 0 .*roles"):
+            FitSpecification(bundle=bundle, extra_starts=(short,))
 
     @pytest.mark.parametrize("cap", [0, -1, 2.5, True, "3", None])
     def test_max_iterations_must_be_a_positive_integer(self, cap):
@@ -293,19 +335,19 @@ class TestFit:
             runs[theta0.tobytes()] = result, kwargs
             return result
 
-        def counting(bundles, _pass=estimation.batch_log_likelihood_and_gradient):
-            batches.append(len(bundles))
-            return _pass(bundles)
+        def counting(bundle, sets, _pass=estimation._batch_passes):
+            batches.append(len(sets.rho))
+            return _pass(bundle, sets)
 
         monkeypatch.setattr(estimation, "minimize", spying)
-        monkeypatch.setattr(estimation, "batch_log_likelihood_and_gradient", counting)
+        monkeypatch.setattr(estimation, "_batch_passes", counting)
         res = mx.fit(spec)
         assert max(batches) == estimation._N_STARTS
         structure = _Structure(spec)
 
         def alone(theta):
             try:
-                params, jac = structure.unpack(theta)
+                params, jac = _chart_at(structure.unpack, theta)
                 ll, grad = mx.log_likelihood_and_gradient(bundle.with_parameters(params))
             except (ValueError, OverflowError, FloatingPointError):
                 return estimation._PENALTY, np.zeros(len(theta))
@@ -334,13 +376,13 @@ class TestFit:
         chart = _ReportingChart(structure, res.parameters)
 
         def gradient(v):
-            params, jac = chart.build_params(v)
+            params, jac = _chart_at(chart.build_params, v)
             _, grad = mx.log_likelihood_and_gradient(bundle.with_parameters(params))
             return np.array([grad[k] for k in structure.keys]) @ jac
 
         jac = _numeric_jacobian(gradient, chart.values)
         cov = np.linalg.inv(-0.5 * (jac + jac.T))
-        rows = chart.report_jacobian(*chart.build_params(chart.values))
+        rows = chart.report_jacobian(*chart.build_params(chart.values[None])[:2])
         var = np.einsum("ij,jk,ik->i", rows, cov, rows)
         checked = 0
         for (t, kind, role), v in zip(chart.report_labels(), var):
@@ -390,12 +432,12 @@ class TestFit:
 
         calls = []
         if where == "evaluation":
-            # the fifth point, in the second round, fails on the calling thread
-            def failing(self, theta, _unpack=_Structure.unpack):
-                calls.append(theta)
-                if len(calls) == 5:
+            # the second round's walk fails on the calling thread
+            def failing(self, thetas, _unpack=_Structure.unpack):
+                calls.append(thetas)
+                if len(calls) == 2:
                     raise Unexpected
-                return _unpack(self, theta)
+                return _unpack(self, thetas)
 
             monkeypatch.setattr(_Structure, "unpack", failing)
         else:
@@ -568,12 +610,10 @@ class TestExactGradient:
             fixed=_fixed_block(params, fixed, "phi" in share),
         )
         structure = _Structure(spec)
-        theta = structure.pack(params)
+        theta = _pack(structure, params)
 
         def value(th):
-            return mx.total_log_likelihood(
-                bundle.with_parameters(structure.unpack(th)[0])
-            )
+            return mx.total_log_likelihood(bundle.with_parameters(structure.parameters(th)))
 
         ((ll, exact),) = _evaluate(structure, structure.unpack, [theta])
         assume(np.isfinite(ll))
@@ -601,10 +641,11 @@ def _projection(structure, params):
     def free(family, b):
         t = b.traces[0]
         if family == "phi":
-            return [params.phi[t][r] for r in b.roles], ()
-        return _scalar(params, family, t), ()
+            return (np.array([[params.phi[t][r] for r in b.roles]]),
+                    np.zeros((1, 0, len(b.roles))))
+        return np.array([_scalar(params, family, t)]), np.zeros((1, 0))
 
-    return structure.assemble(free, 0)[0]
+    return structure.assemble(free, 1, 0)[0].parameters(0)
 
 
 def _assert_reproduces(got, want, structure):
@@ -647,12 +688,12 @@ class TestChartRoundTrip:
             fixed=_fixed_block(params, fixed, "phi" in share),
         ))
         point = _projection(structure, params)
-        _assert_reproduces(structure.unpack(structure.pack(point))[0], point, structure)
+        _assert_reproduces(structure.parameters(_pack(structure, point)), point, structure)
         # the reporting chart holds boundary fractions; keep off them
         flags = _boundary_flags(point, structure)
         assume(not any(any(f["phi"].values()) for f in flags.values()))
         chart = _ReportingChart(structure, point)
-        _assert_reproduces(chart.build_params(chart.values)[0], point, structure)
+        _assert_reproduces(_chart_at(chart.build_params, chart.values)[0], point, structure)
 
 
 def _at_boundary(params, hypothesis, boundary):
@@ -725,27 +766,269 @@ class TestChartJacobian:
         ))
         point = _projection(structure, params)
         reporting = _ReportingChart(structure, point)
-        for chart, x in ((structure.unpack, structure.pack(point)),
+        for chart, x in ((structure.unpack, _pack(structure, point)),
                          (reporting.build_params, reporting.values)):
-            _, exact = chart(x)
+            _, exact = _chart_at(chart, x)
             numeric = _numeric_jacobian(
-                lambda y: _primitive_vector(chart(y)[0], structure), x
+                lambda y: _primitive_vector(_chart_at(chart, y)[0], structure), x
             )
             assert exact.shape == (len(structure.keys), len(x))
             assert np.allclose(exact, numeric.reshape(exact.shape),
                                rtol=1e-6, atol=1e-9), (exact, numeric)
 
         def reported(v):  # mu, sigma, xi and phi per trace, as standard errors report
-            est = estimation._reporting_estimates(reporting.build_params(v)[0], structure)
+            est = estimation._reporting_estimates(
+                _chart_at(reporting.build_params, v)[0], structure
+            )
             return np.array([est[t]["phi"][role] if kind == "phi" else est[t][kind]
                              for t, kind, role in reporting.report_labels()])
 
-        exact = reporting.report_jacobian(*reporting.build_params(reporting.values))
+        exact = reporting.report_jacobian(
+            *reporting.build_params(reporting.values[None])[:2]
+        )
         numeric = _numeric_jacobian(reported, reporting.values)
         scale = np.maximum(np.abs(reported(reporting.values)), 1.0)[:, None]  # mu ~ 1e3
         assert exact.shape == (len(reporting.report_labels()), len(reporting.values))
         assert np.allclose(exact, numeric.reshape(exact.shape),
                            rtol=1e-6, atol=1e-9 * scale), (exact, numeric)
+
+
+# A transcription of the per-point chart that the walk over K rows replaced:
+# one point, Python scalars and dicts, ModelParameters built and checked.
+
+
+def _point_stick_break(thetas, n_items):
+    weights = np.empty(n_items)
+    v = np.empty(n_items - 1)
+    rem = 1.0
+    for j in range(n_items - 1):
+        v[j] = float(estimation._sigmoid(thetas[j] - math.log(n_items - j - 1)))
+        weights[j] = rem * v[j]
+        rem *= 1.0 - v[j]
+    weights[-1] = rem
+    return weights, np.tril(weights[:, None] * (np.eye(n_items, n_items - 1) - v))
+
+
+def _point_phi_from_theta(theta, n_known, n_unknown):
+    n_items = n_known + (1 if n_unknown else 0)
+    outer, d_outer = _point_stick_break(theta[: max(n_items - 1, 0)], n_items)
+    if n_unknown <= 1:
+        return outer, d_outer
+    block = outer[-1]
+    ratios = estimation._sigmoid(theta[n_items - 1:])
+    u = np.concatenate([[1.0], np.cumprod(ratios)])
+    parts = block * u / u.sum()
+    share = u / u.sum()
+    later = np.tril(np.ones((n_unknown, n_unknown - 1)), -1)
+    beyond = np.cumsum(share[::-1])[::-1][1:]
+    k = n_items - 1
+    jac = np.zeros((k + n_unknown, k + n_unknown - 1))
+    jac[:k, :k] = d_outer[:-1]
+    jac[k:, :k] = share[:, None] * d_outer[-1]
+    jac[k:, k:] = parts[:, None] * (1.0 - ratios) * (later - beyond)
+    return np.concatenate([outer[:-1], parts]), jac
+
+
+def _point_assemble(structure, free, n_coords, eta_by_mu=False):
+    vals = {"rho": {}, "eta": {}, "xi": {}}
+    rows = {}
+    col = 0
+
+    def placed(d, shape=()):
+        nonlocal col
+        out = np.zeros((n_coords, *shape))
+        if len(d):
+            out[col:col + len(d)] = d
+        col += len(d)
+        return out
+
+    for family, out in vals.items():
+        for b in structure.blocks[family]:
+            anchor = None
+            if b.fixed is not None:
+                val, row = b.fixed, placed(())
+            elif b.mu is not None:
+                val, row, anchor = b.mu, placed(()), b.mu_anchor
+            else:
+                val, d = free(family, b)
+                row = placed(d)
+                if family == "eta" and eta_by_mu:
+                    anchor = b.traces[0]
+            if anchor is not None:
+                rho = vals["rho"][anchor]
+                val = val / rho
+                row = (row - val * rows[("rho", anchor)]) / rho
+            for t in b.traces:
+                out[t] = val
+                rows[(family, t)] = row
+    phi = {}
+    for b in structure.blocks["phi"]:
+        vec, d = (b.fixed, ()) if b.fixed is not None else free("phi", b)
+        block_rows = placed(d, (len(b.roles),))
+        for t in b.traces:
+            phi[t] = dict(zip(b.roles, vec))
+            for r, row in zip(b.roles, block_rows.T):
+                rows[("phi", t, r)] = row
+    assert col == n_coords
+    params = mx.ModelParameters(**vals, phi=phi, marker_rho=structure.marker_rho,
+                                marker_xi=structure.marker_xi)
+    return params, np.array([rows[k] for k in structure.keys])
+
+
+def _point_unpack(structure, theta):
+    i = 0
+
+    def free(family, b):
+        nonlocal i
+        if family == "phi":
+            vec, jac = _point_phi_from_theta(theta[i:i + b.n_free], b.n_known, b.n_unknown)
+            i += b.n_free
+            vec = np.maximum(vec, 0.0)
+            return (vec / vec.sum()).tolist(), jac.T
+        i += 1
+        x = theta[i - 1]
+        if family == "xi":
+            v = float(estimation._sigmoid(x))
+            return v, (v * (1.0 - v),)
+        v = math.exp(x)
+        return v, (v,)
+
+    return _point_assemble(structure, free, len(theta))
+
+
+def _point_build_params(chart, v):
+    values = iter(v)
+
+    def free(family, b):
+        if family == "rho":
+            sigma = next(values)
+            if sigma <= 0:
+                raise ValueError("sigma stepped out of range")
+            return 1.0 / sigma**2, (-2.0 / sigma**3,)
+        if family == "eta":
+            mu = next(values)
+            if mu <= 0:
+                raise ValueError("mu stepped out of range")
+            return mu, (1.0,)
+        if family == "xi":
+            if b.traces in chart.xi_free:
+                return next(values), (1.0,)
+            return chart.params.xi_for(b.traces[0]), ()
+        base, zero, units, dep = chart.phi_layout_of[b.traces]
+        vec = base.copy()
+        vec[zero] = 0.0
+        other_mass = 0.0
+        d = []
+        for ui, unit in enumerate(units):
+            if ui != dep:
+                uval = next(values)
+                vec[list(unit)] = uval
+                other_mass += len(unit) * uval
+                col = np.zeros(len(vec))
+                col[list(unit)] = 1.0
+                col[list(units[dep])] = -len(unit) / len(units[dep])
+                d.append(col)
+        dep_val = (1.0 - other_mass) / len(units[dep])
+        if dep_val < 0:
+            raise ValueError("phi stepped off the simplex")
+        vec[list(units[dep])] = dep_val
+        return vec.tolist(), np.array(d).reshape(len(d), len(vec))
+
+    return _point_assemble(chart.structure, free, len(v), eta_by_mu=True)
+
+
+_POINT_REFUSALS = (ValueError, OverflowError, FloatingPointError, ZeroDivisionError)
+
+
+def _per_point(bundle, chart, x):
+    """The transcription's parameters and Jacobian at one point, or None
+    where its chart or with_parameters refuses the point."""
+    try:
+        with np.errstate(all="ignore"):
+            params, jac = chart(x)
+        bundle.with_parameters(params)
+    except _POINT_REFUSALS:
+        return None
+    return params, jac
+
+
+def _bits(params):
+    """Every value of ModelParameters, in order, as exact bytes."""
+    values = [v for family in (params.rho, params.eta, params.xi) for v in family.values()]
+    values += [v for fracs in params.phi.values() for v in fracs.values()]
+    return np.array(values, dtype=float).tobytes(), list(params.phi.items())
+
+
+def _walked_points(rng, n_rows, n, centre, scale):
+    """n_rows points around ``centre``; about one coordinate in eight at
+    +-800, where exp overflows or underflows and a sigmoid saturates."""
+    points = centre + rng.normal(0.0, scale, (n_rows, n))
+    extreme = rng.random((n_rows, n)) < 0.125
+    points[extreme] = rng.choice([-800.0, 800.0], size=int(extreme.sum()))
+    return points
+
+
+class TestChartAgainstPerPointTranscription:
+    """The walk over K rows gives, row by row, the bits the per-point chart
+    gave: values, Jacobian and refusals, and _evaluate the values and
+    chained gradients of one engine call per point."""
+
+    @given(**_CASES, n_rows=stn.integers(1, 25), draw=stn.integers(0, 2**32 - 1))
+    # three traces, U = 3; U = 0; a fixed mu under a shared eta; a fixed sigma
+    @example(seed=11, n_markers=1, share=set(), fixed="", override="xi",
+             n_rows=25, draw=0)
+    @example(seed=52, n_markers=2, share={"eta", "xi"}, fixed="", override="rho",
+             n_rows=7, draw=1)
+    @example(seed=60, n_markers=2, share={"eta", "xi"}, fixed="mu", override="rho",
+             n_rows=12, draw=2)
+    @example(seed=52, n_markers=2, share={"rho", "eta"}, fixed="sigma", override="xi",
+             n_rows=5, draw=3)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_as_points(self, seed, n_markers, share, fixed, override, n_rows, draw):
+        bundle = random_case(np.random.default_rng(seed), n_markers=n_markers,
+                             max_unknowns=3, max_traces=3)
+        params = _with_override(bundle.parameters, override)
+        bundle = bundle.with_parameters(params)
+        assume("phi" not in share or bundle.hypothesis.trace_roles is None)
+        structure = _Structure(FitSpecification(
+            bundle=bundle, share=share,
+            fixed=_fixed_block(params, fixed, "phi" in share),
+        ))
+        rng = np.random.default_rng(draw)
+        point = _projection(structure, params)
+        reporting = _ReportingChart(structure, point)
+        charts = (
+            (structure.unpack, lambda x: _point_unpack(structure, x),
+             _pack(structure, point), 2.0),
+            (reporting.build_params, lambda v: _point_build_params(reporting, v),
+             reporting.values, 0.05 * np.maximum(np.abs(reporting.values), 1e-3)),
+        )
+        for chart, transcribed, centre, scale in charts:
+            points = _walked_points(rng, n_rows, len(centre), centre, scale)
+            points[0] = centre  # one row the chart accepts
+            sets, jac, refused = chart(points)
+            assert jac.shape == (n_rows, len(structure.keys), len(centre))
+            for k, x in enumerate(points):
+                want = _per_point(bundle, transcribed, x)
+                assert refused[k] == (want is None), (k, x)
+                if want is not None:
+                    assert _bits(sets.parameters(k)) == _bits(want[0])
+                    assert jac[k].tobytes() == want[1].tobytes()
+            if len(centre):
+                self._evaluate_as_per_point(bundle, structure, chart, transcribed, points)
+
+    @staticmethod
+    def _evaluate_as_per_point(bundle, structure, chart, transcribed, points):
+        got = _evaluate(structure, chart, points)
+        for x, one in zip(points, got):
+            want = _per_point(bundle, transcribed, x)
+            if want is None:
+                assert one is None
+                continue
+            ll, grad = mx.log_likelihood_and_gradient(bundle.with_parameters(want[0]))
+            chained = np.array([grad[k] for k in structure.keys]) @ want[1]
+            assert one[0] == ll or (math.isnan(one[0]) and math.isnan(ll))
+            assert one[1].tobytes() == chained.tobytes()
 
 
 class TestNumericHessian:

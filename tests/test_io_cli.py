@@ -884,6 +884,36 @@ class TestPubcaseCli:
 
         compare(got, want)
 
+    @pytest.mark.parametrize("override, key", [
+        ({"marker_rho": {"D2": {"MC99": 20.0}}}, "marker_rho['D2'] names trace 'MC99'"),
+        ({"marker_rho": {"D99": {"MC18": 20.0}}}, "marker_rho['D99']"),
+        ({"marker_xi": {"D99": 0.02}}, "marker_xi['D99']"),
+        ({"marker_rho": {"D2": {"MC18": 20.0}}}, None),
+    ])
+    def test_marker_override_typos_exit_2(self, tmp_path, capsys, override, key):
+        # each typo once ran to exit 0 with the log L of no override
+        doc = json.loads((DATA / "pubcase_params_defence.json").read_text())
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**doc, **override}))
+        out = tmp_path / "fit.json"
+        rc = cli.main(
+            ["fit",
+             "--freqs", str(DATA / "pubcase_freqs.csv"),
+             "--profiles", str(DATA / "pubcase_profiles.csv"),
+             "--trace", str(DATA / "pubcase_traces.csv"),
+             "--hypothesis", str(DATA / "pubcase_case.json"),
+             "--under", "defence", "--params", str(params), "--out", str(out)]
+        )
+        if key is None:  # a valid override moves the likelihood
+            assert rc == 0
+            ll = json.loads(out.read_text())["log10_likelihood"]
+            assert abs(ll - -61.70963096977609) > 1.0
+            return
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "config_error"
+        assert key in err["message"]
+
     def test_deconvolve_csv_headed_by_defendant_alleles(self, tmp_path):
         out = str(tmp_path / "deconv.csv")
         rc = cli.main(

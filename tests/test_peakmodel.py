@@ -415,6 +415,11 @@ class TestModelParameters:
         with pytest.raises(ValueError, match=r"'T1': \[0\.1, 0\.3\]$"):
             p.check_unknown_ordering(("U1", "U2"))
 
+    def test_rejects_override_of_another_trace(self):
+        with pytest.raises(ValueError, match=r"marker_rho\['FGA'\] names trace 'T2'"):
+            mx.ModelParameters(rho={"T1": 30.0}, eta=28.0, xi=0.08, phi=self._phi(),
+                               marker_rho={"FGA": {"T2": 12.0}})
+
     def test_marker_overrides(self):
         p = mx.ModelParameters(
             rho={"T1": 30.0}, eta=28.0, xi=0.08, phi=self._phi(),

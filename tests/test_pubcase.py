@@ -68,7 +68,7 @@ class TestDefenceFit:
         bundle = spec.bundle
 
         def ll_of(v):
-            params, _ = chart.build_params(v)
+            params = chart.build_params(np.asarray(v)[None])[0].parameters(0)
             return mx.total_log_likelihood(bundle.with_parameters(params))
 
         cov = np.linalg.inv(-numeric_hessian(ll_of, chart.values))
