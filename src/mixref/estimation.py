@@ -24,14 +24,16 @@ Both the optimizer and the Hessian use the exact gradient of the log
 likelihood from the forward-backward pass, chained to the chart's
 coordinates by each row's exact Jacobian: no finite difference inside
 a pass.  The optimizer is L-BFGS-B with that gradient, one search per
-start; the starts run in lockstep, so that each round's points are
-charted by one walk and evaluated by one batched engine call on the
-walk's arrays (:func:`_evaluate`), and each start's search, and so the
-result and the evaluation count, are those of the starts run one at a
-time.  The Hessian is the symmetrized central difference of gradients,
-2n points for n free coordinates, evaluated as one batch.
-scipy.optimize is imported by :func:`minimize` on its first call, not
-with this module, so a run that fits no free parameter never loads it.
+start, each stepped from the calling thread by reverse communication
+(:class:`_LBFGSB`, scipy's ``setulb``); the starts run in lockstep, so
+that each round's points are charted by one walk and evaluated by one
+batched engine call on the walk's arrays (:func:`_evaluate`), and each
+start's search, and so the result and the evaluation count, are those
+of scipy's L-BFGS-B run from each start alone.  No thread is started.
+The Hessian is the symmetrized central difference of gradients, 2n
+points for n free coordinates, evaluated as one batch.  scipy.optimize
+is imported on the first fit with free parameters, not with this
+module, so a run that fits no free parameter never loads it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -145,8 +146,9 @@ class FitResult:
 
     n_evaluations counts likelihood passes, each a value and gradient
     (one value pass when every parameter is fixed): the parameter sets
-    the lockstep starts evaluated, as many as the starts run one at a
-    time would; standard errors add passes of their own.
+    the lockstep starts evaluated, the sum of the evaluation counts
+    (nfev) of scipy's L-BFGS-B run from each start alone; standard
+    errors add passes of their own.
     start_log_likelihoods holds the optimum reached from each start, in
     start order (-inf where a start never left the infeasible region); its
     maximum is log_likelihood, the value of the best start's last pass.
@@ -739,106 +741,126 @@ def _evaluate(structure, chart, points):
     return out
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
+_SETULB = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+# setulb's task codes, the two stops scipy's driver sets itself, and the
+# defaults of the scipy options a fit leaves alone
+_START, _NEW_X, _FG, _CONVERGENCE, _STOP = 0, 1, 3, 4, 5
+_STOP_MAXITER, _STOP_MAXFUN = 504, 502
+_MAXLS, _MAXFUN = 20, 15000
 
-    scipy.optimize is slow to import and only a fit with free parameters
-    needs it.  ``fit`` calls this module name, one call per start, each
-    in the start's own thread.
+
+@functools.cache
+def _setulb():
+    """scipy's L-BFGS-B step, ``scipy.optimize._lbfgsb.setulb``, imported on
+    the first fit with free parameters (scipy.optimize is slow to import).
+
+    Its interface is that of scipy's C port of L-BFGS-B, new in scipy
+    1.15; another one raises ImportError naming the installed scipy.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    import scipy
 
-    return scipy_minimize(*args, **kwargs)
+    try:
+        from scipy.optimize._lbfgsb import setulb
+    except ImportError:
+        setulb = None
+    if not (getattr(setulb, "__doc__", None) or "").startswith(_SETULB):
+        raise ImportError(
+            f"mixref needs scipy >= 1.15, whose L-BFGS-B step is {_SETULB}; "
+            f"scipy {scipy.__version__} is installed"
+        )
+    return setulb
 
 
-class _Stopped(Exception):
-    """Raised in a start's objective when its fit is abandoned."""
+class _LBFGSB:
+    """One start's L-BFGS-B search, stepped by reverse communication.
 
-
-_STOP = object()
-
-
-class _Start(threading.Thread):
-    """One start's L-BFGS-B search, in its own thread.
-
-    Its objective posts each point it needs and waits for the calling
-    thread to hand back the value and gradient (:func:`_lockstep`).  The
-    thread runs only between a reply and its next post, so at most one of
-    the calling thread and the starts runs at any time.
+    ``point`` is the point whose value and gradient the search needs next,
+    None once it has stopped; ``tell(f, g)`` hands them over and steps the
+    search to its next point.  The loop is the one of scipy's
+    ``minimize(fun, x0, jac=True, method="L-BFGS-B", options=...)``, with
+    its defaults (maxls 20, maxfun 15000, no bounds), so the search and
+    its results are that call's: the first point is x0, a request at the
+    point last evaluated is answered from it, as scipy's ScalarFunction
+    does, and an iteration or evaluation cap stops the search as scipy
+    stops it.  After the stop, x, fun, jac, nit, nfev and success read as
+    scipy's result; success means convergence.  A scipy without the
+    step routine fails here, before the first evaluation.
     """
 
-    def __init__(self, theta0, options):
-        import queue  # only fits with free parameters need it, as scipy.optimize
+    def __init__(self, x0, maxiter, ftol, gtol, maxcor):
+        self.setulb = _setulb()
+        self.x = np.array(x0, dtype=np.float64).ravel()
+        self.point, n = self.x.copy(), len(self.x)
+        self.maxiter, self.m, self.factr, self.pgtol = (
+            maxiter, maxcor, ftol / np.finfo(float).eps, gtol)
+        self.bounds, self.nbd = np.zeros(n), np.zeros(n, np.int32)  # nbd 0: unbounded
+        self.fun, self.jac = np.array(0.0), np.zeros(n)
+        self.wa = np.zeros(2 * maxcor * n + 5 * n + 11 * maxcor**2 + 8 * maxcor)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task, self.ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+        self.lsave, self.isave = np.zeros(4, np.int32), np.zeros(44, np.int32)
+        self.dsave = np.zeros(29)
+        self.nit = self.nfev = 0
+        self.last = None
 
-        super().__init__(daemon=True)
-        self.theta0, self.options = theta0, options
-        self.posts, self.replies = queue.SimpleQueue(), queue.SimpleQueue()
-        self.stopped = False
+    @property
+    def success(self):
+        return int(self.task[0]) == _CONVERGENCE
 
-    def objective(self, theta):
-        if self.stopped:
-            raise _Stopped
-        self.posts.put(("point", np.array(theta, dtype=float)))
-        reply = self.replies.get()
-        if reply is _STOP:
-            self.stopped = True
-            raise _Stopped
-        return reply
-
-    def run(self):
-        try:
-            if self.replies.get() is _STOP:
+    def tell(self, f, g):
+        """Hand over the value and gradient at ``point``, and step the search
+        to its next point or its stop."""
+        self.nfev += 1
+        self.last = self.point, f, g
+        if self.task[0] == _FG:  # not the start, which setulb takes without them
+            self.fun, self.jac = f, g
+        while True:
+            self.jac = np.asarray(self.jac).astype(np.float64)
+            self.setulb(self.m, self.x, self.bounds, self.bounds, self.nbd, self.fun,
+                   self.jac, self.factr, self.pgtol, self.wa, self.iwa, self.task,
+                   self.lsave, self.isave, self.dsave, _MAXLS, self.ln_task)
+            task = self.task[0]
+            if task == _FG:
+                if not np.array_equal(self.x, self.last[0]):
+                    self.point = self.x.copy()
+                    return
+                _, self.fun, self.jac = self.last
+            elif task == _NEW_X:
+                self.nit += 1
+                if self.nit >= self.maxiter:
+                    self.task[:] = _STOP, _STOP_MAXITER
+                elif self.nfev > _MAXFUN:
+                    self.task[:] = _STOP, _STOP_MAXFUN
+            else:
+                self.point = None
                 return
-            result = minimize(self.objective, self.theta0, jac=True,
-                              method="L-BFGS-B", options=self.options)
-        except BaseException as err:  # handed to the calling thread
-            self.posts.put(("failed", err))
-        else:
-            self.posts.put(("done", result))
-
-    def step(self, reply):
-        """Hand the start ``reply`` and wait for its next post."""
-        self.replies.put(reply)
-        return self.posts.get()
 
 
 def _lockstep(evaluate, thetas, options):
-    """L-BFGS-B from each of ``thetas`` in lockstep: each start is its own
-    ``minimize`` call in a worker thread, and every round the calling
-    thread evaluates the points that all live starts have posted with one
-    call of ``evaluate`` (points -> (value, gradient) per point).
+    """L-BFGS-B from each of ``thetas`` in lockstep (see :class:`_LBFGSB`):
+    every round, one call of ``evaluate`` (points -> (value, gradient) per
+    point) takes the points that all live starts ask for, and each start
+    is told its own.
 
     Each start's search sees only its own values, so its result is the
-    one a search alone would give.  Returns the results in start order and
-    the number of points evaluated.  An exception in a start or in
-    ``evaluate`` propagates once every start has stopped; no thread
-    outlives the call.
+    one a search alone would give.  Returns the stopped searches in start
+    order and the number of points evaluated.  An exception in
+    ``evaluate`` propagates as it stands.
     """
-    starts = [_Start(theta, options) for theta in thetas]
-    try:
-        for start in starts:
-            start.start()
-        results = [None] * len(starts)
-        replies = dict.fromkeys(range(len(starts)))  # None: begin the search
-        n_points = 0
-        while replies:
-            points = {}
-            for i, reply in replies.items():
-                kind, value = starts[i].step(reply)
-                if kind == "failed":
-                    raise value
-                if kind == "done":
-                    results[i] = value
-                else:
-                    points[i] = value
-            n_points += len(points)
-            replies = dict(zip(points, evaluate(list(points.values())))) if points else {}
-        return results, n_points
-    finally:
-        for start in starts:
-            if start.is_alive():
-                start.replies.put(_STOP)
-                start.join()
+    starts = [_LBFGSB(theta, **options) for theta in thetas]
+    n_points = 0
+    while live := [s for s in starts if s.point is not None]:
+        n_points += len(live)
+        for start, (f, g) in zip(live, evaluate([s.point for s in live])):
+            start.tell(f, g)
+    return starts, n_points
+
+
+def minimize(fun, x0, **options):
+    """L-BFGS-B from x0 alone on ``fun`` (x -> (value, gradient)), with the
+    options of :class:`_LBFGSB`: the stopped search."""
+    (search,), _ = _lockstep(lambda points: [fun(x) for x in points], [x0], options)
+    return search
 
 
 def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
@@ -847,11 +869,12 @@ def fit(spec: FitSpecification, hypothesis_id: str | None = None) -> FitResult:
     Deterministic given the specification (including its seed).  Runs a
     multistart L-BFGS-B search with exact gradients from dispersed
     feasible points plus any extra_starts, keeps the best, and flags
-    non-convergence rather than failing.  The starts run in lockstep (see
-    :func:`_lockstep`): one engine call evaluates the points of all live
-    starts, and each start's search, iterations and evaluations are the
-    same as if the starts ran one at a time.  With every parameter fixed,
-    returns the exact likelihood of the overrides.
+    non-convergence rather than failing.  The starts run in lockstep in
+    the calling thread (see :func:`_lockstep`): one engine call evaluates
+    the points of all live starts, and each start's search, iterations
+    and evaluations are those of scipy's L-BFGS-B run from that start
+    alone.  With every parameter fixed, returns the exact likelihood of
+    the overrides.
     """
     bundle = spec.bundle
     structure = _Structure(spec)

@@ -10,6 +10,9 @@ File formats (all UTF-8, headers required):
   sharing constraints
 * parameter JSON: xi and eta (global or per trace), per-trace mu/sigma
   or rho, and per-trace phi
+
+A JSON document may hold only the keys named here, at each level; any
+other key is a LoadError naming its path.
 """
 
 from __future__ import annotations
@@ -196,6 +199,26 @@ def _require(reader, columns, path):
 # Case definition JSON
 
 
+_CASE_KEYS = frozenset({"hypotheses", "traces", "share", "q0"})
+_CASE_TRACE_KEYS = frozenset({"threshold"})
+_HYPOTHESIS_KEYS = frozenset({"known", "unknowns", "trace_roles"})
+_PARAMETER_KEYS = frozenset({"traces", "eta", "xi", "marker_rho", "marker_xi"})
+_PARAMETER_TRACE_KEYS = frozenset({"rho", "eta", "mu", "sigma", "xi", "phi"})
+_AGREEMENT = 1e-9  # relative tolerance of values stated more than once
+
+
+def _known_keys(doc, allowed, document, at=""):
+    """Refuse keys of the JSON object ``doc`` outside ``allowed``: a
+    LoadError naming each by its path in ``document``, ``at`` being the
+    object's own path."""
+    unknown = [k for k in doc if k not in allowed]
+    if unknown:
+        paths = ", ".join(f"{at}[{k!r}]" if at else repr(k) for k in unknown)
+        raise LoadError(
+            f"{document}: unknown key {paths} (allowed: {', '.join(sorted(allowed))})"
+        )
+
+
 @dataclass(frozen=True)
 class CaseDefinition:
     """Parsed case JSON: hypotheses by id plus per-trace thresholds."""
@@ -217,11 +240,15 @@ def load_case_definition(path) -> CaseDefinition:
         raise LoadError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, Mapping) or not isinstance(doc.get("hypotheses"), Mapping):
         raise LoadError(f"{path}: needs a 'hypotheses' object")
+    document = f"case JSON {path}"
+    _known_keys(doc, _CASE_KEYS, document)
     for hid, spec in doc["hypotheses"].items():
-        _object(spec, f"hypothesis {hid!r}")
+        _known_keys(_object(spec, f"hypothesis {hid!r}"), _HYPOTHESIS_KEYS, document,
+                    f"['hypotheses'][{hid!r}]")
     thresholds = {}
     for tid, spec in _object(doc.get("traces") or {}, "'traces'").items():
         spec = _object(spec, f"trace {tid!r}")
+        _known_keys(spec, _CASE_TRACE_KEYS, document, f"['traces'][{tid!r}]")
         if "threshold" in spec:
             thresholds[tid] = _number(spec["threshold"], f"trace {tid!r}: threshold")
     share = doc.get("share")
@@ -238,8 +265,10 @@ def build_hypothesis(
 ) -> Hypothesis:
     """Instantiate one hypothesis block against loaded profiles.
 
-    known is a list of individuals; unknowns a count or a list of labels.
+    known is a list of individuals; unknowns a count or a list of labels;
+    trace_roles, optional, maps trace ids to the roles they hold.
     """
+    _known_keys(_object(spec, "hypothesis"), _HYPOTHESIS_KEYS, "hypothesis")
     known_ids = _strings(spec.get("known", []), "hypothesis: known")
     missing = [k for k in known_ids if k not in profiles]
     if missing:
@@ -302,18 +331,24 @@ def parameters_from_json(doc: Mapping[str, object]) -> ModelParameters:
 
     Per trace, rho may be given directly, or derived as mu/eta when eta is
     stated (globally or per trace), or as 1/sigma^2 with eta = mu*sigma^2.
-    A value of the wrong type is a LoadError naming its trace and key.
+    Values stated beyond those needed (mu = rho eta, sigma = rho^(-1/2))
+    must agree with them to a relative 1e-9, as a fit report's do.  A
+    value of the wrong type, an unknown key or a disagreement is a
+    LoadError naming its trace and key.
     """
+    at = ""
     if isinstance(doc, Mapping) and "parameters" in doc:
-        doc = doc["parameters"]
+        doc, at = doc["parameters"], "['parameters']"
     doc = _object(doc, "parameter JSON")
     if "traces" not in doc:
         raise LoadError("parameter JSON needs a 'traces' object")
+    _known_keys(doc, _PARAMETER_KEYS, "parameter JSON", at)
     global_eta = doc.get("eta")
     global_xi = doc.get("xi")
     rho, eta, xi, phi = {}, {}, {}, {}
     for tid, tr in _object(doc["traces"], "'traces'").items():
         tr = _object(tr, f"trace {tid!r}")
+        _known_keys(tr, _PARAMETER_TRACE_KEYS, "parameter JSON", f"{at}['traces'][{tid!r}]")
 
         def num(key, value=None):
             return _number(tr[key] if value is None else value, f"trace {tid!r}: {key}")
@@ -338,6 +373,14 @@ def parameters_from_json(doc: Mapping[str, object]) -> ModelParameters:
             t_rho = 1.0 / positive("sigma") ** 2
         else:
             raise LoadError(f"trace {tid!r}: no rho, mu, or sigma")
+        implied = {"mu": t_rho * t_eta,
+                   "sigma": 1.0 / math.sqrt(t_rho) if t_rho > 0 else math.nan}
+        for key, value in implied.items():
+            if key in tr and not math.isclose(num(key), value, rel_tol=_AGREEMENT):
+                raise LoadError(
+                    f"trace {tid!r}: {key} {num(key)} disagrees with the {value} "
+                    f"its other values give (relative tolerance {_AGREEMENT})"
+                )
         t_xi = tr.get("xi", global_xi)
         if t_xi is None:
             raise LoadError(f"trace {tid!r}: no xi (directly or globally)")

@@ -1,7 +1,6 @@
 """Fitting, standard errors, weight of evidence, profile likelihood, sweeps."""
 
 import math
-import sys
 import threading
 from dataclasses import replace
 
@@ -110,6 +109,48 @@ def make_two_trace_bundle(seed=61, n_markers=10):
         hypothesis=mx.Hypothesis(known={"K1": k1, "K2": k2}),
         parameters=params0,
     )
+
+
+def _record_searches(monkeypatch):
+    """The L-BFGS-B searches of the fits to come, each with its options, in
+    the order they are made."""
+    searches = []
+
+    class Recording(estimation._LBFGSB):
+        def __init__(self, x0, **options):
+            super().__init__(x0, **options)
+            self.x0 = np.array(x0, dtype=float)
+            searches.append((self, options))
+
+    monkeypatch.setattr(estimation, "_LBFGSB", Recording)
+    return searches
+
+
+def _assert_each_as_if_alone(spec, searches, res):
+    """Each start's search equals scipy's L-BFGS-B from its start alone,
+    every point a one-set engine call, and the fit counts their points."""
+    bundle, structure = spec.bundle, _Structure(spec)
+
+    def alone(theta):
+        try:
+            params, jac = _chart_at(structure.unpack, theta)
+            ll, grad = mx.log_likelihood_and_gradient(bundle.with_parameters(params))
+        except (ValueError, OverflowError, FloatingPointError):
+            return estimation._PENALTY, np.zeros(len(theta))
+        grad = np.array([grad[k] for k in structure.keys]) @ jac
+        if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
+            return estimation._PENALTY, np.zeros(len(theta))
+        return -ll, -grad
+
+    thetas = estimation._starting_points(spec, structure)
+    assert len(searches) == len(thetas)
+    for theta0, (got, options) in zip(thetas, searches):
+        assert got.x0.tobytes() == theta0.tobytes()
+        want = scipy.optimize.minimize(alone, theta0, jac=True, method="L-BFGS-B",
+                                       options=options)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.fun, got.nit, got.nfev) == (want.fun, want.nit, want.nfev)
+    assert res.n_evaluations == sum(search.nfev for search, _ in searches)
 
 
 class TestFit:
@@ -223,25 +264,18 @@ class TestFit:
         assert res.n_evaluations == len(calls) > 0
 
     @pytest.mark.parametrize("fixed", [{}, "all"])
-    def test_one_minimize_call_per_start(self, monkeypatch, fixed):
-        # the benchmark's tracer times each start through this module name
+    def test_one_search_per_start(self, monkeypatch, fixed):
         bundle, params = make_simulated_bundle(seed=9, n_markers=2)
         if fixed == "all":
             fixed = {"rho": dict(params.rho), "eta": params.eta, "xi": params.xi,
                      "phi": {t: dict(v) for t, v in params.phi.items()}}
-        optima = []
-
-        def spying(*args, _minimize=estimation.minimize, **kwargs):
-            result = _minimize(*args, **kwargs)
-            optima.append(-float(result.fun))
-            return result
-
-        monkeypatch.setattr(estimation, "minimize", spying)
+        searches = _record_searches(monkeypatch)
         res = mx.fit(FitSpecification(bundle=bundle, fixed=fixed,
                                       compute_standard_errors=False))
         if fixed:
-            assert optima == []
+            assert searches == []
         else:
+            optima = [-float(search.fun) for search, _ in searches]
             assert optima == list(res.start_log_likelihoods)
             assert len(optima) == estimation._N_STARTS
 
@@ -321,49 +355,23 @@ class TestFit:
 
     @pytest.mark.parametrize("case", ["simulated", "pubcase"])
     def test_every_start_as_if_alone(self, monkeypatch, case, request):
-        # lockstep starts: each start's search is the one a start run by
-        # itself over one-set engine calls makes
+        # lockstep starts: each start's search is the one scipy's L-BFGS-B
+        # run by itself over one-set engine calls makes
         if case == "simulated":
             bundle = make_simulated_bundle(seed=9, n_markers=2)[0]
         else:
             bundle = request.getfixturevalue("pubcase_defence_bundle")
         spec = FitSpecification(bundle=bundle, compute_standard_errors=False)
-        runs, batches = {}, []
-
-        def spying(objective, theta0, _minimize=estimation.minimize, **kwargs):
-            result = _minimize(objective, theta0, **kwargs)
-            runs[theta0.tobytes()] = result, kwargs
-            return result
+        searches, batches = _record_searches(monkeypatch), []
 
         def counting(bundle, sets, _pass=estimation._batch_passes):
             batches.append(len(sets.rho))
             return _pass(bundle, sets)
 
-        monkeypatch.setattr(estimation, "minimize", spying)
         monkeypatch.setattr(estimation, "_batch_passes", counting)
         res = mx.fit(spec)
         assert max(batches) == estimation._N_STARTS
-        structure = _Structure(spec)
-
-        def alone(theta):
-            try:
-                params, jac = _chart_at(structure.unpack, theta)
-                ll, grad = mx.log_likelihood_and_gradient(bundle.with_parameters(params))
-            except (ValueError, OverflowError, FloatingPointError):
-                return estimation._PENALTY, np.zeros(len(theta))
-            grad = np.array([grad[k] for k in structure.keys]) @ jac
-            if not (np.isfinite(ll) and np.all(np.isfinite(grad))):
-                return estimation._PENALTY, np.zeros(len(theta))
-            return -ll, -grad
-
-        thetas = estimation._starting_points(spec, structure)
-        assert len(runs) == len(thetas)
-        for theta0 in thetas:
-            got, kwargs = runs[theta0.tobytes()]
-            want = scipy.optimize.minimize(alone, theta0, **kwargs)
-            assert got.x.tobytes() == want.x.tobytes()
-            assert (got.fun, got.nit, got.nfev) == (want.fun, want.nit, want.nfev)
-        assert res.n_evaluations == sum(r.nfev for r, _ in runs.values())
+        _assert_each_as_if_alone(spec, searches, res)
 
     @pytest.mark.parametrize("seed, n_markers", [(9, 2), (7, 12)])
     def test_standard_errors_as_one_point_at_a_time(self, seed, n_markers):
@@ -393,16 +401,17 @@ class TestFit:
                 checked += 1
         assert checked >= len(chart.values)
 
-    def test_no_thread_outlives_a_fit(self):
+    def test_a_fit_starts_no_thread(self, monkeypatch):
         bundle, _ = make_simulated_bundle(seed=9, n_markers=2)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", started.append)
         before = threading.active_count()
         res = mx.fit(FitSpecification(bundle=bundle))
         assert res.converged
+        assert started == []
         assert threading.active_count() == before
 
-    def test_many_starts_under_fast_thread_switching(self):
-        # more starts than cores, with the interpreter switching threads as
-        # often as it can: the same fit as at the default interval
+    def test_eight_starts_each_as_if_alone(self, monkeypatch):
         bundle, params = make_simulated_bundle(seed=9, n_markers=2)
         extra = tuple(
             mx.ModelParameters(rho={"S": params.rho["S"] * f}, eta=params.eta,
@@ -411,17 +420,10 @@ class TestFit:
         )
         spec = FitSpecification(bundle=bundle, extra_starts=extra,
                                 compute_standard_errors=False)
-        want = mx.fit(spec)
-        assert len(want.start_log_likelihoods) == estimation._N_STARTS + len(extra)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = mx.fit(spec)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got.start_log_likelihoods == want.start_log_likelihoods
-        assert (got.n_evaluations, got.iterations) == (want.n_evaluations, want.iterations)
-        assert got.parameters == want.parameters
+        searches = _record_searches(monkeypatch)
+        res = mx.fit(spec)
+        assert len(res.start_log_likelihoods) == len(searches) == 8
+        _assert_each_as_if_alone(spec, searches, res)
 
     @pytest.mark.parametrize("where", ["evaluation", "start"])
     def test_an_unexpected_error_stops_every_start(self, monkeypatch, where):
@@ -432,7 +434,7 @@ class TestFit:
 
         calls = []
         if where == "evaluation":
-            # the second round's walk fails on the calling thread
+            # the second round's walk fails
             def failing(self, thetas, _unpack=_Structure.unpack):
                 calls.append(thetas)
                 if len(calls) == 2:
@@ -441,20 +443,20 @@ class TestFit:
 
             monkeypatch.setattr(_Structure, "unpack", failing)
         else:
-            # the second start fails in its own thread while the first
-            # waits in its objective and the third has not begun
-            def failing(objective, theta0, _minimize=estimation.minimize, **kwargs):
-                calls.append(theta0)
+            # the second start's first step fails, after the first start's
+            # step and before the third's
+            def failing(self, f, g, _tell=estimation._LBFGSB.tell):
+                calls.append(self)
                 if len(calls) == 2:
                     raise Unexpected
-                return _minimize(objective, theta0, **kwargs)
+                return _tell(self, f, g)
 
-            monkeypatch.setattr(estimation, "minimize", failing)
+            monkeypatch.setattr(estimation._LBFGSB, "tell", failing)
         before = threading.active_count()
         with pytest.raises(Unexpected):
             mx.fit(FitSpecification(bundle=bundle))
+        assert len(calls) == 2
         assert threading.active_count() == before
-        assert not [t for t in threading.enumerate() if isinstance(t, estimation._Start)]
 
     def test_marker_overrides_survive_fitting(self):
         bundle, params = make_simulated_bundle(seed=51, n_markers=4)
@@ -540,6 +542,96 @@ class TestFit:
             )
             lls.append(res.log_likelihood)
         assert lls[0] == pytest.approx(lls[1], abs=1e-5)
+
+
+def _smooth_objective(n, seed, wall, wrong_sign):
+    """A random smooth objective (value, gradient) in n coordinates: a
+    scaled quadratic with a cosine ripple and a quartic coupling term,
+    unbounded below when the coupling is negative, so that some searches
+    run away to overflow and NaN.  Past ``wall`` in the first coordinate
+    it returns the fit's penalty with a zero gradient; ``wrong_sign``
+    turns its gradient around, so that no line search can succeed."""
+    rng = np.random.default_rng(seed)
+    scale, centre = rng.uniform(0.1, 10.0, n), rng.normal(0.0, 3.0, n)
+    ripple, freq, couple = rng.uniform(0.0, 2.0), rng.uniform(0.5, 3.0), rng.normal()
+
+    def objective(x):
+        if wall is not None and x[0] > wall:
+            return estimation._PENALTY, np.zeros(n)
+        with np.errstate(all="ignore"):
+            return smooth(x)
+
+    def smooth(x):
+        d = x - centre
+        value = (0.5 * np.sum(scale * d * d) + ripple * np.sum(np.cos(freq * x))
+                 + couple * np.sum(d[:-1] * d[1:]) ** 2 / n)
+        grad = scale * d - ripple * freq * np.sin(freq * x)
+        pair = 2.0 * couple * np.sum(d[:-1] * d[1:]) / n
+        grad[:-1] += pair * d[1:]
+        grad[1:] += pair * d[:-1]
+        return value, (-grad if wrong_sign else grad)
+
+    return objective, rng.normal(0.0, 2.0, n)
+
+
+class TestLBFGSB:
+    """The stepped L-BFGS-B search is scipy's minimize(method="L-BFGS-B")."""
+
+    @given(n=stn.integers(1, 12), maxiter=stn.integers(1, 60),
+           seed=stn.integers(0, 2**32 - 1),
+           wall=stn.one_of(stn.none(), stn.floats(-1.0, 4.0)),
+           wrong_sign=stn.booleans(), maxcor=stn.sampled_from([3, 10, 25]))
+    @example(n=4, maxiter=60, seed=1, wall=None, wrong_sign=False, maxcor=25)  # converges
+    @example(n=12, maxiter=3, seed=2, wall=None, wrong_sign=False, maxcor=25)  # maxiter
+    @example(n=3, maxiter=60, seed=3, wall=None, wrong_sign=True, maxcor=25)  # abnormal
+    @example(n=5, maxiter=60, seed=4, wall=0.0, wrong_sign=False, maxcor=10)  # penalty wall
+    @example(n=11, maxiter=49, seed=1054323163, wall=None, wrong_sign=False,
+             maxcor=3)  # runs away to NaN points, then abnormal
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scipy(self, n, maxiter, seed, wall, wrong_sign, maxcor):
+        objective, x0 = _smooth_objective(n, seed, wall, wrong_sign)
+        options = {"maxiter": maxiter, "ftol": estimation._TOLERANCE, "gtol": 1e-7,
+                   "maxcor": maxcor}
+        want = scipy.optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                                       options=options)
+        got = estimation.minimize(objective, x0, **options)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.jac.tobytes() == want.jac.tobytes()
+        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+        assert (got.nit, got.nfev, got.success) == (want.nit, want.nfev, want.success)
+
+    @pytest.mark.parametrize("stop, n, maxiter, seed, wall, wrong_sign, maxcor", [
+        ("CONVERGENCE", 4, 60, 1, None, False, 25),
+        ("STOP: TOTAL NO. OF ITERATIONS", 12, 3, 2, None, False, 25),
+        ("ABNORMAL", 3, 60, 3, None, True, 25),
+        ("CONVERGENCE", 5, 60, 4, 0.0, False, 10),
+        ("ABNORMAL", 11, 49, 1054323163, None, False, 3),
+    ])
+    def test_the_examples_reach_each_stop(self, stop, n, maxiter, seed, wall,
+                                          wrong_sign, maxcor):
+        # the explicit examples above cover scipy's ways to stop
+        objective, x0 = _smooth_objective(n, seed, wall, wrong_sign)
+        options = {"maxiter": maxiter, "ftol": estimation._TOLERANCE, "gtol": 1e-7,
+                   "maxcor": maxcor}
+        want = scipy.optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                                       options=options)
+        assert want.message.startswith(stop)
+        got = estimation.minimize(objective, x0, **options)
+        assert got.success == want.success == (stop == "CONVERGENCE")
+        assert (got.nit, got.nfev) == (want.nit, want.nfev)
+
+    def test_a_missing_step_routine_names_the_scipy_version(self, monkeypatch):
+        import scipy.optimize._lbfgsb as lbfgsb
+
+        estimation._setulb.cache_clear()
+        monkeypatch.setattr(lbfgsb, "setulb", lambda *args: None)
+        try:
+            with pytest.raises(ImportError, match=f"scipy {scipy.__version__} is installed"):
+                estimation.minimize(lambda x: (float(x @ x), 2.0 * x), np.ones(2),
+                                    maxiter=5, ftol=1e-8, gtol=1e-7, maxcor=5)
+        finally:
+            monkeypatch.undo()
+            estimation._setulb.cache_clear()
 
 
 def _with_override(params, override):

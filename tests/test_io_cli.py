@@ -1,5 +1,6 @@
 """File formats, ingestion contracts, CLI subcommands, report round-trips."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -157,6 +158,118 @@ class TestLoaders:
         )))
         assert back.marker_rho == {"M1": {"T1": 41.0}}
         assert back.marker_xi == {"M2": 0.01}
+
+
+class TestStrictDocuments:
+    """Every key of a case or parameter JSON is known, and values stated
+    more than once agree."""
+
+    @staticmethod
+    def _fit_excerpt(tmp_path, case=None, params=None):
+        argv = ["fit",
+                "--freqs", str(DATA / "pubcase_freqs.csv"),
+                "--profiles", str(DATA / "pubcase_profiles.csv"),
+                "--trace", str(DATA / "pubcase_traces.csv"),
+                "--under", "defence", "--out", str(tmp_path / "fit.json")]
+        for flag, doc, name in (("--hypothesis", case, "pubcase_case.json"),
+                                ("--params", params, "pubcase_params_defence.json")):
+            path = DATA / name
+            if doc is not None:
+                path = tmp_path / name
+                path.write_text(json.dumps(doc))
+            if doc is not None or flag == "--hypothesis":
+                argv += [flag, str(path)]
+        return cli.main(argv)
+
+    @pytest.mark.parametrize("document, path, value, replaces, message", [
+        # the hypothesis ran with U = 0 and exited 3, did not converge
+        ("case", ("hypotheses", "defence", "unknown"), 2, "unknowns",
+         "unknown key ['hypotheses']['defence']['unknown']"),
+        # MC15 ran at the default threshold
+        ("case", ("traces", "MC15", "treshold"), 500, None,
+         "unknown key ['traces']['MC15']['treshold']"),
+        # the default share was used
+        ("case", ("shares",), ["eta", "xi"], "share", "unknown key 'shares'"),
+        # the log10 L of no override
+        ("params", ("marker_rh0",), {"D2": {"MC18": 30}}, None,
+         "unknown key 'marker_rh0'"),
+        ("params", ("traces", "MC15", "sgima"), 0.2, None,
+         "unknown key ['traces']['MC15']['sgima']"),
+        # rho was taken from mu and eta, whose sigma is 0.178
+        ("params", ("traces", "MC18", "sigma"), 0.3, None,
+         "trace 'MC18': sigma 0.3 disagrees"),
+    ], ids=["hypothesis-unknown", "trace-treshold", "shares", "marker-rh0",
+            "trace-sgima", "sigma-beside-mu-and-eta"])
+    def test_each_slip_exits_2_naming_it(self, tmp_path, capsys, document, path,
+                                        value, replaces, message):
+        # each of these once ran with the slip silently dropped
+        docs = {"case": json.loads((DATA / "pubcase_case.json").read_text()),
+                "params": json.loads((DATA / "pubcase_params_defence.json").read_text())}
+        *parents, key = path
+        where = docs[document]
+        for name in parents:
+            where = where[name]
+        where[key] = value
+        if replaces:
+            del where[replaces]
+        rc = self._fit_excerpt(tmp_path, case=docs["case"], params=docs["params"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "load_error"
+        assert message in err["message"]
+
+    @pytest.mark.parametrize("trace, agreed", [
+        ({"mu": 914.0, "sigma": (28.8 / 914.0) ** 0.5, "rho": 914.0 / 28.8}, True),
+        ({"mu": 914.0, "rho": 914.0 / 28.8 * (1 + 1e-8)}, False),
+        ({"rho": 30.0, "sigma": 30.0 ** -0.5 * (1 + 1e-11)}, True),
+        ({"eta": 20.0, "mu": 600.0, "sigma": 0.2}, False),
+    ])
+    def test_overdetermined_values_agree_to_1e_9(self, trace, agreed):
+        doc = {"eta": 28.8, "xi": 0.079,
+               "traces": {"T1": {**trace, "phi": {"K1": 1.0}}}}
+        if agreed:
+            io.parameters_from_json(doc)
+        else:
+            with pytest.raises(io.LoadError, match="disagrees"):
+                io.parameters_from_json(doc)
+
+    def test_build_hypothesis_refuses_an_unknown_key(self):
+        with pytest.raises(io.LoadError, match=r"unknown key 'unknown'"):
+            io.build_hypothesis({"known": [], "unknown": 2}, {})
+
+    def test_the_golden_reports_parameters_load(self):
+        # a fit report states rho, eta, mu and sigma of every trace
+        report = json.loads((DATA / "pubcase_fit_defence_golden.json").read_text())
+        params = io.parameters_from_json(report)
+        block = report["parameters"]["traces"]
+        assert {t: params.rho[t] for t in block} == {t: block[t]["rho"] for t in block}
+
+    def test_a_fit_report_round_trips_through_params(self, tmp_path):
+        assert self._fit_excerpt(tmp_path) == 0
+        report = json.loads((tmp_path / "fit.json").read_text())
+        again = tmp_path / "again"
+        again.mkdir()
+        assert self._fit_excerpt(again, params=report) == 0
+        refit = json.loads((again / "fit.json").read_text())
+        assert refit["log10_likelihood"] == pytest.approx(report["log10_likelihood"],
+                                                          rel=1e-12)
+
+    def test_generated_benchmark_cases_load(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "_bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = gen  # dataclasses look their module up
+        try:
+            spec.loader.exec_module(gen)
+            shape = gen.CaseShape(markers=2, alleles=4, traces=2, known=1, unknown=2,
+                                  hypothesis="defence")
+            files = gen.generate(shape, 3, tmp_path)
+        finally:
+            del sys.modules[spec.name]
+        definition = io.load_case_definition(files.case)
+        io.build_hypothesis(definition.hypotheses["defence"],
+                            io.load_profiles(files.profiles))
+        io.parameters_from_json(json.loads(files.params.read_text()))
 
 
 class TestCli:
