@@ -21,22 +21,27 @@ n copies at the previous position draws m <= 2 - n here, so 6 of the 9
 per-contributor pairs, and 6^U joint pairs, are reachable, and every
 emitted peak's factor is one run of 6^U entries at its emit step.
 
-A stack of markers (see below) lays out every trace's factor entries on
-its markers once, flattened (_TraceLayout): observed entries first, then
-dropout entries, each marker by marker.  Its parameter-free gathers give
-each observed entry, and each distinct dropout dose, its cell of the
+A stack of markers (see below) lays out the factor entries of all its
+traces on its markers once, flattened into one layout (_FactorLayout):
+trace by trace, each trace's observed entries first, then its dropout
+entries, each marker by marker.  Its parameter-free gathers give each
+observed entry, and each distinct dropout dose, its cell of its trace's
 pre-stutter dose table and its stutter donor's (or a trailing zero
-cell), so a pass builds every dose of a trace with one gather and calls
-each gamma kernel, and its derivative, once per trace.  Dropout entries
-whose positions share the known contributors' counts and whose draws
-match have the same dose at every parameter value, so the gamma CDF is
-evaluated once per distinct dropout dose and spread back.
+cell), so a pass builds every dose of every trace with one gather and
+calls each gamma kernel, and its derivative, once per stack; a gradient
+pass evaluates the gamma CDF at the doses and at the two sides of its
+shape derivative's central difference in the same call.  Dropout entries
+of a trace whose positions share the known contributors' counts and
+whose draws match have the same dose at every parameter value, so the
+gamma CDF is evaluated once per distinct dropout dose and taken back to
+the entries.
 
 A bundle builds its plans and stacks together, with array operations
 over the positions of the markers its traces cover rather than Python
 loops over positions: one fold of the per-contributor log-pmfs gives
-every step's transitions, and one pass per trace lays out its entries on
-every stack, in one frame that places each position in its stack.  A
+every step's transitions, one pass per trace lays out its entries on
+every stack, in one frame that places each position in its stack, and
+each stack joins its traces' parts into its layout.  A
 marker's plan holds what is the marker's own (its ladder, its steps'
 transitions, the known contributors' counts), which the queries about
 it read; every pass runs over a stack.  The tables that depend on U
@@ -62,7 +67,8 @@ from ModelParameters.  A stack front-pads each marker to its
 longest with exact identity steps: state 0 to state 0, weight 1, log 0.
 The step tables of all markers, per (previous draw, draw) pair, are one
 np.bincount per trace over a build-time index (entry -> step row * 6^U +
-pair), and the gradient is one scatter per trace.  Every query reads
+pair), added trace by trace, which fixes their sums' order; the gradient
+is one scatter over every trace's entries.  Every query reads
 the same pass: the gradient, presence posteriors and per-contributor
 count marginals read the posterior of each step's (previous draw, draw)
 pair; exact k-best genotype combinations come from best-first search
@@ -112,6 +118,7 @@ from .peakmodel import (
     _PHI_SUM_TOL,
     ModelParameters,
     _check_overrides,
+    gamma_cdf_shapes,
     gamma_log_cdf,
     gamma_log_cdf_grad,
     gamma_log_pdf,
@@ -432,32 +439,64 @@ def _joint_tables(n_unknown: int) -> _JointTables:
 
 
 @dataclass(frozen=True)
-class _TraceLayout:
-    """One trace's factor entries over the markers of a stack, flattened.
+class _FactorLayout:
+    """Every trace's factor entries over the markers of a stack, flattened
+    into one layout, so that a pass calls each gamma kernel once per stack.
 
-    Observed entries come first, marker by marker, then dropout entries,
-    marker by marker, so each gamma kernel is one call per trace.  A dose
-    point is an observed entry or a distinct dropout dose (see
-    _trace_layouts).  gather holds each point's two cells of the trace's
-    pre-stutter doses B over the positions of the stack, flattened
-    with one trailing zero cell: dose = (1 - xi) B.flat[gather[0]] +
-    xi B.flat[gather[1]].  spread maps each dropout entry to its distinct
-    dose, and cell is each entry's cell in the step tables.  counts holds,
-    per marker, its observed entries, distinct dropout doses and dropout
-    entries.  position holds each emitted peak's internal position on its
-    marker, in the order of the peaks' runs of entries (see
+    trace_ids lists the traces that cover a marker of the stack, in the
+    bundle's order, with each one's column in the parameter sets (see
+    _ParameterSets), threshold and contributing roles.  Entries come trace
+    by trace, entries[j]:entries[j+1] trace j's: its observed entries first,
+    marker by marker, then its dropout entries, marker by marker.  cell is
+    each entry's cell in the step tables, and position each run of 6^U
+    entries' (each peak's) internal position on its marker (see
     _trace_layouts).
+
+    A dose point is an observed entry or a distinct dropout dose of one
+    trace: first every trace's observed entries (n_observed of them, with
+    heights peak_heights), trace by trace, then every trace's distinct
+    dropout doses, trace by trace, at thresholds ``cut`` (the one
+    threshold where one trace covers the stack).  With J traces,
+    points[j]:points[j+1] are trace j's observed points and
+    points[J+j]:points[J+j+1] its distinct dropout doses; a pass over
+    trace j alone holds the two runs one after the other.  runs holds the
+    2J runs' lengths and run_column their traces' columns.  point is each
+    entry's dose point.  gather holds each point's two cells of its
+    trace's pre-stutter doses B over the positions of the stack, the
+    traces' B laid out one after the other, each flattened with one
+    trailing zero cell: dose = (1 - xi) B.flat[gather[0]] +
+    xi B.flat[gather[1]].
     """
 
-    trace_id: str
-    threshold: float
-    known_contributes: np.ndarray  # bool per known role
-    unknown_contributes: np.ndarray  # bool per unknown role
-    markers: tuple[str, ...]
-    counts: np.ndarray  # (3, markers)
+    trace_ids: tuple[str, ...]
+    column: tuple[int, ...]
+    threshold: np.ndarray  # per trace
+    known_contributes: np.ndarray  # (traces, known roles) bool
+    unknown_contributes: np.ndarray  # (traces, unknown roles) bool
+    entries: tuple[int, ...]
+    cell: np.ndarray
+    position: np.ndarray
     n_observed: int
-    peak_heights: np.ndarray  # height of each observed entry
+    peak_heights: np.ndarray
+    cut: np.ndarray
+    point: np.ndarray
     gather: np.ndarray  # (2, points)
+    points: tuple[int, ...]
+    runs: np.ndarray
+    run_column: np.ndarray
+
+
+class _TracePart(NamedTuple):
+    """One trace's entries and dose points on the markers it covers in one
+    stack, as _trace_layouts lays them out; a stack's _FactorLayout joins
+    its traces' parts.  Its first n_observed entries and dose points are
+    its observed entries; gather indexes the trace's own B and zero cell,
+    and spread maps each dropout entry to its distinct dose, counted from
+    the trace's first."""
+
+    n_observed: int
+    peak_heights: np.ndarray
+    gather: np.ndarray
     cell: np.ndarray
     spread: np.ndarray
     position: np.ndarray
@@ -499,9 +538,10 @@ def _dose_kinds(marker, coupled, known_counts):
     return (marker * n + column) * (n + 1) + donor
 
 
-def _trace_layouts(pos, frame, members, names, trace, heights, joint, contributes):
-    """One trace's layout (see _TraceLayout) on each group of ``frame``
-    that holds a marker it covers, built over all their positions at once.
+def _trace_layouts(pos, frame, members, names, trace, heights, joint):
+    """One trace's part (see _TracePart) of the layout of each group of
+    ``frame`` that holds a marker it covers, built over all their
+    positions at once.
 
     ``members`` lists each group's markers (their indices in ``names``),
     and ``heights`` holds the trace's height at each position of a marker
@@ -513,7 +553,7 @@ def _trace_layouts(pos, frame, members, names, trace, heights, joint, contribute
     observed entries, then, marker by marker, one entry per distinct
     dropout dose: the doses of a dropout peak whose kind no earlier dropout
     peak of the marker has, one per pair if it is coupled, one per draw if
-    not.  Returns {group: layout}.
+    not.  Returns {group: part}.
     """
     n_combos, n_pairs = len(joint.combo_counts), len(joint.pair_prev)
     observed = heights >= trace.threshold
@@ -523,7 +563,7 @@ def _trace_layouts(pos, frame, members, names, trace, heights, joint, contribute
     ])
     peaks = peaks[np.argsort(frame.group[peaks], kind="stable")]
     seen, linked = observed[peaks], pos.coupled[peaks]
-    marker, group = pos.marker[peaks], frame.group[peaks]
+    group = frame.group[peaks]
     pairs = np.arange(n_pairs)
     cell = ((frame.row[peaks] + linked) * n_pairs)[:, None] + pairs
 
@@ -555,16 +595,10 @@ def _trace_layouts(pos, frame, members, names, trace, heights, joint, contribute
     keep = full[:, None] | (pairs < n_combos)
     gather = np.compress(keep.ravel(), ends.reshape(2, -1), axis=1)
 
-    # each marker's entries and points, and where each group's runs,
-    # observed peaks, dropout peaks and points start
+    # where each group's runs, observed peaks, dropout peaks and points
+    # start
     size = np.where(full, n_pairs, n_combos)
-    n_markers, n_groups = len(names), len(members)
-    per_marker = np.stack([
-        np.bincount(marker[seen], minlength=n_markers) * n_pairs,
-        np.bincount(pos.marker[at], size, n_markers).astype(np.int64),
-        np.bincount(marker[dropout], minlength=n_markers) * n_pairs,
-    ])
-    per_marker[1] -= per_marker[0]
+    n_groups = len(members)
     bounds = np.cumsum(np.stack([
         np.bincount(group, minlength=n_groups),
         np.bincount(group[seen], minlength=n_groups),
@@ -575,26 +609,66 @@ def _trace_layouts(pos, frame, members, names, trace, heights, joint, contribute
     peak_heights = np.repeat(heights[peaks[seen]], n_pairs)
     out = {}
     for g, mine in enumerate(members):
-        covered = [m for m in mine if names[m] in trace.heights]
-        if not covered:
+        if not any(names[m] in trace.heights for m in mine):
             continue
         (r0, r1), (s0, s1), (d0, d1), (p0, p1) = (row[g:g + 2] for row in bounds)
-        counts = per_marker[:, covered]
-        out[g] = _TraceLayout(
-            trace_id=trace.trace_id,
-            threshold=trace.threshold,
-            known_contributes=contributes[0],
-            unknown_contributes=contributes[1],
-            markers=tuple(names[m] for m in covered),
-            counts=counts,
-            n_observed=int(counts[0].sum()),
+        out[g] = _TracePart(
+            n_observed=(s1 - s0) * n_pairs,
             peak_heights=peak_heights[s0 * n_pairs:s1 * n_pairs],
-            gather=np.ascontiguousarray(gather[:, p0:p1]),
+            gather=gather[:, p0:p1],
             cell=cell[r0:r1].ravel(),
             spread=spread[d0:d1].ravel(),
             position=pos.local[peaks[r0:r1]],
         )
     return out
+
+
+def _factor_layout(parts, traces, columns, contributes, n_cells):
+    """A stack's _FactorLayout from its traces' parts: ``traces`` are the
+    traces that cover a marker of the stack, ``columns`` their columns in
+    the parameter sets and ``contributes`` their (known, unknown) role
+    masks, two arrays of a row per trace; each trace's B holds n_cells
+    cells and its zero cell."""
+    n_traces = len(parts)
+    n_obs = [part.n_observed for part in parts]
+    n_dist = [part.gather.shape[1] - n for part, n in zip(parts, n_obs)]
+    points = np.cumsum([0] + n_obs + n_dist).tolist()
+    entries = np.cumsum([0] + [len(part.cell) for part in parts]).tolist()
+    gather = np.empty((2, points[-1]), dtype=np.int64)
+    point = np.empty(entries[-1], dtype=np.int64)
+    for j, (part, n) in enumerate(zip(parts, n_obs)):
+        # each trace's B follows the previous trace's, zero cell included
+        offset = j * (n_cells + 1)
+        (o0, o1), (d0, d1) = (points[i:i + 2] for i in (j, n_traces + j))
+        np.add(part.gather[:, :n], offset, out=gather[:, o0:o1])
+        np.add(part.gather[:, n:], offset, out=gather[:, d0:d1])
+        point[entries[j]:entries[j] + n] = np.arange(o0, o1)
+        np.add(part.spread, d0, out=point[entries[j] + n:entries[j + 1]])
+
+    def cat(arrays, dtype=np.int64):
+        if len(arrays) == 1:
+            return arrays[0]
+        return np.concatenate(arrays) if arrays else np.zeros(0, dtype)
+
+    return _FactorLayout(
+        trace_ids=tuple(t.trace_id for t in traces),
+        column=tuple(columns),
+        threshold=np.array([t.threshold for t in traces], dtype=float),
+        known_contributes=contributes[0],
+        unknown_contributes=contributes[1],
+        entries=tuple(entries),
+        cell=cat([part.cell for part in parts]),
+        position=cat([part.position for part in parts]),
+        n_observed=sum(n_obs),
+        peak_heights=cat([part.peak_heights for part in parts], float),
+        # one trace's one threshold broadcasts as its points' eta does
+        cut=np.repeat([t.threshold for t in traces], n_dist if n_traces > 1 else 1),
+        point=point,
+        gather=gather,
+        points=tuple(points),
+        runs=np.array(n_obs + n_dist, dtype=np.int64),
+        run_column=np.array(list(columns) * 2, dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)
@@ -638,16 +712,16 @@ class _Stack:
     ...) and a zero table.  lp is every marker's transition
     log-probability per step and target state, (G, T, 6^U), the step
     tables are (G * T, 6^U), marker by marker (see _marker_rows), and
-    known_counts spans the markers' positions in turn.  traces holds each
-    trace's layout over the markers it covers (see _TraceLayout).  A pass
-    over n_sets parameter sets at once runs on the stack's markers
-    repeated once per set (see _repeated).
+    known_counts spans the markers' positions in turn.  layout lays out
+    every trace's factor entries on the markers (see _FactorLayout).  A
+    pass over n_sets parameter sets at once runs on the stack's markers
+    repeated once per set (see _repeated), which has no layout.
     """
 
     plans: tuple[_MarkerPlan, ...]
     first: np.ndarray
     lp: np.ndarray
-    traces: tuple[_TraceLayout, ...]
+    layout: _FactorLayout | None
     known_ids: tuple[str, ...]
     unknown_ids: tuple[str, ...]
     known_counts: np.ndarray
@@ -702,18 +776,24 @@ def _build_stacks(freqs, hypothesis, traces, names):
         chains.append((span, first, lp))
     at = place[:, pos.marker]
     frame = _Frame(at[0], at[1] + pos.local, at[2] + pos.local, at[3])
-    layouts = [[] for _ in groups]
-    for trace in traces:
-        roles = set(hypothesis.roles_for(trace.trace_id))
-        contributes = (
-            np.array([r in roles for r in hypothesis.known], dtype=bool),
-            np.array([r in roles for r in hypothesis.unknown], dtype=bool),
-        )
-        for g, layout in _trace_layouts(
+    parts = [[] for _ in groups]  # per group: (column, trace, part)
+    for column, trace in enumerate(traces):
+        for g, part in _trace_layouts(
             pos, frame, groups, names, trace, heights[trace.trace_id], joint,
-            contributes,
         ).items():
-            layouts[g].append(layout)
+            parts[g].append((column, trace, part))
+    layouts = []
+    for g, mine in enumerate(parts):
+        roles = [set(hypothesis.roles_for(trace.trace_id)) for _, trace, _ in mine]
+        contributes = tuple(
+            np.array([[r in own for r in group] for own in roles], dtype=bool)
+            .reshape(len(mine), len(group))
+            for group in (hypothesis.known, hypothesis.unknown)
+        )
+        layouts.append(_factor_layout(
+            [part for _, _, part in mine], [trace for _, trace, _ in mine],
+            [column for column, _, _ in mine], contributes, int(place[3, groups[g][0]]),
+        ))
 
     edges0, edges = _build_edges(n_unknown)
     plans = []
@@ -744,7 +824,7 @@ def _build_stacks(freqs, hypothesis, traces, names):
             plans=tuple(plans[i] for i in group),
             first=first,
             lp=lp,
-            traces=tuple(mine),
+            layout=layout,
             known_ids=tuple(hypothesis.known),
             unknown_ids=hypothesis.unknown,
             known_counts=known_counts[:, span],
@@ -754,7 +834,7 @@ def _build_stacks(freqs, hypothesis, traces, names):
             n_pairs=n_states,
             edges=edges,
         )
-        for group, (span, first, lp), mine in zip(groups, chains, layouts)
+        for group, (span, first, lp), layout in zip(groups, chains, layouts)
     )
 
 
@@ -829,7 +909,7 @@ def _repeated(stack, n_sets):
         plans=stack.plans * n_sets,
         first=np.tile(stack.first, n_sets),
         lp=np.tile(stack.lp, (n_sets, 1, 1)),
-        traces=(),
+        layout=None,
         known_ids=stack.known_ids,
         unknown_ids=stack.unknown_ids,
         known_counts=stack.known_counts,
@@ -1081,99 +1161,119 @@ class _ParameterSets(NamedTuple):
 
 
 class _ViewTerms(NamedTuple):
-    """One trace's parameters, doses and log factors on a stack's markers,
-    for each of K parameter sets along a leading axis.
+    """Every trace's doses and log factors on a stack's markers (see
+    _FactorLayout), for each of K parameter sets along a leading axis.
 
-    trace is the trace's column in the sets (see _ParameterSets).  rho
-    and xi are (K, 1), or (K, dose points) where a per-marker override
-    replaces the trace's value on some marker, and free holds their masks
-    of the dose points that take the trace's value (see _trace_values).
+    log_cdf holds gamma_log_cdf at the distinct dropout doses' shapes,
+    (1, K, distinct), or on a gradient pass (3, K, distinct) at
+    gamma_cdf_shapes of them, whose rows 1 and 2 are the sides of the
+    shape derivative's central difference.  The parameters at each dose
+    point are not kept: _point_values gives them again where needed.
     """
 
-    trace: int
-    rho: np.ndarray
-    eta: np.ndarray          # (K, 1)
-    xi: np.ndarray
-    free: tuple
-    base: np.ndarray         # (K, the stack's positions, C) pre-stutter doses B
+    base: np.ndarray         # (K, traces, the stack's positions, C) pre-stutter doses B
     ends: np.ndarray         # (K, 2, dose points): each point's two cells of B
     doses: np.ndarray        # (K, dose points), after stutter
     log_factors: np.ndarray  # (K, factor entries)
-    log_cdf: np.ndarray      # (K, distinct dropout doses)
+    log_cdf: np.ndarray
 
 
-def _trace_values(layout, sets, j):
-    """The rho and xi of trace j of the sets on a layout's markers, and
-    their masks of the dose points that take the trace's value (1), not a
-    per-marker override's (0, a constant).  Without an override on the
-    layout's markers, rho and xi are (K, 1) and the masks 1."""
-    rho, xi = sets.rho[:, j:j + 1], sets.xi[:, j:j + 1]
-    if not (sets.marker_rho or sets.marker_xi):
-        return rho, xi, 1.0, 1.0
-    tid, markers = layout.trace_id, layout.markers
-    rho_over = [(sets.marker_rho or {}).get(m, {}).get(tid) for m in markers]
-    xi_over = [(sets.marker_xi or {}).get(m) for m in markers]
-    if all(v is None for v in (*rho_over, *xi_over)):
-        return rho, xi, 1.0, 1.0
+def _point_values(stack, sets):
+    """rho, eta and xi of the sets at each dose point of a stack's layout,
+    (K, points) each, and the masks of the points whose rho and xi are
+    the trace's (1.0) and not a per-marker override's (0.0, a constant):
+    scalars 1.0 where no override applies on the stack's markers.  Each
+    run of a trace's points repeats the trace's values.  Where one trace
+    covers the stack and no override applies, they are its (K, 1)
+    columns instead, which broadcast against the points (see _columns), so
+    a pass over one trace builds no array of them."""
+    layout = stack.layout
+    values = np.array((sets.rho, sets.eta, sets.xi))
+    overridden = bool(sets.marker_rho or sets.marker_xi)
+    if len(layout.column) == 1 and not overridden:
+        (column,) = layout.column
+        rho, eta, xi = values[:, :, column:column + 1]
+        return rho, eta, xi, 1.0, 1.0
+    rho, eta, xi = np.repeat(
+        np.take(values, layout.run_column, axis=2), layout.runs, axis=2
+    )
+    free = [1.0, 1.0]
+    if overridden:
+        markers = [plan.marker for plan in stack.plans]
+        rho_over = [[(sets.marker_rho or {}).get(m, {}).get(t) for m in markers]
+                    for t in sets.trace_ids]
+        xi_over = [[(sets.marker_xi or {}).get(m) for m in markers]] * len(sets.trace_ids)
+        # each point's own position in the stack, from its cell of B, and
+        # the marker that holds the position
+        n_combos = len(stack.combo_counts)
+        width = stack.known_counts.shape[1] * n_combos + 1
+        starts = np.cumsum([len(plan.order) for plan in stack.plans])
+        marker = np.searchsorted(starts, layout.gather[0] % width // n_combos, "right")
+        column = np.repeat(layout.run_column, layout.runs)
+        for i, (own, over) in enumerate(((rho, rho_over), (xi, xi_over))):
+            table = np.array([[math.nan if v is None else v for v in row] for row in over])
+            fixed = table[column, marker]
+            held = ~np.isnan(fixed)
+            if held.any():
+                own[:, held] = fixed[held]
+                free[i] = (~held).astype(float)
+    return rho, eta, xi, *free
 
-    def per_point(values):
-        # observed entries, then distinct dropout doses, marker by marker
-        return np.repeat(np.tile(values, 2), layout.counts[:2].ravel())
 
-    out = []
-    for value, over in ((rho, rho_over), (xi, xi_over)):
-        free = per_point([float(v is None) for v in over])
-        constant = per_point([0.0 if v is None else v for v in over])
-        out.append((np.where(free > 0.0, value, constant), free))
-    (rho, rho_free), (xi, xi_free) = out
-    return rho, xi, rho_free, xi_free
+def _columns(values, part):
+    """The points ``part`` (a slice) of per-point values from
+    _point_values: a (K, 1) column, which broadcasts against any of them,
+    as it stands."""
+    return values if values.shape[1] == 1 else values[:, part]
 
 
-def _view_terms(stack, sets) -> list[_ViewTerms]:
+def _view_terms(stack, sets, sides=False) -> _ViewTerms:
     """Every trace's doses and log factors on a stack's markers, at each of
-    the parameter sets ``sets`` (see _ParameterSets).
+    the parameter sets ``sets`` (see _ParameterSets); with ``sides``, for
+    a gradient pass, the log CDFs at the sides of their shape derivatives
+    too.
 
     At a stutter-coupled position p the dose of pair j is
     (1 - xi) B[p, draw at t-1] + xi B[p+1, draw at t]; at an uncoupled
     one it is (1 - xi) B[p, draw at t] (+ xi * 0, which is exact).
     B[p, c] = sum over the trace's roles of phi_r * n_r(p, c), where
     n_r(p, c) is a known contributor's count at position p or the count
-    an unknown draws at joint draw c.  A trace's doses come from one
-    gather, and its factors from one call of each gamma kernel: the
-    observed entries', and the distinct dropout doses', spread back to
-    their entries, for all sets at once.  B is one matrix product per
-    set: a product batched over the sets may sum in another order.
+    an unknown draws at joint draw c.  Every trace's doses come from one
+    gather, and their factors from one call of each gamma kernel: at the
+    observed entries and at the distinct dropout doses, taken back to
+    their entries, for all traces and sets at once.  B is one matrix
+    product per trace and set: a product batched over them may sum in
+    another order.
     """
-    n_sets = len(sets.rho)
+    layout = stack.layout
+    n_sets, n_traces = len(sets.rho), len(layout.trace_ids)
     shape = (stack.known_counts.shape[1], len(stack.combo_counts))
-    out = []
-    for layout in stack.traces:
-        j = sets.trace_ids.index(layout.trace_id)
-        rho, xi, rho_free, xi_free = _trace_values(layout, sets, j)
-        eta = sets.eta[:, j:j + 1]
-        phi = sets.phi[j]
-        n_known = sets.n_known[j]
+    rho, eta, xi, _, _ = _point_values(stack, sets)
+    # each set's B of each trace, flattened, each with one trailing zero cell
+    cells = np.zeros((n_sets, n_traces, shape[0] * shape[1] + 1))
+    base = cells[:, :, :-1].reshape(n_sets, n_traces, *shape)
+    for j, column in enumerate(layout.column):
+        phi, n_known = sets.phi[column], sets.n_known[column]
         phi_known = np.zeros((n_sets, len(stack.known_ids)))
-        phi_known[:, layout.known_contributes] = phi[:, :n_known]
+        phi_known[:, layout.known_contributes[j]] = phi[:, :n_known]
         phi_unknown = np.zeros((n_sets, len(stack.unknown_ids)))
-        phi_unknown[:, layout.unknown_contributes] = phi[:, n_known:]
-        # each set's B, flattened, and one trailing zero cell
-        cells = np.zeros((n_sets, shape[0] * shape[1] + 1))
-        base = cells[:, :-1].reshape(n_sets, *shape)
-        for one, known, unknown in zip(base, phi_known, phi_unknown):
+        phi_unknown[:, layout.unknown_contributes[j]] = phi[:, n_known:]
+        for one, known, unknown in zip(base[:, j], phi_known, phi_unknown):
             np.add((known @ stack.known_counts)[:, None],
                    (stack.combo_counts @ unknown)[None, :], out=one)
-        ends = np.take(cells, layout.gather, axis=1)
-        doses = (1.0 - xi) * ends[:, 0] + xi * ends[:, 1]
-        shapes = rho * doses
-        n = layout.n_observed
-        log_pdf = gamma_log_pdf(layout.peak_heights, shapes[:, :n], eta)
-        log_cdf = gamma_log_cdf(layout.threshold, shapes[:, n:], eta)
-        out.append(_ViewTerms(
-            j, rho, eta, xi, (rho_free, xi_free), base, ends, doses,
-            np.concatenate([log_pdf, log_cdf[:, layout.spread]], axis=1), log_cdf,
-        ))
-    return out
+    ends = np.take(cells.reshape(n_sets, -1), layout.gather, axis=1)
+    doses = (1.0 - xi) * ends[:, 0]
+    doses += xi * ends[:, 1]
+    shapes = rho * doses
+    n = layout.n_observed
+    observed, dropout = slice(0, n), slice(n, None)
+    log_pdf = gamma_log_pdf(layout.peak_heights, shapes[:, :n], _columns(eta, observed))
+    cut_shapes = shapes[None, :, n:]
+    if sides:
+        cut_shapes = gamma_cdf_shapes(shapes[:, n:])
+    log_cdf = gamma_log_cdf(layout.cut, cut_shapes, _columns(eta, dropout))
+    log_factors = np.take(np.concatenate([log_pdf, log_cdf[0]], axis=1), layout.point, axis=1)
+    return _ViewTerms(base, ends, doses, log_factors, log_cdf)
 
 
 def _set_offsets(index, n_sets, size):
@@ -1188,13 +1288,15 @@ def _step_tables(stack, terms):
     """(K * G * T, 6^U) log evidence factors per step and (previous draw,
     draw) pair of a stack's G markers, summed over traces, for each of the
     K parameter sets of ``terms`` in turn: one np.bincount of each trace's
-    entries over their cells, for all sets."""
-    n_sets = len(terms[0].eta) if terms else 1  # a stack no trace covers: one set
+    entries over their cells, for all sets, added trace by trace, as a
+    pass over each trace's entries in turn sums them."""
+    layout = stack.layout
+    n_sets = len(terms.doses)
     size = stack.lp.shape[0] * stack.lp.shape[1] * stack.n_pairs
     tables = np.zeros(n_sets * size)
-    for layout, term in zip(stack.traces, terms):
-        index = _set_offsets(layout.cell, n_sets, size)
-        tables += np.bincount(index, term.log_factors.ravel(), n_sets * size)
+    for lo, hi in itertools.pairwise(layout.entries):
+        index = _set_offsets(layout.cell[lo:hi], n_sets, size)
+        tables += np.bincount(index, terms.log_factors[:, lo:hi].ravel(), n_sets * size)
     return tables.reshape(-1, stack.n_pairs)
 
 
@@ -1202,12 +1304,12 @@ class _Peaks(NamedTuple):
     """A stack's observed peaks, each with its emit step's table with the
     peak's own factor left out (see _tables_without_peaks).
 
-    layout indexes each peak's trace in stack.traces, position is its
-    internal position on its marker and row its emit step's row of the
-    step tables.  The peaks come trace by trace in layout order.
+    trace indexes each peak's trace in the stack's layout, position is
+    its internal position on its marker and row its emit step's row of
+    the step tables.  The peaks come trace by trace in layout order.
     """
 
-    layout: np.ndarray
+    trace: np.ndarray
     position: np.ndarray
     row: np.ndarray
     tables: np.ndarray  # (peaks, 6^U)
@@ -1225,20 +1327,14 @@ def _tables_without_peaks(stack, terms):
     entries per slot of the step, an absent or left-out run reading a row
     of zeros.
     """
-    n_pairs = stack.n_pairs
-    factors, runs = [], []  # every run of entries: (row, layout, position)
-    for index, (layout, term) in enumerate(zip(stack.traces, terms)):
-        factors.append(term.log_factors.reshape(-1, n_pairs))
-        row = layout.cell[::n_pairs] // n_pairs
-        runs.append((row, np.full(len(row), index), layout.position))
-    row, layout, position = (np.concatenate(c) for c in zip(*runs))
-    first = np.cumsum([0] + [len(f) for f in factors[:-1]])  # each layout's first run
-    factors = np.concatenate(factors + [np.zeros((1, n_pairs))])
-    observed = np.concatenate([
-        first[i] + np.arange(v.n_observed // n_pairs)
-        for i, v in enumerate(stack.traces)
-    ])
-    order = np.lexsort((position, layout, row))  # each step's runs, in sum order
+    layout, n_pairs = stack.layout, stack.n_pairs
+    # every run of entries: its row, trace and position
+    row = layout.cell[::n_pairs] // n_pairs
+    trace = np.repeat(np.arange(len(layout.trace_ids)), np.diff(layout.entries) // n_pairs)
+    position = layout.position
+    factors = np.concatenate([terms.log_factors.reshape(-1, n_pairs), np.zeros((1, n_pairs))])
+    observed = np.flatnonzero(layout.point[::n_pairs] < layout.n_observed)
+    order = np.lexsort((position, trace, row))  # each step's runs, in sum order
     start, stop = (
         np.searchsorted(row[order], row[observed], side) for side in ("left", "right")
     )
@@ -1248,7 +1344,7 @@ def _tables_without_peaks(stack, terms):
         at = np.minimum(start + slot, len(order) - 1)
         run = np.where((start + slot < stop) & (order[at] != observed), order[at], zero)
         tables += factors[run]
-    return _Peaks(layout[observed], position[observed], row[observed], tables)
+    return _Peaks(trace[observed], position[observed], row[observed], tables)
 
 
 def _step_values(plan, t, tables):
@@ -1412,18 +1508,32 @@ def _forward(stack, tables, keep, ended):
 def _loss_bounds(norms, fan_out, added):
     """Loss bounds of successive messages, each relative to its own scale,
     per column: bound[t+1] = (fan_out * bound[t] + added[t]) / norms[t]
-    from bound[0] = 0, for t = 0 .. T-1, one row of numpy operations per
-    step.  A zero normalizer after a positive bound or addition gives an
-    infinite bound, a NaN one a NaN bound: neither is <= _LOSS."""
-    bounds = np.empty(norms.shape)
-    bound = np.zeros(norms.shape[1:])
+    from bound[0] = 0, for t = 0 .. T-1.
+
+    Unrolled, bound[t+1] is the sum over s <= t of added[s] fan_out^(t-s)
+    / (norms[s] ... norms[t]).  With c[t] the sum over r < t of
+    log fan_out - log norms[r], log bound[t+1] = c[t+1] - log fan_out +
+    log sum over s <= t of exp(log added[s] - c[s]): two np.cumsum over
+    the steps, for every column at once.  Each column's terms are shifted
+    by their largest before the exponential; a normalizer is at most
+    fan_out, so c does not decrease, the largest term is a column's first
+    nonzero one, and no term that a sum needs underflows.  The logs of the
+    normalizers are taken apart, so a subnormal one does not overflow
+    fan_out / norms[r].  A zero normalizer after a positive bound or
+    addition gives an infinite bound, after none a NaN bound, and a NaN
+    normalizer a NaN bound: none is <= _LOSS."""
+    log_fan_out = math.log(fan_out)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for t, row in enumerate(bounds):
-            np.multiply(bound, fan_out, out=row)
-            row += added[t]
-            row /= norms[t]
-            bound = row
-    return bounds
+        scale = np.cumsum(log_fan_out - np.log(norms), axis=0)  # c[1] .. c[T]
+        before = np.concatenate([np.zeros((1,) + norms.shape[1:]), scale])[:-1]
+        terms = np.log(added) - before
+        top = np.fmax.reduce(terms, axis=0, initial=-np.inf)
+        top[~np.isfinite(top)] = 0.0
+        lead = np.log(np.cumsum(np.exp(terms - top), axis=0))
+        # bounds are mostly subnormal, where np.exp takes a slow path that a
+        # product does not: exp(z) as exp(z / 2) squared
+        half = np.exp(0.5 * (scale - log_fan_out + top + lead))
+        return half * half
 
 
 def _backward(stack, weights, ended):
@@ -1811,7 +1921,7 @@ def _batch_passes(bundle, sets) -> tuple[list[float], np.ndarray]:
         for lo in range(0, n_sets, per_call):
             part = sets if per_call >= n_sets else sets.take(slice(lo, lo + per_call))
             n_part = len(part.rho)
-            terms = _view_terms(stack, part)
+            terms = _view_terms(stack, part, sides=True)
             result = _chain_pass(
                 _repeated(stack, n_part), _step_tables(stack, terms), posteriors=True
             )
@@ -1819,7 +1929,7 @@ def _batch_passes(bundle, sets) -> tuple[list[float], np.ndarray]:
                 loglik[lo:], result.loglik.reshape(n_part, -1).tolist()
             ):
                 own += values
-            _add_gradient(stack, terms, result.pair, grad[lo:lo + n_part], columns)
+            _add_gradient(stack, part, terms, result.pair, grad[lo:lo + n_part], columns)
     return [float(sum(values)) for values in loglik], grad
 
 
@@ -1836,66 +1946,86 @@ def _sets_per_pass(stack):
     return max(1, _BLOCK_EDGES // (steps * per_step))
 
 
-def _add_gradient(stack, terms, pair, grad, columns):
+def _add_gradient(stack, sets, terms, pair, grad, columns):
     """Add d log L over a stack's markers to ``grad``, one row per parameter
-    set of ``terms`` and one column per gradient key (see
+    set of ``sets`` (whose doses are ``terms``) and one column per
+    gradient key (see
     _gradient_keys; ``columns`` holds each trace's first column and
     the next trace's), from the pair posteriors of every step of each set
     in turn (zero on markers of no finite likelihood).
 
-    Each factor entry reads its posterior weight from its cell, and every
-    dropout entry adds its weight to its distinct dose; the derivatives
-    are one call of each gamma kernel's _grad per trace, and d log L / d B
-    one np.bincount through every dose point's two cells, for all sets.
-    The phi derivatives are products with the counts, one per set (see
-    _view_terms).
+    Every factor entry reads its posterior weight from its cell, in one
+    np.take, and adds it to its dose point, in one np.bincount; the
+    derivatives are one call of each gamma kernel's _grad per stack (see
+    _dose_point_weights), and d log L / d B one np.bincount through every
+    dose point's two cells, for all traces and sets.  The sums for each
+    trace's rho, eta and xi run over its own points, in the order of a
+    pass over it alone, and the phi derivatives are products with the
+    counts, one per trace and set (see _view_terms).
     """
+    layout = stack.layout
     n_sets = len(grad)
-    pair = pair.reshape(n_sets, -1)
-    for layout, term in zip(stack.traces, terms):
-        n = layout.n_observed
-        shapes = term.rho * term.doses
-        d_shape, d_eta = (np.concatenate(parts, axis=1) for parts in zip(
-            gamma_log_pdf_grad(layout.peak_heights, shapes[:, :n], term.eta),
-            gamma_log_cdf_grad(layout.threshold, shapes[:, n:], term.eta, term.log_cdf),
-        ))
-        w = np.take(pair, layout.cell, axis=1)
-        n_distinct = shapes.shape[1] - n
-        dropout = np.bincount(
-            _set_offsets(layout.spread, n_sets, n_distinct), w[:, n:].ravel(),
-            n_sets * n_distinct,
-        )
-        w = np.concatenate((w[:, :n], dropout.reshape(n_sets, n_distinct)), axis=1)
-        live = w > 0.0
-        with np.errstate(invalid="ignore"):
-            g = np.where(live, w * d_shape, 0.0)  # d log L / d shape, per dose point
-            g_eta = np.where(live, w * d_eta, 0.0)
-        rho_free, xi_free = term.free
-        first, end = columns[term.trace]
-        rho, eta, xi = first, first + 1, first + 2
-        grad[:, eta] += g_eta.sum(axis=1)
-        # sums of products by numpy's own loop: a BLAS dot may start threads
-        grad[:, rho] += (g * term.doses * rho_free).sum(axis=1)
-        g = g * term.rho  # d log L / d dose
-        grad[:, xi] += (
-            g * (term.ends[:, 1] - term.ends[:, 0]) * xi_free
-        ).sum(axis=1)
-        # d log L / d B through each point's two cells; the zero cell's sum
-        # is dropped
-        size = term.base[0].size + 1
-        g_base = np.bincount(
-            _set_offsets(layout.gather.ravel(), n_sets, size),
-            np.concatenate(((1.0 - term.xi) * g, term.xi * g), axis=1).ravel(),
-            n_sets * size,
-        ).reshape(n_sets, size)[:, :-1].reshape(term.base.shape)
+    rho, eta, xi, rho_free, xi_free = _point_values(stack, sets)
+    g, g_eta = _dose_point_weights(stack, terms, pair, rho * terms.doses, eta)
+    by_dose = np.empty((3,) + g.shape)
+    np.multiply(g * terms.doses, rho_free, out=by_dose[0])
+    by_dose[1] = g_eta
+    g = g * rho  # d log L / d dose
+    np.multiply(g * (terms.ends[:, 1] - terms.ends[:, 0]), xi_free, out=by_dose[2])
+    # each trace's sums run over its observed points and then its distinct
+    # dropout doses, in the order of a pass over it alone; sums of products
+    # by numpy's own loop: a BLAS dot may start threads
+    n_traces = len(layout.column)
+    for j, column in enumerate(layout.column):
+        (o0, o1), (d0, d1) = (layout.points[i:i + 2] for i in (j, n_traces + j))
+        own = np.concatenate((by_dose[:, :, o0:o1], by_dose[:, :, d0:d1]), axis=2)
+        first = columns[column][0]
+        grad[:, first:first + 3] += own.sum(axis=2).T
+    # d log L / d B through each point's two cells; each trace's zero
+    # cell's sum is dropped
+    width = terms.base[0, 0].size + 1
+    size = n_traces * width
+    n_points = g.shape[1]
+    both = np.empty((n_sets, 2 * n_points))  # (1 - xi) g, then xi g
+    np.subtract(1.0, xi, out=both[:, :n_points])
+    both[:, :n_points] *= g
+    np.multiply(xi, g, out=both[:, n_points:])
+    g_base = np.bincount(
+        _set_offsets(layout.gather.ravel(), n_sets, size), both.ravel(), n_sets * size,
+    ).reshape(n_sets, n_traces, width)[:, :, :-1].reshape(terms.base.shape)
+    by_position, by_draw = g_base.sum(axis=3), g_base.sum(axis=2)
+    for j, column in enumerate(layout.column):
+        first, end = columns[column]
         phi = slice(first + 3, end)  # the trace's knowns, then its unknowns
-        for row, by_position, by_draw in zip(
-            grad, g_base.sum(axis=2), g_base.sum(axis=1)
-        ):
+        for row, position, draw in zip(grad, by_position[:, j], by_draw[:, j]):
             row[phi] += np.concatenate((
-                (stack.known_counts @ by_position)[layout.known_contributes],
-                (by_draw @ stack.combo_counts)[layout.unknown_contributes],
+                (stack.known_counts @ position)[layout.known_contributes[j]],
+                (draw @ stack.combo_counts)[layout.unknown_contributes[j]],
             ))
+
+
+def _dose_point_weights(stack, terms, pair, shapes, eta):
+    """d log L / d shape and d log L / d eta at every dose point of a
+    stack's layout, (K, points) each, at the points' gamma ``shapes`` and
+    scales ``eta``: a point's posterior weight, the sum of its entries'
+    pair posteriors, times the gamma kernels' derivatives at the point,
+    and 0 where the weight is not positive.  The log CDF's shape
+    derivative reads the sides that _view_terms evaluated."""
+    layout = stack.layout
+    n_sets, n_points = terms.doses.shape
+    n = layout.n_observed
+    d_shape, d_eta = (np.concatenate(parts, axis=1) for parts in zip(
+        gamma_log_pdf_grad(layout.peak_heights, shapes[:, :n], _columns(eta, slice(0, n))),
+        gamma_log_cdf_grad(layout.cut, shapes[:, n:], _columns(eta, slice(n, None)),
+                           terms.log_cdf[0], terms.log_cdf[1:]),
+    ))
+    w = np.take(pair.reshape(n_sets, -1), layout.cell, axis=1)
+    w = np.bincount(
+        _set_offsets(layout.point, n_sets, n_points), w.ravel(), n_sets * n_points
+    ).reshape(n_sets, n_points)
+    live = w > 0.0
+    with np.errstate(invalid="ignore"):
+        return np.where(live, w * d_shape, 0.0), np.where(live, w * d_eta, 0.0)
 
 
 def _every_marker(bundle):
@@ -2243,34 +2373,44 @@ def _observed_peak_posteriors(bundle, truncate) -> _PeakPosteriors:
     ]
     sets = _sets_of(bundle)
     for stack in bundle._stacks:
-        terms = _view_terms(stack, sets)
-        peaks = _tables_without_peaks(stack, terms)
+        tables, peaks, eta, shapes = _peak_terms(stack, sets)
         if not len(peaks.row):
             continue
-        layouts = stack.traces
-        eta = np.concatenate([term.eta[0] for term in terms])[peaks.layout]
-        shapes = np.concatenate([
-            (term.rho * term.doses)[0, :v.n_observed] for v, term in zip(layouts, terms)
-        ]).reshape(-1, n_pairs)
+        layout = stack.layout
         survival = np.zeros(shapes.shape)
         if truncate:
-            threshold = np.array([v.threshold for v in layouts])[peaks.layout]
+            threshold = layout.threshold[peaks.trace]
             survival = gamma_log_sf(threshold[:, None], shapes, eta[:, None])
         weights = _chain_pass(
-            stack, _step_tables(stack, terms), alt=(peaks.row, peaks.tables + survival)
+            stack, tables, alt=(peaks.row, peaks.tables + survival)
         ).alt
         marker = peaks.row // stack.lp.shape[1]
-        order = np.lexsort((peaks.layout, marker))
+        order = np.lexsort((peaks.trace, marker))
         for j in order.tolist():
             plan = stack.plans[marker[j]]
-            names.append((layouts[peaks.layout[j]].trace_id, plan.marker,
-                           plan.internal_labels[peaks.position[j]]))
-        heights = np.concatenate([v.peak_heights[::n_pairs] for v in layouts])
+            names.append((layout.trace_ids[peaks.trace[j]], plan.marker,
+                          plan.internal_labels[peaks.position[j]]))
+        heights = layout.peak_heights[::n_pairs]
         for column, values in zip(columns, (heights, eta, shapes, survival, weights)):
             column.append(values[order])
     height, eta, shapes, survival, weights = (np.concatenate(c) for c in columns)
     return _PeakPosteriors(
         names, height, eta, shapes, survival if truncate else None, weights
+    )
+
+
+def _peak_terms(stack, sets):
+    """A stack's step tables at the one parameter set of ``sets``, its
+    observed peaks with their tables left out (see _tables_without_peaks),
+    and each peak's trace's eta and its shapes per (previous draw, draw)
+    pair, run by run."""
+    terms = _view_terms(stack, sets)
+    n, n_pairs = stack.layout.n_observed, stack.n_pairs
+    rho, eta = _point_values(stack, sets)[:2]
+    return (
+        _step_tables(stack, terms), _tables_without_peaks(stack, terms),
+        np.broadcast_to(eta, terms.doses.shape)[0, :n:n_pairs],
+        (rho * terms.doses)[0, :n].reshape(-1, n_pairs),
     )
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "gamma_log_sf",
     "gamma_log_pdf_grad",
     "gamma_log_cdf_grad",
+    "gamma_cdf_shapes",
 ]
 
 _PHI_SUM_TOL = 1e-12
@@ -98,8 +99,8 @@ def gamma_log_cdf(x, shape, scale):
     if tiny.any():
         a, y_tiny = (np.broadcast_to(v, p.shape)[tiny] for v in (shape, y))
         out[tiny] = [_log_lower_gamma_series(av, yv) for av, yv in zip(a, y_tiny)]
-    out = np.where((shape > 0.0) & (y <= 0.0), -np.inf, out)
-    out = np.where(shape <= 0.0, np.where(y >= 0.0, 0.0, -np.inf), out)
+    np.copyto(out, -np.inf, where=(shape > 0.0) & (y <= 0.0))
+    np.copyto(out, np.where(y >= 0.0, 0.0, -np.inf), where=shape <= 0.0)
     return float(out[0]) if scalar else out
 
 
@@ -162,29 +163,54 @@ def gamma_log_pdf_grad(x, shape, scale):
     return d_shape, x / (scale * scale) - shape / scale
 
 
-def gamma_log_cdf_grad(x, shape, scale, log_cdf):
+def gamma_cdf_shapes(shape):
+    """The shapes at which :func:`gamma_log_cdf_grad` reads
+    :func:`gamma_log_cdf`, stacked along a new first axis: ``shape``
+    itself, then the two sides shape + h and shape - h of the central
+    difference in shape, h = 1e-4 * min(shape, sqrt(shape)).  One
+    gamma_log_cdf call at all three gives a caller the log CDF and the
+    derivative's sides together."""
+    shape = np.asarray(shape, dtype=float)
+    h = _shape_step(shape)
+    out = np.empty((3,) + shape.shape)
+    out[0], out[1], out[2] = shape, shape + h, shape - h
+    return out
+
+
+def _shape_step(shape):
+    # log P(a, y) varies on the scale of sqrt(a), the spread of the
+    # distribution, once a > 1
+    return 1e-4 * np.minimum(shape, np.sqrt(shape))
+
+
+def gamma_log_cdf_grad(x, shape, scale, log_cdf, sides=None):
     """Partial derivatives of :func:`gamma_log_cdf` in shape and in scale.
 
     ``log_cdf`` is gamma_log_cdf(x, shape, scale), which callers hold
     already.  The shape derivative is a central difference of
     gamma_log_cdf (so the deep lower tail goes through the same series)
-    with step 1e-4 * min(shape, sqrt(shape)): log P(a, y) varies on the
-    scale of sqrt(a), the spread of the distribution, once a > 1.  Both
-    sides of the difference go through one gamma_log_cdf call.  At
-    shape 0 it is the one-sided limit -E1(x / scale).  The scale
-    derivative is the closed form -(x / scale) * pdf(x) / cdf(x).
+    with the step of :func:`gamma_cdf_shapes`.  ``sides`` holds
+    gamma_log_cdf at the difference's two sides, rows 1 and 2 of
+    gamma_cdf_shapes(shape) broadcast against x and scale, where the
+    caller evaluated them with log_cdf; otherwise both sides go through
+    one gamma_log_cdf call here.  At shape 0 it is the one-sided limit
+    -E1(x / scale), evaluated only there.  The scale derivative is the
+    closed form -(x / scale) * pdf(x) / cdf(x).
     """
     x = np.asarray(x, dtype=float)
     shape = np.asarray(shape, dtype=float)
     scale = np.asarray(scale, dtype=float)
-    h = 1e-4 * np.minimum(shape, np.sqrt(shape))
+    full = np.broadcast(x, shape, scale).shape
     with np.errstate(divide="ignore", invalid="ignore"):
-        sides = np.empty((2,) + np.broadcast(x, shape, scale).shape)
-        sides[0], sides[1] = shape + h, shape - h
-        upper, lower = gamma_log_cdf(x, sides, scale)
-        d_shape = (upper - lower) / (2.0 * h)
-        d_shape = np.where(shape > 0.0, d_shape, -sc.exp1(x / scale))
+        if sides is None:
+            points = gamma_cdf_shapes(np.broadcast_to(shape, full))[1:]
+            sides = gamma_log_cdf(x, points, scale)
+        upper, lower = sides
+        d_shape = np.asarray((upper - lower) / (2.0 * _shape_step(shape)))
         y = x / scale
+        at_zero = np.broadcast_to(~(shape > 0.0), d_shape.shape)
+        if at_zero.any():
+            d_shape[at_zero] = -sc.exp1(np.broadcast_to(y, d_shape.shape)[at_zero])
         d_scale = -np.exp(
             shape * np.log(y) - y - sc.gammaln(shape) - log_cdf
         ) / scale

@@ -133,6 +133,76 @@ def oracle_log_likelihood(bundle, marker):
     return float(logsumexp([w for _, w in table]))
 
 
+def oracle_gradient(bundle, marker):
+    """d log L of one marker by Fisher's identity over the enumeration: the
+    posterior mean, over unknown genotype combinations, of the derivative
+    of each combination's log weight, keyed as
+    log_likelihood_and_gradient keys it.
+
+    The peak factors' derivatives in shape and scale come from
+    mixref.peakmodel (the log CDF's shape derivative is a central
+    difference there), one peak at a time; the chain rule through the
+    doses, and the sum over combinations, are this oracle's own.  A
+    per-marker override is a constant: no rho or xi derivative from it.
+    """
+    from mixref.peakmodel import gamma_log_cdf_grad, gamma_log_pdf_grad
+
+    hyp, params = bundle.hypothesis, bundle.parameters
+    ladder = bundle.frequencies.ladder(marker)
+    succ = oracle_successor(bundle.frequencies, marker)
+    table = oracle_table(bundle, marker)
+    total = logsumexp([w for _, w in table])
+    grad = {}
+    for trace in bundle.traces:
+        tid = trace.trace_id
+        grad.update({("rho", tid): 0.0, ("eta", tid): 0.0, ("xi", tid): 0.0})
+        grad.update({("phi", tid, r): 0.0 for r in hyp.roles_for(tid)})
+    for counts, logw in table:
+        weight = math.exp(logw - total) if logw > -np.inf else 0.0
+        if weight == 0.0:
+            continue
+        for trace in bundle.traces:
+            if marker not in trace.heights:
+                continue
+            tid = trace.trace_id
+            roles = hyp.roles_for(tid)
+            rho = params.rho_for(tid, marker)
+            eta = params.eta_for(tid)
+            xi = params.xi_for_marker(tid, marker)
+            phi = params.phi[tid]
+            own_rho = (params.marker_rho or {}).get(marker, {}).get(tid) is None
+            own_xi = marker not in (params.marker_xi or {})
+            b = {lab: sum(phi[r] * counts[r][lab] for r in roles) for lab in ladder.alleles}
+            for lab in ladder.alleles:
+                if lab == "0":
+                    continue
+                donor = succ[lab]
+                dval = (1 - xi) * b[lab] + (xi * b[donor] if donor is not None else 0.0)
+                shape = rho * dval
+                z = trace.height(marker, lab)
+                if z >= trace.threshold:
+                    d_shape, d_eta = gamma_log_pdf_grad(z, shape, eta)
+                else:
+                    d_shape, d_eta = gamma_log_cdf_grad(
+                        trace.threshold, shape, eta, oracle_log_cdf(trace.threshold, shape, eta)
+                    )
+                d_shape, d_eta = float(d_shape), float(d_eta)
+                grad[("eta", tid)] += weight * d_eta
+                if own_rho:
+                    grad[("rho", tid)] += weight * d_shape * dval
+                if own_xi:
+                    grad[("xi", tid)] += weight * d_shape * rho * (
+                        (b[donor] if donor is not None else 0.0) - b[lab]
+                    )
+                for r in roles:
+                    n_here = counts[r][lab]
+                    n_donor = counts[r][donor] if donor is not None else 0
+                    grad[("phi", tid, r)] += (
+                        weight * d_shape * rho * ((1 - xi) * n_here + xi * n_donor)
+                    )
+    return grad
+
+
 def oracle_presence(bundle, marker):
     table = oracle_table(bundle, marker)
     total = logsumexp([w for _, w in table])

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from mixref.peakmodel import gamma_log_cdf, gamma_log_cdf_grad, gamma_log_pdf
 
 from conftest import (
     ladder_labels,
+    oracle_gradient,
     oracle_log_cdf,
     oracle_log_likelihood,
     oracle_log_pdf,
@@ -1160,30 +1161,30 @@ class TestChainStructure:
         assert np.isfinite(mx.total_log_likelihood(b))
         evaluated = sum(entries)
         (stack,) = b._stacks
-        terms = _terms_at(stack, b)
-        assert [len(term.log_factors) for term in terms] == [4 * 6**n_unknown] * 2
+        assert np.diff(stack.layout.entries).tolist() == [4 * 6**n_unknown] * 2
+        assert len(_terms_at(stack, b).log_factors) == 2 * 4 * 6**n_unknown
         # gamma is evaluated once per observed entry and once per distinct
         # dropout dose: per trace three coupled peaks of 6^U doses each, and
         # the uncoupled 10, whose dose depends on the draw alone (3^U)
         assert evaluated == len(traces) * (3 * 6**n_unknown + 3**n_unknown)
 
 
-def _terms_at(stack, bundle):
-    """engine._view_terms at the bundle's parameters, without the set axis."""
-    return [
-        term._replace(**{
-            name: getattr(term, name)[0]
-            for name in ("rho", "eta", "xi", "base", "ends", "doses",
-                         "log_factors", "log_cdf")
-        })
-        for term in engine._view_terms(stack, engine._sets_of(bundle))
-    ]
+def _terms_at(stack, bundle, sides=False):
+    """engine._view_terms at the bundle's parameters, without the set axis
+    (log_cdf keeps its leading axis of shapes and sides)."""
+    term = engine._view_terms(stack, engine._sets_of(bundle), sides)
+    return term._replace(
+        log_cdf=term.log_cdf[:, 0],
+        **{name: getattr(term, name)[0]
+           for name in ("base", "ends", "doses", "log_factors")},
+    )
 
 
-def _overridden_case(n_unknown, seed, missing=False):
-    """Two traces on two markers with silent alleles; T2 lacks one role
-    when there are two, T1 has its own rho on M and M2 its own xi.  With
-    ``missing``, T2 does not cover M2."""
+def _overridden_case(n_unknown, seed, missing=False, n_traces=2):
+    """n_traces traces (two by default) on two markers with silent
+    alleles; T2 lacks one role when there are two, T1 has its own rho on M
+    and M2 its own xi.  With ``missing``, the last trace does not cover
+    M2."""
     rng = np.random.default_rng(seed)
     tables = {}
     for m in ("M", "M2"):
@@ -1206,7 +1207,7 @@ def _overridden_case(n_unknown, seed, missing=False):
         dropped = roles[int(rng.integers(len(roles)))]
         trace_roles = {"T2": tuple(r for r in roles if r != dropped)}
     traces, rho, phi = [], {}, {}
-    for tid in ("T1", "T2"):
+    for tid in (f"T{i + 1}" for i in range(n_traces)):
         heights = {
             m: {
                 a: float(rng.uniform(50, 1200)) for a in visible[m]
@@ -1222,7 +1223,8 @@ def _overridden_case(n_unknown, seed, missing=False):
         w = np.concatenate([w[:k_here], np.sort(w[k_here:])[::-1]])
         phi[tid] = dict(zip(mine, w.tolist()))
     if missing:
-        traces[1] = mx.Trace("T2", 50.0, {"M": traces[1].heights["M"]})
+        last = traces[-1]
+        traces[-1] = mx.Trace(last.trace_id, 50.0, {"M": last.heights["M"]})
     params = mx.ModelParameters(
         rho=rho, eta=float(rng.uniform(15, 45)), xi=float(rng.uniform(0, 0.25)),
         phi=phi, marker_rho={"M": {"T1": float(rng.uniform(10, 60))}},
@@ -1241,26 +1243,41 @@ class TestDistinctDoses:
     def test_every_entry_as_at_its_own_dose(self, n_unknown, seed):
         b = _overridden_case(n_unknown, seed)
         params, joint = b.parameters, engine._joint_tables(n_unknown)
+        trace_ids = [t.trace_id for t in b.traces]
         for stack in b._stacks:
             plans = {plan.marker: plan for plan in stack.plans}
+            names = list(plans)
             # each marker's first row of the stack's doses B
             length = [len(plan.order) for plan in stack.plans]
             offset = dict(zip(plans, np.cumsum([0] + length)))
-            n_pairs = stack.n_pairs
-            for layout, term in zip(stack.traces, _terms_at(stack, b)):
-                tid, k = layout.trace_id, layout.n_observed
-                # each run's marker: the observed runs marker by marker, then
-                # the dropout runs
-                runs = np.repeat(
-                    list(layout.markers) * 2,
-                    np.concatenate([layout.counts[0], layout.counts[2]]) // n_pairs,
-                )
+            n_pairs, n_steps = stack.n_pairs, stack.lp.shape[1]
+            layout, term = stack.layout, _terms_at(stack, b, sides=True)
+            sets, k = engine._sets_of(b), layout.n_observed
+            # every entry's dose point is among its trace's: its observed
+            # points among the first k, trace by trace, then its distinct
+            # dropout doses
+            assert layout.trace_ids == tuple(t for t in trace_ids
+                                             if t in layout.trace_ids)
+            n_traces = len(layout.trace_ids)
+            for j, tid in enumerate(layout.trace_ids):
+                lo, hi = layout.entries[j:j + 2]
+                points = layout.point[lo:hi]
+                (o0, o1), (d0, d1) = (layout.points[i:i + 2] for i in (j, n_traces + j))
+                observed = points < k
+                n_obs = int(observed.sum())
+                assert observed[:n_obs].all() and n_obs == o1 - o0
+                np.testing.assert_array_equal(points[:n_obs], np.arange(o0, o1))
+                assert ((d0 <= points[n_obs:]) & (points[n_obs:] < d1)).all()
+                # each run's marker, from its emit step's row
+                runs = [names[r // n_steps] for r in layout.cell[lo:hi:n_pairs] // n_pairs]
+                position = layout.position[lo // n_pairs:hi // n_pairs]
                 # each entry's own dose, run by run, as the chain defines it,
-                # from its marker's rows of the doses B, at its marker's xi
+                # from its marker's rows of the trace's doses B, at its
+                # marker's xi
                 own, rho = [], []
-                for marker, p in zip(runs, layout.position):
+                for marker, p in zip(runs, position):
                     xi = params.xi_for_marker(tid, marker)
-                    base = term.base[offset[marker] + p:]
+                    base = term.base[j][offset[marker] + p:]
                     own.append(
                         (1.0 - xi) * base[0][joint.pair_prev]
                         + xi * base[1][joint.pair_draw]
@@ -1269,35 +1286,40 @@ class TestDistinctDoses:
                     )
                     rho.append(np.full(n_pairs, params.rho_for(tid, marker)))
                 own = np.concatenate(own)
-                # the dose points: the observed entries, then the distinct
-                # dropout doses, spread back to the dropout entries
-                np.testing.assert_array_equal(
-                    np.concatenate([term.doses[:k], term.doses[k:][layout.spread]]), own
-                )
+                # the dose points: the observed entries, and the distinct
+                # dropout doses, taken back to the dropout entries
+                np.testing.assert_array_equal(term.doses[points], own)
                 shapes = np.concatenate(rho) * own
+                eta = params.eta_for(tid)
                 (trace,) = [t for t in b.traces if t.trace_id == tid]
                 heights = np.repeat(
                     [
                         trace.height(marker, plans[marker].internal_labels[p])
-                        for marker, p in zip(runs, layout.position[:k // n_pairs])
+                        for marker, p in zip(runs, position[:n_obs // n_pairs])
                     ],
                     n_pairs,
                 )
                 np.testing.assert_array_equal(
-                    term.log_factors[:k], gamma_log_pdf(heights, shapes[:k], term.eta)
+                    term.log_factors[lo:lo + n_obs],
+                    gamma_log_pdf(heights, shapes[:n_obs], eta),
                 )
-                log_cdf = gamma_log_cdf(layout.threshold, shapes[k:], term.eta)
-                np.testing.assert_array_equal(term.log_factors[k:], log_cdf)
-                np.testing.assert_array_equal(term.log_cdf[layout.spread], log_cdf)
-                # derivatives at the distinct doses, spread back, are each entry's own
-                spread = gamma_log_cdf_grad(
-                    layout.threshold, (term.rho * term.doses)[k:], term.eta, term.log_cdf
+                log_cdf = gamma_log_cdf(trace.threshold, shapes[n_obs:], eta)
+                np.testing.assert_array_equal(term.log_factors[lo + n_obs:hi], log_cdf)
+                spread = points[n_obs:] - k
+                np.testing.assert_array_equal(term.log_cdf[0][spread], log_cdf)
+                # derivatives at the distinct doses, from the sides the
+                # gradient pass evaluated, taken back, are each entry's own
+                rho_at, eta_at = (
+                    np.broadcast_to(v, (len(v), len(term.doses)))[0]
+                    for v in engine._point_values(stack, sets)[:2]
                 )
-                own_grad = gamma_log_cdf_grad(
-                    layout.threshold, shapes[k:], term.eta, log_cdf
+                at_points = gamma_log_cdf_grad(
+                    layout.cut, (rho_at * term.doses)[k:], eta_at[k:],
+                    term.log_cdf[0], term.log_cdf[1:],
                 )
-                for got, want in zip(spread, own_grad):
-                    np.testing.assert_array_equal(got[layout.spread], want)
+                own_grad = gamma_log_cdf_grad(trace.threshold, shapes[n_obs:], eta, log_cdf)
+                for got, want in zip(at_points, own_grad):
+                    np.testing.assert_array_equal(got[spread], want)
         for marker in b.covered_markers():
             dp = mx.marker_log_likelihood(b, marker)
             enum = oracle_log_likelihood(b, marker)
@@ -1320,7 +1342,7 @@ class TestDistinctDoses:
 
         monkeypatch.setattr(engine, "gamma_log_cdf", counting)
         mx.total_log_likelihood(b)
-        layouts = [layout for stack in b._stacks for layout in stack.traces]
+        layouts = [stack.layout for stack in b._stacks]
         assert sum(len(v.cell) - v.n_observed for v in layouts) == 1296
         assert sum(sizes) == 486
 
@@ -1436,7 +1458,8 @@ def _reference_plan(marker, freqs, hypothesis, traces):
 
 
 def _reference_stack(group, trace_ids):
-    """Several plans' layouts joined, observed entries of every marker first."""
+    """Several plans' layouts joined: each trace's observed entries of every
+    marker first, then the traces one after the other."""
     n_combos, n_pairs = group[0]["n_combos"], group[0]["n_pairs"]
     length = np.array([len(plan["order"]) for plan in group])
     n_steps = int(length.max())
@@ -1460,7 +1483,7 @@ def _reference_stack(group, trace_ids):
             trace_id=trace_id, threshold=mine[0][1]["threshold"],
             known_contributes=mine[0][1]["known_contributes"],
             unknown_contributes=mine[0][1]["unknown_contributes"],
-            markers=tuple(group[i]["marker"] for i, _ in mine),
+            markers=[i for i, _ in mine],
             counts=counts, n_observed=int(counts[0].sum()),
             peak_heights=np.concatenate([e["peak_heights"] for _, e in mine]),
             gather=np.concatenate([g[:, :n] for g, n in zip(gather, obs)]
@@ -1479,7 +1502,60 @@ def _reference_stack(group, trace_ids):
     return dict(
         markers=[plan["marker"] for plan in group], first=first, lp=lp,
         known_counts=np.concatenate([plan["known_counts"] for plan in group], axis=1),
-        traces=layouts,
+        layout=_reference_join(layouts, trace_ids, zero + 1, group[0]),
+    )
+
+
+def _reference_join(layouts, trace_ids, width, plan):
+    """The traces' layouts on a stack as one layout, trace by trace: the
+    observed points of every trace first, then the distinct dropout doses;
+    each trace's B after the previous one's ``width`` cells."""
+    n_observed = sum(e["n_observed"] for e in layouts)
+    entries, cell, position, heights, point = [0], [], [], [], []
+    obs_ends, dist_ends, cut = [], [], []
+    obs_start, dist_start = 0, n_observed
+    for j, e in enumerate(layouts):
+        n = e["n_observed"]
+        n_dist = e["gather"].shape[1] - n
+        entries.append(entries[-1] + len(e["cell"]))
+        cell += e["cell"].tolist()
+        position += e["position"].tolist()
+        heights += e["peak_heights"].tolist()
+        point += list(range(obs_start, obs_start + n))
+        point += (dist_start + e["spread"]).tolist()
+        obs_ends.append([[a + j * width, b + j * width]
+                         for a, b in e["gather"][:, :n].T.tolist()])
+        dist_ends.append([[a + j * width, b + j * width]
+                          for a, b in e["gather"][:, n:].T.tolist()])
+        cut += [e["threshold"]] * n_dist
+        obs_start, dist_start = obs_start + n, dist_start + n_dist
+    ends = [pair for own in obs_ends + dist_ends for pair in own]
+    sizes = [len(own) for own in obs_ends + dist_ends]
+    known = len(plan["known_counts"])
+    return dict(
+        trace_ids=tuple(e["trace_id"] for e in layouts),
+        column=tuple(trace_ids.index(e["trace_id"]) for e in layouts),
+        threshold=np.array([e["threshold"] for e in layouts], dtype=float),
+        known_contributes=np.array(
+            [e["known_contributes"] for e in layouts], dtype=bool
+        ).reshape(len(layouts), known),
+        unknown_contributes=np.array(
+            [e["unknown_contributes"] for e in layouts], dtype=bool
+        ).reshape(len(layouts), plan["n_unknown"]),
+        entries=tuple(entries),
+        cell=np.array(cell, dtype=np.int64),
+        position=np.array(position, dtype=np.int64),
+        n_observed=n_observed,
+        peak_heights=np.array(heights, dtype=float),
+        cut=np.array(cut if len(layouts) > 1 else [e["threshold"] for e in layouts],
+                     dtype=float),
+        point=np.array(point, dtype=np.int64),
+        gather=np.array(ends, dtype=np.int64).reshape(-1, 2).T,
+        points=tuple(itertools.accumulate(sizes, initial=0)),
+        runs=np.array(sizes, dtype=np.int64),
+        run_column=np.array(
+            [trace_ids.index(e["trace_id"]) for e in layouts] * 2, dtype=np.int64
+        ),
     )
 
 
@@ -1497,18 +1573,15 @@ def _assert_plan_equal(plan, expected):
             np.testing.assert_array_equal(have, value, err_msg=name)
 
 
-def _assert_layouts_equal(got, want):
-    assert len(got) == len(want)
-    for layout, expected in zip(got, want):
-        for name, value in expected.items():
-            have = getattr(layout, name)
-            if isinstance(value, (str, float, int, tuple)):
-                assert have == value, name
-            else:
-                np.testing.assert_array_equal(have, value, err_msg=name)
-                assert np.asarray(have).dtype == np.asarray(value).dtype or (
-                    name.endswith("contributes")
-                ), name
+def _assert_layout_equal(layout, expected):
+    assert {f.name for f in fields(layout)} == set(expected)
+    for name, value in expected.items():
+        have = getattr(layout, name)
+        if isinstance(value, (str, float, int, tuple)):
+            assert have == value, name
+        else:
+            np.testing.assert_array_equal(have, value, err_msg=name)
+            assert np.asarray(have).dtype == np.asarray(value).dtype, name
 
 
 @stn.composite
@@ -1580,7 +1653,7 @@ class TestPlanBuildAgainstPerPositionReference:
             assert [p.marker for p in stack.plans] == expected["markers"]
             for name in ("first", "lp", "known_counts"):
                 np.testing.assert_array_equal(getattr(stack, name), expected[name])
-            _assert_layouts_equal(stack.traces, expected["traces"])
+            _assert_layout_equal(stack.layout, expected["layout"])
 
 
 class TestUnknownLimit:
@@ -1673,6 +1746,82 @@ def _count_log_passes(monkeypatch):
 
     monkeypatch.setattr(engine, "_log_pass", spy)
     return redone
+
+
+def _recurrence_bounds(norms, fan_out, added):
+    """The loss bounds step by step: bound[t+1] = (fan_out * bound[t] +
+    added[t]) / norms[t] from 0, the reference for engine._loss_bounds."""
+    bounds = np.empty(norms.shape)
+    bound = np.zeros(norms.shape[1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t, row in enumerate(bounds):
+            np.multiply(bound, fan_out, out=row)
+            row += added[t]
+            row /= norms[t]
+            bound = row
+    return bounds
+
+
+@stn.composite
+def loss_bound_cases(draw):
+    """Normalizers of T steps and G columns, each at most fan_out = 3^U:
+    some 0, NaN or subnormal, the first steps of each column padding
+    (normalizer 1, nothing added); and additions in the normal range, or
+    the forward pass's own E * _TINY, which are subnormal."""
+    n_unknown = draw(stn.integers(0, 4))
+    n_steps, n_columns = draw(stn.integers(0, 16)), draw(stn.integers(1, 4))
+    fan_out = 3**n_unknown
+    special = stn.sampled_from([0.0, math.nan, 5e-324, 2.2e-310, 1e-300])
+    usual = stn.floats(-40.0, 0.0).map(lambda e: fan_out * math.exp(e))
+    norms = np.array(draw(stn.lists(
+        stn.one_of(usual, usual, usual, special),
+        min_size=n_steps * n_columns, max_size=n_steps * n_columns,
+    ))).reshape(n_steps, n_columns)
+    tiny = draw(stn.booleans())
+    if tiny:
+        added = np.full(norms.shape, 10**n_unknown * engine._TINY)
+    else:
+        added = np.array(draw(stn.lists(
+            stn.floats(-690.0, -20.0).map(math.exp),
+            min_size=norms.size, max_size=norms.size,
+        ))).reshape(norms.shape)
+    pad = np.array(draw(stn.lists(stn.integers(0, n_steps), min_size=n_columns,
+                                  max_size=n_columns)))
+    padding = np.arange(n_steps)[:, None] < pad
+    norms[padding], added[padding] = 1.0, 0.0
+    return norms, fan_out, added, tiny
+
+
+class TestLossBounds:
+    @given(loss_bound_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_the_recurrence(self, case):
+        norms, fan_out, added, tiny = case
+        want = _recurrence_bounds(norms, fan_out, added)
+        got = engine._loss_bounds(norms, fan_out, added)
+        assert got.shape == want.shape
+        # the same markers end
+        np.testing.assert_array_equal(
+            ~(got <= engine._LOSS).all(axis=0), ~(want <= engine._LOSS).all(axis=0)
+        )
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        assert (got[want == np.inf] > 1e300).all()
+        if tiny:
+            # the recurrence rounds subnormal bounds to 2^-1074 apiece: no
+            # relative precision to compare against
+            return
+        kept = np.isfinite(want) & (want <= 1e300)
+        np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=0.0)
+
+    def test_padding_and_zero_normalizers(self):
+        norms = np.array([[1.0, 0.5], [0.0, 0.0], [0.5, 0.5]])
+        added = np.array([[0.0, 1e-300], [0.0, 1e-300], [1e-300, 1e-300]])
+        got = engine._loss_bounds(norms, 3, added)
+        assert got[0, 0] == 0.0 and np.isnan(got[1, 0])
+        assert got[1, 1] == np.inf and got[2, 1] == np.inf
+        np.testing.assert_array_equal(
+            np.isnan(got), np.isnan(_recurrence_bounds(norms, 3, added))
+        )
 
 
 class TestBundlePass:
@@ -1808,20 +1957,39 @@ class TestBundlePass:
         )
         assert one.loglik == -np.inf and not one.pair.any()
 
-    def test_one_call_per_trace_of_each_gamma_kernel(
+    def test_one_call_per_stack_of_each_gamma_kernel(
         self, pubcase_defence_bundle, monkeypatch
     ):
+        # the excerpt's two traces share one layout on its one stack: a
+        # gradient round calls each kernel once, and gamma_log_cdf_grad
+        # reads the central difference's sides from the one gamma_log_cdf
+        # call; a value pass evaluates no side
         b = pubcase_defence_bundle
-        calls = {}
+        assert len(b.traces) == 2 and len(b._stacks) == 1
+        calls, cdf_shapes = {}, []
         for name in ("gamma_log_pdf", "gamma_log_cdf", "gamma_log_pdf_grad",
-                     "gamma_log_cdf_grad"):
+                     "gamma_log_cdf_grad", "gamma_cdf_shapes"):
             def counting(*args, _original=getattr(engine, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
+                if _name == "gamma_log_cdf":
+                    cdf_shapes.append(np.shape(args[1]))
                 return _original(*args)
             monkeypatch.setattr(engine, name, counting)
+        inner = []
+
+        def inside(*args, _original=mx.peakmodel.gamma_log_cdf):
+            inner.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(mx.peakmodel, "gamma_log_cdf", inside)
         mx.log_likelihood_and_gradient(b)
-        assert calls == dict.fromkeys(calls, len(b.traces)) and len(calls) == 4
-        assert len(b.traces) == 2
+        assert calls == dict.fromkeys(calls, len(b._stacks)) and len(calls) == 5
+        assert [shape[0] for shape in cdf_shapes] == [3] and inner == []
+        calls.clear()
+        cdf_shapes.clear()
+        mx.total_log_likelihood(b)
+        assert calls == {"gamma_log_pdf": 1, "gamma_log_cdf": 1}
+        assert [shape[0] for shape in cdf_shapes] == [1]
 
 
 def _impossible_marker_case():
@@ -1980,10 +2148,11 @@ class TestMarkerQueries:
         assert mx.bundle_posteriors(b) == {}
 
 
-def _batch_case(n_unknown, n_traces, overrides, seed):
-    """_overridden_case with its first n_traces traces, with or without its
-    marker_rho and marker_xi overrides."""
-    b = _overridden_case(n_unknown, seed)
+def _batch_case(n_unknown, n_traces, overrides, seed, missing=False):
+    """_overridden_case with n_traces traces, with or without its
+    marker_rho and marker_xi overrides; with ``missing``, the last of two
+    or three does not cover M2."""
+    b = _overridden_case(n_unknown, seed, missing and n_traces > 1, max(n_traces, 2))
     traces = b.traces[:n_traces]
     ids = [t.trace_id for t in traces]
     p, hyp = b.parameters, b.hypothesis
@@ -2046,19 +2215,30 @@ class TestBatchedSets:
     """Several parameter sets in one pass per stack: each set's value and
     gradient as with its bundle alone, and its value as both oracles'."""
 
-    @given(stn.integers(1, 3), stn.integers(1, 2), stn.booleans(),
-           stn.integers(0, 2**32 - 1))
+    @given(stn.integers(1, 3), stn.integers(1, 3), stn.booleans(),
+           stn.integers(0, 2**32 - 1), stn.booleans())
     # the last set has zero likelihood
-    @example(3, 2, True, 0)
-    @example(1, 2, True, 1)
+    @example(3, 2, True, 0, False)
+    @example(1, 2, True, 1, False)
+    # three traces, the last covering M alone, beside both overrides
+    @example(2, 3, True, 5, True)
     @settings(max_examples=25, deadline=None)
     def test_any_batch_matches_one_set_calls_and_oracles(
-        self, n_unknown, n_traces, overrides, seed
+        self, n_unknown, n_traces, overrides, seed, missing
     ):
-        b = _batch_case(n_unknown, n_traces, overrides, seed)
+        b = _batch_case(n_unknown, n_traces, overrides, seed, missing)
         rng = np.random.default_rng(seed)
         bundles = _parameter_sets(b, rng, int(rng.integers(2, 11)))
         alone = [mx.log_likelihood_and_gradient(one) for one in bundles]
+        # one _batch_passes call over the sets that share their overrides
+        # (all but the last) against one call per set
+        shared = bundles[:-1]
+        sets = engine._ParameterSets.of(b, [one.parameters for one in shared])
+        loglik, grad = engine._batch_passes(b, sets)
+        for k in range(len(shared)):
+            one_ll, one_grad = engine._batch_passes(b, sets.take([k]))
+            assert np.float64(loglik[k]).tobytes() == np.float64(one_ll[0]).tobytes()
+            assert grad[k].tobytes() == one_grad[0].tobytes()
         # the sets in a random order, split into random batches
         order = rng.permutation(len(bundles))
         cuts = rng.choice(np.arange(1, len(bundles)),
@@ -2069,11 +2249,22 @@ class TestBatchedSets:
             for i, one in zip(part, batch):
                 got[i] = one
         _assert_bit_identical(got, alone)
-        # the oracles enumerate, so only a drawn set and the last
-        for one, (ll, _) in zip(bundles[-2:], alone[-2:]):
+        # the oracles enumerate, so only a drawn set and the last; the
+        # gradient where log L is finite, by Fisher's identity over the
+        # enumeration
+        for one, (ll, grad) in zip(bundles[-2:], got[-2:]):
             for oracle in (mx.brute_force_log_likelihood, oracle_log_likelihood):
                 want = sum(oracle(one, m) for m in one.covered_markers())
-                assert ll == pytest.approx(want, rel=1e-8, abs=1e-8)
+                assert ll == pytest.approx(want, rel=1e-10, abs=1e-10)
+            if not np.isfinite(ll):
+                continue
+            want = {}
+            for m in one.covered_markers():
+                for key, value in oracle_gradient(one, m).items():
+                    want[key] = want.get(key, 0.0) + value
+            assert set(want) == set(grad)
+            for key, value in grad.items():
+                assert value == pytest.approx(want[key], rel=1e-10, abs=1e-10), key
 
     @pytest.mark.parametrize("case, per_pass", [("pubcase", 4), ("four_unknowns", 1)])
     def test_the_edge_budget_splits_the_batch(self, monkeypatch, request, case, per_pass):

@@ -6,15 +6,20 @@ generating expressions are noted next to each literal.
 
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as stn
+from scipy import special as sc
 
 import mpmath
 
 import mixref as mx
+from mixref import peakmodel
 from mixref.peakmodel import (
+    gamma_cdf_shapes,
     gamma_log_cdf,
     gamma_log_cdf_grad,
     gamma_log_pdf,
@@ -343,6 +348,75 @@ class TestOneCallCentralDifference:
         a, y = np.array(points).T
         d_shape, _ = gamma_log_cdf_grad(y * s, a, s, gamma_log_cdf(y * s, a, s))
         np.testing.assert_array_equal(d_shape, _two_call_difference(y * s, a, s))
+
+
+def _exp1_everywhere(x, shape, scale, log_cdf):
+    """gamma_log_cdf_grad with E1 evaluated at every element and used
+    where shape <= 0: the reference for the one that evaluates it there
+    alone."""
+    x, shape, scale = (np.asarray(v, dtype=float) for v in (x, shape, scale))
+    h = 1e-4 * np.minimum(shape, np.sqrt(shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sides = np.empty((2,) + np.broadcast(x, shape, scale).shape)
+        sides[0], sides[1] = shape + h, shape - h
+        upper, lower = gamma_log_cdf(x, sides, scale)
+        d_shape = (upper - lower) / (2.0 * h)
+        d_shape = np.where(shape > 0.0, d_shape, -sc.exp1(x / scale))
+        y = x / scale
+        d_scale = -np.exp(
+            shape * np.log(y) - y - sc.gammaln(shape) - log_cdf
+        ) / scale
+    return d_shape, d_scale
+
+
+class TestExp1AtZeroShapesAlone:
+    """gamma_log_cdf_grad evaluates E1 only where shape <= 0, with the
+    outputs of evaluating it everywhere, bit for bit."""
+
+    @staticmethod
+    def _counting_exp1():
+        sizes = []
+
+        def exp1(y):
+            sizes.append(np.size(y))
+            return sc.exp1(y)
+
+        return sizes, mock.patch.object(
+            peakmodel, "sc", mock.Mock(wraps=sc, exp1=exp1)
+        )
+
+    @given(stn.integers(0, 2**32 - 1), stn.integers(1, 4), stn.integers(1, 40),
+           stn.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_arrays_with_zero_shapes(self, seed, n_sets, n, sides):
+        rng = np.random.default_rng(seed)
+        shape = rng.choice([0.0, 1e-3, 0.7, 4.0, 60.0, 700.0], size=(n_sets, n))
+        shape *= rng.uniform(0.5, 2.0, shape.shape)
+        shape[rng.random(shape.shape) < 0.3] = 0.0
+        x, scale = rng.uniform(20.0, 200.0, n), rng.uniform(5.0, 60.0, (n_sets, 1))
+        log_cdf = gamma_log_cdf(x, gamma_cdf_shapes(shape), scale)
+        want = _exp1_everywhere(x, shape, scale, log_cdf[0])
+        sizes, patched = self._counting_exp1()
+        with patched:
+            got = gamma_log_cdf_grad(
+                x, shape, scale, log_cdf[0], log_cdf[1:] if sides else None
+            )
+        assert sum(sizes) == int((shape == 0.0).sum())
+        for have, expected in zip(got, want):
+            assert have.shape == expected.shape
+            assert have.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [0.0, 3.0, np.nan])
+    def test_scalars(self, shape):
+        log_cdf = gamma_log_cdf(50.0, shape, 25.0)
+        want = _exp1_everywhere(50.0, shape, 25.0, log_cdf)
+        sizes, patched = self._counting_exp1()
+        with patched:
+            got = gamma_log_cdf_grad(50.0, shape, 25.0, log_cdf)
+        assert sizes == ([] if shape == 3.0 else [1])
+        for have, expected in zip(got, want):
+            assert np.shape(have) == np.shape(expected) == ()
+            assert np.asarray(have).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestModelParameters:
