@@ -78,25 +78,37 @@ observed peak from re-evaluating its emit step alone, with the peak's
 factor left out of an exact sum, for every peak of a stack at once.  A
 brute-force enumerator serves as the independent verification oracle.
 
-The pass runs in scaled linear space (Rabiner 1989, Proc. IEEE 77).  A
-step's edge weights are exp(value - the step's largest value), so every
-weight is at most 1; forward messages are normalized by their sum and
-backward messages by their maximum, and log L is the sum of the shifts
-and the logs of the forward normalizers.  Steps are batched in blocks of
-at most _BLOCK_EDGES edge values, counted over the stack's markers and
-steps (one step of one marker at U >= 4), so a pass builds no array of
-every step's edges at large U.
+The pass runs in scaled linear space (Rabiner 1989, Proc. IEEE 77).  An
+edge's weight is the product of its two factors, each scaled so that the
+step's largest is 1: transition[dst], the genotype prior's transition
+into the edge's target state over the step's largest (which does not
+depend on the parameters, so each stack holds it), times pair[key],
+exp(table - the table's largest entry) at the edge's (previous draw,
+draw) pair.  Both are exponentials of 6^U values, not of the step's 10^U
+edge values, and every weight is at most 1.  The pass multiplies the
+pair factors along the edges and the transitions on the 6^U states: in
+the forward recursion after the sum into each target state, and into
+the message out of the step in the backward one.  A step's shift is the
+sum of the two largest values; forward messages are normalized by their
+sum and backward messages by their maximum, and log L is the sum of the
+shifts and the logs of the forward normalizers.  Steps are batched in
+blocks of at most _BLOCK_EDGES edge values, counted over the stack's
+markers and steps (one step of one marker at U >= 4), so a pass builds
+no array of every step's edges at large U.
 
-Each edge's product loses at most _TINY to underflow, so a step loses at
-most E * _TINY against the mass it keeps, its normalizer; mass lost at
-one step can grow at most 3^U-fold at each later one.  The pass carries
-that bound through the forward and the backward recursion and into each
-posterior, and where it exceeds _LOSS of the kept mass (for one step, a
-normalizer below about 1e-200), or a step's largest value is NaN or
-+inf, that marker alone is redone by the log-space recursion; the rest
-of the stack keeps its scaled result.  A step whose largest value is
--inf has no path through it: the marker's log L is -inf, with no redo.
-Factors as small as e^-700 apiece therefore do not underflow the result.
+Each edge's products lose at most _TINY to underflow (see _TINY), so a
+step loses at most E * _TINY against the mass it keeps, its normalizer;
+mass lost at one step can grow at most 3^U-fold at each later one.  The pass carries that bound through the forward and
+the backward recursion and into each posterior, and where it exceeds
+_LOSS of the kept mass (for one step, a normalizer below about 1e-200),
+or a step's shift is NaN or +inf, that marker alone is redone by the
+log-space recursion; the rest of the stack keeps its scaled result.  The
+two largest values need not share an edge, so a step's weights may all
+be small, or all zero where no edge is finite: its normalizer then ends
+the marker for the redo, which gives log L -inf where no path is left.
+A step whose table is -inf throughout has no path through it: the
+marker's log L is -inf, with no redo.  Factors as small as e^-700 apiece
+therefore do not underflow the result.
 """
 
 from __future__ import annotations
@@ -307,10 +319,18 @@ MAX_UNKNOWNS = 6
 # at small U one block shares each numpy call among all of a marker's
 # steps, and at large U (one step per block) temporaries stay one step wide.
 _BLOCK_EDGES = 2**14
-# The most one edge's product can lose to underflow (four roundings of
-# 2^-1074 each), and the largest bound on a scaled pass's loss, relative
-# to the mass it keeps, that the pass accepts.  A single step then needs a
-# normalizer of at least E * _TINY / _LOSS, about 1e-200.
+# The most one edge's products can lose to underflow, and the largest
+# bound on a scaled pass's loss, relative to the mass it keeps, that the
+# pass accepts.  Every factor is at most 1, so what one operation loses is
+# never magnified.  An edge's mass meets two exponentials, the pair's and
+# the transition's, which lose at most 2^-1074 each, and at most three
+# products (by the message into the step, by the transition, and for a
+# posterior by the message out of it), which lose at most 2^-1075 each:
+# under 4 * 2^-1074 in all.  In the forward recursion the transition
+# multiplies the sum into a state, which is at most 1 (one edge from each
+# source state), so its loss there counts once per state, not per edge.
+# A single step then needs a normalizer of at least E * _TINY / _LOSS,
+# about 1e-200.
 _TINY = 2.0**-1072
 _LOSS = 1e-120
 
@@ -708,10 +728,14 @@ class _Stack:
 
     plans holds the markers' plans.  Each marker is front-padded to the
     longest: the steps before first[i] are exact identity steps (state 0
-    to state 0, weight 1, log 0), given by the transition row (0, -inf,
-    ...) and a zero table.  lp is every marker's transition
-    log-probability per step and target state, (G, T, 6^U), the step
-    tables are (G * T, 6^U), marker by marker (see _marker_rows), and
+    to state 0, weight 1, log 0), given by the log transition row (0,
+    -inf, ...) and a zero table.  With lp every marker's log transition
+    per step and target state, (G, T, 6^U), and transition_shift its
+    largest per step, (G, T), transition is exp(lp - transition_shift):
+    each step's transitions scaled so that the largest is 1 (a padding
+    step's row is (1, 0, ...), its shift 0).  It does not depend on the
+    parameters, so every pass over the stack reads it.  The step tables
+    are (G * T, 6^U), marker by marker (see _marker_rows), and
     known_counts spans the markers' positions in turn.  layout lays out
     every trace's factor entries on the markers (see _FactorLayout).  A
     pass over n_sets parameter sets at once runs on the stack's markers
@@ -720,7 +744,8 @@ class _Stack:
 
     plans: tuple[_MarkerPlan, ...]
     first: np.ndarray
-    lp: np.ndarray
+    transition: np.ndarray
+    transition_shift: np.ndarray
     layout: _FactorLayout | None
     known_ids: tuple[str, ...]
     unknown_ids: tuple[str, ...]
@@ -773,7 +798,8 @@ def _build_stacks(freqs, hypothesis, traces, names):
         lp = np.full((len(group), n_steps, n_states), -np.inf)
         lp[:, :, 0] = 0.0
         lp[np.arange(n_steps) >= first[:, None]] = state_lp[span]
-        chains.append((span, first, lp))
+        shift = np.maximum.reduce(lp, axis=2)
+        chains.append((span, first, np.exp(lp - shift[..., None]), shift))
     at = place[:, pos.marker]
     frame = _Frame(at[0], at[1] + pos.local, at[2] + pos.local, at[3])
     parts = [[] for _ in groups]  # per group: (column, trace, part)
@@ -823,7 +849,8 @@ def _build_stacks(freqs, hypothesis, traces, names):
         _Stack(
             plans=tuple(plans[i] for i in group),
             first=first,
-            lp=lp,
+            transition=transition,
+            transition_shift=shift,
             layout=layout,
             known_ids=tuple(hypothesis.known),
             unknown_ids=hypothesis.unknown,
@@ -834,7 +861,8 @@ def _build_stacks(freqs, hypothesis, traces, names):
             n_pairs=n_states,
             edges=edges,
         )
-        for group, (span, first, lp), layout in zip(groups, chains, layouts)
+        for group, (span, first, transition, shift), layout
+        in zip(groups, chains, layouts)
     )
 
 
@@ -902,13 +930,15 @@ def _positions(freqs, hypothesis, traces, names):
 def _repeated(stack, n_sets):
     """The chains of a stack's markers repeated once per parameter set, set
     by set, for one pass over the step tables of n_sets sets (see
-    _step_tables).  Each copy has the stack's own padding and transitions."""
+    _step_tables).  Each copy has the stack's own padding and scaled
+    transitions."""
     if n_sets == 1:
         return stack
     return _Stack(
         plans=stack.plans * n_sets,
         first=np.tile(stack.first, n_sets),
-        lp=np.tile(stack.lp, (n_sets, 1, 1)),
+        transition=np.tile(stack.transition, (n_sets, 1, 1)),
+        transition_shift=np.tile(stack.transition_shift, (n_sets, 1)),
         layout=None,
         known_ids=stack.known_ids,
         unknown_ids=stack.unknown_ids,
@@ -1292,7 +1322,7 @@ def _step_tables(stack, terms):
     pass over each trace's entries in turn sums them."""
     layout = stack.layout
     n_sets = len(terms.doses)
-    size = stack.lp.shape[0] * stack.lp.shape[1] * stack.n_pairs
+    size = stack.transition.shape[0] * stack.transition.shape[1] * stack.n_pairs
     tables = np.zeros(n_sets * size)
     for lo, hi in itertools.pairwise(layout.entries):
         index = _set_offsets(layout.cell[lo:hi], n_sets, size)
@@ -1347,15 +1377,18 @@ def _tables_without_peaks(stack, terms):
     return _Peaks(trace[observed], position[observed], row[observed], tables)
 
 
-def _step_values(plan, t, tables):
+def _step_values(plan, t, tables, ahead=None):
     """Per-edge exact log(transition * factors) at step t, for one step
     table or a stack of them (one row each).
 
     The transition is read per target state, from the step's outer sum of
-    per-contributor log-pmfs.
+    per-contributor log-pmfs.  ``ahead``, a value per target state, is
+    added to the transitions before they are read, on the 6^U states
+    rather than on every edge.
     """
     edges = plan.edges_at(t)
-    return plan.state_lp[t][edges.dst] + tables[..., edges.key]
+    lp = plan.state_lp[t] if ahead is None else plan.state_lp[t] + ahead
+    return lp[edges.dst] + tables[..., edges.key]
 
 
 class _Pass(NamedTuple):
@@ -1391,7 +1424,7 @@ def _chain_pass(stack, tables, posteriors=False, alt=None) -> _Pass:
         rows = _marker_rows(stack, i)
         mine = one_alt = None
         if alt is not None:
-            mine = alt[0] // stack.lp.shape[1] == i
+            mine = alt[0] // stack.transition.shape[1] == i
             one_alt = (alt[0][mine] - rows.start, alt[1][mine])
         one = _log_pass(stack.plans[i], tables[rows], posteriors, one_alt)
         result.loglik[i] = one.loglik
@@ -1421,15 +1454,26 @@ def _forward(stack, tables, keep, ended):
 
     Returns each marker's log L; the messages alpha (T+1, G, S) into each
     step, each summing to 1; a bound (T+1, G) on each one's loss to
-    underflow, relative to its sum; and (if ``keep``) each block's edge
-    weights (steps, G, E), exp(value - the step's largest value).  A state
-    holds at most 3^U out-edges of weight at most 1, so earlier loss grows
-    at most 3^U-fold per step before the step's normalizer divides it.
+    underflow, relative to its sum; and (if ``keep``) each block's pair
+    factors along its edges (steps, G, E), pair[key].  An edge's weight is
+    transition[dst] * pair[key]: the stack's scaled transition into its
+    target state (see _Stack) times its pair's factor exp(table - the
+    table's largest entry), computed on the step's 6^U pairs; the step's
+    shift is the sum of the two largest values.  The mass along the edges,
+    alpha[src] * pair[key], is summed into each target state and then
+    multiplied by the state's transition.  Both factors are at most 1, so
+    each weight is.  A state holds at most 3^U out-edges of weight at most
+    1, so earlier loss grows at most 3^U-fold per step before the step's
+    normalizer divides it.
 
-    A marker's pass ends at a step whose largest value is -inf, with log L
-    -inf; or is NaN or +inf, or where its loss bound is too large.  It is
-    marked in ``ended``, its numbers are no longer used, and the others go
-    on; once all have ended the recursion stops.
+    A marker's pass ends at a step whose shift is -inf (a table of -inf
+    alone), with log L -inf; or is NaN or +inf, or where its loss bound is
+    too large.  A step whose two largest values are finite but which has
+    no finite edge, each edge's target or pair being -inf, has normalizer
+    0, so an infinite loss bound: the marker ends with a log L that is not
+    -inf, for the log-space redo, which gives -inf.  A marker that ended
+    is marked in ``ended``, its numbers are no longer used, and the others
+    go on; once all have ended the recursion stops.
     """
     edges, n_states, first = stack.edges, stack.n_states, stack.first
     n_markers, n_edges = len(first), len(edges.src)
@@ -1453,22 +1497,20 @@ def _forward(stack, tables, keep, ended):
             if ended.all():
                 break
             hi = min(lo + per_block, n_steps)
-            # (steps, G, E), C-contiguous: take, where indexing the
-            # transposed view would keep its strides
-            w = stack.lp[:, lo:hi].transpose(1, 0, 2).take(edges.dst, axis=2)
-            w += tables[:, lo:hi].transpose(1, 0, 2).take(edges.key, axis=2)
-            shift = np.maximum.reduce(w, axis=2)
+            top = np.maximum.reduce(tables[:, lo:hi], axis=2)
+            pair = tables[:, lo:hi] - top[..., None]
+            np.exp(pair, out=pair)
+            shift = stack.transition_shift[:, lo:hi] + top
             finite = np.isfinite(shift)
             if not finite.all():
-                # a step with no finite edge gives log L -inf below; one
-                # with a NaN or +inf edge a log L that is not -inf, for the
-                # redo
-                ended |= ~finite.all(axis=0)
-            w -= shift[..., None]
-            np.exp(w, out=w)
+                # a table of -inf alone gives log L -inf below; a NaN or
+                # +inf entry a log L that is not -inf, for the redo
+                ended |= ~finite.all(axis=1)
+            # (steps, G, E), C-contiguous: take, where indexing the
+            # transposed view would keep its strides
+            w = pair.transpose(1, 0, 2).take(edges.key, axis=2)
             # the block's shifts over each marker's own steps: one sum per
             # row, over the markers that share a padding
-            shift = np.ascontiguousarray(shift.T)
             sums = np.add.reduce(shift, axis=1)
             for f, rows in padded.items():
                 if f > lo:
@@ -1480,6 +1522,7 @@ def _forward(stack, tables, keep, ended):
                 mass *= flat[t - lo]
                 mass = np.bincount(dst, mass, n_markers * n_states)
                 mass = mass.reshape(n_markers, n_states)
+                mass *= stack.transition[:, t]
                 total = norms[t] = np.add.reduce(mass, axis=1)
                 np.divide(mass, total[:, None], out=alpha[t + 1])
             if keep:
@@ -1538,9 +1581,14 @@ def _loss_bounds(norms, fan_out, added):
 
 def _backward(stack, weights, ended):
     """Scaled backward messages beta (T, G, S) out of each step, each
-    divided by its maximum, from the forward recursion's edge weights, and
-    a bound (T, G) on each one's loss to underflow relative to its maximum
-    (zero out of a padding step, whose posterior no query reads).
+    divided by its maximum, and a bound (T, G) on each one's loss to
+    underflow relative to its maximum (zero out of a padding step, whose
+    posterior no query reads).
+
+    ``weights`` are the forward recursion's pair factors along the edges
+    (see _forward): an edge carries pair[key] * (beta * transition)[dst],
+    the message out of the step multiplied by the step's scaled
+    transitions on its 6^U states, every factor at most 1.
 
     A marker whose bound is too large is marked in ``ended``.
     """
@@ -1551,11 +1599,10 @@ def _backward(stack, weights, ended):
     src, dst = _stacked_edges(stack.n_unknown, n_markers)
     beta = np.empty((n_steps, n_markers, n_states))
     beta[-1] = 1.0
-    flat_beta = beta.reshape(n_steps, -1)
     tops = np.empty((n_steps - 1, n_markers))
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(n_steps - 1, 0, -1):
-            mass = flat_beta[t][dst]
+            mass = (beta[t] * stack.transition[:, t]).ravel()[dst]
             mass *= steps[t].ravel()
             mass = np.bincount(src, mass, n_markers * n_states)
             mass = mass.reshape(n_markers, n_states)
@@ -1605,12 +1652,13 @@ def _scaled_pass(stack, tables, posteriors, alt, redo):
     others, has_alt = None, False
     if alt is not None:
         others = np.full(np.shape(alt[1]), np.nan)
-        has_alt = np.bincount(alt[0] // stack.lp.shape[1], minlength=len(ended)) > 0
+        has_alt = np.bincount(alt[0] // stack.transition.shape[1], minlength=len(ended)) > 0
     if keep and not ended.all():
         beta, lost_after = _backward(stack, weights, ended)
         edges, n_pairs = stack.edges, stack.n_pairs
-        # a posterior's mass alpha[src] * w * beta[dst] loses what alpha and
-        # beta lost, each at most 3^U-fold, and its own products' underflow
+        # a posterior's mass alpha[src] * pair[key] * (beta * transition)[dst]
+        # loses what alpha and beta lost, each at most 3^U-fold, and its own
+        # products' underflow
         loss = 3**stack.n_unknown * (lost[:-1] + lost_after) + len(edges.src) * _TINY
         if posteriors:
             out = pair.reshape(len(stack.plans), -1, n_pairs)
@@ -1619,7 +1667,8 @@ def _scaled_pass(stack, tables, posteriors, alt, redo):
                 hi = lo + len(w)
                 mass = alpha[lo:hi][..., edges.src]
                 mass *= w
-                mass *= beta[lo:hi][..., edges.dst]
+                ahead = beta[lo:hi] * stack.transition[:, lo:hi].transpose(1, 0, 2)
+                mass *= ahead[..., edges.dst]
                 post = _pair_posteriors(mass, edges.key, n_pairs, loss[lo:hi], ended)
                 out[:, lo:hi] = post.transpose(1, 0, 2)
                 lo = hi
@@ -1635,23 +1684,27 @@ def _alternative_posteriors(stack, alt, alpha, beta, loss, out, ended):
     from the scaled messages around their steps, in blocks of at most
     _BLOCK_EDGES edge values.
 
-    A row whose step has no finite value, or whose posterior would lose
-    too much (``loss`` bounds each step's loss), marks its marker in
-    ``ended``.
+    An edge's mass is alpha[src] * pair[key] * (beta * transition)[dst],
+    with the weight rule of _forward: the row's pair factors exp(row -
+    its largest entry) and the step's scaled transitions, applied to the
+    message out of the step on its 6^U states.  A row with no finite
+    largest entry, or whose posterior would lose too much (``loss``
+    bounds each step's loss; a row with no finite edge has no mass), marks
+    its marker in ``ended``.
     """
     rows, tables = alt
     edges = stack.edges
-    marker, step = np.divmod(rows, stack.lp.shape[1])
+    marker, step = np.divmod(rows, stack.transition.shape[1])
     per_block = max(1, _BLOCK_EDGES // len(edges.src))
     with np.errstate(invalid="ignore"):
         for lo in range(0, len(rows), per_block):
             block = slice(lo, lo + per_block)
             i, t = marker[block], step[block]
-            vals = stack.lp[i, t][:, edges.dst] + tables[block][:, edges.key]
-            shift = vals.max(axis=1)
-            ended[i[~np.isfinite(shift)]] = True
-            mass = alpha[t, i][:, edges.src] * np.exp(vals - shift[:, None])
-            mass *= beta[t, i][:, edges.dst]
+            top = tables[block].max(axis=1)
+            ended[i[~np.isfinite(top)]] = True
+            pair = np.exp(tables[block] - top[:, None])
+            mass = alpha[t, i][:, edges.src] * pair[:, edges.key]
+            mass *= (beta[t, i] * stack.transition[i, t])[:, edges.dst]
             bad = np.zeros(len(i), dtype=bool)
             out[block] = _pair_posteriors(
                 mass[None], edges.key, stack.n_pairs, loss[t, i][None], bad
@@ -1942,7 +1995,7 @@ def _sets_per_pass(stack):
     block of a few thousand edge values, while at U >= 3 a block of one
     set mostly fills the budget and sets pass one at a time."""
     per_step = len(stack.plans) * len(stack.edges.src)
-    steps = min(stack.lp.shape[1], max(1, _BLOCK_EDGES // per_step))
+    steps = min(stack.transition.shape[1], max(1, _BLOCK_EDGES // per_step))
     return max(1, _BLOCK_EDGES // (steps * per_step))
 
 
@@ -2069,7 +2122,7 @@ def _passes(chosen, sets, posteriors, assignments=None):
 
 def _marker_rows(stack, i):
     """The rows of a stack's step tables that hold its i-th marker's steps."""
-    n_steps = stack.lp.shape[1]
+    n_steps = stack.transition.shape[1]
     return slice(i * n_steps + stack.first[i], (i + 1) * n_steps)
 
 
@@ -2221,25 +2274,28 @@ def _kbest_paths(plan, tables, loglik, k):
     if plan.n_unknown == 0:
         return (({}, 1.0),)
     n_pos, edges = len(plan.order), plan.edges
-    n_edges, draw = len(edges.src), plan.pair_draw[edges.key]
+    n_edges, dst, key = len(edges.src), edges.dst, edges.key
     runs = np.searchsorted(edges.src, np.arange(plan.n_states + 1))  # src-major
-    # through[t][e]: the best value of the steps from t on through edge e
+    # through[t][e]: the best value of the steps from t on through edge e,
+    # the best after the step added on its target states
     through, best = [None] * n_pos, np.zeros(plan.n_states)
     for t in range(n_pos - 1, -1, -1):
-        through[t] = _step_values(plan, t, tables[t])
-        through[t] += best[plan.edges_at(t).dst]
+        through[t] = _step_values(plan, t, tables[t], best)
         if t:
             best = np.maximum.reduceat(through[t], runs[:-1])
 
-    bounds, dst, n_first = runs.tolist(), edges.dst.tolist(), len(through[0])
+    n_first = len(through[0])
 
     def value(t, e):
         # edge e's exact log value at step t, as _step_values sums it
-        return float(plan.state_lp[t][dst[e]] + tables[t][edges.key[e]])
+        return float(plan.state_lp[t][dst[e]] + tables[t][key[e]])
+
+    def draw(e):
+        return int(plan.pair_draw[key[e]])
 
     def out_edges(t, s):
         # the edges out of state s entering step t: edges[lo:hi]
-        return (0, n_first) if t == 0 else (bounds[s], bounds[s + 1])
+        return (0, n_first) if t == 0 else (int(runs[s]), int(runs[s + 1]))
 
     trees, owns, lists = {}, {}, {}
 
@@ -2251,11 +2307,11 @@ def _kbest_paths(plan, tables, loglik, k):
             lo, hi = out_edges(t, s)
             e = lo + int(through[t][lo:hi].argmax())
             walk.append((t, s, e))
-            t, s = t + 1, dst[e]
+            t, s = t + 1, int(dst[e])
         path = trees[(t, s)] if t < n_pos else (None, (), ())
         for t, s, e in reversed(walk):
             path = trees[(t, s)] = (
-                e, (value(t, e),) + path[1], (int(draw[e]),) + path[2]
+                e, (value(t, e),) + path[1], (draw(e),) + path[2]
             )
         return path
 
@@ -2268,7 +2324,7 @@ def _kbest_paths(plan, tables, loglik, k):
             lo, hi = out_edges(t, s)
             cost = through[t][e] - through[t][lo:hi]
             cost[e - lo] = math.inf
-            owns[(t, s)] = (cost, t * n_edges + np.arange(lo, hi), dst[e])
+            owns[(t, s)] = (cost, t * n_edges + np.arange(lo, hi), int(dst[e]))
         return owns[(t, s)]
 
     def sidetracks(t, s):
@@ -2307,7 +2363,7 @@ def _kbest_paths(plan, tables, loglik, k):
         _, tree_values, tree_draws = tree(*head)
         n = t - head[0]
         push(base, index, values + tree_values[:n] + (value(t, e),),
-             draws + tree_draws[:n] + (int(draw[e]),), (t + 1, dst[e]))
+             draws + tree_draws[:n] + (draw(e),), (t + 1, int(dst[e])))
 
     # pop past the k-th while a tie with the worst one found may remain
     push(None, None, (), (), (0, 0))
@@ -2384,7 +2440,7 @@ def _observed_peak_posteriors(bundle, truncate) -> _PeakPosteriors:
         weights = _chain_pass(
             stack, tables, alt=(peaks.row, peaks.tables + survival)
         ).alt
-        marker = peaks.row // stack.lp.shape[1]
+        marker = peaks.row // stack.transition.shape[1]
         order = np.lexsort((peaks.trace, marker))
         for j in order.tolist():
             plan = stack.plans[marker[j]]

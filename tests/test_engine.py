@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as stn
 from scipy.special import logsumexp
 
@@ -719,6 +719,189 @@ class TestScaledPassFallback:
         np.testing.assert_allclose(exact, numeric, rtol=1e-5, atol=1e-5)
 
 
+def _path_posteriors(plan, paths):
+    """log L and the posterior of every step's joint (previous draw, draw)
+    pair from enumerated paths: (each unknown's draw at each internal
+    position, log weight) pairs."""
+    weights = np.array([w for _, w in paths])
+    total = float(logsumexp(weights)) if len(weights) else -np.inf
+    pair = np.zeros((len(plan.order), plan.n_pairs))
+    if not np.isfinite(total):
+        return total, pair
+    for draws, w in paths:
+        prev = [0] * plan.n_unknown
+        for t, now in enumerate(draws):
+            key = 0
+            for n, m in zip(prev, now):
+                key = key * 6 + PAIRS.index((n, m))
+            pair[t, key] += math.exp(w - total)
+            prev = now
+    return total, pair
+
+
+def _oracle_paths(bundle, plan, presence=None):
+    """conftest's enumeration as paths: each combination's draws at the
+    marker's internal positions, restricted to those whose unknowns carry
+    the alleles ``presence`` marks present and none it marks absent."""
+    paths = []
+    for counts, w in oracle_table(bundle, plan.marker):
+        carried = {lab: sum(counts[r][lab] for r in plan.unknown_ids) > 0
+                   for lab in plan.internal_labels}
+        if presence and any(carried[lab] != value for lab, value in presence.items()):
+            continue
+        draws = [[counts[r][lab] for r in plan.unknown_ids]
+                 for lab in plan.internal_labels]
+        paths.append((draws, w))
+    return paths
+
+
+def _table_paths(plan, tables):
+    """Every path of the marker's chain, valued from its step tables alone:
+    each unknown's two copies at internal positions i <= j, and per step
+    the transition into the joint state (S, n) and the table's entry at
+    the joint (previous draw, draw) pair."""
+    n_pos, n_unknown = len(plan.order), plan.n_unknown
+    one = []  # one contributor's draw sequences
+    for i in range(n_pos):
+        for j in range(i, n_pos):
+            draws = [0] * n_pos
+            draws[i] += 1
+            draws[j] += 1
+            one.append(draws)
+    paths = []
+    for combo in itertools.product(one, repeat=n_unknown):
+        draws = [[c[t] for c in combo] for t in range(n_pos)]
+        w, prev, taken = 0.0, [0] * n_unknown, [0] * n_unknown
+        for t, now in enumerate(draws):
+            taken = [s + m for s, m in zip(taken, now)]
+            state = key = 0
+            for s, n, m in zip(taken, prev, now):
+                state = state * 6 + STATES.index((s, m))
+                key = key * 6 + PAIRS.index((n, m))
+            w += plan.state_lp[t][state] + tables[t][key]
+            prev = now
+        paths.append((draws, w))
+    return paths
+
+
+def _assert_pass_matches(got_ll, got_pair, want_ll, want_pair):
+    if want_ll == -np.inf:
+        assert got_ll == -np.inf and not got_pair.any()
+        return
+    assert got_ll == pytest.approx(want_ll, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(got_pair, want_pair, rtol=0.0, atol=1e-12)
+
+
+class TestWeightRule:
+    """The scaled pass weighs each edge by transition[dst] * pair[key]:
+    log L and every step's pair posterior against enumerations."""
+
+    @given(stn.integers(0, 2**32 - 1), stn.integers(1, 3), stn.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_scaled_pass_matches_both_oracles(self, seed, n_markers, masked):
+        # ladders of different lengths front-pad the shorter markers; a
+        # presence assignment adds rows with -inf pairs to the tables
+        rng = np.random.default_rng(seed)
+        b = random_case(rng, max_alleles=4, max_unknowns=3, n_markers=n_markers)
+        assignments = {}
+        for stack in b._stacks:
+            tables = engine._step_tables(
+                stack, engine._view_terms(stack, engine._sets_of(b))
+            )
+            for i, plan in enumerate(stack.plans):
+                carried = plan.known_counts.sum(axis=0) > 0
+                free = [lab for p, lab in enumerate(plan.internal_labels)
+                        if not carried[p] and lab != "0"]
+                if masked and plan.n_unknown and free:
+                    lab = free[int(rng.integers(len(free)))]
+                    assignments[plan.marker] = {lab: bool(rng.random() < 0.5)}
+                    rows = engine._marker_rows(stack, i)
+                    tables[rows] += engine._presence_masks(plan, assignments[plan.marker])
+            got = engine._chain_pass(stack, tables, posteriors=True)
+            for i, plan in enumerate(stack.plans):
+                presence = assignments.get(plan.marker)
+                want_ll, want_pair = _path_posteriors(
+                    plan, _oracle_paths(b, plan, presence)
+                )
+                _assert_pass_matches(
+                    got.loglik[i], got.pair[engine._marker_rows(stack, i)],
+                    want_ll, want_pair,
+                )
+                if presence and want_ll == -np.inf:
+                    with pytest.raises(InfeasibleConditioningError):
+                        mx.brute_force_log_likelihood(b, plan.marker, presence=presence)
+                    continue
+                brute = mx.brute_force_log_likelihood(b, plan.marker, presence=presence)
+                assert got.loglik[i] == pytest.approx(brute, rel=1e-12, abs=1e-12)
+
+    @given(stn.integers(0, 2**32 - 1), stn.integers(1, 3),
+           stn.sampled_from(["disjoint", "no edge", "nan", "inf"]),
+           stn.floats(1.0, 900.0))
+    @example(0, 2, "disjoint", 800.0)
+    @example(1, 1, "no edge", 1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_constructed_steps(self, seed, n_markers, kind, gap):
+        rng = np.random.default_rng(seed)
+        b = random_case(rng, max_alleles=4, max_unknowns=3, n_markers=n_markers)
+        while not b.hypothesis.unknown:
+            b = random_case(rng, max_alleles=4, max_unknowns=3, n_markers=n_markers)
+        stack = b._stacks[0]
+        tables = engine._step_tables(stack, engine._view_terms(stack, engine._sets_of(b)))
+        i = int(rng.integers(len(stack.plans)))
+        plan, rows = stack.plans[i], engine._marker_rows(stack, i)
+        n_unknown, n_pairs = plan.n_unknown, plan.n_pairs
+        own = tables[rows]
+        if kind == "disjoint":
+            # the pair of largest factor draws, for one unknown, what no
+            # state of largest transition at its step holds
+            candidates = []
+            for t, lp in enumerate(plan.state_lp):
+                top = np.flatnonzero(lp == lp.max())
+                drawn = {tuple(STATES[d][1] for d in digits)
+                         for digits in _digits(top, 6, n_unknown).tolist()}
+                keys = [k for k, digits in enumerate(
+                    _digits(np.arange(n_pairs), 6, n_unknown).tolist()
+                ) if tuple(PAIRS[d][1] for d in digits) not in drawn]
+                if keys:
+                    candidates.append((t, keys))
+            assume(candidates)
+            t, keys = candidates[int(rng.integers(len(candidates)))]
+            own[t] = -gap
+            own[t, keys[int(rng.integers(len(keys)))]] = 0.0
+        elif kind == "no edge":
+            # the first step leaves state 0, so a pair whose previous draw
+            # is not 0 leads only to states it cannot reach: finite largest
+            # factor and transition, and no finite edge
+            t = 0
+            own[0] = -np.inf
+            own[0, n_pairs - 1] = 0.0
+        else:
+            t = int(rng.integers(len(own)))
+            own[t, int(rng.integers(n_pairs))] = np.nan if kind == "nan" else np.inf
+        tables[rows] = own
+        redo = np.zeros(len(stack.plans), dtype=bool)
+        got = engine._scaled_pass(stack, tables, True, None, redo)
+        if kind in ("nan", "inf"):
+            # not a number the enumeration can check: the log-space redo's
+            assert redo[i]
+            want = engine._log_pass(plan, own, False, None)
+            got_ll = engine._chain_pass(stack, tables).loglik[i]
+            assert np.float64(got_ll).tobytes() == np.float64(want.loglik).tobytes()
+        else:
+            got = engine._chain_pass(stack, tables, posteriors=True)
+        for j, other in enumerate(stack.plans):
+            mine = engine._marker_rows(stack, j)
+            if j == i and kind in ("nan", "inf"):
+                continue
+            want_ll, want_pair = _path_posteriors(other, _table_paths(other, tables[mine]))
+            if j == i and kind == "no edge":
+                # ended by its zero normalizer, unless a table of -inf
+                # alone ends it first
+                assert want_ll == -np.inf
+                assert redo[i] or not np.isfinite(own.max(axis=1)).all()
+            _assert_pass_matches(got.loglik[j], got.pair[mine], want_ll, want_pair)
+
+
 class TestConditionedPresence:
     def _bundle(self):
         freqs = mx.FrequencyTable.from_dict(
@@ -1250,7 +1433,7 @@ class TestDistinctDoses:
             # each marker's first row of the stack's doses B
             length = [len(plan.order) for plan in stack.plans]
             offset = dict(zip(plans, np.cumsum([0] + length)))
-            n_pairs, n_steps = stack.n_pairs, stack.lp.shape[1]
+            n_pairs, n_steps = stack.n_pairs, stack.transition.shape[1]
             layout, term = stack.layout, _terms_at(stack, b, sides=True)
             sets, k = engine._sets_of(b), layout.n_observed
             # every entry's dose point is among its trace's: its observed
@@ -1651,8 +1834,14 @@ class TestPlanBuildAgainstPerPositionReference:
                 _assert_plan_equal(plan, expected)
             expected = _reference_stack(group, trace_ids)
             assert [p.marker for p in stack.plans] == expected["markers"]
-            for name in ("first", "lp", "known_counts"):
+            for name in ("first", "known_counts"):
                 np.testing.assert_array_equal(getattr(stack, name), expected[name])
+            # each step's transitions scaled by their largest
+            shift = expected["lp"].max(axis=2)
+            np.testing.assert_array_equal(stack.transition_shift, shift)
+            np.testing.assert_array_equal(
+                stack.transition, np.exp(expected["lp"] - shift[..., None])
+            )
             _assert_layout_equal(stack.layout, expected["layout"])
 
 
@@ -2047,7 +2236,7 @@ class TestMarkerQueries:
         b = self._many_marker_case()
         (stack,) = b._stacks
         per_block = engine._BLOCK_EDGES // (len(stack.plans) * len(stack.edges.src))
-        assert per_block < stack.lp.shape[1] == 6
+        assert per_block < stack.transition.shape[1] == 6
         posts, tops = mx.bundle_posteriors(b), mx.bundle_top_genotypes(b, 3)
         k1 = b.hypothesis.known["K1"]
         for m in b.covered_markers():
@@ -2239,6 +2428,25 @@ class TestBatchedSets:
             one_ll, one_grad = engine._batch_passes(b, sets.take([k]))
             assert np.float64(loglik[k]).tobytes() == np.float64(one_ll[0]).tobytes()
             assert grad[k].tobytes() == one_grad[0].tobytes()
+        # the pass over a stack repeated once per set reads the stack's
+        # cached transitions, tiled: each set's rows are its own pass's
+        for stack in b._stacks:
+            many = engine._repeated(stack, len(shared))
+            for name in ("transition", "transition_shift"):
+                own = getattr(stack, name)
+                assert getattr(many, name).tobytes() == np.tile(
+                    own, (len(shared),) + (1,) * (own.ndim - 1)
+                ).tobytes()
+            tables = engine._step_tables(stack, engine._view_terms(stack, sets))
+            whole = engine._chain_pass(many, tables, posteriors=True)
+            n_markers, n_rows = len(stack.plans), len(tables) // len(shared)
+            for k in range(len(shared)):
+                one = engine._chain_pass(
+                    stack, tables[k * n_rows:(k + 1) * n_rows], posteriors=True
+                )
+                mine = slice(k * n_markers, (k + 1) * n_markers)
+                assert whole.loglik[mine].tobytes() == one.loglik.tobytes()
+                assert whole.pair[k * n_rows:(k + 1) * n_rows].tobytes() == one.pair.tobytes()
         # the sets in a random order, split into random batches
         order = rng.permutation(len(bundles))
         cuts = rng.choice(np.arange(1, len(bundles)),
