@@ -88,13 +88,17 @@ draw) pair.  Both are exponentials of 6^U values, not of the step's 10^U
 edge values, and every weight is at most 1.  The pass multiplies the
 pair factors along the edges and the transitions on the 6^U states: in
 the forward recursion after the sum into each target state, and into
-the message out of the step in the backward one.  A step's shift is the
-sum of the two largest values; forward messages are normalized by their
-sum and backward messages by their maximum, and log L is the sum of the
-shifts and the logs of the forward normalizers.  Steps are batched in
-blocks of at most _BLOCK_EDGES edge values, counted over the stack's
-markers and steps (one step of one marker at U >= 4), so a pass builds
-no array of every step's edges at large U.
+the message out of the step in the backward one.  Each step's sum over
+its edges is one compiled sparse matrix-vector product over the stack's
+edges held as a CSR matrix (_stacked_csr, _sparse_kernels): into the
+target states going forward, out of the source states going back, adding
+the same products in the same order as an np.bincount over the edges.
+A step's shift is the sum of the two largest values; forward messages
+are normalized by their sum and backward messages by their maximum, and
+log L is the sum of the shifts and the logs of the forward normalizers.
+Steps are batched in blocks of at most _BLOCK_EDGES edge values, counted
+over the stack's markers and steps (one step of one marker at U >= 4),
+so a pass builds no array of every step's edges at large U.
 
 Each edge's products lose at most _TINY to underflow (see _TINY), so a
 step loses at most E * _TINY against the mass it keeps, its normalizer;
@@ -108,7 +112,8 @@ be small, or all zero where no edge is finite: its normalizer then ends
 the marker for the redo, which gives log L -inf where no path is left.
 A step whose table is -inf throughout has no path through it: the
 marker's log L is -inf, with no redo.  Factors as small as e^-700 apiece
-therefore do not underflow the result.
+therefore do not underflow the result.  A NaN or +inf entry that an
+edge reads gives the redo a NaN or +inf log L, never a finite one.
 """
 
 from __future__ import annotations
@@ -381,13 +386,15 @@ def _logsumexp_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarra
     the log-space pass's reduction.
 
     Each group is shifted by its own maximum; a group whose maximum is not
-    finite (empty, all -inf, or holding NaN or +inf) gives -inf.
+    finite gives that maximum: -inf where it is empty or all -inf, NaN
+    where it holds a NaN, else +inf where it holds +inf.  So a NaN or +inf
+    value never yields a finite result.
     """
     shift = np.full(size, -np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.maximum.at(shift, index, values)
         sums = np.bincount(index, np.exp(values - shift[index]), size)
-        return np.where(np.isfinite(shift), shift + np.log(sums), -np.inf)
+        return np.where(np.isfinite(shift), shift + np.log(sums), shift)
 
 
 @dataclass(frozen=True)
@@ -1435,18 +1442,54 @@ def _chain_pass(stack, tables, posteriors=False, alt=None) -> _Pass:
     return result
 
 
+@functools.cache
+def _sparse_kernels():
+    """scipy's compiled sparse products ``csc_matvec`` and ``csr_matvec``
+    (``scipy.sparse._sparsetools``), imported at the first pass
+    (scipy.sparse is slow to import).
+
+    Over _stacked_csr's matrix, whose row i holds state i's out-edges,
+    csc_matvec(n, n, indptr, indices, w, x, y) adds w * x[src] into
+    y[dst] and csr_matvec(n, n, indptr, indices, w, x, y) adds w * x[dst]
+    into y[src], edge by edge in the edges' order: the sums np.bincount
+    makes, bit for bit.  They do not check the indices, so they get only
+    _stacked_csr's arrays; a row of another dtype or layout would be
+    copied at every call, so they get contiguous float64 rows.  A scipy
+    without them raises ImportError naming the installed scipy.
+    """
+    import scipy
+
+    try:
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+    except ImportError:
+        raise ImportError(
+            "mixref needs scipy.sparse._sparsetools.csc_matvec and csr_matvec; "
+            f"scipy {scipy.__version__} is installed"
+        ) from None
+    return csc_matvec, csr_matvec
+
+
 @functools.lru_cache(maxsize=64)
-def _stacked_edges(n_unknown, n_rows):
-    """The src and dst columns of every later step's edges, offset for
-    n_rows stacked rows of 6^U states: row r's states are r * 6^U + s."""
+def _stacked_csr(n_unknown, n_rows):
+    """Every later step's edges for n_rows stacked rows of 6^U states (row
+    r's states are r * 6^U + s), as a CSR matrix from source to target
+    state: ``indptr``, where each source state's run of edges starts, and
+    ``indices``, the edges' targets, in the order of the rows' edges.
+
+    _build_edges sorts the edges by ``src``, so each state's out-edges are
+    one run; the arrays are read-only int64, as _sparse_kernels needs.  One
+    row's targets are the edges' own ``dst`` (at U = 5, 0.8 MB not copied).
+    """
     edges = _build_edges(n_unknown)[1]
+    n_states = 6**n_unknown
+    runs = np.tile(np.bincount(edges.src, minlength=n_states), n_rows)
+    indptr = np.concatenate([[0], np.cumsum(runs)]).astype(np.int64)
+    indptr.setflags(write=False)
     if n_rows == 1:
-        return edges.src, edges.dst
-    offsets = np.arange(n_rows)[:, None] * 6**n_unknown
-    columns = tuple((offsets + c).ravel() for c in (edges.src, edges.dst))
-    for column in columns:
-        column.setflags(write=False)
-    return columns
+        return indptr, edges.dst
+    indices = (np.arange(n_rows, dtype=np.int64)[:, None] * n_states + edges.dst).ravel()
+    indices.setflags(write=False)
+    return indptr, indices
 
 
 def _forward(stack, tables, keep, ended):
@@ -1460,11 +1503,12 @@ def _forward(stack, tables, keep, ended):
     target state (see _Stack) times its pair's factor exp(table - the
     table's largest entry), computed on the step's 6^U pairs; the step's
     shift is the sum of the two largest values.  The mass along the edges,
-    alpha[src] * pair[key], is summed into each target state and then
-    multiplied by the state's transition.  Both factors are at most 1, so
-    each weight is.  A state holds at most 3^U out-edges of weight at most
-    1, so earlier loss grows at most 3^U-fold per step before the step's
-    normalizer divides it.
+    alpha[src] * pair[key], is summed into each target state by one
+    compiled sparse product per step (csc_matvec, in np.bincount's order)
+    and then multiplied by the state's transition.  Both factors are at
+    most 1, so each weight is.  A state holds at most 3^U out-edges of
+    weight at most 1, so earlier loss grows at most 3^U-fold per step
+    before the step's normalizer divides it.
 
     A marker's pass ends at a step whose shift is -inf (a table of -inf
     alone), with log L -inf; or is NaN or +inf, or where its loss bound is
@@ -1485,7 +1529,9 @@ def _forward(stack, tables, keep, ended):
     padded = {}
     if first.any():
         padded = {f: first == f for f in np.unique(first[first > 0]).tolist()}
-    src, dst = _stacked_edges(stack.n_unknown, n_markers)
+    csc_matvec = _sparse_kernels()[0]
+    indptr, indices = _stacked_csr(stack.n_unknown, n_markers)
+    size = n_markers * n_states
     alpha = np.zeros((n_steps + 1, n_markers, n_states))
     alpha[0, :, 0] = 1.0
     flat_alpha = alpha.reshape(n_steps + 1, -1)
@@ -1518,13 +1564,14 @@ def _forward(stack, tables, keep, ended):
             shifts.append((hi - lo, sums))
             flat = w.reshape(hi - lo, -1)
             for t in range(lo, hi):
-                mass = flat_alpha[t][src]
-                mass *= flat[t - lo]
-                mass = np.bincount(dst, mass, n_markers * n_states)
-                mass = mass.reshape(n_markers, n_states)
+                # alpha[t + 1], still zero, takes the sum into each target
+                # state of alpha[src] * pair[key]
+                csc_matvec(size, size, indptr, indices, flat[t - lo], flat_alpha[t],
+                           flat_alpha[t + 1])
+                mass = alpha[t + 1]
                 mass *= stack.transition[:, t]
                 total = norms[t] = np.add.reduce(mass, axis=1)
-                np.divide(mass, total[:, None], out=alpha[t + 1])
+                mass /= total[:, None]
             if keep:
                 weights.append(w)
     # each step's products lose at most E * _TINY; a padding step, whose
@@ -1588,26 +1635,33 @@ def _backward(stack, weights, ended):
     ``weights`` are the forward recursion's pair factors along the edges
     (see _forward): an edge carries pair[key] * (beta * transition)[dst],
     the message out of the step multiplied by the step's scaled
-    transitions on its 6^U states, every factor at most 1.
+    transitions on its 6^U states, every factor at most 1, and each
+    state's out-edges are summed by one compiled sparse product per step
+    (csr_matvec, in np.bincount's order).
 
     A marker whose bound is too large is marked in ``ended``.
     """
-    edges, n_states = stack.edges, stack.n_states
+    n_states = stack.n_states
     fan_out = 3**stack.n_unknown
     steps = [row for w in weights for row in w.reshape(len(w), -1, w.shape[-1])]
     n_steps, n_markers = len(steps), len(steps[0])
-    src, dst = _stacked_edges(stack.n_unknown, n_markers)
-    beta = np.empty((n_steps, n_markers, n_states))
+    csr_matvec = _sparse_kernels()[1]
+    indptr, indices = _stacked_csr(stack.n_unknown, n_markers)
+    size = n_markers * n_states
+    beta = np.zeros((n_steps, n_markers, n_states))
     beta[-1] = 1.0
+    flat_beta = beta.reshape(n_steps, -1)
     tops = np.empty((n_steps - 1, n_markers))
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(n_steps - 1, 0, -1):
-            mass = (beta[t] * stack.transition[:, t]).ravel()[dst]
-            mass *= steps[t].ravel()
-            mass = np.bincount(src, mass, n_markers * n_states)
-            mass = mass.reshape(n_markers, n_states)
+            # beta[t - 1], still zero, takes the sum out of each source
+            # state of pair[key] * (beta * transition)[dst]
+            ahead = (beta[t] * stack.transition[:, t]).ravel()
+            csr_matvec(size, size, indptr, indices, steps[t].ravel(), ahead,
+                       flat_beta[t - 1])
+            mass = beta[t - 1]
             top = tops[t - 1] = np.maximum.reduce(mass, axis=1)
-            np.divide(mass, top[:, None], out=beta[t - 1])
+            mass /= top[:, None]
     lost = np.zeros((n_steps, n_markers))
     lost[-2::-1] = _loss_bounds(
         tops[::-1], fan_out, np.full(tops.shape, fan_out * _TINY)

@@ -521,11 +521,14 @@ class TestLogsumexpBy:
             got = engine._logsumexp_by(index, values, size)
             np.testing.assert_allclose(got, want, rtol=1e-14)
 
-    def test_non_finite_maximum_gives_minus_inf(self):
-        index = np.array([0, 0, 1, 1, 2, 3])
-        values = np.array([np.nan, 1.0, np.inf, 2.0, -3.0, -np.inf])
-        got = engine._logsumexp_by(index, values, 5)
-        assert np.array_equal(got, [-np.inf, -np.inf, -3.0, -np.inf, -np.inf])
+    def test_non_finite_maximum_gives_that_maximum(self):
+        # NaN and +inf propagate, so a log-space pass never turns them into
+        # a finite log L; an empty or all -inf group has no mass
+        index = np.array([0, 0, 1, 1, 2, 3, 5, 5])
+        values = np.array([np.nan, 1.0, np.inf, 2.0, -3.0, -np.inf, np.inf, np.nan])
+        got = engine._logsumexp_by(index, values, 6)
+        assert np.array_equal(got, [np.nan, np.inf, -3.0, -np.inf, -np.inf, np.nan],
+                              equal_nan=True)
 
 
 def _central_difference(bundle, oracle, marker, step):
@@ -839,6 +842,8 @@ class TestWeightRule:
            stn.floats(1.0, 900.0))
     @example(0, 2, "disjoint", 800.0)
     @example(1, 1, "no edge", 1.0)
+    @example(2, 1, "nan", 1.0)
+    @example(3, 2, "inf", 1.0)
     @settings(max_examples=60, deadline=None)
     def test_constructed_steps(self, seed, n_markers, kind, gap):
         rng = np.random.default_rng(seed)
@@ -876,22 +881,26 @@ class TestWeightRule:
             own[0] = -np.inf
             own[0, n_pairs - 1] = 0.0
         else:
-            t = int(rng.integers(len(own)))
-            own[t, int(rng.integers(n_pairs))] = np.nan if kind == "nan" else np.inf
+            t, key = int(rng.integers(len(own))), int(rng.integers(n_pairs))
+            own[t, key] = np.nan if kind == "nan" else np.inf
         tables[rows] = own
         redo = np.zeros(len(stack.plans), dtype=bool)
-        got = engine._scaled_pass(stack, tables, True, None, redo)
+        engine._scaled_pass(stack, tables, True, None, redo)
+        got = engine._chain_pass(stack, tables, posteriors=True)
+        # a NaN or +inf entry that an edge of its step reads (the first step
+        # reads only pairs whose previous draw is 0) leaves no number the
+        # enumeration can check: the log-space redo's log L is not finite,
+        # and its pair posteriors are zero
+        unread = kind in ("nan", "inf") and key not in plan.edges_at(t).key
         if kind in ("nan", "inf"):
-            # not a number the enumeration can check: the log-space redo's
             assert redo[i]
-            want = engine._log_pass(plan, own, False, None)
-            got_ll = engine._chain_pass(stack, tables).loglik[i]
-            assert np.float64(got_ll).tobytes() == np.float64(want.loglik).tobytes()
-        else:
-            got = engine._chain_pass(stack, tables, posteriors=True)
+            want = engine._log_pass(plan, own, True, None)
+            assert np.float64(got.loglik[i]).tobytes() == np.float64(want.loglik).tobytes()
+            assert np.array_equal(got.pair[rows], want.pair)
+            assert unread or not (np.isfinite(want.loglik) or want.pair.any())
         for j, other in enumerate(stack.plans):
             mine = engine._marker_rows(stack, j)
-            if j == i and kind in ("nan", "inf"):
+            if j == i and kind in ("nan", "inf") and not unread:
                 continue
             want_ll, want_pair = _path_posteriors(other, _table_paths(other, tables[mine]))
             if j == i and kind == "no edge":
@@ -900,6 +909,67 @@ class TestWeightRule:
                 assert want_ll == -np.inf
                 assert redo[i] or not np.isfinite(own.max(axis=1)).all()
             _assert_pass_matches(got.loglik[j], got.pair[mine], want_ll, want_pair)
+
+
+class TestSparseSteps:
+    """Each recursion step's edge sum is one compiled sparse product over
+    the stacked edges, in the order of np.bincount's sum, bit for bit."""
+
+    @given(stn.integers(0, 2**32 - 1), stn.integers(1, 3), stn.integers(1, 4))
+    @example(0, 4, 2)
+    @settings(max_examples=40, deadline=None)
+    def test_step_sums_match_bincount_bit_for_bit(self, seed, n_unknown, n_rows):
+        rng = np.random.default_rng(seed)
+        edges = engine._build_edges(n_unknown)[1]
+        n_states = 6**n_unknown
+        size = n_rows * n_states
+        offsets = np.arange(n_rows)[:, None] * n_states
+        src, dst = ((offsets + c).ravel() for c in (edges.src, edges.dst))
+        # weights of every kind a step's pair factors take, and messages in
+        # [0, 1], with zeros and subnormals among them
+        w = rng.random(len(src))
+        kind = rng.random(len(src))
+        w[kind < 0.1] = 0.0
+        subnormal = (kind >= 0.1) & (kind < 0.2)
+        w[subnormal] = rng.integers(1, 2**52, subnormal.sum()) * 5e-324
+        w[(kind >= 0.2) & (kind < 0.22)] = np.inf
+        w[(kind >= 0.22) & (kind < 0.24)] = np.nan
+        x = rng.random(size)
+        x[rng.random(size) < 0.2] = 0.0
+        x[rng.random(size) < 0.1] = 5e-324
+        forward, backward = engine._sparse_kernels()
+        indptr, indices = engine._stacked_csr(n_unknown, n_rows)
+        # the kernels check no index: they get read-only contiguous int64
+        for a in (indptr, indices):
+            assert a.dtype == np.int64 and a.flags.c_contiguous and not a.flags.writeable
+
+        def bits(a):
+            return np.where(np.isnan(a), np.nan, a).tobytes()
+
+        with np.errstate(invalid="ignore"):
+            for kernel, want in (
+                (forward, np.bincount(dst, x[src] * w, size)),
+                (backward, np.bincount(src, x[dst] * w, size)),
+            ):
+                got = np.zeros(size)
+                kernel(size, size, indptr, indices, w, x, got)
+                # bit for bit, every NaN alike: where two NaNs meet in a
+                # sum, the sign of the result follows the operands' order
+                assert bits(got) == bits(want)
+
+    def test_missing_kernels_name_the_scipy_version(self, monkeypatch):
+        import scipy
+        from scipy.sparse import _sparsetools
+
+        b = random_case(np.random.default_rng(5), max_unknowns=1)
+        engine._sparse_kernels.cache_clear()
+        monkeypatch.delattr(_sparsetools, "csc_matvec")
+        try:
+            with pytest.raises(ImportError, match=f"scipy {scipy.__version__} is installed"):
+                mx.total_log_likelihood(b)
+        finally:
+            monkeypatch.undo()
+            engine._sparse_kernels.cache_clear()
 
 
 class TestConditionedPresence:

@@ -788,11 +788,11 @@ class TestCli:
         assert any(h > 0 for m in rows["T1"].values() for h in m.values())
 
 
-def _loaded_after(code):
-    """Which of scipy.optimize and scipy.stats a fresh interpreter holds
-    after running ``code`` with this checkout's mixref on its path."""
+def _loaded_after(code, modules=("scipy.optimize", "scipy.stats")):
+    """Which of ``modules`` a fresh interpreter holds after running
+    ``code`` with this checkout's mixref on its path."""
     src = str(Path(mx.__file__).resolve().parents[1])
-    code += "\nprint(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))"
+    code += f"\nprint(sorted(set({list(modules)!r}) & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": src, "PATH": ""}, timeout=120,
@@ -802,9 +802,11 @@ def _loaded_after(code):
 
 @pytest.mark.parametrize("module", ["mixref", "mixref.cli"])
 def test_importing_leaves_scipy_optimize_and_stats_unloaded(module):
-    # both are slow to import: only fits with free parameters and diagnose
-    # load them, when they run
-    assert _loaded_after(f"import sys, {module}") == "[]"
+    # all three are slow to import: only fits with free parameters and
+    # diagnose load the first two, and the first chain pass scipy.sparse,
+    # when they run
+    modules = ("scipy.optimize", "scipy.stats", "scipy.sparse")
+    assert _loaded_after(f"import sys, {module}", modules) == "[]"
 
 
 def test_importing_the_cli_builds_no_parser():
