@@ -71,9 +71,11 @@ pair), added trace by trace, which fixes their sums' order; the gradient
 is one scatter over every trace's entries.  Every query reads
 the same pass: the gradient, presence posteriors and per-contributor
 count marginals read the posterior of each step's (previous draw, draw)
-pair; exact k-best genotype combinations come from best-first search
-over the sidetracks of the steps' exact log edge values, after a pass
-for the marker likelihoods alone; and the conditional CDF of each
+pair; exact k-best genotype combinations come from a beam over the
+steps, after a pass for the marker likelihoods alone: a max-product
+sweep back over the steps' exact log edge values bounds every prefix by
+its best completion, and each step keeps the prefixes bounded within
+rounding of the k-th best; and the conditional CDF of each
 observed peak from re-evaluating its emit step alone, with the peak's
 factor left out of an exact sum, for every peak of a stack at once.  A
 brute-force enumerator serves as the independent verification oracle.
@@ -102,8 +104,9 @@ so a pass builds no array of every step's edges at large U.
 
 Each edge's products lose at most _TINY to underflow (see _TINY), so a
 step loses at most E * _TINY against the mass it keeps, its normalizer;
-mass lost at one step can grow at most 3^U-fold at each later one.  The pass carries that bound through the forward and
-the backward recursion and into each posterior, and where it exceeds
+mass lost at one step can grow at most 3^U-fold at each later one.  The
+pass carries that bound, in units of _TINY, through the forward and the
+backward recursion and into each posterior, and where it exceeds
 _LOSS of the kept mass (for one step, a normalizer below about 1e-200),
 or a step's shift is NaN or +inf, that marker alone is redone by the
 log-space recursion; the rest of the stack keeps its scaled result.  The
@@ -1384,18 +1387,27 @@ def _tables_without_peaks(stack, terms):
     return _Peaks(trace[observed], position[observed], row[observed], tables)
 
 
-def _step_values(plan, t, tables, ahead=None):
+def _step_values(plan, t, tables, ahead=None, out=None):
     """Per-edge exact log(transition * factors) at step t, for one step
     table or a stack of them (one row each).
 
     The transition is read per target state, from the step's outer sum of
     per-contributor log-pmfs.  ``ahead``, a value per target state, is
     added to the transitions before they are read, on the 6^U states
-    rather than on every edge.
+    rather than on every edge.  ``out``, two rows as long as the step's
+    edges, takes the values of one step table in its first row, with its
+    second as scratch, in place of fresh arrays.
     """
     edges = plan.edges_at(t)
     lp = plan.state_lp[t] if ahead is None else plan.state_lp[t] + ahead
-    return lp[edges.dst] + tables[..., edges.key]
+    if out is None:
+        return lp[edges.dst] + tables[..., edges.key]
+    values, scratch = out
+    # mode "clip" writes into out directly, where "raise" buffers it; the
+    # indices are in range
+    np.take(lp, edges.dst, out=values, mode="clip")
+    np.take(tables, edges.key, out=scratch, mode="clip")
+    return np.add(values, scratch, out=values)
 
 
 class _Pass(NamedTuple):
@@ -1497,18 +1509,18 @@ def _forward(stack, tables, keep, ended):
 
     Returns each marker's log L; the messages alpha (T+1, G, S) into each
     step, each summing to 1; a bound (T+1, G) on each one's loss to
-    underflow, relative to its sum; and (if ``keep``) each block's pair
-    factors along its edges (steps, G, E), pair[key].  An edge's weight is
-    transition[dst] * pair[key]: the stack's scaled transition into its
-    target state (see _Stack) times its pair's factor exp(table - the
-    table's largest entry), computed on the step's 6^U pairs; the step's
-    shift is the sum of the two largest values.  The mass along the edges,
-    alpha[src] * pair[key], is summed into each target state by one
-    compiled sparse product per step (csc_matvec, in np.bincount's order)
-    and then multiplied by the state's transition.  Both factors are at
-    most 1, so each weight is.  A state holds at most 3^U out-edges of
-    weight at most 1, so earlier loss grows at most 3^U-fold per step
-    before the step's normalizer divides it.
+    underflow, relative to its sum, in units of _TINY; and (if ``keep``)
+    each block's pair factors along its edges (steps, G, E), pair[key].
+    An edge's weight is transition[dst] * pair[key]: the stack's scaled
+    transition into its target state (see _Stack) times its pair's factor
+    exp(table - the table's largest entry), computed on the step's 6^U
+    pairs; the step's shift is the sum of the two largest values.  The
+    mass along the edges, alpha[src] * pair[key], is summed into each
+    target state by one compiled sparse product per step (csc_matvec, in
+    np.bincount's order) and then multiplied by the state's transition.
+    Both factors are at most 1, so each weight is.  A state holds at most
+    3^U out-edges of weight at most 1, so earlier loss grows at most
+    3^U-fold per step before the step's normalizer divides it.
 
     A marker's pass ends at a step whose shift is -inf (a table of -inf
     alone), with log L -inf; or is NaN or +inf, or where its loss bound is
@@ -1576,13 +1588,14 @@ def _forward(stack, tables, keep, ended):
                 weights.append(w)
     # each step's products lose at most E * _TINY; a padding step, whose
     # one product is exact, nothing (a later tiny normalizer would magnify
-    # even 1e-320 past _LOSS)
-    step_loss = np.full((n_steps, n_markers), n_edges * _TINY)
+    # even 1e-320 past _LOSS).  Bounds are in units of _TINY, which keeps
+    # them out of the subnormal range.
+    step_loss = np.full((n_steps, n_markers), float(n_edges))
     if first.any():
         step_loss[np.arange(n_steps)[:, None] < first] = 0.0
     lost = np.zeros((n_steps + 1, n_markers))
     lost[1:] = _loss_bounds(norms, 3**stack.n_unknown, step_loss)
-    ended |= ~(lost <= _LOSS).all(axis=0)
+    ended |= ~(lost <= _LOSS / _TINY).all(axis=0)
     norms[:, ended] = 1.0
     # log L adds each block's shifts, then the log of each of its
     # normalizers, in order
@@ -1611,7 +1624,9 @@ def _loss_bounds(norms, fan_out, added):
     normalizers are taken apart, so a subnormal one does not overflow
     fan_out / norms[r].  A zero normalizer after a positive bound or
     addition gives an infinite bound, after none a NaN bound, and a NaN
-    normalizer a NaN bound: none is <= _LOSS."""
+    normalizer a NaN bound: none is below a finite limit.  The bounds are
+    in the units of ``added``; the passes count in units of _TINY, so
+    that their bounds are not subnormal."""
     log_fan_out = math.log(fan_out)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.cumsum(log_fan_out - np.log(norms), axis=0)  # c[1] .. c[T]
@@ -1620,17 +1635,14 @@ def _loss_bounds(norms, fan_out, added):
         top = np.fmax.reduce(terms, axis=0, initial=-np.inf)
         top[~np.isfinite(top)] = 0.0
         lead = np.log(np.cumsum(np.exp(terms - top), axis=0))
-        # bounds are mostly subnormal, where np.exp takes a slow path that a
-        # product does not: exp(z) as exp(z / 2) squared
-        half = np.exp(0.5 * (scale - log_fan_out + top + lead))
-        return half * half
+        return np.exp(scale - log_fan_out + top + lead)
 
 
 def _backward(stack, weights, ended):
     """Scaled backward messages beta (T, G, S) out of each step, each
     divided by its maximum, and a bound (T, G) on each one's loss to
-    underflow relative to its maximum (zero out of a padding step, whose
-    posterior no query reads).
+    underflow relative to its maximum, in units of _TINY (zero out of a
+    padding step, whose posterior no query reads).
 
     ``weights`` are the forward recursion's pair factors along the edges
     (see _forward): an edge carries pair[key] * (beta * transition)[dst],
@@ -1663,12 +1675,10 @@ def _backward(stack, weights, ended):
             top = tops[t - 1] = np.maximum.reduce(mass, axis=1)
             mass /= top[:, None]
     lost = np.zeros((n_steps, n_markers))
-    lost[-2::-1] = _loss_bounds(
-        tops[::-1], fan_out, np.full(tops.shape, fan_out * _TINY)
-    )
+    lost[-2::-1] = _loss_bounds(tops[::-1], fan_out, np.full(tops.shape, float(fan_out)))
     if stack.first.any():  # the messages out of padding steps serve no posterior
         lost[np.arange(n_steps)[:, None] < stack.first] = 0.0
-    ended |= ~(lost <= _LOSS).all(axis=0)
+    ended |= ~(lost <= _LOSS / _TINY).all(axis=0)
     return beta, lost
 
 
@@ -1676,9 +1686,9 @@ def _pair_posteriors(mass, keys, n_pairs, loss, ended):
     """Rows of edge masses (..., G, E) summed by the edges' pairs ``keys``,
     with one np.bincount for all rows, and normalized over the row.
 
-    ``loss`` bounds each row's loss to underflow.  Axis -2 is the
-    markers': one with a row that would lose too much is marked in
-    ``ended``.
+    ``loss`` bounds each row's loss to underflow, in units of _TINY.
+    Axis -2 is the markers': one with a row that would lose too much is
+    marked in ``ended``.
     """
     rows = mass.reshape(-1, mass.shape[-1])
     index = (np.arange(len(rows))[:, None] * n_pairs + keys).ravel()
@@ -1686,7 +1696,7 @@ def _pair_posteriors(mass, keys, n_pairs, loss, ended):
     post = post.reshape(mass.shape[:-1] + (n_pairs,))
     total = np.add.reduce(post, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        bad = ~(loss / total <= _LOSS)
+        bad = ~(loss / total <= _LOSS / _TINY)
     ended |= bad.reshape(-1, len(ended)).any(axis=0)
     total[bad] = 1.0
     return post / total[..., None]
@@ -1712,8 +1722,8 @@ def _scaled_pass(stack, tables, posteriors, alt, redo):
         edges, n_pairs = stack.edges, stack.n_pairs
         # a posterior's mass alpha[src] * pair[key] * (beta * transition)[dst]
         # loses what alpha and beta lost, each at most 3^U-fold, and its own
-        # products' underflow
-        loss = 3**stack.n_unknown * (lost[:-1] + lost_after) + len(edges.src) * _TINY
+        # products' underflow (in units of _TINY)
+        loss = 3**stack.n_unknown * (lost[:-1] + lost_after) + len(edges.src)
         if posteriors:
             out = pair.reshape(len(stack.plans), -1, n_pairs)
             lo = 0
@@ -2269,7 +2279,8 @@ def bundle_posteriors(bundle: EvidenceBundle) -> dict[str, MarkerChainPosterior]
 def _top_genotypes(chosen, sets, k):
     """The k best genotype combinations of each marker asked about (see
     _passes): a value pass over each stack for the markers' log L, then
-    k-best search per marker."""
+    one max-product sweep and one bounded beam per marker (see
+    _kbest_paths)."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     return {
@@ -2281,12 +2292,14 @@ def _top_genotypes(chosen, sets, k):
 def top_k_marker_genotypes(bundle: EvidenceBundle, marker: str, k: int):
     """The k most probable unknown genotype combinations for one marker.
 
-    Exact, computed by best-first search over the chain; probabilities
+    Exact, computed by a beam over the chain's steps that keeps every
+    prefix whose max-product bound reaches the k-th best; probabilities
     are normalized by the marker likelihood.  Asking for more combinations
     than exist returns every combination with positive posterior
     probability (impossible ones are omitted).  Combinations of equal
     probability come in the order of their genotypes, compared role by
-    role as pairs of ladder indices.
+    role as pairs of ladder indices, also where k cuts between them: the
+    list for k is the start of the list for any larger k.
     """
     stack, i = _stack_of(bundle, marker)
     return _top_genotypes([(stack, [i])], _sets_of(bundle), k)[marker]
@@ -2307,147 +2320,104 @@ def _kbest_paths(plan, tables, loglik, k):
     """The k most probable combinations of one marker's unknown genotypes,
     with probabilities normalized by its likelihood exp(loglik).
 
-    A combination is a path through the chain, valued by the sum of its
-    steps' exact log edge values (scaled weights that underflow would drop
-    edges).  Max-product bounds pick out of every state, at every step,
-    one edge on a best path to the end, its tree edge, and cost each other
-    edge e out of state s at step t what a path loses by taking it:
-    best[t-1][s] - vals[t][e] - best[t][dst] >= 0, where best[t][s] is the
-    best value of the steps after t from state s.  A path is the sequence
-    of its other edges (sidetracks), with tree edges in between, and its
-    value is the best path's less their costs (Eppstein 1998, SIAM J.
-    Comput. 28).  The sidetracks that can follow one are those out of the
-    states on the tree path from its target, sorted by cost.  A
-    sequence's children replace its last sidetrack by the next one in
-    that order, or append the cheapest one that can follow it; neither is
-    worth more than it, so best-first search pops one sequence per
-    combination, and sorts out-edges only at the states it reaches.
-    Paths of zero probability are left out.  Ties in probability are
-    ordered by the genotypes, role by role, as pairs of ladder indices.
+    A combination is a path through the chain, valued by the sum, in step
+    order, of its steps' exact log edge values (scaled weights that
+    underflow would drop edges).  A sweep from the last step back gives
+    best[t][s], the best value of the steps from t on out of state s, by
+    max-product.  A beam then goes forward from state 0: it extends every
+    prefix it keeps along its state's out-edges, bounds each extension by
+    its value plus best[t + 1] at its target, and keeps those whose bound
+    is within a rounding slack of the k-th largest, the M most probable
+    configurations from max-propagation bounds (Nilsson 1998, Statistics
+    and Computing 8).  A prefix's bound is the value of its best
+    completion, so k prefixes bounded above v_k, the k-th best path value,
+    would give k distinct paths above it: every prefix of a path valued at
+    least v_k is kept, and the paths kept at the last step hold the k best
+    and every path tied with the k-th.
+
+    Each value and bound is a sum of the same terms, a transition and a
+    table entry per step, in some order (a maximum of such sums where a
+    bound reads best), so with u = 2^-53 it is within eps = 2 n u S (1 +
+    O(n u)) of the exact sum, n the number of steps and S the sum of the
+    steps' largest finite terms in magnitude.  A bound b among the k
+    largest then has a completion valued at least b - 2 eps, so v_k is at
+    least the k-th largest bound less 2 eps, and a prefix of a path valued
+    at least v_k has a bound of at least v_k - 2 eps: the slack 4 eps
+    suffices, and 8 n eps_machine S, twice that, also covers the rounding
+    of the slack and of the cut.  Paths of zero probability are left out.
+    Ties in probability are ordered by the genotypes, role by role, as
+    pairs of ladder indices.
     """
     if plan.n_unknown == 0:
         return (({}, 1.0),)
     n_pos, edges = len(plan.order), plan.edges
-    n_edges, dst, key = len(edges.src), edges.dst, edges.key
-    runs = np.searchsorted(edges.src, np.arange(plan.n_states + 1))  # src-major
-    # through[t][e]: the best value of the steps from t on through edge e,
-    # the best after the step added on its target states
-    through, best = [None] * n_pos, np.zeros(plan.n_states)
-    for t in range(n_pos - 1, -1, -1):
-        through[t] = _step_values(plan, t, tables[t], best)
+    runs = _stacked_csr(plan.n_unknown, 1)[0]  # state s's out-edges: runs[s]:runs[s+1]
+    # the sweep: best[t] from t = n - 1 down to 1 (best[n] = 0; best[0] is
+    # not needed), every step in one pair of buffers
+    best = [None] * n_pos + [np.zeros(plan.n_states)]
+    out = np.empty((2, len(edges.src)))
+    for t in range(n_pos - 1, 0, -1):
+        through = _step_values(plan, t, tables[t], best[t + 1], out)
+        best[t] = np.maximum.reduceat(through, runs[:-1])
+    scale = sum(
+        np.maximum.reduce(np.abs(terms), axis=1, where=np.isfinite(terms), initial=0.0).sum()
+        for terms in (plan.state_lp, tables)
+    )
+    slack = 8 * n_pos * np.finfo(float).eps * scale
+
+    # the first step's prefixes are its edges out of state 0; each kept
+    # prefix holds its value, its state, and per step its parent and draw
+    value, state, key = _step_values(plan, 0, tables[0]), plan.edges0.dst, plan.edges0.key
+    parent = np.zeros(len(state), dtype=np.int64)
+    degree = np.diff(runs)
+    lowest = -np.finfo(float).max  # a bound of -inf: no path of positive probability
+    trail = []
+    for t in range(n_pos):
         if t:
-            best = np.maximum.reduceat(through[t], runs[:-1])
+            n_out = degree[state]
+            parent = np.arange(len(state)).repeat(n_out)
+            e = np.arange(len(parent))
+            e += (runs[state] - n_out.cumsum() + n_out).repeat(n_out)
+            state, key = edges.dst[e], edges.key[e]
+            del e
+            # the step's value, then the prefix's added to it (in either
+            # order, the sum a path's value makes in step order)
+            step = plan.state_lp[t][state]
+            step += tables[t][key]
+            step += value[parent]
+            value = step
+        bound = best[t + 1][state]
+        bound += value
+        cut = len(bound) - k
+        kth = np.partition(bound, cut)[cut] if cut > 0 else -np.inf
+        keep = (bound >= max(kth - slack, lowest)).nonzero()[0]
+        del bound
+        value, state = value[keep], state[keep]
+        trail.append((parent[keep], plan.pair_draw[key[keep]]))
 
-    n_first = len(through[0])
-
-    def value(t, e):
-        # edge e's exact log value at step t, as _step_values sums it
-        return float(plan.state_lp[t][dst[e]] + tables[t][key[e]])
-
-    def draw(e):
-        return int(plan.pair_draw[key[e]])
-
-    def out_edges(t, s):
-        # the edges out of state s entering step t: edges[lo:hi]
-        return (0, n_first) if t == 0 else (int(runs[s]), int(runs[s + 1]))
-
-    trees, owns, lists = {}, {}, {}
-
-    def tree(t, s):
-        # the tree path from state s entering step t: its first edge, and
-        # each step's edge value and draw, as Python numbers
-        walk = []
-        while t < n_pos and (t, s) not in trees:
-            lo, hi = out_edges(t, s)
-            e = lo + int(through[t][lo:hi].argmax())
-            walk.append((t, s, e))
-            t, s = t + 1, int(dst[e])
-        path = trees[(t, s)] if t < n_pos else (None, (), ())
-        for t, s, e in reversed(walk):
-            path = trees[(t, s)] = (
-                e, (value(t, e),) + path[1], (draw(e),) + path[2]
-            )
-        return path
-
-    def own(t, s):
-        # the costs of the edges out of state s entering step t, inf for
-        # the tree edge, and their codes t * n_edges + edge; and the tree
-        # edge's target
-        if (t, s) not in owns:
-            e = tree(t, s)[0]
-            lo, hi = out_edges(t, s)
-            cost = through[t][e] - through[t][lo:hi]
-            cost[e - lo] = math.inf
-            owns[(t, s)] = (cost, t * n_edges + np.arange(lo, hi), int(dst[e]))
-        return owns[(t, s)]
-
-    def sidetracks(t, s):
-        # the codes of the sidetracks off the tree path from state s
-        # entering step t, cheapest first
-        if (t, s) not in lists:
-            parts, v = [], s
-            for u in range(t, n_pos):
-                cost, codes, v = own(u, v)
-                parts.append((cost, codes))
-            cost, codes = (np.concatenate(c) for c in zip(*parts))
-            # the finite costs sort first: inf and NaN last
-            order = cost.argsort(kind="stable")[:int(np.isfinite(cost).sum())]
-            lists[(t, s)] = codes[order].tolist()
-        return lists[(t, s)]
-
-    # sequence q: (its base, the index of its last sidetrack among those
-    # that can follow the base, its path's values and draws up to that
-    # sidetrack, its head: the state after it); sequence 0, the best path,
-    # has no sidetrack
-    sequences, queue = [], []
-
-    def push(base, index, values, draws, head):
-        _, rest_values, rest_draws = tree(*head)
-        g = 0.0
-        for v in values + rest_values:  # in step order, as a path is valued
-            g += v
-        heapq.heappush(queue, (-g, len(sequences), draws + rest_draws))
-        sequences.append((base, index, values, draws, head))
-
-    def extend(base, index):
-        # base's path to its head, one sidetrack off the tree path from
-        # there, and tree edges after it
-        values, draws, head = sequences[base][2:]
-        t, e = divmod(lists[head][index], n_edges)
-        _, tree_values, tree_draws = tree(*head)
-        n = t - head[0]
-        push(base, index, values + tree_values[:n] + (value(t, e),),
-             draws + tree_draws[:n] + (draw(e),), (t + 1, int(dst[e])))
-
-    # pop past the k-th while a tie with the worst one found may remain
-    push(None, None, (), (), (0, 0))
-    found, floor = [], math.inf
-    while queue and (len(found) < k or -queue[0][0] >= floor):
-        neg, q, path = heapq.heappop(queue)
-        found.append((neg, path))
-        floor = min(floor, -neg)
-        base, index, _, _, head = sequences[q]
-        if base is not None and index + 1 < len(lists[sequences[base][4]]):
-            extend(base, index + 1)
-        if head[0] < n_pos and sidetracks(*head):
-            extend(q, 0)
-
-    # each path's genotypes, as sorted ladder indices per role
-    ladder, counts = plan.order.tolist(), plan.combo_counts.tolist()
-    ranked = []
-    for neg, path in found:
-        picks = [[] for _ in plan.unknown_ids]
-        for t, c in enumerate(path):
-            for pick, n in zip(picks, counts[c]):
-                pick += [ladder[t]] * n
-        picks = [sorted(pick) for pick in picks]
-        assignment = {
-            role: tuple(plan.labels[j] for j in pick)
-            for role, pick in zip(plan.unknown_ids, picks)
-        }
-        ranked.append((neg, sum(picks, []), assignment))
-    ranked.sort(key=lambda r: r[:2])
-    return tuple((a, float(np.exp(-neg - loglik))) for neg, _, a in ranked[:k])
+    # each path's draws, back through the parents; its genotypes as the
+    # lowest and highest ladder index each role drew (two copies apiece)
+    paths = np.empty((len(value), n_pos), dtype=np.int64)
+    at = np.arange(len(value))
+    for t in range(n_pos - 1, -1, -1):
+        parent, draw = trail[t]
+        paths[:, t] = draw[at]
+        at = parent[at]
+    drew = plan.combo_counts[paths] > 0  # (paths, steps, roles)
+    ladder = plan.order[:, None]
+    picks = np.stack([
+        np.where(drew, ladder, n_pos).min(axis=1),
+        np.where(drew, ladder, -1).max(axis=1),
+    ], axis=2).reshape(len(value), -1)  # role by role: (low, high)
+    top = np.lexsort((*picks.T[::-1], -value))[:k]
+    labels = plan.labels
+    return tuple(
+        ({role: (labels[lo], labels[hi]) for role, lo, hi in zip(plan.unknown_ids, *pick)}, p)
+        for pick, p in zip(
+            picks[top].reshape(len(top), -1, 2).transpose(0, 2, 1).tolist(),
+            np.exp(value[top] - loglik).tolist(),
+        )
+    )
 
 
 class _PeakPosteriors(NamedTuple):

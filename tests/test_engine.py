@@ -659,7 +659,7 @@ class TestScaledPassFallback:
         # one step below it, or two steps that each keep 1e-150, are not
         for steps in ([(2, 1e-210)], [(1, 1e-150), (2, 1e-150)]):
             assert backward_ends(*steps)
-        keys, one_step = stack.edges.key, n_edges * engine._TINY
+        keys, one_step = stack.edges.key, float(n_edges)  # in units of _TINY
 
         def posteriors_end(mass):
             ended = np.zeros(1, dtype=bool)
@@ -1192,6 +1192,57 @@ class TestTopK:
             freqs, mx.Hypothesis(known={}, unknown=("U1",)), {"9": 430.0}, params
         )
 
+    def test_k_that_cuts_a_tie_keeps_genotype_order(self):
+        # six combinations tie at ranks 49-54 of M2; a cut inside them keeps
+        # the first ones in genotype order, as the full list has them
+        b = _equal_unknown_fractions(random_case(
+            np.random.default_rng(10279), max_unknowns=3, max_alleles=4, n_markers=2
+        ))
+        full = mx.top_k_marker_genotypes(b, "M2", 10**6)
+        assert len({p for _, p in full[48:54]}) == 1
+        assert full[47][1] > full[48][1] > full[54][1]
+        assert full[48][0] == {"U1": ("0", "0"), "U2": ("0", "7"), "U3": ("8", "9.3")}
+        for k in (49, 50, 51):
+            assert mx.top_k_marker_genotypes(b, "M2", k) == full[:k]
+
+    @given(stn.integers(0, 2**32 - 1), stn.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=42, k=1)
+    def test_every_k_is_a_prefix_of_the_full_list_under_ties(self, seed, k):
+        # equal unknown fractions make many combinations tie exactly
+        rng = np.random.default_rng(seed)
+        b = random_case(rng, max_unknowns=3, max_alleles=4, n_markers=2)
+        while len(b.hypothesis.unknown) < 2:
+            b = random_case(rng, max_unknowns=3, max_alleles=4, n_markers=2)
+        b = _equal_unknown_fractions(b)
+        for marker in b.covered_markers():
+            try:
+                full = mx.top_k_marker_genotypes(b, marker, 10**6)
+            except InfeasibleConditioningError:
+                continue
+            assert mx.top_k_marker_genotypes(b, marker, k) == full[:k]
+
+    @given(stn.integers(0, 2**32 - 1), stn.integers(1, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_ranked_enumeration(self, seed, k):
+        b = random_case(np.random.default_rng(seed), max_unknowns=3, max_alleles=4)
+        _assert_top_k_like_the_enumeration(b, k)
+
+    def test_four_unknowns_match_the_ranked_enumeration(self):
+        b = random_case(
+            np.random.default_rng(0), max_unknowns=4, max_alleles=3, allow_silent=False
+        )
+        assert len(b.hypothesis.unknown) == 4
+        _assert_top_k_like_the_enumeration(b, 2000)
+
+    def test_lists_at_growing_k_are_prefixes(self):
+        b = random_case(np.random.default_rng(6), max_unknowns=4, max_alleles=5)
+        assert len(b.hypothesis.unknown) == 4
+        lists = [mx.top_k_marker_genotypes(b, "M", k) for k in (1, 7, 100, 5000)]
+        assert [len(top) for top in lists] == [1, 7, 100, 5000]
+        for shorter, longer in zip(lists, lists[1:]):
+            assert longer[:len(shorter)] == shorter
+
     @pytest.mark.parametrize("k", [-1, 2.5, 1.0, "2", None])
     def test_k_must_be_a_non_negative_integer(self, k):
         b = self._two_allele_bundle()
@@ -1206,6 +1257,55 @@ class TestTopK:
         with pytest.raises(ValueError, match="integer of at least 1"):
             mx.top_k_marker_genotypes(b, "M", k)
         assert len(mx.top_k_marker_genotypes(b, "M", np.int64(1))) == 1
+
+
+def _assert_top_k_like_the_enumeration(b, k):
+    """top_k_marker_genotypes(b, "M", k) against the oracle's combinations
+    ranked by (-log weight, genotype ladder indices) and cut at k."""
+    table = oracle_table(b, "M")
+    total = logsumexp([w for _, w in table])
+    assume(total > -np.inf)
+    ladder = b.frequencies.ladder("M").alleles
+    ranked = []
+    for counts, w in table:
+        if w == -np.inf:
+            continue
+        genotype = {
+            role: tuple(lab for lab in ladder for _ in range(counts[role][lab]))
+            for role in b.hypothesis.unknown
+        }
+        picks = [ladder.index(lab) for g in genotype.values() for lab in g]
+        ranked.append((-w, picks, genotype))
+    ranked.sort(key=lambda r: r[:2])
+    want = ranked[:k]
+    # weights that agree to rounding are ties of the model, which each
+    # side orders by its own last bits: a run of them may come in any
+    # order, and a cut inside one may keep any of its members
+    run, where = 0, {}
+    for i, (neg, _, genotype) in enumerate(ranked):
+        if i and neg - ranked[i - 1][0] > 1e-12 * (1 + abs(neg)):
+            run += 1
+        where[tuple(genotype.values())] = (run, math.exp(-neg - total))
+    got = mx.top_k_marker_genotypes(b, "M", k)
+    assert len({tuple(g.values()) for g, _ in got}) == len(got)
+    assert [where[tuple(g.values())][0] for g, _ in got] == [
+        where[tuple(g.values())][0] for _, _, g in want
+    ]
+    np.testing.assert_allclose(
+        [p for _, p in got], [where[tuple(g.values())][1] for g, _ in got],
+        rtol=0, atol=1e-9,
+    )
+
+
+def _equal_unknown_fractions(b):
+    """The bundle with each trace's unknown fractions set to their mean."""
+    p, unknown = b.parameters, set(b.hypothesis.unknown)
+    phi = {}
+    for tid, fractions in p.phi.items():
+        mine = [x for r, x in fractions.items() if r in unknown]
+        mean = sum(mine) / len(mine) if mine else 0.0
+        phi[tid] = {r: mean if r in unknown else x for r, x in fractions.items()}
+    return b.with_parameters(mx.ModelParameters(rho=p.rho, eta=p.eta, xi=p.xi, phi=phi))
 
 
 class TestTopKJointProfiles:
@@ -2026,7 +2126,8 @@ def loss_bound_cases(draw):
     """Normalizers of T steps and G columns, each at most fan_out = 3^U:
     some 0, NaN or subnormal, the first steps of each column padding
     (normalizer 1, nothing added); and additions in the normal range, or
-    the forward pass's own E * _TINY, which are subnormal."""
+    E * _TINY, which are subnormal, or the passes' own E in units of
+    _TINY, with the limit _LOSS in those units."""
     n_unknown = draw(stn.integers(0, 4))
     n_steps, n_columns = draw(stn.integers(0, 16)), draw(stn.integers(1, 4))
     fan_out = 3**n_unknown
@@ -2036,9 +2137,11 @@ def loss_bound_cases(draw):
         stn.one_of(usual, usual, usual, special),
         min_size=n_steps * n_columns, max_size=n_steps * n_columns,
     ))).reshape(n_steps, n_columns)
-    tiny = draw(stn.booleans())
-    if tiny:
+    kind, limit = draw(stn.sampled_from(["normal", "subnormal", "units"])), engine._LOSS
+    if kind == "subnormal":
         added = np.full(norms.shape, 10**n_unknown * engine._TINY)
+    elif kind == "units":
+        added, limit = np.full(norms.shape, float(10**n_unknown)), engine._LOSS / engine._TINY
     else:
         added = np.array(draw(stn.lists(
             stn.floats(-690.0, -20.0).map(math.exp),
@@ -2048,24 +2151,24 @@ def loss_bound_cases(draw):
                                   max_size=n_columns)))
     padding = np.arange(n_steps)[:, None] < pad
     norms[padding], added[padding] = 1.0, 0.0
-    return norms, fan_out, added, tiny
+    return norms, fan_out, added, limit, kind == "subnormal"
 
 
 class TestLossBounds:
     @given(loss_bound_cases())
     @settings(max_examples=300, deadline=None)
     def test_closed_form_matches_the_recurrence(self, case):
-        norms, fan_out, added, tiny = case
+        norms, fan_out, added, limit, subnormal = case
         want = _recurrence_bounds(norms, fan_out, added)
         got = engine._loss_bounds(norms, fan_out, added)
         assert got.shape == want.shape
         # the same markers end
         np.testing.assert_array_equal(
-            ~(got <= engine._LOSS).all(axis=0), ~(want <= engine._LOSS).all(axis=0)
+            ~(got <= limit).all(axis=0), ~(want <= limit).all(axis=0)
         )
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         assert (got[want == np.inf] > 1e300).all()
-        if tiny:
+        if subnormal:
             # the recurrence rounds subnormal bounds to 2^-1074 apiece: no
             # relative precision to compare against
             return
