@@ -39,15 +39,15 @@ the entries.
 A bundle builds its plans and stacks together, with array operations
 over the positions of the markers its traces cover rather than Python
 loops over positions: one fold of the per-contributor log-pmfs gives
-every step's transitions, one pass per trace lays out its entries on
-every stack, in one frame that places each position in its stack, and
-each stack joins its traces' parts into its layout.  A
-marker's plan holds what is the marker's own (its ladder, its steps'
-transitions, the known contributors' counts), which the queries about
-it read; every pass runs over a stack.  The tables that depend on U
-alone, the edges (_build_edges) and the draw and pair tables
-(_joint_tables), are built once per U and shared, read-only, by every
-plan and stack.
+every step's transitions, and one pass over every trace and position
+lays out every stack (_factor_layouts): two sorts of the (trace,
+position) peaks order every stack's entries and dose points, and each
+stack's layout is slices of the pass's arrays.  A marker's plan holds
+what is the marker's own (its ladder, its steps' transitions, the known
+contributors' counts), which the queries about it read; every pass runs
+over a stack.  The tables that depend on U alone, the edges
+(_build_edges) and the draw and pair tables (_joint_tables), are built
+once per U and shared, read-only, by every plan and stack.
 
 Several traces that share unknown contributors are coupled by multiplying
 their per-allele factors inside the same chain pass.  The markers are
@@ -480,7 +480,7 @@ class _FactorLayout:
     marker by marker, then its dropout entries, marker by marker.  cell is
     each entry's cell in the step tables, and position each run of 6^U
     entries' (each peak's) internal position on its marker (see
-    _trace_layouts).
+    _factor_layouts, which lays out every stack of a build at once).
 
     A dose point is an observed entry or a distinct dropout dose of one
     trace: first every trace's observed entries (n_observed of them, with
@@ -516,22 +516,6 @@ class _FactorLayout:
     run_column: np.ndarray
 
 
-class _TracePart(NamedTuple):
-    """One trace's entries and dose points on the markers it covers in one
-    stack, as _trace_layouts lays them out; a stack's _FactorLayout joins
-    its traces' parts.  Its first n_observed entries and dose points are
-    its observed entries; gather indexes the trace's own B and zero cell,
-    and spread maps each dropout entry to its distinct dose, counted from
-    the trace's first."""
-
-    n_observed: int
-    peak_heights: np.ndarray
-    gather: np.ndarray
-    cell: np.ndarray
-    spread: np.ndarray
-    position: np.ndarray
-
-
 class _Positions(NamedTuple):
     """The internal positions of the markers a build lays out, marker
     after marker, with what a trace's layout reads of each."""
@@ -541,18 +525,6 @@ class _Positions(NamedTuple):
     coupled: np.ndarray  # stutter donor at p+1
     emitted: np.ndarray  # not silent: the position has a factor
     kind: np.ndarray     # dose kind (see _dose_kinds)
-
-
-class _Frame(NamedTuple):
-    """Where each position's cells sit in the stack that holds it:
-    ``group`` is the stack, ``row`` the row of the position's own step in
-    the stack's step tables, ``dose`` its row of the stack's pre-stutter
-    doses B, and ``zero`` the stack's zero cell."""
-
-    group: np.ndarray
-    row: np.ndarray
-    dose: np.ndarray
-    zero: np.ndarray
 
 
 def _dose_kinds(marker, coupled, known_counts):
@@ -568,137 +540,127 @@ def _dose_kinds(marker, coupled, known_counts):
     return (marker * n + column) * (n + 1) + donor
 
 
-def _trace_layouts(pos, frame, members, names, trace, heights, joint):
-    """One trace's part (see _TracePart) of the layout of each group of
-    ``frame`` that holds a marker it covers, built over all their
-    positions at once.
+def _factor_layouts(pos, place, hypothesis, traces, heights):
+    """The layout (see _FactorLayout) of each stack of a build, with every
+    trace laid out over every position at once.
 
-    ``members`` lists each group's markers (their indices in ``names``),
-    and ``heights`` holds the trace's height at each position of a marker
-    it covers, NaN elsewhere.  A peak's factor is one run of 6^U entries,
-    one per (previous draw, draw) pair of its emit step: step p+1 for a
-    stutter-coupled position p, step p for an uncoupled one.  In a group,
-    the observed peaks of every marker come first, then the dropout peaks,
-    each marker by marker and in position order.  The dose points are the
-    observed entries, then, marker by marker, one entry per distinct
-    dropout dose: the doses of a dropout peak whose kind no earlier dropout
-    peak of the marker has, one per pair if it is coupled, one per draw if
-    not.  Returns {group: part}.
+    ``place`` holds each marker's place in its stack (see _build_stacks),
+    and ``heights`` each trace's heights at the positions, a row per trace,
+    NaN on the markers it does not cover.  A peak is an emitted position
+    of a marker its trace covers, and its factor is one run of 6^U
+    entries, one per (previous draw, draw) pair of its emit step: step p+1
+    for a stutter-coupled position p, step p for an uncoupled one.  An
+    observed peak adds a dose point per pair.  A dropout peak adds points
+    where no earlier dropout peak of its trace has its kind: one per pair
+    if it is coupled, one per draw if not (the first 3^U entries of its
+    run, at which the draw is the entry's index), which the later dropout
+    peaks of that kind read.  A pair's points are 2^U blocks of 3^U and a
+    draw's one, so each block's cells are one row of a small table plus a
+    cell offset.
     """
+    joint = _joint_tables(len(hypothesis.unknown))
     n_combos, n_pairs = len(joint.combo_counts), len(joint.pair_prev)
-    observed = heights >= trace.threshold
-    peaks = np.concatenate([
-        np.flatnonzero(pos.emitted & observed),
-        np.flatnonzero(pos.emitted & ~observed & ~np.isnan(heights)),
-    ])
-    peaks = peaks[np.argsort(frame.group[peaks], kind="stable")]
-    seen, linked = observed[peaks], pos.coupled[peaks]
-    group = frame.group[peaks]
-    pairs = np.arange(n_pairs)
-    cell = ((frame.row[peaks] + linked) * n_pairs)[:, None] + pairs
+    width, n_traces, n_stacks = n_pairs // n_combos, len(traces), place[0, -1] + 1
+    stack, row, dose, zero = place[:, pos.marker]
+    row, dose = row + pos.local, dose + pos.local
+    threshold = np.array([t.threshold for t in traces], dtype=float)
+    # the traces that cover a marker of each stack, and each one's place
+    # among them
+    covered = ~np.isnan(heights)
+    covers = np.logical_or.reduceat(covered, np.searchsorted(stack, range(n_stacks)), axis=1)
+    slot = np.cumsum(covers, axis=0) - 1
+    contributes = [
+        np.array([[r in hypothesis.roles_for(t.trace_id) for r in ids] for t in traces],
+                 dtype=bool).reshape(n_traces, len(ids))
+        for ids in (hypothesis.known, hypothesis.unknown)
+    ]
 
-    # each dropout peak's first dropout peak of its kind, and where that
-    # kind's doses start among its group's distinct ones
+    # the peaks in entry order: stack by stack, trace by trace, observed
+    # peaks first, each in position order
+    trace, at = np.nonzero(pos.emitted & covered)
+    seen = heights[trace, at] >= threshold[trace]
+    order = np.lexsort((~seen, trace, stack[at]))
+    trace, at, seen = trace[order], at[order], seen[order]
+    group, linked = stack[at], pos.coupled[at]
+    full = seen | linked
+    cell = ((row[at] + linked) * n_pairs)[:, None] + np.arange(n_pairs)
+
+    # each peak's source of points, itself or the first dropout peak of its
+    # trace and kind; the peaks that add points, in point order: stack by
+    # stack, observed before dropout, trace by trace; and each entry's point
+    source = np.arange(len(at))
     dropout = np.flatnonzero(~seen)
-    kind = pos.kind[peaks[dropout]]
-    first = (kind[:, None] == kind).argmax(axis=1) if len(kind) else dropout
-    new = first == np.arange(len(dropout))
-    added = np.where(new, np.where(linked[dropout], n_pairs, n_combos), 0)
-    before = np.cumsum(added) - added
-    before -= before[np.searchsorted(group[dropout], group[dropout])]
-    spread = before[first][:, None] + np.take(
-        joint.read, np.where(linked[dropout], 2, 0), axis=0
+    _, first, inverse = np.unique(
+        pos.kind[at[dropout]] * n_traces + trace[dropout],
+        return_index=True, return_inverse=True,
     )
+    source[dropout] = dropout[first][inverse]
+    adds = np.flatnonzero(source == np.arange(len(at)))
+    adds = adds[np.argsort(group[adds] * 2 + ~seen[adds], kind="stable")]
+    blocks = np.where(full[adds], width, 1)
+    start = np.cumsum(blocks) - blocks
+    peak = np.repeat(adds, blocks)  # each block's peak
+    bounds = [
+        np.searchsorted(g, np.arange(n_stacks + 1)).tolist()
+        for g in (group, group[seen], group[peak])
+    ]
+    first_point = np.zeros(len(at), dtype=np.int64)
+    first_point[adds] = (start - np.take(bounds[2], group[adds])) * n_combos
+    point = np.take(joint.read, np.where(full, 2, 0), axis=0)
+    point += first_point[source][:, None]
 
-    # the dose points, run by run, on the peaks that add points: every pair
-    # of an observed or coupled peak, every draw of an uncoupled one (the
-    # first 3^U entries of its run, at which the draw is the entry's index)
-    adds = seen.copy()
-    adds[dropout[new]] = True
-    at, full = peaks[adds], (seen | linked)[adds]
-    # pair j of a coupled position p reads B[p, draw at t-1] and its donor's
-    # B[p+1, draw at t]; of an uncoupled one, B[p, draw at t] and the zero cell
-    here, link = frame.dose[at][:, None], pos.coupled[at][:, None]
-    ends = np.empty((2, len(at), n_pairs), dtype=np.int64)
-    ends[0] = here * n_combos + np.take(joint.read, np.where(full, link[:, 0], 2), axis=0)
-    ends[1] = np.where(link, (here + 1) * n_combos + joint.pair_draw, frame.zero[at][:, None])
-    keep = full[:, None] | (pairs < n_combos)
-    gather = np.compress(keep.ravel(), ends.reshape(2, -1), axis=1)
-
-    # where each group's runs, observed peaks, dropout peaks and points
-    # start
-    size = np.where(full, n_pairs, n_combos)
-    n_groups = len(members)
-    bounds = np.cumsum(np.stack([
-        np.bincount(group, minlength=n_groups),
-        np.bincount(group[seen], minlength=n_groups),
-        np.bincount(group[dropout], minlength=n_groups),
-        np.bincount(frame.group[at], size, n_groups).astype(np.int64),
-    ]), axis=1)
-    bounds = np.concatenate([np.zeros((4, 1), dtype=np.int64), bounds], axis=1).tolist()
-    peak_heights = np.repeat(heights[peaks[seen]], n_pairs)
-    out = {}
-    for g, mine in enumerate(members):
-        if not any(names[m] in trace.heights for m in mine):
-            continue
-        (r0, r1), (s0, s1), (d0, d1), (p0, p1) = (row[g:g + 2] for row in bounds)
-        out[g] = _TracePart(
+    # a block's first cells: B[p, draw at t-1] at a coupled peak's pairs,
+    # B[p, draw at t] at an uncoupled one's; its second: the donor's
+    # B[p+1, draw at t], or the zero cell.  Each trace's B follows the
+    # previous trace's, zero cell included.  The table's rows: read's and
+    # pair_draw's blocks, then zeros.
+    k = np.arange(len(peak)) - np.repeat(start, blocks)
+    here, link, own = dose[at[peak]], linked[peak], zero[at[peak]]
+    table = np.concatenate([
+        joint.read.reshape(3 * width, n_combos),
+        joint.pair_draw.reshape(width, n_combos),
+        np.zeros((1, n_combos), dtype=np.int64),
+    ])
+    rows = np.stack([
+        np.where(full[peak], link * width, 2 * width) + k,
+        np.where(link, 3 * width + k, 4 * width),
+    ])
+    cells = np.stack([here * n_combos, np.where(link, (here + 1) * n_combos, own)])
+    cells += slot[trace[peak], group[peak]] * (own + 1)
+    runs = np.bincount(
+        (group[peak] * 2 + ~seen[peak]) * n_traces + trace[peak],
+        minlength=n_stacks * 2 * n_traces,
+    ).reshape(n_stacks, 2, n_traces) * n_combos
+    local = pos.local[at]
+    peak_heights = np.repeat(heights[trace[seen], at[seen]], n_pairs)
+    layouts = []
+    for g in range(n_stacks):
+        mine = np.flatnonzero(covers[:, g])
+        (r0, r1), (s0, s1), (b0, b1) = (b[g:g + 2] for b in bounds)
+        run = runs[g][:, mine].ravel()
+        entries = np.searchsorted(trace[r0:r1], [*mine, n_traces]) * n_pairs
+        gather = np.take(table, rows[:, b0:b1], axis=0)
+        gather += cells[:, b0:b1, None]
+        layouts.append(_FactorLayout(
+            trace_ids=tuple(traces[j].trace_id for j in mine),
+            column=tuple(mine.tolist()),
+            threshold=threshold[mine],
+            known_contributes=contributes[0][mine],
+            unknown_contributes=contributes[1][mine],
+            entries=tuple(entries.tolist()),
+            cell=cell[r0:r1].ravel(),
+            position=local[r0:r1],
             n_observed=(s1 - s0) * n_pairs,
             peak_heights=peak_heights[s0 * n_pairs:s1 * n_pairs],
-            gather=gather[:, p0:p1],
-            cell=cell[r0:r1].ravel(),
-            spread=spread[d0:d1].ravel(),
-            position=pos.local[peaks[r0:r1]],
-        )
-    return out
-
-
-def _factor_layout(parts, traces, columns, contributes, n_cells):
-    """A stack's _FactorLayout from its traces' parts: ``traces`` are the
-    traces that cover a marker of the stack, ``columns`` their columns in
-    the parameter sets and ``contributes`` their (known, unknown) role
-    masks, two arrays of a row per trace; each trace's B holds n_cells
-    cells and its zero cell."""
-    n_traces = len(parts)
-    n_obs = [part.n_observed for part in parts]
-    n_dist = [part.gather.shape[1] - n for part, n in zip(parts, n_obs)]
-    points = np.cumsum([0] + n_obs + n_dist).tolist()
-    entries = np.cumsum([0] + [len(part.cell) for part in parts]).tolist()
-    gather = np.empty((2, points[-1]), dtype=np.int64)
-    point = np.empty(entries[-1], dtype=np.int64)
-    for j, (part, n) in enumerate(zip(parts, n_obs)):
-        # each trace's B follows the previous trace's, zero cell included
-        offset = j * (n_cells + 1)
-        (o0, o1), (d0, d1) = (points[i:i + 2] for i in (j, n_traces + j))
-        np.add(part.gather[:, :n], offset, out=gather[:, o0:o1])
-        np.add(part.gather[:, n:], offset, out=gather[:, d0:d1])
-        point[entries[j]:entries[j] + n] = np.arange(o0, o1)
-        np.add(part.spread, d0, out=point[entries[j] + n:entries[j + 1]])
-
-    def cat(arrays, dtype=np.int64):
-        if len(arrays) == 1:
-            return arrays[0]
-        return np.concatenate(arrays) if arrays else np.zeros(0, dtype)
-
-    return _FactorLayout(
-        trace_ids=tuple(t.trace_id for t in traces),
-        column=tuple(columns),
-        threshold=np.array([t.threshold for t in traces], dtype=float),
-        known_contributes=contributes[0],
-        unknown_contributes=contributes[1],
-        entries=tuple(entries),
-        cell=cat([part.cell for part in parts]),
-        position=cat([part.position for part in parts]),
-        n_observed=sum(n_obs),
-        peak_heights=cat([part.peak_heights for part in parts], float),
-        # one trace's one threshold broadcasts as its points' eta does
-        cut=np.repeat([t.threshold for t in traces], n_dist if n_traces > 1 else 1),
-        point=point,
-        gather=gather,
-        points=tuple(points),
-        runs=np.array(n_obs + n_dist, dtype=np.int64),
-        run_column=np.array(list(columns) * 2, dtype=np.int64),
-    )
+            # one trace's one threshold broadcasts as its points' eta does
+            cut=np.repeat(threshold[mine], run[len(mine):] if len(mine) > 1 else 1),
+            point=point[r0:r1].ravel(),
+            gather=gather.reshape(2, -1),
+            points=tuple(np.cumsum([0, *run]).tolist()),
+            runs=run,
+            run_column=np.tile(mine, 2),
+        ))
+    return layouts
 
 
 @dataclass(frozen=True)
@@ -747,7 +709,8 @@ class _Stack:
     parameters, so every pass over the stack reads it.  The step tables
     are (G * T, 6^U), marker by marker (see _marker_rows), and
     known_counts spans the markers' positions in turn.  layout lays out
-    every trace's factor entries on the markers (see _FactorLayout).  A
+    every trace's factor entries on the markers (see _FactorLayout); the
+    layouts of a build's stacks are slices of arrays one pass wrote.  A
     pass over n_sets parameter sets at once runs on the stack's markers
     repeated once per set (see _repeated), which has no layout.
     """
@@ -773,10 +736,10 @@ def _build_stacks(freqs, hypothesis, traces, names):
     _BLOCK_EDGES // 10^U (at least one), so that a stack's step holds at
     most _BLOCK_EDGES edge values.
 
-    One frame places every position in its stack: its rows of the stack's
-    step tables and of its doses B, and the stack's zero cell, which
-    follows the cells of B.  Each trace is laid out on every stack that
-    holds a marker it covers in one pass over all positions.
+    Each marker's place in its stack gives its positions' rows of the
+    stack's step tables and of its doses B, and the stack's zero cell,
+    which follows the cells of B.  One call of _factor_layouts lays out
+    every trace on every stack that holds a marker it covers.
     """
     if not names:
         return ()
@@ -810,26 +773,7 @@ def _build_stacks(freqs, hypothesis, traces, names):
         lp[np.arange(n_steps) >= first[:, None]] = state_lp[span]
         shift = np.maximum.reduce(lp, axis=2)
         chains.append((span, first, np.exp(lp - shift[..., None]), shift))
-    at = place[:, pos.marker]
-    frame = _Frame(at[0], at[1] + pos.local, at[2] + pos.local, at[3])
-    parts = [[] for _ in groups]  # per group: (column, trace, part)
-    for column, trace in enumerate(traces):
-        for g, part in _trace_layouts(
-            pos, frame, groups, names, trace, heights[trace.trace_id], joint,
-        ).items():
-            parts[g].append((column, trace, part))
-    layouts = []
-    for g, mine in enumerate(parts):
-        roles = [set(hypothesis.roles_for(trace.trace_id)) for _, trace, _ in mine]
-        contributes = tuple(
-            np.array([[r in own for r in group] for own in roles], dtype=bool)
-            .reshape(len(mine), len(group))
-            for group in (hypothesis.known, hypothesis.unknown)
-        )
-        layouts.append(_factor_layout(
-            [part for _, _, part in mine], [trace for _, trace, _ in mine],
-            [column for column, _, _ in mine], contributes, int(place[3, groups[g][0]]),
-        ))
+    layouts = _factor_layouts(pos, place, hypothesis, traces, heights)
 
     edges0, edges = _build_edges(n_unknown)
     plans = []
@@ -879,12 +823,12 @@ def _build_stacks(freqs, hypothesis, traces, names):
 def _positions(freqs, hypothesis, traces, names):
     """The positions of the markers ``names`` (see _Positions), every
     step's transition log-probabilities per target state, the known
-    contributors' counts at every position, and each trace's heights at
-    them (NaN on a marker the trace does not cover).  The transitions are
-    one fold over all markers."""
+    contributors' counts at every position, and the traces' heights at
+    them, a row per trace (NaN on a marker the trace does not cover).  The
+    transitions are one fold over all markers."""
     marker, local, coupled, silent, rates = [], [], [], [], []
     known = [[] for _ in hypothesis.known]
-    heights = {trace.trace_id: [] for trace in traces}
+    heights = [[] for _ in traces]
     for m, name in enumerate(names):
         ladder = freqs.ladder(name)
         order = ladder.order.tolist()
@@ -904,10 +848,10 @@ def _positions(freqs, hypothesis, traces, names):
                 )
             row = profile.counts(name, ladder)
             counts += [row[i] for i in order]
-        for trace in traces:
+        for trace, own in zip(traces, heights):
             row = trace.heights.get(name)
             if row is None:
-                heights[trace.trace_id] += [math.nan] * len(order)
+                own += [math.nan] * len(order)
                 continue
             off_ladder = set(row) - set(ladder.alleles)
             if off_ladder:
@@ -915,7 +859,7 @@ def _positions(freqs, hypothesis, traces, names):
                     f"trace {trace.trace_id!r} lists alleles {sorted(off_ladder)} "
                     f"not on the {name!r} ladder"
                 )
-            heights[trace.trace_id] += [row.get(lab, 0.0) for lab in labels]
+            own += [row.get(lab, 0.0) for lab in labels]
 
     n_unknown = len(hypothesis.unknown)
     state_lp = _fold(_state_log_pmf(rates), n_unknown, 1)
@@ -932,9 +876,8 @@ def _positions(freqs, hypothesis, traces, names):
         emitted=~np.array(silent, dtype=bool),
         kind=_dose_kinds(marker, coupled, known_counts),
     )
-    return pos, state_lp, known_counts, {
-        tid: np.array(rows) for tid, rows in heights.items()
-    }
+    heights = np.array(heights, dtype=float).reshape(len(traces), len(local))
+    return pos, state_lp, known_counts, heights
 
 
 def _repeated(stack, n_sets):
@@ -971,7 +914,8 @@ class EvidenceBundle:
     """Everything one likelihood evaluation needs, immutable once built.
 
     Chain structure is precomputed for every marker some trace covers,
-    and the factor layout of every trace over them, at construction;
+    and the factor layout of every trace over them, in one pass over all
+    traces and positions, at construction;
     bundles derived via :meth:`with_parameters` share them, so parameter
     sweeps and optimizer loops pay the structural cost once.  A query
     about a marker no trace covers builds its structure when asked.
@@ -1781,7 +1725,7 @@ class _Sweep(NamedTuple):
 
     vals[t] holds step t's per-edge log(transition * factors), fwd[t] the
     forward log message into step t (fwd[-1] the final one) and bwd[t] the
-    backward log message out of it.
+    backward log message out of it (None until _log_backward gives it).
     """
 
     vals: list
@@ -1790,15 +1734,14 @@ class _Sweep(NamedTuple):
     loglik: float
 
 
-def _log_sweep(plan, tables, backward=True) -> _Sweep:
-    """Forward and (optionally) backward pass in log space."""
+def _log_sweep(plan, tables) -> _Sweep:
+    """Forward pass in log space; _log_backward gives the backward one."""
     vals, fwd = [], [np.zeros(1)]
     for t, table in enumerate(tables):
         vals.append(_step_values(plan, t, table))
         edges = plan.edges_at(t)
         fwd.append(_logsumexp_by(edges.dst, fwd[t][edges.src] + vals[t], plan.n_states))
-    bwd = _log_backward(plan, vals) if backward else None
-    return _Sweep(vals, fwd, bwd, _log_total(fwd[-1]))
+    return _Sweep(vals, fwd, None, _log_total(fwd[-1]))
 
 
 def _log_backward(plan, vals):
@@ -1843,7 +1786,7 @@ def _log_pass(plan, tables, posteriors, alt):
     """One marker's pass by the log-space recursion, where the scaled one
     underflows.  Without a finite log L the pair posteriors are zero, and
     only alternative tables need the backward recursion."""
-    sweep = _log_sweep(plan, tables, backward=False)
+    sweep = _log_sweep(plan, tables)
     finite = np.isfinite(sweep.loglik)
     if alt is not None or (posteriors and finite):
         sweep = sweep._replace(bwd=_log_backward(plan, sweep.vals))

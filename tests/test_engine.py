@@ -170,6 +170,33 @@ class TestOracleEquivalence:
             assert abs(dp - enum) <= 1e-9 * scale
             assert abs(bf - enum) <= 1e-9 * scale
 
+    def test_traces_with_their_own_thresholds_match_both_oracles(self):
+        # every drawn height is 0 or at least 50, so thresholds 50, 40 and 30
+        # keep each trace valid and change its dropout factors alone
+        rng = np.random.default_rng(27)
+        n_cases = 0
+        while n_cases < 12:
+            b = random_case(rng, max_traces=3, n_markers=2)
+            if len(b.traces) < 2:
+                continue
+            n_cases += 1
+            b = replace(b, traces=[
+                replace(t, threshold=cut) for t, cut in zip(b.traces, (50.0, 40.0, 30.0))
+            ])
+            enums = []
+            for m in b.covered_markers():
+                dp = mx.marker_log_likelihood(b, m)
+                bf = mx.brute_force_log_likelihood(b, m)
+                enum = oracle_log_likelihood(b, m)
+                enums.append(enum)
+                if enum == -np.inf:
+                    assert dp == -np.inf and bf == -np.inf
+                    continue
+                scale = max(abs(enum), 1.0)
+                assert abs(dp - enum) <= 1e-9 * scale
+                assert abs(bf - enum) <= 1e-9 * scale
+            assert mx.total_log_likelihood(b) == pytest.approx(sum(enums), rel=1e-9)
+
     def test_no_unknowns_exact_equality(self):
         rng = np.random.default_rng(1)
         b = random_case(rng, max_unknowns=0)
@@ -1478,8 +1505,9 @@ class TestChainStructure:
             assert not ended.any()
             # the log-space recursion it falls back on: the same in log space
             sweep = engine._log_sweep(plan, zeros)
+            bwd = engine._log_backward(plan, sweep.vals)
             assert abs(sweep.loglik) < 1e-12
-            assert np.abs(np.concatenate(sweep.bwd)).max() < 1e-12
+            assert np.abs(np.concatenate(bwd)).max() < 1e-12
 
     @pytest.mark.parametrize("n_unknown", range(4))
     def test_each_peak_factor_is_one_entry_per_reachable_pair(
@@ -1941,7 +1969,8 @@ def _assert_layout_equal(layout, expected):
 def plan_cases(draw):
     """A bundle's inputs: 1-3 markers whose ladders have 1-13 alleles (a
     silent '0', microvariants, non-numeric labels), 0-4 unknowns, 0-2
-    known contributors, and 1-2 traces that each cover some markers."""
+    known contributors, and 1-3 traces that each cover some markers, each
+    at its own threshold, 25 or 50."""
     markers = [f"M{i}" for i in range(draw(stn.integers(1, 3)))]
     data = {}
     for m in markers:
@@ -1961,7 +1990,7 @@ def plan_cases(draw):
     }
     hypothesis = mx.Hypothesis(known=known, unknown=tuple(f"U{i + 1}" for i in range(n_unknown)))
     traces = []
-    for t in range(draw(stn.integers(1, 2))):
+    for t in range(draw(stn.integers(1, 3))):
         covered = draw(stn.lists(stn.sampled_from(markers), unique=True,
                                  min_size=0 if t else 1))
         heights = {
@@ -1972,7 +2001,8 @@ def plan_cases(draw):
                 if a in freqs.ladder(m).alleles}
             for m in covered
         }
-        traces.append(mx.Trace(trace_id=f"T{t + 1}", threshold=50.0, heights=heights))
+        threshold = draw(stn.sampled_from([25.0, 50.0]))
+        traces.append(mx.Trace(trace_id=f"T{t + 1}", threshold=threshold, heights=heights))
     return freqs, hypothesis, traces
 
 
@@ -2456,21 +2486,24 @@ class TestMarkerQueries:
                 query()
 
     @pytest.mark.parametrize("n_unknown, n_stacks", [(2, 1), (4, 2)])
-    def test_build_lays_out_each_trace_once(self, n_unknown, n_stacks, monkeypatch):
+    def test_build_lays_out_every_trace_in_one_call(self, n_unknown, n_stacks, monkeypatch):
+        # one call lays out both traces on every stack: no trace is laid
+        # out once per stack
         b = _overridden_case(n_unknown, seed=3)
         laid_out = []
 
-        def spy(*args, _original=engine._trace_layouts):
-            laid_out.append(args[4].trace_id)
+        def spy(*args, _original=engine._factor_layouts):
+            laid_out.append([t.trace_id for t in args[3]])
             return _original(*args)
 
-        monkeypatch.setattr(engine, "_trace_layouts", spy)
+        monkeypatch.setattr(engine, "_factor_layouts", spy)
         rebuilt = mx.EvidenceBundle(
             traces=b.traces, frequencies=b.frequencies,
             hypothesis=b.hypothesis, parameters=b.parameters,
         )
-        assert laid_out == ["T1", "T2"]
+        assert laid_out == [["T1", "T2"]]
         assert len(rebuilt._stacks) == n_stacks
+        assert all(s.layout.trace_ids == ("T1", "T2") for s in rebuilt._stacks)
 
     def test_known_untyped_on_a_marker_no_trace_covers(self):
         # K1 is typed on M1 alone and the trace covers M1 alone: M2 takes
