@@ -31,10 +31,15 @@ cell), so a pass builds every dose of every trace with one gather and
 calls each gamma kernel, and its derivative, once per stack; a gradient
 pass evaluates the gamma CDF at the doses and at the two sides of its
 shape derivative's central difference in the same call.  Dropout entries
-of a trace whose positions share the known contributors' counts and
-whose draws match have the same dose at every parameter value, so the
-gamma CDF is evaluated once per distinct dropout dose and taken back to
-the entries.
+of a trace whose positions share the known contributors' counts (and,
+where stutter-coupled, their donors' counts) and whose draws match have
+the same dose at every parameter value, on one marker or on several, so
+the layout holds each distinct dropout dose of a marker once, and the
+stack's dose map (_DoseMap) takes the doses of one trace and kind on
+all its markers to one: unless a per-marker rho or xi sets the markers
+apart, the gamma CDF is evaluated once per such dose and taken back to
+every dose point and entry, and the survival terms of the observed
+peaks' conditional CDFs once per trace and kind.
 
 A bundle builds its plans and stacks together, with array operations
 over the positions of the markers its traces cover rather than Python
@@ -380,7 +385,8 @@ def _fold(column: np.ndarray, n_unknown: int, base: int) -> np.ndarray:
     lead = column.shape[:-1]
     out = np.zeros(lead + (1,), dtype=column.dtype)
     for _ in range(n_unknown):
-        out = (out[..., :, None] * base + column[..., None, :]).reshape(lead + (-1,))
+        scaled = out if base == 1 else out * base
+        out = (scaled[..., :, None] + column[..., None, :]).reshape(lead + (-1,))
     return out
 
 
@@ -483,7 +489,9 @@ class _FactorLayout:
     _factor_layouts, which lays out every stack of a build at once).
 
     A dose point is an observed entry or a distinct dropout dose of one
-    trace: first every trace's observed entries (n_observed of them, with
+    trace on one marker (the stack's dose map, _DoseMap, takes those of
+    one trace and kind on several markers to one where no override
+    applies): first every trace's observed entries (n_observed of them, with
     heights peak_heights), trace by trace, then every trace's distinct
     dropout doses, trace by trace, at thresholds ``cut`` (the one
     threshold where one trace covers the stack).  With J traces,
@@ -516,6 +524,34 @@ class _FactorLayout:
     run_column: np.ndarray
 
 
+class _DoseMap(NamedTuple):
+    """The dose points and observed peaks of a stack's layout at which a
+    pass evaluates the gamma CDF and survival kernels, and where it takes
+    their values back to (see _dose_map).
+
+    Two dropout points of one trace have the same dose at every parameter
+    value when their peaks share a dose kind (see _dose_kinds), on one
+    marker or on two, and the points have the same index in their kind's
+    3^U or 6^U points; two observed peaks of one trace and kind have the
+    same doses, point by point.  Where rho and xi are the trace's own on
+    every marker, so are their kernels' values, and a pass evaluates
+    them once, at the first such point or peak.  canon holds those
+    dropout points, as indices into the layout's points, in point order,
+    and cut their thresholds (the layout's one where one trace covers the
+    stack); spread gives each dropout point its place among canon.  peaks
+    holds the observed peaks whose survival terms are evaluated, as
+    indices into the observed peaks in layout order, and peak_spread each
+    observed peak's place among them.  Each index array is a slice where
+    every point or peak is its own first.
+    """
+
+    canon: np.ndarray | slice
+    cut: np.ndarray
+    spread: np.ndarray | slice
+    peaks: np.ndarray | slice
+    peak_spread: np.ndarray | slice
+
+
 class _Positions(NamedTuple):
     """The internal positions of the markers a build lays out, marker
     after marker, with what a trace's layout reads of each."""
@@ -524,20 +560,21 @@ class _Positions(NamedTuple):
     local: np.ndarray    # internal position p on its marker
     coupled: np.ndarray  # stutter donor at p+1
     emitted: np.ndarray  # not silent: the position has a factor
-    kind: np.ndarray     # dose kind (see _dose_kinds)
+    kind: np.ndarray     # dose kind, on any marker (see _dose_kinds)
 
 
-def _dose_kinds(marker, coupled, known_counts):
-    """Each position's dose kind: two positions share one when they are on
-    one marker, their known-count columns are equal, and, where coupled,
-    their donors' are too.  The rows of B at such positions are equal at
-    every parameter value, so two dropout peaks of one kind have the same
-    doses."""
+def _dose_kinds(coupled, known_counts):
+    """Each position's dose kind, below len(coupled)^2 + len(coupled): two
+    positions share one when their known-count columns are equal and,
+    where coupled, their donors' are too, on one marker or on two.  The
+    rows of B at such positions are equal at every parameter value, so two
+    dropout peaks of one trace and kind have the same doses wherever rho
+    and xi are the same at both (see _DoseMap)."""
     n = len(coupled)
     # each position's column as the first position with an equal one
     column = (known_counts[:, :, None] == known_counts[:, None, :]).all(axis=0).argmax(1)
     donor = np.where(coupled, np.append(column[1:], 0) + 1, 0)
-    return (marker * n + column) * (n + 1) + donor
+    return column * (n + 1) + donor
 
 
 def _factor_layouts(pos, place, hypothesis, traces, heights):
@@ -557,6 +594,13 @@ def _factor_layouts(pos, place, hypothesis, traces, heights):
     peaks of that kind read.  A pair's points are 2^U blocks of 3^U and a
     draw's one, so each block's cells are one row of a small table plus a
     cell offset.
+
+    Each stack's dose map (see _DoseMap) comes from the same pass: one
+    np.unique of a key per peak gives each dropout peak its source and
+    each peak its canonical peak, the first of its stack, trace, kind and
+    observed status; a dropout block is taken to its canonical peak's
+    block at the same index.  Returns a (layout, dose map) pair per
+    stack.
     """
     joint = _joint_tables(len(hypothesis.unknown))
     n_combos, n_pairs = len(joint.combo_counts), len(joint.pair_prev)
@@ -586,15 +630,24 @@ def _factor_layouts(pos, place, hypothesis, traces, heights):
     cell = ((row[at] + linked) * n_pairs)[:, None] + np.arange(n_pairs)
 
     # each peak's source of points, itself or the first dropout peak of its
-    # trace and kind; the peaks that add points, in point order: stack by
-    # stack, observed before dropout, trace by trace; and each entry's point
-    source = np.arange(len(at))
-    dropout = np.flatnonzero(~seen)
-    _, first, inverse = np.unique(
-        pos.kind[at[dropout]] * n_traces + trace[dropout],
-        return_index=True, return_inverse=True,
+    # marker, trace and kind, and its canonical peak (see _DoseMap), the
+    # first peak of its stack, trace, kind and status: one key orders the
+    # peaks by the latter and then by marker (a dropout peak) or position
+    # (an observed one), so each run of one canonical key starts at its
+    # canonical peak
+    n_pos = len(pos.kind)
+    free = ((group * n_traces + trace) * (n_pos * (n_pos + 1)) + pos.kind[at]) * 2 + seen
+    key, first, inverse = np.unique(
+        free * n_pos + np.where(seen, at, pos.marker[at]), return_index=True, return_inverse=True
     )
-    source[dropout] = dropout[first][inverse]
+    source = first[inverse]
+    free = key // n_pos
+    head = np.ones(len(key), dtype=bool)
+    head[1:] = free[1:] != free[:-1]
+    head = np.flatnonzero(head)
+    canonical = first[head][np.searchsorted(head, inverse, "right") - 1]
+    # the peaks that add points, in point order: stack by stack, observed
+    # before dropout, trace by trace; and each entry's point
     adds = np.flatnonzero(source == np.arange(len(at)))
     adds = adds[np.argsort(group[adds] * 2 + ~seen[adds], kind="stable")]
     blocks = np.where(full[adds], width, 1)
@@ -633,6 +686,19 @@ def _factor_layouts(pos, place, hypothesis, traces, heights):
     ).reshape(n_stacks, 2, n_traces) * n_combos
     local = pos.local[at]
     peak_heights = np.repeat(heights[trace[seen], at[seen]], n_pairs)
+
+    # the dose maps: each dropout block taken to its canonical peak's block
+    # at its index, and each observed peak to its canonical peak, both
+    # numbered among the dropout blocks or the observed peaks
+    block_of = np.zeros(len(at), dtype=np.int64)
+    block_of[adds] = start
+    dropout = ~seen[peak]
+    blocks = np.flatnonzero(dropout)
+    block_maps = _to_first(
+        (np.cumsum(dropout) - 1)[block_of[canonical[peak[blocks]]] + k[blocks]],
+        np.searchsorted(group[peak[blocks]], np.arange(n_stacks + 1)), n_combos,
+    )
+    peak_maps = _to_first((np.cumsum(seen) - 1)[canonical[seen]], np.array(bounds[1]), 1)
     layouts = []
     for g in range(n_stacks):
         mine = np.flatnonzero(covers[:, g])
@@ -641,7 +707,15 @@ def _factor_layouts(pos, place, hypothesis, traces, heights):
         entries = np.searchsorted(trace[r0:r1], [*mine, n_traces]) * n_pairs
         gather = np.take(table, rows[:, b0:b1], axis=0)
         gather += cells[:, b0:b1, None]
-        layouts.append(_FactorLayout(
+        # one trace's one threshold broadcasts as its points' eta does
+        cut = np.repeat(threshold[mine], run[len(mine):] if len(mine) > 1 else 1)
+        n_observed = (s1 - s0) * n_pairs
+        canon, spread = block_maps[g]
+        dose_map = _DoseMap(
+            slice(n_observed, None) if isinstance(canon, slice) else canon + n_observed,
+            cut if len(cut) == 1 else cut[canon], spread, *peak_maps[g],
+        )
+        layouts.append((_FactorLayout(
             trace_ids=tuple(traces[j].trace_id for j in mine),
             column=tuple(mine.tolist()),
             threshold=threshold[mine],
@@ -650,17 +724,41 @@ def _factor_layouts(pos, place, hypothesis, traces, heights):
             entries=tuple(entries.tolist()),
             cell=cell[r0:r1].ravel(),
             position=local[r0:r1],
-            n_observed=(s1 - s0) * n_pairs,
+            n_observed=n_observed,
             peak_heights=peak_heights[s0 * n_pairs:s1 * n_pairs],
-            # one trace's one threshold broadcasts as its points' eta does
-            cut=np.repeat(threshold[mine], run[len(mine):] if len(mine) > 1 else 1),
+            cut=cut,
             point=point[r0:r1].ravel(),
             gather=gather.reshape(2, -1),
             points=tuple(np.cumsum([0, *run]).tolist()),
             runs=run,
             run_column=np.tile(mine, 2),
-        ))
+        ), dose_map))
     return layouts
+
+
+def _to_first(own, bounds, size):
+    """Items of ``size`` consecutive points each, stack by stack (items
+    bounds[g]:bounds[g+1] on stack g), item i taken to item own[i] of its
+    stack, which is its own.  Per stack: the points of its items that are
+    their own, as indices from its first point, and each of its points'
+    place among those; two slices where every item is its own."""
+    keep = own == np.arange(len(own))
+    if keep.all():
+        return [(slice(None), slice(None))] * (len(bounds) - 1)
+    firsts = np.flatnonzero(keep)
+    ends = np.searchsorted(firsts, bounds)  # each stack's run of firsts
+    sizes = np.diff(bounds)
+    canon = firsts - np.repeat(bounds[:-1], sizes)[firsts]
+    spread = (np.cumsum(keep) - 1 - np.repeat(ends[:-1], sizes))[own]
+    if size > 1:
+        inner = np.arange(size)
+        canon, spread = ((v[:, None] * size + inner).ravel() for v in (canon, spread))
+    ends, bounds = ends.tolist(), bounds.tolist()
+    return [
+        (slice(None), slice(None)) if f1 - f0 == i1 - i0
+        else (canon[f0 * size:f1 * size], spread[i0 * size:i1 * size])
+        for f0, f1, i0, i1 in zip(ends, ends[1:], bounds, bounds[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -710,8 +808,10 @@ class _Stack:
     are (G * T, 6^U), marker by marker (see _marker_rows), and
     known_counts spans the markers' positions in turn.  layout lays out
     every trace's factor entries on the markers (see _FactorLayout); the
-    layouts of a build's stacks are slices of arrays one pass wrote.  A
-    pass over n_sets parameter sets at once runs on the stack's markers
+    layouts of a build's stacks are slices of arrays one pass wrote.
+    dose_map takes the dropout points and observed peaks of one trace and
+    dose kind on several of the markers to one (see _DoseMap).  A pass
+    over n_sets parameter sets at once runs on the stack's markers
     repeated once per set (see _repeated), which has no layout.
     """
 
@@ -720,6 +820,7 @@ class _Stack:
     transition: np.ndarray
     transition_shift: np.ndarray
     layout: _FactorLayout | None
+    dose_map: _DoseMap | None
     known_ids: tuple[str, ...]
     unknown_ids: tuple[str, ...]
     known_counts: np.ndarray
@@ -739,7 +840,8 @@ def _build_stacks(freqs, hypothesis, traces, names):
     Each marker's place in its stack gives its positions' rows of the
     stack's step tables and of its doses B, and the stack's zero cell,
     which follows the cells of B.  One call of _factor_layouts lays out
-    every trace on every stack that holds a marker it covers.
+    every trace on every stack that holds a marker it covers, with each
+    stack's dose map.
     """
     if not names:
         return ()
@@ -772,7 +874,9 @@ def _build_stacks(freqs, hypothesis, traces, names):
         lp[:, :, 0] = 0.0
         lp[np.arange(n_steps) >= first[:, None]] = state_lp[span]
         shift = np.maximum.reduce(lp, axis=2)
-        chains.append((span, first, np.exp(lp - shift[..., None]), shift))
+        # the scaled transitions overwrite lp: no temporary of its size
+        lp -= shift[..., None]
+        chains.append((span, first, np.exp(lp, out=lp), shift))
     layouts = _factor_layouts(pos, place, hypothesis, traces, heights)
 
     edges0, edges = _build_edges(n_unknown)
@@ -806,6 +910,7 @@ def _build_stacks(freqs, hypothesis, traces, names):
             transition=transition,
             transition_shift=shift,
             layout=layout,
+            dose_map=dose_map,
             known_ids=tuple(hypothesis.known),
             unknown_ids=hypothesis.unknown,
             known_counts=known_counts[:, span],
@@ -815,7 +920,7 @@ def _build_stacks(freqs, hypothesis, traces, names):
             n_pairs=n_states,
             edges=edges,
         )
-        for group, (span, first, transition, shift), layout
+        for group, (span, first, transition, shift), (layout, dose_map)
         in zip(groups, chains, layouts)
     )
 
@@ -824,34 +929,41 @@ def _positions(freqs, hypothesis, traces, names):
     """The positions of the markers ``names`` (see _Positions), every
     step's transition log-probabilities per target state, the known
     contributors' counts at every position, and the traces' heights at
-    them, a row per trace (NaN on a marker the trace does not cover).  The
-    transitions are one fold over all markers."""
-    marker, local, coupled, silent, rates = [], [], [], [], []
+    them, a row per trace (NaN on a marker the trace does not cover).
+
+    Each marker's ladder order, frequencies and known counts are read as
+    arrays once, in ladder order over the markers' ladders one after the
+    other, and taken to the positions by one gather; only the heights are
+    read label by label.  The transitions are one fold over all markers.
+    """
+    ladders = [freqs.ladder(name) for name in names]
+    length = np.array([len(ladder.alleles) for ladder in ladders])
+    start = np.cumsum(length) - length
+    marker = np.repeat(np.arange(len(names)), length)
+    local = np.arange(len(marker)) - start[marker]
+    # each position's allele, as its index in the ladders one after the other
+    allele = np.concatenate([ladder.order for ladder in ladders]) + start[marker]
+    labels = [label for ladder in ladders for label in ladder.alleles]
+    q = np.array([f for ladder in ladders for f in ladder.frequencies])[allele]
+    # the allele's share of the frequency left at its position, each
+    # marker's tail summed from its last position, a row per marker
+    back = length[marker] - 1 - local
+    tails = np.zeros((len(names), length.max()))
+    tails[marker, back] = q
+    rates = np.minimum(q / np.cumsum(tails, axis=1)[marker, back], 1.0)
     known = [[] for _ in hypothesis.known]
     heights = [[] for _ in traces]
-    for m, name in enumerate(names):
-        ladder = freqs.ladder(name)
-        order = ladder.order.tolist()
-        labels = [ladder.alleles[i] for i in order]
-        q = [ladder.frequencies[i] for i in order]
-        # the allele's share of the frequency left at its position
-        tails = list(itertools.accumulate(reversed(q)))[::-1]
-        rates += [min(a / b, 1.0) for a, b in zip(q, tails)]
-        marker += [m] * len(order)
-        local += range(len(order))
-        coupled += ladder.coupled.tolist()
-        silent += [lab == SILENT_LABEL for lab in labels]
+    for name, ladder in zip(names, ladders):
         for counts, (kid, profile) in zip(known, hypothesis.known.items()):
             if name not in profile.genotypes:
                 raise ValueError(
                     f"known contributor {kid!r} is untyped on marker {name!r}"
                 )
-            row = profile.counts(name, ladder)
-            counts += [row[i] for i in order]
+            counts += profile.counts(name, ladder)
         for trace, own in zip(traces, heights):
             row = trace.heights.get(name)
             if row is None:
-                own += [math.nan] * len(order)
+                own += [math.nan] * len(ladder.alleles)
                 continue
             off_ladder = set(row) - set(ladder.alleles)
             if off_ladder:
@@ -859,24 +971,23 @@ def _positions(freqs, hypothesis, traces, names):
                     f"trace {trace.trace_id!r} lists alleles {sorted(off_ladder)} "
                     f"not on the {name!r} ladder"
                 )
-            own += [row.get(lab, 0.0) for lab in labels]
+            own += [row.get(lab, 0.0) for lab in ladder.alleles]
 
     n_unknown = len(hypothesis.unknown)
-    state_lp = _fold(_state_log_pmf(rates), n_unknown, 1)
+    state_lp = _fold(_state_log_pmf(rates.tolist()), n_unknown, 1)
     # a marker's first step leaves state 0 only: its transition row rules
     # out every state that no edge out of state 0 reaches
-    local = np.array(local)
     state_lp[np.flatnonzero(local == 0)[:, None], _joint_tables(n_unknown).unreached] = -np.inf
-    known_counts = np.array(known, dtype=np.int64).reshape(len(known), len(local))
-    marker, coupled = np.array(marker), np.array(coupled, dtype=bool)
+    known_counts = np.array(known, dtype=np.int64).reshape(len(known), len(marker))[:, allele]
+    coupled = np.concatenate([ladder.coupled for ladder in ladders])
     pos = _Positions(
         marker=marker,
         local=local,
         coupled=coupled,
-        emitted=~np.array(silent, dtype=bool),
-        kind=_dose_kinds(marker, coupled, known_counts),
+        emitted=np.array([label != SILENT_LABEL for label in labels])[allele],
+        kind=_dose_kinds(coupled, known_counts),
     )
-    heights = np.array(heights, dtype=float).reshape(len(traces), len(local))
+    heights = np.array(heights, dtype=float).reshape(len(traces), len(marker))[:, allele]
     return pos, state_lp, known_counts, heights
 
 
@@ -893,6 +1004,7 @@ def _repeated(stack, n_sets):
         transition=np.tile(stack.transition, (n_sets, 1, 1)),
         transition_shift=np.tile(stack.transition_shift, (n_sets, 1)),
         layout=None,
+        dose_map=None,
         known_ids=stack.known_ids,
         unknown_ids=stack.unknown_ids,
         known_counts=stack.known_counts,
@@ -1148,9 +1260,10 @@ class _ViewTerms(NamedTuple):
     """Every trace's doses and log factors on a stack's markers (see
     _FactorLayout), for each of K parameter sets along a leading axis.
 
-    log_cdf holds gamma_log_cdf at the distinct dropout doses' shapes,
-    (1, K, distinct), or on a gradient pass (3, K, distinct) at
-    gamma_cdf_shapes of them, whose rows 1 and 2 are the sides of the
+    log_cdf holds gamma_log_cdf at the shapes of the dropout points that
+    dose_map, the map the pass ran through (see _dose_map), evaluates,
+    (1, K, dose_map.canon), or on a gradient pass (3, K, dose_map.canon)
+    at gamma_cdf_shapes of them, whose rows 1 and 2 are the sides of the
     shape derivative's central difference.  The parameters at each dose
     point are not kept: _point_values gives them again where needed.
     """
@@ -1160,6 +1273,7 @@ class _ViewTerms(NamedTuple):
     doses: np.ndarray        # (K, dose points), after stutter
     log_factors: np.ndarray  # (K, factor entries)
     log_cdf: np.ndarray
+    dose_map: _DoseMap
 
 
 def _point_values(stack, sets):
@@ -1205,10 +1319,23 @@ def _point_values(stack, sets):
 
 
 def _columns(values, part):
-    """The points ``part`` (a slice) of per-point values from
+    """The points ``part`` (a slice or indices) of per-point values from
     _point_values: a (K, 1) column, which broadcasts against any of them,
     as it stands."""
     return values if values.shape[1] == 1 else values[:, part]
+
+
+def _dose_map(stack, sets):
+    """The map (see _DoseMap) through which a pass at ``sets`` evaluates
+    the gamma CDF and survival kernels on a stack: the stack's own, or the
+    identity where the sets carry a per-marker override (the test of
+    _point_values), under which one trace's points on two markers may
+    differ in rho or xi.  The identity is exact, as the layout's points
+    of one trace and kind are already distinct per marker."""
+    if not (sets.marker_rho or sets.marker_xi):
+        return stack.dose_map
+    every = slice(None)
+    return _DoseMap(slice(stack.layout.n_observed, None), stack.layout.cut, every, every, every)
 
 
 def _view_terms(stack, sets, sides=False) -> _ViewTerms:
@@ -1224,8 +1351,10 @@ def _view_terms(stack, sets, sides=False) -> _ViewTerms:
     n_r(p, c) is a known contributor's count at position p or the count
     an unknown draws at joint draw c.  Every trace's doses come from one
     gather, and their factors from one call of each gamma kernel: at the
-    observed entries and at the distinct dropout doses, taken back to
-    their entries, for all traces and sets at once.  B is one matrix
+    observed entries and at the dropout points of the dose map (see
+    _dose_map), one per trace and dose across the stack's markers where
+    no override applies, taken back to every dropout point and then to
+    the entries, for all traces and sets at once.  B is one matrix
     product per trace and set: a product batched over them may sum in
     another order.
     """
@@ -1250,14 +1379,15 @@ def _view_terms(stack, sets, sides=False) -> _ViewTerms:
     doses += xi * ends[:, 1]
     shapes = rho * doses
     n = layout.n_observed
-    observed, dropout = slice(0, n), slice(n, None)
-    log_pdf = gamma_log_pdf(layout.peak_heights, shapes[:, :n], _columns(eta, observed))
-    cut_shapes = shapes[None, :, n:]
-    if sides:
-        cut_shapes = gamma_cdf_shapes(shapes[:, n:])
-    log_cdf = gamma_log_cdf(layout.cut, cut_shapes, _columns(eta, dropout))
-    log_factors = np.take(np.concatenate([log_pdf, log_cdf[0]], axis=1), layout.point, axis=1)
-    return _ViewTerms(base, ends, doses, log_factors, log_cdf)
+    log_pdf = gamma_log_pdf(layout.peak_heights, shapes[:, :n], _columns(eta, slice(0, n)))
+    dose_map = _dose_map(stack, sets)
+    cut_shapes = shapes[:, dose_map.canon]
+    cut_shapes = gamma_cdf_shapes(cut_shapes) if sides else cut_shapes[None]
+    log_cdf = gamma_log_cdf(dose_map.cut, cut_shapes, _columns(eta, dose_map.canon))
+    log_factors = np.take(
+        np.concatenate([log_pdf, log_cdf[0][:, dose_map.spread]], axis=1), layout.point, axis=1
+    )
+    return _ViewTerms(base, ends, doses, log_factors, log_cdf, dose_map)
 
 
 def _set_offsets(index, n_sets, size):
@@ -2069,15 +2199,17 @@ def _dose_point_weights(stack, terms, pair, shapes, eta):
     stack's layout, (K, points) each, at the points' gamma ``shapes`` and
     scales ``eta``: a point's posterior weight, the sum of its entries'
     pair posteriors, times the gamma kernels' derivatives at the point,
-    and 0 where the weight is not positive.  The log CDF's shape
-    derivative reads the sides that _view_terms evaluated."""
-    layout = stack.layout
+    and 0 where the weight is not positive.  The log CDF's derivatives
+    run through the dose map of ``terms`` (see _dose_map), at the points
+    and the sides that _view_terms evaluated, and are taken back to every
+    dropout point."""
+    layout, dose_map = stack.layout, terms.dose_map
     n_sets, n_points = terms.doses.shape
     n = layout.n_observed
-    d_shape, d_eta = (np.concatenate(parts, axis=1) for parts in zip(
+    d_shape, d_eta = (np.concatenate((pdf, cdf[:, dose_map.spread]), axis=1) for pdf, cdf in zip(
         gamma_log_pdf_grad(layout.peak_heights, shapes[:, :n], _columns(eta, slice(0, n))),
-        gamma_log_cdf_grad(layout.cut, shapes[:, n:], _columns(eta, slice(n, None)),
-                           terms.log_cdf[0], terms.log_cdf[1:]),
+        gamma_log_cdf_grad(dose_map.cut, shapes[:, dose_map.canon],
+                           _columns(eta, dose_map.canon), terms.log_cdf[0], terms.log_cdf[1:]),
     ))
     w = np.take(pair.reshape(n_sets, -1), layout.cell, axis=1)
     w = np.bincount(
@@ -2387,7 +2519,10 @@ def _observed_peak_posteriors(bundle, truncate) -> _PeakPosteriors:
     evaluates step t once more per peak it emits, with its table rebuilt
     without the peak's factor (see _tables_without_peaks), plus the
     survival term when ``truncate`` keeps the peak's observed status, and
-    normalizes over the step.
+    normalizes over the step.  The survival terms depend on a peak's
+    trace and doses, not its height, so gamma_log_sf runs once per peak
+    of the dose map (see _dose_map), one per trace and dose kind across
+    the stack's markers where no override applies.
     """
     n_pairs = 6 ** len(bundle.hypothesis.unknown)
     names = []
@@ -2396,14 +2531,17 @@ def _observed_peak_posteriors(bundle, truncate) -> _PeakPosteriors:
     ]
     sets = _sets_of(bundle)
     for stack in bundle._stacks:
-        tables, peaks, eta, shapes = _peak_terms(stack, sets)
+        tables, peaks, eta, shapes, dose_map = _peak_terms(stack, sets)
         if not len(peaks.row):
             continue
         layout = stack.layout
         survival = np.zeros(shapes.shape)
         if truncate:
-            threshold = layout.threshold[peaks.trace]
-            survival = gamma_log_sf(threshold[:, None], shapes, eta[:, None])
+            at = dose_map.peaks
+            threshold = layout.threshold[peaks.trace[at]]
+            survival = gamma_log_sf(
+                threshold[:, None], shapes[at], eta[at, None]
+            )[dose_map.peak_spread]
         weights = _chain_pass(
             stack, tables, alt=(peaks.row, peaks.tables + survival)
         ).alt
@@ -2425,15 +2563,15 @@ def _observed_peak_posteriors(bundle, truncate) -> _PeakPosteriors:
 def _peak_terms(stack, sets):
     """A stack's step tables at the one parameter set of ``sets``, its
     observed peaks with their tables left out (see _tables_without_peaks),
-    and each peak's trace's eta and its shapes per (previous draw, draw)
-    pair, run by run."""
+    each peak's trace's eta and its shapes per (previous draw, draw)
+    pair, run by run, and the dose map the pass runs through."""
     terms = _view_terms(stack, sets)
     n, n_pairs = stack.layout.n_observed, stack.n_pairs
     rho, eta = _point_values(stack, sets)[:2]
     return (
         _step_tables(stack, terms), _tables_without_peaks(stack, terms),
         np.broadcast_to(eta, terms.doses.shape)[0, :n:n_pairs],
-        (rho * terms.doses)[0, :n].reshape(-1, n_pairs),
+        (rho * terms.doses)[0, :n].reshape(-1, n_pairs), terms.dose_map,
     )
 
 

@@ -21,7 +21,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 from hypothesis import strategies as stn
-from scipy.special import gammainc, gammaln, logsumexp
+from scipy.special import gammainc, gammaincc, gammaln, logsumexp
 
 import mixref as mx
 from mixref import io
@@ -201,6 +201,54 @@ def oracle_gradient(bundle, marker):
                         weight * d_shape * rho * ((1 - xi) * n_here + xi * n_donor)
                     )
     return grad
+
+
+def oracle_pit(bundle, trace_id, allele, truncate, marker="M"):
+    """PIT of one observed peak on ``marker`` by enumerating genotypes.
+
+    Weights are the enumeration oracle's, with the peak's factor taken out
+    (and its survival probability put in when truncating); the mixed CDFs
+    are the gamma CDFs at its height (truncated to [C, inf)).
+    """
+    trace = next(t for t in bundle.traces if t.trace_id == trace_id)
+    z, c = trace.height(marker, allele), trace.threshold
+    zeroed = mx.Trace(
+        trace_id=trace_id, threshold=c,
+        heights={**trace.heights, marker: {**trace.heights[marker], allele: 0.0}},
+    )
+    params = bundle.parameters
+    rho = params.rho_for(trace_id, marker)
+    eta = params.eta_for(trace_id)
+    xi = params.xi_for_marker(trace_id, marker)
+    phi = params.phi[trace_id]
+    roles = set(bundle.hypothesis.roles_for(trace_id))
+    donor = oracle_successor(bundle.frequencies, marker)[allele]
+    table = oracle_table(
+        mx.EvidenceBundle(
+            traces=tuple(zeroed if t is trace else t for t in bundle.traces),
+            frequencies=bundle.frequencies, hypothesis=bundle.hypothesis,
+            parameters=params,
+        ),
+        marker,
+    )
+    logws, cdfs = [], []
+    for counts, logw in table:
+        def b(lab):
+            return sum(phi[r] * counts[r][lab] for r in counts if r in roles)
+
+        shape = rho * ((1 - xi) * b(allele) + (xi * b(donor) if donor else 0.0))
+        logw -= oracle_log_cdf(c, shape, eta)  # the zeroed peak's dropout factor
+        if truncate:
+            qc, qz = gammaincc(shape, c / eta), gammaincc(shape, z / eta)
+            logws.append(logw + (math.log(qc) if shape > 0 else -np.inf))
+            cdfs.append((qc - qz) / qc if shape > 0 else 0.0)
+        else:
+            logws.append(logw)
+            cdfs.append(gammainc(shape, z / eta) if shape > 0 else 1.0)
+    total = logsumexp(logws)
+    if total == -np.inf:
+        return float("nan")
+    return sum(math.exp(w - total) * f for w, f in zip(logws, cdfs))
 
 
 def oracle_presence(bundle, marker):

@@ -28,6 +28,7 @@ from conftest import (
     oracle_log_cdf,
     oracle_log_likelihood,
     oracle_log_pdf,
+    oracle_pit,
     oracle_presence,
     oracle_table,
     random_case,
@@ -1552,7 +1553,8 @@ class TestChainStructure:
 
 def _terms_at(stack, bundle, sides=False):
     """engine._view_terms at the bundle's parameters, without the set axis
-    (log_cdf keeps its leading axis of shapes and sides)."""
+    (log_cdf keeps its leading axis of shapes and sides, at the points of
+    the dose map the pass ran through)."""
     term = engine._view_terms(stack, engine._sets_of(bundle), sides)
     return term._replace(
         log_cdf=term.log_cdf[:, 0],
@@ -1622,110 +1624,272 @@ class TestDistinctDoses:
     @given(stn.integers(0, 3), stn.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_every_entry_as_at_its_own_dose(self, n_unknown, seed):
-        b = _overridden_case(n_unknown, seed)
-        params, joint = b.parameters, engine._joint_tables(n_unknown)
-        trace_ids = [t.trace_id for t in b.traces]
-        for stack in b._stacks:
-            plans = {plan.marker: plan for plan in stack.plans}
-            names = list(plans)
-            # each marker's first row of the stack's doses B
-            length = [len(plan.order) for plan in stack.plans]
-            offset = dict(zip(plans, np.cumsum([0] + length)))
-            n_pairs, n_steps = stack.n_pairs, stack.transition.shape[1]
-            layout, term = stack.layout, _terms_at(stack, b, sides=True)
-            sets, k = engine._sets_of(b), layout.n_observed
-            # every entry's dose point is among its trace's: its observed
-            # points among the first k, trace by trace, then its distinct
-            # dropout doses
-            assert layout.trace_ids == tuple(t for t in trace_ids
-                                             if t in layout.trace_ids)
-            n_traces = len(layout.trace_ids)
-            for j, tid in enumerate(layout.trace_ids):
-                lo, hi = layout.entries[j:j + 2]
-                points = layout.point[lo:hi]
-                (o0, o1), (d0, d1) = (layout.points[i:i + 2] for i in (j, n_traces + j))
-                observed = points < k
-                n_obs = int(observed.sum())
-                assert observed[:n_obs].all() and n_obs == o1 - o0
-                np.testing.assert_array_equal(points[:n_obs], np.arange(o0, o1))
-                assert ((d0 <= points[n_obs:]) & (points[n_obs:] < d1)).all()
-                # each run's marker, from its emit step's row
-                runs = [names[r // n_steps] for r in layout.cell[lo:hi:n_pairs] // n_pairs]
-                position = layout.position[lo // n_pairs:hi // n_pairs]
-                # each entry's own dose, run by run, as the chain defines it,
-                # from its marker's rows of the trace's doses B, at its
-                # marker's xi
-                own, rho = [], []
-                for marker, p in zip(runs, position):
-                    xi = params.xi_for_marker(tid, marker)
-                    base = term.base[j][offset[marker] + p:]
-                    own.append(
-                        (1.0 - xi) * base[0][joint.pair_prev]
-                        + xi * base[1][joint.pair_draw]
-                        if plans[marker].coupled[p]
-                        else (1.0 - xi) * base[0][joint.pair_draw]
-                    )
-                    rho.append(np.full(n_pairs, params.rho_for(tid, marker)))
-                own = np.concatenate(own)
-                # the dose points: the observed entries, and the distinct
-                # dropout doses, taken back to the dropout entries
-                np.testing.assert_array_equal(term.doses[points], own)
-                shapes = np.concatenate(rho) * own
-                eta = params.eta_for(tid)
-                (trace,) = [t for t in b.traces if t.trace_id == tid]
-                heights = np.repeat(
-                    [
-                        trace.height(marker, plans[marker].internal_labels[p])
-                        for marker, p in zip(runs, position[:n_obs // n_pairs])
-                    ],
-                    n_pairs,
-                )
-                np.testing.assert_array_equal(
-                    term.log_factors[lo:lo + n_obs],
-                    gamma_log_pdf(heights, shapes[:n_obs], eta),
-                )
-                log_cdf = gamma_log_cdf(trace.threshold, shapes[n_obs:], eta)
-                np.testing.assert_array_equal(term.log_factors[lo + n_obs:hi], log_cdf)
-                spread = points[n_obs:] - k
-                np.testing.assert_array_equal(term.log_cdf[0][spread], log_cdf)
-                # derivatives at the distinct doses, from the sides the
-                # gradient pass evaluated, taken back, are each entry's own
-                rho_at, eta_at = (
-                    np.broadcast_to(v, (len(v), len(term.doses)))[0]
-                    for v in engine._point_values(stack, sets)[:2]
-                )
-                at_points = gamma_log_cdf_grad(
-                    layout.cut, (rho_at * term.doses)[k:], eta_at[k:],
-                    term.log_cdf[0], term.log_cdf[1:],
-                )
-                own_grad = gamma_log_cdf_grad(trace.threshold, shapes[n_obs:], eta, log_cdf)
-                for got, want in zip(at_points, own_grad):
-                    np.testing.assert_array_equal(got[spread], want)
-        for marker in b.covered_markers():
-            dp = mx.marker_log_likelihood(b, marker)
-            enum = oracle_log_likelihood(b, marker)
-            bf = mx.brute_force_log_likelihood(b, marker)
-            if enum == -np.inf:
-                assert dp == -np.inf and bf == -np.inf
-                continue
-            assert dp == pytest.approx(enum, rel=1e-9, abs=1e-9)
-            assert bf == pytest.approx(enum, rel=1e-9, abs=1e-9)
+        _assert_every_entry_at_its_own_dose(_overridden_case(n_unknown, seed))
 
-    def test_excerpt_defence_evaluates_486_of_1296_dropout_doses(
+    @given(stn.integers(0, 3), stn.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_every_entry_as_at_its_own_dose_without_overrides(self, n_unknown, seed):
+        # the same bundles with the overrides removed: the dose map takes
+        # the points of one trace and kind on M and M2 to one point
+        b = _overridden_case(n_unknown, seed)
+        _assert_every_entry_at_its_own_dose(
+            b.with_parameters(replace(b.parameters, marker_rho=None, marker_xi=None))
+        )
+
+    @given(stn.integers(0, 2), stn.integers(1, 2), stn.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_every_entry_as_at_its_own_dose_with_three_known(self, n_unknown, n_traces, seed):
+        b = _shared_kinds_case(n_unknown, n_traces, seed)
+        # every trace drops 11 and 12 on each of the three markers, so
+        # the map merges points in each stack
+        assert all(not isinstance(stack.dose_map.canon, slice) for stack in b._stacks)
+        _assert_every_entry_at_its_own_dose(b)
+
+    def test_excerpt_defence_evaluates_270_of_1296_dropout_doses(
         self, pubcase_defence_bundle, monkeypatch
     ):
-        b = pubcase_defence_bundle
-        sizes = []
+        # 486 distinct dropout doses per marker, 270 across the three
+        # markers of the one stack
+        _assert_dropout_evaluations(pubcase_defence_bundle, monkeypatch, 1296, 486, 270)
 
-        def counting(x, shape, scale, _original=engine.gamma_log_cdf):
-            sizes.append(np.size(shape))
-            return _original(x, shape, scale)
+    def test_excerpt_prosecution_evaluates_60_of_216_dropout_doses(
+        self, pubcase, monkeypatch
+    ):
+        hypothesis = mx.io.build_hypothesis(
+            pubcase["case"].hypotheses["prosecution"], pubcase["profiles"]
+        )
+        p = pubcase["params"]
+        b = mx.EvidenceBundle(
+            traces=pubcase["traces"], frequencies=pubcase["freqs"], hypothesis=hypothesis,
+            parameters=mx.ModelParameters(
+                rho=p.rho, eta=p.eta, xi=p.xi,
+                phi={t: {"K1": f["K1"], "K2": f["K2"], "K3": f["U1"], "U1": f["U2"]}
+                     for t, f in p.phi.items()},
+            ),
+        )
+        _assert_dropout_evaluations(b, monkeypatch, 216, 102, 60)
 
-        monkeypatch.setattr(engine, "gamma_log_cdf", counting)
-        mx.total_log_likelihood(b)
-        layouts = [stack.layout for stack in b._stacks]
-        assert sum(len(v.cell) - v.n_observed for v in layouts) == 1296
-        assert sum(sizes) == 486
+
+class TestDoseMapUnderOverrides:
+    @pytest.mark.parametrize("n_unknown", [1, 2])
+    @pytest.mark.parametrize("override", ["marker_rho", "marker_xi"])
+    def test_markers_that_share_a_kind_keep_their_own_doses(self, override, n_unknown):
+        # M and M2 share their ladder and K1's genotype, and T1 drops 11 on
+        # both: without an override the dose map takes their dropout
+        # points, and the observed peaks at 8 and 9, to one
+        b = _two_markers_sharing_kinds(n_unknown)
+        (stack,) = b._stacks
+        layout = stack.layout
+        assert len(stack.dose_map.canon) < layout.points[-1] - layout.n_observed
+        assert len(stack.dose_map.peaks) < layout.n_observed // stack.n_pairs
+        # an override on M2 alone gives its points their own rho or xi
+        over = ({"marker_rho": {"M2": {"T1": 55.0}}} if override == "marker_rho"
+                else {"marker_xi": {"M2": 0.2}})
+        b = b.with_parameters(replace(b.parameters, **over))
+        _assert_every_entry_at_its_own_dose(b)
+        loglik, grad = mx.log_likelihood_and_gradient(b)
+        want, want_grad = 0.0, {}
+        for m in ("M", "M2"):
+            own = mx.marker_log_likelihood(b, m)
+            for oracle in (mx.brute_force_log_likelihood, oracle_log_likelihood):
+                assert own == pytest.approx(oracle(b, m), rel=1e-10, abs=1e-10)
+            want += own
+            for key, value in oracle_gradient(b, m).items():
+                want_grad[key] = want_grad.get(key, 0.0) + value
+        assert loglik == pytest.approx(want, rel=1e-12)
+        assert set(grad) == set(want_grad)
+        for key, value in grad.items():
+            assert value == pytest.approx(want_grad[key], rel=1e-10, abs=1e-10), key
+        records = mx.probability_integral_transform(b)
+        assert {r["marker"] for r in records} == {"M", "M2"}
+        for rec in records:
+            want = oracle_pit(b, rec["trace"], rec["allele"], True, rec["marker"])
+            assert rec["pit"] == pytest.approx(want, abs=1e-9)
+
+
+def _two_markers_sharing_kinds(n_unknown):
+    """One trace on M and M2, which share the ladder 8-11 and K1's 8/9: the
+    peaks at 8 and 9 are observed on both, 11 drops out on both, and 10
+    on M2."""
+    labels = {"8": 0.3, "9": 0.3, "10": 0.25, "11": 0.15}
+    freqs = mx.FrequencyTable.from_dict({"M": labels, "M2": labels})
+    known = {"K1": mx.GenotypeProfile.from_pairs({"M": ("8", "9"), "M2": ("8", "9")})}
+    unknown = tuple(f"U{i + 1}" for i in range(n_unknown))
+    roles = (*known, *unknown)
+    heights = {"M": {"8": 820.0, "9": 640.0, "10": 310.0, "11": 0.0},
+               "M2": {"8": 905.0, "9": 585.0, "10": 0.0, "11": 0.0}}
+    return mx.EvidenceBundle(
+        traces=(mx.Trace(trace_id="T1", threshold=50.0, heights=heights),),
+        frequencies=freqs,
+        hypothesis=mx.Hypothesis(known=known, unknown=unknown),
+        parameters=mx.ModelParameters(
+            rho={"T1": 30.0}, eta=25.0, xi=0.08,
+            phi={"T1": dict(zip(roles, [0.6, 0.25, 0.15][:len(roles)]
+                                if n_unknown == 2 else [0.7, 0.3]))},
+        ),
+    )
+
+
+def _assert_dropout_evaluations(b, monkeypatch, entries, distinct, evaluated):
+    """A value pass over ``b`` evaluates gamma_log_cdf at ``evaluated`` of
+    its ``entries`` dropout entries, whose layouts hold ``distinct``
+    dropout points."""
+    sizes = []
+
+    def counting(x, shape, scale, _original=engine.gamma_log_cdf):
+        sizes.append(np.size(shape))
+        return _original(x, shape, scale)
+
+    monkeypatch.setattr(engine, "gamma_log_cdf", counting)
+    mx.total_log_likelihood(b)
+    layouts = [stack.layout for stack in b._stacks]
+    assert sum(len(v.cell) - v.n_observed for v in layouts) == entries
+    assert sum(v.points[-1] - v.n_observed for v in layouts) == distinct
+    assert sum(sizes) == evaluated
+
+
+def _assert_every_entry_at_its_own_dose(b):
+    """Every factor entry of ``b``'s stacks, and every derivative of its log
+    CDF and survival term at an observed peak, bit for bit as at the
+    entry's own dose, and each marker's log L against both oracles."""
+    params, joint = b.parameters, engine._joint_tables(len(b.hypothesis.unknown))
+    trace_ids = [t.trace_id for t in b.traces]
+    for stack in b._stacks:
+        plans = {plan.marker: plan for plan in stack.plans}
+        names = list(plans)
+        # each marker's first row of the stack's doses B
+        length = [len(plan.order) for plan in stack.plans]
+        offset = dict(zip(plans, np.cumsum([0] + length)))
+        n_pairs, n_steps = stack.n_pairs, stack.transition.shape[1]
+        layout, term = stack.layout, _terms_at(stack, b, sides=True)
+        sets, k = engine._sets_of(b), layout.n_observed
+        dose_map = term.dose_map
+        # every entry's dose point is among its trace's: its observed
+        # points among the first k, trace by trace, then its distinct
+        # dropout doses
+        assert layout.trace_ids == tuple(t for t in trace_ids
+                                         if t in layout.trace_ids)
+        n_traces = len(layout.trace_ids)
+        for j, tid in enumerate(layout.trace_ids):
+            lo, hi = layout.entries[j:j + 2]
+            points = layout.point[lo:hi]
+            (o0, o1), (d0, d1) = (layout.points[i:i + 2] for i in (j, n_traces + j))
+            observed = points < k
+            n_obs = int(observed.sum())
+            assert observed[:n_obs].all() and n_obs == o1 - o0
+            np.testing.assert_array_equal(points[:n_obs], np.arange(o0, o1))
+            assert ((d0 <= points[n_obs:]) & (points[n_obs:] < d1)).all()
+            # each run's marker, from its emit step's row
+            runs = [names[r // n_steps] for r in layout.cell[lo:hi:n_pairs] // n_pairs]
+            position = layout.position[lo // n_pairs:hi // n_pairs]
+            # each entry's own dose, run by run, as the chain defines it,
+            # from its marker's rows of the trace's doses B, at its
+            # marker's xi
+            own, rho = [], []
+            for marker, p in zip(runs, position):
+                xi = params.xi_for_marker(tid, marker)
+                base = term.base[j][offset[marker] + p:]
+                own.append(
+                    (1.0 - xi) * base[0][joint.pair_prev]
+                    + xi * base[1][joint.pair_draw]
+                    if plans[marker].coupled[p]
+                    else (1.0 - xi) * base[0][joint.pair_draw]
+                )
+                rho.append(np.full(n_pairs, params.rho_for(tid, marker)))
+            own = np.concatenate(own)
+            # the dose points: the observed entries, and the distinct
+            # dropout doses, taken back to the dropout entries
+            np.testing.assert_array_equal(term.doses[points], own)
+            shapes = np.concatenate(rho) * own
+            eta = params.eta_for(tid)
+            (trace,) = [t for t in b.traces if t.trace_id == tid]
+            heights = np.repeat(
+                [
+                    trace.height(marker, plans[marker].internal_labels[p])
+                    for marker, p in zip(runs, position[:n_obs // n_pairs])
+                ],
+                n_pairs,
+            )
+            np.testing.assert_array_equal(
+                term.log_factors[lo:lo + n_obs],
+                gamma_log_pdf(heights, shapes[:n_obs], eta),
+            )
+            log_cdf = gamma_log_cdf(trace.threshold, shapes[n_obs:], eta)
+            np.testing.assert_array_equal(term.log_factors[lo + n_obs:hi], log_cdf)
+            # the log CDFs the pass evaluated, at the dose map's points,
+            # taken back to every dropout point and then to the entries
+            spread = points[n_obs:] - k
+            np.testing.assert_array_equal(term.log_cdf[0][dose_map.spread][spread], log_cdf)
+            # derivatives at the dose map's points, from the sides the
+            # gradient pass evaluated, taken back, are each entry's own
+            rho_at, eta_at = (
+                np.broadcast_to(v, (len(v), len(term.doses)))[0]
+                for v in engine._point_values(stack, sets)[:2]
+            )
+            at_points = gamma_log_cdf_grad(
+                dose_map.cut, (rho_at * term.doses)[dose_map.canon], eta_at[dose_map.canon],
+                term.log_cdf[0], term.log_cdf[1:],
+            )
+            own_grad = gamma_log_cdf_grad(trace.threshold, shapes[n_obs:], eta, log_cdf)
+            for got, want in zip(at_points, own_grad):
+                np.testing.assert_array_equal(got[dose_map.spread][spread], want)
+    # each observed peak's survival term, evaluated once per peak of the
+    # dose map, as at the peak's own shapes
+    peaks = engine._observed_peak_posteriors(b, truncate=True)
+    threshold = {t.trace_id: t.threshold for t in b.traces}
+    for name, shapes, eta, survival in zip(peaks.names, peaks.shapes, peaks.eta, peaks.survival):
+        np.testing.assert_array_equal(
+            survival, mx.peakmodel.gamma_log_sf(threshold[name[0]], shapes, eta)
+        )
+    for marker in b.covered_markers():
+        dp = mx.marker_log_likelihood(b, marker)
+        enum = oracle_log_likelihood(b, marker)
+        bf = mx.brute_force_log_likelihood(b, marker)
+        if enum == -np.inf:
+            assert dp == -np.inf and bf == -np.inf
+            continue
+        assert dp == pytest.approx(enum, rel=1e-9, abs=1e-9)
+        assert bf == pytest.approx(enum, rel=1e-9, abs=1e-9)
+
+
+def _shared_kinds_case(n_unknown, n_traces, seed):
+    """Three known contributors and n_traces traces on three markers with
+    the ladder 8-12, no per-marker override.  The knowns carry alleles 8
+    to 10 alone and every trace drops 11 and 12, so the dropout peaks at
+    11 (coupled to 12) and at 12 share their kinds across the markers."""
+    rng = np.random.default_rng(seed)
+    labels = ["8", "9", "10", "11", "12"]
+    markers = ("M1", "M2", "M3")
+    freqs = mx.FrequencyTable.from_dict({
+        m: dict(zip(labels, rng.dirichlet(np.ones(len(labels)) * 2.0))) for m in markers
+    })
+    known = {
+        f"K{i + 1}": mx.GenotypeProfile.from_pairs(
+            {m: tuple(rng.choice(labels[:3], size=2)) for m in markers}
+        )
+        for i in range(3)
+    }
+    unknown = tuple(f"U{i + 1}" for i in range(n_unknown))
+    roles = (*known, *unknown)
+    traces, rho, phi = [], {}, {}
+    for tid in (f"T{i + 1}" for i in range(n_traces)):
+        heights = {
+            m: {a: (float(rng.uniform(50, 1200)) if rng.random() < 0.7 else 0.0)
+                for a in labels[:3]}
+            for m in markers
+        }
+        traces.append(mx.Trace(trace_id=tid, threshold=50.0, heights=heights))
+        rho[tid] = float(rng.uniform(10, 60))
+        w = rng.dirichlet(np.ones(len(roles)))
+        w = np.concatenate([w[:3], np.sort(w[3:])[::-1]])
+        phi[tid] = dict(zip(roles, w.tolist()))
+    return mx.EvidenceBundle(
+        traces=tuple(traces), frequencies=freqs,
+        hypothesis=mx.Hypothesis(known=known, unknown=unknown),
+        parameters=mx.ModelParameters(
+            rho=rho, eta=float(rng.uniform(15, 45)), xi=float(rng.uniform(0, 0.25)), phi=phi,
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1777,12 +1941,19 @@ def _reference_layout(ladder, order, coupled, silent, known_counts, pair_prev,
     n_peaks = int(observed[emitted].sum()) if emitted else 0
     points = [ends[:, emitted[:n_peaks]].reshape(2, -1)]
     slot, offsets, n_distinct = {}, [], 0
+    # each position's dose kind on any marker: its known counts and, if
+    # coupled, its donor's; each distinct dropout dose keyed by its kind
+    # and its index among its kind's doses
+    counts = [tuple(c) for c in known_counts.T.tolist()]
+    free = [(counts[p], counts[p + 1]) if coupled[p] else (counts[p],) for p in range(n_pos)]
+    dose_keys = []
     for p in emitted[n_peaks:]:
         kind = (column[p], column[p + 1]) if coupled[p] else (column[p],)
         if kind not in slot:
             slot[kind] = n_distinct
             points.append(ends[:, p, np.arange(n_pairs) if coupled[p] else first_of_draw])
             n_distinct += points[-1].shape[1]
+            dose_keys += [(free[p], i) for i in range(points[-1].shape[1])]
         offsets.append(slot[kind])
     spread = (np.array(offsets, dtype=np.int64)[:, None] + local[emitted[n_peaks:]])
     gather = np.concatenate(points, axis=1)
@@ -1800,6 +1971,7 @@ def _reference_layout(ladder, order, coupled, silent, known_counts, pair_prev,
         peak_heights=np.repeat(heights[emitted[:n_peaks]], n_pairs),
         gather=gather, cell=cell, spread=spread.ravel(),
         position=np.array(emitted, dtype=np.int64),
+        dose_keys=dose_keys, peak_kinds=[free[p] for p in emitted[:n_peaks]],
     )
 
 
@@ -1875,6 +2047,8 @@ def _reference_stack(group, trace_ids):
             position=np.concatenate(
                 [e["position"][:n // n_pairs] for (_, e), n in zip(mine, obs)]
                 + [e["position"][n // n_pairs:] for (_, e), n in zip(mine, obs)]),
+            dose_keys=[key for _, e in mine for key in e["dose_keys"]],
+            peak_kinds=[kind for _, e in mine for kind in e["peak_kinds"]],
         ))
     lp = np.full((len(group), n_steps, 6 ** group[0]["n_unknown"]), -np.inf)
     lp[:, :, 0] = 0.0
@@ -1884,6 +2058,31 @@ def _reference_stack(group, trace_ids):
         markers=[plan["marker"] for plan in group], first=first, lp=lp,
         known_counts=np.concatenate([plan["known_counts"] for plan in group], axis=1),
         layout=_reference_join(layouts, trace_ids, zero + 1, group[0]),
+        dose_map=_reference_dose_map(layouts),
+    )
+
+
+def _reference_dose_map(layouts):
+    """The dose map of the traces' joined layouts, point by point and peak
+    by peak: each dropout dose taken to the first of its trace with its
+    kind and index, each observed peak to the first of its trace with its
+    kind, in layout order, trace by trace."""
+    n_observed = sum(e["n_observed"] for e in layouts)
+    maps = []
+    for items in ([(e["trace_id"], key) for e in layouts for key in e["dose_keys"]],
+                  [(e["trace_id"], kind) for e in layouts for kind in e["peak_kinds"]]):
+        first, spread = {}, []
+        for item in items:
+            spread.append(first.setdefault(item, len(first)))
+        canon = [items.index(item) for item in first]
+        maps += [np.array(canon, dtype=np.int64), np.array(spread, dtype=np.int64)]
+    threshold = {e["trace_id"]: e["threshold"] for e in layouts}
+    cut = [threshold[e["trace_id"]] for e in layouts for _ in e["dose_keys"]]
+    return dict(
+        canon=maps[0] + n_observed,
+        cut=np.array(cut, dtype=float)[maps[0]] if len(layouts) > 1
+        else np.array([e["threshold"] for e in layouts], dtype=float),
+        spread=maps[1], peaks=maps[2], peak_spread=maps[3],
     )
 
 
@@ -2043,6 +2242,14 @@ class TestPlanBuildAgainstPerPositionReference:
                 stack.transition, np.exp(expected["lp"] - shift[..., None])
             )
             _assert_layout_equal(stack.layout, expected["layout"])
+            # the dose map, a slice read as the indices it takes
+            for name, value in expected["dose_map"].items():
+                have = getattr(stack.dose_map, name)
+                if isinstance(have, slice):
+                    have = np.arange(len(value) if name != "canon"
+                                     else stack.layout.points[-1])[have]
+                np.testing.assert_array_equal(have, value, err_msg=name)
+                assert have.dtype == value.dtype, name
 
 
 class TestUnknownLimit:
@@ -2355,9 +2562,11 @@ class TestBundlePass:
         # the excerpt's two traces share one layout on its one stack: a
         # gradient round calls each kernel once, and gamma_log_cdf_grad
         # reads the central difference's sides from the one gamma_log_cdf
-        # call; a value pass evaluates no side
+        # call; a value pass evaluates no side.  gamma_log_cdf runs at the
+        # dose map's points alone
         b = pubcase_defence_bundle
         assert len(b.traces) == 2 and len(b._stacks) == 1
+        n_canon = len(b._stacks[0].dose_map.canon)
         calls, cdf_shapes = {}, []
         for name in ("gamma_log_pdf", "gamma_log_cdf", "gamma_log_pdf_grad",
                      "gamma_log_cdf_grad", "gamma_cdf_shapes"):
@@ -2376,12 +2585,12 @@ class TestBundlePass:
         monkeypatch.setattr(mx.peakmodel, "gamma_log_cdf", inside)
         mx.log_likelihood_and_gradient(b)
         assert calls == dict.fromkeys(calls, len(b._stacks)) and len(calls) == 5
-        assert [shape[0] for shape in cdf_shapes] == [3] and inner == []
+        assert cdf_shapes == [(3, 1, n_canon)] and inner == []
         calls.clear()
         cdf_shapes.clear()
         mx.total_log_likelihood(b)
         assert calls == {"gamma_log_pdf": 1, "gamma_log_cdf": 1}
-        assert [shape[0] for shape in cdf_shapes] == [1]
+        assert cdf_shapes == [(1, 1, n_canon)]
 
 
 def _impossible_marker_case():

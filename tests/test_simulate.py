@@ -12,59 +12,11 @@ from scipy.special import gammainc, gammaincc, logsumexp
 
 import mixref as mx
 
-from conftest import oracle_log_cdf, oracle_successor, oracle_table, random_case
+from conftest import oracle_pit, oracle_table, random_case
 
 
 def many_marker_table(n, labels_freqs):
     return mx.FrequencyTable.from_dict({f"M{i}": dict(labels_freqs) for i in range(n)})
-
-
-def oracle_pit(bundle, trace_id, allele, truncate, marker="M"):
-    """PIT of one observed peak on ``marker`` by enumerating genotypes.
-
-    Weights are the enumeration oracle's, with the peak's factor taken out
-    (and its survival probability put in when truncating); the mixed CDFs
-    are the gamma CDFs at its height (truncated to [C, inf)).
-    """
-    trace = next(t for t in bundle.traces if t.trace_id == trace_id)
-    z, c = trace.height(marker, allele), trace.threshold
-    zeroed = mx.Trace(
-        trace_id=trace_id, threshold=c,
-        heights={**trace.heights, marker: {**trace.heights[marker], allele: 0.0}},
-    )
-    params = bundle.parameters
-    rho = params.rho_for(trace_id, marker)
-    eta = params.eta_for(trace_id)
-    xi = params.xi_for_marker(trace_id, marker)
-    phi = params.phi[trace_id]
-    roles = set(bundle.hypothesis.roles_for(trace_id))
-    donor = oracle_successor(bundle.frequencies, marker)[allele]
-    table = oracle_table(
-        mx.EvidenceBundle(
-            traces=tuple(zeroed if t is trace else t for t in bundle.traces),
-            frequencies=bundle.frequencies, hypothesis=bundle.hypothesis,
-            parameters=params,
-        ),
-        marker,
-    )
-    logws, cdfs = [], []
-    for counts, logw in table:
-        def b(lab):
-            return sum(phi[r] * counts[r][lab] for r in counts if r in roles)
-
-        shape = rho * ((1 - xi) * b(allele) + (xi * b(donor) if donor else 0.0))
-        logw -= oracle_log_cdf(c, shape, eta)  # the zeroed peak's dropout factor
-        if truncate:
-            qc, qz = gammaincc(shape, c / eta), gammaincc(shape, z / eta)
-            logws.append(logw + (math.log(qc) if shape > 0 else -np.inf))
-            cdfs.append((qc - qz) / qc if shape > 0 else 0.0)
-        else:
-            logws.append(logw)
-            cdfs.append(gammainc(shape, z / eta) if shape > 0 else 1.0)
-    total = logsumexp(logws)
-    if total == -np.inf:
-        return float("nan")
-    return sum(math.exp(w - total) * f for w, f in zip(logws, cdfs))
 
 
 class TestSimulateTrace:
