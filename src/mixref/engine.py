@@ -812,7 +812,8 @@ class _Stack:
     dose_map takes the dropout points and observed peaks of one trace and
     dose kind on several of the markers to one (see _DoseMap).  A pass
     over n_sets parameter sets at once runs on the stack's markers
-    repeated once per set (see _repeated), which has no layout.
+    repeated once per set (see _repeated), which has no layout; repeats
+    keeps each such copy, by its number of sets, for the passes after.
     """
 
     plans: tuple[_MarkerPlan, ...]
@@ -830,6 +831,9 @@ class _Stack:
     n_pairs: int
     edges: _EdgeSet
     n_sets: int = 1
+    repeats: dict[int, _Stack] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def _build_stacks(freqs, hypothesis, traces, names):
@@ -995,10 +999,12 @@ def _repeated(stack, n_sets):
     """The chains of a stack's markers repeated once per parameter set, set
     by set, for one pass over the step tables of n_sets sets (see
     _step_tables).  Each copy has the stack's own padding and scaled
-    transitions."""
+    transitions.  Each stack makes its copy for n_sets once and keeps it."""
     if n_sets == 1:
         return stack
-    return _Stack(
+    if n_sets in stack.repeats:
+        return stack.repeats[n_sets]
+    stack.repeats[n_sets] = _Stack(
         plans=stack.plans * n_sets,
         first=np.tile(stack.first, n_sets),
         transition=np.tile(stack.transition, (n_sets, 1, 1)),
@@ -1015,6 +1021,7 @@ def _repeated(stack, n_sets):
         edges=stack.edges,
         n_sets=n_sets,
     )
+    return stack.repeats[n_sets]
 
 
 # ---------------------------------------------------------------------------

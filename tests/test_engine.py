@@ -2930,6 +2930,23 @@ class TestBatchedSets:
                 want = sum(oracle(one, m) for m in one.covered_markers())
                 assert ll == pytest.approx(want, rel=1e-8)
 
+    def test_a_stack_tiles_once_per_set_count(self, pubcase_defence_bundle):
+        # the excerpt's defence hypothesis holds four sets a pass, so six
+        # sets pass as four and two; a second call, on the bundles derived
+        # from the same build, reuses both copies and gives the same bits
+        # a fresh build, so that no other test's passes made copies
+        b = replace(pubcase_defence_bundle)
+        bundles = _parameter_sets(b, np.random.default_rng(4), 6)
+        first = mx.batch_log_likelihood_and_gradient(bundles)
+        copies = [dict(stack.repeats) for stack in b._stacks]
+        assert [sorted(kept) for kept in copies] == [[2, 4]] * len(b._stacks)
+        again = mx.batch_log_likelihood_and_gradient(bundles)
+        for stack, kept in zip(b._stacks, copies):
+            assert list(stack.repeats) == list(kept)
+            assert all(stack.repeats[n] is kept[n] for n in kept)
+            assert not kept[4].repeats
+        _assert_bit_identical(again, first)
+
     def test_a_redone_marker_keeps_its_set(self, monkeypatch):
         # M is TestScaledPassFallback's dying path at rho 6000, which the
         # scaled pass cannot keep; at rho 40 it passes scaled: only the

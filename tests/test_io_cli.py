@@ -802,9 +802,9 @@ def _loaded_after(code, modules=("scipy.optimize", "scipy.stats")):
 
 @pytest.mark.parametrize("module", ["mixref", "mixref.cli"])
 def test_importing_leaves_scipy_optimize_and_stats_unloaded(module):
-    # all three are slow to import: only fits with free parameters and
-    # diagnose load the first two, and the first chain pass scipy.sparse,
-    # when they run
+    # all three are slow to import: fits with free parameters load
+    # scipy.optimize and the first chain pass scipy.sparse, when they run;
+    # nothing in the package loads scipy.stats
     modules = ("scipy.optimize", "scipy.stats", "scipy.sparse")
     assert _loaded_after(f"import sys, {module}", modules) == "[]"
 
@@ -1072,3 +1072,16 @@ class TestPubcaseCli:
         _, _, _, z, ps, _ = row.split(",")
         assert float(z) == 55.0
         assert abs(float(ps) - 0.927) < 0.02
+
+
+@pytest.mark.parametrize("stated, loaded", [(True, "[]"), (False, "['scipy.optimize']")])
+def test_diagnose_leaves_scipy_stats_unloaded(tiny_case, stated, loaded):
+    # the KS test needs scipy.special alone; without --params diagnose
+    # fits first, which loads scipy.optimize
+    args = ["diagnose", "--freqs", tiny_case["freqs"], "--profiles",
+            tiny_case["profiles"], "--trace", tiny_case["trace"],
+            "--hypothesis", tiny_case["case"]]
+    if stated:
+        args += ["--params", tiny_case["params"]]
+    code = f"import sys\nfrom mixref import cli\nassert cli.main({args!r}) == 0"
+    assert _loaded_after(code) == loaded

@@ -11,6 +11,7 @@ from scipy import stats as st
 from scipy.special import gammainc, gammaincc, logsumexp
 
 import mixref as mx
+from mixref.simulate import ks_uniform
 
 from conftest import oracle_pit, oracle_table, random_case
 
@@ -315,3 +316,105 @@ class TestProbabilityIntegralTransform:
         pits = [r["pit"] for r in mx.probability_integral_transform(b)]
         assert len(pits) > 50
         assert st.kstest(pits, "uniform").pvalue > 1e-3
+
+
+def _sample_at(n, d):
+    """n values in [0, 1] whose KS distance from the uniform is d, to
+    rounding, for 1/(2n) <= d <= 1: the midpoints (i - 1/2)/n moved up by
+    d - 1/(2n), clipped at 1."""
+    return np.minimum((np.arange(n) + 0.5) / n + (d - 0.5 / n), 1.0)
+
+
+def _pelz_good_region(n, d):
+    """Whether scipy's kstwo.sf takes the Pelz-Good series at (n, d)."""
+    t = n * d
+    return n > 140 and 1 < t < n - 1 and d < 0.5 and t * d < 2.2 and n * d**1.5 > 1.4
+
+
+def _assert_as_scipy(values):
+    """ks_uniform against scipy.stats.kstest(values, "uniform"): the
+    statistic bit for bit; the p-value within 1e-10 relative, except where
+    scipy takes the Pelz-Good series (n > 140), where it is within 3e-5 of
+    scipy's and within 1e-10 of 1 - scipy's Durbin matrix CDF."""
+    from scipy.stats._ksstats import _kolmogn_DMTW
+
+    d, p = ks_uniform(values)
+    want = st.kstest(values, "uniform")
+    assert np.float64(d).tobytes() == np.float64(want.statistic).tobytes()
+    n = len(values)
+    if _pelz_good_region(n, d):
+        assert p == pytest.approx(want.pvalue, rel=3e-5, abs=0)
+        assert p == pytest.approx(1.0 - _kolmogn_DMTW(n, d), rel=1e-10, abs=0)
+    else:
+        assert p == pytest.approx(want.pvalue, rel=1e-10, abs=0)
+    return d, p
+
+
+class TestKsUniform:
+    """The exact two-sided KS test of the PITs against the uniform, with
+    scipy.stats as its oracle."""
+
+    @given(stn.integers(1, 400), stn.floats(0.2, 5.0), stn.floats(0.2, 5.0),
+           stn.integers(0, 2**32 - 1), stn.sampled_from([None, 1, 2]),
+           stn.sampled_from(["none", "zeros", "ones", "both"]))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_samples_match_scipy(self, n, a, b, seed, digits, ends):
+        # beta-distributed values, with ties where they are rounded, and
+        # some set to exactly 0 or 1
+        rng = np.random.default_rng(seed)
+        x = rng.beta(a, b, n)
+        if digits is not None:
+            x = np.round(x, digits)
+        at = rng.random(n) < 0.1
+        if ends in ("zeros", "both"):
+            x[at & (rng.random(n) < 0.5)] = 0.0
+        if ends in ("ones", "both"):
+            x[at & ~(x == 0.0)] = 1.0
+        _assert_as_scipy(x.tolist())
+
+    @pytest.mark.parametrize("n, tail", [
+        (50, 0.754693), (140, 0.754693),  # scipy: Durbin below, Pomeranz above
+        (100, 4.0), (140, 4.0),  # Durbin (Pomeranz in scipy), then 2 smirnov
+        (141, 2.2), (400, 2.2), (2000, 2.2),  # Durbin (scipy: Pelz-Good), then 2 smirnov
+        (2000, 18.0), (2000, 370.0),  # 2 smirnov, which scipy takes as 0 from 370
+    ])
+    def test_each_side_of_the_tail_branch_points(self, n, tail):
+        for shift in (-1e-9, 0.0, 1e-9):
+            d, p = _assert_as_scipy(_sample_at(n, math.sqrt(tail * (1 + shift) / n)))
+            if n * d * d >= 370.0:
+                assert p == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 140, 141, 2000])
+    def test_the_closed_forms_and_the_upper_half(self, n):
+        # n D <= 1/2 (p = 1), n D <= 1 (Ruben-Gambino), D >= 1/2 (2 smirnov,
+        # exact), n D >= n - 1 (Ruben-Gambino) and D = 1 (p = 0)
+        cases = [0.5 / n, 0.8 / n, 1.0 / n, 0.5, 0.7, (n - 1) / n, 1 - 0.3 / n, 1.0]
+        for d in cases:
+            if d >= 0.5 / n:
+                _assert_as_scipy(_sample_at(n, d))
+        assert ks_uniform(_sample_at(n, 0.5 / n))[1] == 1.0
+        assert ks_uniform(np.ones(n))[1] == 0.0
+
+    def test_values_outside_the_unit_interval_are_clipped(self):
+        # the uniform CDF is 0 below 0 and 1 above 1
+        for values in ([-0.5, 0.2, 1.5], [-2.0] * 3, [0.3, 0.9, 4.0, 0.1]):
+            _assert_as_scipy(values)
+
+    @pytest.mark.parametrize("n", [140, 141, 400, 2000])
+    def test_durbin_body_at_and_beyond_n_140(self, n):
+        # the body of the distribution, where n > 140 has scipy take the
+        # Pelz-Good series and mixref Durbin's matrix
+        for tail in (0.05, 0.3, 1.0, 2.0):
+            _assert_as_scipy(_sample_at(n, math.sqrt(tail / n)))
+
+    def test_excerpt_pits_give_the_printed_line(self, pubcase):
+        hyp = mx.io.build_hypothesis(
+            pubcase["case"].hypotheses["defence"], pubcase["profiles"]
+        )
+        b = mx.EvidenceBundle(
+            traces=pubcase["traces"], frequencies=pubcase["freqs"],
+            hypothesis=hyp, parameters=pubcase["params"],
+        )
+        pits = [r["pit"] for r in mx.probability_integral_transform(b)]
+        d, p = _assert_as_scipy(pits)
+        assert (len(pits), f"{d:.4f}", f"{p:.4g}") == (22, "0.2826", "0.04775")
