@@ -143,11 +143,8 @@ class _Case:
         self.seed = args.seed
         self.params = None
         if args.params:
-            path = Path(args.params)
-            if not path.exists():
-                raise io.LoadError(f"parameter file not found: {path}")
             self.params = io.parameters_from_json(
-                json.loads(path.read_text(encoding="utf-8"))
+                io.read_json(args.params, "parameter file")
             )
 
     def threshold(self, tid):

@@ -50,9 +50,10 @@ position) peaks order every stack's entries and dose points, and each
 stack's layout is slices of the pass's arrays.  A marker's plan holds
 what is the marker's own (its ladder, its steps' transitions, the known
 contributors' counts), which the queries about it read; every pass runs
-over a stack.  The tables that depend on U alone, the edges
-(_build_edges) and the draw and pair tables (_joint_tables), are built
-once per U and shared, read-only, by every plan and stack.
+over a stack.  What depends on U alone, the joint chain's sizes, edges
+and draw and pair tables, is one record (_JointTables), built once per U
+by _joint_tables; every plan and stack holds that record, read-only, and
+copies none of it.
 
 Several traces that share unknown contributors are coupled by multiplying
 their per-allele factors inside the same chain pass.  The markers are
@@ -131,7 +132,7 @@ import heapq
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -419,59 +420,58 @@ class _EdgeSet:
     key: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
-def _build_edges(n_unknown: int) -> tuple[_EdgeSet, _EdgeSet]:
-    """The first step's and every later step's edges for U unknowns.
-
-    The joint edges are the U-fold product of _STEPS in ``src``-major
-    order, so each state's out-edges are one run; the first step leaves
-    state 0, whose out-edges come first.
-    They depend on U alone, so every plan and stack shares one cached pair
-    (one entry per U); the arrays are read-only.
-    """
-    src, dst, key = (_fold(column, n_unknown, 6) for column in _STEPS.T)
-    order = np.argsort(src, kind="stable")
-    src, dst, key = src[order], dst[order], key[order]
-    for column in (src, dst, key):
-        column.setflags(write=False)
-    first = 3**n_unknown
-    return _EdgeSet(src[:first], dst[:first], key[:first]), _EdgeSet(src, dst, key)
-
-
 class _JointTables(NamedTuple):
-    """The tables of U unknowns' joint chain that depend on U alone (see
-    _joint_tables)."""
+    """The joint chain of U unknowns, all that depends on U alone: its
+    sizes, its edges and its draw and pair tables.  _joint_tables builds
+    one per U, and every plan and stack of that U holds it as ``joint``.
 
+    The edges are the U-fold product of _STEPS in ``src``-major order, so
+    each state's out-edges are one run; the first step leaves state 0,
+    whose out-edges come first, and edges0 are those.
+    """
+
+    n_unknown: int
+    n_states: int             # 6^U, also the number of (previous draw, draw) pairs
+    n_combos: int             # 3^U joint draws
+    edges0: _EdgeSet          # the first step's
+    edges: _EdgeSet           # every later step's
     combo_counts: np.ndarray  # (3^U, U): joint draw -> each unknown's count
     pair_prev: np.ndarray     # joint pair -> joint draw at t-1
     pair_draw: np.ndarray     # joint pair -> joint draw at t
     read: np.ndarray          # (3, 6^U): pair_draw, pair_prev and each pair itself
     unreached: np.ndarray     # the states no edge of the first step reaches
 
+    def edges_at(self, t: int) -> _EdgeSet:
+        return self.edges0 if t == 0 else self.edges
+
 
 @functools.lru_cache(maxsize=None)
 def _joint_tables(n_unknown: int) -> _JointTables:
-    """The joint chain's draw and pair tables for U unknowns.
-
-    Like the edges, they depend on U alone, so every plan and stack shares
-    one cached set (one entry per U); the arrays are read-only.
-    """
-    n_combos = 3**n_unknown
+    """The joint chain of U unknowns (see _JointTables), one cached record
+    per U that every plan and stack shares; its arrays are read-only."""
+    n_combos, n_states = 3**n_unknown, 6**n_unknown
+    src, dst, key = (_fold(column, n_unknown, 6) for column in _STEPS.T)
+    order = np.argsort(src, kind="stable")
+    src, dst, key = src[order], dst[order], key[order]
     # joint draw c -> each unknown's count: the base-3 digits of c
     combo_counts = np.arange(n_combos)[:, None] // 3 ** np.arange(n_unknown)[::-1] % 3
     pair_prev, pair_draw = (
         _fold(np.array(column), n_unknown, 3) for column in zip(*_PAIRS)
     )
-    reached = np.zeros(6**n_unknown, dtype=bool)
-    reached[_build_edges(n_unknown)[0].dst] = True
-    tables = _JointTables(
+    reached = np.zeros(n_states, dtype=bool)
+    reached[dst[:n_combos]] = True
+    tables = (
         combo_counts, pair_prev, pair_draw,
-        np.stack([pair_draw, pair_prev, np.arange(6**n_unknown)]),
-        np.flatnonzero(~reached),
+        np.stack([pair_draw, pair_prev, np.arange(n_states)]), np.flatnonzero(~reached),
     )
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    # read-only before the first step's edges are sliced from them
+    for array in (src, dst, key, *tables):
+        array.setflags(write=False)
+    return _JointTables(
+        n_unknown, n_states, n_combos,
+        _EdgeSet(src[:n_combos], dst[:n_combos], key[:n_combos]), _EdgeSet(src, dst, key),
+        *tables,
+    )
 
 
 @dataclass(frozen=True)
@@ -603,7 +603,7 @@ def _factor_layouts(pos, place, hypothesis, traces, heights):
     stack.
     """
     joint = _joint_tables(len(hypothesis.unknown))
-    n_combos, n_pairs = len(joint.combo_counts), len(joint.pair_prev)
+    n_combos, n_pairs = joint.n_combos, joint.n_states
     width, n_traces, n_stacks = n_pairs // n_combos, len(traces), place[0, -1] + 1
     stack, row, dose, zero = place[:, pos.marker]
     row, dose = row + pos.local, dose + pos.local
@@ -765,30 +765,21 @@ def _to_first(own, bounds, size):
 class _MarkerPlan:
     """Parameter-independent structure of one marker's chain: its ladder,
     its steps' transitions and the known contributors' counts, which the
-    queries about the marker read, with the tables of U unknowns that its
-    log-space pass and k-best search read.  Passes run over the stack
-    that holds the marker (see _Stack), which lays out the traces."""
+    queries about the marker read.  joint is the chain of its U unknowns
+    (see _JointTables), the one record its stack and every plan of that U
+    hold, whose edges and tables its log-space pass and k-best search
+    read.  Passes run over the stack that holds the marker (see _Stack),
+    which lays out the traces."""
 
     marker: str
     labels: tuple[str, ...]          # ladder order
     order: np.ndarray                # internal position -> ladder index
     internal_labels: tuple[str, ...]
     silent: np.ndarray               # bool per internal position
-    coupled: np.ndarray              # stutter donor sits at internal position p+1
     state_lp: np.ndarray             # (P, 6^U): per step, joint transition per target
     unknown_ids: tuple[str, ...]
     known_counts: np.ndarray         # (K, P) in internal order
-    n_unknown: int
-    n_states: int
-    n_combos: int
-    n_pairs: int
-    combo_counts: np.ndarray         # (C, U)
-    pair_draw: np.ndarray            # joint pair -> joint draw at t
-    edges0: _EdgeSet
-    edges: _EdgeSet
-
-    def edges_at(self, t: int) -> _EdgeSet:
-        return self.edges0 if t == 0 else self.edges
+    joint: _JointTables
 
 
 @dataclass(frozen=True)
@@ -796,17 +787,19 @@ class _Stack:
     """Markers whose chains one pass runs side by side; every pass runs
     over a stack, of one marker or of several.
 
-    plans holds the markers' plans.  Each marker is front-padded to the
-    longest: the steps before first[i] are exact identity steps (state 0
-    to state 0, weight 1, log 0), given by the log transition row (0,
-    -inf, ...) and a zero table.  With lp every marker's log transition
-    per step and target state, (G, T, 6^U), and transition_shift its
-    largest per step, (G, T), transition is exp(lp - transition_shift):
-    each step's transitions scaled so that the largest is 1 (a padding
-    step's row is (1, 0, ...), its shift 0).  It does not depend on the
-    parameters, so every pass over the stack reads it.  The step tables
-    are (G * T, 6^U), marker by marker (see _marker_rows), and
-    known_counts spans the markers' positions in turn.  layout lays out
+    plans holds the markers' plans, and joint the chain of U unknowns that
+    they share (see _JointTables), the same record as each plan's.  Each
+    marker is front-padded to the longest: the steps before first[i] are
+    exact identity steps (state 0 to state 0, weight 1, log 0), given by
+    the log transition row (0, -inf, ...) and a zero table.  With lp every
+    marker's log transition per step and target state, (G, T, 6^U), and
+    transition_shift its largest per step, (G, T), transition is exp(lp -
+    transition_shift): each step's transitions scaled so that the largest
+    is 1 (a padding step's row is (1, 0, ...), its shift 0).  It does not
+    depend on the parameters, so every pass over the stack reads it.  The
+    step tables are (G * T, 6^U), marker by marker (see _marker_rows), and
+    known_counts, a row per known contributor, spans the markers'
+    positions in turn.  layout lays out
     every trace's factor entries on the markers (see _FactorLayout); the
     layouts of a build's stacks are slices of arrays one pass wrote.
     dose_map takes the dropout points and observed peaks of one trace and
@@ -822,14 +815,8 @@ class _Stack:
     transition_shift: np.ndarray
     layout: _FactorLayout | None
     dose_map: _DoseMap | None
-    known_ids: tuple[str, ...]
-    unknown_ids: tuple[str, ...]
     known_counts: np.ndarray
-    combo_counts: np.ndarray
-    n_unknown: int
-    n_states: int
-    n_pairs: int
-    edges: _EdgeSet
+    joint: _JointTables
     n_sets: int = 1
     repeats: dict[int, _Stack] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -849,13 +836,11 @@ def _build_stacks(freqs, hypothesis, traces, names):
     """
     if not names:
         return ()
-    n_unknown = len(hypothesis.unknown)
-    joint = _joint_tables(n_unknown)
+    joint = _joint_tables(len(hypothesis.unknown))
     pos, state_lp, known_counts, heights = _positions(freqs, hypothesis, traces, names)
     length = np.bincount(pos.marker, minlength=len(names))
     start = np.cumsum(length) - length
-    n_combos, n_states = 3**n_unknown, 6**n_unknown
-    per_stack = max(1, _BLOCK_EDGES // 10**n_unknown)
+    per_stack = max(1, _BLOCK_EDGES // len(joint.edges.src))
     groups = [
         list(range(i, min(i + per_stack, len(names))))
         for i in range(0, len(names), per_stack)
@@ -872,9 +857,9 @@ def _build_stacks(freqs, hypothesis, traces, names):
         place[0, group] = g
         place[1, group] = np.arange(len(group)) * n_steps + first
         place[2, group] = np.cumsum(size) - size
-        place[3, group] = size.sum() * n_combos
+        place[3, group] = size.sum() * joint.n_combos
         span = slice(start[group[0]], start[group[0]] + size.sum())
-        lp = np.full((len(group), n_steps, n_states), -np.inf)
+        lp = np.full((len(group), n_steps, joint.n_states), -np.inf)
         lp[:, :, 0] = 0.0
         lp[np.arange(n_steps) >= first[:, None]] = state_lp[span]
         shift = np.maximum.reduce(lp, axis=2)
@@ -883,7 +868,6 @@ def _build_stacks(freqs, hypothesis, traces, names):
         chains.append((span, first, np.exp(lp, out=lp), shift))
     layouts = _factor_layouts(pos, place, hypothesis, traces, heights)
 
-    edges0, edges = _build_edges(n_unknown)
     plans = []
     for i, name in enumerate(names):
         ladder = freqs.ladder(name)
@@ -894,18 +878,10 @@ def _build_stacks(freqs, hypothesis, traces, names):
             order=ladder.order,
             internal_labels=tuple(ladder.alleles[j] for j in ladder.order),
             silent=~pos.emitted[mine],
-            coupled=ladder.coupled,
             state_lp=state_lp[mine],
             unknown_ids=hypothesis.unknown,
             known_counts=known_counts[:, mine],
-            n_unknown=n_unknown,
-            n_states=n_states,
-            n_combos=n_combos,
-            n_pairs=n_states,
-            combo_counts=joint.combo_counts,
-            pair_draw=joint.pair_draw,
-            edges0=edges0,
-            edges=edges,
+            joint=joint,
         ))
     return tuple(
         _Stack(
@@ -915,14 +891,8 @@ def _build_stacks(freqs, hypothesis, traces, names):
             transition_shift=shift,
             layout=layout,
             dose_map=dose_map,
-            known_ids=tuple(hypothesis.known),
-            unknown_ids=hypothesis.unknown,
             known_counts=known_counts[:, span],
-            combo_counts=joint.combo_counts,
-            n_unknown=n_unknown,
-            n_states=n_states,
-            n_pairs=n_states,
-            edges=edges,
+            joint=joint,
         )
         for group, (span, first, transition, shift), (layout, dose_map)
         in zip(groups, chains, layouts)
@@ -977,11 +947,11 @@ def _positions(freqs, hypothesis, traces, names):
                 )
             own += [row.get(lab, 0.0) for lab in ladder.alleles]
 
-    n_unknown = len(hypothesis.unknown)
-    state_lp = _fold(_state_log_pmf(rates.tolist()), n_unknown, 1)
+    joint = _joint_tables(len(hypothesis.unknown))
+    state_lp = _fold(_state_log_pmf(rates.tolist()), joint.n_unknown, 1)
     # a marker's first step leaves state 0 only: its transition row rules
     # out every state that no edge out of state 0 reaches
-    state_lp[np.flatnonzero(local == 0)[:, None], _joint_tables(n_unknown).unreached] = -np.inf
+    state_lp[np.flatnonzero(local == 0)[:, None], joint.unreached] = -np.inf
     known_counts = np.array(known, dtype=np.int64).reshape(len(known), len(marker))[:, allele]
     coupled = np.concatenate([ladder.coupled for ladder in ladders])
     pos = _Positions(
@@ -999,26 +969,20 @@ def _repeated(stack, n_sets):
     """The chains of a stack's markers repeated once per parameter set, set
     by set, for one pass over the step tables of n_sets sets (see
     _step_tables).  Each copy has the stack's own padding and scaled
-    transitions.  Each stack makes its copy for n_sets once and keeps it."""
+    transitions, tiled, and shares the rest, its joint record included.
+    Each stack makes its copy for n_sets once and keeps it."""
     if n_sets == 1:
         return stack
     if n_sets in stack.repeats:
         return stack.repeats[n_sets]
-    stack.repeats[n_sets] = _Stack(
+    stack.repeats[n_sets] = replace(
+        stack,
         plans=stack.plans * n_sets,
         first=np.tile(stack.first, n_sets),
         transition=np.tile(stack.transition, (n_sets, 1, 1)),
         transition_shift=np.tile(stack.transition_shift, (n_sets, 1)),
         layout=None,
         dose_map=None,
-        known_ids=stack.known_ids,
-        unknown_ids=stack.unknown_ids,
-        known_counts=stack.known_counts,
-        combo_counts=stack.combo_counts,
-        n_unknown=stack.n_unknown,
-        n_states=stack.n_states,
-        n_pairs=stack.n_pairs,
-        edges=stack.edges,
         n_sets=n_sets,
     )
     return stack.repeats[n_sets]
@@ -1310,7 +1274,7 @@ def _point_values(stack, sets):
         xi_over = [[(sets.marker_xi or {}).get(m) for m in markers]] * len(sets.trace_ids)
         # each point's own position in the stack, from its cell of B, and
         # the marker that holds the position
-        n_combos = len(stack.combo_counts)
+        n_combos = stack.joint.n_combos
         width = stack.known_counts.shape[1] * n_combos + 1
         starts = np.cumsum([len(plan.order) for plan in stack.plans])
         marker = np.searchsorted(starts, layout.gather[0] % width // n_combos, "right")
@@ -1365,22 +1329,22 @@ def _view_terms(stack, sets, sides=False) -> _ViewTerms:
     product per trace and set: a product batched over them may sum in
     another order.
     """
-    layout = stack.layout
+    layout, joint = stack.layout, stack.joint
     n_sets, n_traces = len(sets.rho), len(layout.trace_ids)
-    shape = (stack.known_counts.shape[1], len(stack.combo_counts))
+    shape = (stack.known_counts.shape[1], joint.n_combos)
     rho, eta, xi, _, _ = _point_values(stack, sets)
     # each set's B of each trace, flattened, each with one trailing zero cell
     cells = np.zeros((n_sets, n_traces, shape[0] * shape[1] + 1))
     base = cells[:, :, :-1].reshape(n_sets, n_traces, *shape)
     for j, column in enumerate(layout.column):
         phi, n_known = sets.phi[column], sets.n_known[column]
-        phi_known = np.zeros((n_sets, len(stack.known_ids)))
+        phi_known = np.zeros((n_sets, len(stack.known_counts)))
         phi_known[:, layout.known_contributes[j]] = phi[:, :n_known]
-        phi_unknown = np.zeros((n_sets, len(stack.unknown_ids)))
+        phi_unknown = np.zeros((n_sets, joint.n_unknown))
         phi_unknown[:, layout.unknown_contributes[j]] = phi[:, n_known:]
         for one, known, unknown in zip(base[:, j], phi_known, phi_unknown):
             np.add((known @ stack.known_counts)[:, None],
-                   (stack.combo_counts @ unknown)[None, :], out=one)
+                   (joint.combo_counts @ unknown)[None, :], out=one)
     ends = np.take(cells.reshape(n_sets, -1), layout.gather, axis=1)
     doses = (1.0 - xi) * ends[:, 0]
     doses += xi * ends[:, 1]
@@ -1413,12 +1377,13 @@ def _step_tables(stack, terms):
     pass over each trace's entries in turn sums them."""
     layout = stack.layout
     n_sets = len(terms.doses)
-    size = stack.transition.shape[0] * stack.transition.shape[1] * stack.n_pairs
+    n_pairs = stack.joint.n_states
+    size = stack.transition.shape[0] * stack.transition.shape[1] * n_pairs
     tables = np.zeros(n_sets * size)
     for lo, hi in itertools.pairwise(layout.entries):
         index = _set_offsets(layout.cell[lo:hi], n_sets, size)
         tables += np.bincount(index, terms.log_factors[:, lo:hi].ravel(), n_sets * size)
-    return tables.reshape(-1, stack.n_pairs)
+    return tables.reshape(-1, n_pairs)
 
 
 class _Peaks(NamedTuple):
@@ -1448,7 +1413,7 @@ def _tables_without_peaks(stack, terms):
     entries per slot of the step, an absent or left-out run reading a row
     of zeros.
     """
-    layout, n_pairs = stack.layout, stack.n_pairs
+    layout, n_pairs = stack.layout, stack.joint.n_states
     # every run of entries: its row, trace and position
     row = layout.cell[::n_pairs] // n_pairs
     trace = np.repeat(np.arange(len(layout.trace_ids)), np.diff(layout.entries) // n_pairs)
@@ -1479,7 +1444,7 @@ def _step_values(plan, t, tables, ahead=None, out=None):
     edges, takes the values of one step table in its first row, with its
     second as scratch, in place of fresh arrays.
     """
-    edges = plan.edges_at(t)
+    edges = plan.joint.edges_at(t)
     lp = plan.state_lp[t] if ahead is None else plan.state_lp[t] + ahead
     if out is None:
         return lp[edges.dst] + tables[..., edges.key]
@@ -1569,12 +1534,13 @@ def _stacked_csr(n_unknown, n_rows):
     state: ``indptr``, where each source state's run of edges starts, and
     ``indices``, the edges' targets, in the order of the rows' edges.
 
-    _build_edges sorts the edges by ``src``, so each state's out-edges are
-    one run; the arrays are read-only int64, as _sparse_kernels needs.  One
-    row's targets are the edges' own ``dst`` (at U = 5, 0.8 MB not copied).
+    The joint record sorts the edges by ``src`` (see _JointTables), so
+    each state's out-edges are one run; the arrays are read-only int64, as
+    _sparse_kernels needs.  One row's targets are the edges' own ``dst``
+    (at U = 5, 0.8 MB not copied).
     """
-    edges = _build_edges(n_unknown)[1]
-    n_states = 6**n_unknown
+    joint = _joint_tables(n_unknown)
+    edges, n_states = joint.edges, joint.n_states
     runs = np.tile(np.bincount(edges.src, minlength=n_states), n_rows)
     indptr = np.concatenate([[0], np.cumsum(runs)]).astype(np.int64)
     indptr.setflags(write=False)
@@ -1612,9 +1578,10 @@ def _forward(stack, tables, keep, ended):
     is marked in ``ended``, its numbers are no longer used, and the others
     go on; once all have ended the recursion stops.
     """
-    edges, n_states, first = stack.edges, stack.n_states, stack.first
+    joint, first = stack.joint, stack.first
+    edges, n_states = joint.edges, joint.n_states
     n_markers, n_edges = len(first), len(edges.src)
-    tables = tables.reshape(n_markers, -1, stack.n_pairs)
+    tables = tables.reshape(n_markers, -1, n_states)
     n_steps = tables.shape[1]
     # blocks as one set's pass makes them: each set's log L then adds the
     # same shifts in the same order
@@ -1623,7 +1590,7 @@ def _forward(stack, tables, keep, ended):
     if first.any():
         padded = {f: first == f for f in np.unique(first[first > 0]).tolist()}
     csc_matvec = _sparse_kernels()[0]
-    indptr, indices = _stacked_csr(stack.n_unknown, n_markers)
+    indptr, indices = _stacked_csr(joint.n_unknown, n_markers)
     size = n_markers * n_states
     alpha = np.zeros((n_steps + 1, n_markers, n_states))
     alpha[0, :, 0] = 1.0
@@ -1675,7 +1642,7 @@ def _forward(stack, tables, keep, ended):
     if first.any():
         step_loss[np.arange(n_steps)[:, None] < first] = 0.0
     lost = np.zeros((n_steps + 1, n_markers))
-    lost[1:] = _loss_bounds(norms, 3**stack.n_unknown, step_loss)
+    lost[1:] = _loss_bounds(norms, joint.n_combos, step_loss)
     ended |= ~(lost <= _LOSS / _TINY).all(axis=0)
     norms[:, ended] = 1.0
     # log L adds each block's shifts, then the log of each of its
@@ -1734,12 +1701,12 @@ def _backward(stack, weights, ended):
 
     A marker whose bound is too large is marked in ``ended``.
     """
-    n_states = stack.n_states
-    fan_out = 3**stack.n_unknown
+    joint = stack.joint
+    n_states, fan_out = joint.n_states, joint.n_combos
     steps = [row for w in weights for row in w.reshape(len(w), -1, w.shape[-1])]
     n_steps, n_markers = len(steps), len(steps[0])
     csr_matvec = _sparse_kernels()[1]
-    indptr, indices = _stacked_csr(stack.n_unknown, n_markers)
+    indptr, indices = _stacked_csr(joint.n_unknown, n_markers)
     size = n_markers * n_states
     beta = np.zeros((n_steps, n_markers, n_states))
     beta[-1] = 1.0
@@ -1800,11 +1767,12 @@ def _scaled_pass(stack, tables, posteriors, alt, redo):
         has_alt = np.bincount(alt[0] // stack.transition.shape[1], minlength=len(ended)) > 0
     if keep and not ended.all():
         beta, lost_after = _backward(stack, weights, ended)
-        edges, n_pairs = stack.edges, stack.n_pairs
+        joint = stack.joint
+        edges, n_pairs = joint.edges, joint.n_states
         # a posterior's mass alpha[src] * pair[key] * (beta * transition)[dst]
         # loses what alpha and beta lost, each at most 3^U-fold, and its own
         # products' underflow (in units of _TINY)
-        loss = 3**stack.n_unknown * (lost[:-1] + lost_after) + len(edges.src)
+        loss = joint.n_combos * (lost[:-1] + lost_after) + len(edges.src)
         if posteriors:
             out = pair.reshape(len(stack.plans), -1, n_pairs)
             lo = 0
@@ -1838,7 +1806,7 @@ def _alternative_posteriors(stack, alt, alpha, beta, loss, out, ended):
     its marker in ``ended``.
     """
     rows, tables = alt
-    edges = stack.edges
+    edges = stack.joint.edges
     marker, step = np.divmod(rows, stack.transition.shape[1])
     per_block = max(1, _BLOCK_EDGES // len(edges.src))
     with np.errstate(invalid="ignore"):
@@ -1852,7 +1820,7 @@ def _alternative_posteriors(stack, alt, alpha, beta, loss, out, ended):
             mass *= (beta[t, i] * stack.transition[i, t])[:, edges.dst]
             bad = np.zeros(len(i), dtype=bool)
             out[block] = _pair_posteriors(
-                mass[None], edges.key, stack.n_pairs, loss[t, i][None], bad
+                mass[None], edges.key, stack.joint.n_states, loss[t, i][None], bad
             )[0]
             ended[i[bad]] = True
 
@@ -1873,22 +1841,21 @@ class _Sweep(NamedTuple):
 
 def _log_sweep(plan, tables) -> _Sweep:
     """Forward pass in log space; _log_backward gives the backward one."""
-    vals, fwd = [], [np.zeros(1)]
+    joint, vals, fwd = plan.joint, [], [np.zeros(1)]
     for t, table in enumerate(tables):
         vals.append(_step_values(plan, t, table))
-        edges = plan.edges_at(t)
-        fwd.append(_logsumexp_by(edges.dst, fwd[t][edges.src] + vals[t], plan.n_states))
+        edges = joint.edges_at(t)
+        fwd.append(_logsumexp_by(edges.dst, fwd[t][edges.src] + vals[t], joint.n_states))
     return _Sweep(vals, fwd, None, _log_total(fwd[-1]))
 
 
 def _log_backward(plan, vals):
     """Backward log messages out of each step, from its edge values."""
+    edges, n_states = plan.joint.edges, plan.joint.n_states
     bwd = [None] * len(vals)
-    bwd[-1] = np.zeros(plan.n_states)
+    bwd[-1] = np.zeros(n_states)
     for t in range(len(vals) - 1, 0, -1):
-        bwd[t - 1] = _logsumexp_by(
-            plan.edges.src, vals[t] + bwd[t][plan.edges.dst], plan.n_states
-        )
+        bwd[t - 1] = _logsumexp_by(edges.src, vals[t] + bwd[t][edges.dst], n_states)
     return bwd
 
 
@@ -1910,13 +1877,13 @@ def _step_posterior(plan, sweep, t, vals):
     values ``vals``, which may come from another table for the step, and
     normalizes over the step; None where the step has no mass.
     """
-    edges = plan.edges_at(t)
+    edges = plan.joint.edges_at(t)
     logw = sweep.fwd[t][edges.src] + vals + sweep.bwd[t][edges.dst]
     top = logw.max()
     if not np.isfinite(top):
         return None
     w = np.exp(logw - top)
-    return np.bincount(edges.key, weights=w, minlength=plan.n_pairs) / w.sum()
+    return np.bincount(edges.key, weights=w, minlength=plan.joint.n_states) / w.sum()
 
 
 def _log_pass(plan, tables, posteriors, alt):
@@ -1949,12 +1916,13 @@ def _presence_masks(plan, assignments):
     Row t is 0 for the pairs whose draw at step t the assignments allow,
     -inf for the others.
     """
-    masks = np.zeros((len(plan.order), plan.n_pairs))
+    joint = plan.joint
+    masks = np.zeros((len(plan.order), joint.n_states))
     if not assignments:
         return masks
     label_pos = {lab: p for p, lab in enumerate(plan.internal_labels)}
     known_any = plan.known_counts.sum(axis=0)
-    draw_total = plan.combo_counts.sum(axis=1)[plan.pair_draw]
+    draw_total = joint.combo_counts.sum(axis=1)[joint.pair_draw]
     for allele, value in assignments.items():
         lab = canonical_allele(allele)
         if lab not in label_pos:
@@ -1968,7 +1936,7 @@ def _presence_masks(plan, assignments):
                     "conditioning it absent has zero probability"
                 )
             continue  # already certain
-        if present and plan.n_unknown == 0:
+        if present and joint.n_unknown == 0:
             raise InfeasibleConditioningError(
                 f"no contributor can possess allele {lab!r}"
             )
@@ -2138,7 +2106,7 @@ def _sets_per_pass(stack):
     pass over one set may: at U <= 2 a whole stack's steps make one
     block of a few thousand edge values, while at U >= 3 a block of one
     set mostly fills the budget and sets pass one at a time."""
-    per_step = len(stack.plans) * len(stack.edges.src)
+    per_step = len(stack.plans) * len(stack.joint.edges.src)
     steps = min(stack.transition.shape[1], max(1, _BLOCK_EDGES // per_step))
     return max(1, _BLOCK_EDGES // (steps * per_step))
 
@@ -2197,7 +2165,7 @@ def _add_gradient(stack, sets, terms, pair, grad, columns):
         for row, position, draw in zip(grad, by_position[:, j], by_draw[:, j]):
             row[phi] += np.concatenate((
                 (stack.known_counts @ position)[layout.known_contributes[j]],
-                (draw @ stack.combo_counts)[layout.unknown_contributes[j]],
+                (draw @ stack.joint.combo_counts)[layout.unknown_contributes[j]],
             ))
 
 
@@ -2275,13 +2243,13 @@ def _marker_rows(stack, i):
 def _summary(plan, loglik, pair, top_genotypes=()):
     """A marker's posterior from the pair posteriors of its steps."""
     # posterior of each step's draw: its pair posterior summed by draw
-    n_steps = len(pair)
-    index = (np.arange(n_steps)[:, None] * plan.n_combos + plan.pair_draw).ravel()
-    post = np.bincount(index, pair.ravel(), n_steps * plan.n_combos)
-    post = post.reshape(n_steps, plan.n_combos)
+    joint, n_steps = plan.joint, len(pair)
+    index = (np.arange(n_steps)[:, None] * joint.n_combos + joint.pair_draw).ravel()
+    post = np.bincount(index, pair.ravel(), n_steps * joint.n_combos)
+    post = post.reshape(n_steps, joint.n_combos)
     counts = [
-        (post @ (plan.combo_counts[:, i, None] == np.arange(3))).tolist()
-        for i in range(plan.n_unknown)
+        (post @ (joint.combo_counts[:, i, None] == np.arange(3))).tolist()
+        for i in range(joint.n_unknown)
     ]
     known_any = plan.known_counts.sum(axis=0)
     presence, marginals = {}, {role: {} for role in plan.unknown_ids}
@@ -2430,13 +2398,14 @@ def _kbest_paths(plan, tables, loglik, k):
     Ties in probability are ordered by the genotypes, role by role, as
     pairs of ladder indices.
     """
-    if plan.n_unknown == 0:
+    joint = plan.joint
+    if joint.n_unknown == 0:
         return (({}, 1.0),)
-    n_pos, edges = len(plan.order), plan.edges
-    runs = _stacked_csr(plan.n_unknown, 1)[0]  # state s's out-edges: runs[s]:runs[s+1]
+    n_pos, edges = len(plan.order), joint.edges
+    runs = _stacked_csr(joint.n_unknown, 1)[0]  # state s's out-edges: runs[s]:runs[s+1]
     # the sweep: best[t] from t = n - 1 down to 1 (best[n] = 0; best[0] is
     # not needed), every step in one pair of buffers
-    best = [None] * n_pos + [np.zeros(plan.n_states)]
+    best = [None] * n_pos + [np.zeros(joint.n_states)]
     out = np.empty((2, len(edges.src)))
     for t in range(n_pos - 1, 0, -1):
         through = _step_values(plan, t, tables[t], best[t + 1], out)
@@ -2449,7 +2418,7 @@ def _kbest_paths(plan, tables, loglik, k):
 
     # the first step's prefixes are its edges out of state 0; each kept
     # prefix holds its value, its state, and per step its parent and draw
-    value, state, key = _step_values(plan, 0, tables[0]), plan.edges0.dst, plan.edges0.key
+    value, state, key = _step_values(plan, 0, tables[0]), joint.edges0.dst, joint.edges0.key
     parent = np.zeros(len(state), dtype=np.int64)
     degree = np.diff(runs)
     lowest = -np.finfo(float).max  # a bound of -inf: no path of positive probability
@@ -2475,7 +2444,7 @@ def _kbest_paths(plan, tables, loglik, k):
         keep = (bound >= max(kth - slack, lowest)).nonzero()[0]
         del bound
         value, state = value[keep], state[keep]
-        trail.append((parent[keep], plan.pair_draw[key[keep]]))
+        trail.append((parent[keep], joint.pair_draw[key[keep]]))
 
     # each path's draws, back through the parents; its genotypes as the
     # lowest and highest ladder index each role drew (two copies apiece)
@@ -2485,7 +2454,7 @@ def _kbest_paths(plan, tables, loglik, k):
         parent, draw = trail[t]
         paths[:, t] = draw[at]
         at = parent[at]
-    drew = plan.combo_counts[paths] > 0  # (paths, steps, roles)
+    drew = joint.combo_counts[paths] > 0  # (paths, steps, roles)
     ladder = plan.order[:, None]
     picks = np.stack([
         np.where(drew, ladder, n_pos).min(axis=1),
@@ -2573,7 +2542,7 @@ def _peak_terms(stack, sets):
     each peak's trace's eta and its shapes per (previous draw, draw)
     pair, run by run, and the dose map the pass runs through."""
     terms = _view_terms(stack, sets)
-    n, n_pairs = stack.layout.n_observed, stack.n_pairs
+    n, n_pairs = stack.layout.n_observed, stack.joint.n_states
     rho, eta = _point_values(stack, sets)[:2]
     return (
         _step_tables(stack, terms), _tables_without_peaks(stack, terms),

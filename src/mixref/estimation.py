@@ -952,26 +952,45 @@ def _reporting_estimates(params, structure):
 
 
 def _boundary_flags(params, structure):
+    """Per trace, whether xi is within _BOUNDARY_TOL of zero and, per role,
+    whether its fraction is held at zero or tied to another (see
+    _phi_boundary): the roles that the restricted chart of the standard
+    errors holds or moves together, and the same roles of a fixed block."""
     flags = {}
     for t in structure.trace_ids:
-        xi_flag = params.xi_for(t) < _BOUNDARY_TOL
-        phi_flags = {}
-        roles = structure.hypothesis.roles_for(t)
-        unknowns = [r for r in roles if r in structure.hypothesis.unknown]
-        vals = params.phi[t]
-        for i, r in enumerate(unknowns):
-            at_zero = vals[r] < _BOUNDARY_TOL
-            tied = (
-                i + 1 < len(unknowns)
-                and abs(vals[r] - vals[unknowns[i + 1]]) < _BOUNDARY_TOL
-            ) or (
-                i > 0 and abs(vals[r] - vals[unknowns[i - 1]]) < _BOUNDARY_TOL
-            )
-            phi_flags[r] = bool(at_zero or tied)
-        for r in roles:
-            phi_flags.setdefault(r, False)
-        flags[t] = {"xi": bool(xi_flag), "phi": phi_flags}
+        blk = structure.block_of("phi", t)
+        zero, units = _phi_boundary([params.phi[t][r] for r in blk.roles], blk.n_known)
+        held = set(zero).union(*(unit for unit in units if len(unit) > 1))
+        flags[t] = {
+            "xi": bool(params.xi_for(t) < _BOUNDARY_TOL),
+            "phi": {r: i in held for i, r in enumerate(blk.roles)},
+        }
     return flags
+
+
+def _phi_boundary(vec, n_known):
+    """A phi block's boundary at fractions ``vec``, its roles' in order
+    (knowns first): the unknown roles within _BOUNDARY_TOL of zero, held
+    there, and the units of the other roles, each one role or a run of
+    unknown roles each within _BOUNDARY_TOL of the one before, which move
+    together.  A fraction held at zero ties nothing.  Both the boundary
+    flags and the restricted chart read this."""
+    zero = [i for i in range(n_known, len(vec)) if vec[i] < _BOUNDARY_TOL]
+    units, run = [], []
+    for i in range(len(vec)):
+        if i in zero:
+            continue
+        if run and i >= n_known and run[-1] >= n_known and (
+            abs(vec[i] - vec[run[-1]]) < _BOUNDARY_TOL
+        ):
+            run.append(i)
+        else:
+            if run:
+                units.append(tuple(run))
+            run = [i]
+    if run:
+        units.append(tuple(run))
+    return zero, units
 
 
 # ---------------------------------------------------------------------------
@@ -1035,10 +1054,11 @@ class _ReportingChart:
 
     Boundary-active parameters are restricted: unknown fractions within
     tolerance of zero are fixed there, runs of tied unknown fractions
-    collapse to a single unit that moves together, and xi at zero is
-    fixed.  Each phi block's roles partition into units (single roles or
-    tied groups); all units but the heaviest are free coordinates and the
-    heaviest completes the simplex.  The chart maps a free coordinate
+    above zero collapse to a single unit that moves together, and xi at
+    zero is fixed.  Each phi block's other roles partition into units
+    (single roles or tied groups; see _phi_boundary, which the boundary
+    flags read too); all units but the heaviest are free coordinates and
+    the heaviest completes the simplex.  The chart maps a free coordinate
     vector to ModelParameters and their Jacobian, from which the reported
     quantities' Jacobian gives delta-method standard errors.
     """
@@ -1070,29 +1090,7 @@ class _ReportingChart:
                 self.phi_layout.append((blk, None))
                 continue
             vec = np.array([params.phi[blk.traces[0]][r] for r in blk.roles])
-            n = len(blk.roles)
-            zero = [
-                i for i in range(blk.n_known, n) if vec[i] < _BOUNDARY_TOL
-            ]
-            units = []
-            run = []
-            for i in range(n):
-                if i in zero:
-                    continue
-                is_unknown = i >= blk.n_known
-                if (
-                    run
-                    and is_unknown
-                    and run[-1] >= blk.n_known
-                    and abs(vec[i] - vec[run[-1]]) < _BOUNDARY_TOL
-                ):
-                    run.append(i)
-                else:
-                    if run:
-                        units.append(tuple(run))
-                    run = [i]
-            if run:
-                units.append(tuple(run))
+            zero, units = _phi_boundary(vec, blk.n_known)
             if not units:
                 raise ValueError("every fraction at zero; simplex cannot close")
             masses = [len(u) * vec[u[0]] for u in units]

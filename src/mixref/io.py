@@ -31,6 +31,7 @@ from .population import FrequencyTable, GenotypeProfile, canonical_allele
 
 __all__ = [
     "LoadError",
+    "read_json",
     "load_frequency_table",
     "load_profiles",
     "read_trace_rows",
@@ -49,11 +50,31 @@ class LoadError(ValueError):
     """A data file is missing, malformed, or internally inconsistent."""
 
 
-def _open_csv(path, required):
+def _open_input(path, what):
+    """The input file ``path`` (``what`` names it) opened as UTF-8 text; a
+    LoadError naming the path where it is missing or cannot be opened,
+    such as a directory or a file that may not be read."""
     path = Path(path)
-    if not path.exists():
-        raise LoadError(f"{required} not found: {path}")
-    handle = path.open(newline="", encoding="utf-8")
+    try:
+        return path.open(newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise LoadError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise LoadError(f"{what} {path} cannot be read: {exc.strerror}") from None
+
+
+def read_json(path, what):
+    """The JSON document in the input file ``path`` (see _open_input); text
+    that is not JSON, or not UTF-8, is a LoadError naming the path."""
+    with _open_input(path, what) as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+            raise LoadError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _open_csv(path, required):
+    handle = _open_input(path, required)
     reader = csv.DictReader(handle)
     if reader.fieldnames is None:
         handle.close()
@@ -231,13 +252,7 @@ class CaseDefinition:
 
 def load_case_definition(path) -> CaseDefinition:
     """Read a case JSON; a value of the wrong type is a LoadError naming its key."""
-    path = Path(path)
-    if not path.exists():
-        raise LoadError(f"hypothesis file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path, "hypothesis file")
     if not isinstance(doc, Mapping) or not isinstance(doc.get("hypotheses"), Mapping):
         raise LoadError(f"{path}: needs a 'hypotheses' object")
     document = f"case JSON {path}"

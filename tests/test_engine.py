@@ -656,7 +656,7 @@ class TestScaledPassFallback:
         (stack,) = b._stacks
         (plan,) = stack.plans
         assert plan.internal_labels == ("8", "10", "12", "14")
-        tables = np.zeros((4, plan.n_pairs))
+        tables = np.zeros((4, plan.joint.n_states))
         tables[0, [PAIRS.index((0, 0)), PAIRS.index((0, 1))]] = -800.0
         tables[1, PAIRS.index((2, 0))] = -450.0
         tables[2, PAIRS.index((0, 0))] = -450.0
@@ -672,7 +672,7 @@ class TestScaledPassFallback:
 
     def test_backward_and_posteriors_refuse_what_they_would_lose(self):
         (stack,) = self._dying_path_case()._stacks
-        n_steps, n_edges = len(stack.plans[0].order), len(stack.edges.src)
+        n_steps, n_edges = len(stack.plans[0].order), len(stack.joint.edges.src)
 
         def backward_ends(*steps):
             weights = np.ones((n_steps, n_edges))
@@ -687,12 +687,12 @@ class TestScaledPassFallback:
         # one step below it, or two steps that each keep 1e-150, are not
         for steps in ([(2, 1e-210)], [(1, 1e-150), (2, 1e-150)]):
             assert backward_ends(*steps)
-        keys, one_step = stack.edges.key, float(n_edges)  # in units of _TINY
+        keys, one_step = stack.joint.edges.key, float(n_edges)  # in units of _TINY
 
         def posteriors_end(mass):
             ended = np.zeros(1, dtype=bool)
             engine._pair_posteriors(
-                np.full((1, n_edges), mass), keys, stack.n_pairs, one_step, ended
+                np.full((1, n_edges), mass), keys, stack.joint.n_states, one_step, ended
             )
             return ended.all()
 
@@ -756,11 +756,11 @@ def _path_posteriors(plan, paths):
     position, log weight) pairs."""
     weights = np.array([w for _, w in paths])
     total = float(logsumexp(weights)) if len(weights) else -np.inf
-    pair = np.zeros((len(plan.order), plan.n_pairs))
+    pair = np.zeros((len(plan.order), plan.joint.n_states))
     if not np.isfinite(total):
         return total, pair
     for draws, w in paths:
-        prev = [0] * plan.n_unknown
+        prev = [0] * plan.joint.n_unknown
         for t, now in enumerate(draws):
             key = 0
             for n, m in zip(prev, now):
@@ -791,7 +791,7 @@ def _table_paths(plan, tables):
     each unknown's two copies at internal positions i <= j, and per step
     the transition into the joint state (S, n) and the table's entry at
     the joint (previous draw, draw) pair."""
-    n_pos, n_unknown = len(plan.order), plan.n_unknown
+    n_pos, n_unknown = len(plan.order), plan.joint.n_unknown
     one = []  # one contributor's draw sequences
     for i in range(n_pos):
         for j in range(i, n_pos):
@@ -843,7 +843,7 @@ class TestWeightRule:
                 carried = plan.known_counts.sum(axis=0) > 0
                 free = [lab for p, lab in enumerate(plan.internal_labels)
                         if not carried[p] and lab != "0"]
-                if masked and plan.n_unknown and free:
+                if masked and plan.joint.n_unknown and free:
                     lab = free[int(rng.integers(len(free)))]
                     assignments[plan.marker] = {lab: bool(rng.random() < 0.5)}
                     rows = engine._marker_rows(stack, i)
@@ -882,7 +882,7 @@ class TestWeightRule:
         tables = engine._step_tables(stack, engine._view_terms(stack, engine._sets_of(b)))
         i = int(rng.integers(len(stack.plans)))
         plan, rows = stack.plans[i], engine._marker_rows(stack, i)
-        n_unknown, n_pairs = plan.n_unknown, plan.n_pairs
+        n_unknown, n_pairs = plan.joint.n_unknown, plan.joint.n_states
         own = tables[rows]
         if kind == "disjoint":
             # the pair of largest factor draws, for one unknown, what no
@@ -919,7 +919,7 @@ class TestWeightRule:
         # reads only pairs whose previous draw is 0) leaves no number the
         # enumeration can check: the log-space redo's log L is not finite,
         # and its pair posteriors are zero
-        unread = kind in ("nan", "inf") and key not in plan.edges_at(t).key
+        unread = kind in ("nan", "inf") and key not in plan.joint.edges_at(t).key
         if kind in ("nan", "inf"):
             assert redo[i]
             want = engine._log_pass(plan, own, True, None)
@@ -948,7 +948,7 @@ class TestSparseSteps:
     @settings(max_examples=40, deadline=None)
     def test_step_sums_match_bincount_bit_for_bit(self, seed, n_unknown, n_rows):
         rng = np.random.default_rng(seed)
-        edges = engine._build_edges(n_unknown)[1]
+        edges = engine._joint_tables(n_unknown).edges
         n_states = 6**n_unknown
         size = n_rows * n_states
         offsets = np.arange(n_rows)[:, None] * n_states
@@ -1442,7 +1442,8 @@ class TestChainStructure:
         assert list(engine._STATES) == STATES
         assert list(engine._PAIRS) == PAIRS
         U = n_unknown
-        edges0, edges = engine._build_edges(U)
+        joint = engine._joint_tables(U)
+        edges0, edges = joint.edges0, joint.edges
         assert len(edges.src) == 10**U
         assert np.all(np.diff(edges.src) >= 0)  # src-major order
 
@@ -1496,7 +1497,7 @@ class TestChainStructure:
             )
             (stack,) = b._stacks
             (plan,) = stack.plans
-            zeros = np.zeros((len(plan.order), plan.n_pairs))
+            zeros = np.zeros((len(plan.order), plan.joint.n_states))
             # the scaled pass: log L is 0 and every backward message is flat
             ended = np.zeros(1, dtype=bool)
             loglik, _, _, weights = engine._forward(stack, zeros, True, ended)
@@ -1681,7 +1682,7 @@ class TestDoseMapUnderOverrides:
         (stack,) = b._stacks
         layout = stack.layout
         assert len(stack.dose_map.canon) < layout.points[-1] - layout.n_observed
-        assert len(stack.dose_map.peaks) < layout.n_observed // stack.n_pairs
+        assert len(stack.dose_map.peaks) < layout.n_observed // stack.joint.n_states
         # an override on M2 alone gives its points their own rho or xi
         over = ({"marker_rho": {"M2": {"T1": 55.0}}} if override == "marker_rho"
                 else {"marker_xi": {"M2": 0.2}})
@@ -1760,7 +1761,7 @@ def _assert_every_entry_at_its_own_dose(b):
         # each marker's first row of the stack's doses B
         length = [len(plan.order) for plan in stack.plans]
         offset = dict(zip(plans, np.cumsum([0] + length)))
-        n_pairs, n_steps = stack.n_pairs, stack.transition.shape[1]
+        n_pairs, n_steps = stack.joint.n_states, stack.transition.shape[1]
         layout, term = stack.layout, _terms_at(stack, b, sides=True)
         sets, k = engine._sets_of(b), layout.n_observed
         dose_map = term.dose_map
@@ -1792,7 +1793,7 @@ def _assert_every_entry_at_its_own_dose(b):
                 own.append(
                     (1.0 - xi) * base[0][joint.pair_prev]
                     + xi * base[1][joint.pair_draw]
-                    if plans[marker].coupled[p]
+                    if b.frequencies.ladder(marker).coupled[p]
                     else (1.0 - xi) * base[0][joint.pair_draw]
                 )
                 rho.append(np.full(n_pairs, params.rho_for(tid, marker)))
@@ -1987,7 +1988,7 @@ def _reference_plan(marker, freqs, hypothesis, traces):
         _reference_fold(_reference_state_log_pmf(min(q[p] / tails[p], 1.0)), U, 1)
         for p in range(len(order))
     ])
-    edges0, _ = engine._build_edges(U)
+    edges0 = engine._joint_tables(U).edges0
     unreached = np.ones(6**U, dtype=bool)
     unreached[edges0.dst] = False
     state_lp[0, unreached] = -np.inf
@@ -2141,12 +2142,18 @@ def _reference_join(layouts, trace_ids, width, plan):
 
 def _assert_plan_equal(plan, expected):
     """A plan against the reference build.  Its layouts sit on its stack,
-    and pair_prev, which depends on U alone, in the shared tables."""
+    what depends on U alone in its joint record, whose n_states is also
+    the number of pairs, and its coupling is its ladder's, which the
+    layouts pin."""
     for name, value in expected.items():
-        if name == "traces":
+        if name in ("traces", "coupled"):
             continue
-        have = (engine._joint_tables(plan.n_unknown).pair_prev if name == "pair_prev"
-                else getattr(plan, name))
+        if name == "n_pairs":
+            have = plan.joint.n_states
+        elif name in engine._JointTables._fields:
+            have = getattr(plan.joint, name)
+        else:
+            have = getattr(plan, name)
         if isinstance(value, (str, int, tuple)):
             assert have == value, name
         else:
@@ -2259,8 +2266,8 @@ class TestUnknownLimit:
         def refused(*args):
             raise AssertionError("a plan was built past the limit")
 
-        monkeypatch.setattr(engine, "_build_stacks", refused)
-        monkeypatch.setattr(engine, "_joint_tables", refused)
+        for name in ("_build_stacks", "_joint_tables", "_stacked_csr"):
+            monkeypatch.setattr(engine, name, refused)
         hypothesis = mx.Hypothesis(known={}, unknown=tuple(f"U{i}" for i in range(7)))
         with pytest.raises(ValueError, match="7 unknown contributors exceed the "
                                              "engine's limit of 6"):
@@ -2278,6 +2285,62 @@ class TestUnknownLimit:
         count = unknowns if isinstance(unknowns, int) else len(unknowns)
         with pytest.raises(mx.io.LoadError, match=f"{count} unknown contributors"):
             mx.io.build_hypothesis({"unknowns": unknowns}, {})
+
+
+class TestJointRecord:
+    """What depends on U alone is one record, _joint_tables(U), that every
+    plan and stack of that U holds."""
+
+    @staticmethod
+    def _case(seed):
+        """A random two-marker bundle with two unknowns, and one on the same
+        evidence whose traces cover the first marker only."""
+        rng = np.random.default_rng(seed)
+        b = random_case(rng, n_markers=2)
+        while len(b.hypothesis.unknown) != 2:
+            b = random_case(rng, n_markers=2)
+        traces = tuple(mx.Trace(t.trace_id, t.threshold, {"M": t.heights["M"]})
+                       for t in b.traces)
+        return b, replace(b, traces=traces)
+
+    def test_every_plan_and_stack_holds_the_one_record(self):
+        b, first_only = self._case(7)
+        joint = engine._joint_tables(2)
+        # the stack of a marker no trace covers is built when asked
+        uncovered, _ = engine._stack_of(first_only, "M2")
+        assert first_only.covered_markers() == ("M",)
+        stacks = [*b._stacks, *first_only._stacks, uncovered]
+        stacks += [engine._repeated(stack, 3) for stack in stacks]
+        for stack in stacks:
+            assert stack.joint is joint
+            assert all(plan.joint is joint for plan in stack.plans)
+
+    @pytest.mark.parametrize("n_unknown", range(4))
+    def test_the_record_is_read_only(self, n_unknown):
+        joint = engine._joint_tables(n_unknown)
+        assert (joint.n_unknown, joint.n_states, joint.n_combos) == (
+            n_unknown, 6**n_unknown, 3**n_unknown)
+        edges = [getattr(e, name) for e in (joint.edges0, joint.edges)
+                 for name in ("src", "dst", "key")]
+        tables = [v for v in joint if isinstance(v, np.ndarray)]
+        assert len(tables) == 5
+        assert not any(a.flags.writeable for a in edges + tables)
+
+    def test_a_repeated_copy_changes_only_what_it_tiles(self):
+        b, _ = self._case(8)
+        changed = {"plans", "first", "transition", "transition_shift", "layout",
+                   "dose_map", "n_sets"}
+        for stack in b._stacks:
+            copy = engine._repeated(stack, 3)
+            for f in fields(engine._Stack):
+                if f.name == "repeats":  # each copy keeps its own
+                    assert copy.repeats == {} and copy.repeats is not stack.repeats
+                elif f.name not in changed:
+                    assert getattr(copy, f.name) is getattr(stack, f.name), f.name
+            assert all(a is b for a, b in zip(copy.plans, stack.plans * 3, strict=True))
+            np.testing.assert_array_equal(copy.first, np.tile(stack.first, 3))
+            assert len(copy.transition) == len(copy.transition_shift) == 3 * len(stack.plans)
+            assert (copy.layout, copy.dose_map, copy.n_sets) == (None, None, 3)
 
 
 class TestPlanReadsLadder:
@@ -2302,12 +2365,12 @@ class TestPlanReadsLadder:
         )
         assert parsed == []
 
-    def test_plan_takes_order_and_coupling_from_ladder(self, pubcase_defence_bundle):
+    def test_plan_takes_order_from_ladder(self, pubcase_defence_bundle):
+        # coupling is the ladder's too: the layout tests pin it
         b = pubcase_defence_bundle
         for plan in (plan for stack in b._stacks for plan in stack.plans):
             ladder = b.frequencies.ladder(plan.marker)
             np.testing.assert_array_equal(plan.order, ladder.order)
-            np.testing.assert_array_equal(plan.coupled, ladder.coupled)
 
 
 def _one_marker_bundle(b, marker):
@@ -2647,7 +2710,7 @@ class TestMarkerQueries:
     def test_each_query_equals_its_bundle_counterpart(self):
         b = self._many_marker_case()
         (stack,) = b._stacks
-        per_block = engine._BLOCK_EDGES // (len(stack.plans) * len(stack.edges.src))
+        per_block = engine._BLOCK_EDGES // (len(stack.plans) * len(stack.joint.edges.src))
         assert per_block < stack.transition.shape[1] == 6
         posts, tops = mx.bundle_posteriors(b), mx.bundle_top_genotypes(b, 3)
         k1 = b.hypothesis.known["K1"]

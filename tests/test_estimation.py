@@ -1321,3 +1321,68 @@ class TestBoundaryHandling:
         assert res.boundary["S"]["phi"]["U1"]
         assert res.standard_errors["S"]["phi"]["U1"] is None
         assert res.standard_errors["S"]["phi"]["K1"] is not None
+
+    def test_a_fraction_beside_one_held_at_zero_is_not_tied_to_it(
+        self, pubcase_defence_bundle
+    ):
+        # U2 lies within the tolerance of zero and of U1, which does not:
+        # the chart holds U2 at zero and moves U1 alone, so U1 is not flagged
+        b = pubcase_defence_bundle
+        phi = {}
+        for t, fracs in b.parameters.phi.items():
+            known = {r: v for r, v in fracs.items() if r in b.hypothesis.known}
+            scale = (1.0 - 1.9e-4 - 0.95e-4) / sum(known.values())
+            phi[t] = {**{r: v * scale for r, v in known.items()},
+                      "U1": 1.9e-4, "U2": 0.95e-4}
+        params = replace(b.parameters, phi=phi)
+        structure = _Structure(FitSpecification(bundle=b.with_parameters(params)))
+        flags = _boundary_flags(params, structure)
+        chart = _ReportingChart(structure, params)
+        for t in structure.trace_ids:
+            assert flags[t]["phi"] == {"K1": False, "K2": False, "U1": False, "U2": True}
+            blk = structure.block_of("phi", t)
+            assert ("phi", (blk.traces, (blk.roles.index("U1"),))) in chart.coords
+        assert flags == _chart_boundary(chart, structure, params)
+
+    @given(seed=stn.integers(0, 2**32 - 1),
+           small=stn.lists(stn.sampled_from([0.0, 0.5e-4, 0.95e-4, 0.99e-4, 1.5e-4,
+                                              1.9e-4, 2.5e-4, 0.05]),
+                           min_size=3, max_size=3),
+           share=stn.sampled_from([frozenset(), frozenset({"phi"})]))
+    @example(seed=1, small=[1.9e-4, 0.95e-4, 0.0], share=frozenset())
+    @settings(max_examples=80, deadline=None)
+    def test_a_role_is_flagged_when_the_chart_holds_or_ties_it(self, seed, small, share):
+        bundle = random_case(np.random.default_rng(seed), max_unknowns=3)
+        hypothesis = bundle.hypothesis
+        assume(hypothesis.unknown)
+        assume("phi" not in share or hypothesis.trace_roles is None)
+        phi = {}
+        for t, fracs in bundle.parameters.phi.items():
+            known = [r for r in fracs if r in hypothesis.known]
+            unknown = [r for r in fracs if r in hypothesis.unknown]
+            values = sorted(small[:len(unknown)], reverse=True)
+            if not known:  # the first unknown takes what the others leave
+                values[0] = 1.0 - sum(values[1:])
+            rest = (1.0 - sum(values)) / max(len(known), 1)
+            phi[t] = {**dict.fromkeys(known, rest), **dict(zip(unknown, values))}
+        params = replace(bundle.parameters, phi=phi)
+        structure = _Structure(FitSpecification(
+            bundle=bundle.with_parameters(params), share=share,
+        ))
+        chart = _ReportingChart(structure, params)
+        assert _boundary_flags(params, structure) == _chart_boundary(chart, structure, params)
+
+
+def _chart_boundary(chart, structure, params):
+    """Per trace, xi at zero and, per role, whether the reporting chart
+    holds its fraction at zero or moves it with another's."""
+    out = {}
+    for t in structure.trace_ids:
+        blk = structure.block_of("phi", t)
+        _, zero, units, _ = chart.phi_layout_of[blk.traces]
+        tied = {i for unit in units if len(unit) > 1 for i in unit}
+        out[t] = {
+            "xi": params.xi_for(t) < estimation._BOUNDARY_TOL,
+            "phi": {r: i in zero or i in tied for i, r in enumerate(blk.roles)},
+        }
+    return out

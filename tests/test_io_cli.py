@@ -459,6 +459,38 @@ class TestCli:
         assert err["error"]["code"] == "load_error"
         assert "not found" in err["error"]["message"]
 
+    @pytest.mark.parametrize("flag", ["--freqs", "--profiles", "--trace", "--hypothesis",
+                                      "--params"])
+    def test_a_directory_for_an_input_exits_2_naming_it(self, tiny_case, capsys, flag):
+        # a path that exists but cannot be read as a file
+        folder = tiny_case["tmp"] / "folder"
+        folder.mkdir()
+        inputs = {"--freqs": tiny_case["freqs"], "--profiles": tiny_case["profiles"],
+                  "--trace": tiny_case["trace"], "--hypothesis": tiny_case["case"],
+                  "--params": tiny_case["params"], flag: str(folder)}
+        rc = cli.main(["fit", *(a for pair in inputs.items() for a in pair),
+                       "--under", "prosecution"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "load_error"
+        assert str(folder) in err["message"]
+
+    @pytest.mark.parametrize("content", [b'{"eta": 25.0,', b'{"eta": "\xff"}'],
+                             ids=["truncated", "not-utf-8"])
+    def test_unreadable_parameter_json_is_a_load_error_naming_it(self, tiny_case, capsys,
+                                                                 content):
+        params = tiny_case["tmp"] / "bad_params.json"
+        params.write_bytes(content)
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", tiny_case["trace"], "--hypothesis", tiny_case["case"],
+             "--under", "prosecution", "--params", str(params)]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "load_error"
+        assert f"{params}: invalid JSON" in err["message"]
+
     def test_fit_with_fixed_params_echoes_inputs(self, tiny_case, capsys):
         out = str(tiny_case["tmp"] / "fit.json")
         rc = cli.main(
