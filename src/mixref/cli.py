@@ -127,6 +127,8 @@ class _Case:
                     raise io.LoadError(f"trace id {tid!r} appears in several files")
                 rows[tid] = markers
         if need_traces and not rows:
+            if args.trace:
+                raise io.LoadError(f"no rows in the trace files {', '.join(args.trace)}")
             raise io.LoadError("no trace files given")
         if definition and rows:
             _check_trace_ids(definition.thresholds, rows, "case JSON traces")

@@ -107,6 +107,9 @@ log L is the sum of the shifts and the logs of the forward normalizers.
 Steps are batched in blocks of at most _BLOCK_EDGES edge values, counted
 over the stack's markers and steps (one step of one marker at U >= 4),
 so a pass builds no array of every step's edges at large U.
+Every pair posterior, of a step's own table or of another for the step,
+comes from one routine over (step, marker) rows (_pair_posteriors; the
+log-space redo has its one, _step_posterior).
 
 Each edge's products lose at most _TINY to underflow (see _TINY), so a
 step loses at most E * _TINY against the mass it keeps, its normalizer;
@@ -1730,22 +1733,30 @@ def _backward(stack, weights, ended):
     return beta, lost
 
 
-def _pair_posteriors(mass, keys, n_pairs, loss, ended):
-    """Rows of edge masses (..., G, E) summed by the edges' pairs ``keys``,
-    with one np.bincount for all rows, and normalized over the row.
+def _pair_posteriors(stack, alpha, beta, loss, at, w, ended):
+    """Pair posteriors of a scaled pass at the (step, marker) rows ``at``,
+    a slice of steps (every marker) or an array of steps and one of markers.
 
-    ``loss`` bounds each row's loss to underflow, in units of _TINY.
-    Axis -2 is the markers': one with a row that would lose too much is
-    marked in ``ended``.
+    ``w`` holds each row's pair factors along the edges.  An edge's mass,
+    alpha[src] * w * (beta * transition)[dst], is summed by the edges'
+    pairs with one np.bincount for all rows and normalized over the row.
+    ``loss`` (T, G) bounds each row's loss to underflow, in units of
+    _TINY: a marker with a row that would lose too much, or that has no
+    mass, is marked in ``ended``.
     """
-    rows = mass.reshape(-1, mass.shape[-1])
-    index = (np.arange(len(rows))[:, None] * n_pairs + keys).ravel()
-    post = np.bincount(index, rows.ravel(), len(rows) * n_pairs)
-    post = post.reshape(mass.shape[:-1] + (n_pairs,))
-    total = np.add.reduce(post, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = ~(loss / total <= _LOSS / _TINY)
-    ended |= bad.reshape(-1, len(ended)).any(axis=0)
+    edges, n_pairs = stack.joint.edges, stack.joint.n_states
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mass = alpha[at][..., edges.src]
+        mass *= w
+        ahead = beta[at] * stack.transition.transpose(1, 0, 2)[at]
+        mass *= ahead[..., edges.dst]
+        rows = mass.reshape(-1, len(edges.src))
+        index = (np.arange(len(rows))[:, None] * n_pairs + edges.key).ravel()
+        post = np.bincount(index, rows.ravel(), len(rows) * n_pairs)
+        post = post.reshape(mass.shape[:-1] + (n_pairs,))
+        total = np.add.reduce(post, axis=-1)
+        bad = ~(loss[at] / total <= _LOSS / _TINY)
+    ended[np.broadcast_to(np.arange(len(ended)), loss.shape)[at][bad]] = True
     total[bad] = 1.0
     return post / total[..., None]
 
@@ -1753,6 +1764,9 @@ def _pair_posteriors(mass, keys, n_pairs, loss, ended):
 def _scaled_pass(stack, tables, posteriors, alt, redo):
     """_chain_pass in scaled linear space.
 
+    Every pair posterior comes from _pair_posteriors: a step's own from
+    the forward recursion's pair factors, an alternative row's from
+    exp(row - its largest entry), which ends the marker where not finite.
     A marker whose pass ends (see _forward) is marked in ``redo``, unless
     it ended with log L -inf and has no alternative rows, whose posteriors
     may still have mass.  A marker that ended gets zero pair posteriors.
@@ -1768,61 +1782,33 @@ def _scaled_pass(stack, tables, posteriors, alt, redo):
     if keep and not ended.all():
         beta, lost_after = _backward(stack, weights, ended)
         joint = stack.joint
-        edges, n_pairs = joint.edges, joint.n_states
+        key = joint.edges.key
         # a posterior's mass alpha[src] * pair[key] * (beta * transition)[dst]
         # loses what alpha and beta lost, each at most 3^U-fold, and its own
         # products' underflow (in units of _TINY)
-        loss = joint.n_combos * (lost[:-1] + lost_after) + len(edges.src)
+        loss = joint.n_combos * (lost[:-1] + lost_after) + len(key)
         if posteriors:
-            out = pair.reshape(len(stack.plans), -1, n_pairs)
+            out = pair.reshape(len(stack.plans), -1, joint.n_states)
             lo = 0
             for w in weights:
                 hi = lo + len(w)
-                mass = alpha[lo:hi][..., edges.src]
-                mass *= w
-                ahead = beta[lo:hi] * stack.transition[:, lo:hi].transpose(1, 0, 2)
-                mass *= ahead[..., edges.dst]
-                post = _pair_posteriors(mass, edges.key, n_pairs, loss[lo:hi], ended)
+                post = _pair_posteriors(stack, alpha, beta, loss, slice(lo, hi), w, ended)
                 out[:, lo:hi] = post.transpose(1, 0, 2)
                 lo = hi
             out[ended] = 0.0
         if alt is not None:
-            _alternative_posteriors(stack, alt, alpha, beta, loss, others, ended)
+            marker, step = np.divmod(alt[0], stack.transition.shape[1])
+            per_block = max(1, _BLOCK_EDGES // len(key))
+            with np.errstate(invalid="ignore"):
+                for lo in range(0, len(marker), per_block):
+                    block = slice(lo, lo + per_block)
+                    top = alt[1][block].max(axis=1)
+                    ended[marker[block][~np.isfinite(top)]] = True
+                    w = np.exp(alt[1][block] - top[:, None])[:, key]
+                    at = (step[block], marker[block])
+                    others[block] = _pair_posteriors(stack, alpha, beta, loss, at, w, ended)
     redo |= ended & ((loglik != -np.inf) | has_alt)
     return _Pass(loglik, pair, others)
-
-
-def _alternative_posteriors(stack, alt, alpha, beta, loss, out, ended):
-    """Pair posteriors of alternative rows (see _chain_pass) into ``out``,
-    from the scaled messages around their steps, in blocks of at most
-    _BLOCK_EDGES edge values.
-
-    An edge's mass is alpha[src] * pair[key] * (beta * transition)[dst],
-    with the weight rule of _forward: the row's pair factors exp(row -
-    its largest entry) and the step's scaled transitions, applied to the
-    message out of the step on its 6^U states.  A row with no finite
-    largest entry, or whose posterior would lose too much (``loss``
-    bounds each step's loss; a row with no finite edge has no mass), marks
-    its marker in ``ended``.
-    """
-    rows, tables = alt
-    edges = stack.joint.edges
-    marker, step = np.divmod(rows, stack.transition.shape[1])
-    per_block = max(1, _BLOCK_EDGES // len(edges.src))
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, len(rows), per_block):
-            block = slice(lo, lo + per_block)
-            i, t = marker[block], step[block]
-            top = tables[block].max(axis=1)
-            ended[i[~np.isfinite(top)]] = True
-            pair = np.exp(tables[block] - top[:, None])
-            mass = alpha[t, i][:, edges.src] * pair[:, edges.key]
-            mass *= (beta[t, i] * stack.transition[i, t])[:, edges.dst]
-            bad = np.zeros(len(i), dtype=bool)
-            out[block] = _pair_posteriors(
-                mass[None], edges.key, stack.joint.n_states, loss[t, i][None], bad
-            )[0]
-            ended[i[bad]] = True
 
 
 class _Sweep(NamedTuple):

@@ -1,6 +1,6 @@
 """CSV and JSON ingestion and report rendering.
 
-File formats (all UTF-8, headers required):
+File formats (UTF-8, with or without a leading byte-order mark):
 
 * frequency CSV: marker, allele, frequency
 * profile CSV: individual, marker, allele1, allele2
@@ -11,8 +11,14 @@ File formats (all UTF-8, headers required):
 * parameter JSON: xi and eta (global or per trace), per-trace mu/sigma
   or rho, and per-trace phi
 
-A JSON document may hold only the keys named here, at each level; any
-other key is a LoadError naming its path.
+Each CSV starts with a header naming at least its columns, in any order,
+and every row holds exactly one field per header column; blank lines are
+skipped.  A row of another length or with a malformed value is a
+LoadError naming the file and the line the row starts on, and bytes that
+are not UTF-8 are one naming the file alone (see _csv_rows).  A JSON
+document may hold only the keys named here, at each level; any other key
+is a LoadError naming its path.  The CLI reports a LoadError as
+``load_error`` with exit code 2.
 """
 
 from __future__ import annotations
@@ -51,12 +57,13 @@ class LoadError(ValueError):
 
 
 def _open_input(path, what):
-    """The input file ``path`` (``what`` names it) opened as UTF-8 text; a
-    LoadError naming the path where it is missing or cannot be opened,
-    such as a directory or a file that may not be read."""
+    """The input file ``path`` (``what`` names it) opened as UTF-8 text,
+    less a leading byte-order mark; a LoadError naming the path where it
+    is missing or cannot be opened, such as a directory or a file that
+    may not be read."""
     path = Path(path)
     try:
-        return path.open(newline="", encoding="utf-8")
+        return path.open(newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise LoadError(f"{what} not found: {path}") from None
     except OSError as exc:
@@ -73,13 +80,44 @@ def read_json(path, what):
             raise LoadError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _open_csv(path, required):
-    handle = _open_input(path, required)
-    reader = csv.DictReader(handle)
-    if reader.fieldnames is None:
-        handle.close()
-        raise LoadError(f"{required} {path} is empty")
-    return handle, reader
+def _csv_rows(path, what, columns):
+    """The rows of the CSV input ``path`` (``what`` names it), each as
+    (line, {column: field}), ``line`` being the line the row starts on;
+    blank lines are skipped.
+
+    The header must name every one of ``columns`` (surrounding spaces
+    aside) and no column twice, and every row must hold exactly one field
+    per header column.  Any other file is a LoadError naming the path
+    and, for a row, its line; text that is not UTF-8 one naming the path
+    alone (the decoder reads ahead of the rows).
+    """
+    with _open_input(path, what) as handle:
+        reader, line = csv.reader(handle), 1
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise LoadError(f"{what} {path} is empty")
+            header = [c.strip() for c in header]
+            missing = set(columns) - set(header)
+            if missing:
+                raise LoadError(f"{path}: missing columns {sorted(missing)}")
+            twice = sorted({c for c in header if header.count(c) > 1})
+            if twice:
+                raise LoadError(f"{path}: columns named more than once {twice}")
+            line = reader.line_num + 1
+            for fields in reader:
+                if fields:
+                    if len(fields) != len(header):
+                        raise LoadError(
+                            f"{path}:{line}: {len(fields)} fields where the header "
+                            f"has {len(header)}: {fields}"
+                        )
+                    yield line, dict(zip(header, fields))
+                line = reader.line_num + 1
+        except csv.Error as exc:
+            raise LoadError(f"{path}:{line}: malformed CSV: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
 
 
 def load_frequency_table(path) -> FrequencyTable:
@@ -88,24 +126,19 @@ def load_frequency_table(path) -> FrequencyTable:
     A deviation of the raw sum from 1 beyond 5% is an error; smaller
     deviations are rescaled (with a warning beyond 1e-6).
     """
-    handle, reader = _open_csv(path, "frequency table")
     data: dict[str, dict[str, float]] = {}
-    with handle:
-        _require(reader, {"marker", "allele", "frequency"}, path)
-        for i, row in enumerate(reader, start=2):
-            try:
-                marker = row["marker"].strip()
-                allele = canonical_allele(row["allele"])
-                freq = float(row["frequency"])
-            except (KeyError, ValueError, AttributeError) as exc:
-                raise LoadError(f"{path}:{i}: bad frequency row: {row}") from exc
-            if not (math.isfinite(freq) and freq > 0):
-                raise LoadError(
-                    f"{path}:{i}: frequency must be positive and finite: {freq}"
-                )
-            if allele in data.setdefault(marker, {}):
-                raise LoadError(f"{path}:{i}: duplicate allele {allele} for {marker}")
-            data[marker][allele] = freq
+    for i, row in _csv_rows(path, "frequency table", ("marker", "allele", "frequency")):
+        try:
+            marker = row["marker"].strip()
+            allele = canonical_allele(row["allele"])
+            freq = float(row["frequency"])
+        except ValueError as exc:
+            raise LoadError(f"{path}:{i}: bad frequency row: {row}") from exc
+        if not (math.isfinite(freq) and freq > 0):
+            raise LoadError(f"{path}:{i}: frequency must be positive and finite: {freq}")
+        if allele in data.setdefault(marker, {}):
+            raise LoadError(f"{path}:{i}: duplicate allele {allele} for {marker}")
+        data[marker][allele] = freq
     if not data:
         raise LoadError(f"frequency table {path} has no rows")
     for marker, freqs in data.items():
@@ -125,20 +158,13 @@ def load_frequency_table(path) -> FrequencyTable:
 
 def load_profiles(path) -> dict[str, GenotypeProfile]:
     """Read a profile CSV into {individual: GenotypeProfile}."""
-    handle, reader = _open_csv(path, "profile file")
     rows: dict[str, dict[str, tuple[str, str]]] = {}
-    with handle:
-        _require(reader, {"individual", "marker", "allele1", "allele2"}, path)
-        for i, row in enumerate(reader, start=2):
-            try:
-                who = row["individual"].strip()
-                marker = row["marker"].strip()
-                pair = (row["allele1"], row["allele2"])
-            except (KeyError, AttributeError) as exc:
-                raise LoadError(f"{path}:{i}: bad profile row: {row}") from exc
-            if marker in rows.setdefault(who, {}):
-                raise LoadError(f"{path}:{i}: duplicate marker {marker} for {who}")
-            rows[who][marker] = pair
+    columns = ("individual", "marker", "allele1", "allele2")
+    for i, row in _csv_rows(path, "profile file", columns):
+        who, marker = row["individual"].strip(), row["marker"].strip()
+        if marker in rows.setdefault(who, {}):
+            raise LoadError(f"{path}:{i}: duplicate marker {marker} for {who}")
+        rows[who][marker] = (row["allele1"], row["allele2"])
     return {
         who: GenotypeProfile.from_pairs(markers) for who, markers in rows.items()
     }
@@ -146,28 +172,23 @@ def load_profiles(path) -> dict[str, GenotypeProfile]:
 
 def read_trace_rows(path) -> dict[str, dict[str, dict[str, float]]]:
     """Read a trace CSV into {trace_id: {marker: {allele: height}}}."""
-    handle, reader = _open_csv(path, "trace file")
     rows: dict[str, dict[str, dict[str, float]]] = {}
-    with handle:
-        _require(reader, {"trace_id", "marker", "allele", "height"}, path)
-        for i, row in enumerate(reader, start=2):
-            try:
-                tid = row["trace_id"].strip()
-                marker = row["marker"].strip()
-                allele = canonical_allele(row["allele"])
-                height = float(row["height"])
-            except (KeyError, ValueError, AttributeError) as exc:
-                raise LoadError(f"{path}:{i}: bad trace row: {row}") from exc
-            if not math.isfinite(height) or height < 0:
-                raise LoadError(
-                    f"{path}:{i}: height must be finite and nonnegative, got {height}"
-                )
-            marker_rows = rows.setdefault(tid, {}).setdefault(marker, {})
-            if allele in marker_rows:
-                raise LoadError(
-                    f"{path}:{i}: duplicate height for {tid}/{marker}/{allele}"
-                )
-            marker_rows[allele] = height
+    for i, row in _csv_rows(path, "trace file", ("trace_id", "marker", "allele", "height")):
+        try:
+            tid = row["trace_id"].strip()
+            marker = row["marker"].strip()
+            allele = canonical_allele(row["allele"])
+            height = float(row["height"])
+        except ValueError as exc:
+            raise LoadError(f"{path}:{i}: bad trace row: {row}") from exc
+        if not math.isfinite(height) or height < 0:
+            raise LoadError(
+                f"{path}:{i}: height must be finite and nonnegative, got {height}"
+            )
+        marker_rows = rows.setdefault(tid, {}).setdefault(marker, {})
+        if allele in marker_rows:
+            raise LoadError(f"{path}:{i}: duplicate height for {tid}/{marker}/{allele}")
+        marker_rows[allele] = height
     return rows
 
 
@@ -207,13 +228,6 @@ def write_trace_csv(traces: Sequence[Trace], path) -> None:
             for marker in trace.markers():
                 for allele, h in trace.heights[marker].items():
                     writer.writerow([trace.trace_id, marker, allele, h])
-
-
-def _require(reader, columns, path):
-    have = {c.strip() for c in reader.fieldnames or ()}
-    missing = columns - have
-    if missing:
-        raise LoadError(f"{path}: missing columns {sorted(missing)}")
 
 
 # ---------------------------------------------------------------------------

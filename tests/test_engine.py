@@ -687,17 +687,57 @@ class TestScaledPassFallback:
         # one step below it, or two steps that each keep 1e-150, are not
         for steps in ([(2, 1e-210)], [(1, 1e-150), (2, 1e-150)]):
             assert backward_ends(*steps)
-        keys, one_step = stack.joint.edges.key, float(n_edges)  # in units of _TINY
+        one_step = np.full((n_steps, 1), float(n_edges))  # in units of _TINY
+        # at a step whose transitions are all positive, messages alpha 1
+        # and beta 1 / transition leave each edge the mass of its factor
+        (t,) = np.flatnonzero((stack.transition[0] > 0).all(axis=1))
+        alpha = np.ones((n_steps + 1, 1, stack.joint.n_states))
+        with np.errstate(divide="ignore"):
+            beta = 1.0 / stack.transition.transpose(1, 0, 2)
 
         def posteriors_end(mass):
             ended = np.zeros(1, dtype=bool)
-            engine._pair_posteriors(
-                np.full((1, n_edges), mass), keys, stack.joint.n_states, one_step, ended
-            )
+            w = np.full((1, 1, n_edges), mass)
+            engine._pair_posteriors(stack, alpha, beta, one_step, slice(t, t + 1), w,
+                                    ended)
             return ended.all()
 
         assert not posteriors_end(1e-190)
         assert posteriors_end(1e-210)
+
+    @pytest.mark.parametrize("redo", [False, True], ids=["scaled", "log-space-redo"])
+    @given(seed=stn.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_a_step_asked_as_an_alternative_gives_its_own_posterior(self, redo, seed):
+        # each space forms both from one routine: the scaled pass from the
+        # step's own pair factors and from exp(row - top)[key] of the row,
+        # the log-space redo from the step's edge values and the row's
+        rng = np.random.default_rng(seed)
+        b = random_case(rng, max_alleles=4, max_unknowns=3, n_markers=3)
+        redone = []
+
+        def spy(plan, tables, posteriors, alt, _original=engine._log_pass):
+            redone.append(plan.marker)
+            return _original(plan, tables, posteriors, alt)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if redo:  # no loss bound is met, so every marker is redone
+                mp.setattr(engine, "_LOSS", 0.0)
+                mp.setattr(engine, "_log_pass", spy)
+            for stack in b._stacks:
+                tables = engine._step_tables(
+                    stack, engine._view_terms(stack, engine._sets_of(b))
+                )
+                rows = np.concatenate([
+                    np.arange(len(tables))[engine._marker_rows(stack, i)]
+                    for i in range(len(stack.plans))
+                ])
+                got = engine._chain_pass(stack, tables, True, (rows, tables[rows]))
+                n_steps = stack.transition.shape[1]
+                finite = np.repeat(np.isfinite(got.loglik), n_steps)[rows]
+                np.testing.assert_array_equal(got.alt[finite], got.pair[rows][finite])
+        if redo:
+            assert redone == [p.marker for stack in b._stacks for p in stack.plans]
 
     @given(stn.integers(0, 2**32 - 1), stn.floats(2.0, 8.0))
     @settings(max_examples=25, deadline=None)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as stn
 
 import mixref as mx
 from mixref import cli, io
@@ -272,6 +274,102 @@ class TestStrictDocuments:
         io.parameters_from_json(json.loads(files.params.read_text()))
 
 
+class TestInputRowOrder:
+    """What the order of the input rows changes, on the excerpt at its
+    defence parameters: its three CSVs shuffled row by row and its two
+    traces reversed.
+
+    - Bit-identical with the frequency rows kept in order: log L, every
+      gradient entry, every marker's log L, every PIT (with truncation
+      and without), every presence posterior and the ranked top
+      genotypes, each by its name.
+    - Within 1e-12 (relative, or absolute near 0) with the frequency rows
+      shuffled too: each marker's frequencies are normalized by their sum
+      in row order, which moves them by an ulp or so; the ladders' allele
+      order does not move.
+    - Following the input: the traces come in the order their ids first
+      appear (so do the gradient's keys), the markers in the order they
+      first appear in the frequency CSV, and the PITs marker by marker,
+      then trace by trace, in those orders.
+    """
+
+    @staticmethod
+    def _outputs(freqs, profiles, traces):
+        """(bundle, every number by name, each marker's ranked top
+        genotypes) from the three CSVs and the excerpt's JSON files."""
+        case = io.load_case_definition(DATA / "pubcase_case.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the excerpt's rescaling
+            b = mx.EvidenceBundle(
+                traces=io.build_traces(io.read_trace_rows(traces), case.thresholds),
+                frequencies=io.load_frequency_table(freqs),
+                hypothesis=io.build_hypothesis(case.hypotheses["defence"],
+                                               io.load_profiles(profiles)),
+                parameters=io.parameters_from_json(
+                    io.read_json(DATA / "pubcase_params_defence.json", "parameters")),
+            )
+        loglik, gradient = mx.log_likelihood_and_gradient(b)
+        values = {("log L",): loglik}
+        values.update({("gradient", *key): v for key, v in gradient.items()})
+        for marker in b.covered_markers():
+            values[("marker log L", marker)] = mx.marker_log_likelihood(b, marker)
+        for truncate in (True, False):
+            for r in mx.probability_integral_transform(b, truncate):
+                values[("pit", truncate, r["trace"], r["marker"], r["allele"])] = r["pit"]
+        for marker, post in mx.bundle_posteriors(b).items():
+            values.update({("presence", marker, a): x for a, x in post.presence.items()})
+        return b, values, mx.bundle_top_genotypes(b, 10)
+
+    @staticmethod
+    def _shuffled(folder, name, rng, key=None):
+        head, *rows = (DATA / name).read_text().splitlines()
+        rng.shuffle(rows)
+        if key:
+            rows.sort(key=key)
+        path = folder / name
+        path.write_text("\n".join([head, *rows]) + "\n")
+        return path, rows
+
+    @given(stn.randoms(use_true_random=False))
+    @settings(max_examples=6, deadline=None)
+    def test_shuffled_rows_and_reversed_traces(self, tmp_path_factory, rng):
+        folder = tmp_path_factory.mktemp("rows")
+        names = ("pubcase_freqs.csv", "pubcase_profiles.csv", "pubcase_traces.csv")
+        base, values, top = self._outputs(*(DATA / n for n in names))
+        ids = [t.trace_id for t in base.traces]
+        freqs, freq_rows = self._shuffled(folder, names[0], rng)
+        profiles, _ = self._shuffled(folder, names[1], rng)
+        traces, _ = self._shuffled(folder, names[2], rng,
+                                   key=lambda r: -ids.index(r.split(",")[0]))
+
+        kept, kept_values, kept_top = self._outputs(DATA / names[0], profiles, traces)
+        assert {k: float(v).hex() for k, v in kept_values.items()} == {
+            k: float(v).hex() for k, v in values.items()
+        }
+        assert kept_top == top
+
+        moved, moved_values, moved_top = self._outputs(freqs, profiles, traces)
+        assert moved_values.keys() == values.keys()
+        np.testing.assert_allclose([moved_values[k] for k in values], list(values.values()),
+                                   rtol=1e-12, atol=1e-12)
+        for marker, ranked in top.items():
+            np.testing.assert_allclose([p for _, p in moved_top[marker]],
+                                       [p for _, p in ranked], rtol=1e-12)
+        for marker in base.covered_markers():
+            assert (moved.frequencies.ladder(marker).alleles
+                    == base.frequencies.ladder(marker).alleles)
+
+        assert [t.trace_id for t in moved.traces] == ids[::-1]
+        markers = [m for m in dict.fromkeys(r.split(",")[0] for r in freq_rows)
+                   if m in base.covered_markers()]
+        assert list(moved.covered_markers()) == markers
+        assert [k[2] for k in moved_values if k[:2] == ("gradient", "rho")] == ids[::-1]
+        pit_order = [k[2:4] for k in moved_values if k[:2] == ("pit", True)]
+        assert list(dict.fromkeys(pit_order)) == [
+            (t, m) for m in markers for t in ids[::-1]
+        ]
+
+
 class TestCli:
     def test_fit_report_is_a_parameter_file(self, tiny_case, tmp_path):
         fit_out = str(tmp_path / "fit.json")
@@ -490,6 +588,124 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "load_error"
         assert f"{params}: invalid JSON" in err["message"]
+
+    # per CSV input: its fixture key, and its third line cut short, made
+    # one field too long (a decimal comma) and holding a byte not in UTF-8
+    _CSV_ROWS = {
+        "--freqs": ("freqs", "M1,9", "M1,9,0,3", b"M1,9\xff,0.3"),
+        "--profiles": ("profiles", "K1,M2,8", "K1,M2,8,9,10", b"K1,M2,8,\xff9"),
+        "--trace": ("trace", "T1,M1,9", "T1,M1,9,260,5", b"T1,M1,9,26\xff"),
+    }
+
+    def _fit_with(self, tiny_case, flag, content):
+        """cli.main's exit code for `fit --params` with the CSV given to
+        ``flag`` replaced by ``content`` (bytes), and that file's path."""
+        key = self._CSV_ROWS[flag][0]
+        path = tiny_case["tmp"] / f"changed_{key}.csv"
+        path.write_bytes(content)
+        inputs = {"--freqs": tiny_case["freqs"], "--profiles": tiny_case["profiles"],
+                  "--trace": tiny_case["trace"], flag: str(path)}
+        rc = cli.main(["fit", *(a for pair in inputs.items() for a in pair),
+                       "--hypothesis", tiny_case["case"], "--under", "prosecution",
+                       "--params", tiny_case["params"]])
+        return rc, str(path)
+
+    def _with_third_line(self, tiny_case, flag, line):
+        lines = Path(tiny_case[self._CSV_ROWS[flag][0]]).read_bytes().split(b"\n")
+        lines[2] = line
+        return b"\n".join(lines)
+
+    @pytest.mark.parametrize("flag", _CSV_ROWS)
+    @pytest.mark.parametrize("length", ["short", "long"])
+    def test_a_row_of_another_length_exits_2_naming_its_line(self, tiny_case, capsys,
+                                                             flag, length):
+        key, short, long_, _ = self._CSV_ROWS[flag]
+        row = short if length == "short" else long_
+        header = Path(tiny_case[key]).read_text().split("\n")[0].count(",") + 1
+        rc, path = self._fit_with(tiny_case, flag,
+                                  self._with_third_line(tiny_case, flag, row.encode()))
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "load_error"
+        assert err["message"].startswith(
+            f"{path}:3: {len(row.split(','))} fields where the header has {header}"
+        )
+
+    @pytest.mark.parametrize("flag", _CSV_ROWS)
+    def test_bytes_not_in_utf_8_exit_2_naming_the_file(self, tiny_case, capsys, flag):
+        content = self._with_third_line(tiny_case, flag, self._CSV_ROWS[flag][3])
+        rc, path = self._fit_with(tiny_case, flag, content)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "load_error"
+        assert f"{path} is not UTF-8 text" in err["message"]
+
+    @pytest.mark.parametrize("flag", _CSV_ROWS)
+    def test_a_byte_order_mark_reads_as_the_plain_file(self, tiny_case, capsys, flag):
+        plain = Path(tiny_case[self._CSV_ROWS[flag][0]]).read_bytes()
+        assert self._fit_with(tiny_case, flag, plain)[0] == 0
+        want = capsys.readouterr()
+        assert self._fit_with(tiny_case, flag, b"\xef\xbb\xbf" + plain)[0] == 0
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("name", ["case.json", "params.json"])
+    def test_a_byte_order_mark_opens_a_json_input(self, tiny_case, capsys, name):
+        path = Path(tiny_case[name.split(".")[0]])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", tiny_case["trace"], "--hypothesis", tiny_case["case"],
+             "--under", "prosecution", "--params", tiny_case["params"]]
+        )
+        assert rc == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", _CSV_ROWS)
+    def test_a_column_named_twice_exits_2(self, tiny_case, capsys, flag):
+        # the last of the two fields was read, without a word
+        lines = Path(tiny_case[self._CSV_ROWS[flag][0]]).read_text().splitlines()
+        column = lines[0].split(",")[-1]
+        content = "\n".join(f"{line},{line.split(',')[-1]}" for line in lines) + "\n"
+        rc, path = self._fit_with(tiny_case, flag, content.encode())
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "load_error"
+        assert err["message"] == f"{path}: columns named more than once ['{column}']"
+
+    def test_a_field_past_the_csv_limit_exits_2_naming_its_line(self, tiny_case, capsys):
+        # csv's field size limit (131072 characters) raised csv.Error
+        rc, path = self._fit_with(tiny_case, "--trace", self._with_third_line(
+            tiny_case, "--trace", b"T1,M1,9," + b"1" * 200_000))
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "load_error"
+        assert err["message"].startswith(f"{path}:3: malformed CSV: field larger")
+
+    def test_a_row_line_counts_the_lines_a_quoted_field_spans(self, tiny_case, capsys):
+        trace = write(
+            tiny_case["tmp"], "quoted.csv",
+            'trace_id,marker,allele,height\nT1,M1,8,"420\n"\nT1,M1,9,nan\n',
+        )
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", trace, "--hypothesis", tiny_case["case"],
+             "--params", tiny_case["params"]]
+        )
+        assert rc == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith(f"{trace}:4: height must be finite")
+
+    def test_trace_files_with_no_rows_are_named(self, tiny_case, capsys):
+        empty = [write(tiny_case["tmp"], f"empty{i}.csv", "trace_id,marker,allele,height\n")
+                 for i in range(2)]
+        rc = cli.main(
+            ["fit", "--freqs", tiny_case["freqs"], "--profiles", tiny_case["profiles"],
+             "--trace", empty[0], "--trace", empty[1], "--hypothesis", tiny_case["case"],
+             "--params", tiny_case["params"]]
+        )
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "load_error"
+        assert err["message"] == f"no rows in the trace files {empty[0]}, {empty[1]}"
 
     def test_fit_with_fixed_params_echoes_inputs(self, tiny_case, capsys):
         out = str(tiny_case["tmp"] / "fit.json")
