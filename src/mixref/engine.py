@@ -690,18 +690,13 @@ def _factor_layouts(pos, place, hypothesis, traces, heights):
     local = pos.local[at]
     peak_heights = np.repeat(heights[trace[seen], at[seen]], n_pairs)
 
-    # the dose maps: each dropout block taken to its canonical peak's block
-    # at its index, and each observed peak to its canonical peak, both
-    # numbered among the dropout blocks or the observed peaks
+    # the dose maps: each block taken to its canonical peak's block at its
+    # index, and each observed peak to its canonical peak, numbered among
+    # the observed peaks
     block_of = np.zeros(len(at), dtype=np.int64)
     block_of[adds] = start
-    dropout = ~seen[peak]
-    blocks = np.flatnonzero(dropout)
-    block_maps = _to_first(
-        (np.cumsum(dropout) - 1)[block_of[canonical[peak[blocks]]] + k[blocks]],
-        np.searchsorted(group[peak[blocks]], np.arange(n_stacks + 1)), n_combos,
-    )
-    peak_maps = _to_first((np.cumsum(seen) - 1)[canonical[seen]], np.array(bounds[1]), 1)
+    block_own = block_of[canonical[peak]] + k
+    peak_own = (np.cumsum(seen) - 1)[canonical[seen]]
     layouts = []
     for g in range(n_stacks):
         mine = np.flatnonzero(covers[:, g])
@@ -713,10 +708,12 @@ def _factor_layouts(pos, place, hypothesis, traces, heights):
         # one trace's one threshold broadcasts as its points' eta does
         cut = np.repeat(threshold[mine], run[len(mine):] if len(mine) > 1 else 1)
         n_observed = (s1 - s0) * n_pairs
-        canon, spread = block_maps[g]
+        # the stack's dropout blocks follow its observed peaks' blocks
+        d0 = b0 + (s1 - s0) * width
+        canon, spread = _to_first(block_own[d0:b1] - d0, n_combos)
         dose_map = _DoseMap(
             slice(n_observed, None) if isinstance(canon, slice) else canon + n_observed,
-            cut if len(cut) == 1 else cut[canon], spread, *peak_maps[g],
+            cut if len(cut) == 1 else cut[canon], spread, *_to_first(peak_own[s0:s1] - s0, 1),
         )
         layouts.append((_FactorLayout(
             trace_ids=tuple(traces[j].trace_id for j in mine),
@@ -739,29 +736,19 @@ def _factor_layouts(pos, place, hypothesis, traces, heights):
     return layouts
 
 
-def _to_first(own, bounds, size):
-    """Items of ``size`` consecutive points each, stack by stack (items
-    bounds[g]:bounds[g+1] on stack g), item i taken to item own[i] of its
-    stack, which is its own.  Per stack: the points of its items that are
-    their own, as indices from its first point, and each of its points'
-    place among those; two slices where every item is its own."""
+def _to_first(own, size):
+    """Items of ``size`` consecutive points each, item i taken to item
+    own[i], which is its own.  The points of the items that are their own,
+    as indices from the first point, and each point's place among those;
+    two slices where every item is its own."""
     keep = own == np.arange(len(own))
     if keep.all():
-        return [(slice(None), slice(None))] * (len(bounds) - 1)
-    firsts = np.flatnonzero(keep)
-    ends = np.searchsorted(firsts, bounds)  # each stack's run of firsts
-    sizes = np.diff(bounds)
-    canon = firsts - np.repeat(bounds[:-1], sizes)[firsts]
-    spread = (np.cumsum(keep) - 1 - np.repeat(ends[:-1], sizes))[own]
+        return slice(None), slice(None)
+    canon, spread = np.flatnonzero(keep), (np.cumsum(keep) - 1)[own]
     if size > 1:
         inner = np.arange(size)
         canon, spread = ((v[:, None] * size + inner).ravel() for v in (canon, spread))
-    ends, bounds = ends.tolist(), bounds.tolist()
-    return [
-        (slice(None), slice(None)) if f1 - f0 == i1 - i0
-        else (canon[f0 * size:f1 * size], spread[i0 * size:i1 * size])
-        for f0, f1, i0, i1 in zip(ends, ends[1:], bounds, bounds[1:])
-    ]
+    return canon, spread
 
 
 @dataclass(frozen=True)

@@ -503,3 +503,80 @@ class TestModelParameters:
         assert p.rho_for("T1", "D2") == 30.0
         assert p.xi_for_marker("T1", "FGA") == 0.02
         assert p.xi_for_marker("T1", "D2") == 0.08
+
+
+# ---------------------------------------------------------------------------
+# The deep tails at large shapes, and the point mass at zero
+
+
+def _mp_log_sf_by_quadrature(y, a):
+    """log Q(a, y) for y > a - 1, from Gamma(a, y) = y^(a-1) e^-y
+    * integral over u > 0 of (1 + u/y)^(a-1) e^-u, whose integrand falls
+    from 1 without a peak; mpmath's gammainc stops short there
+    (NoConvergence) at some large shapes."""
+    a, y = mpmath.mpf(a), mpmath.mpf(y)
+    integral = mpmath.quad(lambda u: mpmath.exp((a - 1) * mpmath.log1p(u / y) - u),
+                           [0, mpmath.inf])
+    return (a - 1) * mpmath.log(y) - y + mpmath.log(integral) - mpmath.loggamma(a)
+
+
+class TestDeepTailsAtLargeShapes:
+    """Each deep tail in one array call that holds points on both sides of
+    the underflow of gammainc or gammaincc, against mpmath."""
+
+    def test_lower_tail(self):
+        a, ratio = (v.ravel() for v in np.meshgrid(
+            np.logspace(0.0, 7.0, 15), [0.05, 0.3, 0.6, 0.9, 0.98]))
+        # y/a = 0.985: the ascending series stopped at 500 terms here and
+        # was off by 4.5e-7 relative
+        a, y = np.append(a, 1e7), np.append(a * ratio, 9.85e6)
+        deep = sc.gammainc(a, y) < 1e-280
+        assert deep.any() and not deep.all()
+        got = gamma_log_cdf(y, a, 1.0)
+        with mpmath.workdps(40):
+            want = [_mp_log_cdf(v, u, 1.0) for u, v in zip(a, y)]
+        for g, w, u, v in zip(got, want, a, y):
+            assert _close(g, w, rel=1e-9, abs_=0.0), (u, v, g, float(w))
+
+    def test_upper_tail(self):
+        a, k = (v.ravel() for v in np.meshgrid(
+            np.logspace(0.0, 7.0, 15), [20.0, 36.0, 60.0, 120.0, 200.0]))
+        y = a + k * np.sqrt(a)
+        deep = sc.gammaincc(a, y) < 1e-280
+        assert deep.any() and not deep.all()
+        with mock.patch.object(peakmodel, "_log_upper_gamma_cf",
+                               wraps=peakmodel._log_upper_gamma_cf) as fraction:
+            got = gamma_log_sf(y, a, 1.0)
+        # one array call for every deep element, not one call per element
+        assert fraction.call_count == 1
+        assert len(fraction.call_args.args[0]) == deep.sum()
+        with mpmath.workdps(30):
+            want = [_mp_log_sf_by_quadrature(v, u) for u, v in zip(a, y)]
+        for g, w, u, v in zip(got, want, a, y):
+            assert _close(g, w, rel=1e-9, abs_=0.0), (u, v, g, float(w))
+
+    def test_sf_of_point_mass_below_zero(self):
+        # the point mass at 0 exceeds any negative x with probability 1
+        assert gamma_log_sf(-1.0, 0.0, 1.0) == 0.0
+        got = gamma_log_sf(np.array([-1.0, 0.0, 1.0, -1.0, 0.0]),
+                           np.array([0.0, 0.0, 0.0, 2.0, 2.0]), 1.0)
+        np.testing.assert_array_equal(got, [0.0, -np.inf, -np.inf, 0.0, 0.0])
+
+
+_DROPOUT = mx.PeakObservation(0.0, 50.0)
+
+
+@pytest.mark.parametrize("function, args, name", [
+    (mx.params_from_mean_cv, (math.nan, 0.2), "mu"),
+    (mx.params_from_mean_cv, (math.inf, 0.2), "mu"),
+    (mx.mean_cv_from_params, (math.nan, 1.0), "rho"),
+    (mx.dropout_probability_gamma, (math.nan, 1.0, 50.0), "mu"),
+    (mx.dropout_probability_logistic, (1.0, 1.0, math.nan), "hbar"),
+    (mx.peak_log_factor, (_DROPOUT, math.nan, 1.0, 1.0), "rho"),
+    (mx.effective_allele_count, ([math.nan, 1.0], [1, 1]), "phi"),
+    (mx.post_stutter_count, (0.1, math.nan, 1.0), "b_here"),
+    (mx.homozygous_dropout_logistic, (0.5, math.nan), "beta"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_public_helpers_refuse_non_finite_arguments(function, args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        function(*args)
